@@ -74,6 +74,9 @@ func sessionPerfClose(a, b *core.Session) error {
 
 func expectMatchesScratch(t *testing.T, s *core.Session, context string) {
 	t.Helper()
+	if err := s.CheckSourceImage(); err != nil {
+		t.Fatalf("%s: %v", context, err)
+	}
 	fresh, err := core.Open(s.File.Path, s.Save())
 	if err != nil {
 		t.Fatalf("%s: saved source does not reopen: %v", context, err)

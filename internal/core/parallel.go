@@ -33,8 +33,9 @@ type PhaseObserver interface {
 
 // analyzeUnits runs analyzeUnit over every unit, concurrently when
 // more than one worker is available. old carries the previous states
-// so user marks, assertions and classifications survive reanalysis.
-func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState) map[*fortran.Unit]*UnitState {
+// so user marks, assertions and classifications survive reanalysis;
+// reprint is analyzeUnit's.
+func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState, reprint bool) map[*fortran.Unit]*UnitState {
 	out := make(map[*fortran.Unit]*UnitState, len(units))
 	workers := s.Workers
 	if workers <= 0 {
@@ -52,7 +53,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			out[u] = s.analyzeUnit(u, old[u], depWorkers)
+			out[u] = s.analyzeUnit(u, old[u], reprint, depWorkers)
 		}
 		return out
 	}
@@ -82,7 +83,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 							panicMu.Unlock()
 						}
 					}()
-					results[i] = s.analyzeUnit(units[i], old[units[i]], depWorkers)
+					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint, depWorkers)
 				}(i)
 			}
 		}()

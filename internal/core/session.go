@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -93,14 +94,31 @@ type UnitState struct {
 	assertions []Assertion
 	classes    map[string]VarClass // user overrides by name
 
-	// srcHash fingerprints the unit's printed source at last analysis;
-	// callSig its call surface (every call statement and user function
-	// invocation, with actuals). Both drive ReanalyzeUnit's escalation
-	// decision: an unchanged hash means nothing interprocedural can
-	// have moved, an unchanged call signature means no other unit's
-	// constant formals or call graph entry can have moved.
-	srcHash string
+	// unitImage is the unit's printed source and its fingerprint at last
+	// analysis — this unit's part of the session's source image, which
+	// Save and SourceHash read instead of printing. callSig fingerprints
+	// the call surface (every call statement and user function
+	// invocation, with actuals). srcHash and callSig drive
+	// ReanalyzeUnit's escalation decision: an unchanged hash means
+	// nothing interprocedural can have moved, an unchanged call
+	// signature means no other unit's constant formals or call graph
+	// entry can have moved.
+	unitImage
 	callSig string
+}
+
+// unitImage is one unit's printed text with its sha256.
+type unitImage struct {
+	text    string
+	srcHash string
+}
+
+// imageOf prints u and fingerprints the text.
+func imageOf(u *fortran.Unit) unitImage {
+	var b strings.Builder
+	fortran.PrintUnit(&b, u)
+	h := sha256.Sum256([]byte(b.String()))
+	return unitImage{text: b.String(), srcHash: hex.EncodeToString(h[:])}
 }
 
 // Session is one open ParaScope Editor.
@@ -138,6 +156,9 @@ type Session struct {
 	History []string
 
 	undoStack []string // printed sources
+	// progHash memoizes SourceHash; "" after any unit's text was
+	// replaced.
+	progHash string
 	// Counters for the evaluation tables.
 	Stats SessionStats
 	// mutated is set by any action that changes the program or the
@@ -226,7 +247,8 @@ func (s *Session) AnalyzeAll() {
 	for _, u := range s.File.Units {
 		s.est.UnitCost(u)
 	}
-	s.units = s.analyzeUnits(s.File.Units, s.units)
+	s.progHash = ""
+	s.units = s.analyzeUnits(s.File.Units, s.units, true)
 	s.LastReanalysis = Reanalysis{Mode: "full", Duration: time.Since(start)}
 }
 
@@ -252,13 +274,17 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 		s.AnalyzeAll()
 		return "full"
 	}
-	hash := unitHash(u)
-	if hash == st.srcHash {
+	img := imageOf(u)
+	if img.srcHash == st.srcHash {
 		// The AST is unchanged (assertion or option tweak): summaries
 		// and costs cannot have moved; reanalyze just this unit.
-		s.units[u] = s.analyzeUnit(u, st, s.depWorkerCount())
+		s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
 		return "unit"
 	}
+	// The one print of this edit: whichever rung runs below carries the
+	// refreshed image (and every other unit's untouched one) forward.
+	st.unitImage = img
+	s.progHash = ""
 	if !s.Conservative {
 		if callSurfaceSig(u) != st.callSig {
 			s.reanalyzeProgram(u)
@@ -271,7 +297,7 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 		}
 	}
 	s.invalidateCosts(u)
-	s.units[u] = s.analyzeUnit(u, st, s.depWorkerCount())
+	s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
 	s.refreshCallerEstimates(u)
 	return "unit"
 }
@@ -284,7 +310,19 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 func (s *Session) reanalyzeProgram(edited *fortran.Unit) {
 	oldProg := s.Prog
 	s.Prog = interproc.UpdateProgram(oldProg, map[*fortran.Unit]bool{edited: true})
-	s.est = perf.New(s.File, perf.DefaultParams())
+	// Only edited's cost and the costs embedding it can have moved (no
+	// other unit's AST changed, so the units that reach edited are the
+	// same in the old and the new call graph). On a recursion cycle,
+	// though, a memoized cost depends on which member the warm-up enters
+	// first (the estimator's cycle guard), and only a fresh estimator
+	// warmed in file order reproduces a from-scratch session. Re-warm
+	// while still single-threaded — EstimateUnit reads the memo from
+	// every worker; units that kept their cost answer from it.
+	if len(s.Prog.Graph.Recursive) > 0 {
+		s.est = perf.New(s.File, perf.DefaultParams())
+	} else {
+		s.invalidateCosts(edited)
+	}
 	for _, u := range s.File.Units {
 		s.est.UnitCost(u)
 	}
@@ -295,7 +333,7 @@ func (s *Session) reanalyzeProgram(edited *fortran.Unit) {
 		}
 		stale = append(stale, v)
 	}
-	fresh := s.analyzeUnits(stale, s.units)
+	fresh := s.analyzeUnits(stale, s.units, false)
 	for v, st := range fresh {
 		s.units[v] = st
 	}
@@ -371,14 +409,6 @@ func (s *Session) refreshCallerEstimates(u *fortran.Unit) {
 	}
 }
 
-// unitHash fingerprints a unit's current source text.
-func unitHash(u *fortran.Unit) string {
-	var b strings.Builder
-	fortran.PrintUnit(&b, u)
-	h := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(h[:])
-}
-
 // callSurfaceSig fingerprints the unit's call surface: the full text
 // of every statement that is a CALL or contains a resolved function
 // invocation, in walk order. Edits that leave it unchanged cannot move
@@ -405,7 +435,12 @@ func callSurfaceSig(u *fortran.Unit) string {
 	return b.String()
 }
 
-func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, depWorkers int) *UnitState {
+// analyzeUnit analyzes u from scratch, keeping prev's marks, assertions
+// and classifications. With reprint unset it also keeps prev's source
+// image, which the caller must have refreshed if u's AST changed;
+// otherwise (or with no prev) it prints u — once, for both the image
+// and the fingerprint.
+func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, depWorkers int) *UnitState {
 	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 		// Analysis has no error channel; an injected error surfaces
 		// as a panic for the session-level recovery boundary.
@@ -475,7 +510,11 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, depWorkers int) 
 	if s.obs != nil {
 		s.obs.ObservePhase("perf", time.Since(t0))
 	}
-	st.srcHash = unitHash(u)
+	if prev != nil && !reprint {
+		st.unitImage = prev.unitImage
+	} else {
+		st.unitImage = imageOf(u)
+	}
 	st.callSig = callSurfaceSig(u)
 	return st
 }
@@ -897,6 +936,9 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 	s.pushUndo()
 	if err := t.Apply(ctx); err != nil {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
+		// A failed Apply may have mutated the unit part-way; reanalysis
+		// keeps the analysis and the source image describing the AST.
+		s.ReanalyzeUnit(s.current)
 		return v, err
 	}
 	s.mutated = true
@@ -938,6 +980,13 @@ func (s *Session) EditStmt(id int, text string) error {
 		return fmt.Errorf("no statement %d", id)
 	}
 	ns, err := fortran.ParseStmtIn(s.File, s.current, text)
+	// Resolving the text's names declares (or reclassifies) them in the
+	// unit's symbol table even when the parse then fails, and the
+	// declarations print. The image follows at once: no reanalysis
+	// comes after a rejected edit, and an accepted edit's undo entry
+	// has always carried the names its text introduced — journals
+	// written that way must keep replaying onto the same hashes.
+	s.refreshImage(s.current)
 	if err != nil {
 		return fmt.Errorf("parse error: %v", err)
 	}
@@ -1020,13 +1069,23 @@ func (s *Session) tryPatchEdit(old, ns fortran.Stmt) bool {
 	s.invalidateCosts(u)
 	st.Est = s.est.EstimateUnit(st.DF)
 	s.refreshCallerEstimates(u)
-	st.srcHash = unitHash(u)
+	s.refreshImage(u)
 	d := time.Since(start)
 	if s.obs != nil {
 		s.obs.ObservePhase("patch", d)
 	}
 	s.LastReanalysis = Reanalysis{Mode: "patch", Duration: d}
 	return true
+}
+
+// refreshImage reprints u into its existing state — for a change to the
+// unit's text that leaves its analysis standing.
+func (s *Session) refreshImage(u *fortran.Unit) {
+	st := s.units[u]
+	if img := imageOf(u); img.srcHash != st.srcHash {
+		st.unitImage = img
+		s.progHash = ""
+	}
 }
 
 // touchesVisible reports whether the statement accesses any symbol a
@@ -1128,7 +1187,7 @@ func deleteStmtIn(u *fortran.Unit, old fortran.Stmt) bool {
 // Undo and persistence
 
 func (s *Session) pushUndo() {
-	s.undoStack = append(s.undoStack, fortran.Print(s.File))
+	s.undoStack = append(s.undoStack, s.Save())
 }
 
 // Undo restores the program to its state before the last
@@ -1140,11 +1199,12 @@ func (s *Session) Undo() error {
 		return fmt.Errorf("nothing to undo")
 	}
 	src := s.undoStack[len(s.undoStack)-1]
-	s.undoStack = s.undoStack[:len(s.undoStack)-1]
 	f, err := fortran.Parse(s.File.Path, src)
 	if err != nil {
+		// The entry stays: a failed undo changes nothing.
 		return fmt.Errorf("undo reparse failed: %v", err)
 	}
+	s.undoStack = s.undoStack[:len(s.undoStack)-1]
 	curName := ""
 	if s.current != nil {
 		curName = s.current.Name
@@ -1162,8 +1222,61 @@ func (s *Session) Undo() error {
 	return nil
 }
 
-// Save returns the current program text.
-func (s *Session) Save() string { return fortran.Print(s.File) }
+// Save returns the current program text: fortran.Print(s.File), byte
+// for byte, joined from the source image rather than printed. Every
+// AST mutation ends in a refresh of the image (analyzeUnit,
+// reanalyzeUnit, or refreshImage from tryPatchEdit and EditStmt's
+// parse) before returning, so no caller sees a stale text.
+func (s *Session) Save() string {
+	n := len(s.File.Units)
+	for _, u := range s.File.Units {
+		n += len(s.units[u].text)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	s.writeSource(&b)
+	return b.String()
+}
+
+// SourceHash returns the hex sha256 of Save() — the fingerprint the
+// server's journal integrity chain and the planner's hash chains
+// carry. It is memoized until a unit's text is next replaced, and
+// streams the per-unit texts, so an unchanged program costs nothing
+// and a changed one is hashed without being joined.
+func (s *Session) SourceHash() string {
+	if s.progHash == "" {
+		h := sha256.New()
+		s.writeSource(h)
+		s.progHash = hex.EncodeToString(h.Sum(nil))
+	}
+	return s.progHash
+}
+
+// CheckSourceImage holds the source image to its reference: Save must
+// equal fortran.Print of the AST as it is now, and SourceHash the
+// sha256 of that text. The tests call it after every operation; nil
+// means the image is true.
+func (s *Session) CheckSourceImage() error {
+	want := fortran.Print(s.File)
+	if got := s.Save(); got != want {
+		return fmt.Errorf("stale source image: Save() differs from fortran.Print(File)\n--- Save ---\n%s--- Print ---\n%s", got, want)
+	}
+	sum := sha256.Sum256([]byte(want))
+	if got := s.SourceHash(); got != hex.EncodeToString(sum[:]) {
+		return fmt.Errorf("stale source hash: SourceHash() %.12s…, sha256(Save()) %.12s…", got, hex.EncodeToString(sum[:]))
+	}
+	return nil
+}
+
+// writeSource streams the source image in fortran.Print's layout.
+func (s *Session) writeSource(w io.Writer) {
+	for i, u := range s.File.Units {
+		if i > 0 {
+			io.WriteString(w, "\n")
+		}
+		io.WriteString(w, s.units[u].text)
+	}
+}
 
 // UndoStack returns a copy of the printed sources Undo can revert to,
 // oldest first. The server's durability snapshots persist it so undo

@@ -80,6 +80,9 @@ func FuzzEditReanalyze(f *testing.F) {
 		if !edited {
 			return
 		}
+		if err := s.CheckSourceImage(); err != nil {
+			t.Fatalf("edit %q (%s path): %v", text, s.LastReanalysis.Mode, err)
+		}
 		fresh, err := core.Open("fuzz.f", s.Save())
 		if err != nil {
 			t.Fatalf("accepted edit %q prints to something unparseable: %v\n--- saved ---\n%s",

@@ -378,8 +378,7 @@ func (s *searcher) openWorld(source string, steps []Step) (*world, error) {
 	// Canonicalize to the printed form: the hash chain must match what
 	// Save() (and therefore the daemon's journal integrity chain)
 	// computes, which for raw user text can differ in formatting.
-	src := sess.Save()
-	w := &world{sess: sess, src: src, hash: SrcHash(src), steps: steps}
+	w := &world{sess: sess, src: sess.Save(), hash: sess.SourceHash(), steps: steps}
 	s.score(w)
 	return w, nil
 }
@@ -417,13 +416,13 @@ func (s *searcher) eval(parent *world, line string) (w *world, err error) {
 	if err := faultpoint.Hit(faultpoint.PlanScore, line); err != nil {
 		return nil, err
 	}
-	src := sess.Save()
+	hash := sess.SourceHash()
 	w = &world{
 		sess: sess,
-		src:  src,
-		hash: SrcHash(src),
+		src:  sess.Save(),
+		hash: hash,
 		steps: append(append([]Step{}, parent.steps...),
-			Step{Line: line, Verdict: verdict, Hash: SrcHash(src)}),
+			Step{Line: line, Verdict: verdict, Hash: hash}),
 	}
 	s.score(w)
 	s.mu.Lock()

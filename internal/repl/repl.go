@@ -338,7 +338,7 @@ func (r *REPL) Execute(line string) error {
 			return fmt.Errorf("no plan %d (have %d; run plan first)", n, len(r.Plans))
 		}
 		p := r.Plans[n-1]
-		if h := planner.SrcHash(s.Save()); h != p.BaseHash {
+		if h := s.SourceHash(); h != p.BaseHash {
 			return fmt.Errorf("stale plan %s: program changed since the plan was computed", p.ID)
 		}
 		for i, st := range p.Steps {
@@ -346,7 +346,7 @@ func (r *REPL) Execute(line string) error {
 				return fmt.Errorf("apply-plan step %d (%q): %v", i+1, st.Line, err)
 			}
 			if st.Hash != "" {
-				if h := planner.SrcHash(s.Save()); h != st.Hash {
+				if h := s.SourceHash(); h != st.Hash {
 					return fmt.Errorf("apply-plan diverged after step %d (%q); undo to roll back", i+1, st.Line)
 				}
 			}

@@ -44,9 +44,12 @@ type UnitArtifacts struct {
 type Artifacts struct {
 	Key  string
 	Path string
-	// Printed is the canonical pretty-printed program (`save`).
-	Printed string
-	Units   []UnitArtifacts
+	// Printed is the canonical pretty-printed program (`save`) and
+	// PrintedHash its sha256 — the PreHash of every operation journaled
+	// while a session is still artifact-backed.
+	Printed     string
+	PrintedHash string
+	Units       []UnitArtifacts
 	// DefaultUnit indexes the unit current at open (MAIN if present).
 	DefaultUnit int
 	// NoLoopDepPane/NoLoopVarPane are the pane renderings before any
@@ -86,6 +89,7 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 		Key:           key,
 		Path:          s.File.Path,
 		Printed:       s.Save(),
+		PrintedHash:   s.SourceHash(),
 		NoLoopDepPane: view.DepPane(s, core.DepFilter{}),
 		NoLoopVarPane: view.VarPane(s),
 	}

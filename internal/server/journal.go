@@ -1,9 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,12 +70,6 @@ type record struct {
 	Delete bool   `json:"delete,omitempty"`
 
 	PreHash string `json:"pre_hash,omitempty"`
-}
-
-// srcHash is the printed-source content hash carried in PreHash.
-func srcHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:])
 }
 
 // FsyncPolicy says when journal appends reach stable storage.

@@ -138,29 +138,27 @@ func (req PlanRequest) options(cfg *planConfig) planner.Options {
 // source, unit, and budget always produce the same ranked plans (the
 // search is deterministic up to its deadline, which is part of the
 // key).
-func planKey(src, unit string, o planner.Options) string {
+func planKey(b planBase, o planner.Options) string {
 	return fmt.Sprintf("%s|%s|b%d.d%d.w%d.t%d.ms%d.i%v.c%v",
-		planner.SrcHash(src), unit, o.BeamWidth, o.MaxDepth, o.MaxWorlds,
+		b.hash, b.unit, o.BeamWidth, o.MaxDepth, o.MaxWorlds,
 		o.TopPlans, o.Timeout/time.Millisecond, o.Interp, o.Compiled)
 }
 
-// planSnapshot borrows the actor for the instant it takes to print
-// the current source — the world fork point. Read-only and even
-// quarantine-adjacent traffic keeps flowing while the search runs.
-func (ss *Session) planSnapshot(ctx context.Context) (path, src, unit string, err error) {
+// planBase is the world fork point of one search: the session's source
+// and its hash (both from the session's source image), and the unit.
+type planBase struct {
+	path, src, hash, unit string
+}
+
+// planSnapshot borrows the actor for the instant it takes to read the
+// current source. Read-only and even quarantine-adjacent traffic keeps
+// flowing while the search runs.
+func (ss *Session) planSnapshot(ctx context.Context) (b planBase, err error) {
 	err = ss.post(ctx, func() {
-		path = ss.path
-		if ss.live != nil {
-			src = ss.live.Save()
-			if u := ss.live.CurrentUnit(); u != nil {
-				unit = u.Name
-			}
-		} else {
-			src = ss.art.Printed
-			unit = ss.art.Units[ss.curUnit].Name
-		}
+		snap := ss.snapshotRecord()
+		b = planBase{path: ss.path, src: snap.Source, hash: ss.currentHash(), unit: snap.Unit}
 	}, true)
-	return path, src, unit, err
+	return b, err
 }
 
 // Plan runs (or begins, with Async) a speculative search for the
@@ -168,12 +166,12 @@ func (ss *Session) planSnapshot(ctx context.Context) (path, src, unit string, er
 // nothing. One search per session at a time (409), bounded searches
 // per daemon (429), results cached by source hash + unit + budget.
 func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
-	path, src, unit, err := ss.planSnapshot(ctx)
+	base, err := ss.planSnapshot(ctx)
 	if err != nil {
 		return PlanResponse{}, err
 	}
 	opts := req.options(ss.planCfg)
-	key := planKey(src, unit, opts)
+	key := planKey(base, opts)
 	if cfg := ss.planCfg; cfg != nil {
 		if resp, ok := cfg.cache.get(key); ok {
 			resp.SessionID = ss.ID
@@ -196,17 +194,17 @@ func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, err
 		}
 	}
 	if req.Async {
-		running := PlanResponse{SessionID: ss.ID, Unit: unit,
-			BaseHash: planner.SrcHash(src), Status: "running"}
+		running := PlanResponse{SessionID: ss.ID, Unit: base.unit,
+			BaseHash: base.hash, Status: "running"}
 		ss.plan.store(running)
 		go func() {
 			defer release()
-			ss.runSearch(context.Background(), path, src, unit, opts, key)
+			ss.runSearch(context.Background(), base, opts, key)
 		}()
 		return running, nil
 	}
 	defer release()
-	resp := ss.runSearch(ctx, path, src, unit, opts, key)
+	resp := ss.runSearch(ctx, base, opts, key)
 	if resp.Status == "failed" {
 		return resp, errors.New(resp.Error)
 	}
@@ -216,12 +214,12 @@ func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, err
 // runSearch owns the session's running latch; it stores the outcome
 // (done or failed) where PlanStatus and apply-plan find it, and
 // caches successes.
-func (ss *Session) runSearch(ctx context.Context, path, src, unit string, opts planner.Options, key string) PlanResponse {
+func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Options, key string) PlanResponse {
 	defer ss.plan.end()
 	start := time.Now()
-	res, err := planner.Search(ctx, path, src, unit, opts, plannerObserver{ss.metrics})
+	res, err := planner.Search(ctx, base.path, base.src, base.unit, opts, plannerObserver{ss.metrics})
 	ss.metrics.PlannerSearch.Observe(time.Since(start).Seconds())
-	resp := PlanResponse{SessionID: ss.ID, Unit: unit, BaseHash: planner.SrcHash(src)}
+	resp := PlanResponse{SessionID: ss.ID, Unit: base.unit, BaseHash: base.hash}
 	if err != nil {
 		resp.Status = "failed"
 		resp.Error = err.Error()

@@ -399,19 +399,8 @@ func (ss *Session) Export(ctx context.Context) ([]byte, error) {
 			data, opErr = ss.jr.contents()
 			return
 		}
-		snap := &record{Op: recSnapshot, Seq: 1, Time: time.Now().UnixNano(), Path: ss.path}
-		if ss.live != nil {
-			snap.Source = ss.live.Save()
-			snap.Undo = ss.live.UndoStack()
-			if u := ss.live.CurrentUnit(); u != nil {
-				snap.Unit = u.Name
-			}
-			snap.Loop = ss.liveLoopOrdinal()
-		} else {
-			snap.Source = ss.art.Printed
-			snap.Unit = ss.art.Units[ss.curUnit].Name
-			snap.Loop = ss.curLoop
-		}
+		snap := ss.snapshotRecord()
+		snap.Seq, snap.Time = 1, time.Now().UnixNano()
 		data, opErr = encodeRecord(snap)
 	}, false); err != nil {
 		return nil, err
@@ -779,12 +768,14 @@ func mutatingLine(line string) bool { return mutatingVerbs[lineVerb(line)] }
 func stickyLine(line string) bool   { return stickyVerbs[lineVerb(line)] }
 
 // currentHash fingerprints the printed program — the PreHash integrity
-// chain each journal record carries.
+// chain each journal record carries: sha256 of the `save` text, read
+// from the session's memoized source image (or the artifacts' constant)
+// so that journaling an operation never prints or hashes the program.
 func (ss *Session) currentHash() string {
 	if ss.live != nil {
-		return srcHash(ss.live.Save())
+		return ss.live.SourceHash()
 	}
-	return srcHash(ss.art.Printed)
+	return ss.art.PrintedHash
 }
 
 // journalAppend writes rec (journal-before-apply: the mutation only
@@ -829,17 +820,10 @@ func (ss *Session) afterMutation(rec *record) {
 	ss.maybeSnapshot()
 }
 
-// maybeSnapshot compacts the journal to a single snapshot record once
-// enough mutations have accumulated. Sticky state blocks compaction
-// (the snapshot could not represent it), and a read-only session never
-// rewrites. A failed rewrite leaves the old journal serving but
-// degrades the session: the snapshot path just proved this disk is not
-// accepting writes.
-func (ss *Session) maybeSnapshot() {
-	if ss.jr == nil || ss.snapEvery <= 0 || ss.mutsSinceSnap < ss.snapEvery ||
-		ss.sticky || ss.readonly.Load() {
-		return
-	}
+// snapshotRecord captures everything a source snapshot can represent:
+// the printed program, the undo stack and the cursor. The journal
+// rewrite stamps Seq and Time itself; Export stamps its own.
+func (ss *Session) snapshotRecord() *record {
 	snap := &record{Op: recSnapshot, Path: ss.path}
 	if ss.live != nil {
 		snap.Source = ss.live.Save()
@@ -853,7 +837,21 @@ func (ss *Session) maybeSnapshot() {
 		snap.Unit = ss.art.Units[ss.curUnit].Name
 		snap.Loop = ss.curLoop
 	}
-	if err := ss.jr.rewrite(snap); err != nil {
+	return snap
+}
+
+// maybeSnapshot compacts the journal to a single snapshot record once
+// enough mutations have accumulated. Sticky state blocks compaction
+// (the snapshot could not represent it), and a read-only session never
+// rewrites. A failed rewrite leaves the old journal serving but
+// degrades the session: the snapshot path just proved this disk is not
+// accepting writes.
+func (ss *Session) maybeSnapshot() {
+	if ss.jr == nil || ss.snapEvery <= 0 || ss.mutsSinceSnap < ss.snapEvery ||
+		ss.sticky || ss.readonly.Load() {
+		return
+	}
+	if err := ss.jr.rewrite(ss.snapshotRecord()); err != nil {
 		ss.degradeReadOnly(fmt.Sprintf("journal snapshot: %v", err))
 		return
 	}
