@@ -199,8 +199,8 @@ func editBenchSource(loops int) string {
 // the editor: the whole-unit reanalysis baseline (WholeUnitOnly)
 // against the statement-granular patch path, for the same 1:1 edit of
 // one assignment deep inside a large unit. The "stmt" sub-benchmark
-// must come in well under the "whole-unit" one — the committed
-// BENCH_pedd.json records the ratio.
+// must come in well under the "whole-unit" one — bench/ measures the
+// pair as core.edit_patch_ms and core.edit_unit_ms on big_edit.
 func BenchmarkEditReanalyze(b *testing.B) {
 	src := editBenchSource(30)
 	for _, mode := range []struct {
@@ -419,8 +419,8 @@ func BenchmarkInterp(b *testing.B) {
 // source (30 loop nests, ~120k interpreted statements). The compiled
 // binary is built once outside the timed region — the cache makes
 // rebuilds free — and its per-run number includes process spawn, the
-// honest per-execution cost of the exec API. benchjson -check holds
-// the committed interp/compiled ratio at >= 5x.
+// honest per-execution cost of the exec API. bench/ measures the pair
+// as interp.run_ms and codegen.run_ms on plan_run.
 func BenchmarkCompiledVsInterp(b *testing.B) {
 	f, err := fortran.Parse("bench.f", editBenchSource(30))
 	if err != nil {

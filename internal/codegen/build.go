@@ -9,9 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,12 +25,37 @@ import (
 	"parascope/internal/fortran"
 )
 
-// genVersion is folded into the build-cache key so stale binaries are
-// never reused after the generator's lowering rules change.
-const genVersion = "pedc-1"
+// The runtime packages every generated program imports, shipped as
+// source: the same files the interpreter links.
+var (
+	//go:embed runfmt/runfmt.go
+	runfmtSrc string
+	//go:embed parrt/parrt.go
+	parrtSrc string
+)
 
-//go:embed runfmt/runfmt.go
-var runfmtSrc string
+// stagedFiles is the module go build compiles for one generated
+// program: everything that determines the binary.
+func stagedFiles(mainSrc string) map[string]string {
+	return map[string]string{
+		"go.mod":           "module gen\n\ngo 1.24\n",
+		"main.go":          mainSrc,
+		"parrt/parrt.go":   parrtSrc,
+		"runfmt/runfmt.go": runfmtSrc,
+	}
+}
+
+// cacheKey is the build-cache key of a staged module: a hash over the
+// name and content of every file in it, so a change to the program,
+// to the generator's lowering or to an embedded runtime package can
+// never reuse a stale binary.
+func cacheKey(files map[string]string) string {
+	h := sha256.New()
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		fmt.Fprintf(h, "%s\x00%d\x00%s", name, len(files[name]), files[name])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
 
 // Artifact is a compiled workload: the generated source, the cache
 // directory holding the module, and the built binary.
@@ -36,7 +63,7 @@ type Artifact struct {
 	Source string // generated Go source for the main package
 	Dir    string // module directory inside the build cache
 	Bin    string // path of the built executable
-	Hash   string // cache key (source hash + generator version)
+	Hash   string // cache key (hash of the staged module's files)
 	Cached bool   // true when a previously built binary was reused
 }
 
@@ -52,7 +79,6 @@ type RunResult struct {
 type manifest struct {
 	SHA256 string `json:"sha256"` // hex digest of the prog binary
 	Size   int64  `json:"size"`   // byte length of the prog binary
-	Gen    string `json:"gen"`    // generator version that built it
 }
 
 const manifestName = "manifest.json"
@@ -78,19 +104,10 @@ func cacheRoot(dir string) string {
 	return filepath.Join(os.TempDir(), "parascope-pedc")
 }
 
-// SourceHash returns the cache key for a parsed program: the hash of
-// its printed form salted with the generator version, so semantically
-// identical edits (comment/whitespace churn the printer drops) hit
-// the same cache entry.
-func SourceHash(f *fortran.File) string {
-	h := sha256.Sum256([]byte(genVersion + "\x00" + fortran.Print(f)))
-	return hex.EncodeToString(h[:16])
-}
-
 // Build lowers the program to Go and compiles it into the cache,
-// reusing a previously built binary when the source hash matches AND
-// the entry's manifest checksum verifies — corrupt entries are
-// quarantined to <dir>.bad and transparently rebuilt. Concurrent
+// reusing a previously built binary when the staged module's key
+// matches AND the entry's manifest checksum verifies — corrupt entries
+// are quarantined to <dir>.bad and transparently rebuilt. Concurrent
 // builds of the same program are deduplicated to one go build.
 // cacheDir may be empty to use the default location; g may be nil for
 // default limits and no telemetry.
@@ -99,7 +116,8 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 	if err != nil {
 		return nil, err
 	}
-	hash := SourceHash(f)
+	files := stagedFiles(src)
+	hash := cacheKey(files)
 	dir := filepath.Join(cacheRoot(cacheDir), hash)
 	bin := filepath.Join(dir, "prog")
 
@@ -114,7 +132,7 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 			return art, nil
 		}
 		start := time.Now()
-		if err := compile(ctx, src, dir, bin, g); err != nil {
+		if err := compile(ctx, files, dir, bin, g); err != nil {
 			g.Event("build_fail", "")
 			return nil, err
 		}
@@ -150,7 +168,7 @@ func verifyEntry(dir, bin, hash string, g *execguard.Governor) bool {
 			return false
 		}
 		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Gen != genVersion {
+		if err := json.Unmarshal(data, &m); err != nil {
 			return false
 		}
 		if fi.Size() != m.Size {
@@ -198,7 +216,7 @@ func fileSHA256(path string) (string, error) {
 // cannot wedge the daemon), writes the manifest, and atomically
 // renames the result into place so concurrent builds of the same
 // program never observe a half-written module.
-func compile(ctx context.Context, src, dir, bin string, g *execguard.Governor) error {
+func compile(ctx context.Context, files map[string]string, dir, bin string, g *execguard.Governor) error {
 	hash := filepath.Base(dir)
 	if err := faultpoint.Hit(faultpoint.ExecBuild, hash); err != nil {
 		return fmt.Errorf("codegen: go build failed: %w", err)
@@ -213,11 +231,6 @@ func compile(ctx context.Context, src, dir, bin string, g *execguard.Governor) e
 	}
 	defer os.RemoveAll(stage)
 
-	files := map[string]string{
-		"go.mod":           "module gen\n\ngo 1.24\n",
-		"main.go":          src,
-		"runfmt/runfmt.go": runfmtSrc,
-	}
 	for name, content := range files {
 		p := filepath.Join(stage, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -256,7 +269,7 @@ func compile(ctx context.Context, src, dir, bin string, g *execguard.Governor) e
 	if err != nil {
 		return fmt.Errorf("codegen: stat binary: %w", err)
 	}
-	mdata, _ := json.Marshal(manifest{SHA256: sum, Size: fi.Size(), Gen: genVersion})
+	mdata, _ := json.Marshal(manifest{SHA256: sum, Size: fi.Size()})
 	if err := os.WriteFile(filepath.Join(stage, manifestName), mdata, 0o644); err != nil {
 		return fmt.Errorf("codegen: write manifest: %w", err)
 	}

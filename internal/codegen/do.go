@@ -6,12 +6,13 @@ import (
 	"parascope/internal/fortran"
 )
 
-// genDo lowers a DO loop. Sequential loops become a counted Go for
-// loop with the interpreter's trip-count arithmetic; loops marked
-// `c$par doall` additionally get a parallel branch taken when the
-// trip count exceeds one, replicating the interpreter's fan-out
-// protocol so that reduction results are byte-identical at equal
-// worker counts.
+// genDo lowers a DO loop. The loop protocol is parrt's, the package
+// the interpreter imports and every generated program carries: the
+// emitted code asks it for the trip count (doLoop, the prelude's
+// parrt.New plus the runtime error for a zero step), the loop
+// variable's values, and — for a loop marked `c$par doall` — whether
+// and how wide to fork. Only storage and the counted for loop around
+// the body are emitted here.
 func (g *gen) genDo(st *fortran.DoStmt) {
 	k := g.tmp
 	g.tmp++
@@ -25,22 +26,18 @@ func (g *gen) genDo(st *fortran.DoStmt) {
 
 	g.w("{")
 	g.ind++
+	// One statement per control expression keeps the interpreter's
+	// evaluation order (lo, hi, step) whatever the expressions call.
 	g.w("lo%d := %s", k, g.toInt(g.expr(st.Lo)))
 	g.w("hi%d := %s", k, g.toInt(g.expr(st.Hi)))
+	step := "cI(1)"
 	if st.Step != nil {
 		g.w("st%d := %s", k, g.toInt(g.expr(st.Step)))
-	} else {
-		g.w("st%d := cI(1)", k)
+		step = fmt.Sprintf("st%d", k)
 	}
-	g.w("if st%d == 0 {", k)
-	g.w("\trtErr(\"zero DO step\")")
-	g.w("}")
-	g.w("tr%d := (hi%d - lo%d + st%d) / st%d", k, k, k, k, k)
-	g.w("if tr%d < 0 {", k)
-	g.w("\ttr%d = 0", k)
-	g.w("}")
+	g.w("l%d := doLoop(lo%d, hi%d, %s)", k, k, k, step)
 	if st.Parallel {
-		g.w("if tr%d > 1 {", k)
+		g.w("if nw%d := l%d.Fork(*workersFlag); nw%d > 0 {", k, k, k)
 		g.ind++
 		g.genDoall(st, k)
 		g.ind--
@@ -58,15 +55,13 @@ func (g *gen) genDo(st *fortran.DoStmt) {
 
 func (g *gen) genSeqBody(st *fortran.DoStmt, k int) {
 	iv := g.scalRef(st.Var)
-	g.w("iv%d := lo%d", k, k)
-	g.w("for n%d := cI(0); n%d < tr%d; n%d++ {", k, k, k, k)
+	g.w("for n%d := cI(0); n%d < l%d.Trip; n%d++ {", k, k, k, k)
 	g.ind++
-	g.w("%s = iv%d", iv, k)
+	g.w("%s = l%d.Index(n%d)", iv, k, k)
 	g.stmts(st.Body)
-	g.w("iv%d += st%d", k, k)
 	g.ind--
 	g.w("}")
-	g.w("%s = iv%d", iv, k)
+	g.w("%s = l%d.Final()", iv, k)
 }
 
 // checkParallelBody declines constructs whose execution inside a
@@ -94,6 +89,14 @@ func (g *gen) checkParallelBody(body []fortran.Stmt, stack [][]fortran.Stmt) {
 	}
 }
 
+// genDoall emits the forked branch of a marked loop: one closure
+// handed to parrt's Run, holding the worker's private storage and a
+// counted for loop over the iteration share Run passes in, then
+// parrt's Reduce per reduction variable. What is decided here is
+// representation only — privatized symbols become worker-local shadow
+// declarations of the shared names, so the body text lowers
+// identically in both branches — plus the static checkParallelBody
+// decline.
 func (g *gen) genDoall(st *fortran.DoStmt, k int) {
 	g.checkParallelBody(st.Body, [][]fortran.Stmt{st.Body})
 
@@ -122,23 +125,11 @@ func (g *gen) genDoall(st *fortran.DoStmt, k int) {
 		private = append(private, p)
 	}
 
-	g.w("nw%d := gWorkers()", k)
-	g.w("if nw%d > tr%d {", k, k)
-	g.w("\tnw%d = tr%d", k, k)
-	g.w("}")
 	for ri, r := range st.Reductions {
 		g.w("red%d_%d := make([]%s, nw%d)", ri, k, g.symType(r.Sym).goName(), k)
 	}
-	g.w("var wg%d sync.WaitGroup", k)
-	g.w("for w%d := cI(0); w%d < nw%d; w%d++ {", k, k, k, k)
+	g.w("l%d.Run(nw%d, func(w%d, n%d, d%d int64) {", k, k, k, k, k)
 	g.ind++
-	g.w("wg%d.Add(1)", k)
-	g.w("go func(w%d int64) {", k)
-	g.ind++
-	g.w("defer wg%d.Done()", k)
-
-	// Private storage: worker-local shadows of the shared names, so
-	// the body text lowers identically in both branches.
 	for _, p := range private {
 		name := g.arrName(p) // same mangling for scalars and arrays
 		switch {
@@ -152,22 +143,17 @@ func (g *gen) genDoall(st *fortran.DoStmt, k int) {
 		}
 		g.w("_ = %s", name)
 	}
-	for ri, r := range st.Reductions {
-		ident := reductionIdentity(r, g.symType(r.Sym))
+	for _, r := range st.Reductions {
+		ident := fmt.Sprintf("parrt.Identity[%s](%q)", g.symType(r.Sym).goName(), r.Operator())
 		if r.Sym.Dummy {
 			g.w("%s := %s(%s)", mangleVar(r.Sym.Name), refFn(g.symType(r.Sym)), ident)
-		} else if r.Sym.Common != "" {
-			g.w("%s := %s", mangleCommon(r.Sym.Common, r.Sym.Name), ident)
 		} else {
-			g.w("%s := %s", mangleVar(r.Sym.Name), ident)
+			g.w("%s := %s", g.arrName(r.Sym), ident)
 		}
-		_ = ri
 	}
-
-	// Block-cyclic iteration assignment, as the interpreter does it.
-	g.w("for n%d := w%d; n%d < tr%d; n%d += nw%d {", k, k, k, k, k, k)
+	g.w("for ; n%d < l%d.Trip; n%d += d%d {", k, k, k, k)
 	g.ind++
-	g.w("%s = lo%d + n%d*st%d", g.scalRef(st.Var), k, k, k)
+	g.w("%s = l%d.Index(n%d)", g.scalRef(st.Var), k, k)
 	g.stmts(st.Body)
 	g.ind--
 	g.w("}")
@@ -175,65 +161,10 @@ func (g *gen) genDoall(st *fortran.DoStmt, k int) {
 		g.w("red%d_%d[w%d] = %s", ri, k, k, g.scalRef(r.Sym))
 	}
 	g.ind--
-	g.w("}(w%d)", k)
-	g.ind--
-	g.w("}")
-	g.w("wg%d.Wait()", k)
-
-	// Combine per-worker reduction accumulators in worker order,
-	// starting from the shared variable's current value.
+	g.w("})")
 	for ri, r := range st.Reductions {
 		outer := g.scalRef(r.Sym)
-		g.w("acc%d_%d := %s", ri, k, outer)
-		g.w("for w%d := cI(0); w%d < nw%d; w%d++ {", k, k, k, k)
-		g.ind++
-		g.combine(r, fmt.Sprintf("acc%d_%d", ri, k), fmt.Sprintf("red%d_%d[w%d]", ri, k, k))
-		g.ind--
-		g.w("}")
-		g.w("%s = acc%d_%d", outer, ri, k)
+		g.w("%s = parrt.Reduce(%q, %s, red%d_%d)", outer, r.Operator(), outer, ri, k)
 	}
-	// Final loop variable value, as the sequential loop would leave it.
-	g.w("%s = lo%d + tr%d*st%d", g.scalRef(st.Var), k, k, k)
-}
-
-func reductionIdentity(r fortran.Reduction, t gtype) string {
-	switch {
-	case r.OpName == "max":
-		if t == tInt {
-			return "cI(-9223372036854775808)"
-		}
-		return "math.Inf(-1)"
-	case r.OpName == "min":
-		if t == tInt {
-			return "cI(9223372036854775807)"
-		}
-		return "math.Inf(1)"
-	case r.Op == fortran.TokStar:
-		if t == tInt {
-			return "cI(1)"
-		}
-		return "cF(1.0)"
-	default: // sum
-		if t == tInt {
-			return "cI(0)"
-		}
-		return "cF(0.0)"
-	}
-}
-
-func (g *gen) combine(r fortran.Reduction, acc, v string) {
-	switch {
-	case r.OpName == "max":
-		g.w("if %s > %s {", v, acc)
-		g.w("\t%s = %s", acc, v)
-		g.w("}")
-	case r.OpName == "min":
-		g.w("if %s < %s {", v, acc)
-		g.w("\t%s = %s", acc, v)
-		g.w("}")
-	case r.Op == fortran.TokStar:
-		g.w("%s = %s * %s", acc, acc, v)
-	default:
-		g.w("%s = %s + %s", acc, acc, v)
-	}
+	g.w("%s = l%d.Final()", g.scalRef(st.Var), k)
 }

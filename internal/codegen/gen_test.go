@@ -215,9 +215,25 @@ func TestBuildCache(t *testing.T) {
 	if a1.Hash != a2.Hash {
 		t.Fatalf("hash changed across identical builds: %s vs %s", a1.Hash, a2.Hash)
 	}
-	other := parse(t, strings.Replace(src, "42", "43", 1))
-	if h := SourceHash(other); h == a1.Hash {
+	otherSrc, err := Generate(parse(t, strings.Replace(src, "42", "43", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cacheKey(stagedFiles(otherSrc)) == a1.Hash {
 		t.Fatal("different programs share a hash")
+	}
+	// The key covers everything go build compiles: one byte more in an
+	// embedded runtime package must never reuse this binary.
+	files := stagedFiles(a1.Source)
+	if cacheKey(files) != a1.Hash {
+		t.Fatal("Build's key is not the key of the module it staged")
+	}
+	for _, name := range []string{"parrt/parrt.go", "runfmt/runfmt.go", "go.mod"} {
+		changed := stagedFiles(a1.Source)
+		changed[name] += "\n"
+		if cacheKey(changed) == a1.Hash {
+			t.Fatalf("a changed %s keeps the cache key", name)
+		}
 	}
 }
 
@@ -243,33 +259,41 @@ func TestRuntimeErrorPropagates(t *testing.T) {
 }
 
 // typeCheckGenerated verifies a generated program against the full Go
-// type system (not just the grammar), resolving the gen/runfmt import
-// to the embedded runfmt source.
+// type system (not just the grammar), resolving the gen/runfmt and
+// gen/parrt imports to the embedded runtime sources.
 var (
-	runfmtPkgOnce sync.Once
-	runfmtPkg     *types.Package
-	runfmtPkgErr  error
+	genPkgs = map[string]*genPkg{
+		"gen/runfmt": {src: runfmtSrc},
+		"gen/parrt":  {src: parrtSrc},
+	}
 	// One shared gc importer: it caches stdlib packages internally,
 	// which keeps repeated type-checks (the fuzz loop) fast.
 	stdImporter   = importer.Default()
 	stdImporterMu sync.Mutex
 )
 
+type genPkg struct {
+	src  string
+	once sync.Once
+	pkg  *types.Package
+	err  error
+}
+
 type genImporter struct{}
 
 func (genImporter) Import(path string) (*types.Package, error) {
-	if path == "gen/runfmt" {
-		runfmtPkgOnce.Do(func() {
+	if p := genPkgs[path]; p != nil {
+		p.once.Do(func() {
 			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, "runfmt.go", runfmtSrc, 0)
+			f, err := parser.ParseFile(fset, path+".go", p.src, 0)
 			if err != nil {
-				runfmtPkgErr = err
+				p.err = err
 				return
 			}
 			conf := types.Config{Importer: genImporter{}}
-			runfmtPkg, runfmtPkgErr = conf.Check("gen/runfmt", fset, []*ast.File{f}, nil)
+			p.pkg, p.err = conf.Check(path, fset, []*ast.File{f}, nil)
 		})
-		return runfmtPkg, runfmtPkgErr
+		return p.pkg, p.err
 	}
 	stdImporterMu.Lock()
 	defer stdImporterMu.Unlock()

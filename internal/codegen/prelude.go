@@ -2,7 +2,8 @@ package codegen
 
 // prelude is the runtime support emitted at the top of every
 // generated program: buffered locked output through the shared runfmt
-// package, whitespace-separated float input for READ, the generic
+// package, DO-loop control through the shared parrt package,
+// whitespace-separated float input for READ, the generic
 // array type replicating the interpreter's column-major indexing
 // (per-dimension lower bounds, single-subscript linearized fallback,
 // bounds checks), and the arithmetic helpers whose semantics mirror
@@ -16,21 +17,23 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 
+	"gen/parrt"
 	"gen/runfmt"
 )
 
 var workersFlag = flag.Int("workers", 1, "goroutines per DOALL loop (<=0 means GOMAXPROCS)")
 
-func gWorkers() int64 {
-	w := *workersFlag
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// doLoop resolves a DO loop's control; parrt's only error (a zero
+// step) is a runtime error here as in the interpreter.
+func doLoop(lo, hi, step int64) parrt.Loop {
+	l, err := parrt.New(lo, hi, step)
+	if err != nil {
+		rtErr(err.Error())
 	}
-	return int64(w)
+	return l
 }
 
 // cI and cF lift literals to non-constant typed values so the Go

@@ -215,7 +215,7 @@ func (p *printer) stmt(s Stmt) {
 				ann += " private(" + strings.Join(names, ",") + ")"
 			}
 			for _, r := range st.Reductions {
-				ann += " reduction(" + reductionOpName(r) + ":" + r.Sym.Name + ")"
+				ann += " reduction(" + r.Operator() + ":" + r.Sym.Name + ")"
 			}
 			p.b.WriteString(ann + "\n")
 		}
@@ -264,7 +264,9 @@ func isSimple(s Stmt) bool {
 	return false
 }
 
-func reductionOpName(r Reduction) string {
+// Operator is the reduction's operator as a `c$par reduction(op:var)`
+// annotation spells it: "+", "*", "max" or "min".
+func (r Reduction) Operator() string {
 	if r.OpName != "" {
 		return r.OpName
 	}

@@ -3,11 +3,10 @@ package interp
 import (
 	"fmt"
 	"io"
-	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"parascope/internal/codegen/parrt"
 	"parascope/internal/codegen/runfmt"
 	"parascope/internal/fortran"
 )
@@ -462,56 +461,52 @@ func (f *frame) store(ref *fortran.VarRef, v Value) error {
 }
 
 // ---------------------------------------------------------------------------
-// DO loops: sequential and parallel
+// DO loops: sequential and parallel. The protocol — trip count, when
+// and how wide a marked loop forks, iteration assignment, the loop
+// variable's values, reductions — is parrt's, shared with the compiled
+// backend; this file supplies storage, errors and cycle accounting.
 
-func (f *frame) loopControl(st *fortran.DoStmt) (lo, hi, step, trip int64, err error) {
-	lov, err := f.eval(st.Lo)
+func (f *frame) loopControl(st *fortran.DoStmt) (parrt.Loop, error) {
+	lo, err := f.eval(st.Lo)
 	if err != nil {
-		return
+		return parrt.Loop{}, err
 	}
-	hiv, err := f.eval(st.Hi)
+	hi, err := f.eval(st.Hi)
 	if err != nil {
-		return
+		return parrt.Loop{}, err
 	}
-	step = 1
+	step := IntVal(1)
 	if st.Step != nil {
-		var sv Value
-		sv, err = f.eval(st.Step)
-		if err != nil {
-			return
+		if step, err = f.eval(st.Step); err != nil {
+			return parrt.Loop{}, err
 		}
-		step = sv.Int()
 	}
-	if step == 0 {
-		err = fmt.Errorf("interp: zero DO step")
-		return
+	l, err := parrt.New(lo.Int(), hi.Int(), step.Int())
+	if err != nil {
+		return l, fmt.Errorf("interp: %w", err)
 	}
-	lo, hi = lov.Int(), hiv.Int()
-	trip = (hi - lo + step) / step
-	if trip < 0 {
-		trip = 0
-	}
-	return
+	return l, nil
 }
 
 func (f *frame) execDo(st *fortran.DoStmt) (signal, error) {
-	lo, _, step, trip, err := f.loopControl(st)
+	l, err := f.loopControl(st)
 	if err != nil {
 		return sigNormal, err
 	}
-	if st.Parallel && trip > 1 {
-		return f.execDoall(st, lo, step, trip)
+	if st.Parallel {
+		if workers := l.Fork(f.m.Workers); workers > 0 {
+			return f.execDoall(st, l, workers)
+		}
 	}
 	ivar := f.scalars[st.Var]
 	if ivar == nil {
 		return sigNormal, fmt.Errorf("interp: loop variable %s has no storage", st.Var.Name)
 	}
-	v := lo
-	for n := int64(0); n < trip; n++ {
+	for n := int64(0); n < l.Trip; n++ {
 		if err := f.m.cancelled(); err != nil {
 			return sigNormal, err
 		}
-		ivar.v = IntVal(v)
+		ivar.v = IntVal(l.Index(n))
 		sig, err := f.execBody(st.Body)
 		if err != nil {
 			return sigNormal, err
@@ -526,111 +521,93 @@ func (f *frame) execDo(st *fortran.DoStmt) (signal, error) {
 		default:
 			return sig, nil
 		}
-		v += step
 	}
-	ivar.v = IntVal(v)
+	ivar.v = IntVal(l.Final())
 	return sigNormal, nil
 }
 
-// execDoall runs the loop's iterations on worker goroutines. Private
-// scalars (including the loop variable) get per-worker storage;
-// reductions accumulate per worker and combine at the barrier.
-func (f *frame) execDoall(st *fortran.DoStmt, lo, step, trip int64) (signal, error) {
+// execDoall runs the loop's iterations on worker goroutines under
+// parrt's protocol (fan-out, iteration shares, reduction identities
+// and combine order — the same code every compiled program runs).
+// What is the interpreter's own: private scalars and work arrays
+// (including the loop variable) get per-worker storage in a worker
+// frame, each worker checks for cancellation and records its error,
+// and the slowest worker sets the simulated time.
+func (f *frame) execDoall(st *fortran.DoStmt, l parrt.Loop, workers int64) (signal, error) {
 	atomic.AddInt64(&f.m.ParallelLoopsRun, 1)
-	workers := f.m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if int64(workers) > trip {
-		workers = int(trip)
-	}
-	type redAcc struct {
-		red  fortran.Reduction
-		vals []Value
-	}
-	reds := make([]redAcc, len(st.Reductions))
-	for i, r := range st.Reductions {
-		reds[i] = redAcc{red: r, vals: make([]Value, workers)}
+	partials := make([][]Value, len(st.Reductions)) // [reduction][worker]
+	for ri := range partials {
+		partials[ri] = make([]Value, workers)
 	}
 	errs := make([]error, workers)
 	workerCycles := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker frame: same storage except private variables.
-			wf := &frame{m: f.m, unit: f.unit,
-				scalars: make(map[*fortran.Symbol]*cell, len(f.scalars)),
-				arrays:  f.arrays}
-			for sym, c := range f.scalars {
-				wf.scalars[sym] = c
-			}
-			arraysCloned := false
-			for _, p := range st.Private {
-				switch p.Kind {
-				case fortran.SymScalar:
-					wf.scalars[p] = &cell{v: zeroOf(p.Type)}
-				case fortran.SymArray:
-					// Private work array: fresh zeroed storage with
-					// the shared array's shape (safe because array
-					// privatization requires a kill before any use).
-					shared := f.arrays[p]
-					if shared == nil {
-						break
+	l.Run(workers, func(w, first, stride int64) {
+		// Per-worker frame: same storage except private variables.
+		wf := &frame{m: f.m, unit: f.unit,
+			scalars: make(map[*fortran.Symbol]*cell, len(f.scalars)),
+			arrays:  f.arrays}
+		for sym, c := range f.scalars {
+			wf.scalars[sym] = c
+		}
+		arraysCloned := false
+		for _, p := range st.Private {
+			switch p.Kind {
+			case fortran.SymScalar:
+				wf.scalars[p] = &cell{v: zeroOf(p.Type)}
+			case fortran.SymArray:
+				// Private work array: fresh zeroed storage with
+				// the shared array's shape (safe because array
+				// privatization requires a kill before any use).
+				shared := f.arrays[p]
+				if shared == nil {
+					break
+				}
+				if !arraysCloned {
+					wf.arrays = make(map[*fortran.Symbol]*array, len(f.arrays))
+					for k, v := range f.arrays {
+						wf.arrays[k] = v
 					}
-					if !arraysCloned {
-						wf.arrays = make(map[*fortran.Symbol]*array, len(f.arrays))
-						for k, v := range f.arrays {
-							wf.arrays[k] = v
-						}
-						arraysCloned = true
-					}
-					priv := &array{sym: p,
-						lo:   append([]int64(nil), shared.lo...),
-						ext:  append([]int64(nil), shared.ext...),
-						data: make([]Value, shared.size())}
-					zero := zeroOf(p.Type)
-					for i := range priv.data {
-						priv.data[i] = zero
-					}
-					wf.arrays[p] = priv
+					arraysCloned = true
 				}
-			}
-			if wf.scalars[st.Var] == f.scalars[st.Var] {
-				wf.scalars[st.Var] = &cell{v: zeroOf(st.Var.Type)}
-			}
-			// Reduction variables start at the identity per worker.
-			for ri, ra := range reds {
-				ident := reductionIdentity(ra.red)
-				wf.scalars[ra.red.Sym] = &cell{v: ident}
-				_ = ri
-			}
-			// Block-cyclic assignment of iterations.
-			for n := int64(w); n < trip; n += int64(workers) {
-				if err := f.m.cancelled(); err != nil {
-					errs[w] = err
-					return
+				priv := &array{sym: p,
+					lo:   append([]int64(nil), shared.lo...),
+					ext:  append([]int64(nil), shared.ext...),
+					data: make([]Value, shared.size())}
+				zero := zeroOf(p.Type)
+				for i := range priv.data {
+					priv.data[i] = zero
 				}
-				wf.scalars[st.Var].v = IntVal(lo + n*step)
-				sig, err := wf.execBody(st.Body)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if sig != sigNormal {
-					errs[w] = fmt.Errorf("interp: control flow escaping a parallel loop")
-					return
-				}
+				wf.arrays[p] = priv
 			}
-			for ri := range reds {
-				reds[ri].vals[w] = wf.scalars[reds[ri].red.Sym].v
+		}
+		if wf.scalars[st.Var] == f.scalars[st.Var] {
+			wf.scalars[st.Var] = &cell{v: zeroOf(st.Var.Type)}
+		}
+		for _, r := range st.Reductions {
+			wf.scalars[r.Sym] = &cell{v: identityValue(r)}
+		}
+		for n := first; n < l.Trip; n += stride {
+			if err := f.m.cancelled(); err != nil {
+				errs[w] = err
+				return
 			}
-			workerCycles[w] = wf.cycles
-			errs[w] = wf.flushStmts()
-		}(w)
-	}
-	wg.Wait()
+			wf.scalars[st.Var].v = IntVal(l.Index(n))
+			sig, err := wf.execBody(st.Body)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			if sig != sigNormal {
+				errs[w] = fmt.Errorf("interp: control flow escaping a parallel loop")
+				return
+			}
+		}
+		for ri, r := range st.Reductions {
+			partials[ri][w] = wf.scalars[r.Sym].v
+		}
+		workerCycles[w] = wf.cycles
+		errs[w] = wf.flushStmts()
+	})
 	// Simulated time: the critical path is the slowest worker, plus
 	// the fork/join overhead.
 	fork := f.m.ForkCost
@@ -649,81 +626,43 @@ func (f *frame) execDoall(st *fortran.DoStmt, lo, step, trip int64) (signal, err
 			return sigNormal, err
 		}
 	}
-	// Combine reductions into the shared accumulators.
-	for _, ra := range reds {
-		c := f.scalars[ra.red.Sym]
-		acc := c.v
-		for _, v := range ra.vals {
-			acc = combineReduction(ra.red, acc, v)
-		}
-		c.v = acc
+	for ri, r := range st.Reductions {
+		c := f.scalars[r.Sym]
+		c.v = reduceValues(r, c.v, partials[ri])
 	}
-	// Final loop variable value, as the sequential loop would leave it.
 	if c := f.scalars[st.Var]; c != nil {
-		c.v = IntVal(lo + trip*step)
+		c.v = IntVal(l.Final())
 	}
 	return sigNormal, nil
 }
 
-func reductionIdentity(r fortran.Reduction) Value {
-	t := r.Sym.Type
-	switch {
-	case r.OpName == "max":
-		if t == fortran.TypeInteger {
-			return IntVal(math.MinInt64)
-		}
-		return Value{Type: t, R: math.Inf(-1)}
-	case r.OpName == "min":
-		if t == fortran.TypeInteger {
-			return IntVal(math.MaxInt64)
-		}
-		return Value{Type: t, R: math.Inf(1)}
-	case r.Op == fortran.TokStar:
-		if t == fortran.TypeInteger {
-			return IntVal(1)
-		}
-		return Value{Type: t, R: 1}
-	default: // sum
-		return zeroOf(t)
+// identityValue and reduceValues are the Value boundary of parrt's
+// generic reductions: unbox to the reduction variable's storage (int64
+// for INTEGER, float64 otherwise), let parrt decide, and box the
+// result with the variable's type.
+
+func identityValue(r fortran.Reduction) Value {
+	op := parrt.Op(r.Operator())
+	if r.Sym.Type == fortran.TypeInteger {
+		return IntVal(parrt.Identity[int64](op))
 	}
+	return Value{Type: r.Sym.Type, R: parrt.Identity[float64](op)}
 }
 
-func combineReduction(r fortran.Reduction, a, b Value) Value {
-	t := r.Sym.Type
-	switch {
-	case r.OpName == "max":
-		if t == fortran.TypeInteger {
-			if b.Int() > a.Int() {
-				return b
-			}
-			return a
+func reduceValues(r fortran.Reduction, shared Value, perWorker []Value) Value {
+	op := parrt.Op(r.Operator())
+	if r.Sym.Type == fortran.TypeInteger {
+		parts := make([]int64, len(perWorker))
+		for w, v := range perWorker {
+			parts[w] = v.Int()
 		}
-		if b.Float() > a.Float() {
-			return convert(b, t)
-		}
-		return convert(a, t)
-	case r.OpName == "min":
-		if t == fortran.TypeInteger {
-			if b.Int() < a.Int() {
-				return b
-			}
-			return a
-		}
-		if b.Float() < a.Float() {
-			return convert(b, t)
-		}
-		return convert(a, t)
-	case r.Op == fortran.TokStar:
-		if t == fortran.TypeInteger {
-			return IntVal(a.Int() * b.Int())
-		}
-		return Value{Type: t, R: a.Float() * b.Float()}
-	default:
-		if t == fortran.TypeInteger {
-			return IntVal(a.Int() + b.Int())
-		}
-		return Value{Type: t, R: a.Float() + b.Float()}
+		return IntVal(parrt.Reduce(op, shared.Int(), parts))
 	}
+	parts := make([]float64, len(perWorker))
+	for w, v := range perWorker {
+		parts[w] = v.Float()
+	}
+	return Value{Type: r.Sym.Type, R: parrt.Reduce(op, shared.Float(), parts)}
 }
 
 // ---------------------------------------------------------------------------

@@ -139,15 +139,7 @@ func (t RecognizeReductions) Check(c *Context) Verdict {
 	v.Safe = true
 	v.Profitable = true
 	for _, r := range reds {
-		op := r.OpName
-		if op == "" {
-			if r.Op == fortran.TokPlus {
-				op = "+"
-			} else {
-				op = "*"
-			}
-		}
-		v.note("%s is a %s-reduction", r.Sym.Name, op)
+		v.note("%s is a %s-reduction", r.Sym.Name, r.Operator())
 	}
 	return v
 }
