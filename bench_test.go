@@ -457,3 +457,40 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkOpenSpec77 measures a cold core.Open — parse plus
+// whole-program analysis — of the suite's largest program, with its
+// allocation count: the small-program end of what bench/ measures as
+// core.open_ms on big_edit.
+func BenchmarkOpenSpec77(b *testing.B) {
+	w := workloads.Spec77()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// openSpec77AllocsAtPR13 is testing.AllocsPerRun of core.Open(spec77)
+// at commit 23777e9 (PR 13), before analysis facts moved onto
+// statement, loop and reference tables.
+const openSpec77AllocsAtPR13 = 5094
+
+// TestOpenAllocs guards the allocation work of that change: a cold
+// open must stay at or below 0.7 × the count it replaced, so a
+// per-pair allocation put back into the dependence tester, or a
+// map-of-maps back into data-flow, fails here instead of waiting for a
+// benchmark run.
+func TestOpenAllocs(t *testing.T) {
+	w := workloads.Spec77()
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 0.7 * openSpec77AllocsAtPR13; got > limit {
+		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (0.7 × %d at PR 13)", got, limit, openSpec77AllocsAtPR13)
+	}
+	t.Logf("core.Open(spec77): %.0f allocations", got)
+}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +13,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -151,8 +154,16 @@ func TestGatewayEndToEnd(t *testing.T) {
 
 	cl := &server.Client{Base: ts.URL}
 	idRe := regexp.MustCompile(`^s[0-9a-f]{12}$`)
+	// At least eight opens, and as many more as it takes for the IDs to
+	// have two owners: the ring's arcs depend on the kernel-picked ports
+	// and are sometimes so uneven that eight random IDs share one.
+	ring := NewRing(0, []string{b1.api.URL, b2.api.URL, b3.api.URL})
+	owners := map[string]bool{}
 	var ids []string
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 8 || len(owners) < 2; i++ {
+		if i == 2000 {
+			t.Fatal("2000 minted IDs all belong to one backend")
+		}
 		resp, err := cl.Open(bg, server.OpenRequest{Workload: "direct"})
 		if err != nil {
 			t.Fatalf("open %d via gateway: %v", i, err)
@@ -161,6 +172,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 			t.Fatalf("gateway-minted ID %q does not match %v", resp.ID, idRe)
 		}
 		ids = append(ids, resp.ID)
+		owners[ring.Owner(resp.ID)] = true
 	}
 
 	// Session-scoped requests route to wherever the ring put the session.
@@ -183,8 +195,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("gateway list: %d sessions, want %d", len(infos), len(ids))
 	}
 
-	// The ring actually spread the sessions (8 keys all hashing to one
-	// of three nodes has odds under 0.1%).
+	// The gateway put the sessions where the ring says: on at least two
+	// backends.
 	nonEmpty := 0
 	for _, b := range []*testBackend{b1, b2, b3} {
 		if len(b.sessions()) > 0 {
@@ -486,16 +498,18 @@ func TestGatewayDiscoverySweep(t *testing.T) {
 
 	// Find an ID the ring assigns to b1, then plant it on b2.
 	ring := NewRing(0, []string{b1.api.URL, b2.api.URL})
+	// Candidates look like minted IDs (hex of a hash): IDs that differ
+	// only in a trailing counter sit on one arc of the ring's
+	// un-finalised FNV-1a, and for some port pairs that arc is all b2's.
 	id := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("stray%04d", i)
-		if ring.Owner(cand) == b1.api.URL {
+	for i := 0; i < 10000 && id == ""; i++ {
+		h := sha256.Sum256([]byte(strconv.Itoa(i)))
+		if cand := "s" + hex.EncodeToString(h[:6]); ring.Owner(cand) == b1.api.URL {
 			id = cand
-			break
 		}
 	}
 	if id == "" {
-		t.Fatal("no candidate ID hashed to b1")
+		t.Fatal("none of 10000 candidate IDs hashed to b1")
 	}
 	direct := &server.Client{Base: b2.api.URL}
 	if _, err := direct.Open(bg, server.OpenRequest{Workload: "direct", ID: id}); err != nil {
@@ -521,9 +535,20 @@ func TestGatewayReloadRebalanceAndDrain(t *testing.T) {
 	g, ts := newTestGateway(t, Config{}, b1, b2)
 	waitGatewayReady(t, ts.URL)
 
+	// b3 exists from the start but joins the fleet only at the Reload
+	// below: with its address known, sessions are opened until one of
+	// them is b3's in the 3-node ring. The ring's arcs are uneven enough
+	// (they depend on the kernel-picked ports) that a fixed dozen random
+	// IDs sometimes gives the new backend nothing to receive.
+	b3 := newTestBackend(t)
+	ring3 := NewRing(0, []string{b1.api.URL, b2.api.URL, b3.api.URL})
 	cl := &server.Client{Base: ts.URL}
 	var ids []string
-	for i := 0; i < 12; i++ {
+	forB3 := 0
+	for i := 0; i < 12 || forB3 == 0; i++ {
+		if i == 2000 {
+			t.Fatal("none of 2000 minted IDs belongs to the joining backend")
+		}
 		resp, err := cl.Open(bg, server.OpenRequest{Workload: "direct"})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -531,12 +556,13 @@ func TestGatewayReloadRebalanceAndDrain(t *testing.T) {
 		mustCmd(t, cl, resp.ID, "loop 1")
 		mustCmd(t, cl, resp.ID, "apply parallelize 1")
 		ids = append(ids, resp.ID)
+		if ring3.Owner(resp.ID) == b3.api.URL {
+			forB3++
+		}
 	}
 
 	// Scale out: add b3. Placement must converge to the 3-node ring.
-	b3 := newTestBackend(t)
 	g.Reload([]Backend{b1.backend(), b2.backend(), b3.backend()})
-	ring3 := NewRing(0, []string{b1.api.URL, b2.api.URL, b3.api.URL})
 	locate := func() map[string]string {
 		out := map[string]string{}
 		for _, b := range []*testBackend{b1, b2, b3} {

@@ -426,3 +426,87 @@ func TestWholeUnitOnlyDisablesPatch(t *testing.T) {
 	}
 	expectScratchEquivalent(t, s)
 }
+
+// TestCheapRungsOnRecursiveProgram: on a call cycle perf.UnitCost's
+// cycle guard makes a memoised cost depend on which member the warm-up
+// enters first, so after an edit inside the cycle the patch and unit
+// rungs must re-cost the way a from-scratch session does — a fresh
+// estimator warmed in file order — or callers' estimates diverge.
+// Here x and y call each other; a scratch warm-up enters the cycle at x
+// (main's first call), a lazy re-cost after an edit of x enters it at y
+// (x's estimate prices its call to y first).
+func TestCheapRungsOnRecursiveProgram(t *testing.T) {
+	const src = `
+      program main
+      real a(10)
+      call x(a)
+      call p(a)
+      end
+      subroutine p(v)
+      real v(10)
+      call y(v)
+      end
+      subroutine x(v)
+      real v(10), loc
+      integer i
+      loc = 1.0
+      do i = 1, 10
+         v(i) = v(i) + 1.0
+      enddo
+      call y(v)
+      end
+      subroutine y(v)
+      real v(10)
+      v(1) = 1.0
+      call x(v)
+      end
+`
+	for _, c := range []struct {
+		rung, old, text string
+	}{
+		{"patch", "loc = 1.0", "      loc = 1.0 + 2.0*3.0"},
+		{"unit", "v(i) = v(i) + 1.0", "         v(i) = v(i) + 1.0 + 2.0*3.0"},
+	} {
+		t.Run(c.rung, func(t *testing.T) {
+			s := open(t, src)
+			selectUnit(t, s, "x")
+			id := 0
+			fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+				if fortran.StmtText(st) == c.old {
+					id = st.ID()
+				}
+				return true
+			})
+			if id == 0 {
+				t.Fatalf("no statement %q in x", c.old)
+			}
+			if err := s.EditStmt(id, c.text); err != nil {
+				t.Fatal(err)
+			}
+			if s.LastReanalysis.Mode != c.rung {
+				t.Fatalf("edit took the %q rung, want %s", s.LastReanalysis.Mode, c.rung)
+			}
+			fresh, err := Open(s.File.Path, s.Save())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range s.File.Units {
+				got, want := s.StateOf(u).Est, fresh.StateOf(fresh.File.Unit(u.Name)).Est
+				if got.Total != want.Total {
+					t.Errorf("unit %s: Est.Total %v, scratch %v", u.Name, got.Total, want.Total)
+				}
+				if len(got.Loops) != len(want.Loops) {
+					t.Fatalf("unit %s: %d loop estimates, scratch %d", u.Name, len(got.Loops), len(want.Loops))
+				}
+				for i := range got.Loops {
+					g, w := got.Loops[i], want.Loops[i]
+					g.Loop, w.Loop = nil, nil
+					if g != w {
+						t.Errorf("unit %s loop %d: seq %v par %v, scratch seq %v par %v",
+							u.Name, i, g.SeqTime, g.ParTime, w.SeqTime, w.ParTime)
+					}
+				}
+			}
+		})
+	}
+}

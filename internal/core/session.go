@@ -242,11 +242,7 @@ func (s *Session) AnalyzeAll() {
 		s.obs.ObservePhase("interproc", time.Since(t0))
 	}
 	s.est = perf.New(s.File, perf.DefaultParams())
-	// Pre-warm the estimator's per-unit cost memo while still single-
-	// threaded: EstimateUnit reads it from every worker below.
-	for _, u := range s.File.Units {
-		s.est.UnitCost(u)
-	}
+	s.warmCosts()
 	s.progHash = ""
 	s.units = s.analyzeUnits(s.File.Units, s.units, true)
 	s.LastReanalysis = Reanalysis{Mode: "full", Duration: time.Since(start)}
@@ -260,7 +256,8 @@ func (s *Session) AnalyzeAll() {
 // change, so the interprocedural facts are rebuilt and every unit
 // whose analysis inputs moved is reanalyzed too. The perf cost memo
 // for u and its transitive callers (whose memoized costs embed u's) is
-// always invalidated, and caller estimates are refreshed.
+// always brought up to date (recost), and caller estimates are
+// refreshed.
 func (s *Session) ReanalyzeUnit(u *fortran.Unit) {
 	start := time.Now()
 	s.File.RenumberStmts()
@@ -296,7 +293,7 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 			return "program"
 		}
 	}
-	s.invalidateCosts(u)
+	s.recost(u)
 	s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
 	s.refreshCallerEstimates(u)
 	return "unit"
@@ -310,22 +307,8 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 func (s *Session) reanalyzeProgram(edited *fortran.Unit) {
 	oldProg := s.Prog
 	s.Prog = interproc.UpdateProgram(oldProg, map[*fortran.Unit]bool{edited: true})
-	// Only edited's cost and the costs embedding it can have moved (no
-	// other unit's AST changed, so the units that reach edited are the
-	// same in the old and the new call graph). On a recursion cycle,
-	// though, a memoized cost depends on which member the warm-up enters
-	// first (the estimator's cycle guard), and only a fresh estimator
-	// warmed in file order reproduces a from-scratch session. Re-warm
-	// while still single-threaded — EstimateUnit reads the memo from
-	// every worker; units that kept their cost answer from it.
-	if len(s.Prog.Graph.Recursive) > 0 {
-		s.est = perf.New(s.File, perf.DefaultParams())
-	} else {
-		s.invalidateCosts(edited)
-	}
-	for _, u := range s.File.Units {
-		s.est.UnitCost(u)
-	}
+	s.recost(edited)
+	s.warmCosts()
 	var stale []*fortran.Unit
 	for _, v := range s.File.Units {
 		if v != edited && s.units[v] != nil && s.unitInputsUnchanged(v, oldProg) {
@@ -366,11 +349,31 @@ func (s *Session) unitInputsUnchanged(v *fortran.Unit, oldProg *interproc.Progra
 	return true
 }
 
-// invalidateCosts drops memoized per-call costs for u and every unit
-// whose cost transitively embeds it.
-func (s *Session) invalidateCosts(u *fortran.Unit) {
-	for v := range s.transitiveCallers(u) {
-		s.est.Invalidate(v)
+// recost drops what the estimator's per-unit cost memo can no longer
+// vouch for after edited's AST changed — the one re-costing step of
+// every reanalysis rung. Only edited's cost and the costs embedding it
+// can have moved, so those are invalidated and recomputed when next
+// asked for. On a recursion cycle, though, a memoized cost depends on
+// which member the warm-up enters first (the estimator's cycle guard),
+// and only a fresh estimator warmed in file order reproduces a
+// from-scratch session.
+func (s *Session) recost(edited *fortran.Unit) {
+	if len(s.Prog.Graph.Recursive) == 0 {
+		for v := range s.transitiveCallers(edited) {
+			s.est.Invalidate(v)
+		}
+		return
+	}
+	s.est = perf.New(s.File, perf.DefaultParams())
+	s.warmCosts()
+}
+
+// warmCosts fills the estimator's cost memo in file order, so that
+// EstimateUnit only reads it — as it must when it runs on the analysis
+// worker pool.
+func (s *Session) warmCosts() {
+	for _, u := range s.File.Units {
+		s.est.UnitCost(u)
 	}
 }
 
@@ -497,12 +500,7 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, de
 	if s.obs != nil {
 		s.obs.ObservePhase("dependence", time.Since(t0))
 	}
-	// Restore user markings.
-	for _, d := range st.Deps.Deps {
-		if m, ok := st.marks[keyOf(d)]; ok {
-			d.Mark = m
-		}
-	}
+	st.restoreMarks()
 	if s.obs != nil {
 		t0 = time.Now()
 	}
@@ -517,6 +515,19 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, de
 	}
 	st.callSig = callSurfaceSig(u)
 	return st
+}
+
+// restoreMarks puts the user's markings back on a freshly built or
+// patched dependence graph.
+func (st *UnitState) restoreMarks() {
+	if len(st.marks) == 0 {
+		return
+	}
+	for _, d := range st.Deps.Deps {
+		if m, ok := st.marks[keyOf(d)]; ok {
+			d.Mark = m
+		}
+	}
 }
 
 func (s *Session) assertionEnv(u *fortran.Unit, asserts []Assertion) *expr.Env {
@@ -1019,7 +1030,7 @@ func (s *Session) EditStmt(id int, text string) error {
 // callers. Calls are excluded by SimpleStmt, so the call surface, the
 // constant formals and the unit's own per-call cost *shape* are
 // unchanged; the cost value may still move, so the cost memo is
-// invalidated and caller estimates refresh.
+// brought up to date (recost) and caller estimates refresh.
 func (s *Session) tryPatchEdit(old, ns fortran.Stmt) bool {
 	if s.WholeUnitOnly {
 		return false
@@ -1061,12 +1072,8 @@ func (s *Session) tryPatchEdit(old, ns fortran.Stmt) bool {
 		}
 	}
 	st.Deps = dep.Patch(st.Deps, st.DF, env, summ, s.Opts, old, ns)
-	for _, d := range st.Deps.Deps {
-		if m, ok := st.marks[keyOf(d)]; ok {
-			d.Mark = m
-		}
-	}
-	s.invalidateCosts(u)
+	st.restoreMarks()
+	s.recost(u)
 	st.Est = s.est.EstimateUnit(st.DF)
 	s.refreshCallerEstimates(u)
 	s.refreshImage(u)

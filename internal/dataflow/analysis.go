@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"sort"
-
 	"parascope/internal/cfg"
 	"parascope/internal/fortran"
 )
@@ -24,31 +22,67 @@ type Use struct {
 }
 
 // Analysis bundles the scalar data-flow results for one unit.
+//
+// Every per-statement table is a slice indexed by cfg.Node.Index and
+// every set is a bitset (over Def.ID for reaching definitions, over the
+// unit's dense symbol index for liveness), so each fact is stored once
+// on the node it describes. Def-use chains are not materialised: a
+// definition reaches a use exactly when its bit is set in the use
+// node's reach-in set, so UsesOf and DefsReaching read them off the
+// reaching solution per symbol when asked.
 type Analysis struct {
 	Unit *fortran.Unit
 	G    *cfg.Graph
 	Tree *cfg.LoopTree
 	Eff  SideEffects
 
-	Defs     []*Def
-	accesses map[*cfg.Node][]Access
+	Defs []*Def
 
-	reachIn  map[*cfg.Node]bitset
-	reachOut map[*cfg.Node]bitset
-	liveIn   map[*cfg.Node]map[*fortran.Symbol]bool
-	liveOut  map[*cfg.Node]map[*fortran.Symbol]bool
+	accesses [][]Access // by node
 
-	// DefUse maps each definition to the uses it reaches; UseDef maps
-	// each use (node, sym) to the definitions reaching it.
-	defUse map[int][]Use
-	useDef map[*cfg.Node]map[*fortran.Symbol][]*Def
+	// symIndex numbers every accessed symbol densely; syms is its
+	// inverse. The per-symbol tables and the liveness sets use it.
+	symIndex map[*fortran.Symbol]int
+	syms     []*fortran.Symbol
 
-	consts map[*cfg.Node]map[*fortran.Symbol]constVal
+	nodeDefs [][]*Def // by node: the definitions it generates, in access order
+	symDefs  [][]*Def // by symbol index, in Def.ID order
+
+	reachIn  []bitset // by node, over Def.ID
+	reachOut []bitset
+
+	liveIn  []bitset // by node, over symIndex
+	liveOut []bitset
+
+	consts []Consts // by node: known constants at entry
 }
 
 // Analyze runs all scalar analyses on unit u. A nil eff defaults to
 // conservative call effects.
 func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
+	a := newAnalysis(u, eff)
+	a.buildDefs()
+	a.solveReaching()
+	a.solveLiveness()
+	a.propagateConstants()
+	return a
+}
+
+// AnalyzeConstants builds only what loop trip counts and statement
+// costs are read from: the CFG, the loop tree, the per-statement
+// accesses and constant propagation, which needs neither reaching
+// definitions nor liveness. The result answers Accesses, ConstAt,
+// EnvAt and TripCount; it has no Defs, and the reaching-definition and
+// liveness queries must not be called on it.
+func AnalyzeConstants(u *fortran.Unit, eff SideEffects) *Analysis {
+	a := newAnalysis(u, eff)
+	a.propagateConstants()
+	return a
+}
+
+// newAnalysis builds the tables every solver starts from: CFG, loop
+// tree and the accesses of every node.
+func newAnalysis(u *fortran.Unit, eff SideEffects) *Analysis {
 	if eff == nil {
 		eff = ConservativeEffects{}
 	}
@@ -57,31 +91,97 @@ func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
 		G:        cfg.Build(u),
 		Tree:     cfg.BuildLoopTree(u),
 		Eff:      eff,
-		accesses: map[*cfg.Node][]Access{},
+		symIndex: map[*fortran.Symbol]int{},
 	}
+	a.accesses = make([][]Access, len(a.G.Nodes))
 	for _, n := range a.G.Nodes {
-		if n.Stmt == nil {
-			continue
+		if n.Stmt != nil {
+			a.accesses[n.Index] = StmtAccesses(u, n.Stmt, eff)
 		}
-		acc := StmtAccesses(u, n.Stmt, eff)
-		a.accesses[n] = acc
+	}
+	return a
+}
+
+// buildDefs numbers the accessed symbols and lays out the definitions:
+// one Def per write access in node order, listed per node and per
+// symbol. Each table is carved from a single allocation.
+func (a *Analysis) buildDefs() {
+	writes := 0
+	for _, acc := range a.accesses {
+		a.indexSymbols(acc)
 		for _, ac := range acc {
 			if ac.Write {
-				d := &Def{ID: len(a.Defs), Sym: ac.Sym, Node: n, Access: ac, Partial: ac.Partial}
-				a.Defs = append(a.Defs, d)
+				writes++
 			}
 		}
 	}
-	a.solveReaching()
-	a.buildDefUse()
-	a.solveLiveness()
-	a.propagateConstants()
-	return a
+	defs := make([]Def, writes)
+	a.Defs = make([]*Def, writes)
+	perSym := make([]int, len(a.syms))
+	a.nodeDefs = make([][]*Def, len(a.G.Nodes))
+	id := 0
+	for _, n := range a.G.Nodes {
+		from := id
+		for _, ac := range a.accesses[n.Index] {
+			if ac.Write {
+				defs[id] = Def{ID: id, Sym: ac.Sym, Node: n, Access: ac, Partial: ac.Partial}
+				a.Defs[id] = &defs[id]
+				perSym[a.symIndex[ac.Sym]]++
+				id++
+			}
+		}
+		a.nodeDefs[n.Index] = a.Defs[from:id:id]
+	}
+	bySym := make([]*Def, writes)
+	a.symDefs = make([][]*Def, len(a.syms))
+	off := 0
+	for i, n := range perSym {
+		a.symDefs[i] = bySym[off : off : off+n]
+		off += n
+	}
+	for _, d := range a.Defs {
+		i := a.symIndex[d.Sym]
+		a.symDefs[i] = append(a.symDefs[i], d)
+	}
+}
+
+// indexSymbols gives every symbol of acc a dense index.
+func (a *Analysis) indexSymbols(acc []Access) {
+	for _, ac := range acc {
+		if _, ok := a.symIndex[ac.Sym]; !ok {
+			a.symIndex[ac.Sym] = len(a.syms)
+			a.syms = append(a.syms, ac.Sym)
+		}
+	}
 }
 
 // Accesses returns the accesses of the statement's node.
 func (a *Analysis) Accesses(s fortran.Stmt) []Access {
-	return a.accesses[a.G.NodeFor(s)]
+	if n := a.G.NodeFor(s); n != nil {
+		return a.accesses[n.Index]
+	}
+	return nil
+}
+
+// DefsOf returns every definition of sym in the unit, in Def.ID order.
+func (a *Analysis) DefsOf(sym *fortran.Symbol) []*Def {
+	// A symbol first read by a patched-in statement has an index past
+	// the table and no definitions.
+	if i, ok := a.symIndex[sym]; ok && i < len(a.symDefs) {
+		return a.symDefs[i]
+	}
+	return nil
+}
+
+// newBitsets carves count bitsets of n bits each from one allocation.
+func newBitsets(count, n int) []bitset {
+	words := (n + 63) / 64
+	slab := make([]uint64, count*words)
+	out := make([]bitset, count)
+	for i := range out {
+		out[i] = slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -89,86 +189,60 @@ func (a *Analysis) Accesses(s fortran.Stmt) []Access {
 
 func (a *Analysis) solveReaching() {
 	n := len(a.Defs)
-	gen := map[*cfg.Node]bitset{}
-	kill := map[*cfg.Node]bitset{}
-	// Defs per symbol for kill computation.
-	bySym := map[*fortran.Symbol][]*Def{}
-	for _, d := range a.Defs {
-		bySym[d.Sym] = append(bySym[d.Sym], d)
-	}
-	for _, node := range a.G.Nodes {
-		g := newBitset(n)
-		k := newBitset(n)
-		for _, d := range a.Defs {
-			if d.Node == node {
-				g.set(d.ID)
-				if !d.Partial {
-					for _, other := range bySym[d.Sym] {
-						if other != d {
-							k.set(other.ID)
-						}
+	nodes := a.G.Nodes
+	genKill := newBitsets(2*len(nodes), n)
+	gen, kill := genKill[:len(nodes)], genKill[len(nodes):]
+	for i, defs := range a.nodeDefs {
+		for _, d := range defs {
+			gen[i].set(d.ID)
+			if !d.Partial {
+				for _, other := range a.DefsOf(d.Sym) {
+					if other != d {
+						kill[i].set(other.ID)
 					}
 				}
 			}
 		}
-		gen[node] = g
-		kill[node] = k
 	}
-	a.reachIn = map[*cfg.Node]bitset{}
-	a.reachOut = map[*cfg.Node]bitset{}
-	for _, node := range a.G.Nodes {
-		a.reachIn[node] = newBitset(n)
-		a.reachOut[node] = newBitset(n)
-	}
+	inOut := newBitsets(2*len(nodes), n)
+	a.reachIn, a.reachOut = inOut[:len(nodes)], inOut[len(nodes):]
 	changed := true
 	tmp := newBitset(n)
 	for changed {
 		changed = false
-		for _, node := range a.G.Nodes {
-			in := a.reachIn[node]
+		for i, node := range nodes {
+			in := a.reachIn[i]
 			for _, p := range node.Preds {
-				if in.orInto(a.reachOut[p]) {
+				if in.orInto(a.reachOut[p.Index]) {
 					changed = true
 				}
 			}
 			tmp.copyFrom(in)
-			tmp.andNotInto(kill[node])
-			tmp.orInto(gen[node])
-			if !tmp.equal(a.reachOut[node]) {
-				a.reachOut[node].copyFrom(tmp)
+			tmp.andNotInto(kill[i])
+			tmp.orInto(gen[i])
+			if !tmp.equal(a.reachOut[i]) {
+				a.reachOut[i].copyFrom(tmp)
 				changed = true
 			}
 		}
 	}
 }
 
-func (a *Analysis) buildDefUse() {
-	a.defUse = map[int][]Use{}
-	a.useDef = map[*cfg.Node]map[*fortran.Symbol][]*Def{}
+// UsesOf returns the uses reached by definition d, in node order.
+func (a *Analysis) UsesOf(d *Def) []Use {
+	var out []Use
 	for _, node := range a.G.Nodes {
-		for _, ac := range a.accesses[node] {
-			if ac.Write {
-				continue
+		if !a.reachIn[node.Index].has(d.ID) {
+			continue
+		}
+		for _, ac := range a.accesses[node.Index] {
+			if !ac.Write && ac.Sym == d.Sym {
+				out = append(out, Use{Sym: ac.Sym, Node: node, Access: ac})
 			}
-			u := Use{Sym: ac.Sym, Node: node, Access: ac}
-			a.reachIn[node].forEach(func(i int) {
-				d := a.Defs[i]
-				if d.Sym == ac.Sym {
-					a.defUse[d.ID] = append(a.defUse[d.ID], u)
-					m := a.useDef[node]
-					if m == nil {
-						m = map[*fortran.Symbol][]*Def{}
-						a.useDef[node] = m
-					}
-					m[ac.Sym] = append(m[ac.Sym], d)
-				}
-			})
 		}
 	}
+	return out
 }
-
-// UsesOf returns the uses reached by definition d.
-func (a *Analysis) UsesOf(d *Def) []Use { return a.defUse[d.ID] }
 
 // DefsReaching returns the definitions of sym that reach the entry of
 // the statement's node.
@@ -177,16 +251,12 @@ func (a *Analysis) DefsReaching(s fortran.Stmt, sym *fortran.Symbol) []*Def {
 	if node == nil {
 		return nil
 	}
-	if m := a.useDef[node]; m != nil && m[sym] != nil {
-		return m[sym]
-	}
-	// Fall back to scanning reachIn (covers symbols without a use at s).
 	var out []*Def
-	a.reachIn[node].forEach(func(i int) {
-		if a.Defs[i].Sym == sym {
-			out = append(out, a.Defs[i])
+	for _, d := range a.DefsOf(sym) {
+		if a.reachIn[node.Index].has(d.ID) {
+			out = append(out, d)
 		}
-	})
+	}
 	return out
 }
 
@@ -194,50 +264,49 @@ func (a *Analysis) DefsReaching(s fortran.Stmt, sym *fortran.Symbol) []*Def {
 // Liveness
 
 func (a *Analysis) solveLiveness() {
-	a.liveIn = map[*cfg.Node]map[*fortran.Symbol]bool{}
-	a.liveOut = map[*cfg.Node]map[*fortran.Symbol]bool{}
-	for _, node := range a.G.Nodes {
-		a.liveIn[node] = map[*fortran.Symbol]bool{}
-		a.liveOut[node] = map[*fortran.Symbol]bool{}
+	nodes := a.G.Nodes
+	n := len(a.syms)
+	sets := newBitsets(4*len(nodes), n)
+	a.liveIn, a.liveOut = sets[:len(nodes)], sets[len(nodes):2*len(nodes)]
+	// in = uses ∪ (out - full defs)
+	use, def := sets[2*len(nodes):3*len(nodes)], sets[3*len(nodes):]
+	for i, acc := range a.accesses {
+		for _, ac := range acc {
+			switch {
+			case !ac.Write:
+				use[i].set(a.symIndex[ac.Sym])
+			case !ac.Partial:
+				def[i].set(a.symIndex[ac.Sym])
+			}
+		}
 	}
+	tmp := newBitset(n)
 	changed := true
 	for changed {
 		changed = false
 		// Backward problem: iterate nodes in reverse index order as a
 		// decent approximation of reverse program order.
-		for i := len(a.G.Nodes) - 1; i >= 0; i-- {
-			node := a.G.Nodes[i]
-			out := a.liveOut[node]
-			for _, s := range node.Succs {
-				for sym := range a.liveIn[s] {
-					if !out[sym] {
-						out[sym] = true
-						changed = true
-					}
-				}
-			}
-			in := a.liveIn[node]
-			// in = uses ∪ (out - full defs)
-			defsFull := map[*fortran.Symbol]bool{}
-			for _, ac := range a.accesses[node] {
-				if ac.Write && !ac.Partial {
-					defsFull[ac.Sym] = true
-				}
-			}
-			for _, ac := range a.accesses[node] {
-				if !ac.Write && !in[ac.Sym] {
-					in[ac.Sym] = true
+		for i := len(nodes) - 1; i >= 0; i-- {
+			out := a.liveOut[i]
+			for _, s := range nodes[i].Succs {
+				if out.orInto(a.liveIn[s.Index]) {
 					changed = true
 				}
 			}
-			for sym := range out {
-				if !defsFull[sym] && !in[sym] {
-					in[sym] = true
-					changed = true
-				}
+			tmp.copyFrom(out)
+			tmp.andNotInto(def[i])
+			tmp.orInto(use[i])
+			if a.liveIn[i].orInto(tmp) {
+				changed = true
 			}
 		}
 	}
+}
+
+// live reports whether sym's bit is set in a liveness set.
+func (a *Analysis) live(set bitset, sym *fortran.Symbol) bool {
+	i, ok := a.symIndex[sym]
+	return ok && set.has(i)
 }
 
 // UpwardExposed returns the variables whose values may be consumed
@@ -246,18 +315,16 @@ func (a *Analysis) solveLiveness() {
 // the callee's own writes stay internal.
 func (a *Analysis) UpwardExposed() map[*fortran.Symbol]bool {
 	out := map[*fortran.Symbol]bool{}
-	for sym, live := range a.liveIn[a.G.Entry] {
-		if live {
-			out[sym] = true
-		}
-	}
+	a.liveIn[a.G.Entry.Index].forEach(func(i int) {
+		out[a.syms[i]] = true
+	})
 	return out
 }
 
 // LiveOut reports whether sym is live after statement s.
 func (a *Analysis) LiveOut(s fortran.Stmt, sym *fortran.Symbol) bool {
 	node := a.G.NodeFor(s)
-	return node != nil && a.liveOut[node][sym]
+	return node != nil && a.live(a.liveOut[node.Index], sym)
 }
 
 // LiveOutOfLoop reports whether sym is live on any loop-exit edge of
@@ -275,7 +342,7 @@ func (a *Analysis) LiveOutOfLoop(l *cfg.Loop, sym *fortran.Symbol) bool {
 	}
 	for n := range inLoop {
 		for _, succ := range n.Succs {
-			if !inLoop[succ] && a.liveIn[succ][sym] {
+			if !inLoop[succ] && a.live(a.liveIn[succ.Index], sym) {
 				return true
 			}
 		}
@@ -294,30 +361,23 @@ type constVal struct {
 // propagateConstants runs a forward integer constant propagation:
 // state maps integer scalars to known values at node entry.
 func (a *Analysis) propagateConstants() {
-	a.consts = map[*cfg.Node]map[*fortran.Symbol]constVal{}
 	// Iterate to fixpoint. The lattice per symbol is
 	// unknown-top → const → bottom; we start optimistic at top
 	// (absent) and meet over predecessors.
-	in := map[*cfg.Node]map[*fortran.Symbol]constVal{}
-	out := map[*cfg.Node]map[*fortran.Symbol]constVal{}
-	meet := func(dst, src map[*fortran.Symbol]constVal, first bool) (map[*fortran.Symbol]constVal, bool) {
-		if first {
-			cp := make(map[*fortran.Symbol]constVal, len(src))
-			for k, v := range src {
-				cp[k] = v
-			}
-			return cp, true
+	//
+	// A state, once stored in in or out, is never written again, so a
+	// node whose meet or transfer changes nothing shares its
+	// predecessor's map instead of copying it.
+	in := make([]Consts, len(a.G.Nodes))
+	out := make([]Consts, len(a.G.Nodes))
+	clone := func(src Consts) Consts {
+		cp := make(Consts, len(src))
+		for k, v := range src {
+			cp[k] = v
 		}
-		changed := false
-		for k, v := range dst {
-			sv, ok := src[k]
-			if !ok || sv != v {
-				delete(dst, k)
-				changed = true
-			}
-		}
-		return dst, changed
+		return cp
 	}
+	empty := Consts{}
 	// Evaluate an expression under a constant state.
 	var eval func(state map[*fortran.Symbol]constVal, e fortran.Expr) (int64, bool)
 	eval = func(state map[*fortran.Symbol]constVal, e fortran.Expr) (int64, bool) {
@@ -367,29 +427,40 @@ func (a *Analysis) propagateConstants() {
 		}
 		return 0, false
 	}
-	transfer := func(node *cfg.Node, state map[*fortran.Symbol]constVal) map[*fortran.Symbol]constVal {
-		res := make(map[*fortran.Symbol]constVal, len(state))
-		for k, v := range state {
-			res[k] = v
-		}
+	transfer := func(node *cfg.Node, state Consts) Consts {
 		if node.Stmt == nil {
-			return res
+			return state
 		}
 		switch st := node.Stmt.(type) {
 		case *fortran.AssignStmt:
 			sym := st.Lhs.Sym
 			if sym != nil && sym.Kind == fortran.SymScalar && sym.Type == fortran.TypeInteger && len(st.Lhs.Subs) == 0 {
-				if v, ok := eval(state, st.Rhs); ok {
+				old, had := state[sym]
+				v, ok := eval(state, st.Rhs)
+				switch {
+				case ok && had && old.val == v, !ok && !had:
+					return state
+				case ok:
+					res := clone(state)
 					res[sym] = constVal{known: true, val: v}
-				} else {
+					return res
+				default:
+					res := clone(state)
 					delete(res, sym)
+					return res
 				}
-				return res
 			}
 		}
 		// Any other statement: invalidate symbols it may write.
-		for _, ac := range a.accesses[node] {
-			if ac.Write {
+		res, shared := state, true
+		for _, ac := range a.accesses[node.Index] {
+			if !ac.Write {
+				continue
+			}
+			if _, had := res[ac.Sym]; had {
+				if shared {
+					res, shared = clone(state), false
+				}
 				delete(res, ac.Sym)
 			}
 		}
@@ -399,24 +470,36 @@ func (a *Analysis) propagateConstants() {
 	for iter := 0; changedGlobal && iter < 100; iter++ {
 		changedGlobal = false
 		for _, node := range a.G.Nodes {
-			first := true
-			var st map[*fortran.Symbol]constVal
+			// Meet over the visited predecessors; an unvisited one is
+			// optimistic TOP and skipped.
+			var st Consts
+			shared := false // st is a predecessor's own map
 			for _, p := range node.Preds {
-				po := out[p]
+				po := out[p.Index]
 				if po == nil {
-					// Unvisited predecessor: optimistic TOP, skip.
 					continue
 				}
-				st, _ = meet(st, po, first)
-				first = false
+				if st == nil {
+					st, shared = po, true
+					continue
+				}
+				for k, v := range st {
+					if pv, ok := po[k]; ok && pv == v {
+						continue
+					}
+					if shared {
+						st, shared = clone(st), false
+					}
+					delete(st, k)
+				}
 			}
 			if st == nil {
-				st = map[*fortran.Symbol]constVal{}
+				st = empty
 			}
-			in[node] = st
+			in[node.Index] = st
 			newOut := transfer(node, st)
-			if !constStateEqual(out[node], newOut) {
-				out[node] = newOut
+			if !constStateEqual(out[node.Index], newOut) {
+				out[node.Index] = newOut
 				changedGlobal = true
 			}
 		}
@@ -436,32 +519,27 @@ func constStateEqual(a, b map[*fortran.Symbol]constVal) bool {
 	return true
 }
 
-// ConstAt returns sym's known constant value at entry to statement s.
-func (a *Analysis) ConstAt(s fortran.Stmt, sym *fortran.Symbol) (int64, bool) {
-	node := a.G.NodeFor(s)
-	if node == nil {
-		return 0, false
-	}
-	cv, ok := a.consts[node][sym]
-	if !ok || !cv.known {
-		return 0, false
-	}
-	return cv.val, true
+// Consts is the set of integer scalars with a known constant value at
+// entry to one statement. It is a view of the analysis's own table:
+// read it, never write it.
+type Consts map[*fortran.Symbol]constVal
+
+// Value returns sym's constant value when known.
+func (c Consts) Value(sym *fortran.Symbol) (int64, bool) {
+	cv, ok := c[sym]
+	return cv.val, ok && cv.known
 }
 
-// ConstSymbols returns, for statement s, all integer scalars with a
-// known constant value at its entry, sorted by name.
-func (a *Analysis) ConstSymbols(s fortran.Stmt) []*fortran.Symbol {
+// ConstsAt returns the constants known at entry to statement s.
+func (a *Analysis) ConstsAt(s fortran.Stmt) Consts {
 	node := a.G.NodeFor(s)
 	if node == nil {
 		return nil
 	}
-	var out []*fortran.Symbol
-	for sym, cv := range a.consts[node] {
-		if cv.known {
-			out = append(out, sym)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return a.consts[node.Index]
+}
+
+// ConstAt returns sym's known constant value at entry to statement s.
+func (a *Analysis) ConstAt(s fortran.Stmt, sym *fortran.Symbol) (int64, bool) {
+	return a.ConstsAt(s).Value(sym)
 }

@@ -12,11 +12,7 @@ import (
 // bounds. Dependence testing layers user assertions on top.
 func (a *Analysis) EnvAt(s fortran.Stmt) *expr.Env {
 	env := expr.NewEnv()
-	for _, sym := range a.ConstSymbols(s) {
-		if v, ok := a.ConstAt(s, sym); ok {
-			env.SetValue(sym, v)
-		}
-	}
+	a.setConsts(env, s)
 	l := a.Tree.Innermost(s)
 	if do, ok := s.(*fortran.DoStmt); ok {
 		if own := a.Tree.LoopOf(do); own != nil {
@@ -31,16 +27,21 @@ func (a *Analysis) EnvAt(s fortran.Stmt) *expr.Env {
 	return env
 }
 
+// setConsts records every constant known at entry to s in env.
+func (a *Analysis) setConsts(env *expr.Env, s fortran.Stmt) {
+	for sym, cv := range a.ConstsAt(s) {
+		if cv.known {
+			env.SetValue(sym, cv.val)
+		}
+	}
+}
+
 // addLoopRange bounds loop.Do.Var using the loop bounds when they can
 // be evaluated (possibly symbolically through env itself).
 func (a *Analysis) addLoopRange(env *expr.Env, loop *cfg.Loop) {
 	do := loop.Do
 	// Constants known at the loop header help evaluate the bounds.
-	for _, sym := range a.ConstSymbols(do) {
-		if v, ok := a.ConstAt(do, sym); ok {
-			env.SetValue(sym, v)
-		}
-	}
+	a.setConsts(env, do)
 	loLin, loOK := expr.Linearize(a.Unit, do.Lo)
 	hiLin, hiOK := expr.Linearize(a.Unit, do.Hi)
 	step := int64(1)

@@ -37,9 +37,9 @@ func hasUserCall(s fortran.Stmt) bool {
 //   - no integer scalar may be written, so the constant-propagation
 //     lattice is unchanged.
 //
-// Reads may change freely: the node's def-use chains are rebuilt from
-// the existing reaching solution, and liveness is re-solved only when
-// the set of symbols read actually differs.
+// Reads may change freely: def-use chains are read off the unchanged
+// reaching solution on demand, and liveness is re-solved only when the
+// set of symbols read actually differs.
 func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 	if !SimpleStmt(old) || !SimpleStmt(new) {
 		return false
@@ -48,7 +48,7 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 	if node == nil || node.Stmt != old {
 		return false
 	}
-	oldAcc := a.accesses[node]
+	oldAcc := a.accesses[node.Index]
 	newAcc := StmtAccesses(a.Unit, new, a.Eff)
 	if !writesMatch(oldAcc, newAcc) {
 		return false
@@ -58,18 +58,14 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 	}
 
 	node.Stmt = new
-	a.accesses[node] = newAcc
+	a.accesses[node.Index] = newAcc
+	a.indexSymbols(newAcc)
 	a.Tree.Reindex(old, new)
 
 	// Re-point the node's Def objects at the matching new write
-	// accesses. IDs and gen/kill are untouched, so reachIn/reachOut
-	// stay valid.
-	var nodeDefs []*Def
-	for _, d := range a.Defs {
-		if d.Node == node {
-			nodeDefs = append(nodeDefs, d)
-		}
-	}
+	// accesses. IDs and gen/kill are untouched, so reachIn/reachOut —
+	// and the def-use chains read off them — stay valid.
+	nodeDefs := append([]*Def(nil), a.nodeDefs[node.Index]...)
 	i := 0
 	for _, ac := range newAcc {
 		if !ac.Write {
@@ -83,41 +79,6 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 		}
 		nodeDefs[i].Access = ac
 		i++
-	}
-
-	// Rebuild the node's use chains against the unchanged reaching
-	// solution.
-	for id, uses := range a.defUse {
-		kept := uses[:0:0]
-		for _, us := range uses {
-			if us.Node != node {
-				kept = append(kept, us)
-			}
-		}
-		if len(kept) == 0 {
-			delete(a.defUse, id)
-		} else {
-			a.defUse[id] = kept
-		}
-	}
-	delete(a.useDef, node)
-	for _, ac := range newAcc {
-		if ac.Write {
-			continue
-		}
-		u := Use{Sym: ac.Sym, Node: node, Access: ac}
-		a.reachIn[node].forEach(func(di int) {
-			d := a.Defs[di]
-			if d.Sym == ac.Sym {
-				a.defUse[d.ID] = append(a.defUse[d.ID], u)
-				m := a.useDef[node]
-				if m == nil {
-					m = map[*fortran.Symbol][]*Def{}
-					a.useDef[node] = m
-				}
-				m[ac.Sym] = append(m[ac.Sym], d)
-			}
-		})
 	}
 
 	if !readSymsEqual(oldAcc, newAcc) {

@@ -66,7 +66,7 @@ func (a *Analysis) privatizableAny(l *cfg.Loop, sym *fortran.Symbol) PrivResult 
 	if entry == nil {
 		return PrivResult{Reason: "no body entry"}
 	}
-	if a.liveIn[entry][sym] {
+	if a.live(a.liveIn[entry.Index], sym) {
 		return PrivResult{Reason: "upward-exposed use: value flows into the iteration"}
 	}
 	res := PrivResult{Privatizable: true}

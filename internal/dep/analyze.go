@@ -58,17 +58,64 @@ type Summaries interface {
 type ref struct {
 	stmt    fortran.Stmt
 	acc     dataflow.Access
-	nest    []*cfg.Loop // enclosing loops, outermost first
+	nest    []*cfg.Loop // enclosing loops, outermost first; shared by the statement's references
+	facts   int         // the statement's entry in Analyzer.stmts
+	root    *loopFacts  // the entry of nest[0]; nil outside any loop
 	isCall  bool
 	section *SectionAccess // bounds when from a summarized call
+	// subs holds the linearised subscripts once a pair has asked for
+	// them. A reference belongs to one symbol and a symbol is tested by
+	// one goroutine, so the field needs no lock.
+	subs []subscript
+}
+
+// subscript is one subscript expression of a reference as an affine
+// form, before constants are substituted (those belong to the source
+// statement of the pair under test).
+type subscript struct {
+	lin        expr.Linear
+	ok         bool // affine; lin is valid
+	indexArray bool // not affine because it subscripts through an array
+}
+
+// stmtFacts is what a pair reads about its source statement: the test
+// environment (constants at the statement, ranges of the enclosing
+// loops, user assertions merged in) and the constants themselves.
+type stmtFacts struct {
+	once   sync.Once
+	env    *expr.Env
+	consts dataflow.Consts // nil with UseConstants off
+}
+
+// loopFacts is what a pair reads about its outermost common loop: the
+// symbols written anywhere inside it.
+type loopFacts struct {
+	once    sync.Once
+	loop    *cfg.Loop
+	written map[*fortran.Symbol]bool
 }
 
 // Analyzer runs dependence analysis over one unit.
+//
+// A fact that belongs to a statement, a loop or a reference is computed
+// once, by the first reference pair that asks for it, and kept in the
+// run's tables (stmts, loopFacts hung off the references, ref.subs)
+// rather than rebuilt per pair. The statement and loop tables are
+// shared by the goroutines of a sharded run: their entries exist before
+// testing starts, each is filled under its own sync.Once, and after
+// that nothing writes to it. In particular the *expr.Env of a statement
+// entry (factsAt) is read-only — no test may call SetValue or SetRange
+// on it.
+// Entries are only ever filled for the statements and loops the run
+// pairs up, so Patch, which tests a handful of pairs, does not pay for
+// the unit's other statements.
 type Analyzer struct {
 	DF         *dataflow.Analysis
 	Assertions *expr.Env // user assertions; may be nil
 	Summ       Summaries // may be nil
 	Opts       Options
+
+	stmts []stmtFacts
 }
 
 // Analyze computes the dependence graph of df's unit.
@@ -78,9 +125,9 @@ func Analyze(df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts O
 
 // AnalyzeN is Analyze with subscript testing sharded by symbol across
 // up to workers goroutines. The result is identical to the serial run:
-// each symbol's reference pairs test into a private shard graph (the
-// analyzer itself is only read — environments are built fresh per
-// pair) and shards merge back in first-appearance symbol order before
+// each worker tests its symbols' reference pairs into a private graph
+// (sharing only the analyzer's compute-once tables, see Analyzer) and
+// the symbols' edges merge back in first-appearance symbol order before
 // IDs are assigned. Worthwhile only when the caller is not already
 // running units in parallel.
 func AnalyzeN(df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts Options, workers int) *Graph {
@@ -88,36 +135,34 @@ func AnalyzeN(df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts 
 	return a.run(workers)
 }
 
+func (a *Analyzer) newGraph() *Graph {
+	return &Graph{Unit: a.DF.Unit, Stats: newStats()}
+}
+
 func (a *Analyzer) run(workers int) *Graph {
-	g := &Graph{Unit: a.DF.Unit, Stats: newStats(), byLoop: map[*cfg.Loop][]*Dependence{}}
-	refs := a.collectRefs()
-	bySym := map[*fortran.Symbol][]*ref{}
-	var symOrder []*fortran.Symbol
-	for _, r := range refs {
-		if _, ok := bySym[r.acc.Sym]; !ok {
-			symOrder = append(symOrder, r.acc.Sym)
-		}
-		bySym[r.acc.Sym] = append(bySym[r.acc.Sym], r)
-	}
+	g := a.newGraph()
+	symOrder, bySym := a.collectRefs(nil)
 	if workers > len(symOrder) {
 		workers = len(symOrder)
 	}
 	if workers > 1 {
 		a.runSharded(g, symOrder, bySym, workers)
 	} else {
+		t := tester{a: a, g: g}
 		for _, sym := range symOrder {
-			a.testSym(g, sym, bySym[sym])
+			t.testSym(sym, bySym[sym], nil)
 		}
 	}
 	a.addControlDeps(g)
-	a.finalize(g)
+	a.finalize(g, 0)
 	return g
 }
 
-// runSharded fans symbols out over workers goroutines, one shard graph
-// per symbol, and merges deterministically.
+// runSharded fans symbols out over workers goroutines, one private
+// graph per worker, and merges the symbols' edges deterministically.
 func (a *Analyzer) runSharded(g *Graph, symOrder []*fortran.Symbol, bySym map[*fortran.Symbol][]*ref, workers int) {
-	shards := make([]*Graph, len(symOrder))
+	edges := make([][]*Dependence, len(symOrder)) // per symbol, a window of its worker's graph
+	graphs := make([]*Graph, workers)
 	panics := make([]any, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -129,10 +174,12 @@ func (a *Analyzer) runSharded(g *Graph, symOrder []*fortran.Symbol, bySym map[*f
 					panics[w] = r
 				}
 			}()
+			t := tester{a: a, g: a.newGraph()}
+			graphs[w] = t.g
 			for si := w; si < len(symOrder); si += workers {
-				sg := &Graph{Unit: a.DF.Unit, Stats: newStats()}
-				a.testSym(sg, symOrder[si], bySym[symOrder[si]])
-				shards[si] = sg
+				from := len(t.g.Deps)
+				t.testSym(symOrder[si], bySym[symOrder[si]], nil)
+				edges[si] = t.g.Deps[from:len(t.g.Deps):len(t.g.Deps)]
 			}
 		}(w)
 	}
@@ -144,128 +191,142 @@ func (a *Analyzer) runSharded(g *Graph, symOrder []*fortran.Symbol, bySym map[*f
 			panic(p)
 		}
 	}
-	for _, sg := range shards {
-		if sg == nil {
-			continue
-		}
-		g.Deps = append(g.Deps, sg.Deps...)
-		g.Stats.mergeFrom(&sg.Stats)
+	for _, list := range edges {
+		g.Deps = append(g.Deps, list...)
+	}
+	for _, worker := range graphs {
+		g.Stats.mergeFrom(&worker.Stats)
 	}
 }
 
-// testSym tests every reference pair of one symbol, in collection
-// order, applying the standard skip rules.
-func (a *Analyzer) testSym(g *Graph, sym *fortran.Symbol, list []*ref) {
-	for i := 0; i < len(list); i++ {
-		for j := i; j < len(list); j++ {
-			r1, r2 := list[i], list[j]
-			if !r1.acc.Write && !r2.acc.Write && !a.Opts.InputDeps {
-				continue
-			}
-			if i == j && !r1.acc.Write {
-				continue
-			}
-			a.testRefPair(g, sym, r1, r2)
-		}
+// finalize assigns dependence IDs and enters the edges from index
+// `from` on (all of them in a full run) into the per-loop index: an edge
+// is listed under every loop enclosing both of its statements, the
+// ancestors of the two innermost loops' meeting point.
+func (a *Analyzer) finalize(g *Graph, from int) {
+	if g.byLoop == nil {
+		g.byLoop = map[*cfg.Loop][]*Dependence{}
 	}
-}
-
-// finalize assigns dependence IDs and builds the per-loop index.
-func (a *Analyzer) finalize(g *Graph) {
+	tree := a.DF.Tree
 	for i, d := range g.Deps {
 		d.ID = i + 1
-		for _, l := range commonNest(a.DF.Tree, d.Src, d.Dst) {
+		if i < from {
+			continue
+		}
+		l1, l2 := tree.Innermost(d.Src), tree.Innermost(d.Dst)
+		for l1 != l2 && l1 != nil && l2 != nil {
+			switch {
+			case l1.Depth > l2.Depth:
+				l1 = l1.Parent
+			case l2.Depth > l1.Depth:
+				l2 = l2.Parent
+			default:
+				l1, l2 = l1.Parent, l2.Parent
+			}
+		}
+		if l1 != l2 {
+			continue // one side outside any loop
+		}
+		for l := l1; l != nil; l = l.Parent {
 			g.byLoop[l] = append(g.byLoop[l], d)
 		}
 	}
 }
 
-// collectRefs gathers every variable access in the unit, attaching
-// loop nests and section summaries.
-func (a *Analyzer) collectRefs() []*ref {
-	var out []*ref
+// collectRefs gathers the unit's variable accesses — every one, or with
+// want set only those of the wanted symbols — attaching loop nests and
+// section summaries, grouped by symbol in order of first appearance. It
+// also lays out the statement and loop tables: one empty entry per
+// statement and per outermost loop that has a collected reference.
+func (a *Analyzer) collectRefs(want map[*fortran.Symbol]bool) ([]*fortran.Symbol, map[*fortran.Symbol][]*ref) {
+	var refs []ref
+	if want == nil {
+		n := 0
+		fortran.WalkStmts(a.DF.Unit.Body, func(s fortran.Stmt) bool {
+			n += len(a.DF.Accesses(s))
+			return true
+		})
+		refs = make([]ref, 0, n)
+	}
+	loops := map[*cfg.Loop]*loopFacts{}
+	nests := map[*cfg.Loop][]*cfg.Loop{} // by innermost loop
 	fortran.WalkStmts(a.DF.Unit.Body, func(s fortran.Stmt) bool {
+		first := true
+		var nest []*cfg.Loop
+		var root *loopFacts
 		var secs []SectionAccess
-		haveSecs := false
-		if a.Opts.UseSections && a.Summ != nil {
-			secs, haveSecs = a.Summ.CallSections(s)
-		}
+		askedSecs := !a.Opts.UseSections || a.Summ == nil
 		for _, ac := range a.DF.Accesses(s) {
 			if ac.Sym.Kind != fortran.SymScalar && ac.Sym.Kind != fortran.SymArray {
 				continue
 			}
-			r := &ref{stmt: s, acc: ac, nest: nestOf(a.DF.Tree, s)}
-			if ac.Ref == nil {
-				r.isCall = true
-				if haveSecs {
-					for k := range secs {
-						if secs[k].Sym == ac.Sym && secs[k].Write == ac.Write {
-							r.section = &secs[k]
-						}
+			if want != nil && !want[ac.Sym] {
+				continue
+			}
+			if first {
+				first = false
+				a.stmts = append(a.stmts, stmtFacts{})
+				if l := a.DF.Tree.Innermost(s); l != nil {
+					if nest = nests[l]; nest == nil {
+						nest = l.Nest()
+						nests[l] = nest
 					}
-				}
-			} else if ac.Sym.IsArray() && len(ac.Ref.Subs) == 0 {
-				// Whole-array actual argument.
-				r.isCall = true
-				if haveSecs {
-					for k := range secs {
-						if secs[k].Sym == ac.Sym && secs[k].Write == ac.Write {
-							r.section = &secs[k]
-						}
+					if root = loops[nest[0]]; root == nil {
+						root = &loopFacts{loop: nest[0]}
+						loops[nest[0]] = root
 					}
 				}
 			}
-			out = append(out, r)
+			r := ref{stmt: s, acc: ac, nest: nest, facts: len(a.stmts) - 1, root: root}
+			// Synthesized call effects and whole-array actual
+			// arguments stand for everything the call touches.
+			if ac.Ref == nil || (ac.Sym.IsArray() && len(ac.Ref.Subs) == 0) {
+				r.isCall = true
+				if !askedSecs {
+					askedSecs = true
+					secs, _ = a.Summ.CallSections(s)
+				}
+				for k := range secs {
+					if secs[k].Sym == ac.Sym && secs[k].Write == ac.Write {
+						r.section = &secs[k]
+					}
+				}
+			}
+			refs = append(refs, r)
 		}
 		return true
 	})
-	return out
-}
-
-func nestOf(tree *cfg.LoopTree, s fortran.Stmt) []*cfg.Loop {
-	l := tree.Innermost(s)
-	if do, ok := s.(*fortran.DoStmt); ok {
-		// A DO statement's own loop does not enclose it for
-		// dependence purposes; Innermost already excludes it, but the
-		// bounds expressions live outside the loop.
-		_ = do
-	}
-	if l == nil {
-		return nil
-	}
-	return l.Nest()
-}
-
-// commonNest returns the loops enclosing both statements, outermost
-// first.
-func commonNest(tree *cfg.LoopTree, s1, s2 fortran.Stmt) []*cfg.Loop {
-	n1 := nestOf(tree, s1)
-	n2 := nestOf(tree, s2)
-	var out []*cfg.Loop
-	for i := 0; i < len(n1) && i < len(n2); i++ {
-		if n1[i] != n2[i] {
-			break
+	bySym := map[*fortran.Symbol][]*ref{}
+	var symOrder []*fortran.Symbol
+	for i := range refs {
+		r := &refs[i]
+		if _, ok := bySym[r.acc.Sym]; !ok {
+			symOrder = append(symOrder, r.acc.Sym)
 		}
-		out = append(out, n1[i])
+		bySym[r.acc.Sym] = append(bySym[r.acc.Sym], r)
 	}
-	return out
+	return symOrder, bySym
 }
 
-// env builds the test environment at the common nest: loop ranges,
-// constants at the source statement, plus user assertions.
-func (a *Analyzer) env(src fortran.Stmt) *expr.Env {
-	var env *expr.Env
-	if a.Opts.UseConstants {
-		env = a.DF.EnvAt(src)
-	} else {
-		env = a.DF.EnvLoopsOnly(src)
-	}
-	if a.Assertions != nil {
-		merged := env.Clone()
-		mergeEnv(merged, a.Assertions)
-		return merged
-	}
-	return env
+// factsAt returns the table entry of r's statement, filling it on
+// first use: loop ranges, constants at the statement, plus user
+// assertions.
+func (a *Analyzer) factsAt(r *ref) *stmtFacts {
+	f := &a.stmts[r.facts]
+	f.once.Do(func() {
+		if a.Opts.UseConstants {
+			f.env = a.DF.EnvAt(r.stmt)
+			f.consts = a.DF.ConstsAt(r.stmt)
+		} else {
+			f.env = a.DF.EnvLoopsOnly(r.stmt)
+		}
+		if a.Assertions != nil {
+			// The environment is this entry's own until the Once
+			// completes; afterwards it is shared and read-only.
+			mergeEnv(f.env, a.Assertions)
+		}
+	})
+	return f
 }
 
 // mergeEnv intersects src's knowledge into dst.
@@ -275,63 +336,188 @@ func mergeEnv(dst, src *expr.Env) {
 	}
 }
 
-func (a *Analyzer) testRefPair(g *Graph, sym *fortran.Symbol, r1, r2 *ref) {
-	nest := commonNest(a.DF.Tree, r1.stmt, r2.stmt)
+// writtenIn returns the symbols written anywhere inside the loop.
+func (a *Analyzer) writtenIn(f *loopFacts) map[*fortran.Symbol]bool {
+	f.once.Do(func() {
+		f.written = map[*fortran.Symbol]bool{}
+		fortran.WalkStmts(f.loop.Do.Body, func(s fortran.Stmt) bool {
+			for _, ac := range a.DF.Accesses(s) {
+				if ac.Write {
+					f.written[ac.Sym] = true
+				}
+			}
+			return true
+		})
+	})
+	return f.written
+}
+
+// subsOf returns r's subscripts as affine forms.
+func (a *Analyzer) subsOf(r *ref) []subscript {
+	if r.subs == nil && r.acc.Ref != nil && len(r.acc.Ref.Subs) > 0 {
+		r.subs = make([]subscript, len(r.acc.Ref.Subs))
+		for d, e := range r.acc.Ref.Subs {
+			lin, ok := expr.Linearize(a.DF.Unit, e)
+			r.subs[d] = subscript{lin: lin, ok: ok, indexArray: !ok && containsIndexArray(e)}
+		}
+	}
+	return r.subs
+}
+
+// pairCtx is what one reference pair is tested under.
+type pairCtx struct {
+	nest   []*cfg.Loop // the loops enclosing both references
+	env    *expr.Env   // read-only: shared by every pair with this source statement
+	consts dataflow.Consts
+	// variant reports whether a symbol's value can change between the
+	// two reference instances within the common nest.
+	variant func(*fortran.Symbol) bool
+}
+
+// tester is one goroutine's share of a run: the graph it emits into and
+// the vectors it reuses from pair to pair.
+type tester struct {
+	a   *Analyzer
+	g   *Graph
+	res pairResult
+
+	beforeKnown []bool
+	beforeDist  []int64
+
+	verdicts map[[2]string]*Verdict // by test and reason; see verdict
+	indep    []*Vectors             // by nest depth; see independent
+}
+
+// testSym tests every reference pair of one symbol, in collection
+// order, applying the standard skip rules. With only set, just the
+// pairs with a reference in that statement are tested — in the same
+// relative order, so a patched graph lists the edges as a full run
+// would.
+func (t *tester) testSym(sym *fortran.Symbol, list []*ref, only fortran.Stmt) {
+	var inOnly []int
+	if only != nil {
+		for j, r := range list {
+			if r.stmt == only {
+				inOnly = append(inOnly, j)
+			}
+		}
+		if len(inOnly) == 0 {
+			return
+		}
+	}
+	for i, r1 := range list {
+		if only == nil || r1.stmt == only {
+			for _, r2 := range list[i:] {
+				t.testRefPair(sym, r1, r2)
+			}
+			continue
+		}
+		for _, j := range inOnly {
+			if j > i {
+				t.testRefPair(sym, r1, list[j])
+			}
+		}
+	}
+}
+
+func (t *tester) testRefPair(sym *fortran.Symbol, r1, r2 *ref) {
+	a := t.a
+	if !r1.acc.Write && !r2.acc.Write && !a.Opts.InputDeps {
+		return
+	}
+	if r1 == r2 && !r1.acc.Write {
+		return
+	}
+	// The common nest is the shared prefix of the two nests.
+	n := 0
+	for n < len(r1.nest) && n < len(r2.nest) && r1.nest[n] == r2.nest[n] {
+		n++
+	}
+	nest := r1.nest[:n]
 	// Scalars: dependences on every common level; privatization and
 	// reduction recognition (not subscript tests) remove them.
 	if sym.Kind == fortran.SymScalar {
-		a.emitAllLevels(g, sym, r1, r2, nest, "scalar")
+		t.emitAllLevels(sym, r1, r2, nest, "scalar")
 		return
 	}
 	// Calls with no section information touch the whole array.
 	if (r1.isCall && r1.section == nil) || (r2.isCall && r2.section == nil) {
-		a.emitAllLevels(g, sym, r1, r2, nest, "call")
+		t.emitAllLevels(sym, r1, r2, nest, "call")
 		return
 	}
-	if r1.isCall || r2.isCall {
-		res := a.testSections(g, sym, r1, r2, nest)
-		if res.independent {
-			return
+	facts := a.factsAt(r1)
+	ctx := pairCtx{nest: nest, env: facts.env, consts: facts.consts}
+	if n == 0 {
+		// No common loop: the references execute once each;
+		// loop-variant values from sibling nests differ.
+		ctx.variant = func(sym *fortran.Symbol) bool {
+			if sym.Kind == fortran.SymParam {
+				return false
+			}
+			return sym.Type != fortran.TypeInteger || len(a.DF.DefsOf(sym)) > 0
 		}
-		a.emit(g, sym, r1, r2, nest, res)
-		return
+	} else {
+		written := a.writtenIn(r1.root)
+		ctx.variant = func(sym *fortran.Symbol) bool {
+			if sym.Kind == fortran.SymParam {
+				return false
+			}
+			for _, l := range nest {
+				if l.Do.Var == sym {
+					return false // common loop variables are handled separately
+				}
+			}
+			return written[sym]
+		}
 	}
-	// Element references on both sides: the hierarchical suite.
-	res := a.testSubscripts(g, sym, r1, r2, nest)
-	if res.independent {
-		return
+	var res *pairResult
+	if r1.isCall || r2.isCall {
+		res = t.testSections(sym, r1, r2, &ctx)
+	} else {
+		// Element references on both sides: the hierarchical suite.
+		res = t.testSubscripts(r1, r2, &ctx)
 	}
-	a.emit(g, sym, r1, r2, nest, res)
+	if !res.independent {
+		t.emit(sym, r1, r2, nest, res)
+	}
+}
+
+// start resets the tester's pair result for a nest of n loops: every
+// direction feasible, no distance known.
+func (t *tester) start(n int) *pairResult {
+	if cap(t.res.dirs) < n {
+		t.res.dirs = make([]dirSet, n)
+		t.res.dist = make([]int64, n)
+		t.res.known = make([]bool, n)
+		t.beforeKnown = make([]bool, n)
+		t.beforeDist = make([]int64, n)
+	}
+	t.res = pairResult{dirs: t.res.dirs[:n], dist: t.res.dist[:n], known: t.res.known[:n]}
+	for k := 0; k < n; k++ {
+		t.res.dirs[k], t.res.dist[k], t.res.known[k] = dirAll, 0, false
+	}
+	return &t.res
 }
 
 // testSubscripts runs the dependence equation tests over every
 // subscript dimension.
-func (a *Analyzer) testSubscripts(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop) pairResult {
+func (t *tester) testSubscripts(r1, r2 *ref, ctx *pairCtx) *pairResult {
+	g := t.g
 	g.Stats.PairsTested++
-	n := len(nest)
-	res := pairResult{
-		dirs:  make([]dirSet, n),
-		dist:  make([]int64, n),
-		known: make([]bool, n),
-	}
-	for k := range res.dirs {
-		res.dirs[k] = dirAll
-	}
-	env := a.env(r1.stmt)
-	variant := a.variantFn(nest)
-	consts := a.constsFn(r1.stmt)
-	sub1 := r1.acc.Ref.Subs
-	sub2 := r2.acc.Ref.Subs
+	n := len(ctx.nest)
+	res := t.start(n)
+	sub1, sub2 := t.a.subsOf(r1), t.a.subsOf(r2)
 	dims := len(sub1)
 	if len(sub2) < dims {
 		dims = len(sub2)
 	}
 	provenAll := dims > 0
 	for d := 0; d < dims; d++ {
-		e := buildEqn(a.DF.Unit, sub1[d], sub2[d], nest, env, variant, consts)
-		before := append([]bool(nil), res.known...)
-		beforeDist := append([]int64(nil), res.dist...)
-		name, outcome := testDim(e, env, nest, &res, a.Opts.UseRanges)
+		e := buildEqn(sub1[d], sub2[d], ctx)
+		before, beforeDist := t.beforeKnown[:n], t.beforeDist[:n]
+		copy(before, res.known)
+		copy(beforeDist, res.dist)
+		name, outcome := testDim(e, ctx.env, ctx.nest, res, t.a.Opts.UseRanges)
 		if name != "" {
 			g.Stats.merge(name, outcome)
 		}
@@ -365,79 +551,27 @@ func (a *Analyzer) testSubscripts(g *Graph, sym *fortran.Symbol, r1, r2 *ref, ne
 	return res
 }
 
-// variantFn reports whether a symbol's value can change between two
-// reference instances within the common nest.
-func (a *Analyzer) variantFn(nest []*cfg.Loop) func(*fortran.Symbol) bool {
-	var defined map[*fortran.Symbol]bool
-	if len(nest) > 0 {
-		defined = map[*fortran.Symbol]bool{}
-		l := nest[0]
-		defined[l.Do.Var] = false // common loop vars handled separately
-		for _, s := range l.Stmts() {
-			for _, ac := range a.DF.Accesses(s) {
-				if ac.Write {
-					defined[ac.Sym] = true
-				}
-			}
-		}
-		for _, cl := range nest {
-			defined[cl.Do.Var] = false
-		}
-	}
-	return func(sym *fortran.Symbol) bool {
-		if sym.Kind == fortran.SymParam {
-			return false
-		}
-		if defined == nil {
-			// No common loop: the references execute once each;
-			// loop-variant values from sibling nests differ.
-			return sym.Type != fortran.TypeInteger || symDefinedAnywhere(a.DF, sym)
-		}
-		return defined[sym]
-	}
-}
-
-func symDefinedAnywhere(df *dataflow.Analysis, sym *fortran.Symbol) bool {
-	for _, d := range df.Defs {
-		if d.Sym == sym {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *Analyzer) constsFn(src fortran.Stmt) func(*fortran.Symbol) (int64, bool) {
-	if !a.Opts.UseConstants {
-		return nil
-	}
-	return func(sym *fortran.Symbol) (int64, bool) {
-		return a.DF.ConstAt(src, sym)
-	}
-}
+// dirCases enumerates the three single directions with their set bits.
+var dirCases = [...]struct {
+	bit dirSet
+	d   Direction
+}{{dirBitLt, DirLt}, {dirBitEq, DirEq}, {dirBitGt, DirGt}}
 
 // testSections tests a pair where at least one side is a call with a
 // regular-section summary: exact (degenerate) section dimensions go
 // through the full subscript suite; ranged ones through the
 // direction-aware overlap test.
-func (a *Analyzer) testSections(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop) pairResult {
+func (t *tester) testSections(sym *fortran.Symbol, r1, r2 *ref, ctx *pairCtx) *pairResult {
+	g := t.g
 	g.Stats.PairsTested++
-	n := len(nest)
-	res := pairResult{
-		dirs:      make([]dirSet, n),
-		dist:      make([]int64, n),
-		known:     make([]bool, n),
-		decidedBy: "section",
-	}
-	for k := range res.dirs {
-		res.dirs[k] = dirAll
-	}
-	env := a.env(r1.stmt)
-	variant := a.variantFn(nest)
-	consts := a.constsFn(r1.stmt)
+	n := len(ctx.nest)
+	res := t.start(n)
+	res.decidedBy = "section"
 	dims := len(sym.Dims)
 	for d := 0; d < dims; d++ {
-		sd := a.dimDescOf(r1, d, consts)
-		dd := a.dimDescOf(r2, d, consts)
+		var sd, dd dimDesc
+		t.a.dimDescOf(&sd, r1, d, ctx.consts)
+		t.a.dimDescOf(&dd, r2, d, ctx.consts)
 		if !sd.known || !dd.known {
 			if res.blockedBy == "" {
 				res.blockedBy = firstNonEmpty(sd.blocked, dd.blocked, "symbolic")
@@ -445,8 +579,8 @@ func (a *Analyzer) testSections(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest
 			continue
 		}
 		if sd.exact && dd.exact {
-			e := eqnFromLinears(sd.lo, dd.lo, nest, env, variant)
-			name, outcome := testDim(e, env, nest, &res, a.Opts.UseRanges)
+			e := eqnFromLinears(sd.lo, dd.lo, ctx.nest, ctx.env, ctx.variant)
+			name, outcome := testDim(e, ctx.env, ctx.nest, res, t.a.Opts.UseRanges)
 			if name != "" {
 				g.Stats.merge(name, outcome)
 			}
@@ -456,19 +590,17 @@ func (a *Analyzer) testSections(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest
 				return res
 			}
 		} else {
-			if !overlapFeasible(sd, dd, nest, env, variant, -1, DirStar) {
+			var ov overlap
+			ov.init(&sd, &dd, ctx)
+			if !ov.feasible(ctx, -1, DirStar) {
 				res.independent = true
 				g.Stats.merge("section", outcomeIndependent)
 				return res
 			}
-			if a.Opts.UseRanges {
+			if t.a.Opts.UseRanges {
 				for k := 0; k < n; k++ {
-					for _, dir := range []struct {
-						bit dirSet
-						d   Direction
-					}{{dirBitLt, DirLt}, {dirBitEq, DirEq}, {dirBitGt, DirGt}} {
-						if res.dirs[k].has(dir.bit) &&
-							!overlapFeasible(sd, dd, nest, env, variant, k, dir.d) {
+					for _, dir := range dirCases {
+						if res.dirs[k].has(dir.bit) && !ov.feasible(ctx, k, dir.d) {
 							res.dirs[k] &^= dir.bit
 						}
 					}
@@ -487,34 +619,32 @@ func (a *Analyzer) testSections(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest
 	return res
 }
 
-// dimDescOf converts one dimension of a reference or section into
-// linear bounds.
-func (a *Analyzer) dimDescOf(r *ref, d int, consts func(*fortran.Symbol) (int64, bool)) dimDesc {
+// dimDescOf describes one dimension of a reference or section as
+// linear bounds in out.
+func (a *Analyzer) dimDescOf(out *dimDesc, r *ref, d int, consts dataflow.Consts) {
 	if r.section != nil {
 		if d >= len(r.section.Dims) || !r.section.Dims[d].Known {
-			return dimDesc{known: false, blocked: "symbolic"}
+			out.blocked = "symbolic"
+			return
 		}
-		sd := r.section.Dims[d]
-		return dimDesc{
-			exact: sd.Lo.Equal(sd.Hi),
-			lo:    substConsts(sd.Lo, consts),
-			hi:    substConsts(sd.Hi, consts),
-			known: true,
-		}
+		sd := &r.section.Dims[d]
+		out.known = true
+		out.exact = sd.Lo.Equal(sd.Hi)
+		out.lo = substConsts(sd.Lo, consts)
+		out.hi = substConsts(sd.Hi, consts)
+		return
 	}
-	if r.acc.Ref == nil || d >= len(r.acc.Ref.Subs) {
-		return dimDesc{known: false, blocked: "symbolic"}
+	subs := a.subsOf(r)
+	switch {
+	case d >= len(subs):
+		out.blocked = "symbolic"
+	case !subs[d].ok:
+		out.blocked = subs[d].blocked()
+	default:
+		out.known, out.exact = true, true
+		out.lo = substConsts(subs[d].lin, consts)
+		out.hi = out.lo
 	}
-	lin, ok := expr.Linearize(a.DF.Unit, r.acc.Ref.Subs[d])
-	if !ok {
-		blocked := "nonlinear"
-		if containsIndexArray(r.acc.Ref.Subs[d]) {
-			blocked = "index-array"
-		}
-		return dimDesc{known: false, blocked: blocked}
-	}
-	lin = substConsts(lin, consts)
-	return dimDesc{exact: true, lo: lin, hi: lin, known: true}
 }
 
 func firstNonEmpty(ss ...string) string {
@@ -531,59 +661,74 @@ func firstNonEmpty(ss ...string) string {
 
 // emitAllLevels emits a conservative dependence at every common level
 // plus the loop-independent one; used for scalars and opaque calls.
-func (a *Analyzer) emitAllLevels(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop, test string) {
-	n := len(nest)
-	res := pairResult{dirs: make([]dirSet, n), dist: make([]int64, n), known: make([]bool, n)}
-	for k := range res.dirs {
-		res.dirs[k] = dirAll
-	}
+func (t *tester) emitAllLevels(sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop, test string) {
+	res := t.start(len(nest))
 	res.decidedBy = test
-	a.emit(g, sym, r1, r2, nest, res)
+	t.emit(sym, r1, r2, nest, res)
 }
 
 // emit converts a surviving pairResult into dependence edges: one per
 // feasible carrier level in each direction, plus loop-independent
-// edges following lexical order.
-func (a *Analyzer) emit(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop, res pairResult) {
+// edges following lexical order. The edges of a pair share what does
+// not depend on the carrier: the verdict, one known vector, one distance
+// vector per direction.
+func (t *tester) emit(sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.Loop, res *pairResult) {
+	g := t.g
 	n := len(nest)
-	test := res.decidedBy
-	if test == "" {
-		test = "subscript"
-	}
 	mark := MarkPending
 	if res.proven {
 		mark = MarkProven
 	}
-	add := func(src, dst *ref, level int, dirs []Direction, dist []int64, known []bool) {
-		if !src.acc.Write && !dst.acc.Write {
-			if !a.Opts.InputDeps {
-				return
-			}
-		}
-		d := &Dependence{
-			Sym: sym, Src: src.stmt, Dst: dst.stmt,
-			SrcRef: src.acc.Ref, DstRef: dst.acc.Ref,
-			Class: classify(src.acc.Write, dst.acc.Write),
-			Level: level, Dirs: dirs, Dist: dist, Known: known,
-			Mark: mark, Test: test, Reason: res.blockedBy,
-			Blockers: res.blockSyms,
-		}
+	verdict := t.verdict(res)
+	add := func(src, dst *ref, level int, vec *Vectors) {
+		d := &g.deps.take(1)[0]
+		d.Sym, d.Src, d.Dst = sym, src.stmt, dst.stmt
+		d.Class = classify(src.acc.Write, dst.acc.Write)
+		d.Level, d.Vectors = level, vec
+		d.Mark, d.Verdict = mark, verdict
 		if level > 0 {
 			d.Loop = nest[level-1]
 		}
 		g.Deps = append(g.Deps, d)
 	}
+	// carried returns the vectors of an edge carried at level k+1: its
+	// own directions — '=' outside the carrier, '<' at it (after the
+	// endpoint swap of a backward edge '>' becomes '<'), and the summary
+	// of what remains feasible inside it — with the pair's distances.
+	var known []bool
+	carried := func(k int, backward bool, dist []int64) *Vectors {
+		if known == nil {
+			known = g.flags.take(n)
+			copy(known, res.known)
+		}
+		v := &g.vecs.take(1)[0]
+		v.Dirs, v.Dist, v.Known = g.dirs.take(n), dist, known
+		for j := range v.Dirs {
+			switch {
+			case j < k:
+				v.Dirs[j] = DirEq
+			case j == k:
+				v.Dirs[j] = DirLt
+			case backward:
+				v.Dirs[j] = summarize(invert(res.dirs[j]))
+			default:
+				v.Dirs[j] = summarize(res.dirs[j])
+			}
+		}
+		return v
+	}
 	// Forward direction (r1 as source): carrier level k needs '=' on
 	// all outer levels and '<' at k.
-	eqPrefix := true
+	var fwdDist []int64
 	for k := 0; k < n; k++ {
-		if eqPrefix && res.dirs[k].has(dirBitLt) {
-			add(r1, r2, k+1, forwardDirs(res, k), distVec(res, k, false), knownVec(res, k))
+		if res.dirs[k].has(dirBitLt) {
+			if fwdDist == nil {
+				fwdDist = g.dists.take(n)
+				copy(fwdDist, res.dist)
+			}
+			add(r1, r2, k+1, carried(k, false, fwdDist))
 		}
 		if !res.dirs[k].has(dirBitEq) {
-			eqPrefix = false
-		}
-		if !eqPrefix {
 			break
 		}
 	}
@@ -595,31 +740,66 @@ func (a *Analyzer) emit(g *Graph, sym *fortran.Symbol, r1, r2 *ref, nest []*cfg.
 		}
 	}
 	if allEq && r1.stmt != r2.stmt {
-		dirs := make([]Direction, n)
-		for k := range dirs {
-			dirs[k] = DirEq
-		}
 		if r1.stmt.ID() < r2.stmt.ID() {
-			add(r1, r2, 0, dirs, nil, nil)
+			add(r1, r2, 0, t.independent(n))
 		} else {
-			add(r2, r1, 0, dirs, nil, nil)
+			add(r2, r1, 0, t.independent(n))
 		}
 	}
 	// Backward direction (r2 as source): needs '>' at the carrier.
 	if r1 != r2 {
-		eqPrefix = true
+		var bwdDist []int64
 		for k := 0; k < n; k++ {
-			if eqPrefix && res.dirs[k].has(dirBitGt) {
-				add(r2, r1, k+1, backwardDirs(res, k), distVec(res, k, true), knownVec(res, k))
+			if res.dirs[k].has(dirBitGt) {
+				if bwdDist == nil {
+					bwdDist = g.dists.take(n)
+					for j, v := range res.dist {
+						bwdDist[j] = -v
+					}
+				}
+				add(r2, r1, k+1, carried(k, true, bwdDist))
 			}
 			if !res.dirs[k].has(dirBitEq) {
-				eqPrefix = false
-			}
-			if !eqPrefix {
 				break
 			}
 		}
 	}
+}
+
+// independent returns the vectors every loop-independent edge under n
+// common loops has: '=' at each level, no distances.
+func (t *tester) independent(n int) *Vectors {
+	for len(t.indep) <= n {
+		dirs := make([]Direction, len(t.indep))
+		for k := range dirs {
+			dirs[k] = DirEq
+		}
+		t.indep = append(t.indep, &Vectors{Dirs: dirs})
+	}
+	return t.indep[n]
+}
+
+// verdict returns the shared Verdict of a surviving pair. Verdicts
+// without blockers — nearly all of them — come from a handful of (test,
+// reason) combinations and are kept one per combination.
+func (t *tester) verdict(res *pairResult) *Verdict {
+	test := res.decidedBy
+	if test == "" {
+		test = "subscript"
+	}
+	if res.blockSyms != nil {
+		return &Verdict{Test: test, Reason: res.blockedBy, Blockers: res.blockSyms}
+	}
+	key := [2]string{test, res.blockedBy}
+	v := t.verdicts[key]
+	if v == nil {
+		if t.verdicts == nil {
+			t.verdicts = map[[2]string]*Verdict{}
+		}
+		v = &Verdict{Test: test, Reason: res.blockedBy}
+		t.verdicts[key] = v
+	}
+	return v
 }
 
 func classify(srcWrite, dstWrite bool) Class {
@@ -633,36 +813,6 @@ func classify(srcWrite, dstWrite bool) Class {
 	default:
 		return ClassInput
 	}
-}
-
-func forwardDirs(res pairResult, carrier int) []Direction {
-	out := make([]Direction, len(res.dirs))
-	for k := range out {
-		switch {
-		case k < carrier:
-			out[k] = DirEq
-		case k == carrier:
-			out[k] = DirLt
-		default:
-			out[k] = summarize(res.dirs[k])
-		}
-	}
-	return out
-}
-
-func backwardDirs(res pairResult, carrier int) []Direction {
-	out := make([]Direction, len(res.dirs))
-	for k := range out {
-		switch {
-		case k < carrier:
-			out[k] = DirEq
-		case k == carrier:
-			out[k] = DirLt // after endpoint swap '>' becomes '<'
-		default:
-			out[k] = summarize(invert(res.dirs[k]))
-		}
-	}
-	return out
 }
 
 func invert(s dirSet) dirSet {
@@ -696,22 +846,6 @@ func summarize(s dirSet) Direction {
 	}
 }
 
-func distVec(res pairResult, carrier int, backward bool) []int64 {
-	out := make([]int64, len(res.dist))
-	for k, v := range res.dist {
-		if backward {
-			out[k] = -v
-		} else {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func knownVec(res pairResult, carrier int) []bool {
-	return append([]bool(nil), res.known...)
-}
-
 // addControlDeps records control dependences for display and for
 // transformation safety checks.
 func (a *Analyzer) addControlDeps(g *Graph) {
@@ -727,18 +861,26 @@ func (a *Analyzer) addControlDeps(g *Graph) {
 			if _, isDo := br.Stmt.(*fortran.DoStmt); isDo {
 				continue // loop structure, not a real branch
 			}
-			d := &Dependence{
-				Sym:   controlSym,
-				Src:   br.Stmt,
-				Dst:   node.Stmt,
-				Class: ClassControl,
-				Mark:  MarkProven,
-				Test:  "control",
+			d := &g.deps.take(1)[0]
+			*d = Dependence{
+				Sym:     controlSym,
+				Src:     br.Stmt,
+				Dst:     node.Stmt,
+				Class:   ClassControl,
+				Mark:    MarkProven,
+				Vectors: noVectors,
+				Verdict: controlVerdict,
 			}
 			g.Deps = append(g.Deps, d)
 		}
 	}
 }
+
+// Every control dependence has the same verdict and no vectors.
+var (
+	controlVerdict = &Verdict{Test: "control"}
+	noVectors      = &Vectors{}
+)
 
 // controlSym is the placeholder symbol for control dependences.
 var controlSym = &fortran.Symbol{Name: "(control)", Kind: fortran.SymScalar}

@@ -16,7 +16,7 @@ import (
 )
 
 // Class is the kind of a dependence.
-type Class int
+type Class uint8
 
 // Dependence classes.
 const (
@@ -45,7 +45,7 @@ func (c Class) String() string {
 
 // Direction is a dependence direction for one loop level, relating
 // the source iteration to the sink iteration.
-type Direction int
+type Direction uint8
 
 // Directions.
 const (
@@ -78,7 +78,7 @@ func (d Direction) String() string {
 // Mark is the editor's dependence-marking state: Ped marks each
 // dependence proven (an exact test proved it exists), pending (could
 // not be disproven), or — after user interaction — accepted/rejected.
-type Mark int
+type Mark uint8
 
 // Marking states.
 const (
@@ -102,27 +102,49 @@ func (m Mark) String() string {
 	return "?"
 }
 
-// Dependence is one edge of the dependence graph.
+// Dependence is one edge of the dependence graph. A session keeps tens
+// of thousands of them alive, so the struct is laid out small: the
+// enumerations are bytes, and what belongs to the reference pair or is
+// the same for most edges sits behind shared pointers — the Verdict of
+// the test suite, and the per-loop Vectors, which the loop-independent
+// edges of references outside any common loop (in call-heavy programs,
+// nearly every edge) do not have.
 type Dependence struct {
 	ID  int
 	Sym *fortran.Symbol
 
-	Src, Dst       fortran.Stmt
-	SrcRef, DstRef *fortran.VarRef // nil for call side effects and scalars without refs
+	Src, Dst fortran.Stmt
 
-	Class Class
 	// Loop is the carrying loop; nil for loop-independent deps.
 	Loop *cfg.Loop
 	// Level is the 1-based carrier depth; 0 for loop-independent.
 	Level int
+
+	// Vectors carries Dirs, Dist and Known.
+	*Vectors
+	// Verdict carries Test, Reason and Blockers.
+	*Verdict
+
+	Class Class
+	Mark  Mark
+}
+
+// Vectors holds an edge's per-loop vectors. Edges may share one (and
+// edges of one reference pair share its slices): it must not be
+// modified.
+type Vectors struct {
 	// Dirs holds one direction per common loop, outermost first.
 	Dirs []Direction
 	// Dist holds the dependence distance per common loop where
-	// known; Known flags validity.
+	// known; Known flags validity. Both are nil on loop-independent
+	// edges.
 	Dist  []int64
 	Known []bool
+}
 
-	Mark Mark
+// Verdict is what the test suite concluded about a reference pair. It
+// is shared between edges and must not be modified.
+type Verdict struct {
 	// Test names the subscript test that decided this dependence
 	// ("strong-siv", "banerjee", ... or "scalar"/"call").
 	Test string
@@ -171,6 +193,37 @@ type Graph struct {
 	Stats Stats
 
 	byLoop map[*cfg.Loop][]*Dependence
+
+	// Edges and their vectors are carved from chunks the graph owns
+	// instead of being allocated one by one.
+	deps  slab[Dependence]
+	vecs  slab[Vectors]
+	dirs  slab[Direction]
+	dists slab[int64]
+	flags slab[bool]
+}
+
+// slab hands out slices carved from chunks that grow with the amount
+// already handed out (an eighth of it, between 4 and 512 elements): a
+// graph costs one allocation per chunk rather than one per edge, a
+// patch that adds three edges to a large graph starts with a small
+// chunk of its own, and the unused tail of the last chunk stays below
+// an eighth of what the graph holds.
+type slab[T any] struct {
+	free  []T
+	taken int
+}
+
+// take returns a zeroed slice of n elements with no spare capacity, so
+// appending to it cannot reach a neighbour.
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, min(max(s.taken/8, 4), 512)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.taken += n
+	return out
 }
 
 // Stats counts how the hierarchical test suite performed.

@@ -21,10 +21,18 @@ import (
 // relative order, then the fresh ones), so the numbering differs from
 // a from-scratch run even though the edge set is identical. Stats
 // accumulate onto prev's counts: they describe the work done across
-// the session's edits, not a single run.
+// the session's edits, not a single run. prev itself is consumed: its
+// edges are renumbered or marked dead in place, so it must not be used
+// afterwards.
 func Patch(prev *Graph, df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts Options, old, new fortran.Stmt) *Graph {
 	a := &Analyzer{DF: df, Assertions: assertions, Summ: summ, Opts: opts}
-	g := &Graph{Unit: df.Unit, Stats: prev.Stats.clone(), byLoop: map[*cfg.Loop][]*Dependence{}}
+	return a.patch(prev, old, new)
+}
+
+func (a *Analyzer) patch(prev *Graph, old, new fortran.Stmt) *Graph {
+	g := a.newGraph()
+	g.Stats = prev.Stats.clone()
+	g.Deps = make([]*Dependence, 0, len(prev.Deps))
 	for _, d := range prev.Deps {
 		if d.Class == ClassControl {
 			if d.Src == old {
@@ -33,51 +41,38 @@ func Patch(prev *Graph, df *dataflow.Analysis, assertions *expr.Env, summ Summar
 			if d.Dst == old {
 				d.Dst = new
 			}
-			g.Deps = append(g.Deps, d)
-			continue
-		}
-		if d.Src == old || d.Dst == old {
+		} else if d.Src == old || d.Dst == old {
+			d.ID = 0 // killed: dropped from the per-loop index below
 			continue
 		}
 		g.Deps = append(g.Deps, d)
 	}
+	// The reused edges keep their place in the per-loop index: the new
+	// statement sits in the same loops as the old one.
+	g.byLoop = make(map[*cfg.Loop][]*Dependence, len(prev.byLoop))
+	for l, list := range prev.byLoop {
+		kept := make([]*Dependence, 0, len(list))
+		for _, d := range list {
+			if d.ID != 0 {
+				kept = append(kept, d)
+			}
+		}
+		g.byLoop[l] = kept
+	}
+	reused := len(g.Deps)
 	// Retest pairs involving the edited statement with the same
 	// collection order and skip rules as the full run, so the emitted
 	// edges (direction vectors, loop-independent orientation) match.
-	refs := a.collectRefs()
-	bySym := map[*fortran.Symbol][]*ref{}
-	newSyms := map[*fortran.Symbol]bool{}
-	var symOrder []*fortran.Symbol
-	for _, r := range refs {
-		if _, ok := bySym[r.acc.Sym]; !ok {
-			symOrder = append(symOrder, r.acc.Sym)
-		}
-		bySym[r.acc.Sym] = append(bySym[r.acc.Sym], r)
-		if r.stmt == new {
-			newSyms[r.acc.Sym] = true
-		}
+	// Only the symbols the new statement references can pair with it.
+	want := map[*fortran.Symbol]bool{}
+	for _, ac := range a.DF.Accesses(new) {
+		want[ac.Sym] = true
 	}
+	symOrder, bySym := a.collectRefs(want)
+	t := tester{a: a, g: g}
 	for _, sym := range symOrder {
-		if !newSyms[sym] {
-			continue
-		}
-		list := bySym[sym]
-		for i := 0; i < len(list); i++ {
-			for j := i; j < len(list); j++ {
-				r1, r2 := list[i], list[j]
-				if r1.stmt != new && r2.stmt != new {
-					continue
-				}
-				if !r1.acc.Write && !r2.acc.Write && !a.Opts.InputDeps {
-					continue
-				}
-				if i == j && !r1.acc.Write {
-					continue
-				}
-				a.testRefPair(g, sym, r1, r2)
-			}
-		}
+		t.testSym(sym, bySym[sym], new)
 	}
-	a.finalize(g)
+	a.finalize(g, reused)
 	return g
 }

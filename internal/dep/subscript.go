@@ -2,6 +2,7 @@ package dep
 
 import (
 	"parascope/internal/cfg"
+	"parascope/internal/dataflow"
 	"parascope/internal/expr"
 	"parascope/internal/fortran"
 )
@@ -73,80 +74,94 @@ type eqn struct {
 	blocked string
 }
 
-// buildEqn constructs the dependence equation for one subscript
-// dimension pair. variant reports whether a symbol's value can differ
-// between the two reference instances.
-func buildEqn(u *fortran.Unit, srcSub, dstSub fortran.Expr, nest []*cfg.Loop, env *expr.Env,
-	variant func(*fortran.Symbol) bool, consts func(*fortran.Symbol) (int64, bool)) eqn {
+// blocked names why a non-affine subscript could not be analyzed.
+func (s subscript) blocked() string {
+	if s.indexArray {
+		return "index-array"
+	}
+	return "nonlinear"
+}
 
-	la, okA := expr.Linearize(u, srcSub)
-	lb, okB := expr.Linearize(u, dstSub)
-	if !okA || !okB {
+// buildEqn constructs the dependence equation for one subscript
+// dimension pair.
+func buildEqn(src, dst subscript, ctx *pairCtx) eqn {
+	if !src.ok || !dst.ok {
 		reason := "nonlinear"
-		if containsIndexArray(srcSub) || containsIndexArray(dstSub) {
+		if src.indexArray || dst.indexArray {
 			reason = "index-array"
 		}
 		return eqn{blocked: reason}
 	}
 	// Substitute known constants first.
-	la = substConsts(la, consts)
-	lb = substConsts(lb, consts)
-	return eqnFromLinears(la, lb, nest, env, variant)
+	la := substConsts(src.lin, ctx.consts)
+	lb := substConsts(dst.lin, ctx.consts)
+	return eqnFromLinears(la, lb, ctx.nest, ctx.env, ctx.variant)
 }
 
 // eqnFromLinears builds the dependence equation from already-linear
-// subscript forms (used directly for regular-section bounds).
+// subscript forms (used directly for regular-section bounds). variant
+// reports whether a symbol's value can differ between the two
+// reference instances.
 func eqnFromLinears(la, lb expr.Linear, nest []*cfg.Loop, env *expr.Env,
 	variant func(*fortran.Symbol) bool) eqn {
-	e := eqn{a: make([]int64, len(nest)), b: make([]int64, len(nest)), slack: expr.Exact(0)}
-	for k, l := range nest {
-		e.a[k] = la.Coef(l.Do.Var)
-		e.b[k] = lb.Coef(l.Do.Var)
-		la = la.Without(l.Do.Var)
-		lb = lb.Without(l.Do.Var)
-	}
-	// rem = lb_rest - la_rest; variant symbols cannot cancel — they
-	// contribute an interval of possible differences instead.
-	rem := expr.Con(lb.Const - la.Const)
-	type contrib struct {
-		sym *fortran.Symbol
-		ca  int64 // coefficient in src
-		cb  int64 // coefficient in dst
-	}
-	seen := map[*fortran.Symbol]*contrib{}
-	var order []*contrib
-	for _, t := range la.Terms {
-		c := seen[t.Sym]
-		if c == nil {
-			c = &contrib{sym: t.Sym}
-			seen[t.Sym] = c
-			order = append(order, c)
+	ab := make([]int64, 2*len(nest))
+	e := eqn{a: ab[:len(nest):len(nest)], b: ab[len(nest):], slack: expr.Exact(0)}
+	indexOf := func(sym *fortran.Symbol) int {
+		for k, l := range nest {
+			if l.Do.Var == sym {
+				return k
+			}
 		}
-		c.ca += t.Coef
+		return -1
 	}
-	for _, t := range lb.Terms {
-		c := seen[t.Sym]
-		if c == nil {
-			c = &contrib{sym: t.Sym}
-			seen[t.Sym] = c
-			order = append(order, c)
-		}
-		c.cb += t.Coef
-	}
-	for _, c := range order {
-		if !variant(c.sym) {
+	// rem = lb_rest - la_rest over the symbols that are not common loop
+	// variables; variant symbols cannot cancel — they contribute an
+	// interval of possible differences instead.
+	e.rem.Const = lb.Const - la.Const
+	contribute := func(sym *fortran.Symbol, ca, cb int64) {
+		if !variant(sym) {
 			// Same value at both instances: contributes (cb-ca)*sym.
-			rem = rem.Add(expr.Var(c.sym).Scale(c.cb - c.ca))
-			continue
+			if cb != ca {
+				e.rem.Terms = append(e.rem.Terms, expr.Term{Sym: sym, Coef: cb - ca})
+			}
+			return
 		}
 		// Variant symbol: the two instances are independent values in
 		// the symbol's range, widening the remainder by
 		// cb*range(sym) - ca*range(sym).
-		r := env.RangeOf(c.sym)
-		e.slack = e.slack.Add(r.Scale(c.cb)).Add(r.Scale(c.ca).Neg())
+		r := env.RangeOf(sym)
+		e.slack = e.slack.Add(r.Scale(cb)).Add(r.Scale(ca).Neg())
 	}
-	e.rem = rem
+	for _, t := range la.Terms {
+		if k := indexOf(t.Sym); k >= 0 {
+			e.a[k] = t.Coef
+		} else {
+			contribute(t.Sym, t.Coef, lb.Coef(t.Sym))
+		}
+	}
+	for _, t := range lb.Terms {
+		if k := indexOf(t.Sym); k >= 0 {
+			e.b[k] = t.Coef
+		} else if !hasTerm(la, t.Sym) {
+			contribute(t.Sym, 0, t.Coef)
+		}
+	}
+	// Keep rem canonical: terms sorted by symbol name.
+	for i := 1; i < len(e.rem.Terms); i++ {
+		for j := i; j > 0 && e.rem.Terms[j].Sym.Name < e.rem.Terms[j-1].Sym.Name; j-- {
+			e.rem.Terms[j], e.rem.Terms[j-1] = e.rem.Terms[j-1], e.rem.Terms[j]
+		}
+	}
 	return e
+}
+
+func hasTerm(l expr.Linear, sym *fortran.Symbol) bool {
+	for _, t := range l.Terms {
+		if t.Sym == sym {
+			return true
+		}
+	}
+	return false
 }
 
 // dimDesc describes one dimension of a reference or a call's section
@@ -160,54 +175,76 @@ type dimDesc struct {
 	blocked string
 }
 
-// diffBound bounds la(i) - lb(i') over the common nest, with loop k
-// (-1 for none) constrained to direction dir.
-func diffBound(la, lb expr.Linear, nest []*cfg.Loop, env *expr.Env,
-	variant func(*fortran.Symbol) bool, k int, dir Direction) expr.Range {
-
-	e := eqnFromLinears(la, lb, nest, env, variant)
-	// la(i) - lb(i') = sum_j (a_j*i_j - b_j*i'_j) - rem - slack.
-	total := expr.Exact(0)
-	for j := range e.a {
-		d := DirStar
-		if j == k {
-			d = dir
-		}
-		total = total.Add(termBound(e.a[j], e.b[j], loopRange(env, nest[j]), d))
-	}
-	return total.Sub(env.EvalRange(e.rem)).Sub(e.slack)
+// overlap decides whether the index set of a source dimension can
+// intersect the sink's: it needs s.hi >= d.lo and s.lo <= d.hi. The two
+// difference equations are built once per dimension pair; each
+// direction constraint only re-bounds their loop terms.
+type overlap struct {
+	hiLo, loHi diffEqn // s.hi - d.lo and s.lo - d.hi
 }
 
-// overlapFeasible reports whether the source dimension's index set
-// can intersect the sink's when loop k is constrained to dir.
-func overlapFeasible(sd, dd dimDesc, nest []*cfg.Loop, env *expr.Env,
-	variant func(*fortran.Symbol) bool, k int, dir Direction) bool {
+// diffEqn is la(i) - lb(i') = sum_j (a_j*i_j - b_j*i'_j) - fixed, with
+// fixed the range of the loop-independent part.
+type diffEqn struct {
+	e     eqn
+	fixed expr.Range
+}
 
-	if !sd.known || !dd.known {
-		return true // no information: assume overlap
+func (d *diffEqn) init(la, lb expr.Linear, ctx *pairCtx) {
+	d.e = eqnFromLinears(la, lb, ctx.nest, ctx.env, ctx.variant)
+	d.fixed = ctx.env.EvalRange(d.e.rem)
+}
+
+// bound bounds la(i) - lb(i') over the common nest, with loop k (-1 for
+// none) constrained to direction dir.
+func (d *diffEqn) bound(ctx *pairCtx, k int, dir Direction) expr.Range {
+	total := expr.Exact(0)
+	for j := range d.e.a {
+		dj := DirStar
+		if j == k {
+			dj = dir
+		}
+		total = total.Add(termBound(d.e.a[j], d.e.b[j], loopRange(ctx.env, ctx.nest[j]), dj))
 	}
-	// Overlap needs s.hi >= d.lo and s.lo <= d.hi.
-	d1 := diffBound(sd.hi, dd.lo, nest, env, variant, k, dir)
-	if !d1.HiInf && d1.Hi < 0 {
+	return total.Sub(d.fixed).Sub(d.e.slack)
+}
+
+func (o *overlap) init(sd, dd *dimDesc, ctx *pairCtx) {
+	o.hiLo.init(sd.hi, dd.lo, ctx)
+	o.loHi.init(sd.lo, dd.hi, ctx)
+}
+
+// feasible reports whether the two index sets can intersect when loop
+// k is constrained to dir.
+func (o *overlap) feasible(ctx *pairCtx, k int, dir Direction) bool {
+	if d := o.hiLo.bound(ctx, k, dir); !d.HiInf && d.Hi < 0 {
 		return false
 	}
-	d2 := diffBound(sd.lo, dd.hi, nest, env, variant, k, dir)
-	if !d2.LoInf && d2.Lo > 0 {
+	if d := o.loHi.bound(ctx, k, dir); !d.LoInf && d.Lo > 0 {
 		return false
 	}
 	return true
 }
 
-func substConsts(l expr.Linear, consts func(*fortran.Symbol) (int64, bool)) expr.Linear {
-	if consts == nil {
-		return l
+// substConsts replaces the symbols of l that have a known constant by
+// their values.
+func substConsts(l expr.Linear, consts dataflow.Consts) expr.Linear {
+	first := -1
+	for i, t := range l.Terms {
+		if _, ok := consts.Value(t.Sym); ok {
+			first = i
+			break
+		}
 	}
-	out := expr.Con(l.Const)
-	for _, t := range l.Terms {
-		if v, ok := consts(t.Sym); ok {
-			out = out.Add(expr.Con(v * t.Coef))
+	if first < 0 {
+		return l // nothing to substitute: the form is shared, not copied
+	}
+	out := expr.Linear{Const: l.Const, Terms: append([]expr.Term(nil), l.Terms[:first]...)}
+	for _, t := range l.Terms[first:] {
+		if v, ok := consts.Value(t.Sym); ok {
+			out.Const += v * t.Coef
 		} else {
-			out = out.Add(expr.Var(t.Sym).Scale(t.Coef))
+			out.Terms = append(out.Terms, t)
 		}
 	}
 	return out
@@ -420,10 +457,7 @@ func exactSIV(a, b int64, rem expr.Range, r expr.Range, k int, res *pairResult, 
 		}
 		// Per-direction feasibility.
 		var ds dirSet
-		for _, dir := range []struct {
-			bit dirSet
-			d   Direction
-		}{{dirBitLt, DirLt}, {dirBitEq, DirEq}, {dirBitGt, DirGt}} {
+		for _, dir := range dirCases {
 			lb := termBound(a, b, r, dir.d)
 			if !rem.Intersect(lb).Empty() {
 				ds |= dir.bit
@@ -473,10 +507,7 @@ func testMIV(e eqn, env *expr.Env, nest []*cfg.Loop, rem expr.Range,
 			}
 		}
 		var ds dirSet
-		for _, dir := range []struct {
-			bit dirSet
-			d   Direction
-		}{{dirBitLt, DirLt}, {dirBitEq, DirEq}, {dirBitGt, DirGt}} {
+		for _, dir := range dirCases {
 			lb := rest.Add(termBound(e.a[k], e.b[k], loopRange(env, nest[k]), dir.d))
 			if !rem.Intersect(lb).Empty() {
 				ds |= dir.bit

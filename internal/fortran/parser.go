@@ -226,17 +226,17 @@ func (p *parser) parseUnit(f *File) *Unit {
 	case "program":
 		p.next()
 		u.Kind = UnitProgram
-		u.Name = p.expect(TokIdent).Text
+		u.Name = p.ownName()
 	case "subroutine":
 		p.next()
 		u.Kind = UnitSubroutine
-		u.Name = p.expect(TokIdent).Text
+		u.Name = p.ownName()
 		p.parseArgList(u)
 	case "function":
 		p.next()
 		u.Kind = UnitFunction
 		u.RetType = retType
-		u.Name = p.expect(TokIdent).Text
+		u.Name = p.ownName()
 		p.parseArgList(u)
 		// The function name acts as the result variable.
 		ret := &Symbol{Name: u.Name, Kind: SymScalar, Type: retType, Unit: u}
@@ -327,7 +327,7 @@ func (p *parser) parseArgList(u *Unit) {
 		return
 	}
 	for {
-		name := p.expect(TokIdent).Text
+		name := p.ownName()
 		sym := &Symbol{Name: name, Kind: SymScalar, Type: implicitType(name),
 			Dummy: true, ArgPos: len(u.Args), Unit: u}
 		u.Syms[name] = sym
@@ -522,12 +522,22 @@ func (p *parser) parseDataValue() Expr {
 	return e
 }
 
+// ownName expects an identifier and returns a copy of its text. A token's
+// text may be a slice of the source, and unit and symbol names outlive
+// the parse in places that keep nothing else of the program (cached
+// renderings, dependence listings): a name that aliased the source would
+// keep all of it alive.
+func (p *parser) ownName() string {
+	return strings.Clone(p.expect(TokIdent).Text)
+}
+
 // getSym returns the unit's symbol for name, creating a scalar with
 // the implicit type when absent.
 func (p *parser) getSym(u *Unit, name string) *Symbol {
 	if s, ok := u.Syms[name]; ok {
 		return s
 	}
+	name = strings.Clone(name) // see ownName
 	s := &Symbol{Name: name, Kind: SymScalar, Type: implicitType(name), Unit: u}
 	u.Syms[name] = s
 	return s

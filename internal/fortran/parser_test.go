@@ -3,6 +3,7 @@ package fortran
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const tinyProgram = `
@@ -516,6 +517,51 @@ func TestDirectiveIgnoredWhenInapplicable(t *testing.T) {
 	for _, s := range f.Units[0].Body {
 		if do, ok := s.(*DoStmt); ok && do.Parallel {
 			t.Error("unknown directive parallelized a loop")
+		}
+	}
+}
+
+// TestNamesDoNotAliasSource: unit and symbol names are kept long after a
+// parse by holders of little else (cached pane renderings, dependence
+// listings); a name that was a slice of the source text would keep the
+// whole program alive with it.
+func TestNamesDoNotAliasSource(t *testing.T) {
+	src := `      program main
+      integer i, n
+      real a(10), total
+      n = 10
+      do i = 1, n
+         a(i) = real(i)
+      enddo
+      call sub(a, n, total)
+      end
+      subroutine sub(x, m, s)
+      integer m, k
+      real x(m), s
+      s = 0.0
+      do k = 1, m
+         s = s + x(k)
+      enddo
+      end
+`
+	f, err := Parse("t.f", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	inSource := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && p >= lo && p < hi
+	}
+	for _, u := range f.Units {
+		if inSource(u.Name) {
+			t.Errorf("unit name %q is a slice of the source", u.Name)
+		}
+		for _, sym := range u.Syms {
+			if inSource(sym.Name) {
+				t.Errorf("%s: symbol name %q is a slice of the source", u.Name, sym.Name)
+			}
 		}
 	}
 }

@@ -232,13 +232,17 @@ func (e *Estimator) parStmtCost(df *dataflow.Analysis, s fortran.Stmt) float64 {
 }
 
 // UnitCost estimates the cost of one invocation of a unit, memoized;
-// recursive call chains fall back to the call overhead alone.
+// recursive call chains fall back to the call overhead alone. The cost
+// reads only loop structure and trip counts, so it solves constants
+// alone — always under conservative call effects, whatever the
+// session's analysis mode, so that a unit's cost depends on nothing but
+// the program text.
 func (e *Estimator) UnitCost(u *fortran.Unit) float64 {
 	if c, ok := e.unitCost[u]; ok {
 		return c
 	}
 	e.unitCost[u] = 0 // cycle guard
-	df := dataflow.Analyze(u, nil)
+	df := dataflow.AnalyzeConstants(u, nil)
 	c := e.bodyCost(df, u.Body)
 	e.unitCost[u] = c
 	return c
@@ -318,5 +322,7 @@ func (out *UnitEstimate) Report() string {
 	for i, le := range out.Loops {
 		fmt.Fprintf(&b, "%2d. %s\n", i+1, le)
 	}
-	return b.String()
+	// The report is kept (the server caches one per unit): return it
+	// without the builder's spare capacity.
+	return strings.Clone(b.String())
 }

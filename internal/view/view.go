@@ -123,7 +123,15 @@ func DepPane(s *core.Session, f core.DepFilter) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return trimmed(&b)
+}
+
+// trimmed returns the builder's text in an allocation of exactly its
+// length. Pane texts are kept — the server caches one per loop of every
+// program it has opened — and a string taken straight from a builder
+// keeps the builder's spare capacity alive with it, up to as much again.
+func trimmed(b *strings.Builder) string {
+	return strings.Clone(b.String())
 }
 
 // VarPane renders the variable classification pane for the selected
@@ -150,7 +158,7 @@ func VarPane(s *core.Session) string {
 		}
 		fmt.Fprintf(&b, "  %-10s %-10s %-9d %-7s %s\n", r.Sym.Name, r.Class, r.DepCount, live, note)
 	}
-	return b.String()
+	return trimmed(&b)
 }
 
 // Window renders the full three-pane Ped display (Figure 1 of the
