@@ -494,3 +494,83 @@ func TestOpenAllocs(t *testing.T) {
 	}
 	t.Logf("core.Open(spec77): %.0f allocations", got)
 }
+
+// undoSpec77 opens spec77 and returns a function that re-types the
+// first assignment of its main program with another constant — an edit
+// confined to that unit — leaving the undo to the caller.
+func undoSpec77(tb testing.TB) (*core.Session, func()) {
+	w := workloads.Spec77()
+	s, err := core.Open(w.Name+".f", w.Source)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var target fortran.Stmt
+	fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+		if _, ok := st.(*fortran.AssignStmt); ok && target == nil {
+			target = st
+		}
+		return true
+	})
+	id, text := target.ID(), fortran.StmtText(target)
+	edit := func() {
+		if err := s.EditStmt(id, "      "+text+" + 0.5"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	edit()
+	if mode := s.LastReanalysis.Mode; mode == "full" || mode == "program" {
+		tb.Fatalf("the edit took the %s rung, want one confined to the unit", mode)
+	}
+	if err := s.Undo(); err != nil {
+		tb.Fatal(err)
+	}
+	if mode := s.LastReanalysis.Mode; mode == "full" || mode == "program" {
+		tb.Fatalf("the undo took the %s rung, want the edit's", mode)
+	}
+	return s, edit
+}
+
+// BenchmarkUndoSpec77 measures Session.Undo of a one-statement edit in
+// one unit of the suite's largest program (the edit itself runs with
+// the timer stopped): the small-program end of what bench/ measures as
+// core.undo_ms on big_edit.
+func BenchmarkUndoSpec77(b *testing.B) {
+	s, edit := undoSpec77(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		edit()
+		b.StartTimer()
+		if err := s.Undo(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestUndoAllocs guards what made undo cheap: undoing a one-unit edit
+// parses and reanalyzes that unit, so it must allocate under a quarter
+// of what opening the program does. An undo that reparsed the program
+// or analyzed every unit would allocate as much as the open.
+func TestUndoAllocs(t *testing.T) {
+	w := workloads.Spec77()
+	open := testing.AllocsPerRun(10, func() {
+		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s, edit := undoSpec77(t)
+	pair := testing.AllocsPerRun(10, func() {
+		edit()
+		if err := s.Undo(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	undo := pair - testing.AllocsPerRun(10, func() {
+		edit()
+		s.SetUndoStack(nil)
+	})
+	if limit := 0.25 * open; undo > limit {
+		t.Errorf("undoing a one-unit edit of spec77 makes %.0f allocations, limit %.0f (0.25 × %.0f for core.Open)", undo, limit, open)
+	}
+	t.Logf("core.Open(spec77): %.0f allocations; undo of a one-unit edit: %.0f", open, undo)
+}

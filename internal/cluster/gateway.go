@@ -389,7 +389,7 @@ func (g *Gateway) readyBackends() []*backendState {
 			out = append(out, b)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].be.Addr < out[j].be.Addr })
+	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
 	return out
 }
 
@@ -493,7 +493,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			infos, err := b.api.List(r.Context())
 			if err != nil {
-				g.logf("pedgw: list %s: %v", b.be.Addr, err)
+				g.logf("pedgw: list %s: %v", b.addr, err)
 				return
 			}
 			mu.Lock()
@@ -620,11 +620,11 @@ func (g *Gateway) locationBackend(loc string) string {
 // for a session the ring mispredicted, returning the Addr that has it.
 func (g *Gateway) discover(ctx context.Context, id, except string) string {
 	for _, b := range g.readyBackends() {
-		if b.be.Addr == except {
+		if b.addr == except {
 			continue
 		}
 		if _, err := b.api.Status(ctx, id); err == nil {
-			return b.be.Addr
+			return b.addr
 		}
 	}
 	return ""
@@ -662,15 +662,15 @@ var errBreakerOpen = errors.New("circuit breaker open")
 // backend is serving; only transport-level failure counts against it.
 func (g *Gateway) forward(ctx context.Context, b *backendState, method, pathq string, body []byte, contentType, reqID string) (*http.Response, error) {
 	if !b.breaker.Allow() {
-		g.metrics.BreakerState.With(b.be.Addr).Set(int64(b.breaker.State()))
-		return nil, fmt.Errorf("%w for backend %s", errBreakerOpen, b.be.Addr)
+		g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
+		return nil, fmt.Errorf("%w for backend %s", errBreakerOpen, b.addr)
 	}
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.proxyTimeout())
 	var rd io.Reader
 	if len(body) > 0 || method == http.MethodPost || method == http.MethodPut {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.be.Addr+pathq, rd)
+	req, err := http.NewRequestWithContext(ctx, method, b.addr+pathq, rd)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -687,13 +687,13 @@ func (g *Gateway) forward(ctx context.Context, b *backendState, method, pathq st
 	if err != nil {
 		cancel()
 		b.breaker.Failure()
-		g.metrics.ObserveProxy(b.be.Addr, 0, elapsed)
-		g.metrics.BreakerState.With(b.be.Addr).Set(int64(b.breaker.State()))
+		g.metrics.ObserveProxy(b.addr, 0, elapsed)
+		g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
 		return nil, err
 	}
 	b.breaker.Success()
-	g.metrics.ObserveProxy(b.be.Addr, resp.StatusCode, elapsed)
-	g.metrics.BreakerState.With(b.be.Addr).Set(int64(b.breaker.State()))
+	g.metrics.ObserveProxy(b.addr, resp.StatusCode, elapsed)
+	g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
 	// The response body must outlive this call; tie the timeout to it.
 	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
@@ -740,7 +740,7 @@ func (g *Gateway) badGateway(w http.ResponseWriter, b *backendState, err error) 
 		g.unavailable(w, err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.be.Addr, err))
+	writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.addr, err))
 }
 
 // enqueue hands the orchestrator an event without blocking the prober;
@@ -785,24 +785,24 @@ func (g *Gateway) rebalance() {
 	for _, b := range g.readyBackends() {
 		infos, err := b.api.List(ctx)
 		if err != nil {
-			g.logf("pedgw: rebalance: list %s: %v", b.be.Addr, err)
+			g.logf("pedgw: rebalance: list %s: %v", b.addr, err)
 			continue
 		}
 		for _, info := range infos {
 			g.mu.Lock()
 			owner := g.ring.Owner(info.ID)
 			g.mu.Unlock()
-			if owner == "" || owner == b.be.Addr {
+			if owner == "" || owner == b.addr {
 				continue
 			}
 			if _, err := b.api.Migrate(ctx, info.ID, owner); err != nil {
 				g.metrics.MigrationsFailed.Inc()
-				g.logf("pedgw: rebalance: migrate %s %s -> %s: %v", info.ID, b.be.Addr, owner, err)
+				g.logf("pedgw: rebalance: migrate %s %s -> %s: %v", info.ID, b.addr, owner, err)
 				continue
 			}
 			g.metrics.Migrations.Inc()
 			g.clearOverride(info.ID)
-			g.logf("pedgw: rebalance: migrated %s %s -> %s", info.ID, b.be.Addr, owner)
+			g.logf("pedgw: rebalance: migrated %s %s -> %s", info.ID, b.addr, owner)
 		}
 	}
 }
@@ -815,22 +815,22 @@ func (g *Gateway) drainBackend(b *backendState) {
 	defer cancel()
 	infos, err := b.api.List(ctx)
 	if err != nil {
-		g.logf("pedgw: drain %s: list: %v", b.be.Addr, err)
+		g.logf("pedgw: drain %s: list: %v", b.addr, err)
 		return
 	}
 	for _, info := range infos {
 		g.mu.Lock()
 		owner := g.ring.Owner(info.ID)
 		g.mu.Unlock()
-		if owner == "" || owner == b.be.Addr {
+		if owner == "" || owner == b.addr {
 			if owner == "" {
-				g.logf("pedgw: drain %s: no ready backend for %s; session stays", b.be.Addr, info.ID)
+				g.logf("pedgw: drain %s: no ready backend for %s; session stays", b.addr, info.ID)
 			}
 			continue
 		}
 		if _, err := b.api.Migrate(ctx, info.ID, owner); err != nil {
 			g.metrics.MigrationsFailed.Inc()
-			g.logf("pedgw: drain %s: migrate %s -> %s: %v", b.be.Addr, info.ID, owner, err)
+			g.logf("pedgw: drain %s: migrate %s -> %s: %v", b.addr, info.ID, owner, err)
 			continue
 		}
 		g.metrics.Migrations.Inc()
@@ -848,14 +848,15 @@ func (g *Gateway) drainBackend(b *backendState) {
 // so the dead node restarting neither resurrects nor forks them.
 func (g *Gateway) failover(b *backendState) {
 	g.metrics.Failovers.Inc()
-	if b.be.DataDir == "" {
+	dir := b.journalDir()
+	if dir == "" {
 		g.logf("pedgw: failover %s: no datadir configured for this backend; "+
-			"its sessions cannot be adopted (configure addr|opsaddr|datadir with shared storage)", b.be.Addr)
+			"its sessions cannot be adopted (configure addr|opsaddr|datadir with shared storage)", b.addr)
 		return
 	}
-	entries, err := os.ReadDir(b.be.DataDir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		g.logf("pedgw: failover %s: reading %s: %v", b.be.Addr, b.be.DataDir, err)
+		g.logf("pedgw: failover %s: reading %s: %v", b.addr, dir, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.migrateTimeout())
@@ -866,10 +867,10 @@ func (g *Gateway) failover(b *backendState) {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".wal")
-		path := filepath.Join(b.be.DataDir, name)
+		path := filepath.Join(dir, name)
 		if err := g.failoverOne(ctx, b, id, path); err != nil {
 			g.metrics.FailoverFailed.Inc()
-			g.logf("pedgw: failover %s: session %s: %v", b.be.Addr, id, err)
+			g.logf("pedgw: failover %s: session %s: %v", b.addr, id, err)
 			continue
 		}
 		g.metrics.FailoverSessions.Inc()
@@ -888,7 +889,7 @@ func (g *Gateway) failoverOne(ctx context.Context, b *backendState, id, path str
 	g.mu.Lock()
 	owner := g.ring.Owner(id)
 	g.mu.Unlock()
-	if owner == "" || owner == b.be.Addr {
+	if owner == "" || owner == b.addr {
 		return errors.New("no ready backend to adopt it")
 	}
 	ob := g.backend(owner)
@@ -900,7 +901,7 @@ func (g *Gateway) failoverOne(ctx context.Context, b *backendState, id, path str
 		if errors.As(err, &apiErr) && apiErr.Status == http.StatusConflict {
 			// Already adopted — another gateway won the race. Retire
 			// the journal the same way; the live copy is authoritative.
-			g.logf("pedgw: failover %s: session %s already adopted by %s", b.be.Addr, id, owner)
+			g.logf("pedgw: failover %s: session %s already adopted by %s", b.addr, id, owner)
 		} else {
 			return fmt.Errorf("import to %s: %w", owner, err)
 		}
@@ -910,9 +911,9 @@ func (g *Gateway) failoverOne(ctx context.Context, b *backendState, id, path str
 	if err := os.Rename(path, path+".migrated"); err != nil {
 		return fmt.Errorf("journal adopted by %s but could not be retired: %w", owner, err)
 	}
-	_ = os.WriteFile(filepath.Join(b.be.DataDir, id+".moved"), []byte(owner+"\n"), 0o644)
+	_ = os.WriteFile(filepath.Join(filepath.Dir(path), id+".moved"), []byte(owner+"\n"), 0o644)
 	g.setOverride(id, owner)
-	g.logf("pedgw: failover: adopted %s from %s onto %s (%d bytes)", id, b.be.Addr, owner, len(clean))
+	g.logf("pedgw: failover: adopted %s from %s onto %s (%d bytes)", id, b.addr, owner, len(clean))
 	return nil
 }
 
@@ -927,7 +928,9 @@ func (g *Gateway) Reload(backends []Backend) {
 	var removed []*backendState
 	for _, be := range backends {
 		if old, ok := g.backends[be.Addr]; ok {
-			old.be = be // opsaddr/datadir may have changed
+			old.mu.Lock()
+			old.dataDir = be.DataDir
+			old.mu.Unlock()
 			next[be.Addr] = old
 			continue
 		}

@@ -124,20 +124,25 @@ func normalizeBase(s string) (string, error) {
 // backendState is one backend's runtime: its clients, its circuit
 // breaker, and its hysteresis-filtered health.
 type backendState struct {
-	be      Backend
+	// addr is the backend's serving address. The gateway keys its
+	// backends by it, so one state has one address for life and every
+	// goroutine may read it.
+	addr    string
 	api     *server.Client // typed control-plane calls (list, migrate, import)
 	ops     *server.Client // /readyz probes against the ops listener
 	breaker *Breaker
 
 	mu      sync.Mutex
-	ready   bool // on the ring
-	okRun   int  // consecutive successful probes
-	failRun int  // consecutive failed probes
+	dataDir string // a reload may replace it
+	ready   bool   // on the ring
+	okRun   int    // consecutive successful probes
+	failRun int    // consecutive failed probes
 }
 
 func newBackendState(be Backend, cfg Config) *backendState {
 	return &backendState{
-		be: be,
+		addr:    be.Addr,
+		dataDir: be.DataDir,
 		// Control-plane calls retry inside the client only for
 		// backpressure; a duplicated import would 409 and misreport.
 		api: &server.Client{Base: be.Addr, MaxRetries: -1, Timeout: cfg.migrateTimeout()},
@@ -147,6 +152,12 @@ func newBackendState(be Backend, cfg Config) *backendState {
 			Cooldown:  cfg.BreakerCooldown,
 		},
 	}
+}
+
+func (b *backendState) journalDir() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dataDir
 }
 
 func (b *backendState) isReady() bool {
@@ -230,15 +241,15 @@ func (g *Gateway) observeProbe(b *backendState, ok bool) {
 	if nowReady {
 		up = 1
 	}
-	g.metrics.BackendUp.With(b.be.Addr).Set(up)
-	g.metrics.BreakerState.With(b.be.Addr).Set(int64(b.breaker.State()))
+	g.metrics.BackendUp.With(b.addr).Set(up)
+	g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
 	if !flipped {
 		return
 	}
 	g.mu.Lock()
 	// The backend may have been dropped by a concurrent reload; only
 	// still-configured backends rebuild the ring.
-	_, present := g.backends[b.be.Addr]
+	_, present := g.backends[b.addr]
 	if present {
 		g.rebuildRingLocked()
 	}
@@ -247,10 +258,10 @@ func (g *Gateway) observeProbe(b *backendState, ok bool) {
 		return
 	}
 	if nowReady {
-		g.logf("pedgw: backend %s up, rebalancing", b.be.Addr)
+		g.logf("pedgw: backend %s up, rebalancing", b.addr)
 		g.enqueue(gwEvent{kind: evRebalance})
 	} else {
-		g.logf("pedgw: backend %s down, failing over", b.be.Addr)
+		g.logf("pedgw: backend %s down, failing over", b.addr)
 		g.enqueue(gwEvent{kind: evFailover, backend: b})
 	}
 }

@@ -6,8 +6,10 @@ package core
 // sha256(Save()). CheckSourceImage holds it to that reference.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"parascope/internal/dep"
 	"parascope/internal/fortran"
@@ -131,7 +133,7 @@ func TestSourceImageAlwaysTrue(t *testing.T) {
 		{"assert", func() error { return s.Assert("n .ge. 100") }, "unit"},
 		{"classify", func() error { return s.Classify("t", ClassPrivate) }, ""},
 		{"auto", func() error { s.AutoParallelize(); return nil }, ""},
-		{"undo", s.Undo, "full"},
+		{"undo", s.Undo, "unit"},
 		{"set undo stack, undo", func() error {
 			s.SetUndoStack([]string{pristine})
 			if err := s.Undo(); err != nil {
@@ -141,7 +143,7 @@ func TestSourceImageAlwaysTrue(t *testing.T) {
 				t.Error("undo onto a planted stack entry did not restore its text")
 			}
 			return nil
-		}, "full"},
+		}, "program"},
 		{"edit after undo", edit("main", "t = b(i)", "t = b(i)*4.0"), "patch"},
 	} {
 		s.LastReanalysis = Reanalysis{}
@@ -202,6 +204,71 @@ func TestUndoEntryCarriesParsedNames(t *testing.T) {
 	entry := stack[len(stack)-1]
 	if !strings.Contains(entry, "t = b(i)*2.0\n") || !strings.Contains(entry, "w2") {
 		t.Errorf("undo entry should hold the old statement and declare w2:\n%s", entry)
+	}
+}
+
+// TestUndoStackSharesUnitText: an undo entry holds the program unit by
+// unit and shares every unit the edit left alone with the live image and
+// with the other entries, so twenty edits of one unit of a 200-unit
+// program retain twenty texts of that unit beside one of the program —
+// not twenty programs.
+func TestUndoStackSharesUnitText(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("      program main\n      real a(100)\n")
+	for k := 1; k < 200; k++ {
+		fmt.Fprintf(&b, "      call s%d(a)\n", k)
+	}
+	b.WriteString("      end\n")
+	for k := 1; k < 200; k++ {
+		fmt.Fprintf(&b, "      subroutine s%d(x)\n      integer i\n      real x(100), loc\n      loc = %d.0\n"+
+			"      do i = 1, 100\n         x(i) = x(i) + loc\n      enddo\n      end\n", k, k)
+	}
+	s := open(t, b.String())
+	program := len(s.Save())
+	selectUnit(t, s, "s7")
+	edited := 0
+	const edits = 20
+	for e := 1; e <= edits; e++ {
+		if err := s.EditStmt(findAssign(t, s, "loc = ").ID(), fmt.Sprintf("      loc = %d.5", e)); err != nil {
+			t.Fatal(err)
+		}
+		edited = max(edited, len(s.State().text))
+	}
+	if len(s.undoStack) != edits {
+		t.Fatalf("%d undo entries, want %d", len(s.undoStack), edits)
+	}
+	texts := map[*byte]int{}
+	for _, e := range s.undoStack {
+		for _, img := range e.units {
+			texts[unsafe.StringData(img.text)] = len(img.text)
+		}
+	}
+	retained := 0
+	for _, n := range texts {
+		retained += n
+	}
+	if limit := program + edits*edited; retained > limit {
+		t.Errorf("the stack retains %d bytes of text, want at most the program's %d and %d × the unit's %d",
+			retained, program, edits, edited)
+	}
+	other := s.File.Unit("s8")
+	if unsafe.StringData(s.undoStack[0].units[8].text) != unsafe.StringData(s.units[other].text) {
+		t.Error("an untouched unit's text in the oldest entry is not the live image's string")
+	}
+	t.Logf("program %d bytes, %d edits: stack retains %d bytes in %d texts", program, edits, retained, len(texts))
+	for len(s.undoStack) > 0 {
+		if err := s.Undo(); err != nil {
+			t.Fatal(err)
+		}
+		if s.LastReanalysis.Mode != "patch" {
+			t.Fatalf("undo of a local scalar's edit took the %s rung", s.LastReanalysis.Mode)
+		}
+	}
+	if err := s.CheckSourceImage(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Save()); got != program {
+		t.Errorf("undoing everything leaves %d bytes of program, want %d", got, program)
 	}
 }
 

@@ -155,7 +155,7 @@ type Session struct {
 	// History logs user-level actions for the session transcript.
 	History []string
 
-	undoStack []string // printed sources
+	undoStack []undoEntry
 	// progHash memoizes SourceHash; "" after any unit's text was
 	// replaced.
 	progHash string
@@ -176,7 +176,9 @@ func (s *Session) Mutated() bool { return s.mutated }
 // Reanalysis describes one (re)analysis pass: Mode is "patch"
 // (statement-granular), "unit" (one unit against reused
 // interprocedural facts), "program" (escalated interprocedural
-// update), or "full" (from-scratch whole-program analysis).
+// update), or "full" (from-scratch whole-program analysis). An undo
+// reports the highest rung any unit it restored took, and "none" when
+// the entry matched the program already.
 type Reanalysis struct {
 	Mode     string
 	Duration time.Duration
@@ -1009,14 +1011,14 @@ func (s *Session) EditStmt(id int, text string) error {
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("edit stmt %d: %s", id, strings.TrimSpace(text))
-	if !s.tryPatchEdit(old, ns) {
+	if !s.tryPatchEdit(s.current, old, ns) {
 		s.ReanalyzeUnit(s.current)
 	}
 	return nil
 }
 
 // tryPatchEdit attempts the statement-granular fast path after old was
-// replaced 1:1 by ns in the current unit: splice the new statement
+// replaced 1:1 by ns in unit u: splice the new statement
 // into the existing dataflow solution and patch the dependence graph —
 // only edges incident to the edited statement are killed and retested
 // — instead of reanalyzing the whole unit. Reports false, with no
@@ -1031,11 +1033,10 @@ func (s *Session) EditStmt(id int, text string) error {
 // constant formals and the unit's own per-call cost *shape* are
 // unchanged; the cost value may still move, so the cost memo is
 // brought up to date (recost) and caller estimates refresh.
-func (s *Session) tryPatchEdit(old, ns fortran.Stmt) bool {
+func (s *Session) tryPatchEdit(u *fortran.Unit, old, ns fortran.Stmt) bool {
 	if s.WholeUnitOnly {
 		return false
 	}
-	u := s.current
 	st := s.units[u]
 	if st == nil || st.DF == nil || st.Deps == nil || s.Prog == nil {
 		return false
@@ -1193,40 +1194,251 @@ func deleteStmtIn(u *fortran.Unit, old fortran.Stmt) bool {
 // ---------------------------------------------------------------------------
 // Undo and persistence
 
+// undoEntry is one program state Undo can return to: the source image
+// as it was, unit by unit. A unit the next action left alone shares its
+// text with the live image and with the entries around it, so an entry
+// costs the edited unit's text, not the program's. An entry planted by
+// SetUndoStack is a whole program's text until Undo splits it.
+type undoEntry struct {
+	units []unitImage
+	text  string // planted and not yet split; units is nil
+}
+
+// source renders the entry as fortran.Print lays a program out.
+func (e undoEntry) source() string {
+	if e.units == nil {
+		return e.text
+	}
+	n := len(e.units)
+	for _, img := range e.units {
+		n += len(img.text)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, img := range e.units {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(img.text)
+	}
+	return b.String()
+}
+
 func (s *Session) pushUndo() {
-	s.undoStack = append(s.undoStack, s.Save())
+	units := make([]unitImage, len(s.File.Units))
+	for i, u := range s.File.Units {
+		units[i] = s.units[u].unitImage
+	}
+	s.undoStack = append(s.undoStack, undoEntry{units: units})
 }
 
 // Undo restores the program to its state before the last
-// transformation or edit. Analysis state is rebuilt from scratch; user
-// marks do not survive (the reparse issues fresh statement
-// identities).
+// transformation or edit, and leaves the session as Open of that text
+// would: the units whose text differs are parsed back from the entry,
+// in place, and each re-enters the reanalysis ladder as an edit of it
+// would; marks, assertions and classifications are dropped everywhere
+// (units that carried any are reanalyzed without them) and the
+// selection is cleared. What separates the result from a fresh Open is
+// what separates any edited session from one: a patched graph numbers
+// its edges and counts its tests differently, and untouched units keep
+// their statements' line numbers.
+//
+// Only an entry whose units are not the live ones — other names, kinds,
+// formals or order, which no action pushes and only SetUndoStack can
+// plant — replaces the file and analyzes everything. A failed undo
+// changes nothing.
 func (s *Session) Undo() error {
 	if len(s.undoStack) == 0 {
 		return fmt.Errorf("nothing to undo")
 	}
-	src := s.undoStack[len(s.undoStack)-1]
-	f, err := fortran.Parse(s.File.Path, src)
-	if err != nil {
-		// The entry stays: a failed undo changes nothing.
-		return fmt.Errorf("undo reparse failed: %v", err)
+	start := time.Now()
+	entry := s.undoStack[len(s.undoStack)-1]
+	if entry.units == nil {
+		f, err := fortran.Parse(s.File.Path, entry.text)
+		if err != nil {
+			return fmt.Errorf("undo reparse failed: %v", err)
+		}
+		for _, u := range f.Units {
+			entry.units = append(entry.units, imageOf(u))
+		}
+		if !s.sameUnits(entry.units) {
+			s.undoStack = s.undoStack[:len(s.undoStack)-1]
+			name := ""
+			if s.current != nil {
+				name = s.current.Name
+			}
+			s.File = f
+			s.AnalyzeAll()
+			if u := f.Unit(name); u != nil {
+				s.current = u
+			} else if main := f.Main(); main != nil {
+				s.current = main
+			}
+			s.finishUndo()
+			return nil
+		}
+	}
+
+	// Parse every unit that differs before touching any: a text that
+	// does not parse must leave the session as it was.
+	type restore struct {
+		u, parsed *fortran.Unit
+		// edited is the line, in the entry's whole text, of the only
+		// line in which the unit's two texts differ; 0 when more do.
+		edited int
+	}
+	var differing []restore
+	line := 1
+	for i, u := range s.File.Units {
+		img, st := entry.units[i], s.units[u]
+		if img.srcHash != st.srcHash {
+			parsed, err := s.File.ParseUnit(img.text, line)
+			if err != nil {
+				return fmt.Errorf("undo reparse failed: unit %s: %v", u.Name, err)
+			}
+			r := restore{u: u, parsed: parsed}
+			if k := soleDifferingLine(st.text, img.text); k > 0 {
+				r.edited = line + k - 1
+			}
+			differing = append(differing, r)
+		}
+		line += strings.Count(img.text, "\n") + 1
 	}
 	s.undoStack = s.undoStack[:len(s.undoStack)-1]
-	curName := ""
-	if s.current != nil {
-		curName = s.current.Name
+
+	// User state goes first, so no rung below analyzes with it; a unit
+	// that analysis had seen it in is stale until reanalyzed.
+	stale := map[*fortran.Unit]*UnitState{}
+	for u, st := range s.units {
+		if len(st.marks)+len(st.assertions)+len(st.classes) == 0 {
+			continue
+		}
+		if len(st.marks)+len(st.assertions) > 0 {
+			stale[u] = st
+		}
+		st.marks, st.assertions, st.classes = map[depKey]dep.Mark{}, nil, map[string]VarClass{}
 	}
-	s.File = f
+	mode := "none"
+	took := func(m string) {
+		if reanalysisRank[m] > reanalysisRank[mode] {
+			mode = m
+		}
+	}
+	for _, r := range differing {
+		took(s.restoreUnit(r.u, r.parsed, r.edited, stale[r.u] == nil))
+	}
+	for _, u := range s.File.Units {
+		// A program rung above may have reanalyzed it already.
+		if st := stale[u]; st != nil && s.units[u] == st {
+			s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
+			took("unit")
+		}
+	}
+	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
+	s.finishUndo()
+	return nil
+}
+
+// reanalysisRank orders the rungs of the reanalysis ladder.
+var reanalysisRank = map[string]int{"none": 0, "patch": 1, "unit": 2, "program": 3, "full": 4}
+
+func (s *Session) finishUndo() {
 	s.selected = nil
-	s.AnalyzeAll()
-	if u := f.Unit(curName); u != nil {
-		s.current = u
-	} else if main := f.Main(); main != nil {
-		s.current = main
-	}
 	s.mutated = true
 	s.log("undo")
-	return nil
+}
+
+// sameUnits reports whether the images are of the live file's units:
+// as many, each under the header line — kind, name, formals — the live
+// one has.
+func (s *Session) sameUnits(images []unitImage) bool {
+	if len(images) != len(s.File.Units) {
+		return false
+	}
+	header := func(text string) string {
+		line, _, _ := strings.Cut(text, "\n")
+		return line
+	}
+	for i, u := range s.File.Units {
+		if header(images[i].text) != header(s.units[u].text) {
+			return false
+		}
+	}
+	return true
+}
+
+// restoreUnit makes u the unit parsed from an undo entry and brings the
+// analysis up to date the way an edit of u would: when the entry's text
+// differs from u's in the one line edited and that line is a statement,
+// only the statement is swapped and the patch rung tried; otherwise, or
+// when the patch rung declines, u is reanalyzed whole and escalates as
+// ReanalyzeUnit decides. patchable is false when the analysis in hand
+// is not one a patch may build on. It returns the rung taken.
+func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable bool) string {
+	live := u.Body
+	u.Adopt(parsed)
+	if edited > 0 && patchable {
+		if n, ns := stmtAtLine(parsed.Body, edited); ns != nil {
+			if old := nthStmt(live, n); old != nil {
+				u.Body = live
+				if replaceStmtIn(u, old, ns) && s.tryPatchEdit(u, old, ns) {
+					return "patch"
+				}
+				u.Body = parsed.Body
+			}
+		}
+	}
+	s.File.RenumberStmts()
+	return s.reanalyzeUnit(u)
+}
+
+// soleDifferingLine returns the 1-based number of the only line in
+// which two texts of equally many lines differ, 0 otherwise.
+func soleDifferingLine(a, b string) int {
+	at := 0
+	for n := 1; a != "" || b != ""; n++ {
+		la, ra, _ := strings.Cut(a, "\n")
+		lb, rb, _ := strings.Cut(b, "\n")
+		if (ra == "") != (rb == "") {
+			return 0
+		}
+		if la != lb {
+			if at != 0 {
+				return 0
+			}
+			at = n
+		}
+		a, b = ra, rb
+	}
+	return at
+}
+
+// stmtAtLine returns the first statement of body, in walk order, that
+// starts on the line, with its index in that order.
+func stmtAtLine(body []fortran.Stmt, line int) (int, fortran.Stmt) {
+	n, at := 0, -1
+	var found fortran.Stmt
+	fortran.WalkStmts(body, func(st fortran.Stmt) bool {
+		if found == nil && st.Line() == line {
+			found, at = st, n
+		}
+		n++
+		return found == nil
+	})
+	return at, found
+}
+
+// nthStmt returns the statement at index n of body's walk order.
+func nthStmt(body []fortran.Stmt, n int) fortran.Stmt {
+	var found fortran.Stmt
+	fortran.WalkStmts(body, func(st fortran.Stmt) bool {
+		if n == 0 {
+			found = st
+		}
+		n--
+		return n >= 0
+	})
+	return found
 }
 
 // Save returns the current program text: fortran.Print(s.File), byte
@@ -1285,20 +1497,24 @@ func (s *Session) writeSource(w io.Writer) {
 	}
 }
 
-// UndoStack returns a copy of the printed sources Undo can revert to,
-// oldest first. The server's durability snapshots persist it so undo
-// still works on a session rebuilt from a snapshot.
+// UndoStack returns the printed sources Undo can revert to, oldest
+// first. The server's durability snapshots persist it so undo still
+// works on a session rebuilt from a snapshot.
 func (s *Session) UndoStack() []string {
 	out := make([]string, len(s.undoStack))
-	copy(out, s.undoStack)
+	for i, e := range s.undoStack {
+		out[i] = e.source()
+	}
 	return out
 }
 
 // SetUndoStack replaces the undo history with printed sources, oldest
 // first (used when rebuilding a session from a durability snapshot).
 func (s *Session) SetUndoStack(srcs []string) {
-	s.undoStack = make([]string, len(srcs))
-	copy(s.undoStack, srcs)
+	s.undoStack = make([]undoEntry, len(srcs))
+	for i, src := range srcs {
+		s.undoStack[i] = undoEntry{text: src}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,577 @@
+package core_test
+
+// Undo restores the units that changed and sends each through the
+// reanalysis ladder. Its contract is that the session it leaves cannot
+// be told from core.Open of the text it landed on — up to what no
+// edited session shares with a fresh one: the patch rung numbers a
+// graph's edges and counts its tests its own way. So a unit no patch
+// has touched is compared with the fresh session's edge for edge,
+// identifiers and statistics included; a patched one edge set for edge
+// set; estimates bit for bit everywhere.
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"parascope/internal/core"
+	"parascope/internal/dep"
+	"parascope/internal/fortran"
+	"parascope/internal/workloads"
+)
+
+// recursionCycle is four units on one call cycle (p → x → y → p) under
+// a main, with a local scalar, caller-visible arrays and a unit off the
+// cycle to retarget calls to.
+const recursionCycle = `
+      program main
+      integer i, n
+      real a(10), b(10)
+      n = 10
+      do i = 1, 10
+         a(i) = 0.5*real(i)
+         b(i) = a(i) + 1.0
+      enddo
+      call p(a, b, 3)
+      call z(b, a, 3)
+      print *, a(1)
+      end
+      subroutine p(v, w, k)
+      integer k
+      real v(10), w(10), loc
+      loc = 0.25
+      v(k) = w(k) + loc
+      call x(v, w, k)
+      end
+      subroutine x(v, w, k)
+      integer k, i
+      real v(10), w(10), loc
+      loc = 1.0
+      do i = 2, 10
+         v(i) = v(i-1) + loc*0.5
+      enddo
+      call y(v, w, k)
+      end
+      subroutine y(v, w, k)
+      integer k
+      real v(10), w(10), loc
+      loc = 0.125
+      w(1) = v(1) + loc
+      if (k .gt. 0) call p(v, w, k - 1)
+      end
+      subroutine z(v, w, k)
+      integer k, i
+      real v(10), w(10), t
+      do i = 1, 10
+         t = w(i)*2.0
+         v(i) = t + 0.5
+      enddo
+      end
+`
+
+// callHeavyMain is a main program that is mostly call statements on a
+// few leaves, the shape of the benchmark's generated main.
+func callHeavyMain() string {
+	var b strings.Builder
+	b.WriteString("      program main\n      integer i, n\n      real a(64), b(64), c(64), s\n      n = 64\n      s = 0.5\n")
+	b.WriteString("      do i = 1, 64\n         a(i) = 0.25*real(i)\n         b(i) = a(i)*0.5\n         c(i) = 0.125\n      enddo\n")
+	leaves := []string{"add", "scale", "shift"}
+	arrays := []string{"a", "b", "c"}
+	for k := 0; k < 24; k++ {
+		fmt.Fprintf(&b, "      call %s(%s, %s, n)\n", leaves[k%3], arrays[k%3], arrays[(k+1)%3])
+		if k%6 == 5 {
+			fmt.Fprintf(&b, "      s = s*0.5 + 0.25\n      do i = 1, 64\n         %s(i) = %s(i) + s\n      enddo\n", arrays[k%3], arrays[(k+2)%3])
+		}
+	}
+	b.WriteString("      print *, a(1), b(2), c(3)\n      end\n")
+	for _, leaf := range []struct{ name, body string }{
+		{"add", "x(j) = x(j) + y(j)*0.5"},
+		{"scale", "x(j) = y(j)*0.75"},
+		{"shift", "x(j) = y(j) + loc"},
+	} {
+		fmt.Fprintf(&b, "      subroutine %s(x, y, m)\n      integer m, j\n      real x(64), y(64), loc\n      loc = 0.5\n"+
+			"      do j = 1, m\n         %s\n      enddo\n      end\n", leaf.name, leaf.body)
+	}
+	return b.String()
+}
+
+// dumpUnit renders one unit's analysis results. exact keeps the graph's
+// own order, edge identifiers and test statistics; otherwise the edges
+// are listed sorted and without identifiers.
+func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
+	st := s.StateOf(u)
+	var edges []string
+	for _, d := range st.Deps.Deps {
+		e := fmt.Sprintf("%s %s #%d->#%d l%d %v %v %v %s %s %q %q", d.Class, d.Sym.Name,
+			d.Src.ID(), d.Dst.ID(), d.Level, d.Dirs, d.Dist, d.Known, d.Mark, d.Test, d.Reason, d.Blockers)
+		if exact {
+			e = fmt.Sprintf("%d %s", d.ID, e)
+		}
+		edges = append(edges, e)
+	}
+	var b strings.Builder
+	if exact {
+		stats := st.Deps.Stats
+		fmt.Fprintf(&b, "pairs %d applied %v disproved %v proven %v\n",
+			stats.PairsTested, stats.Applied, stats.Disproved, stats.Proven)
+	} else {
+		sort.Strings(edges)
+	}
+	b.WriteString(strings.Join(edges, "\n"))
+	fmt.Fprintf(&b, "\ntotal %b\n", st.Est.Total)
+	for _, le := range st.Est.Loops {
+		fmt.Fprintf(&b, "loop #%d %b %b %b %b %b %b\n", le.Loop.Do.ID(),
+			le.Trip, le.BodyCost, le.SeqTime, le.ParTime, le.Speedup, le.Fraction)
+	}
+	fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
+		fmt.Fprintf(&b, "#%d %s\n", x.ID(), fortran.StmtText(x))
+		return true
+	})
+	return b.String()
+}
+
+// undoHarness drives one session and remembers which units the patch
+// rung has touched.
+type undoHarness struct {
+	t       *testing.T
+	name    string
+	s       *core.Session
+	r       *rand.Rand
+	patched map[string]bool
+	serial  int
+}
+
+func printed(u *fortran.Unit) string {
+	var b strings.Builder
+	fortran.PrintUnit(&b, u)
+	return b.String()
+}
+
+// expectFresh holds the session to a fresh Open of its saved text.
+func (h *undoHarness) expectFresh(context string) {
+	h.t.Helper()
+	s := h.s
+	if err := s.CheckSourceImage(); err != nil {
+		h.t.Fatalf("%s: %s: %v", h.name, context, err)
+	}
+	fresh, err := core.Open(s.File.Path, s.Save())
+	if err != nil {
+		h.t.Fatalf("%s: %s: saved text does not reopen: %v\n%s", h.name, context, err, s.Save())
+	}
+	if fresh.Save() != s.Save() {
+		h.t.Fatalf("%s: %s: the saved text does not print back to itself", h.name, context)
+	}
+	for i, u := range s.File.Units {
+		exact := !h.patched[u.Name]
+		got, want := dumpUnit(s, u, exact), dumpUnit(fresh, fresh.File.Units[i], exact)
+		if got != want {
+			h.t.Fatalf("%s: %s: unit %s (exact=%v) differs from a fresh open\n--- session ---\n%s--- fresh ---\n%s",
+				h.name, context, u.Name, exact, got, want)
+		}
+	}
+}
+
+// undo undoes once and checks the contract.
+func (h *undoHarness) undo(context string) {
+	h.t.Helper()
+	s := h.s
+	before := map[string]string{}
+	for _, u := range s.File.Units {
+		before[u.Name] = printed(u)
+	}
+	cur := s.CurrentUnit()
+	if err := s.Undo(); err != nil {
+		h.t.Fatalf("%s: %s: %v", h.name, context, err)
+	}
+	var changed []string
+	for _, u := range s.File.Units {
+		if printed(u) != before[u.Name] {
+			changed = append(changed, u.Name)
+		}
+	}
+	mode := s.LastReanalysis.Mode
+	if mode == "full" {
+		h.t.Errorf("%s: %s: undo analyzed the whole program", h.name, context)
+	}
+	if mode == "patch" || len(changed) > 1 {
+		for _, name := range changed {
+			h.patched[name] = true
+		}
+	}
+	if s.CurrentUnit() != cur {
+		h.t.Errorf("%s: %s: undo moved the current unit", h.name, context)
+	}
+	if s.SelectedLoop() != nil {
+		h.t.Errorf("%s: %s: undo kept the selection", h.name, context)
+	}
+	if n := len(s.Assertions()); n != 0 {
+		h.t.Errorf("%s: %s: %d assertions survive the undo", h.name, context, n)
+	}
+	// What the interprocedural facts key by symbol must be the symbols
+	// the restored units have now.
+	for u, summ := range s.Prog.Summaries {
+		for _, set := range []map[*fortran.Symbol]bool{summ.Mod, summ.Ref} {
+			for sym := range set {
+				if u.Syms[sym.Name] != sym {
+					h.t.Errorf("%s: %s: %s's summary holds a %s that is not the unit's", h.name, context, u.Name, sym.Name)
+				}
+			}
+		}
+		for sym := range s.Prog.ConstFormals[u] {
+			if u.Syms[sym.Name] != sym {
+				h.t.Errorf("%s: %s: %s's constant formal %s is not the unit's symbol", h.name, context, u.Name, sym.Name)
+			}
+		}
+	}
+	h.expectFresh(fmt.Sprintf("%s (%s, restored %v)", context, mode, changed))
+}
+
+func (h *undoHarness) pickUnit() {
+	units := h.s.File.Units
+	if err := h.s.SelectUnit(units[h.r.Intn(len(units))].Name); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+func (h *undoHarness) stmts(keep func(fortran.Stmt) bool) []fortran.Stmt {
+	var out []fortran.Stmt
+	fortran.WalkStmts(h.s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+		if keep(st) {
+			out = append(out, st)
+		}
+		return true
+	})
+	return out
+}
+
+func (h *undoHarness) notePatch() {
+	if h.s.LastReanalysis.Mode == "patch" {
+		h.patched[h.s.CurrentUnit().Name] = true
+	}
+}
+
+// editAssign re-types an assignment: the same text, a changed constant
+// or a grown right-hand side. It lands on the patch, unit or program
+// rung as the statement's variables decide.
+func (h *undoHarness) editAssign() string {
+	cands := h.stmts(func(st fortran.Stmt) bool { _, ok := st.(*fortran.AssignStmt); return ok })
+	if len(cands) == 0 {
+		return ""
+	}
+	st := cands[h.r.Intn(len(cands))]
+	text := fortran.StmtText(st)
+	lhs, rhs, _ := strings.Cut(text, " = ")
+	switch h.r.Intn(3) {
+	case 1:
+		text = lhs + " = " + lhs
+	case 2:
+		if len(text) < 50 {
+			text = lhs + " = " + rhs + " + " + lhs
+		}
+	}
+	if err := h.s.EditStmt(st.ID(), "      "+text); err != nil {
+		h.t.Fatalf("%s: edit %q: %v", h.name, text, err)
+	}
+	h.notePatch()
+	return "edit " + text
+}
+
+// editCall swaps two like actuals of a call, or retargets it to a unit
+// with the same formals: the call surface moves, so the program rung.
+func (h *undoHarness) editCall() string {
+	calls := h.stmts(func(st fortran.Stmt) bool {
+		c, ok := st.(*fortran.CallStmt)
+		return ok && c.Callee != nil && len(c.Args) >= 2
+	})
+	if len(calls) == 0 {
+		return ""
+	}
+	call := calls[h.r.Intn(len(calls))].(*fortran.CallStmt)
+	name, args := call.Name, make([]string, len(call.Args))
+	for i, a := range call.Args {
+		args[i] = a.String()
+	}
+	var others []string
+	for _, u := range h.s.File.Units {
+		if u != call.Callee && u.Kind == fortran.UnitSubroutine && printedHeaderArgs(u) == printedHeaderArgs(call.Callee) {
+			others = append(others, u.Name)
+		}
+	}
+	x, okx := call.Args[0].(*fortran.VarRef)
+	y, oky := call.Args[1].(*fortran.VarRef)
+	switch {
+	case len(others) > 0 && h.r.Intn(2) == 0:
+		name = others[h.r.Intn(len(others))]
+	case okx && oky && len(x.Subs) == 0 && len(y.Subs) == 0 && x.Sym != y.Sym &&
+		x.Sym.Kind == y.Sym.Kind && x.Sym.Type == y.Sym.Type && len(x.Sym.Dims) == len(y.Sym.Dims):
+		args[0], args[1] = args[1], args[0]
+	case len(others) > 0:
+		name = others[h.r.Intn(len(others))]
+	default:
+		return ""
+	}
+	text := "call " + name + "(" + strings.Join(args, ", ") + ")"
+	if err := h.s.EditStmt(call.ID(), "      "+text); err != nil {
+		h.t.Fatalf("%s: edit %q: %v", h.name, text, err)
+	}
+	return "edit " + text
+}
+
+// printedHeaderArgs fingerprints a unit's formals: count, kinds, types.
+func printedHeaderArgs(u *fortran.Unit) string {
+	var b strings.Builder
+	for _, a := range u.Args {
+		fmt.Fprintf(&b, "%s/%s/%d ", a.Kind, a.Type, len(a.Dims))
+	}
+	return b.String()
+}
+
+func (h *undoHarness) deleteAssign() string {
+	cands := h.stmts(func(st fortran.Stmt) bool {
+		_, ok := st.(*fortran.AssignStmt)
+		return ok && fortran.StmtLabel(st) == 0
+	})
+	if len(cands) < 2 {
+		return ""
+	}
+	st := cands[h.r.Intn(len(cands))]
+	text := fortran.StmtText(st)
+	if err := h.s.DeleteStmt(st.ID()); err != nil {
+		h.t.Fatalf("%s: delete %q: %v", h.name, text, err)
+	}
+	return "delete " + text
+}
+
+// applyAddingSymbols strip-mines or scalar-expands the first loop that
+// allows it; both declare new names in the unit.
+func (h *undoHarness) applyAddingSymbols() string {
+	s := h.s
+	for n, l := range s.Loops() {
+		tries := [][]string{{"stripmine", fmt.Sprint(n + 1), "4"}}
+		for _, v := range s.StateOf(s.CurrentUnit()).Unit.SymbolsSorted() {
+			if v.Kind == fortran.SymScalar && v != l.Do.Var {
+				tries = append(tries, []string{"expand", fmt.Sprint(n + 1), v.Name})
+			}
+		}
+		h.r.Shuffle(len(tries), func(i, j int) { tries[i], tries[j] = tries[j], tries[i] })
+		for _, args := range tries {
+			tr, err := core.ParseTransformation(s, args)
+			if err != nil || !s.Check(tr).OK() {
+				continue
+			}
+			before := len(s.CurrentUnit().Syms)
+			if _, err := s.Transform(tr); err != nil {
+				continue
+			}
+			if len(s.CurrentUnit().Syms) == before {
+				h.t.Errorf("%s: %v declared nothing", h.name, args)
+			}
+			return "apply " + strings.Join(args, " ")
+		}
+	}
+	return ""
+}
+
+// rejectedEdit types a statement that fails to parse after its name was
+// declared: the unit's text changes and nothing is pushed.
+func (h *undoHarness) rejectedEdit() string {
+	cands := h.stmts(func(st fortran.Stmt) bool { _, ok := st.(*fortran.AssignStmt); return ok })
+	if len(cands) == 0 {
+		return ""
+	}
+	h.serial++
+	text := fmt.Sprintf("zq%d(1) = 1.0", h.serial)
+	if err := h.s.EditStmt(cands[0].ID(), "      "+text); err == nil {
+		h.t.Fatalf("%s: %q was accepted", h.name, text)
+	}
+	return "rejected " + text
+}
+
+// userState marks a dependence, asserts on an integer and reclassifies
+// a variable in the current unit.
+func (h *undoHarness) userState() string {
+	s := h.s
+	var did []string
+	for n := range s.Loops() {
+		if err := s.SelectLoop(n + 1); err != nil {
+			h.t.Fatal(err)
+		}
+		if deps := s.SelectionDeps(core.DepFilter{}); len(deps) > 0 {
+			d := deps[h.r.Intn(len(deps))]
+			m := dep.MarkAccepted
+			if d.Mark != dep.MarkProven && h.r.Intn(2) == 0 {
+				m = dep.MarkRejected
+			}
+			if err := s.MarkDep(d.ID, m); err != nil {
+				h.t.Fatal(err)
+			}
+			did = append(did, "mark")
+			break
+		}
+	}
+	for _, v := range s.CurrentUnit().SymbolsSorted() {
+		if v.Kind == fortran.SymScalar && v.Type == fortran.TypeInteger {
+			if err := s.Assert(v.Name + " .ge. 1"); err != nil {
+				h.t.Fatal(err)
+			}
+			if err := s.Classify(v.Name, core.ClassPrivate); err != nil {
+				h.t.Fatal(err)
+			}
+			did = append(did, "assert+classify "+v.Name)
+			break
+		}
+	}
+	return strings.Join(did, ", ")
+}
+
+func (h *undoHarness) step() string {
+	h.pickUnit()
+	switch k := h.r.Intn(10); {
+	case k < 4:
+		return h.editAssign()
+	case k < 6:
+		return h.editCall()
+	case k < 7:
+		return h.deleteAssign()
+	case k < 8:
+		return h.applyAddingSymbols()
+	case k < 9:
+		return h.rejectedEdit()
+	}
+	return h.userState()
+}
+
+// TestUndoMatchesFreshOpen runs seeded sequences of everything that
+// changes a program or its analysis inputs, then undoes: once, with an
+// edit after it that must take the rung it takes in a fresh session,
+// and then until the stack is empty — after every undo the session must
+// stand where a fresh Open of its text stands.
+func TestUndoMatchesFreshOpen(t *testing.T) {
+	programs := append(workloads.All(),
+		&workloads.Workload{Name: "cycle", Source: recursionCycle},
+		&workloads.Workload{Name: "callheavy", Source: callHeavyMain()})
+	rungs := map[string]int{}
+	for _, w := range programs {
+		for seed := int64(1); seed <= 3; seed++ {
+			s, err := w.Session()
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			h := &undoHarness{t: t, name: fmt.Sprintf("%s seed %d", w.Name, seed), s: s,
+				r: rand.New(rand.NewSource(seed*7919 + int64(len(w.Source)))), patched: map[string]bool{}}
+			var log []string
+			for len(log) < 8 {
+				if op := h.step(); op != "" {
+					log = append(log, s.CurrentUnit().Name+": "+op)
+				}
+			}
+			h.name += " after [" + strings.Join(log, "; ") + "]"
+			if err := s.CheckSourceImage(); err != nil {
+				t.Fatalf("%s: %v", h.name, err)
+			}
+			if len(s.UndoStack()) == 0 {
+				t.Fatalf("%s: nothing was pushed", h.name)
+			}
+			h.undo("first undo")
+			rungs[s.LastReanalysis.Mode]++
+
+			// The same edit in this session and in a fresh one.
+			fresh, err := core.Open(s.File.Path, s.Save())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.pickUnit()
+			if err := fresh.SelectUnit(s.CurrentUnit().Name); err != nil {
+				t.Fatal(err)
+			}
+			if op := h.editAssign(); op != "" {
+				text := strings.TrimPrefix(op, "edit ")
+				var id int
+				fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+					if id == 0 && fortran.StmtText(st) == text {
+						id = st.ID()
+					}
+					return true
+				})
+				if err := fresh.EditStmt(id, "      "+text); err != nil {
+					t.Fatalf("%s: %q in the fresh session: %v", h.name, text, err)
+				}
+				if got, want := s.LastReanalysis.Mode, fresh.LastReanalysis.Mode; got != want {
+					t.Errorf("%s: %q after the undo took the %s rung, in a fresh session %s", h.name, text, got, want)
+				}
+				h.expectFresh("edit after the undo")
+			}
+			for n := 2; len(s.UndoStack()) > 0; n++ {
+				h.undo(fmt.Sprintf("undo %d", n))
+				rungs[s.LastReanalysis.Mode]++
+			}
+			if err := s.Undo(); err == nil {
+				t.Errorf("%s: undo on an empty stack succeeded", h.name)
+			}
+		}
+	}
+	for _, rung := range []string{"patch", "unit", "program"} {
+		if rungs[rung] == 0 {
+			t.Errorf("no undo took the %s rung: %v", rung, rungs)
+		}
+	}
+	t.Logf("undo rungs: %v", rungs)
+}
+
+// TestUndoPlantedEntry: an undo stack planted as whole texts — what a
+// session rebuilt from a durability snapshot has — undoes onto the same
+// states as the stack the session built itself, by the same rungs.
+func TestUndoPlantedEntry(t *testing.T) {
+	for _, w := range []*workloads.Workload{workloads.ByName("arc3d"), {Name: "cycle", Source: recursionCycle}} {
+		s, err := w.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &undoHarness{t: t, name: w.Name, s: s, r: rand.New(rand.NewSource(5)), patched: map[string]bool{}}
+		for n := 0; n < 6; {
+			h.pickUnit()
+			if h.editAssign() != "" || h.editCall() != "" {
+				n++
+			}
+		}
+		rebuilt, err := core.Open(s.File.Path, s.Save())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt.SetUndoStack(s.UndoStack())
+		if err := rebuilt.SelectUnit(s.CurrentUnit().Name); err != nil {
+			t.Fatal(err)
+		}
+		hr := &undoHarness{t: t, name: w.Name + " (planted)", s: rebuilt, patched: map[string]bool{}}
+		for n := 1; len(s.UndoStack()) > 0; n++ {
+			h.undo(fmt.Sprintf("undo %d", n))
+			hr.undo(fmt.Sprintf("undo %d", n))
+			if s.Save() != rebuilt.Save() {
+				t.Fatalf("%s: undo %d: the planted stack landed on another text", w.Name, n)
+			}
+			if got, want := rebuilt.LastReanalysis.Mode, s.LastReanalysis.Mode; got != want {
+				t.Errorf("%s: undo %d: planted entry took the %s rung, the session's own %s", w.Name, n, got, want)
+			}
+			if got, want := len(rebuilt.UndoStack()), len(s.UndoStack()); got != want {
+				t.Fatalf("%s: undo %d: %d planted entries left, want %d", w.Name, n, got, want)
+			}
+		}
+	}
+	// An entry whose units are not the session's replaces the file.
+	s, err := core.Open("t.f", recursionCycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := "      program main\n      real q\n      q = 1.0\n      call only(q)\n      end\n" +
+		"      subroutine only(v)\n      real v\n      v = v + 1.0\n      end\n"
+	s.SetUndoStack([]string{other})
+	if err := s.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode != "full" || len(s.File.Units) != 2 || s.CurrentUnit() != s.File.Main() {
+		t.Errorf("undo onto another program: mode %s, %d units", s.LastReanalysis.Mode, len(s.File.Units))
+	}
+	(&undoHarness{t: t, name: "other program", s: s, patched: map[string]bool{}}).expectFresh("after the undo")
+}

@@ -144,6 +144,64 @@ func (u *Unit) SymbolsSorted() []*Symbol {
 	return out
 }
 
+// Adopt makes u the unit nu describes — nu comes from File.ParseUnit and
+// must not be used afterwards — while u stays the object it was, and so
+// does every symbol whose name both units have: those take nu's
+// attributes in place, and nu's statements and declarations are
+// repointed at them. What the editor keys by *Unit and *Symbol
+// (interprocedural summaries, constant formals, cost memo) therefore
+// stays addressable across the swap.
+func (u *Unit) Adopt(nu *Unit) {
+	kept := map[*Symbol]*Symbol{} // nu's symbol → u's of the same name
+	for name, sym := range nu.Syms {
+		if old, ok := u.Syms[name]; ok {
+			*old = *sym
+			kept[sym] = old
+			nu.Syms[name] = old
+			sym = old
+		}
+		sym.Unit = u
+	}
+	swap := func(p **Symbol) {
+		if old, ok := kept[*p]; ok {
+			*p = old
+		}
+	}
+	fix := func(e Expr) {
+		switch x := e.(type) {
+		case *VarRef:
+			swap(&x.Sym)
+		case *FuncCall:
+			swap(&x.Sym)
+		}
+	}
+	for i := range nu.Args {
+		swap(&nu.Args[i])
+	}
+	for _, sym := range nu.Syms {
+		for _, d := range sym.Dims {
+			walkExpr(d.Lo, fix)
+			walkExpr(d.Hi, fix)
+		}
+		walkExpr(sym.Value, fix)
+	}
+	WalkStmts(nu.Body, func(s Stmt) bool {
+		if do, ok := s.(*DoStmt); ok {
+			swap(&do.Var)
+			for i := range do.Private {
+				swap(&do.Private[i])
+			}
+			for i := range do.Reductions {
+				swap(&do.Reductions[i].Sym)
+			}
+		}
+		WalkExprs(s, fix)
+		return true
+	})
+	u.Kind, u.Name, u.RetType, u.Line = nu.Kind, nu.Name, nu.RetType, nu.Line
+	u.Args, u.Syms, u.Body = nu.Args, nu.Syms, nu.Body
+}
+
 // File is a parsed Fortran source file: an ordered list of program
 // units plus retained comments.
 type File struct {

@@ -80,24 +80,40 @@ func FuzzEditReanalyze(f *testing.F) {
 		if !edited {
 			return
 		}
-		if err := s.CheckSourceImage(); err != nil {
-			t.Fatalf("edit %q (%s path): %v", text, s.LastReanalysis.Mode, err)
+		expectScratch(t, s, "edit", text)
+		// Undo is an edit too: it restores the unit and re-enters the
+		// same ladder.
+		undone := false
+		func() {
+			defer func() { recover() }()
+			undone = s.Undo() == nil
+		}()
+		if !undone {
+			return
 		}
-		fresh, err := core.Open("fuzz.f", s.Save())
-		if err != nil {
-			t.Fatalf("accepted edit %q prints to something unparseable: %v\n--- saved ---\n%s",
-				text, err, s.Save())
-		}
-		got, want := depSig(s), depSig(fresh)
-		if len(got) != len(want) {
-			t.Fatalf("edit %q (%s path): %d deps incrementally, %d from scratch\nincremental: %v\nscratch: %v",
-				text, s.LastReanalysis.Mode, len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("edit %q (%s path): dependence diverged\nincremental: %s\nscratch:     %s",
-					text, s.LastReanalysis.Mode, got[i], want[i])
-			}
-		}
+		expectScratch(t, s, "undo of edit", text)
 	})
+}
+
+func expectScratch(t *testing.T, s *core.Session, op, text string) {
+	t.Helper()
+	if err := s.CheckSourceImage(); err != nil {
+		t.Fatalf("%s %q (%s path): %v", op, text, s.LastReanalysis.Mode, err)
+	}
+	fresh, err := core.Open("fuzz.f", s.Save())
+	if err != nil {
+		t.Fatalf("%s %q prints to something unparseable: %v\n--- saved ---\n%s",
+			op, text, err, s.Save())
+	}
+	got, want := depSig(s), depSig(fresh)
+	if len(got) != len(want) {
+		t.Fatalf("%s %q (%s path): %d deps incrementally, %d from scratch\nincremental: %v\nscratch: %v",
+			op, text, s.LastReanalysis.Mode, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s %q (%s path): dependence diverged\nincremental: %s\nscratch:     %s",
+				op, text, s.LastReanalysis.Mode, got[i], want[i])
+		}
+	}
 }

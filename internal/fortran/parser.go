@@ -27,6 +27,39 @@ func Parse(path, src string) (*File, error) {
 	return f, p.errs.Err()
 }
 
+// ParseUnit parses text, the printed form of one program unit, into a
+// unit that stands apart from f.Units: calls resolve against f's units
+// (a call of the unit's own name reaches the unit f holds under it), and
+// statement lines count from line, the unit's first line in the whole
+// program's text; positions in errors count from 1. The editor's undo
+// restores a unit this way and hands the result to Unit.Adopt.
+func (f *File) ParseUnit(text string, line int) (*Unit, error) {
+	lx, _ := NewLexer(text)
+	stmts, errs := lx.Statements()
+	p := &parser{stmts: stmts, dirs: lx.Directives(), errs: errs}
+	var u *Unit
+	if p.atEOF() {
+		p.errs.add(Pos{1, 1}, "empty program unit")
+	} else if u = p.parseUnit(f); u != nil && !p.atEOF() {
+		p.beginStmt()
+		p.errf("text after the unit's END")
+	}
+	if err := p.errs.Err(); err != nil {
+		return nil, err
+	}
+	r := &resolver{file: f, unit: u, units: unitsByName(f), errs: &p.errs}
+	r.stmts(u.Body)
+	if err := p.errs.Err(); err != nil {
+		return nil, err
+	}
+	u.Line += line - 1
+	WalkStmts(u.Body, func(s Stmt) bool {
+		s.base().LineN += line - 1
+		return true
+	})
+	return u, nil
+}
+
 // ParseStmtIn parses one statement (possibly a multi-line block such
 // as a DO or IF) in the context of unit u, resolving names against
 // u's symbol table. Used by the editor for incremental edits.
@@ -61,12 +94,8 @@ func ParseStmtIn(f *File, u *Unit, text string) (Stmt, error) {
 	if s == nil {
 		return nil, &Error{Msg: "no statement parsed"}
 	}
-	units := make(map[string]*Unit, len(f.Units))
-	for _, un := range f.Units {
-		units[un.Name] = un
-	}
 	var rerrs ErrorList
-	r := &resolver{file: f, unit: u, units: units, errs: &rerrs}
+	r := &resolver{file: f, unit: u, units: unitsByName(f), errs: &rerrs}
 	body := []Stmt{s}
 	r.stmts(body)
 	if err := rerrs.Err(); err != nil {

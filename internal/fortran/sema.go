@@ -43,14 +43,19 @@ var Intrinsics = map[string]Type{
 // denotes a function become FuncCalls, call statements are linked to
 // their defining units, and simple semantic checks run.
 func resolve(f *File, errs *ErrorList) {
-	units := make(map[string]*Unit, len(f.Units))
-	for _, u := range f.Units {
-		units[u.Name] = u
-	}
+	units := unitsByName(f)
 	for _, u := range f.Units {
 		r := &resolver{file: f, unit: u, units: units, errs: errs}
 		r.stmts(u.Body)
 	}
+}
+
+func unitsByName(f *File) map[string]*Unit {
+	units := make(map[string]*Unit, len(f.Units))
+	for _, u := range f.Units {
+		units[u.Name] = u
+	}
+	return units
 }
 
 type resolver struct {

@@ -43,6 +43,10 @@ type CallGraph struct {
 	// are listed in Recursive.
 	BottomUp  []*fortran.Unit
 	Recursive map[*fortran.Unit]bool
+
+	// callers indexes the unit of every resolved call statement the
+	// file held when the graph was built.
+	callers map[*fortran.CallStmt]*fortran.Unit
 }
 
 // BuildCallGraph constructs the call graph of f.
@@ -52,6 +56,7 @@ func BuildCallGraph(f *fortran.File) *CallGraph {
 		Calls:     map[*fortran.Unit][]*CallSite{},
 		Callers:   map[*fortran.Unit][]*CallSite{},
 		Recursive: map[*fortran.Unit]bool{},
+		callers:   map[*fortran.CallStmt]*fortran.Unit{},
 	}
 	for _, u := range f.Units {
 		fortran.WalkStmts(u.Body, func(s fortran.Stmt) bool {
@@ -74,6 +79,9 @@ func BuildCallGraph(f *fortran.File) *CallGraph {
 
 func (g *CallGraph) addSite(site *CallSite) {
 	g.Sites = append(g.Sites, site)
+	if site.Call != nil {
+		g.callers[site.Call] = site.Caller
+	}
 	g.Calls[site.Caller] = append(g.Calls[site.Caller], site)
 	g.Callers[site.Callee] = append(g.Callers[site.Callee], site)
 }
@@ -112,6 +120,30 @@ func (g *CallGraph) order() {
 			visit(u)
 		}
 	}
+}
+
+// callerOf returns the unit containing a resolved call statement: from
+// the index when the graph was built with the statement in the file,
+// and by searching the file for one an edit brought in since (a unit
+// reanalyzed against this graph because its call surface reads the
+// same).
+func (g *CallGraph) callerOf(call *fortran.CallStmt) *fortran.Unit {
+	if u, ok := g.callers[call]; ok {
+		return u
+	}
+	for _, u := range g.File.Units {
+		found := false
+		fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
+			if x == fortran.Stmt(call) {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			return u
+		}
+	}
+	return nil
 }
 
 // String renders the call graph as the textual display Ped used.

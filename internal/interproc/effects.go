@@ -141,7 +141,7 @@ func (sp *SectionProvider) CallSections(s fortran.Stmt) ([]dep.SectionAccess, bo
 	if summ == nil || summ.Conservative {
 		return nil, false
 	}
-	caller := unitOf(s, sp.Prog.File)
+	caller := sp.Prog.Graph.callerOf(call)
 	if caller == nil {
 		return nil, false
 	}
@@ -168,7 +168,7 @@ func (sp *SectionProvider) CallSections(s fortran.Stmt) ([]dep.SectionAccess, bo
 		for _, sec := range secs {
 			sa := dep.SectionAccess{Sym: callerArr, Write: sec.Write}
 			for _, d := range sec.Dims {
-				sa.Dims = append(sa.Dims, sp.translateDim(call, d))
+				sa.Dims = append(sa.Dims, sp.translateDim(caller, call, d))
 			}
 			out = append(out, sa)
 		}
@@ -181,11 +181,10 @@ func (sp *SectionProvider) CallSections(s fortran.Stmt) ([]dep.SectionAccess, bo
 
 // translateDim rewrites a callee-side linear bound into caller
 // symbols by substituting formals with the linearized actuals.
-func (sp *SectionProvider) translateDim(call *fortran.CallStmt, d SecDim) dep.SectionDim {
+func (sp *SectionProvider) translateDim(caller *fortran.Unit, call *fortran.CallStmt, d SecDim) dep.SectionDim {
 	if !d.Known {
 		return dep.SectionDim{}
 	}
-	caller := unitOf(call, sp.Prog.File)
 	lo, ok1 := sp.translateLinear(caller, call, d.Lo)
 	hi, ok2 := sp.translateLinear(caller, call, d.Hi)
 	if !ok1 || !ok2 {
@@ -238,21 +237,4 @@ func sortedSectionSyms(summ *Summary) []*fortran.Symbol {
 		}
 	}
 	return out
-}
-
-// unitOf finds the unit containing statement s.
-func unitOf(s fortran.Stmt, f *fortran.File) *fortran.Unit {
-	for _, u := range f.Units {
-		found := false
-		fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
-			if x == s {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return u
-		}
-	}
-	return nil
 }

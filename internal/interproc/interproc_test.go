@@ -441,3 +441,48 @@ func TestUpRefDistinguishesKillThenUse(t *testing.T) {
 		t.Error("reader consumes incoming x values: must be in UpRef")
 	}
 }
+
+// TestCallerOfIndex: the statement→unit index answers for every call
+// the file held when the graph was built, a call statement an edit
+// brought in afterwards is still found (by search), and UpdateProgram
+// indexes it.
+func TestCallerOfIndex(t *testing.T) {
+	f := parse(t, threeUnits)
+	p := AnalyzeProgram(f)
+	main := f.Unit("main")
+	calls := 0
+	for _, u := range f.Units {
+		fortran.WalkStmts(u.Body, func(s fortran.Stmt) bool {
+			if c, ok := s.(*fortran.CallStmt); ok {
+				calls++
+				if got := p.Graph.callers[c]; got != u {
+					t.Errorf("index puts %q in %v, want %s", fortran.StmtText(c), got, u.Name)
+				}
+			}
+			return true
+		})
+	}
+	if calls != 2 {
+		t.Fatalf("walked %d calls, want 2", calls)
+	}
+	ns, err := fortran.ParseStmtIn(f, main, "      call total(a, s)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := ns.(*fortran.CallStmt)
+	main.Body[len(main.Body)-2] = fresh
+	if _, ok := p.Graph.callers[fresh]; ok {
+		t.Fatal("a statement parsed after the build is in the index")
+	}
+	if got := p.Graph.callerOf(fresh); got != main {
+		t.Errorf("callerOf(new statement) = %v, want main", got)
+	}
+	secs, ok := (&SectionProvider{Prog: p}).CallSections(fresh)
+	if !ok || len(secs) == 0 {
+		t.Error("no sections for a call statement newer than the graph")
+	}
+	p = UpdateProgram(p, map[*fortran.Unit]bool{main: true})
+	if got := p.Graph.callers[fresh]; got != main {
+		t.Errorf("after UpdateProgram the index has %v for the new statement, want main", got)
+	}
+}

@@ -210,7 +210,10 @@ func (r *REPL) Execute(line string) error {
 		}
 		r.printReanalysis(s)
 	case "undo":
-		return s.Undo()
+		if err := s.Undo(); err != nil {
+			return err
+		}
+		r.printReanalysis(s)
 	case "perf":
 		fmt.Fprint(r.Out, s.State().Est.Report())
 	case "rank":

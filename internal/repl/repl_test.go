@@ -319,6 +319,11 @@ func TestDeleteAndEditCommands(t *testing.T) {
 	if strings.Contains(out2, "error") {
 		t.Errorf("edit/delete/undo flow:\n%s", out2)
 	}
+	// Edit, delete and undo each say which reanalysis rung they took,
+	// and an undo never takes the analyze-everything one.
+	if n := strings.Count(out2, "reanalyzed in "); n != 3 || strings.Contains(out2, "(full)") {
+		t.Errorf("want three reanalysis lines, none of them (full):\n%s", out2)
+	}
 }
 
 func TestSetAnalysisToggles(t *testing.T) {
