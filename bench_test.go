@@ -316,11 +316,22 @@ func BenchmarkAnalysisCache(b *testing.B) {
 
 // BenchmarkServerThroughput measures complete pedd session round-trips
 // per second — open, select a loop, fetch dependences, close — over
-// real HTTP at 1, 4, and 16 concurrent clients.
+// real HTTP at 1, 4, and 16 concurrent clients. "durable" is c1 as pedd
+// is deployed (-datadir, -fsync interval): the session only browses, so
+// it should cost what c1 costs — the journal is born by a mutation.
 func BenchmarkServerThroughput(b *testing.B) {
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("c%d", clients), func(b *testing.B) {
-			m := server.NewManager(server.Config{CacheSize: 16})
+	for _, run := range []struct {
+		name    string
+		clients int
+		durable bool
+	}{{"c1", 1, false}, {"durable", 1, true}, {"c4", 4, false}, {"c16", 16, false}} {
+		clients := run.clients
+		b.Run(run.name, func(b *testing.B) {
+			cfg := server.Config{CacheSize: 16}
+			if run.durable {
+				cfg.DataDir, cfg.Fsync = b.TempDir(), server.FsyncInterval
+			}
+			m := server.NewManager(cfg)
 			defer m.Shutdown()
 			ts := httptest.NewServer(server.New(m))
 			defer ts.Close()

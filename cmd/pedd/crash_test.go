@@ -147,7 +147,12 @@ func TestCrashRecoveryKillDash9(t *testing.T) {
 
 // TestCrashRecoveryRepeatedKills: crash the daemon several times in a
 // row on the same datadir; each restart must recover, and the session
-// must keep accumulating state across the crashes.
+// must keep accumulating state across the crashes. The session mutates
+// before the first kill — a journal exists from the first mutation on,
+// not from the open. The other half of that contract rides along: a
+// second session that only browses (opens, moves its cursor, reads) is
+// killed with it each round, leaves nothing on disk, and answers 404
+// after the restart, where the client reopens it.
 func TestCrashRecoveryRepeatedKills(t *testing.T) {
 	dir := t.TempDir()
 	inst := startPedd(t, false, "-datadir", dir, "-fsync", "always")
@@ -156,21 +161,33 @@ func TestCrashRecoveryRepeatedKills(t *testing.T) {
 	cl.cmd(id, "loop 1")
 	var want string
 	for round := 0; round < 3; round++ {
-		if round == 1 {
-			cl.cmd(id, "apply parallelize 1")
+		if round < 2 {
+			cl.cmd(id, fmt.Sprintf("apply parallelize %d", 1+2*round))
 		}
 		want = cl.cmd(id, "save")
+		if n := strings.Count(want, "doall"); n != min(round+1, 2) {
+			t.Fatalf("round %d: %d doall loops in the program, want %d:\n%s", round, n, min(round+1, 2), want)
+		}
+		browser := cl.open("onedim")
+		cl.cmd(browser, "loop 1")
+		cl.cmd(browser, "deps")
+		if code, body := cl.get("/v1/sessions/" + browser); code != http.StatusOK || !strings.Contains(body, `"journaled":false`) {
+			t.Fatalf("round %d: browsing session status: %d %s", round, code, body)
+		}
 		if err := inst.cmd.Process.Kill(); err != nil {
 			t.Fatal(err)
 		}
 		_ = inst.cmd.Wait()
 		inst = startPedd(t, false, "-datadir", dir, "-fsync", "always")
 		cl = &peddClient{t: t, addr: inst.addr}
-		if out := inst.output.String(); !strings.Contains(out, "recovered 1") {
-			t.Fatalf("round %d: restart did not recover:\n%s", round, out)
+		if out := inst.output.String(); !strings.Contains(out, "recovered 1 ") || !strings.Contains(out, "removed 0") {
+			t.Fatalf("round %d: restart did not recover exactly the mutated session:\n%s", round, out)
 		}
 		if got := cl.cmd(id, "save"); got != want {
 			t.Fatalf("round %d: source diverged after crash:\nwant %s\ngot  %s", round, want, got)
+		}
+		if code, body := cl.get("/v1/sessions/" + browser); code != http.StatusNotFound {
+			t.Fatalf("round %d: unmutated session after the crash: %d %s, want 404", round, code, body)
 		}
 	}
 }

@@ -52,7 +52,12 @@ type SessionInfo struct {
 	Mutated bool `json:"mutated"`
 	// ReadOnly reports journal-failure degradation: reads still serve
 	// from memory, mutating requests are rejected with 503.
-	ReadOnly    bool    `json:"read_only,omitempty"`
+	ReadOnly bool `json:"read_only,omitempty"`
+	// Journaled reports whether the session has anything on disk. With
+	// -datadir a session journals from its first mutation; until then
+	// (and always without -datadir) a restart or failover answers 404
+	// and the client reopens from the source it holds.
+	Journaled   bool    `json:"journaled"`
 	IdleSeconds float64 `json:"idle_seconds"`
 }
 

@@ -131,6 +131,10 @@ type journal struct {
 	seq    uint64
 	dirty  bool
 	closed bool
+	// synced flips at the first successful fsync of the file; named
+	// once the data directory has been fsynced after it, which is what
+	// makes a newborn journal's *name* survive power loss (unlock).
+	synced, named bool
 
 	metrics *Metrics
 }
@@ -138,9 +142,10 @@ type journal struct {
 // walPath names the journal file for a session ID.
 func walPath(dir, id string) string { return filepath.Join(dir, id+".wal") }
 
-// createJournal makes a fresh journal for a new session. O_EXCL makes
-// an ID collision with any existing file an error instead of silently
-// appending to foreign state.
+// createJournal makes the journal of a session's first mutation (the
+// caller appends the birth records). O_EXCL makes an ID collision with
+// any existing file an error instead of silently appending to foreign
+// state.
 func createJournal(dir, id string, policy FsyncPolicy, metrics *Metrics) (*journal, error) {
 	f, err := os.OpenFile(walPath(dir, id), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -156,7 +161,7 @@ func openJournalAppend(dir, id string, policy FsyncPolicy, size int64, seq uint6
 	if err != nil {
 		return nil, err
 	}
-	return &journal{id: id, path: walPath(dir, id), policy: policy, f: f, size: size, seq: seq, metrics: metrics}, nil
+	return &journal{id: id, path: walPath(dir, id), policy: policy, f: f, size: size, seq: seq, named: true, metrics: metrics}, nil
 }
 
 // encodeRecord renders one record in the wire format.
@@ -172,25 +177,49 @@ func encodeRecord(rec *record) ([]byte, error) {
 	return buf, nil
 }
 
-// append stamps the next sequence number on rec and writes it, then
-// fsyncs if the policy is FsyncAlways. On any error the file is
-// truncated back to the last complete record (best effort) so a failed
-// append can never leave a half-record for a later append to bury
-// mid-stream, and the error is returned for the session to degrade on.
-func (j *journal) append(rec *record) error {
+// unlock releases j.mu and, right after the journal's first successful
+// fsync, fsyncs the data directory so the file's name is as durable as
+// its contents — outside the lock, so appends never wait on it.
+func (j *journal) unlock() {
+	due := j.synced && !j.named
+	if due {
+		j.named = true
+	}
+	j.mu.Unlock()
+	if due {
+		syncDir(filepath.Dir(j.path))
+	}
+}
+
+// append stamps the next sequence numbers on recs and writes them in
+// one write, then fsyncs once if the policy is FsyncAlways. On any
+// error the file is truncated back to the last complete record (best
+// effort) so a failed append can never leave a half-record for a later
+// append to bury mid-stream, and the error is returned for the session
+// to degrade on.
+func (j *journal) append(recs ...*record) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	defer j.unlock()
 	if j.closed {
 		return errors.New("journal closed")
 	}
-	if err := faultpoint.Hit(faultpoint.JournalAppend, j.id+":"+rec.Op); err != nil {
-		return err
-	}
-	rec.Seq = j.seq + 1
-	rec.Time = time.Now().UnixNano()
-	buf, err := encodeRecord(rec)
-	if err != nil {
-		return err
+	var buf []byte
+	now := time.Now()
+	for i, rec := range recs {
+		if err := faultpoint.Hit(faultpoint.JournalAppend, j.id+":"+rec.Op); err != nil {
+			return err
+		}
+		rec.Seq = j.seq + uint64(i) + 1
+		rec.Time = now.UnixNano()
+		b, err := encodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			buf = b // the common single-record append writes b as is
+		} else {
+			buf = append(buf, b...)
+		}
 	}
 	start := time.Now()
 	n, err := j.f.Write(buf)
@@ -202,7 +231,7 @@ func (j *journal) append(rec *record) error {
 		return err
 	}
 	j.size += int64(len(buf))
-	j.seq = rec.Seq
+	j.seq += uint64(len(recs))
 	j.dirty = true
 	if j.metrics != nil {
 		j.metrics.JournalAppend.Observe(time.Since(start).Seconds())
@@ -210,11 +239,11 @@ func (j *journal) append(rec *record) error {
 	}
 	if j.policy == FsyncAlways {
 		if err := j.syncLocked(); err != nil {
-			// The record reached the file but not stable storage; roll
-			// it back (best effort) so state the client is told failed
+			// The records reached the file but not stable storage; roll
+			// them back (best effort) so state the client is told failed
 			// cannot resurface after a crash.
 			j.size -= int64(len(buf))
-			j.seq--
+			j.seq -= uint64(len(recs))
 			_ = j.f.Truncate(j.size)
 			return err
 		}
@@ -226,7 +255,7 @@ func (j *journal) append(rec *record) error {
 // when the policy is FsyncNever).
 func (j *journal) sync() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	defer j.unlock()
 	if j.policy == FsyncNever {
 		return nil
 	}
@@ -247,7 +276,7 @@ func (j *journal) syncLocked() error {
 	if j.metrics != nil {
 		j.metrics.JournalFsync.Observe(time.Since(start).Seconds())
 	}
-	j.dirty = false
+	j.dirty, j.synced = false, true
 	return nil
 }
 
@@ -271,22 +300,7 @@ func (j *journal) rewrite(snap *record) error {
 		return err
 	}
 	tmpPath := j.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
+	if err := writeSynced(tmpPath, os.O_TRUNC, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmpPath, j.path); err != nil {
@@ -303,7 +317,7 @@ func (j *journal) rewrite(snap *record) error {
 	j.f = nf
 	j.size = int64(len(buf))
 	j.seq = snap.Seq
-	j.dirty = false
+	j.dirty, j.named = false, true
 	syncDir(filepath.Dir(j.path))
 	if j.metrics != nil {
 		j.metrics.JournalSnapshots.Inc()
@@ -313,16 +327,28 @@ func (j *journal) rewrite(snap *record) error {
 
 // close fsyncs (regardless of policy — clean shutdown is the one
 // moment durability is free) and closes the handle. Idempotent.
-func (j *journal) close() error {
+func (j *journal) close() error { return j.shut(true) }
+
+// remove deletes the journal file (explicit close / TTL eviction: the
+// session is gone on purpose, so its state must not resurrect). The
+// file is about to be unlinked, so it is not fsynced first.
+func (j *journal) remove() {
+	_ = j.shut(false)
+	os.Remove(j.path)
+}
+
+func (j *journal) shut(flush bool) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	defer j.unlock()
 	if j.closed {
 		return nil
 	}
 	j.closed = true
 	var err error
-	if j.dirty {
-		err = j.f.Sync()
+	if flush && j.dirty {
+		if err = j.f.Sync(); err == nil {
+			j.synced = true
+		}
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
@@ -330,11 +356,24 @@ func (j *journal) close() error {
 	return err
 }
 
-// remove deletes the journal file (explicit close / TTL eviction: the
-// session is gone on purpose, so its state must not resurrect).
-func (j *journal) remove() {
-	_ = j.close()
-	os.Remove(j.path)
+// writeSynced creates path (how says O_TRUNC or O_EXCL), writes data and
+// fsyncs it. A file it created but could not finish is removed; one
+// that O_EXCL refused is left alone.
+func writeSynced(path string, how int, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|how, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a rename survives a crash (best
@@ -450,7 +489,7 @@ func CleanJournalStream(data []byte) ([]byte, error) {
 // the mutex only fences the manager's concurrent flush ticker.
 func (j *journal) contents() ([]byte, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	defer j.unlock()
 	if j.closed {
 		return nil, errors.New("journal closed")
 	}

@@ -111,7 +111,8 @@ type Manager struct {
 // newSessionID draws a short random session ID. Sequential IDs would
 // collide with sessions recovered from a previous process lifetime
 // (both lifetimes would mint "s1"); random IDs need no cross-restart
-// coordination, and journal creation is O_EXCL as a backstop.
+// coordination, and journal creation (at the session's first mutation)
+// is O_EXCL as a backstop.
 func newSessionID() string {
 	var b [4]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -228,7 +229,10 @@ func (m *Manager) janitor(every time.Duration) {
 // Open resolves the request (workload name or raw source), consults
 // the content-hash cache, and registers a new session. On a hit the
 // session opens artifact-backed — no parse, no analysis. On a miss it
-// analyzes cold, stores the artifacts, and opens live.
+// analyzes cold, stores the artifacts, and opens live. Either way the
+// open touches no file: the session's journal is born by its first
+// mutation (Session.journalAppend), so until then a crash loses only
+// what the client can have again by reopening.
 //
 // Admission control: when Config.MaxSessions is set, a slot is
 // reserved before the (expensive) analysis and released if the open
@@ -269,11 +273,15 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 			return nil, resp, err
 		}
 		m.mu.Lock()
-		_, movedAway := m.moved[req.ID]
-		taken := m.sessions[req.ID] != nil || movedAway
+		taken := m.taken(req.ID)
 		m.mu.Unlock()
 		if taken {
 			return nil, resp, fmt.Errorf("%w: %s", ErrSessionExists, req.ID)
+		}
+		if m.cfg.DataDir != "" {
+			if _, err := os.Lstat(walPath(m.cfg.DataDir, req.ID)); err == nil {
+				return nil, resp, fmt.Errorf("%w: %s (journal already on disk)", ErrSessionExists, req.ID)
+			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -338,77 +346,22 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 			m.cache.Put(art)
 		}
 	}
-	// Mint the ID and, when durability is on, the journal. The open
-	// record is journaled before the session exists: a crash from here
-	// on rebuilds it. Journal trouble never fails the open — the
-	// session comes up read-only instead (reads work, mutations 503).
-	var id string
-	var jr *journal
-	var jrErr error
-	if m.cfg.DataDir != "" {
-		if req.ID != "" {
-			id = req.ID
-			jr, jrErr = createJournal(m.cfg.DataDir, id, m.cfg.Fsync, m.metrics)
-			if errors.Is(jrErr, os.ErrExist) {
-				release()
-				return nil, resp, fmt.Errorf("%w: %s (journal already on disk)", ErrSessionExists, id)
-			}
-		} else {
-			for tries := 0; ; tries++ {
-				id = newSessionID()
-				jr, jrErr = createJournal(m.cfg.DataDir, id, m.cfg.Fsync, m.metrics)
-				if jrErr == nil || !errors.Is(jrErr, os.ErrExist) || tries >= 8 {
-					break
-				}
-			}
-		}
-		if jr != nil {
-			if err := jr.append(&record{Op: recOpen, Path: path, Source: source}); err != nil {
-				jr.remove()
-				jr, jrErr = nil, err
-			} else if err := jr.sync(); err != nil {
-				jr.remove()
-				jr, jrErr = nil, err
-			}
-		}
-	}
 	m.mu.Lock()
-	if req.ID != "" {
+	id := req.ID
+	if id == "" {
+		for id = newSessionID(); m.taken(id); id = newSessionID() {
+		}
+	} else if m.taken(id) {
 		// Explicit IDs must fail on collision, never remint — the
 		// caller (the gateway) routes by this exact ID.
-		id = req.ID
-		if m.sessions[id] != nil || m.moved[id] != "" {
-			m.mu.Unlock()
-			if jr != nil {
-				jr.remove()
-			}
-			release()
-			return nil, resp, fmt.Errorf("%w: %s", ErrSessionExists, id)
-		}
-	} else {
-		if jr != nil && (m.sessions[id] != nil || m.moved[id] != "") {
-			// A live session without a journal (degraded at create) can
-			// share the ID namespace without a wal backing it; give up
-			// the colliding journal rather than let the wal name drift
-			// from the session ID.
-			jr.remove()
-			jr, jrErr = nil, fmt.Errorf("session ID collision on %s", id)
-		}
-		if jr == nil {
-			for id = newSessionID(); m.sessions[id] != nil || m.moved[id] != ""; id = newSessionID() {
-			}
-		}
+		m.reserved--
+		m.mu.Unlock()
+		return nil, resp, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	ss := newSession(id, path, source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, path, source, art, live, nil)
 	m.sessions[id] = ss
 	m.reserved--
 	m.mu.Unlock()
-	if m.cfg.DataDir != "" && jrErr != nil {
-		ss.degradeReadOnly(fmt.Sprintf("journal create: %v", jrErr))
-	}
 	m.metrics.SessionsOpened.Inc()
 	m.metrics.SessionsLive.Inc()
 	resp = OpenResponse{ID: id, Path: path, Units: units, Cached: cached}
@@ -434,6 +387,13 @@ func (m *Manager) analyzeOpen(key, path, source string) (cs *core.Session, art *
 		art = BuildArtifacts(key, cs)
 	}
 	return cs, art, nil
+}
+
+// taken reports an ID that is in use here or tombstoned as migrated
+// away. Caller holds m.mu.
+func (m *Manager) taken(id string) bool {
+	_, moved := m.moved[id]
+	return moved || m.sessions[id] != nil
 }
 
 // Get returns a session by ID, or nil.
@@ -495,8 +455,7 @@ func (m *Manager) Close(id string) bool {
 		}
 		return false
 	}
-	ss.close()
-	ss.removeJournal()
+	ss.discard()
 	m.metrics.SessionsLive.Dec()
 	m.metrics.SessionsClosed.Inc()
 	return true
@@ -517,8 +476,7 @@ func (m *Manager) Sweep() int {
 	}
 	m.mu.Unlock()
 	for _, ss := range expired {
-		ss.close()
-		ss.removeJournal()
+		ss.discard()
 		m.metrics.SessionsLive.Dec()
 		m.metrics.SessionsEvicted.Inc()
 	}
@@ -537,10 +495,11 @@ func (m *Manager) Metrics() *Metrics { return m.metrics }
 const shutdownDrain = 10 * time.Second
 
 // Shutdown stops the janitor and closes every session. Journals are
-// kept (a restart with the same datadir recovers them), and for every
-// durable session Shutdown waits — bounded — for the actor to finish
-// its queue and fsync-close its journal, so a clean shutdown loses
-// nothing regardless of fsync policy. Idempotent.
+// kept (a restart with the same datadir recovers them), and with a
+// datadir Shutdown waits — bounded — for every actor to finish its
+// queue (a queued first mutation may still give birth to a journal) and
+// fsync-close what it has, so a clean shutdown loses nothing regardless
+// of fsync policy. Idempotent.
 func (m *Manager) Shutdown() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	m.wg.Wait()
@@ -556,12 +515,12 @@ func (m *Manager) Shutdown() {
 		m.metrics.SessionsLive.Dec()
 		m.metrics.SessionsClosed.Inc()
 	}
+	if m.cfg.DataDir == "" {
+		return
+	}
 	deadline := time.NewTimer(shutdownDrain)
 	defer deadline.Stop()
 	for _, ss := range all {
-		if ss.jr == nil {
-			continue
-		}
 		select {
 		case <-ss.done:
 		case <-deadline.C:

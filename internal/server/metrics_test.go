@@ -525,22 +525,30 @@ func TestCacheEvictionMetric(t *testing.T) {
 // TestDurabilityMetrics drives a journaled session through appends,
 // fsyncs, a snapshot compaction, a crash-style restart, and a torn
 // tail, then asserts every durability series moved and stays
-// histogram-consistent.
+// histogram-consistent. An open alone (and the cursor move after it)
+// writes nothing — asserted first — so the counts below come from the
+// mutations: the first one's append carries the whole birth.
 func TestDurabilityMetrics(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{CacheSize: 8, DataDir: dir, Fsync: FsyncAlways, SnapshotEvery: 2}
 	m1 := NewManager(cfg)
 	ss, resp := mustOpen(t, m1, "direct")
 	mustCmd(t, ss, "loop 1")
-	mustCmd(t, ss, "apply parallelize 1")
 	vals := promValues(t, scrape(t, m1.Metrics()))
+	if a, b := vals["pedd_journal_append_seconds_count"], vals["pedd_journal_bytes_total"]; a != 0 || b != 0 {
+		t.Errorf("an unmutated session journaled: %v appends, %v bytes", a, b)
+	}
+	mustCmd(t, ss, "apply parallelize 1") // birth: open + select + cmd in one append
+	mustCmd(t, ss, "loop 2")              // journaled now; second counted mutation → compaction
+	mustCmd(t, ss, "apply parallelize 2")
+	vals = promValues(t, scrape(t, m1.Metrics()))
 	atLeast := func(series string, min float64) {
 		t.Helper()
 		if vals[series] < min {
 			t.Errorf("%s = %v, want >= %v", series, vals[series], min)
 		}
 	}
-	atLeast("pedd_journal_append_seconds_count", 3) // open + 2 mutations
+	atLeast("pedd_journal_append_seconds_count", 3) // birth + 2 more
 	atLeast("pedd_journal_fsync_seconds_count", 3)  // fsync always
 	atLeast("pedd_journal_bytes_total", 64)
 	atLeast("pedd_journal_snapshots_total", 1) // SnapshotEvery: 2

@@ -148,26 +148,15 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 	var jr *journal
 	if m.cfg.DataDir != "" {
 		path := walPath(m.cfg.DataDir, id)
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
+		if err := writeSynced(path, os.O_EXCL, stream); err != nil {
 			release()
 			if errors.Is(err, os.ErrExist) {
 				return reject(fmt.Errorf("%w: %s (journal already on disk)", ErrSessionExists, id))
 			}
-			return reject(fmt.Errorf("import %s: %w", id, err))
-		}
-		if _, err = f.Write(stream); err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(path)
-			release()
 			return reject(fmt.Errorf("import %s: landing journal: %w", id, err))
 		}
 		syncDir(m.cfg.DataDir)
+		var err error
 		if jr, err = openJournalAppend(m.cfg.DataDir, id, m.cfg.Fsync, int64(len(stream)), res.lastSeq, m.metrics); err != nil {
 			os.Remove(path)
 			release()
@@ -186,10 +175,7 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 		teardown()
 		return reject(fmt.Errorf("import %s: reanalyzing source: %v", id, err))
 	}
-	ss := newSession(id, base.Path, base.Source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 	if postErr != nil || replayErr != nil {
 		err := replayErr
@@ -268,8 +254,7 @@ func (m *Manager) Migrate(ctx context.Context, ss *Session, target string) (Migr
 	m.mu.Lock()
 	delete(m.sessions, ss.ID)
 	m.mu.Unlock()
-	ss.close()
-	ss.removeJournal()
+	ss.discard()
 	ss.unfreeze()
 	m.metrics.SessionsLive.Dec()
 	m.metrics.MigrationsOut.Inc()

@@ -448,7 +448,10 @@ func TestClientFollows307(t *testing.T) {
 }
 
 // TestCleanJournalStream: the gateway's failover pre-clean truncates a
-// torn tail (unacknowledged work) but refuses corruption outright.
+// torn tail (unacknowledged work) but refuses corruption outright. The
+// session mutates first: a wal exists only from the first mutation on,
+// and the torn stream must still hold a complete record before the tear
+// (an unmutated session exports as one snapshot record).
 func TestCleanJournalStream(t *testing.T) {
 	p := newMigratePair(t, true)
 	cl := NewClient(p.src.URL)
@@ -456,8 +459,10 @@ func TestCleanJournalStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Cmd(bg, open.ID, "loop 1"); err != nil {
-		t.Fatal(err)
+	for _, line := range []string{"loop 1", "apply parallelize 1"} {
+		if _, err := cl.Cmd(bg, open.ID, line); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stream, err := cl.ExportJournal(bg, open.ID)
 	if err != nil {

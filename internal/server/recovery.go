@@ -6,7 +6,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"parascope/internal/core"
 	"parascope/internal/dep"
@@ -45,8 +44,9 @@ type RecoveryStats struct {
 	Quarantined int
 	// ReadOnly sessions recovered a prefix but could not finish replay.
 	ReadOnly int
-	// Removed journals held no durable record at all (the open record
-	// never reached the disk) — deleted, nothing to rebuild.
+	// Removed journals held no durable record at all (the session's
+	// first mutation never reached the disk, so it was never
+	// acknowledged) — deleted, nothing to rebuild.
 	Removed int
 	// Moved counts tombstones loaded: sessions that migrated away and
 	// keep answering 421 + Location after this restart.
@@ -131,8 +131,9 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 		return
 	}
 	if len(res.records) == 0 {
-		// The open record never became durable — the client was never
-		// promised this session survives. Nothing to rebuild.
+		// The birth never became durable, so the first mutation was never
+		// acknowledged — the client was never promised this session
+		// survives. Nothing to rebuild.
 		os.Remove(path)
 		st.Removed++
 		return
@@ -154,10 +155,7 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 		m.registerHusk(id, base.Path, fmt.Sprintf("recovery: reopening journal: %v", err), st)
 		return
 	}
-	ss := newSession(id, base.Path, base.Source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 
 	m.mu.Lock()
@@ -249,11 +247,8 @@ func (ss *Session) applySnapshot(rec *record) error {
 // removes the journal), but every operation is rejected. The corrupt
 // journal stays on disk for forensics until then.
 func (m *Manager) registerHusk(id, path, reason string, st *RecoveryStats) {
-	ss := newSession(id, path, "", nil, nil, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, nil, 0)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
-	ss.failRecovery(reason)
+	ss := m.newSession(id, path, "", nil, nil, nil)
+	ss.fail(reason, reason) // same observable state as a panic quarantine, without a stack
 	ss.walOrphan = walPath(m.cfg.DataDir, id)
 	m.mu.Lock()
 	m.sessions[id] = ss
@@ -261,24 +256,4 @@ func (m *Manager) registerHusk(id, path, reason string, st *RecoveryStats) {
 	m.metrics.SessionsLive.Inc()
 	st.Quarantined++
 	m.metrics.RecoveriesQuarantined.Inc()
-}
-
-// failRecovery quarantines a husk session with a recovery diagnostic —
-// same observable state as a panic quarantine, without a stack.
-func (ss *Session) failRecovery(reason string) {
-	ss.failMu.Lock()
-	first := ss.failure == nil
-	if first {
-		ss.failure = &FailureInfo{Reason: reason, Stack: reason, Time: time.Now()}
-	}
-	ss.failMu.Unlock()
-	ss.failed.Store(true)
-	if first {
-		ss.closeMu.Lock()
-		if !ss.closed {
-			ss.metrics.SessionsQuarantined.Inc()
-			ss.qGauged = true
-		}
-		ss.closeMu.Unlock()
-	}
 }

@@ -93,12 +93,14 @@ func TestRecoverRebuildsByteIdentical(t *testing.T) {
 
 // TestRecoverPrewarmsCache: recovery runs its reanalysis through the
 // artifact cache, so the first post-restart open of the same source is
-// a hit.
+// a hit. The session mutates before the restart — an unmutated one has
+// no journal and nothing would be recovered.
 func TestRecoverPrewarmsCache(t *testing.T) {
 	dir := t.TempDir()
 	m1 := NewManager(durableConfig(dir))
 	ss, _ := mustOpen(t, m1, "onedim")
 	cmdOK(t, ss, "loop 1")
+	cmdOK(t, ss, "apply parallelize 1")
 	m1.Shutdown()
 
 	m2 := newTestManager(t, durableConfig(dir))
@@ -164,7 +166,9 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 // TestRecoverQuarantinesCorruptJournal: mid-stream corruption in one
 // session's journal quarantines that session only — its status and
 // failure are queryable, its operations are rejected, its neighbors
-// recover untouched, and deleting it removes the corrupt wal.
+// recover untouched, and deleting it removes the corrupt wal. Both
+// sessions mutate before the restart: a session that has only moved its
+// cursor has no journal to corrupt or to recover.
 func TestRecoverQuarantinesCorruptJournal(t *testing.T) {
 	dir := t.TempDir()
 	m1 := NewManager(durableConfig(dir))
@@ -173,6 +177,7 @@ func TestRecoverQuarantinesCorruptJournal(t *testing.T) {
 	cmdOK(t, ssA, "loop 1")
 	cmdOK(t, ssA, "apply parallelize 1")
 	cmdOK(t, ssB, "loop 1")
+	cmdOK(t, ssB, "apply parallelize 1")
 	wantB := cmdOK(t, ssB, "save")
 	m1.Shutdown()
 
@@ -379,16 +384,18 @@ func TestReplayFaultLeavesPrefixReadOnly(t *testing.T) {
 // TestSnapshotCompactionAndUndoAcrossIt: after SnapshotEvery mutations
 // the journal folds to one snapshot record; recovery from the snapshot
 // is byte-identical AND undo still works, because the snapshot carries
-// the undo stack.
+// the undo stack. The count starts at the first mutation: the `loop 1`
+// before it only moves the cursor (the birth records where it stands),
+// so SnapshotEvery is 1 here to compact after the one apply.
 func TestSnapshotCompactionAndUndoAcrossIt(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.SnapshotEvery = 2
+	cfg.SnapshotEvery = 1
 	m1 := NewManager(cfg)
 	ss, resp := mustOpen(t, m1, "direct")
 	original := cmdOK(t, ss, "save")
-	cmdOK(t, ss, "loop 1")              // mutation 1
-	cmdOK(t, ss, "apply parallelize 1") // mutation 2 → compaction
+	cmdOK(t, ss, "loop 1")              // cursor only: no journal yet
+	cmdOK(t, ss, "apply parallelize 1") // mutation 1: birth → compaction
 	want := cmdOK(t, ss, "save")
 	m1.Shutdown()
 
@@ -425,14 +432,16 @@ func TestSnapshotCompactionAndUndoAcrossIt(t *testing.T) {
 }
 
 // TestStickyStateBlocksCompaction: state a snapshot cannot represent
-// (analysis toggles, marks, classifications) pins the full journal.
+// (analysis toggles, marks, classifications) pins the full journal. The
+// sticky `set` is also the session's first mutation, so it is what gives
+// birth to the journal; the cursor moves after it are journaled in order.
 func TestStickyStateBlocksCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
 	cfg.SnapshotEvery = 2
 	m1 := NewManager(cfg)
 	ss, resp := mustOpen(t, m1, "direct")
-	cmdOK(t, ss, "set constants off") // sticky mutation 1
+	cmdOK(t, ss, "set constants off") // sticky mutation 1: birth (cursor at its default, no select)
 	cmdOK(t, ss, "loop 1")            // mutation 2: threshold hit, but sticky blocks
 	cmdOK(t, ss, "loop 1")            // mutation 3
 	m1.Shutdown()
@@ -560,12 +569,15 @@ func TestRandomSessionIDs(t *testing.T) {
 
 // TestRecoveredAndFreshSessionsCoexist: after recovery, new opens on
 // the same manager mint IDs that cannot collide with recovered ones
-// (O_EXCL on the wal is the backstop) and both kinds serve.
+// (O_EXCL on the wal is the backstop) and both kinds serve. The first
+// session mutates before the restart, or there would be nothing to
+// recover; the fresh one mutates too, so two wals sit side by side.
 func TestRecoveredAndFreshSessionsCoexist(t *testing.T) {
 	dir := t.TempDir()
 	m1 := NewManager(durableConfig(dir))
 	ss, resp := mustOpen(t, m1, "direct")
 	cmdOK(t, ss, "loop 1")
+	cmdOK(t, ss, "apply parallelize 1")
 	m1.Shutdown()
 
 	m2 := newTestManager(t, durableConfig(dir))
@@ -577,9 +589,10 @@ func TestRecoveredAndFreshSessionsCoexist(t *testing.T) {
 		t.Fatalf("fresh session reused recovered ID %s", resp.ID)
 	}
 	cmdOK(t, fresh, "loop 1")
+	cmdOK(t, fresh, "apply parallelize 1")
 	cmdOK(t, m2.Get(resp.ID), "loops")
 	infos := m2.List(bg)
-	if len(infos) != 2 {
-		t.Fatalf("listing shows %d sessions, want 2", len(infos))
+	if len(infos) != 2 || !infos[0].Journaled || !infos[1].Journaled {
+		t.Fatalf("listing = %+v, want 2 journaled sessions", infos)
 	}
 }

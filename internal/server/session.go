@@ -136,12 +136,22 @@ type Session struct {
 	live    *core.Session
 	rep     *repl.REPL
 
-	// Durability (actor-confined except jr's internal locking). jr is
-	// nil when the daemon runs without -datadir. sticky is set by
-	// mutations that live outside the printed source (marks,
-	// assertions, classifications, analysis toggles) — they cannot be
-	// folded into a source snapshot, so they block compaction.
-	jr            *journal
+	// Durability. walDir is the daemon's -datadir ("" = in-memory only)
+	// and fsync its policy. jr stays nil until the session's first
+	// mutation gives birth to the journal (journalAppend) — a session
+	// that only browses never touches the disk; the actor is its only
+	// writer, while the flusher, Shutdown and Close load it from their
+	// own goroutines. defUnit is the unit selected at open, so the birth
+	// knows whether the cursor has moved. discarded tells the actor to
+	// delete, not keep, whatever wal exists once its queue has drained.
+	// sticky is set by mutations that live outside the printed source
+	// (marks, assertions, classifications, analysis toggles) — they
+	// cannot be folded into a source snapshot, so they block compaction.
+	walDir        string
+	fsync         FsyncPolicy
+	jr            atomic.Pointer[journal]
+	defUnit       string
+	discarded     atomic.Bool
 	snapEvery     int
 	mutsSinceSnap int
 	sticky        bool
@@ -157,12 +167,13 @@ type task struct {
 	touch bool
 }
 
-func newSession(id, path, source string, art *Artifacts, live *core.Session, workers, queueDepth int, metrics *Metrics, jr *journal, snapEvery int) *Session {
+// newSession builds a session under this manager's configuration and
+// starts its actor. jr is the journal of a recovered or imported
+// session; a fresh one passes nil and journals from its first mutation.
+func (m *Manager) newSession(id, path, source string, art *Artifacts, live *core.Session, jr *journal) *Session {
+	queueDepth := m.cfg.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = defaultQueueDepth
-	}
-	if metrics == nil {
-		metrics = NewMetrics()
 	}
 	ss := &Session{
 		ID:        id,
@@ -171,11 +182,16 @@ func newSession(id, path, source string, art *Artifacts, live *core.Session, wor
 		created:   time.Now(),
 		reqCh:     make(chan task, queueDepth),
 		done:      make(chan struct{}),
-		workers:   workers,
-		metrics:   metrics,
-		jr:        jr,
-		snapEvery: snapEvery,
+		workers:   m.cfg.Workers,
+		metrics:   m.metrics,
+		planCfg:   m.planCfg,
+		gov:       m.gov,
+		runCache:  m.cfg.RunCacheDir,
+		walDir:    m.cfg.DataDir,
+		fsync:     m.cfg.Fsync,
+		snapEvery: m.cfg.SnapshotEvery,
 	}
+	ss.jr.Store(jr)
 	ss.lastUsed.Store(time.Now().UnixNano())
 	if live != nil {
 		ss.live = live
@@ -184,22 +200,27 @@ func newSession(id, path, source string, art *Artifacts, live *core.Session, wor
 		ss.art = art
 		ss.curUnit = art.DefaultUnit
 	}
+	if live != nil || art != nil {
+		ss.defUnit, _ = ss.cursor()
+	}
 	go ss.run()
 	return ss
 }
 
 func (ss *Session) run() {
 	defer close(ss.done)
-	defer func() {
-		if ss.jr != nil {
-			_ = ss.jr.close()
-		}
-	}()
 	for t := range ss.reqCh {
 		t.fn()
 		if t.touch {
 			ss.lastUsed.Store(time.Now().UnixNano())
 		}
+	}
+	// Drained: no append, and no birth, can come any more, so this is
+	// the one place that settles what stays on disk.
+	if ss.discarded.Load() {
+		ss.removeJournal()
+	} else if jr := ss.jr.Load(); jr != nil {
+		_ = jr.close()
 	}
 }
 
@@ -279,18 +300,17 @@ func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
 // further than their own recover), but post refuses new work.
 func (ss *Session) quarantine(r interface{}, actorStack []byte) {
 	full := fmt.Sprint(r)
-	reason := full
-	if i := strings.IndexByte(reason, '\n'); i >= 0 {
-		reason = reason[:i]
-	}
+	reason, _, _ := strings.Cut(full, "\n")
+	ss.fail(reason, full+"\n\nactor stack:\n"+string(actorStack))
+}
+
+// fail records the first failure's diagnostic and flips the session to
+// failed — shared by panic quarantine and recovery husks.
+func (ss *Session) fail(reason, stack string) {
 	ss.failMu.Lock()
 	first := ss.failure == nil
 	if first {
-		ss.failure = &FailureInfo{
-			Reason: reason,
-			Stack:  full + "\n\nactor stack:\n" + string(actorStack),
-			Time:   time.Now(),
-		}
+		ss.failure = &FailureInfo{Reason: reason, Stack: stack, Time: time.Now()}
 	}
 	ss.failMu.Unlock()
 	ss.failed.Store(true)
@@ -384,19 +404,20 @@ func (ss *Session) migratingErr() error {
 }
 
 // Export renders the session's journal stream — the byte image an
-// import on another node replays. Durable sessions ship their wal
-// verbatim (full fidelity, sticky overlays included); non-durable
-// sessions synthesize a single snapshot record, which carries the
-// source, selection, and undo stack but cannot represent sticky
-// overlays (marks, assertions, classifications) — documented loss, see
-// DESIGN.md's failure-model table. Runs on the actor, so posting it
+// import on another node replays. Journaled sessions ship their wal
+// verbatim (full fidelity, sticky overlays included); a session with
+// no journal synthesizes a single snapshot record, which carries the
+// source, selection, and undo stack. For a durable session not yet
+// mutated that is everything; for a non-durable one it cannot
+// represent sticky overlays (marks, assertions, classifications) —
+// documented loss, see DESIGN.md's failure-model table. Runs on the actor, so posting it
 // doubles as the migration drain barrier.
 func (ss *Session) Export(ctx context.Context) ([]byte, error) {
 	var data []byte
 	var opErr error
 	if err := ss.post(ctx, func() {
-		if ss.jr != nil {
-			data, opErr = ss.jr.contents()
+		if jr := ss.jr.Load(); jr != nil {
+			data, opErr = jr.contents()
 			return
 		}
 		snap := ss.snapshotRecord()
@@ -415,13 +436,20 @@ func (ss *Session) ReadOnlyReason() string {
 	return ss.roReason
 }
 
-// removeJournal deletes the session's wal file. Explicit close and
-// TTL eviction call this: the session is gone on purpose, so its
-// state must not resurrect at the next restart. (Shutdown does NOT —
-// surviving the restart is the point.)
+// discard closes a session that is gone on purpose — explicit close,
+// TTL eviction, migrated away — so its state must not resurrect at the
+// next restart. (Shutdown does NOT: surviving the restart is the
+// point.) The wal on disk now goes at once; one a still-queued first
+// mutation creates later is removed by the actor once it has drained.
+func (ss *Session) discard() {
+	ss.discarded.Store(true)
+	ss.close()
+	ss.removeJournal()
+}
+
 func (ss *Session) removeJournal() {
-	if ss.jr != nil {
-		ss.jr.remove()
+	if jr := ss.jr.Load(); jr != nil {
+		jr.remove()
 	} else if ss.walOrphan != "" {
 		os.Remove(ss.walOrphan)
 	}
@@ -431,11 +459,10 @@ func (ss *Session) removeJournal() {
 // flusher calls this); a failed fsync degrades the session just like a
 // failed append — acknowledged-but-unflushed state must not grow.
 func (ss *Session) syncJournal() {
-	if ss.jr == nil {
-		return
-	}
-	if err := ss.jr.sync(); err != nil {
-		ss.degradeReadOnly(fmt.Sprintf("journal fsync: %v", err))
+	if jr := ss.jr.Load(); jr != nil {
+		if err := jr.sync(); err != nil {
+			ss.degradeReadOnly(fmt.Sprintf("journal fsync: %v", err))
+		}
 	}
 }
 
@@ -498,13 +525,14 @@ const infoBudget = 250 * time.Millisecond
 // saturated, failed, or closed — still yields a row with its ID,
 // path, and state; only Live/Mutated are omitted.
 func (ss *Session) Info(ctx context.Context) SessionInfo {
-	info := SessionInfo{ID: ss.ID, Path: ss.path, State: ss.StateName(), IdleSeconds: ss.Idle().Seconds()}
+	static := SessionInfo{ID: ss.ID, Path: ss.path, State: ss.StateName(), IdleSeconds: ss.Idle().Seconds(),
+		ReadOnly: ss.readonly.Load(), Journaled: ss.jr.Load() != nil || ss.walOrphan != ""}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, cancel := context.WithTimeout(ctx, infoBudget)
 	defer cancel()
-	info.ReadOnly = ss.readonly.Load()
+	info := static
 	err := ss.post(ctx, func() {
 		info.Live = ss.live != nil
 		if ss.live != nil {
@@ -512,10 +540,30 @@ func (ss *Session) Info(ctx context.Context) SessionInfo {
 		}
 	}, false)
 	if err != nil {
-		return SessionInfo{ID: ss.ID, Path: ss.path, State: ss.StateName(),
-			IdleSeconds: ss.Idle().Seconds(), ReadOnly: ss.readonly.Load()}
+		return static
 	}
 	return info
+}
+
+// statusLine renders Info for the line protocol (`status` through cmd
+// or `ped -remote`): lifecycle state, backing, and whether anything of
+// the session is on disk — the answer to "would this survive a restart".
+func (ss *Session) statusLine(ctx context.Context) string {
+	info := ss.Info(ctx)
+	backing, disk := "artifact-backed", "journaled"
+	if info.Live {
+		backing = "live"
+	}
+	if info.ReadOnly {
+		backing += ", read-only"
+	}
+	if !info.Journaled {
+		disk = "not journaled (nothing to recover until the first mutation)"
+		if ss.walDir == "" {
+			disk = "not journaled (daemon runs without -datadir)"
+		}
+	}
+	return fmt.Sprintf("session %s: %s, %s, %s\n", info.ID, info.State, backing, disk)
 }
 
 // ---------------------------------------------------------------------------
@@ -537,13 +585,10 @@ func (ss *Session) Cmd(ctx context.Context, line string) (CmdResponse, error) {
 	switch lineVerb(line) {
 	case "plan", "plans", "apply-plan":
 		return ss.planCmd(ctx, line)
+	case "status":
+		return CmdResponse{Output: ss.statusLine(ctx)}, nil
 	}
 	mutating := mutatingLine(line)
-	if mutating {
-		if err := ss.readonlyErr(); err != nil {
-			return CmdResponse{}, err
-		}
-	}
 	var resp CmdResponse
 	var roErr error
 	err := ss.post(ctx, func() {
@@ -611,11 +656,10 @@ func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error)
 }
 
 // Select switches unit and/or loop. Selection is session state that
-// recovery must reproduce, so it journals like any other mutation.
+// recovery must reproduce: once the session has a journal every select
+// is journaled in order; before that it only moves the cursor, and the
+// journal's birth records where the cursor stands.
 func (ss *Session) Select(ctx context.Context, req SelectRequest) (SelectResponse, error) {
-	if err := ss.readonlyErr(); err != nil {
-		return SelectResponse{}, err
-	}
 	var resp SelectResponse
 	var opErr error
 	if err := ss.post(ctx, func() {
@@ -640,21 +684,17 @@ func (ss *Session) Deps(ctx context.Context, q DepQuery) (DepsResponse, error) {
 	return resp, nil
 }
 
+// varClasses names the classes the classify endpoint (and its journal
+// record) accepts.
+var varClasses = map[string]core.VarClass{
+	"shared": core.ClassShared, "private": core.ClassPrivate, "reduction": core.ClassReduction,
+}
+
 // Classify overrides a variable's classification (materializes).
 func (ss *Session) Classify(ctx context.Context, req ClassifyRequest) error {
-	var c core.VarClass
-	switch strings.ToLower(req.Class) {
-	case "shared":
-		c = core.ClassShared
-	case "private":
-		c = core.ClassPrivate
-	case "reduction":
-		c = core.ClassReduction
-	default:
+	c, ok := varClasses[strings.ToLower(req.Class)]
+	if !ok {
 		return fmt.Errorf("unknown class %q", req.Class)
-	}
-	if err := ss.readonlyErr(); err != nil {
-		return err
 	}
 	var opErr error
 	if err := ss.post(ctx, func() {
@@ -688,9 +728,6 @@ func (ss *Session) Transform(ctx context.Context, req TransformRequest) (CmdResp
 
 // Edit replaces (or deletes) a statement by ID (materializes).
 func (ss *Session) Edit(ctx context.Context, req EditRequest) error {
-	if err := ss.readonlyErr(); err != nil {
-		return err
-	}
 	var opErr error
 	if err := ss.post(ctx, func() {
 		rec := &record{Op: recEdit, Stmt: req.Stmt, Text: req.Text, Delete: req.Delete}
@@ -715,9 +752,6 @@ func (ss *Session) Edit(ctx context.Context, req EditRequest) error {
 // Undo reverts the last transformation or edit (materializes; a
 // session with no mutations has nothing to undo, exactly as cold).
 func (ss *Session) Undo(ctx context.Context) error {
-	if err := ss.readonlyErr(); err != nil {
-		return err
-	}
 	var opErr error
 	if err := ss.post(ctx, func() {
 		rec := &record{Op: recUndo}
@@ -767,6 +801,15 @@ func lineVerb(line string) string {
 func mutatingLine(line string) bool { return mutatingVerbs[lineVerb(line)] }
 func stickyLine(line string) bool   { return stickyVerbs[lineVerb(line)] }
 
+// cursorRecord reports a record that only moves the cursor — the typed
+// select or the REPL's unit/loop/next. Such a record is journaled in
+// order once a journal exists, but never gives birth to one.
+func cursorRecord(rec *record) bool {
+	return rec.Op == recSelect || rec.Op == recCmd && cursorVerbs[lineVerb(rec.Line)]
+}
+
+var cursorVerbs = map[string]bool{"unit": true, "loop": true, "next": true}
+
 // currentHash fingerprints the printed program — the PreHash integrity
 // chain each journal record carries: sha256 of the `save` text, read
 // from the session's memoized source image (or the artifacts' constant)
@@ -779,31 +822,72 @@ func (ss *Session) currentHash() string {
 }
 
 // journalAppend writes rec (journal-before-apply: the mutation only
-// runs if its record is durable per the fsync policy). An append
-// failure degrades the session to read-only and returns the
-// degradation error; with no journal it is free. This is also the
-// migration freeze chokepoint: every mutating path calls it on the
-// actor before applying, so a frozen session rejects here — durable or
-// not — and nothing mutates behind an in-flight export.
+// runs if its record is durable per the fsync policy). The journal is
+// born here, by the first record that is not a cursor move: until then
+// the session equals its open plus a cursor, which the client can have
+// again by reopening, so nothing is on disk and cursor moves are free.
+// A failed append or birth degrades the session to read-only and
+// returns the degradation error; without a data directory everything is
+// free. This is the one chokepoint every mutating path calls on the
+// actor before applying, so it is also where a read-only session
+// refuses (cursor moves included — memory must not run ahead of a
+// journal that stopped taking writes) and where a session frozen for
+// migration rejects, durable or not: nothing mutates behind an
+// in-flight export.
 func (ss *Session) journalAppend(rec *record) error {
 	if err := ss.migratingErr(); err != nil {
 		return err
 	}
-	if ss.jr == nil {
+	if err := ss.readonlyErr(); err != nil {
+		return err
+	}
+	jr := ss.jr.Load()
+	if jr == nil && (ss.walDir == "" || cursorRecord(rec)) {
 		return nil
 	}
 	rec.PreHash = ss.currentHash()
-	if err := ss.jr.append(rec); err != nil {
-		ss.degradeReadOnly(fmt.Sprintf("journal append: %v", err))
+	var err error
+	what := "journal append"
+	if jr != nil {
+		err = jr.append(rec)
+	} else {
+		what, err = "journal create", ss.birth(rec)
+	}
+	if err != nil {
+		ss.degradeReadOnly(fmt.Sprintf("%s: %v", what, err))
 		return ss.readonlyErr()
 	}
+	return nil
+}
+
+// birth creates the journal for the session's first mutation and writes,
+// in one append (one write, one fsync under FsyncAlways): the open
+// record with the source the session was opened with, one select record
+// if the cursor has left its default, and the mutation's own record.
+// Recovery replays exactly that; the walk that led to the cursor is not
+// kept. A failed birth leaves no file of its own behind — and never
+// touches a foreign one that O_EXCL refused.
+func (ss *Session) birth(rec *record) error {
+	jr, err := createJournal(ss.walDir, ss.ID, ss.fsync, ss.metrics)
+	if err != nil {
+		return err
+	}
+	recs := []*record{{Op: recOpen, Path: ss.path, Source: ss.source}}
+	if unit, loop := ss.cursor(); unit != ss.defUnit || loop != 0 {
+		recs = append(recs, &record{Op: recSelect, Unit: unit, Loop: loop, PreHash: rec.PreHash})
+	}
+	if err := jr.append(append(recs, rec)...); err != nil {
+		jr.remove()
+		return err
+	}
+	ss.jr.Store(jr)
 	return nil
 }
 
 // noteMutation updates compaction bookkeeping for one applied
 // mutation — shared by the live path and crash-recovery replay.
 func (ss *Session) noteMutation(rec *record) {
-	if ss.jr == nil {
+	if ss.jr.Load() == nil {
 		return
 	}
 	if rec.Op == recClassify || (rec.Op == recCmd && stickyLine(rec.Line)) {
@@ -825,19 +909,26 @@ func (ss *Session) afterMutation(rec *record) {
 // rewrite stamps Seq and Time itself; Export stamps its own.
 func (ss *Session) snapshotRecord() *record {
 	snap := &record{Op: recSnapshot, Path: ss.path}
+	snap.Unit, snap.Loop = ss.cursor()
 	if ss.live != nil {
 		snap.Source = ss.live.Save()
 		snap.Undo = ss.live.UndoStack()
-		if u := ss.live.CurrentUnit(); u != nil {
-			snap.Unit = u.Name
-		}
-		snap.Loop = ss.liveLoopOrdinal()
 	} else {
 		snap.Source = ss.art.Printed
-		snap.Unit = ss.art.Units[ss.curUnit].Name
-		snap.Loop = ss.curLoop
 	}
 	return snap
+}
+
+// cursor names the current unit and the selected loop (1-based source
+// order, 0 = none).
+func (ss *Session) cursor() (unit string, loop int) {
+	if ss.live == nil {
+		return ss.art.Units[ss.curUnit].Name, ss.curLoop
+	}
+	if u := ss.live.CurrentUnit(); u != nil {
+		unit = u.Name
+	}
+	return unit, ss.liveLoopOrdinal()
 }
 
 // maybeSnapshot compacts the journal to a single snapshot record once
@@ -847,11 +938,12 @@ func (ss *Session) snapshotRecord() *record {
 // degrades the session: the snapshot path just proved this disk is not
 // accepting writes.
 func (ss *Session) maybeSnapshot() {
-	if ss.jr == nil || ss.snapEvery <= 0 || ss.mutsSinceSnap < ss.snapEvery ||
+	jr := ss.jr.Load()
+	if jr == nil || ss.snapEvery <= 0 || ss.mutsSinceSnap < ss.snapEvery ||
 		ss.sticky || ss.readonly.Load() {
 		return
 	}
-	if err := ss.jr.rewrite(ss.snapshotRecord()); err != nil {
+	if err := jr.rewrite(ss.snapshotRecord()); err != nil {
 		ss.degradeReadOnly(fmt.Sprintf("journal snapshot: %v", err))
 		return
 	}
@@ -882,15 +974,8 @@ func (ss *Session) applyRecord(rec *record) error {
 	case recSelect:
 		_, _ = ss.doSelect(SelectRequest{Unit: rec.Unit, Loop: rec.Loop})
 	case recClassify:
-		var c core.VarClass
-		switch rec.Class {
-		case "shared":
-			c = core.ClassShared
-		case "private":
-			c = core.ClassPrivate
-		case "reduction":
-			c = core.ClassReduction
-		default:
+		c, ok := varClasses[rec.Class]
+		if !ok {
 			return fmt.Errorf("replay: unknown class %q in seq %d", rec.Class, rec.Seq)
 		}
 		if err := ss.materialize(); err != nil {
