@@ -469,6 +469,59 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildCold measures the first compiled run's dominant cost:
+// codegen.Build of a program no cache has seen — the edit-bench source
+// with a constant that changes per iteration — on a cache root that
+// already holds the runtime module, so what is timed is staging, one
+// go build of the generated unit and the link. bench/ measures the
+// same as codegen.build_cold_ms on plan_run.
+func BenchmarkBuildCold(b *testing.B) {
+	cache := b.TempDir()
+	build := func(salt int) {
+		src := strings.Replace(editBenchSource(10), "t = 0.0", fmt.Sprintf("t = 0.%04d", salt), 1)
+		f, err := fortran.Parse("bench.f", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art, err := codegen.Build(context.Background(), f, cache, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if art.Cached {
+			b.Fatal("salted program hit the cache")
+		}
+	}
+	build(0) // stages the runtime module, fills the Go build cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(i + 1)
+	}
+}
+
+// BenchmarkBuildHit measures what every warm compiled run pays before
+// the spawn: lowering, the cache key and the entry check
+// (codegen.build_hit_ms in bench/).
+func BenchmarkBuildHit(b *testing.B) {
+	f, err := fortran.Parse("bench.f", editBenchSource(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := b.TempDir()
+	if _, err := codegen.Build(context.Background(), f, cache, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		art, err := codegen.Build(context.Background(), f, cache, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !art.Cached {
+			b.Fatal("rebuilt a cached program")
+		}
+	}
+}
+
 // BenchmarkOpenSpec77 measures a cold core.Open — parse plus
 // whole-program analysis — of the suite's largest program, with its
 // allocation count: the small-program end of what bench/ measures as

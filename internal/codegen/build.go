@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"maps"
 	"os"
 	"os/exec"
@@ -26,33 +27,61 @@ import (
 )
 
 // The runtime packages every generated program imports, shipped as
-// source: the same files the interpreter links.
+// source: parrt and runfmt are the same files the interpreter links.
 var (
 	//go:embed runfmt/runfmt.go
 	runfmtSrc string
 	//go:embed parrt/parrt.go
 	parrtSrc string
+	//go:embed prelude/prelude.go
+	preludeSrc string
 )
 
+// rtFiles is the runtime module, staged once per cache root in a
+// directory named after a hash of these files. Its path is then the
+// same for every program built there, so the Go build cache (which
+// keys a package on its directory) compiles the three packages once
+// and a cold build compiles and links only the generated unit.
+var rtFiles = map[string]string{
+	"go.mod":             "module rt\n\ngo 1.24\n",
+	"parrt/parrt.go":     parrtSrc,
+	"prelude/prelude.go": preludeSrc,
+	"runfmt/runfmt.go":   runfmtSrc,
+}
+
+func rtDirName(rt map[string]string) string { return "rt-" + cacheKey(rt, nil) }
+
+var rtDir = rtDirName(rtFiles)
+
+// buildFlags are the go build arguments that shape the binary. The
+// linker writes no symbol table and no DWARF, which nearly halves the
+// link (tracebacks need neither); and no VCS stamp, or a cache root
+// inside a git work tree would put the enclosing checkout's revision
+// and dirty state into every binary.
+var buildFlags = []string{"-ldflags=-s -w", "-buildvcs=false"}
+
 // stagedFiles is the module go build compiles for one generated
-// program: everything that determines the binary.
-func stagedFiles(mainSrc string) map[string]string {
+// program; it reaches the runtime module beside it in the cache root.
+func stagedFiles(mainSrc, rtDir string) map[string]string {
 	return map[string]string{
-		"go.mod":           "module gen\n\ngo 1.24\n",
-		"main.go":          mainSrc,
-		"parrt/parrt.go":   parrtSrc,
-		"runfmt/runfmt.go": runfmtSrc,
+		"go.mod":  "module gen\n\ngo 1.24\n\nrequire rt v0.0.0\n\nreplace rt => ../" + rtDir + "\n",
+		"main.go": mainSrc,
 	}
 }
 
-// cacheKey is the build-cache key of a staged module: a hash over the
-// name and content of every file in it, so a change to the program,
-// to the generator's lowering or to an embedded runtime package can
-// never reuse a stale binary.
-func cacheKey(files map[string]string) string {
+// cacheKey hashes the name and content of every file of a module and
+// the build flags. The key of a staged program covers everything that
+// determines its binary — its go.mod names the runtime module by the
+// hash of that module's files — so a change to the program, to the
+// generator's lowering, to a runtime package or to a flag can never
+// reuse a stale binary.
+func cacheKey(files map[string]string, flags []string) string {
 	h := sha256.New()
 	for _, name := range slices.Sorted(maps.Keys(files)) {
 		fmt.Fprintf(h, "%s\x00%d\x00%s", name, len(files[name]), files[name])
+	}
+	for _, flag := range flags {
+		fmt.Fprintf(h, "\x00flag\x00%d\x00%s", len(flag), flag)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -63,7 +92,7 @@ type Artifact struct {
 	Source string // generated Go source for the main package
 	Dir    string // module directory inside the build cache
 	Bin    string // path of the built executable
-	Hash   string // cache key (hash of the staged module's files)
+	Hash   string // cache key (staged files, runtime module, build flags)
 	Cached bool   // true when a previously built binary was reused
 }
 
@@ -81,7 +110,18 @@ type manifest struct {
 	Size   int64  `json:"size"`   // byte length of the prog binary
 }
 
-const manifestName = "manifest.json"
+const (
+	manifestName = "manifest.json"
+	binName      = "prog"
+)
+
+// binStamp is what a binary looked like when this process last
+// checked it against its manifest.
+type binStamp struct{ size, mtimeNs int64 }
+
+// verified maps a cached binary's path to its binStamp: an entry is
+// hashed once per process, and again whenever its size or mtime moves.
+var verified sync.Map
 
 // buildFlight dedups concurrent cold builds: N requests for the same
 // uncached program trigger exactly one go build.
@@ -90,6 +130,10 @@ var buildFlight execguard.Group
 // janitorMu serializes cache sweeps so concurrent builds don't race
 // over the same eviction set.
 var janitorMu sync.Mutex
+
+// rtMu serializes checking and staging the runtime module among this
+// process's cold builds; between processes the rename decides.
+var rtMu sync.Mutex
 
 // cacheRoot returns the directory compiled modules live under,
 // preferring the user cache dir and falling back to the system temp
@@ -116,10 +160,10 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 	if err != nil {
 		return nil, err
 	}
-	files := stagedFiles(src)
-	hash := cacheKey(files)
+	files := stagedFiles(src, rtDir)
+	hash := cacheKey(files, buildFlags)
 	dir := filepath.Join(cacheRoot(cacheDir), hash)
-	bin := filepath.Join(dir, "prog")
+	bin := filepath.Join(dir, binName)
 
 	v, err, shared := buildFlight.Do(dir, func() (any, error) {
 		art := &Artifact{Source: src, Dir: dir, Bin: bin, Hash: hash}
@@ -151,17 +195,23 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 }
 
 // verifyEntry reports whether the cache entry at dir holds a binary
-// matching its manifest. Any failure — missing manifest (legacy or
-// half-written entry), size or checksum mismatch, injected fault —
-// quarantines the entry and returns false so the caller rebuilds.
+// matching its manifest, reading both the first time this process
+// meets the entry and whenever the binary's size or mtime has moved
+// since. Any failure — missing manifest (legacy or half-written
+// entry), size or checksum mismatch, injected fault — quarantines the
+// entry and returns false so the caller rebuilds.
 func verifyEntry(dir, bin, hash string, g *execguard.Governor) bool {
 	fi, err := os.Stat(bin)
 	if err != nil || !fi.Mode().IsRegular() {
 		return false
 	}
+	stamp := binStamp{fi.Size(), fi.ModTime().UnixNano()}
 	ok := func() bool {
 		if err := faultpoint.Hit(faultpoint.CacheVerify, hash); err != nil {
 			return false
+		}
+		if seen, _ := verified.Load(bin); seen == stamp {
+			return true
 		}
 		data, err := os.ReadFile(filepath.Join(dir, manifestName))
 		if err != nil {
@@ -180,17 +230,20 @@ func verifyEntry(dir, bin, hash string, g *execguard.Governor) bool {
 		}
 		return sum == m.SHA256
 	}()
-	if !ok {
+	if ok {
+		verified.Store(bin, stamp)
+	} else {
 		quarantine(dir, g)
 	}
 	return ok
 }
 
-// quarantine moves a corrupt cache entry aside to <dir>.bad so it is
-// never executed again but remains inspectable until the janitor
-// sweeps it; if the rename fails the entry is deleted outright.
+// quarantine moves a corrupt cache entry (or runtime module) aside to
+// <dir>.bad so it is never used again but remains inspectable until
+// the janitor sweeps it; if the rename fails it is deleted outright.
 func quarantine(dir string, g *execguard.Governor) {
 	g.Event("build_verify_fail", "")
+	verified.Delete(filepath.Join(dir, binName))
 	bad := dir + ".bad"
 	_ = os.RemoveAll(bad)
 	if err := os.Rename(dir, bad); err != nil {
@@ -211,6 +264,89 @@ func fileSHA256(path string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// writeTree writes a module's files under dir.
+func writeTree(dir string, files map[string]string) error {
+	for name, content := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rtIntact reports whether dir holds exactly the runtime module: every
+// embedded file byte for byte and no other file, link or device.
+func rtIntact(dir string) bool {
+	matched := 0
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return nil
+		}
+		rel, _ := filepath.Rel(dir, p)
+		want, ok := rtFiles[filepath.ToSlash(rel)]
+		if !ok || !d.Type().IsRegular() {
+			return fs.ErrInvalid
+		}
+		got, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		if string(got) != want {
+			return fs.ErrInvalid
+		}
+		matched++
+		return nil
+	})
+	return err == nil && matched == len(rtFiles)
+}
+
+// ensureRT makes the cache root hold the runtime module, comparing
+// what is there with the embedded sources before every cold build: a
+// module that differs is quarantined and staged afresh, by temp
+// directory and atomic rename like a cache entry.
+func ensureRT(root string, g *execguard.Governor) error {
+	rtMu.Lock()
+	defer rtMu.Unlock()
+	dir := filepath.Join(root, rtDir)
+	if rtIntact(dir) {
+		return nil
+	}
+	if _, err := os.Lstat(dir); err == nil {
+		quarantine(dir, g)
+	}
+	stage, err := os.MkdirTemp(root, "build-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(stage)
+	if err := writeTree(stage, rtFiles); err != nil {
+		return err
+	}
+	// Another process may win the rename; its module is checked like
+	// any other.
+	if err := os.Rename(stage, dir); err != nil && !rtIntact(dir) {
+		return err
+	}
+	return nil
+}
+
+// buildCmd is the one go build invocation, to run in a staged
+// module's directory; extra arguments go before the build flags.
+func buildCmd(dir string, extra ...string) *exec.Cmd {
+	args := append(append([]string{"build"}, extra...), buildFlags...)
+	cmd := exec.Command("go", append(args, "-o", binName, ".")...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOFLAGS=-mod=mod")
+	return cmd
+}
+
 // compile writes the module into a staging directory, runs go build
 // under supervision (its own timeout, group kill — a hung toolchain
 // cannot wedge the daemon), writes the manifest, and atomically
@@ -225,25 +361,25 @@ func compile(ctx context.Context, files map[string]string, dir, bin string, g *e
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("codegen: create cache: %w", err)
 	}
-	stage, err := os.MkdirTemp(root, "build-")
-	if err != nil {
-		return fmt.Errorf("codegen: stage build: %w", err)
+	if err := ensureRT(root, g); err != nil {
+		return fmt.Errorf("codegen: stage runtime module: %w", err)
+	}
+	// The compiler records main.go's path, so the staging directory is
+	// named after the key: the binary is then a function of the key and
+	// the root. Only a second process building the same program at this
+	// moment (buildFlight dedups within one) finds the name taken.
+	stage := filepath.Join(root, "build-"+hash)
+	if err := os.Mkdir(stage, 0o700); err != nil {
+		if stage, err = os.MkdirTemp(root, "build-"); err != nil {
+			return fmt.Errorf("codegen: stage build: %w", err)
+		}
 	}
 	defer os.RemoveAll(stage)
-
-	for name, content := range files {
-		p := filepath.Join(stage, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			return fmt.Errorf("codegen: stage build: %w", err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			return fmt.Errorf("codegen: stage build: %w", err)
-		}
+	if err := writeTree(stage, files); err != nil {
+		return fmt.Errorf("codegen: stage build: %w", err)
 	}
 
-	cmd := exec.Command("go", "build", "-o", "prog", ".")
-	cmd.Dir = stage
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOFLAGS=-mod=mod")
+	cmd := buildCmd(stage)
 	// The build governor: its own wall budget, no output caps (build
 	// diagnostics must survive whole), no RSS watchdog for the
 	// toolchain.
@@ -260,7 +396,7 @@ func compile(ctx context.Context, files map[string]string, dir, bin string, g *e
 		return fmt.Errorf("codegen: go build failed: %v\n%s", err, stderr)
 	}
 
-	stagedBin := filepath.Join(stage, "prog")
+	stagedBin := filepath.Join(stage, binName)
 	sum, err := fileSHA256(stagedBin)
 	if err != nil {
 		return fmt.Errorf("codegen: hash binary: %w", err)
@@ -292,9 +428,11 @@ const (
 )
 
 // janitor sweeps the cache root: stale build-* staging dirs, old *.bad
-// quarantine dirs, and LRU-evicts verified entries beyond the
-// governor's cache bound. It runs after cold builds — the only time
-// the cache grows.
+// quarantine dirs, runtime modules of other versions of this package
+// once they are as old, and LRU-evicts verified entries beyond the
+// governor's cache bound — the current runtime module is not an entry
+// and is never counted or evicted. It runs after cold builds — the
+// only time the cache grows.
 func janitor(root string, g *execguard.Governor) {
 	janitorMu.Lock()
 	defer janitorMu.Unlock()
@@ -326,6 +464,10 @@ func janitor(root string, g *execguard.Governor) {
 			if now.Sub(fi.ModTime()) > staleBadAge {
 				_ = os.RemoveAll(p)
 			}
+		case strings.HasPrefix(e.Name(), "rt-"):
+			if e.Name() != rtDir && now.Sub(fi.ModTime()) > staleBadAge {
+				_ = os.RemoveAll(p)
+			}
 		default:
 			live = append(live, cached{path: p, mtime: fi.ModTime()})
 		}
@@ -337,6 +479,7 @@ func janitor(root string, g *execguard.Governor) {
 	sort.Slice(live, func(i, j int) bool { return live[i].mtime.Before(live[j].mtime) })
 	for _, c := range live[:len(live)-max] {
 		_ = os.RemoveAll(c.path)
+		verified.Delete(filepath.Join(c.path, binName))
 		g.Event("build_janitor_evict", "")
 	}
 }

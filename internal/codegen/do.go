@@ -7,12 +7,12 @@ import (
 )
 
 // genDo lowers a DO loop. The loop protocol is parrt's, the package
-// the interpreter imports and every generated program carries: the
-// emitted code asks it for the trip count (doLoop, the prelude's
-// parrt.New plus the runtime error for a zero step), the loop
-// variable's values, and — for a loop marked `c$par doall` — whether
-// and how wide to fork. Only storage and the counted for loop around
-// the body are emitted here.
+// the interpreter imports and every generated program requires: the
+// emitted code asks it for the trip count (parrt.New through the
+// prelude's Must — a zero step is a runtime error, as in the
+// interpreter), the loop variable's values, and — for a loop marked
+// `c$par doall` — whether and how wide to fork. Only storage and the
+// counted for loop around the body are emitted here.
 func (g *gen) genDo(st *fortran.DoStmt) {
 	k := g.tmp
 	g.tmp++
@@ -30,14 +30,14 @@ func (g *gen) genDo(st *fortran.DoStmt) {
 	// evaluation order (lo, hi, step) whatever the expressions call.
 	g.w("lo%d := %s", k, g.toInt(g.expr(st.Lo)))
 	g.w("hi%d := %s", k, g.toInt(g.expr(st.Hi)))
-	step := "cI(1)"
+	step := intLit(1)
 	if st.Step != nil {
 		g.w("st%d := %s", k, g.toInt(g.expr(st.Step)))
 		step = fmt.Sprintf("st%d", k)
 	}
-	g.w("l%d := doLoop(lo%d, hi%d, %s)", k, k, k, step)
+	g.w("l%d := Must(parrt.New(lo%d, hi%d, %s))", k, k, k, step)
 	if st.Parallel {
-		g.w("if nw%d := l%d.Fork(*workersFlag); nw%d > 0 {", k, k, k)
+		g.w("if nw%d := l%d.Fork(*Workers); nw%d > 0 {", k, k, k)
 		g.ind++
 		g.genDoall(st, k)
 		g.ind--
@@ -55,7 +55,7 @@ func (g *gen) genDo(st *fortran.DoStmt) {
 
 func (g *gen) genSeqBody(st *fortran.DoStmt, k int) {
 	iv := g.scalRef(st.Var)
-	g.w("for n%d := cI(0); n%d < l%d.Trip; n%d++ {", k, k, k, k)
+	g.w("for n%d := %s; n%d < l%d.Trip; n%d++ {", k, intLit(0), k, k, k)
 	g.ind++
 	g.w("%s = l%d.Index(n%d)", iv, k, k)
 	g.stmts(st.Body)
@@ -134,7 +134,7 @@ func (g *gen) genDoall(st *fortran.DoStmt, k int) {
 		name := g.arrName(p) // same mangling for scalars and arrays
 		switch {
 		case p.Kind == fortran.SymArray:
-			g.w("%s := %s.blank()", name, name)
+			g.w("%s := %s.Blank()", name, name)
 		case p.Dummy:
 			g.w("%s := %s(%s)", mangleVar(p.Name), refFn(g.symType(p)), zeroLit(g.symType(p)))
 			name = mangleVar(p.Name)

@@ -69,7 +69,7 @@ func (g *gen) ref(x *fortran.VarRef) xpr {
 			g.decline("whole-array reference %s in expression", sym.Name)
 		}
 		a := g.arrName(sym)
-		return xpr{a + ".data[" + a + ".idx(" + g.subs(x.Subs) + ")]", g.symType(sym)}
+		return xpr{a + ".Data[" + a + ".Idx(" + g.subs(x.Subs) + ")]", g.symType(sym)}
 	}
 	return xpr{g.scalRef(sym), g.symType(sym)}
 }
@@ -118,7 +118,7 @@ func (g *gen) binary(x *fortran.Binary) xpr {
 	case fortran.TokSlash:
 		numeric()
 		if bothInt {
-			return xpr{"idiv(" + a.c + ", " + b.c + ")", tInt}
+			return xpr{"Idiv(" + a.c + ", " + b.c + ")", tInt}
 		}
 		return xpr{"(" + g.toF(a) + " / " + g.toF(b) + ")", tFloat}
 	case fortran.TokPower:
@@ -131,7 +131,7 @@ func (g *gen) binary(x *fortran.Binary) xpr {
 				g.decline("INTEGER ** non-constant INTEGER exponent")
 			}
 			if k.i >= 0 {
-				return xpr{"ipow(" + a.c + ", " + intLit(k.i) + ")", tInt}
+				return xpr{"Ipow(" + a.c + ", " + intLit(k.i) + ")", tInt}
 			}
 			return xpr{"math.Pow(" + g.toF(a) + ", " + g.toF(b) + ")", tFloat}
 		}
@@ -220,7 +220,7 @@ func (g *gen) bindArgs(callee *fortran.Unit, actuals []fortran.Expr) string {
 				if g.symType(vr.Sym) != ft {
 					g.decline("%s: array %s element type mismatch at call boundary", callee.Name, vr.Sym.Name)
 				}
-				parts = append(parts, g.arrName(vr.Sym)+".tail("+g.subs(vr.Subs)+")")
+				parts = append(parts, g.arrName(vr.Sym)+".Tail("+g.subs(vr.Subs)+")")
 				continue
 			case !vr.Sym.IsArray() && len(vr.Subs) == 0:
 				if formal.Kind != fortran.SymScalar {
@@ -274,12 +274,12 @@ func (g *gen) intrinsic(x *fortran.FuncCall) xpr {
 	case "abs":
 		need(1)
 		if args[0].t == tInt {
-			return xpr{"iabs(" + args[0].c + ")", tInt}
+			return xpr{"Iabs(" + args[0].c + ")", tInt}
 		}
 		return xpr{"math.Abs(" + g.toF(args[0]) + ")", tFloat}
 	case "iabs":
 		need(1)
-		return xpr{"iabs(" + g.toInt(args[0]) + ")", tInt}
+		return xpr{"Iabs(" + g.toInt(args[0]) + ")", tInt}
 	case "sqrt":
 		return one("math.Sqrt")
 	case "exp":
@@ -316,19 +316,19 @@ func (g *gen) intrinsic(x *fortran.FuncCall) xpr {
 	case "mod", "amod":
 		need(2)
 		if args[0].t == tInt && args[1].t == tInt {
-			return xpr{"imod(" + args[0].c + ", " + args[1].c + ")", tInt}
+			return xpr{"Imod(" + args[0].c + ", " + args[1].c + ")", tInt}
 		}
 		return xpr{"math.Mod(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")", tFloat}
 	case "sign":
 		need(2)
-		c := "fsign(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
+		c := "Fsign(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
 		if args[0].t == tInt {
 			return xpr{"int64(" + c + ")", tInt}
 		}
 		return xpr{c, tFloat}
 	case "dim":
 		need(2)
-		c := "fdim(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
+		c := "Fdim(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
 		if args[0].t == tInt {
 			return xpr{"int64(" + c + ")", tInt}
 		}
@@ -367,8 +367,8 @@ func (g *gen) minMax(name string, args []xpr, wantMax bool) xpr {
 		allInt = false
 	}
 	fn := map[bool]map[bool]string{
-		true:  {true: "imax", false: "imin"},
-		false: {true: "fmax", false: "fmin"},
+		true:  {true: "Imax", false: "Imin"},
+		false: {true: "Fmax", false: "Fmin"},
 	}[allInt][wantMax]
 	parts := make([]string, len(args))
 	for i, a := range args {

@@ -7,6 +7,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -219,21 +222,54 @@ func TestBuildCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cacheKey(stagedFiles(otherSrc)) == a1.Hash {
+	if cacheKey(stagedFiles(otherSrc, rtDir), buildFlags) == a1.Hash {
 		t.Fatal("different programs share a hash")
 	}
-	// The key covers everything go build compiles: one byte more in an
-	// embedded runtime package must never reuse this binary.
-	files := stagedFiles(a1.Source)
-	if cacheKey(files) != a1.Hash {
+	// The key covers everything go build compiles and how: one byte
+	// more in a runtime package, or one more flag, must never reuse
+	// this binary.
+	if cacheKey(stagedFiles(a1.Source, rtDir), buildFlags) != a1.Hash {
 		t.Fatal("Build's key is not the key of the module it staged")
 	}
-	for _, name := range []string{"parrt/parrt.go", "runfmt/runfmt.go", "go.mod"} {
-		changed := stagedFiles(a1.Source)
+	for name := range rtFiles {
+		changed := maps.Clone(rtFiles)
 		changed[name] += "\n"
-		if cacheKey(changed) == a1.Hash {
-			t.Fatalf("a changed %s keeps the cache key", name)
+		if cacheKey(stagedFiles(a1.Source, rtDirName(changed)), buildFlags) == a1.Hash {
+			t.Fatalf("a changed rt %s keeps the cache key", name)
 		}
+	}
+	if cacheKey(stagedFiles(a1.Source, rtDir), append(slices.Clone(buildFlags), "-race")) == a1.Hash {
+		t.Fatal("a changed build flag keeps the cache key")
+	}
+
+	// No runtime source is written per program.
+	names, err := filepath.Glob(filepath.Join(a1.Dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	if want := []string{"go.mod", "main.go", manifestName, binName}; !slices.Equal(names, want) {
+		t.Fatalf("entry holds %v, want %v", names, want)
+	}
+
+	// A second program on the root, built the way compile builds it
+	// but with -x: the toolchain compiles main and takes the runtime
+	// module's packages from its cache.
+	dir := filepath.Join(cache, "build-x")
+	if err := writeTree(dir, stagedFiles(otherSrc, rtDir)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := buildCmd(dir, "-x").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -x: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), " -p main ") {
+		t.Fatalf("go build -x shows no compile of main:\n%s", out)
+	}
+	if strings.Contains(string(out), " -p rt/") {
+		t.Fatalf("the second program on a root recompiled the runtime module:\n%s", out)
 	}
 }
 
@@ -259,12 +295,13 @@ func TestRuntimeErrorPropagates(t *testing.T) {
 }
 
 // typeCheckGenerated verifies a generated program against the full Go
-// type system (not just the grammar), resolving the gen/runfmt and
-// gen/parrt imports to the embedded runtime sources.
+// type system (not just the grammar), resolving the runtime module's
+// import paths to the embedded sources.
 var (
 	genPkgs = map[string]*genPkg{
-		"gen/runfmt": {src: runfmtSrc},
-		"gen/parrt":  {src: parrtSrc},
+		"rt/runfmt":  {src: runfmtSrc},
+		"rt/parrt":   {src: parrtSrc},
+		"rt/prelude": {src: preludeSrc},
 	}
 	// One shared gc importer: it caches stdlib packages internally,
 	// which keeps repeated type-checks (the fuzz loop) fast.

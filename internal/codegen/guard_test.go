@@ -95,6 +95,50 @@ func TestCorruptCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 	if !a3.Cached {
 		t.Fatal("rebuilt entry did not verify on reuse")
 	}
+
+	// That hit verified the entry for this process; a binary that
+	// changes afterwards is hashed again, not trusted from memory.
+	corruptBinary(t, a3.Bin)
+	a4, err := Build(ctx, parse(t, guardSrc), cache, g)
+	if err != nil {
+		t.Fatalf("rebuild after corruption of a verified entry: %v", err)
+	}
+	if a4.Cached {
+		t.Fatal("entry corrupted after a verified hit was reused")
+	}
+	if got := sink.count("build_verify_fail"); got != 2 {
+		t.Fatalf("build_verify_fail = %d after two corruptions, want 2", got)
+	}
+	if rr, err := Run(ctx, a4, 1, nil, g); err != nil || !strings.Contains(rr.Output, "7") {
+		t.Fatalf("run after second rebuild: %q, %v", rr, err)
+	}
+}
+
+// corruptBinary flips one byte of a cached binary in place, size
+// unchanged. A write moves the file's mtime; on a filesystem whose
+// clock is too coarse to show it, the test moves it.
+func corruptBinary(t *testing.T, bin string) {
+	t.Helper()
+	before, err := os.Stat(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(bin, data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(bin); err != nil {
+		t.Fatal(err)
+	} else if !after.ModTime().After(before.ModTime()) {
+		later := before.ModTime().Add(time.Millisecond)
+		if err := os.Chtimes(bin, later, later); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestConcurrentColdBuildsDeduplicated(t *testing.T) {
@@ -161,14 +205,17 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 	}
 	cache := t.TempDir()
 	sink := newBuildSink()
-	g := execguard.New(execguard.Config{CacheEntries: 2, Sink: sink})
+	g := execguard.New(execguard.Config{CacheEntries: 1, Sink: sink})
 	ctx := context.Background()
 
-	// Plant debris the janitor must sweep: an abandoned staging dir and
-	// an old quarantined entry.
+	// Plant debris the janitor must sweep: an abandoned staging dir, an
+	// old quarantined entry and another version's runtime module — and
+	// one of those too young to go.
 	stale := filepath.Join(cache, "build-abandoned")
 	bad := filepath.Join(cache, "deadbeef.bad")
-	for dir, age := range map[string]time.Duration{stale: 2 * time.Hour, bad: 25 * time.Hour} {
+	oldRT := filepath.Join(cache, "rt-00000000000000000000000000000000")
+	otherRT := filepath.Join(cache, "rt-11111111111111111111111111111111")
+	for dir, age := range map[string]time.Duration{stale: 2 * time.Hour, bad: 25 * time.Hour, oldRT: 25 * time.Hour, otherRT: time.Hour} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +244,13 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The runtime module in use is older than everything: neither the
+	// LRU bound of one entry nor the stale sweep may take it.
+	rt := filepath.Join(cache, rtDir)
+	ancient := time.Now().Add(-30 * 24 * time.Hour)
+	if err := os.Chtimes(rt, ancient, ancient); err != nil {
+		t.Fatal(err)
+	}
 	// The third cold build's janitor pass ran with all three entries
 	// present; run one more cold build to sweep with the aged mtimes.
 	if _, err := Build(ctx, parse(t, strings.Replace(guardSrc, "7", "4", 1)), cache, g); err != nil {
@@ -208,6 +262,15 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Fatalf("old quarantine dir survived the janitor: %v", err)
+	}
+	if _, err := os.Stat(oldRT); !os.IsNotExist(err) {
+		t.Fatalf("another version's old runtime module survived the janitor: %v", err)
+	}
+	if _, err := os.Stat(otherRT); err != nil {
+		t.Fatalf("another version's recent runtime module was swept: %v", err)
+	}
+	if !rtIntact(rt) {
+		t.Fatal("the janitor took the runtime module in use")
 	}
 	if _, err := os.Stat(dirs[0]); !os.IsNotExist(err) {
 		t.Fatalf("LRU eviction kept the oldest entry %s: %v", dirs[0], err)
@@ -221,11 +284,11 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 	}
 	live := 0
 	for _, e := range entries {
-		if e.IsDir() && !strings.HasPrefix(e.Name(), "build-") && !strings.HasSuffix(e.Name(), ".bad") {
+		if e.IsDir() && !strings.HasPrefix(e.Name(), "build-") && !strings.HasPrefix(e.Name(), "rt-") && !strings.HasSuffix(e.Name(), ".bad") {
 			live++
 		}
 	}
-	if live > 2 {
-		t.Fatalf("cache holds %d entries, want at most 2", live)
+	if live != 1 {
+		t.Fatalf("cache holds %d entries, want the bound of 1", live)
 	}
 }

@@ -1,10 +1,10 @@
 // Package parrt is the single definition of the DO-loop execution
 // protocol shared by every execution backend. The interpreter imports
-// it directly; the compiled backend embeds this file verbatim into
-// every generated program (as package gen/parrt), so a loop the editor
-// marked `c$par doall` obeys the same rules whether the program is
-// interpreted or compiled, and differential tests may compare output
-// byte for byte at equal worker counts.
+// it directly; the compiled backend stages this file verbatim in the
+// runtime module generated programs require (as package rt/parrt), so
+// a loop the editor marked `c$par doall` obeys the same rules whether
+// the program is interpreted or compiled, and differential tests may
+// compare output byte for byte at equal worker counts.
 //
 // It owns eight decisions and nothing else: the trip count and the
 // zero-step error (New), when a marked loop forks and on how many

@@ -1,8 +1,8 @@
 // Package runfmt is the single definition of list-directed output
 // formatting shared by every execution backend. The interpreter
-// imports it directly; the compiled backend embeds this file verbatim
-// into every generated program (as package gen/runfmt), so the two
-// backends cannot drift apart: a PRINT * record is formatted by the
+// imports it directly; the compiled backend stages this file verbatim
+// in the runtime module generated programs require (as package
+// rt/runfmt), so the two backends cannot drift apart: a PRINT * record is formatted by the
 // same code whether the program is interpreted or compiled, and
 // differential tests may compare output byte for byte.
 //

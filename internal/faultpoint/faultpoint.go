@@ -55,6 +55,11 @@ const (
 	// PlanScore fires before a forked world is scored (detail: the
 	// candidate step line). Same blast radius as PlanFork: the world.
 	PlanScore = "plan-score"
+	// PlanValidate fires before the base program or a finalist is run
+	// under the interpreter (detail: the world's source hash). A fault
+	// in a finalist's run discards that plan; in the base's it leaves
+	// every plan with its estimate alone.
+	PlanValidate = "plan-validate"
 	// PlanApply fires before an accepted plan's steps are replayed
 	// through the journaled mutation path (detail: "sessionID:planID").
 	PlanApply = "plan-apply"

@@ -284,6 +284,12 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 				jobs = append(jobs, job{w, line})
 			}
 		}
+		// What is left of the fork budget goes to this level's first
+		// candidates, so the worlds a tight budget drops do not depend
+		// on which goroutine ran first.
+		if left := s.forkBudgetLeft(); len(jobs) > left {
+			jobs = jobs[:left]
+		}
 		if len(jobs) == 0 {
 			break
 		}
@@ -291,26 +297,17 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 		// pool. Each evaluation forks, applies, and scores one world;
 		// a panic anywhere inside is confined to that world.
 		children := make([]*world, len(jobs))
-		sem := make(chan struct{}, opts.Workers)
-		var wg sync.WaitGroup
-		for i, j := range jobs {
-			wg.Add(1)
-			go func(i int, parent *world, line string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil || !s.takeForkBudget() {
-					return
-				}
-				w, err := s.eval(parent, line)
-				if err != nil {
-					s.noteDiscard()
-					return
-				}
-				children[i] = w
-			}(i, j.parent, j.line)
-		}
-		wg.Wait()
+		fanOut(len(jobs), opts.Workers, func(i int) {
+			if ctx.Err() != nil || !s.takeForkBudget() {
+				return
+			}
+			w, err := s.eval(jobs[i].parent, jobs[i].line)
+			if err != nil {
+				s.noteDiscard()
+				return
+			}
+			children[i] = w
+		})
 
 		// Collect distinct new worlds; every improving world is a plan
 		// candidate (not just the final beam — a shallow plan the user
@@ -343,6 +340,29 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 	s.mu.Unlock()
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// fanOut calls fn(0) … fn(n-1) on at most workers goroutines at a
+// time and returns when all have.
+func fanOut(n, workers int, fn func(i int)) {
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+func (s *searcher) forkBudgetLeft() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.opts.MaxWorlds - s.forked
 }
 
 func (s *searcher) takeForkBudget() bool {
@@ -464,6 +484,28 @@ func (s *searcher) score(w *world) {
 	}
 }
 
+// simRun is one validation run's outcome.
+type simRun struct {
+	out    string
+	cycles int64
+	err    error
+}
+
+// validate runs one world's program under the interpreter. Like eval
+// it recovers at the world boundary: a panic is that run's error.
+func (s *searcher) validate(w *world, input []float64) (r simRun) {
+	defer func() {
+		if p := recover(); p != nil {
+			r = simRun{err: fmt.Errorf("validation panicked: %v", p)}
+		}
+	}()
+	if err := faultpoint.Hit(faultpoint.PlanValidate, w.hash); err != nil {
+		return simRun{err: err}
+	}
+	r.out, r.cycles, r.err = interp.RunCaptureSim(w.sess.File, s.opts.InterpWorkers, input)
+	return r
+}
+
 // rankPlans turns the improving worlds into the ranked plan set:
 // sort by estimated cost, cap to TopPlans, optionally validate and
 // time finalists under the interpreter, and attach diffs and
@@ -480,28 +522,33 @@ func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
 			input = wl.Input
 		}
 	}
-	var baseOut string
-	var baseCycles int64
+	// Validation runs the base and every finalist under the interpreter
+	// side by side on the search's worker bound; the verdicts are then
+	// read in finalist order, so discards, scores and ranks do not
+	// depend on which run finished first.
 	interpOK := false
 	if s.opts.Interp && len(finals) > 0 {
-		var err error
-		baseOut, baseCycles, err = interp.RunCaptureSim(base.sess.File, s.opts.InterpWorkers, input)
-		interpOK = err == nil && baseCycles > 0
+		worlds := append([]*world{base}, finals...)
+		runs := make([]simRun, len(worlds))
+		fanOut(len(worlds), s.opts.Workers, func(i int) { runs[i] = s.validate(worlds[i], input) })
+
+		baseRun := runs[0]
+		interpOK = baseRun.err == nil && baseRun.cycles > 0
 		if interpOK {
 			kept := finals[:0]
-			for _, w := range finals {
-				out, cycles, err := interp.RunCaptureSim(w.sess.File, s.opts.InterpWorkers, input)
-				if err != nil {
+			for i, w := range finals {
+				r := runs[1+i]
+				if r.err != nil {
 					s.noteDiscard() // plan crashes the program: reject
 					continue
 				}
-				if ok, _ := interp.OutputsEquivalent(baseOut, out, 1e-6); !ok {
+				if ok, _ := interp.OutputsEquivalent(baseRun.out, r.out, 1e-6); !ok {
 					s.noteDiscard() // plan changes the answers: reject
 					continue
 				}
 				w.simSpeedup = 0
-				if cycles > 0 {
-					w.simSpeedup = float64(baseCycles) / float64(cycles)
+				if r.cycles > 0 {
+					w.simSpeedup = float64(baseRun.cycles) / float64(r.cycles)
 				}
 				kept = append(kept, w)
 			}
