@@ -71,8 +71,6 @@ func run() int {
 	fsyncMode := flag.String("fsync", "interval", "journal fsync policy: always, interval, or never")
 	snapEvery := flag.Int("snapshotevery", 64, "compact a session journal to a snapshot after this many mutations (0 = never)")
 	planWorkers := flag.Int("planworkers", 0, "concurrent speculative plan searches daemon-wide; excess requests get 429 (0 = 2)")
-	planTimeout := flag.Duration("plantimeout", 0, "default wall-clock budget per plan search (0 = planner default)")
-	planCache := flag.Int("plancache", 0, "plan result cache capacity in searches (0 = 32)")
 	faults := flag.String("faults", "", "chaos testing: arm fault injections, e.g. journal-append=delay:25ms,plan-fork=panic")
 	disableBackends := flag.String("disable-backends", "", "comma-separated execution backends POST /run refuses with 501 (e.g. compile)")
 	maxRuns := flag.Int("maxruns", 0, "concurrent program executions daemon-wide; excess runs get 429 (0 = 2x GOMAXPROCS, negative = unbounded)")
@@ -113,8 +111,6 @@ func run() int {
 		SnapshotEvery:  *snapEvery,
 		Metrics:        metrics,
 		PlanWorkers:    *planWorkers,
-		PlanTimeout:    *planTimeout,
-		PlanCacheSize:  *planCache,
 		MaxRuns:        *maxRuns,
 		RunTimeout:     *runTimeout,
 		RunOutputBytes: *maxRunOut,

@@ -59,6 +59,53 @@ func (r *REPL) Run(in io.Reader) error {
 	return sc.Err()
 }
 
+// Class says what a verb does to a session — the policy a host that
+// journals, snapshots or serves the editor remotely needs to know about
+// a line before running it.
+type Class int
+
+const (
+	// Read changes nothing; also the class of a line with no known
+	// verb, which Execute rejects without touching the session.
+	Read Class = iota
+	// Cursor moves only the current unit or the selected loop.
+	Cursor
+	// Mutate changes the program text or its undo history — state a
+	// source snapshot can hold.
+	Mutate
+	// Sticky changes state outside the printed source (dependence
+	// marks, assertions, variable classes, analysis toggles).
+	Sticky
+	// Daemon verbs run, search or report on the session's host: pedd
+	// answers them itself (governed, cached, journaled step by step)
+	// and never passes them to Execute, which is their in-process form.
+	Daemon
+)
+
+// Verbs is the dispatcher's table: every verb Execute accepts, with
+// its class. A verb missing here is an unknown command.
+var Verbs = map[string]Class{
+	"help": Read, "quit": Read, "exit": Read, "units": Read, "callgraph": Read,
+	"loops": Read, "window": Read, "source": Read, "deps": Read, "vars": Read,
+	"check": Read, "perf": Read, "rank": Read, "advise": Read, "endpoints": Read,
+	"compose": Read, "history": Read, "save": Read, "legend": Read,
+	"unit": Cursor, "loop": Cursor, "next": Cursor,
+	"apply": Mutate, "edit": Mutate, "delete": Mutate, "undo": Mutate, "auto": Mutate,
+	"mark": Sticky, "assert": Sticky, "classify": Sticky, "set": Sticky,
+	"run": Daemon, "plan": Daemon, "plans": Daemon, "apply-plan": Daemon, "status": Daemon,
+}
+
+// Verb returns the lower-cased verb of a command line ("" for a blank
+// one) and its class.
+func Verb(line string) (string, Class) {
+	f := strings.Fields(line)
+	if len(f) == 0 {
+		return "", Read
+	}
+	v := strings.ToLower(f[0])
+	return v, Verbs[v]
+}
+
 // Execute runs one command line.
 func (r *REPL) Execute(line string) error {
 	fields := strings.Fields(line)
@@ -66,6 +113,9 @@ func (r *REPL) Execute(line string) error {
 		return nil
 	}
 	cmd, args := strings.ToLower(fields[0]), fields[1:]
+	if _, ok := Verbs[cmd]; !ok {
+		return fmt.Errorf("unknown command %q (try help)", cmd)
+	}
 	s := r.Session
 	switch cmd {
 	case "help":
@@ -363,8 +413,10 @@ func (r *REPL) Execute(line string) error {
 		fmt.Fprint(r.Out, s.Save())
 	case "legend":
 		fmt.Fprint(r.Out, view.Legend())
+	case "status":
+		fmt.Fprintf(r.Out, "session %s: in-process, not journaled\n", s.File.Path)
 	default:
-		return fmt.Errorf("unknown command %q (try help)", cmd)
+		return fmt.Errorf("command %q is classed but has no dispatcher", cmd)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parascope/internal/core"
@@ -62,11 +63,6 @@ type Config struct {
 	// PlanWorkers bounds concurrent speculative plan searches across
 	// the whole daemon (0 = 2); excess requests get 429.
 	PlanWorkers int
-	// PlanTimeout is the default wall-clock budget per plan search
-	// (0 = the planner's own default).
-	PlanTimeout time.Duration
-	// PlanCacheSize bounds the plan result cache (entries; 0 = 32).
-	PlanCacheSize int
 	// MaxRuns bounds concurrent program executions across the daemon;
 	// past the cap runs are rejected with 429 + Retry-After. 0 means
 	// 2×GOMAXPROCS; negative means unbounded.
@@ -93,6 +89,14 @@ type Manager struct {
 	planCfg *planConfig
 	gov     *execguard.Governor
 
+	// disabled is the set of execution backends the operator switched
+	// off (Options.DisabledBackends, stored by NewWith); every session's
+	// Run reads it through a pointer to this field.
+	disabled atomic.Pointer[map[string]bool]
+
+	// mu guards the three fields below. sessions gains entries in
+	// register and loses them in unregister, nowhere else; reserved
+	// moves in reserve, release and register.
 	mu       sync.Mutex
 	sessions map[string]*Session
 	// moved maps migrated-away session IDs to the base URL of the node
@@ -201,13 +205,7 @@ func (m *Manager) flusher(every time.Duration) {
 // append: acknowledged-but-unflushed state must not keep growing on a
 // disk that is not accepting writes.
 func (m *Manager) FlushJournals() {
-	m.mu.Lock()
-	all := make([]*Session, 0, len(m.sessions))
-	for _, ss := range m.sessions {
-		all = append(all, ss)
-	}
-	m.mu.Unlock()
-	for _, ss := range all {
+	for _, ss := range m.all() {
 		ss.syncJournal()
 	}
 }
@@ -239,13 +237,8 @@ func (m *Manager) janitor(every time.Duration) {
 // fails; at the cap Open returns ErrTooManySessions without doing any
 // work. A panic during open-time analysis is recovered and returned
 // as an error wrapping ErrInternal — it cannot take down the daemon.
-//
-// The cold-open analysis runs under ctx: when it expires (request
-// deadline, client disconnect) Open returns ctx.Err() immediately
-// while the analysis finishes on its own goroutine — the reserved
-// MaxSessions slot is released (and any built artifacts cached) only
-// when it does, so a hung parse cannot wedge the handler, and cannot
-// leak admission capacity beyond its own lifetime.
+// The analysis runs under ctx (see analyze): a request deadline or a
+// client disconnect ends the open, not the slot's accounting.
 func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResponse, error) {
 	var resp OpenResponse
 	if ctx == nil {
@@ -287,85 +280,140 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 	if err := ctx.Err(); err != nil {
 		return nil, resp, err
 	}
+	if err := m.reserve(); err != nil {
+		return nil, resp, err
+	}
+	art, live, err := m.analyze(ctx, path, source, m.release)
+	if err != nil {
+		return nil, resp, err
+	}
+	// An explicit ID fails on collision, never remints — the caller (the
+	// gateway) routes by this exact ID; an empty one is minted by register.
+	ss := m.newSession(req.ID, path, source, art, live, nil)
+	if err := m.register(ss, true, false); err != nil {
+		m.release()
+		ss.close()
+		return nil, resp, err
+	}
+	m.metrics.SessionsOpened.Inc()
+	resp = OpenResponse{ID: ss.ID, Path: path, Cached: live == nil}
+	if live == nil {
+		resp.Units = art.UnitNames()
+	} else {
+		for _, u := range live.File.Units {
+			resp.Units = append(resp.Units, u.Name)
+		}
+	}
+	return ss, resp, nil
+}
+
+// reserve admits one session-to-be against Config.MaxSessions before
+// its analysis or replay is paid for. The slot is held until register
+// turns it into a live session or release gives it back.
+func (m *Manager) reserve() error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.cfg.MaxSessions > 0 && len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		return nil, resp, ErrTooManySessions
+		return ErrTooManySessions
 	}
 	m.reserved++
-	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		m.reserved--
-		m.mu.Unlock()
-	}
+	return nil
+}
 
-	key := core.AnalysisKey(path, source, dep.DefaultOptions(), false)
-	art := m.cache.Get(key)
-	cached := art != nil
-	var live *core.Session
-	var units []string
-	if art != nil {
-		units = art.UnitNames()
-	} else {
-		type openResult struct {
-			cs  *core.Session
-			art *Artifacts
-			err error
-		}
-		ch := make(chan openResult, 1)
-		go func() {
-			cs, newArt, err := m.analyzeOpen(key, path, source)
-			ch <- openResult{cs, newArt, err}
-		}()
-		var res openResult
-		select {
-		case res = <-ch:
-		case <-ctx.Done():
-			// Abandon the open but not the bookkeeping: the analysis
-			// goroutine still owns a reserved slot until it returns.
-			go func() {
-				res := <-ch
-				if res.err == nil && res.art != nil {
-					m.cache.Put(res.art)
-				}
-				release()
-			}()
-			return nil, resp, ctx.Err()
-		}
-		if res.err != nil {
-			release()
-			return nil, resp, res.err
-		}
-		live = res.cs
-		for _, u := range live.File.Units {
-			units = append(units, u.Name)
-		}
-		if res.art != nil {
-			art = res.art
-			m.cache.Put(art)
-		}
-	}
+func (m *Manager) release() {
 	m.mu.Lock()
-	id := req.ID
-	if id == "" {
-		for id = newSessionID(); m.taken(id); id = newSessionID() {
-		}
-	} else if m.taken(id) {
-		// Explicit IDs must fail on collision, never remint — the
-		// caller (the gateway) routes by this exact ID.
-		m.reserved--
-		m.mu.Unlock()
-		return nil, resp, fmt.Errorf("%w: %s", ErrSessionExists, id)
-	}
-	ss := m.newSession(id, path, source, art, live, nil)
-	m.sessions[id] = ss
 	m.reserved--
 	m.mu.Unlock()
-	m.metrics.SessionsOpened.Inc()
+}
+
+// register publishes ss under its ID. slot says the caller holds a
+// reservation, which a successful registration spends (a refused one
+// leaves it with the caller). An empty ss.ID is minted here, under the
+// lock that makes it unique, before anyone else can see the session.
+// adopt accepts an ID this node tombstoned as migrated away — an import
+// brings the session back, recovery never sees both; a fresh open must
+// not reuse it.
+func (m *Manager) register(ss *Session, slot, adopt bool) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ss.ID == "" {
+		for ss.ID = newSessionID(); m.taken(ss.ID); ss.ID = newSessionID() {
+		}
+	} else if _, moved := m.moved[ss.ID]; m.sessions[ss.ID] != nil || moved && !adopt {
+		return fmt.Errorf("%w: %s", ErrSessionExists, ss.ID)
+	}
+	m.sessions[ss.ID] = ss
+	if slot {
+		m.reserved--
+	}
 	m.metrics.SessionsLive.Inc()
-	resp = OpenResponse{ID: id, Path: path, Units: units, Cached: cached}
-	return ss, resp, nil
+	return nil
+}
+
+// unregister takes ss out of the table; false means it was no longer
+// (or never) the session registered under its ID.
+func (m *Manager) unregister(ss *Session) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sessions[ss.ID] != ss {
+		return false
+	}
+	delete(m.sessions, ss.ID)
+	m.metrics.SessionsLive.Dec()
+	return true
+}
+
+// all snapshots the registered sessions.
+func (m *Manager) all() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	all := make([]*Session, 0, len(m.sessions))
+	for _, ss := range m.sessions {
+		all = append(all, ss)
+	}
+	return all
+}
+
+// analyze answers (path, source) from the artifact cache — art, no
+// parse, no analysis — or by analyzing cold and caching what that built
+// — live. Open, import and recovery share it, so a datadir or an import
+// wave full of sessions on one source analyzes once and pre-warms the
+// cache. It runs under ctx: when that expires analyze returns ctx.Err()
+// at once while the analysis finishes, and still caches, on its own
+// goroutine — a hung parse cannot wedge the caller. release is called
+// exactly once if analyze fails, and only when that goroutine has
+// ended: the admission slot the caller holds is not given back before
+// the work it admitted is over.
+func (m *Manager) analyze(ctx context.Context, path, source string, release func()) (*Artifacts, *core.Session, error) {
+	key := core.AnalysisKey(path, source, dep.DefaultOptions(), false)
+	if art := m.cache.Get(key); art != nil {
+		return art, nil, nil
+	}
+	type result struct {
+		cs  *core.Session
+		err error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		cs, art, err := m.analyzeOpen(key, path, source)
+		if art != nil {
+			m.cache.Put(art)
+		}
+		ch <- result{cs, err}
+	}()
+	select {
+	case res := <-ch:
+		if res.err != nil {
+			release()
+		}
+		return nil, res.cs, res.err
+	case <-ctx.Done():
+		go func() {
+			<-ch
+			release()
+		}()
+		return nil, nil, ctx.Err()
+	}
 }
 
 // analyzeOpen runs the cold-open parse + whole-program analysis (and
@@ -412,12 +460,7 @@ const listInfoConcurrency = 16
 // listing; the Info calls fan out (bounded) so N wedged sessions cost
 // one budget per batch of listInfoConcurrency, not N budgets serially.
 func (m *Manager) List(ctx context.Context) []SessionInfo {
-	m.mu.Lock()
-	all := make([]*Session, 0, len(m.sessions))
-	for _, ss := range m.sessions {
-		all = append(all, ss)
-	}
-	m.mu.Unlock()
+	all := m.all()
 	out := make([]SessionInfo, len(all))
 	sem := make(chan struct{}, listInfoConcurrency)
 	var wg sync.WaitGroup
@@ -443,22 +486,16 @@ func (m *Manager) List(ctx context.Context) []SessionInfo {
 // Close removes and stops a session. Deleting a migrated-away ID
 // clears its tombstone — the operator's way to stop the 421 forwarding.
 func (m *Manager) Close(id string) bool {
-	m.mu.Lock()
-	ss := m.sessions[id]
-	delete(m.sessions, id)
-	_, moved := m.moved[id]
-	m.mu.Unlock()
-	if ss == nil {
-		if moved {
-			m.clearTombstone(id)
-			return true
-		}
-		return false
+	if ss := m.Get(id); ss != nil && m.unregister(ss) {
+		ss.discard()
+		m.metrics.SessionsClosed.Inc()
+		return true
 	}
-	ss.discard()
-	m.metrics.SessionsLive.Dec()
-	m.metrics.SessionsClosed.Inc()
-	return true
+	_, moved := m.MovedTo(id)
+	if moved {
+		m.clearTombstone(id)
+	}
+	return moved
 }
 
 // Sweep evicts every session idle past the TTL, returning how many.
@@ -466,21 +503,15 @@ func (m *Manager) Sweep() int {
 	if m.cfg.TTL <= 0 {
 		return 0
 	}
-	var expired []*Session
-	m.mu.Lock()
-	for id, ss := range m.sessions {
-		if ss.Idle() > m.cfg.TTL {
-			delete(m.sessions, id)
-			expired = append(expired, ss)
+	n := 0
+	for _, ss := range m.all() {
+		if ss.Idle() > m.cfg.TTL && m.unregister(ss) {
+			ss.discard()
+			m.metrics.SessionsEvicted.Inc()
+			n++
 		}
 	}
-	m.mu.Unlock()
-	for _, ss := range expired {
-		ss.discard()
-		m.metrics.SessionsLive.Dec()
-		m.metrics.SessionsEvicted.Inc()
-	}
-	return len(expired)
+	return n
 }
 
 // CacheStats reports the analysis cache counters.
@@ -503,17 +534,12 @@ const shutdownDrain = 10 * time.Second
 func (m *Manager) Shutdown() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	m.wg.Wait()
-	m.mu.Lock()
-	all := make([]*Session, 0, len(m.sessions))
-	for id, ss := range m.sessions {
-		all = append(all, ss)
-		delete(m.sessions, id)
-	}
-	m.mu.Unlock()
+	all := m.all()
 	for _, ss := range all {
-		ss.close()
-		m.metrics.SessionsLive.Dec()
-		m.metrics.SessionsClosed.Inc()
+		if m.unregister(ss) {
+			ss.close()
+			m.metrics.SessionsClosed.Inc()
+		}
 	}
 	if m.cfg.DataDir == "" {
 		return

@@ -124,21 +124,11 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 		return reject(fmt.Errorf("import %s: journal stream begins with %q, want open or snapshot", id, base.Op))
 	}
 
-	m.mu.Lock()
-	if m.sessions[id] != nil {
-		m.mu.Unlock()
+	if m.Get(id) != nil {
 		return reject(fmt.Errorf("%w: %s", ErrSessionExists, id))
 	}
-	if m.cfg.MaxSessions > 0 && len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		return resp, ErrTooManySessions
-	}
-	m.reserved++
-	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		m.reserved--
-		m.mu.Unlock()
+	if err := m.reserve(); err != nil {
+		return resp, err
 	}
 
 	// Land the stream on this node's disk before replaying, so the
@@ -149,7 +139,7 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 	if m.cfg.DataDir != "" {
 		path := walPath(m.cfg.DataDir, id)
 		if err := writeSynced(path, os.O_EXCL, stream); err != nil {
-			release()
+			m.release()
 			if errors.Is(err, os.ErrExist) {
 				return reject(fmt.Errorf("%w: %s (journal already on disk)", ErrSessionExists, id))
 			}
@@ -159,49 +149,41 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 		var err error
 		if jr, err = openJournalAppend(m.cfg.DataDir, id, m.cfg.Fsync, int64(len(stream)), res.lastSeq, m.metrics); err != nil {
 			os.Remove(path)
-			release()
+			m.release()
 			return reject(fmt.Errorf("import %s: reopening journal: %w", id, err))
 		}
 	}
-	teardown := func() {
+	unland := func() {
 		if jr != nil {
 			jr.remove()
 		}
-		release()
 	}
 
-	art, live, err := m.rebuildAnalysis(base)
+	art, live, err := m.analyze(ctx, base.Path, base.Source, m.release)
 	if err != nil {
-		teardown()
-		return reject(fmt.Errorf("import %s: reanalyzing source: %v", id, err))
+		unland()
+		return reject(fmt.Errorf("import %s: reanalyzing source: %w", id, err))
 	}
 	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
-	if postErr != nil || replayErr != nil {
-		err := replayErr
-		if postErr != nil {
-			err = postErr
-		}
-		ss.close()
-		teardown()
-		return reject(fmt.Errorf("import %s: replay failed: %v", id, err))
+	if postErr != nil {
+		replayErr = postErr
 	}
-
-	m.mu.Lock()
-	if m.sessions[id] != nil {
-		// Lost a race with a concurrent import of the same ID (only
-		// possible without a datadir — O_EXCL arbitrates otherwise).
-		m.mu.Unlock()
-		ss.close()
-		teardown()
-		return reject(fmt.Errorf("%w: %s", ErrSessionExists, id))
+	if replayErr != nil {
+		err = fmt.Errorf("import %s: replay failed: %v", id, replayErr)
+	} else {
+		// A refusal here is a race lost to a concurrent import of the same
+		// ID (only possible without a datadir — O_EXCL arbitrates otherwise).
+		err = m.register(ss, true, true)
 	}
-	m.sessions[id] = ss
-	m.reserved--
-	m.mu.Unlock()
+	if err != nil {
+		ss.close()
+		unland()
+		m.release()
+		return reject(err)
+	}
 	m.clearTombstone(id)
 	m.metrics.SessionsImported.Inc()
-	m.metrics.SessionsLive.Inc()
 	resp = ImportResponse{ID: id, Path: base.Path, Records: len(res.records)}
 	return resp, nil
 }
@@ -251,12 +233,9 @@ func (m *Manager) Migrate(ctx context.Context, ss *Session, target string) (Migr
 	// scrap the local wal — the shipped state must not resurrect here
 	// at the next restart.
 	m.tombstone(ss.ID, target)
-	m.mu.Lock()
-	delete(m.sessions, ss.ID)
-	m.mu.Unlock()
+	m.unregister(ss)
 	ss.discard()
 	ss.unfreeze()
-	m.metrics.SessionsLive.Dec()
 	m.metrics.MigrationsOut.Inc()
 	m.metrics.MigrationsOutBytes.Add(uint64(len(data)))
 	resp = MigrateResponse{

@@ -18,8 +18,8 @@ import (
 // This file is the daemon's face of the speculative planner: the
 // plan / apply-plan session operations behind POST|GET
 // /v1/sessions/{id}/plan and POST /v1/sessions/{id}/apply-plan, plus
-// the line-protocol verbs (plan, plans, apply-plan) intercepted in
-// Session.Cmd. The search itself runs OFF the session actor — it
+// the line-protocol verbs (plan, plans, apply-plan) that Session.Cmd
+// hands to daemonCmd. The search itself runs OFF the session actor — it
 // only borrows the actor for a snapshot of the printed source, then
 // forks worlds from that immutable string — so a session keeps
 // serving reads (and even mutations) while its plans are being
@@ -34,8 +34,9 @@ import (
 var ErrPlanConflict = errors.New("plan conflict")
 
 const (
-	defaultPlanWorkers   = 2
-	defaultPlanCacheSize = 32
+	defaultPlanWorkers = 2
+	// planCacheSize bounds the plan result cache (searches).
+	planCacheSize = 32
 )
 
 // planConfig is the manager-wide planner state every session shares:
@@ -43,9 +44,8 @@ const (
 // burn a core each) and a small result cache keyed by source hash,
 // unit, and budget.
 type planConfig struct {
-	sem     chan struct{}
-	cache   *planCache
-	timeout time.Duration
+	sem   chan struct{}
+	cache *planCache
 	// gov supervises the planner's compiled scoring runs; nil means
 	// execguard defaults (standalone embedders).
 	gov *execguard.Governor
@@ -58,14 +58,9 @@ func newPlanConfig(cfg Config) *planConfig {
 	if w <= 0 {
 		w = defaultPlanWorkers
 	}
-	n := cfg.PlanCacheSize
-	if n <= 0 {
-		n = defaultPlanCacheSize
-	}
 	return &planConfig{
 		sem:      make(chan struct{}, w),
-		cache:    newPlanCache(n),
-		timeout:  cfg.PlanTimeout,
+		cache:    newPlanCache(planCacheSize),
 		cacheDir: cfg.RunCacheDir,
 	}
 }
@@ -124,8 +119,6 @@ func (req PlanRequest) options(cfg *planConfig) planner.Options {
 	}
 	if req.TimeoutMs > 0 {
 		opts.Timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	} else if cfg != nil && cfg.timeout > 0 {
-		opts.Timeout = cfg.timeout
 	}
 	if cfg != nil {
 		opts.Gov = cfg.gov
@@ -294,14 +287,12 @@ func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPl
 			}
 		}
 		for i, st := range plan.Steps {
-			rec := &record{Op: recCmd, Line: st.Line}
-			if opErr = ss.journalAppend(rec); opErr != nil {
+			var res outcome
+			if res, opErr = ss.mutate(&record{Op: recCmd, Line: st.Line}); opErr != nil {
 				return
 			}
-			_, cmdErr := ss.exec(st.Line)
-			ss.afterMutation(rec)
-			if cmdErr != nil {
-				opErr = fmt.Errorf("plan %s step %d (%q): %v", plan.ID, i+1, st.Line, cmdErr)
+			if res.err != nil {
+				opErr = fmt.Errorf("plan %s step %d (%q): %v", plan.ID, i+1, st.Line, res.err)
 				return
 			}
 			if st.Hash != "" {
@@ -321,47 +312,6 @@ func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPl
 	}
 	ss.metrics.PlannerWorldsAccepted.Inc()
 	return resp, nil
-}
-
-// planCmd serves the line-protocol planner verbs, so `ped -remote`
-// scripts and raw cmd lines get the planner without knowing the
-// typed endpoints. Intercepted before the REPL: the REPL's own
-// apply-plan path would mutate without journaling each step.
-func (ss *Session) planCmd(ctx context.Context, line string) (CmdResponse, error) {
-	f := strings.Fields(line)
-	switch strings.ToLower(f[0]) {
-	case "plan":
-		req, err := planReqFromArgs(f[1:])
-		if err != nil {
-			return CmdResponse{Err: err.Error()}, nil
-		}
-		resp, err := ss.Plan(ctx, req)
-		if err != nil {
-			return CmdResponse{}, err
-		}
-		return CmdResponse{Output: resp.format()}, nil
-	case "plans":
-		resp, ok := ss.PlanStatus()
-		if !ok {
-			return CmdResponse{Output: "no plans: run plan first\n"}, nil
-		}
-		return CmdResponse{Output: resp.format()}, nil
-	case "apply-plan":
-		n := 0
-		if len(f) > 1 {
-			var err error
-			if n, err = strconv.Atoi(f[1]); err != nil {
-				return CmdResponse{Err: fmt.Sprintf("bad plan rank %q", f[1])}, nil
-			}
-		}
-		resp, err := ss.ApplyPlan(ctx, ApplyPlanRequest{Index: n})
-		if err != nil {
-			return CmdResponse{}, err
-		}
-		return CmdResponse{Output: fmt.Sprintf("applied plan %s: %d step(s), hash %s\n",
-			resp.Plan, resp.Applied, resp.Hash)}, nil
-	}
-	return CmdResponse{}, fmt.Errorf("unknown planner verb %q", f[0])
 }
 
 // planReqFromArgs parses the REPL-style budget arguments

@@ -6,9 +6,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"parascope/internal/core"
-	"parascope/internal/dep"
 )
 
 // This file is the read side of the durability layer: at startup the
@@ -144,7 +141,7 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 		return
 	}
 
-	art, live, err := m.rebuildAnalysis(base)
+	art, live, err := m.analyze(context.Background(), base.Path, base.Source, func() {})
 	if err != nil {
 		m.registerHusk(id, base.Path, fmt.Sprintf("recovery: reanalyzing source: %v", err), st)
 		return
@@ -158,10 +155,7 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 
-	m.mu.Lock()
-	m.sessions[id] = ss
-	m.mu.Unlock()
-	m.metrics.SessionsLive.Inc()
+	_ = m.register(ss, false, true) // one wal per ID, one pass: nothing to collide with
 	switch {
 	case postErr != nil:
 		// The replay panicked: the session quarantined itself through
@@ -178,27 +172,6 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 		st.Recovered++
 		m.metrics.RecoveriesTotal.Inc()
 	}
-}
-
-// rebuildAnalysis rebuilds the analysis a journal's base record needs,
-// through the cache: a datadir (or an import wave) full of sessions on
-// the same source analyzes once and pre-warms the artifact cache.
-// Shared by startup recovery and migration import.
-func (m *Manager) rebuildAnalysis(base *record) (*Artifacts, *core.Session, error) {
-	key := core.AnalysisKey(base.Path, base.Source, dep.DefaultOptions(), false)
-	art := m.cache.Get(key)
-	var live *core.Session
-	if art == nil {
-		cs, newArt, err := m.analyzeOpen(key, base.Path, base.Source)
-		if err != nil {
-			return nil, nil, err
-		}
-		live = cs
-		if newArt != nil {
-			m.cache.Put(newArt)
-		}
-	}
-	return art, live, nil
 }
 
 // replayJournal replays a scanned journal (base + the rest) on a fresh
@@ -250,10 +223,7 @@ func (m *Manager) registerHusk(id, path, reason string, st *RecoveryStats) {
 	ss := m.newSession(id, path, "", nil, nil, nil)
 	ss.fail(reason, reason) // same observable state as a panic quarantine, without a stack
 	ss.walOrphan = walPath(m.cfg.DataDir, id)
-	m.mu.Lock()
-	m.sessions[id] = ss
-	m.mu.Unlock()
-	m.metrics.SessionsLive.Inc()
+	_ = m.register(ss, false, true)
 	st.Quarantined++
 	m.metrics.RecoveriesQuarantined.Inc()
 }

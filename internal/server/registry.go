@@ -81,16 +81,27 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum reads the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// CounterVec is a family of counters split by label values.
-type CounterVec struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
+// vec is a family of metrics split by label values: one labelled map
+// behind the three exported names below.
+type vec[T any] struct {
+	mu    sync.RWMutex
+	m     map[string]*T
+	child func() *T
 }
 
-// With returns the counter for the given label values, creating it on
+// CounterVec is a family of counters split by label values.
+type CounterVec = vec[Counter]
+
+// GaugeVec is a family of gauges split by label values.
+type GaugeVec = vec[Gauge]
+
+// HistogramVec is a family of histograms split by label values.
+type HistogramVec = vec[Histogram]
+
+// With returns the child for the given label values, creating it on
 // first use. Values must match the family's label names in count and
 // order.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *vec[T]) With(values ...string) *T {
 	key := strings.Join(values, "\xff")
 	v.mu.RLock()
 	c := v.m[key]
@@ -103,83 +114,22 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c := v.m[key]; c != nil {
 		return c
 	}
-	c = &Counter{}
+	c = v.child()
 	v.m[key] = c
 	return c
 }
 
-// GaugeVec is a family of gauges split by label values.
-type GaugeVec struct {
-	mu sync.RWMutex
-	m  map[string]*Gauge
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := strings.Join(values, "\xff")
-	v.mu.RLock()
-	g := v.m[key]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g := v.m[key]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	v.m[key] = g
-	return g
-}
-
-// HistogramVec is a family of histograms split by label values.
-type HistogramVec struct {
-	bounds []float64
-	mu     sync.RWMutex
-	m      map[string]*Histogram
-}
-
-// With returns the histogram for the given label values, creating it
-// on first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key := strings.Join(values, "\xff")
-	v.mu.RLock()
-	h := v.m[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h := v.m[key]; h != nil {
-		return h
-	}
-	h = newHistogram(v.bounds)
-	v.m[key] = h
-	return h
-}
-
-// family is one named metric with its exposition metadata.
+// family is one named metric with its exposition metadata; write
+// renders its sample lines.
 type family struct {
-	name   string
-	help   string
-	kind   string // "counter", "gauge", "histogram"
-	labels []string
-
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	cvec    *CounterVec
-	gvec    *GaugeVec
-	hvec    *HistogramVec
+	name, help, kind string
+	write            func(w io.Writer)
 }
 
 // Registry is a set of named metric families rendered together. It is
 // append-only: constructors register a family and return its handle.
 type Registry struct {
-	families []*family
+	families []family
 }
 
 // NewRegistry creates an empty registry.
@@ -188,43 +138,60 @@ func NewRegistry() *Registry { return &Registry{} }
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
-	r.families = append(r.families, &family{name: name, help: help, kind: "counter", counter: c})
+	r.families = append(r.families, family{name, help, "counter", func(w io.Writer) {
+		fmt.Fprintf(w, "%s %d\n", name, c.Value())
+	}})
 	return c
 }
 
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.families = append(r.families, &family{name: name, help: help, kind: "gauge", gauge: g})
+	r.families = append(r.families, family{name, help, "gauge", func(w io.Writer) {
+		fmt.Fprintf(w, "%s %d\n", name, g.Value())
+	}})
 	return g
 }
 
 // Histogram registers and returns a histogram with the given buckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	h := newHistogram(bounds)
-	r.families = append(r.families, &family{name: name, help: help, kind: "histogram", hist: h})
+	r.families = append(r.families, family{name, help, "histogram", func(w io.Writer) {
+		writeHistogram(w, name, "", h)
+	}})
 	return h
+}
+
+// addVec registers a labeled family whose children sample renders, in
+// sorted label order.
+func addVec[T any](r *Registry, name, help, kind string, labels []string, child func() *T, sample func(w io.Writer, labels string, c *T)) *vec[T] {
+	v := &vec[T]{m: map[string]*T{}, child: child}
+	r.families = append(r.families, family{name, help, kind, func(w io.Writer) {
+		v.mu.RLock()
+		defer v.mu.RUnlock()
+		for _, key := range sortedKeys(v.m) {
+			sample(w, promLabels(labels, key), v.m[key])
+		}
+	}})
+	return v
 }
 
 // CounterVec registers and returns a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{m: map[string]*Counter{}}
-	r.families = append(r.families, &family{name: name, help: help, kind: "counter", labels: labels, cvec: v})
-	return v
+	return addVec(r, name, help, "counter", labels, func() *Counter { return &Counter{} },
+		func(w io.Writer, l string, c *Counter) { fmt.Fprintf(w, "%s{%s} %d\n", name, l, c.Value()) })
 }
 
 // GaugeVec registers and returns a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{m: map[string]*Gauge{}}
-	r.families = append(r.families, &family{name: name, help: help, kind: "gauge", labels: labels, gvec: v})
-	return v
+	return addVec(r, name, help, "gauge", labels, func() *Gauge { return &Gauge{} },
+		func(w io.Writer, l string, g *Gauge) { fmt.Fprintf(w, "%s{%s} %d\n", name, l, g.Value()) })
 }
 
 // HistogramVec registers and returns a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	v := &HistogramVec{bounds: bounds, m: map[string]*Histogram{}}
-	r.families = append(r.families, &family{name: name, help: help, kind: "histogram", labels: labels, hvec: v})
-	return v
+	return addVec(r, name, help, "histogram", labels, func() *Histogram { return newHistogram(bounds) },
+		func(w io.Writer, l string, h *Histogram) { writeHistogram(w, name, l, h) })
 }
 
 // WriteProm renders every registered metric in the Prometheus text
@@ -236,32 +203,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for _, f := range r.families {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		switch {
-		case f.counter != nil:
-			fmt.Fprintf(bw, "%s %d\n", f.name, f.counter.Value())
-		case f.gauge != nil:
-			fmt.Fprintf(bw, "%s %d\n", f.name, f.gauge.Value())
-		case f.hist != nil:
-			writeHistogram(bw, f.name, "", f.hist)
-		case f.cvec != nil:
-			f.cvec.mu.RLock()
-			for _, key := range sortedKeys(f.cvec.m) {
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, promLabels(f.labels, key), f.cvec.m[key].Value())
-			}
-			f.cvec.mu.RUnlock()
-		case f.gvec != nil:
-			f.gvec.mu.RLock()
-			for _, key := range sortedKeys(f.gvec.m) {
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, promLabels(f.labels, key), f.gvec.m[key].Value())
-			}
-			f.gvec.mu.RUnlock()
-		case f.hvec != nil:
-			f.hvec.mu.RLock()
-			for _, key := range sortedKeys(f.hvec.m) {
-				writeHistogram(bw, f.name, promLabels(f.labels, key), f.hvec.m[key])
-			}
-			f.hvec.mu.RUnlock()
-		}
+		f.write(bw)
 	}
 	return bw.Flush()
 }

@@ -44,8 +44,9 @@ type Options struct {
 	// Ready, when set, backs GET /readyz on the serving mux (the ops
 	// listener mounts the same flag). Nil means always ready.
 	Ready *Readiness
-	// DisabledBackends lists execution backends POST /run refuses
-	// with 501 (e.g. "compile" on hosts without a Go toolchain).
+	// DisabledBackends lists execution backends the daemon refuses to
+	// run with 501 (e.g. "compile" on hosts without a Go toolchain),
+	// whether asked over POST /run or the cmd route's `run` verb.
 	DisabledBackends []string
 }
 
@@ -88,12 +89,11 @@ const importMaxBytes = 64 << 20
 // writeOpError) so clients can tell a quarantined session (500) from
 // a closed one (410), backpressure (429/503) from timeout (504).
 type Server struct {
-	mgr      *Manager
-	mux      *http.ServeMux
-	opts     Options
-	metrics  *Metrics
-	routes   []string
-	disabled map[string]bool
+	mgr     *Manager
+	mux     *http.ServeMux
+	opts    Options
+	metrics *Metrics
+	routes  []string
 }
 
 // New wires the routes over a manager with default hardening limits.
@@ -110,11 +110,12 @@ func NewWith(mgr *Manager, opts Options) *Server {
 	if opts.Metrics == nil {
 		opts.Metrics = mgr.Metrics()
 	}
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), opts: opts, metrics: opts.Metrics,
-		disabled: map[string]bool{}}
+	s := &Server{mgr: mgr, mux: http.NewServeMux(), opts: opts, metrics: opts.Metrics}
+	disabled := map[string]bool{}
 	for _, b := range opts.DisabledBackends {
-		s.disabled[strings.ToLower(strings.TrimSpace(b))] = true
+		disabled[strings.ToLower(strings.TrimSpace(b))] = true
 	}
+	mgr.disabled.Store(&disabled)
 	s.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -191,15 +192,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.mgr.Import(r.Context(), id, data)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrSessionExists):
-			writeError(w, http.StatusConflict, err)
-		case errors.Is(err, ErrTooManySessions):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeOpError(w, err)
-		}
+		writeOpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, resp)
@@ -410,21 +403,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	_, resp, err := s.mgr.Open(r.Context(), req)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrTooManySessions):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrSessionExists):
-			writeError(w, http.StatusConflict, err)
-		case errors.Is(err, ErrInternal):
-			writeError(w, http.StatusInternalServerError, err)
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, err)
-		case errors.Is(err, context.Canceled):
-			writeError(w, statusClientClosedRequest, err)
-		default:
-			writeError(w, http.StatusUnprocessableEntity, err)
-		}
+		writeOpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, resp)
@@ -453,20 +432,10 @@ func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request, ss *Session) 
 }
 
 // handleRun executes the session's program through the unified
-// execution API. Backends the operator disabled by flag answer 501
-// before any session work happens.
+// execution API (Session.Run, which also refuses disabled backends).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ss *Session) {
 	var req RunRequest
 	if !readJSON(w, r, &req) {
-		return
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = "interp"
-	}
-	if s.disabled[backend] {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("backend %q is disabled on this server", backend))
 		return
 	}
 	resp, err := ss.Run(r.Context(), req)
@@ -600,46 +569,43 @@ func writeJSON(w http.ResponseWriter, status int, body interface{}) {
 // delivered, but logs and tests see a distinct status.
 const statusClientClosedRequest = 499
 
-// writeOpError maps a session-operation error to a status:
-//
-//	ErrSessionClosed         410  session closed or evicted
-//	ErrSessionFailed         500  session quarantined after a panic
-//	ErrSessionReadOnly       503  journal failed; mutations rejected
-//	ErrSessionMigrating      503  frozen mid-migration; retry shortly
-//	ErrQueueFull             429  per-session queue at capacity
-//	                              (or the daemon's plan capacity)
-//	ErrPlanConflict          409  stale/diverged/duplicate plan work
-//	ErrSessionExists         409  requested session ID already in use
-//	context.DeadlineExceeded 504  request deadline expired
-//	context.Canceled         499  client went away
-//	anything else            422  command-level rejection
+// opStatus is the one error → status table, for every route: the first
+// row whose error err wraps decides; an error no row claims is a
+// command-level rejection, 422. retry rows also carry Retry-After —
+// the refusal is transient and came before any work was done.
+var opStatus = []struct {
+	err    error
+	status int
+	retry  bool
+}{
+	{ErrSessionClosed, http.StatusGone, false},                   // closed or evicted
+	{ErrPlanConflict, http.StatusConflict, false},                // stale/diverged/duplicate plan work
+	{ErrSessionExists, http.StatusConflict, false},               // requested session ID already in use
+	{ErrSessionMigrating, http.StatusServiceUnavailable, true},   // frozen mid-migration
+	{ErrSessionFailed, http.StatusInternalServerError, false},    // quarantined after a panic
+	{ErrInternal, http.StatusInternalServerError, false},         // open/import-time analysis panicked
+	{ErrSessionReadOnly, http.StatusServiceUnavailable, false},   // journal failed; mutations rejected
+	{ErrTooManySessions, http.StatusServiceUnavailable, true},    // at the -maxsessions cap
+	{ErrQueueFull, http.StatusTooManyRequests, true},             // session queue (or plan capacity) full
+	{execguard.ErrBusy, http.StatusTooManyRequests, true},        // every exec slot taken
+	{errBackendDisabled, http.StatusNotImplemented, false},       // -disable-backends
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, false}, // request deadline expired
+	{context.Canceled, statusClientClosedRequest, false},         // client went away
+}
+
+// writeOpError answers err with the status opStatus gives it.
 func writeOpError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrSessionClosed):
-		writeError(w, http.StatusGone, err)
-	case errors.Is(err, ErrPlanConflict), errors.Is(err, ErrSessionExists):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, ErrSessionMigrating):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrSessionFailed):
-		writeError(w, http.StatusInternalServerError, err)
-	case errors.Is(err, ErrSessionReadOnly):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, execguard.ErrBusy):
-		// Every exec slot is taken — admission control, not failure.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, statusClientClosedRequest, err)
-	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
+	status, retry := http.StatusUnprocessableEntity, false
+	for _, row := range opStatus {
+		if errors.Is(err, row.err) {
+			status, retry = row.status, row.retry
+			break
+		}
 	}
+	if retry {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	}
+	writeError(w, status, err)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -123,11 +123,12 @@ type Session struct {
 	planCfg *planConfig
 
 	// gov is the daemon-wide execution governor (run limits, exec
-	// slots, telemetry), set by the manager right after construction
-	// (nil = standalone defaults, unbounded admission). runCache is
-	// the manager's compile build-cache override (empty = default).
+	// slots, telemetry), runCache the manager's compile build-cache
+	// override (empty = default), disabled the operator's set of refused
+	// backends (a pointer to Manager.disabled) — what Run runs under.
 	gov      *execguard.Governor
 	runCache string
+	disabled *atomic.Pointer[map[string]bool]
 
 	// Actor-confined state below: only the run() goroutine touches it.
 	art     *Artifacts
@@ -187,6 +188,7 @@ func (m *Manager) newSession(id, path, source string, art *Artifacts, live *core
 		planCfg:   m.planCfg,
 		gov:       m.gov,
 		runCache:  m.cfg.RunCacheDir,
+		disabled:  &m.disabled,
 		walDir:    m.cfg.DataDir,
 		fsync:     m.cfg.Fsync,
 		snapEvery: m.cfg.SnapshotEvery,
@@ -569,57 +571,130 @@ func (ss *Session) statusLine(ctx context.Context) string {
 // ---------------------------------------------------------------------------
 // Public operations (each runs inside the actor)
 
-// Cmd executes one REPL command line. The returned error is a
-// transport/lifecycle failure (closed, failed, queue full, context);
-// command-level failures ride in CmdResponse.Err.
+// outcome is what applying one record produced. err is the operation's
+// own rejection (unknown statement, loop out of range, unsafe
+// transformation): journaled like a success, replayed as the same
+// rejection.
+type outcome struct {
+	out string         // what a cmd record's line printed
+	sel SelectResponse // where a select record left the cursor
+	err error
+}
+
+// Cmd executes one REPL command line as its verb's class says
+// (repl.Verb): a read runs on the actor and touches no journal; a
+// cursor move or mutation is a cmd record; a daemon-served verb never
+// reaches the in-process REPL. The returned error is a
+// transport/lifecycle failure (closed, failed, queue full, context) or
+// a daemon-served verb's; command-level failures ride in
+// CmdResponse.Err.
 //
 // When post fails — notably when ctx expires while the command is
-// still executing — the captured response belongs to the actor, which
+// still executing — the captured result belongs to the actor, which
 // may write it after we return; every error path here (and in the
 // other ops below) must return zero values and never read it.
 func (ss *Session) Cmd(ctx context.Context, line string) (CmdResponse, error) {
-	// Planner verbs never reach the REPL: plan must run off-actor
-	// (admission-controlled, cached), and apply-plan must journal each
-	// constituent step — the REPL's in-process variants would do
-	// neither on a daemon session.
-	switch lineVerb(line) {
-	case "plan", "plans", "apply-plan":
-		return ss.planCmd(ctx, line)
-	case "status":
-		return CmdResponse{Output: ss.statusLine(ctx)}, nil
+	verb, class := repl.Verb(line)
+	var res outcome
+	var err error
+	switch class {
+	case repl.Daemon:
+		return ss.daemonCmd(ctx, verb, strings.Fields(line)[1:])
+	case repl.Read:
+		err = ss.post(ctx, func() { res.out, res.err = ss.exec(line) }, true)
+	default:
+		res, err = ss.submit(ctx, &record{Op: recCmd, Line: line})
 	}
-	mutating := mutatingLine(line)
-	var resp CmdResponse
-	var roErr error
-	err := ss.post(ctx, func() {
-		if mutating {
-			rec := &record{Op: recCmd, Line: line}
-			if roErr = ss.journalAppend(rec); roErr != nil {
-				return
-			}
-			defer ss.afterMutation(rec)
-		}
-		out, cmdErr := ss.exec(line)
-		resp.Output = out
-		if cmdErr != nil {
-			resp.Err = cmdErr.Error()
-		}
-	}, true)
 	if err != nil {
 		return CmdResponse{}, err
 	}
-	if roErr != nil {
-		return CmdResponse{}, roErr
+	resp := CmdResponse{Output: res.out}
+	if res.err != nil {
+		resp.Err = res.err.Error()
 	}
 	return resp, nil
 }
 
+// daemonCmd answers the verbs repl classes daemon-served, each with the
+// call its typed endpoint makes — so `ped -remote` scripts and raw cmd
+// lines get the planner, the governed run and the session's status
+// without knowing those endpoints, and their failures carry the same
+// status. The REPL's in-process forms would search on the actor, apply a
+// plan without journaling its steps, and run outside the governor.
+func (ss *Session) daemonCmd(ctx context.Context, verb string, args []string) (CmdResponse, error) {
+	switch verb {
+	case "status":
+		return CmdResponse{Output: ss.statusLine(ctx)}, nil
+	case "run":
+		ereq, err := core.ParseExecRequest(args)
+		if err != nil {
+			return CmdResponse{Err: err.Error()}, nil
+		}
+		resp, err := ss.Run(ctx, RunRequest{Backend: ereq.Backend, Workers: ereq.Workers, Fallback: ereq.Fallback})
+		if err != nil {
+			return CmdResponse{}, err
+		}
+		out := resp.Output
+		if resp.Fallback != "" {
+			out += fmt.Sprintf("[fell back to interpreter: %s]\n", resp.Fallback)
+		}
+		if resp.Backend == core.BackendCompile {
+			out += fmt.Sprintf("[compiled: %s]\n", time.Duration(resp.WallMicros)*time.Microsecond)
+		}
+		return CmdResponse{Output: out}, nil
+	case "plan":
+		req, err := planReqFromArgs(args)
+		if err != nil {
+			return CmdResponse{Err: err.Error()}, nil
+		}
+		resp, err := ss.Plan(ctx, req)
+		if err != nil {
+			return CmdResponse{}, err
+		}
+		return CmdResponse{Output: resp.format()}, nil
+	case "plans":
+		resp, ok := ss.PlanStatus()
+		if !ok {
+			return CmdResponse{Output: "no plans: run plan first\n"}, nil
+		}
+		return CmdResponse{Output: resp.format()}, nil
+	case "apply-plan":
+		n := 0
+		if len(args) > 0 {
+			var err error
+			if n, err = strconv.Atoi(args[0]); err != nil {
+				return CmdResponse{Err: fmt.Sprintf("bad plan rank %q", args[0])}, nil
+			}
+		}
+		resp, err := ss.ApplyPlan(ctx, ApplyPlanRequest{Index: n})
+		if err != nil {
+			return CmdResponse{}, err
+		}
+		return CmdResponse{Output: fmt.Sprintf("applied plan %s: %d step(s), hash %s\n",
+			resp.Plan, resp.Applied, resp.Hash)}, nil
+	}
+	return CmdResponse{}, fmt.Errorf("daemon-served verb %q has no server", verb)
+}
+
+// errBackendDisabled marks a run refused by the operator's
+// -disable-backends switch (501).
+var errBackendDisabled = errors.New("disabled on this server")
+
 // Run executes the session's program through the unified execution
-// API. Execution is a pure read — it never changes session state —
-// so it is not journaled and stays available on read-only sessions;
-// artifact-backed sessions materialize first because both backends
-// consume the live AST.
+// API — the one door to execution for POST …/run and the `run` verb
+// alike, so the operator's backend switch, the exec slots, the daemon's
+// run limits and the request's context apply to both. Execution is a
+// pure read — it never changes session state — so it is not journaled
+// and stays available on read-only sessions; artifact-backed sessions
+// materialize first because both backends consume the live AST.
 func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
+	backend := req.Backend
+	if backend == "" {
+		backend = core.BackendInterp
+	}
+	if off := ss.disabled.Load(); off != nil && (*off)[backend] {
+		return RunResponse{}, fmt.Errorf("backend %q is %w", backend, errBackendDisabled)
+	}
 	ereq := core.ExecRequest{
 		Backend:  req.Backend,
 		Workers:  req.Workers,
@@ -660,19 +735,11 @@ func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error)
 // is journaled in order; before that it only moves the cursor, and the
 // journal's birth records where the cursor stands.
 func (ss *Session) Select(ctx context.Context, req SelectRequest) (SelectResponse, error) {
-	var resp SelectResponse
-	var opErr error
-	if err := ss.post(ctx, func() {
-		rec := &record{Op: recSelect, Unit: req.Unit, Loop: req.Loop}
-		if opErr = ss.journalAppend(rec); opErr != nil {
-			return
-		}
-		defer ss.afterMutation(rec)
-		resp, opErr = ss.doSelect(req)
-	}, true); err != nil {
+	res, err := ss.submit(ctx, &record{Op: recSelect, Unit: req.Unit, Loop: req.Loop})
+	if err != nil {
 		return SelectResponse{}, err
 	}
-	return resp, opErr
+	return res.sel, res.err
 }
 
 // Deps lists the selected loop's dependences after filtering.
@@ -692,24 +759,11 @@ var varClasses = map[string]core.VarClass{
 
 // Classify overrides a variable's classification (materializes).
 func (ss *Session) Classify(ctx context.Context, req ClassifyRequest) error {
-	c, ok := varClasses[strings.ToLower(req.Class)]
-	if !ok {
+	class := strings.ToLower(req.Class)
+	if _, ok := varClasses[class]; !ok {
 		return fmt.Errorf("unknown class %q", req.Class)
 	}
-	var opErr error
-	if err := ss.post(ctx, func() {
-		rec := &record{Op: recClassify, Var: req.Var, Class: strings.ToLower(req.Class)}
-		if opErr = ss.journalAppend(rec); opErr != nil {
-			return
-		}
-		defer ss.afterMutation(rec)
-		if opErr = ss.materialize(); opErr == nil {
-			opErr = ss.live.Classify(req.Var, c)
-		}
-	}, true); err != nil {
-		return err
-	}
-	return opErr
+	return ss.do(ctx, &record{Op: recClassify, Var: req.Var, Class: class})
 }
 
 // Transform checks or applies a power-steering transformation via the
@@ -728,87 +782,137 @@ func (ss *Session) Transform(ctx context.Context, req TransformRequest) (CmdResp
 
 // Edit replaces (or deletes) a statement by ID (materializes).
 func (ss *Session) Edit(ctx context.Context, req EditRequest) error {
-	var opErr error
-	if err := ss.post(ctx, func() {
-		rec := &record{Op: recEdit, Stmt: req.Stmt, Text: req.Text, Delete: req.Delete}
-		if opErr = ss.journalAppend(rec); opErr != nil {
-			return
-		}
-		defer ss.afterMutation(rec)
-		if opErr = ss.materialize(); opErr != nil {
-			return
-		}
-		if req.Delete {
-			opErr = ss.live.DeleteStmt(req.Stmt)
-		} else {
-			opErr = ss.live.EditStmt(req.Stmt, req.Text)
-		}
-	}, true); err != nil {
-		return err
-	}
-	return opErr
+	return ss.do(ctx, &record{Op: recEdit, Stmt: req.Stmt, Text: req.Text, Delete: req.Delete})
 }
 
 // Undo reverts the last transformation or edit (materializes; a
 // session with no mutations has nothing to undo, exactly as cold).
 func (ss *Session) Undo(ctx context.Context) error {
-	var opErr error
-	if err := ss.post(ctx, func() {
-		rec := &record{Op: recUndo}
-		if opErr = ss.journalAppend(rec); opErr != nil {
-			return
-		}
-		defer ss.afterMutation(rec)
-		if opErr = ss.materialize(); opErr == nil {
-			opErr = ss.live.Undo()
-		}
-	}, true); err != nil {
+	return ss.do(ctx, &record{Op: recUndo})
+}
+
+// ---------------------------------------------------------------------------
+// One path from a request to the editor
+
+// submit posts rec to the actor and runs it through mutate. The error
+// is a transport, lifecycle or gate refusal; the operation's own rides
+// in outcome.err.
+func (ss *Session) submit(ctx context.Context, rec *record) (outcome, error) {
+	var res outcome
+	var gateErr error
+	if err := ss.post(ctx, func() { res, gateErr = ss.mutate(rec) }, true); err != nil {
+		return outcome{}, err
+	}
+	return res, gateErr
+}
+
+// do is submit for the operations that answer with an error alone.
+func (ss *Session) do(ctx context.Context, rec *record) error {
+	res, err := ss.submit(ctx, rec)
+	if err != nil {
 		return err
 	}
-	return opErr
+	return res.err
+}
+
+// mutate is the one path a state-changing request takes on the actor —
+// a cmd line, select, classify, edit, undo, each step of an accepted
+// plan: journal before apply (journalAppend is also the gate, where a
+// migrating or read-only session refuses), apply, then the compaction
+// bookkeeping — whether the operation succeeded or not, since a
+// journaled rejection replays as the same rejection. A record that
+// cannot be applied at all is, live, this request's failure.
+func (ss *Session) mutate(rec *record) (outcome, error) {
+	if err := ss.journalAppend(rec); err != nil {
+		return outcome{}, err
+	}
+	res, err := ss.apply(rec)
+	if err != nil {
+		res.err = err
+	}
+	ss.noteMutation(rec)
+	ss.maybeSnapshot()
+	return res, nil
+}
+
+// apply executes one record against the editor: the single switch over
+// rec.Op, reached by live requests (mutate) and by journal replay
+// (applyRecord) alike, so replayed ≡ live holds by construction. The
+// error means the record cannot be applied at all — the session will
+// not materialize, or the op or class is not one this build knows;
+// replay stops there.
+func (ss *Session) apply(rec *record) (res outcome, err error) {
+	switch rec.Op {
+	case recCmd:
+		res.out, res.err = ss.exec(rec.Line)
+	case recSelect:
+		res.sel, res.err = ss.doSelect(SelectRequest{Unit: rec.Unit, Loop: rec.Loop})
+	case recClassify:
+		c, ok := varClasses[rec.Class]
+		if !ok {
+			return res, fmt.Errorf("unknown class %q in seq %d", rec.Class, rec.Seq)
+		}
+		if err = ss.materialize(); err == nil {
+			res.err = ss.live.Classify(rec.Var, c)
+		}
+	case recEdit:
+		if err = ss.materialize(); err != nil {
+			break
+		}
+		if rec.Delete {
+			res.err = ss.live.DeleteStmt(rec.Stmt)
+		} else {
+			res.err = ss.live.EditStmt(rec.Stmt, rec.Text)
+		}
+	case recUndo:
+		if err = ss.materialize(); err == nil {
+			res.err = ss.live.Undo()
+		}
+	default:
+		err = fmt.Errorf("unknown record op %q at seq %d", rec.Op, rec.Seq)
+	}
+	return res, err
+}
+
+// applyRecord replays one journal record against a rebuilding session,
+// on the actor, during recovery and import: apply without
+// journalAppend, so replay cannot re-journal what it reads. The
+// operation's own failure is deliberately ignored: a journaled command
+// that failed re-fails identically, leaving identical state. The
+// returned error means the replay itself cannot proceed (divergence,
+// injected fault, a record apply refuses) and the caller degrades the
+// session at the recovered prefix.
+func (ss *Session) applyRecord(rec *record) error {
+	if err := faultpoint.Hit(faultpoint.JournalReplay, ss.ID+":"+rec.Op); err != nil {
+		return err
+	}
+	if rec.PreHash != "" {
+		if h := ss.currentHash(); h != rec.PreHash {
+			return fmt.Errorf("replay divergence at seq %d (%s): rebuilt source hash %.12s…, journal expected %.12s…",
+				rec.Seq, rec.Op, h, rec.PreHash)
+		}
+	}
+	if _, err := ss.apply(rec); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	ss.noteMutation(rec)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Journaling (actor-confined)
 
-// mutatingVerbs classifies REPL verbs whose execution changes session
-// state — the cursor, analysis overlays, or the program text — and
-// must therefore be journaled before running. Every other verb is a
-// pure read and is never journaled.
-var mutatingVerbs = map[string]bool{
-	"unit": true, "loop": true, "next": true,
-	"mark": true, "assert": true, "classify": true,
-	"apply": true, "edit": true, "delete": true,
-	"undo": true, "set": true, "auto": true,
-}
-
-// stickyVerbs mutate state that lives outside the printed source
-// (dependence marks, assertions, variable classes, analysis toggles).
-// A source snapshot cannot represent that state, so once a sticky verb
-// runs the journal stops compacting and keeps the full history.
-var stickyVerbs = map[string]bool{
-	"mark": true, "assert": true, "classify": true, "set": true,
-}
-
-func lineVerb(line string) string {
-	f := strings.Fields(line)
-	if len(f) == 0 {
-		return ""
-	}
-	return strings.ToLower(f[0])
-}
-
-func mutatingLine(line string) bool { return mutatingVerbs[lineVerb(line)] }
-func stickyLine(line string) bool   { return stickyVerbs[lineVerb(line)] }
-
 // cursorRecord reports a record that only moves the cursor — the typed
 // select or the REPL's unit/loop/next. Such a record is journaled in
 // order once a journal exists, but never gives birth to one.
 func cursorRecord(rec *record) bool {
-	return rec.Op == recSelect || rec.Op == recCmd && cursorVerbs[lineVerb(rec.Line)]
+	return rec.Op == recSelect || rec.Op == recCmd && lineClass(rec.Line) == repl.Cursor
 }
 
-var cursorVerbs = map[string]bool{"unit": true, "loop": true, "next": true}
+func lineClass(line string) repl.Class {
+	_, class := repl.Verb(line)
+	return class
+}
 
 // currentHash fingerprints the printed program — the PreHash integrity
 // chain each journal record carries: sha256 of the `save` text, read
@@ -828,12 +932,11 @@ func (ss *Session) currentHash() string {
 // again by reopening, so nothing is on disk and cursor moves are free.
 // A failed append or birth degrades the session to read-only and
 // returns the degradation error; without a data directory everything is
-// free. This is the one chokepoint every mutating path calls on the
-// actor before applying, so it is also where a read-only session
-// refuses (cursor moves included — memory must not run ahead of a
-// journal that stopped taking writes) and where a session frozen for
-// migration rejects, durable or not: nothing mutates behind an
-// in-flight export.
+// free. mutate calls this on the actor before every apply, so it is
+// also where a read-only session refuses (cursor moves included —
+// memory must not run ahead of a journal that stopped taking writes)
+// and where a session frozen for migration rejects, durable or not:
+// nothing mutates behind an in-flight export.
 func (ss *Session) journalAppend(rec *record) error {
 	if err := ss.migratingErr(); err != nil {
 		return err
@@ -884,24 +987,19 @@ func (ss *Session) birth(rec *record) error {
 	return nil
 }
 
-// noteMutation updates compaction bookkeeping for one applied
-// mutation — shared by the live path and crash-recovery replay.
+// noteMutation updates compaction bookkeeping for one applied record —
+// live and replayed alike. A sticky record changes state that lives
+// outside the printed source (marks, assertions, variable classes,
+// analysis toggles): a source snapshot cannot represent it, so from
+// then on the journal stops compacting and keeps the full history.
 func (ss *Session) noteMutation(rec *record) {
 	if ss.jr.Load() == nil {
 		return
 	}
-	if rec.Op == recClassify || (rec.Op == recCmd && stickyLine(rec.Line)) {
+	if rec.Op == recClassify || rec.Op == recCmd && lineClass(rec.Line) == repl.Sticky {
 		ss.sticky = true
 	}
 	ss.mutsSinceSnap++
-}
-
-// afterMutation runs after a journaled mutation executes (whether the
-// command itself succeeded or not — a journaled failure replays as the
-// same failure): bookkeeping, then compaction when due.
-func (ss *Session) afterMutation(rec *record) {
-	ss.noteMutation(rec)
-	ss.maybeSnapshot()
 }
 
 // snapshotRecord captures everything a source snapshot can represent:
@@ -948,59 +1046,6 @@ func (ss *Session) maybeSnapshot() {
 		return
 	}
 	ss.mutsSinceSnap = 0
-}
-
-// applyRecord replays one journal record against a rebuilding session.
-// It runs on the actor goroutine during recovery and calls the same
-// internal methods the live path uses — but never journalAppend, so
-// replay cannot re-journal what it reads. Command-level failures are
-// deliberately ignored: a journaled command that failed re-fails
-// identically, leaving identical state. The returned error means the
-// replay itself cannot proceed (divergence, injected fault, broken
-// record) and the caller degrades the session at the recovered prefix.
-func (ss *Session) applyRecord(rec *record) error {
-	if err := faultpoint.Hit(faultpoint.JournalReplay, ss.ID+":"+rec.Op); err != nil {
-		return err
-	}
-	if rec.PreHash != "" {
-		if h := ss.currentHash(); h != rec.PreHash {
-			return fmt.Errorf("replay divergence at seq %d (%s): rebuilt source hash %.12s…, journal expected %.12s…",
-				rec.Seq, rec.Op, h, rec.PreHash)
-		}
-	}
-	switch rec.Op {
-	case recCmd:
-		_, _ = ss.exec(rec.Line)
-	case recSelect:
-		_, _ = ss.doSelect(SelectRequest{Unit: rec.Unit, Loop: rec.Loop})
-	case recClassify:
-		c, ok := varClasses[rec.Class]
-		if !ok {
-			return fmt.Errorf("replay: unknown class %q in seq %d", rec.Class, rec.Seq)
-		}
-		if err := ss.materialize(); err != nil {
-			return err
-		}
-		_ = ss.live.Classify(rec.Var, c)
-	case recEdit:
-		if err := ss.materialize(); err != nil {
-			return err
-		}
-		if rec.Delete {
-			_ = ss.live.DeleteStmt(rec.Stmt)
-		} else {
-			_ = ss.live.EditStmt(rec.Stmt, rec.Text)
-		}
-	case recUndo:
-		if err := ss.materialize(); err != nil {
-			return err
-		}
-		_ = ss.live.Undo()
-	default:
-		return fmt.Errorf("replay: unknown record op %q at seq %d", rec.Op, rec.Seq)
-	}
-	ss.noteMutation(rec)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

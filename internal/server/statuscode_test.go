@@ -11,13 +11,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parascope/internal/execguard"
+	"parascope/internal/faultpoint"
 )
 
 // TestOpErrorStatusTable pins the error → status mapping used by
-// every session handler: only a closed session is 410; a quarantined
-// session is 500, backpressure is 429, deadlines are 504, client
-// disconnects are 499, and everything else is a 422 command-level
-// rejection.
+// every handler, open and import included: only a closed session is
+// 410; a quarantined session or an analysis panic is 500, backpressure
+// is 429 (queue, exec slots) or 503 (session cap, migration freeze),
+// deadlines are 504, client disconnects are 499, and everything else is
+// a 422 command-level rejection.
 func TestOpErrorStatusTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,6 +40,13 @@ func TestOpErrorStatusTable(t *testing.T) {
 		{"exists", ErrSessionExists, http.StatusConflict},
 		{"exists wrapped", fmt.Errorf("open: %w", ErrSessionExists), http.StatusConflict},
 		{"plan conflict", ErrPlanConflict, http.StatusConflict},
+		{"exec busy", execguard.ErrBusy, http.StatusTooManyRequests},
+		{"exec busy wrapped", fmt.Errorf("run: %w", execguard.ErrBusy), http.StatusTooManyRequests},
+		{"too many sessions", ErrTooManySessions, http.StatusServiceUnavailable},
+		{"too many sessions wrapped", fmt.Errorf("import s1: %w", ErrTooManySessions), http.StatusServiceUnavailable},
+		{"internal", ErrInternal, http.StatusInternalServerError},
+		{"internal wrapped", fmt.Errorf("import s1: reanalyzing source: %w", fmt.Errorf("%w: analysis of a.f panicked", ErrInternal)), http.StatusInternalServerError},
+		{"backend disabled", fmt.Errorf("backend %q is %w", "compile", errBackendDisabled), http.StatusNotImplemented},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"canceled", context.Canceled, statusClientClosedRequest},
 		{"command error", errors.New("loop 99 out of range"), http.StatusUnprocessableEntity},
@@ -46,11 +57,13 @@ func TestOpErrorStatusTable(t *testing.T) {
 		if w.Code != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, w.Code, c.want)
 		}
-		if c.err == ErrQueueFull && w.Header().Get("Retry-After") == "" {
-			t.Error("429 without Retry-After")
-		}
-		if c.err == ErrSessionMigrating && w.Header().Get("Retry-After") == "" {
-			t.Error("migrating 503 without Retry-After (the freeze is transient; clients should retry)")
+		// Transient refusals made before any work carry Retry-After: the
+		// two 429s, the migration freeze and the session cap — and nothing
+		// else does (a read-only 503 will not heal by waiting).
+		transient := errors.Is(c.err, ErrQueueFull) || errors.Is(c.err, execguard.ErrBusy) ||
+			errors.Is(c.err, ErrSessionMigrating) || errors.Is(c.err, ErrTooManySessions)
+		if got := w.Header().Get("Retry-After") != ""; got != transient {
+			t.Errorf("%s: Retry-After present = %v, want %v", c.name, got, transient)
 		}
 	}
 }
@@ -280,4 +293,42 @@ func TestRequestDeadline504(t *testing.T) {
 		b, _ := io.ReadAll(hresp.Body)
 		t.Fatalf("blocked command: %d (%s), want 504", hresp.StatusCode, b)
 	}
+}
+
+// TestAnalysisPanicIs500OnOpenAndImport: a panic in the analysis is the
+// server's failure whichever door the source came through. Import used
+// to flatten the cause with %v and answer 422 where open answered 500.
+func TestAnalysisPanicIs500OnOpenAndImport(t *testing.T) {
+	m := newTestManager(t, Config{CacheSize: 8, MaxSessions: 1})
+	ts := httptest.NewServer(New(m))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	stream, err := encodeRecord(&record{Op: recOpen, Seq: 1, Path: "boom.f", Source: boomSource})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultpoint.Reset)
+	faultpoint.Arm(faultpoint.Analyze, faultpoint.Fault{Match: "boom.f", Panic: true})
+
+	var apiErr *APIError
+	_, err = c.Open(bg, OpenRequest{Path: "boom.f", Source: boomSource})
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Errorf("open into an analysis panic: %v, want 500", err)
+	}
+	_, err = c.Import(bg, "imp-boom", stream)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Errorf("import into an analysis panic: %v, want 500", err)
+	}
+	if !errors.Is(func() error { _, err := m.Import(bg, "imp-boom2", stream); return err }(), ErrInternal) {
+		t.Error("Manager.Import does not wrap ErrInternal")
+	}
+	if m.Get("imp-boom") != nil || len(m.List(bg)) != 0 {
+		t.Error("a failed open or import left a session registered")
+	}
+	if got := m.Metrics().SessionsLive.Value(); got != 0 {
+		t.Errorf("SessionsLive = %d after three failed admissions, want 0", got)
+	}
+	// Each failure gave its reserved slot back: the cap of one still admits.
+	faultpoint.Reset()
+	mustOpen(t, m, "onedim")
 }
