@@ -201,36 +201,56 @@ func editBenchSource(loops int) string {
 // one assignment deep inside a large unit. The "stmt" sub-benchmark
 // must come in well under the "whole-unit" one — bench/ measures the
 // pair as core.edit_patch_ms and core.edit_unit_ms on big_edit.
+// "program-call" swaps two actuals of one CALL in a main of 200 calls,
+// to and fro: the program rung, with main itself patched
+// (core.edit_program_ms on big_edit).
 func BenchmarkEditReanalyze(b *testing.B) {
-	src := editBenchSource(30)
+	assign := func(s *core.Session) (int, [2]string) {
+		target := s.Loops()[14].Do.Body[3]
+		text := fortran.StmtText(target)
+		return target.ID(), [2]string{text, text}
+	}
+	call := func(s *core.Session) (int, [2]string) {
+		var calls []fortran.Stmt
+		fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+			if fortran.StmtText(st) == "call add(a, b, n)" {
+				calls = append(calls, st)
+			}
+			return true
+		})
+		return calls[len(calls)/2].ID(), [2]string{"call add(b, a, n)", "call add(a, b, n)"}
+	}
 	for _, mode := range []struct {
 		name      string
+		src       string
+		site      func(*core.Session) (int, [2]string)
 		wholeUnit bool
 		wantMode  string
 	}{
-		{"whole-unit", true, "unit"},
-		{"stmt", false, "patch"},
+		{"whole-unit", editBenchSource(30), assign, true, "unit"},
+		{"stmt", editBenchSource(30), assign, false, "patch"},
+		{"program-call", workloads.CallHeavy(200).Source, call, false, "program"},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			s, err := core.Open("edit.f", src)
+			s, err := core.Open("edit.f", mode.src)
 			if err != nil {
 				b.Fatal(err)
 			}
 			s.WholeUnitOnly = mode.wholeUnit
-			target := s.Loops()[14].Do.Body[3]
-			id := target.ID()
-			text := fortran.StmtText(target)
-			// Warm-up edit: verify the intended path engages before
-			// timing it.
-			if err := s.EditStmt(id, "      "+text); err != nil {
-				b.Fatal(err)
-			}
-			if s.LastReanalysis.Mode != mode.wantMode {
-				b.Fatalf("edit took the %q path, want %q", s.LastReanalysis.Mode, mode.wantMode)
+			id, texts := mode.site(s)
+			// Warm-up edits: verify the intended path engages before
+			// timing it, and leave the statement as it was.
+			for _, text := range texts {
+				if err := s.EditStmt(id, "      "+text); err != nil {
+					b.Fatal(err)
+				}
+				if s.LastReanalysis.Mode != mode.wantMode {
+					b.Fatalf("edit took the %q path, want %q", s.LastReanalysis.Mode, mode.wantMode)
+				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.EditStmt(id, "      "+text); err != nil {
+				if err := s.EditStmt(id, "      "+texts[i%2]); err != nil {
 					b.Fatal(err)
 				}
 				s.SetUndoStack(nil)

@@ -140,11 +140,112 @@ func randomAssignEdit(t *testing.T, r *rand.Rand, s *core.Session) string {
 	return newText
 }
 
+// randomCallEdit re-types one CALL statement of a random unit that has
+// one, with two like actuals swapped or, failing that, an integer
+// literal actual changed: the call surface moves, so the program rung,
+// and with the patch path enabled the calling unit is patched on it.
+func randomCallEdit(t *testing.T, r *rand.Rand, s *core.Session) string {
+	t.Helper()
+	type site struct {
+		unit *fortran.Unit
+		call *fortran.CallStmt
+	}
+	var sites []site
+	for _, u := range s.File.Units {
+		fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
+			if c, ok := st.(*fortran.CallStmt); ok && c.Callee != nil {
+				sites = append(sites, site{u, c})
+			}
+			return true
+		})
+	}
+	if len(sites) == 0 {
+		return ""
+	}
+	at := sites[r.Intn(len(sites))]
+	args := make([]string, len(at.call.Args))
+	for i, a := range at.call.Args {
+		args[i] = a.String()
+	}
+	like := func(a, b fortran.Expr) bool {
+		x, okx := a.(*fortran.VarRef)
+		y, oky := b.(*fortran.VarRef)
+		return okx && oky && len(x.Subs) == 0 && len(y.Subs) == 0 && x.Sym != y.Sym &&
+			x.Sym.Kind == y.Sym.Kind && x.Sym.Type == y.Sym.Type && len(x.Sym.Dims) == len(y.Sym.Dims)
+	}
+	edited := false
+swap:
+	for i := range args {
+		for j := i + 1; j < len(args); j++ {
+			if like(at.call.Args[i], at.call.Args[j]) {
+				args[i], args[j], edited = args[j], args[i], true
+				break swap
+			}
+		}
+	}
+	for i, a := range at.call.Args {
+		if lit, ok := a.(*fortran.IntLit); ok && !edited {
+			args[i], edited = fmt.Sprint(lit.Val+1), true
+		}
+	}
+	if !edited {
+		return ""
+	}
+	text := "call " + at.call.Name + "(" + strings.Join(args, ", ") + ")"
+	if err := s.SelectUnit(at.unit.Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EditStmt(at.call.ID(), "      "+text); err != nil {
+		t.Fatalf("edit %q: %v", text, err)
+	}
+	return text
+}
+
+// annotateLoops applies to the current unit every transformation that
+// only annotates a loop and that its check lets through: reductions
+// recognized, each scalar and array privatized, loops parallelized
+// outermost first, and the first parallel loop serialized again. It
+// returns how many were applied.
+func annotateLoops(s *core.Session) int {
+	n := 0
+	apply := func(args ...string) {
+		if tr, err := core.ParseTransformation(s, args); err == nil && s.Check(tr).OK() {
+			if _, err := s.Transform(tr); err == nil {
+				n++
+			}
+		}
+	}
+	for i := range s.Loops() {
+		loop := fmt.Sprint(i + 1)
+		apply("reductions", loop)
+		for _, sym := range s.CurrentUnit().SymbolsSorted() {
+			switch sym.Kind {
+			case fortran.SymScalar:
+				apply("privatize", loop, sym.Name)
+			case fortran.SymArray:
+				apply("privatize-array", loop, sym.Name)
+			}
+		}
+	}
+	n += s.AutoParallelize()
+	for i, l := range s.Loops() {
+		if l.Do.Parallel {
+			apply("serialize", fmt.Sprint(i+1))
+			break
+		}
+	}
+	return n
+}
+
 // TestIncrementalMatchesScratch is the differential gate on the
-// incremental reanalysis path: for every workload, run a seeded
-// random edit sequence and after every single edit require the
-// session to match a from-scratch analysis of its saved source —
-// with the patch fast path enabled, and again forced to whole-unit
+// incremental reanalysis path: for every workload and a call-heavy
+// main, run a seeded random sequence of assignment and CALL edits and
+// after every single edit require the session to match a from-scratch
+// analysis of its saved source; then annotate every loop every way the
+// checks allow (a transformation that only annotates a loop is followed
+// by no reanalysis, so the scratch session — which parses the
+// annotations — shows whether any analysis reads them). All of it with the
+// statement-granular step enabled, and again forced to whole-unit
 // reanalysis.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	const editsPerWorkload = 10
@@ -156,30 +257,62 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		{"whole-unit", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			patched := 0
-			for _, w := range workloads.All() {
+			patchRung, patchedOnProgramRung := 0, 0
+			for _, w := range append(workloads.All(), workloads.CallHeavy(24)) {
 				r := rand.New(rand.NewSource(int64(len(w.Name)) * 7919))
 				s, err := w.Session()
 				if err != nil {
 					t.Fatalf("%s: %v", w.Name, err)
 				}
 				s.WholeUnitOnly = mode.wholeUnit
+				patches := func() (n int) {
+					for _, u := range s.File.Units {
+						n += s.StateOf(u).Deps.Patches
+					}
+					return n
+				}
 				for e := 0; e < editsPerWorkload; e++ {
-					text := randomAssignEdit(t, r, s)
+					before, text := patches(), ""
+					if e%3 == 2 {
+						text = randomCallEdit(t, r, s)
+					}
+					if text == "" {
+						text = randomAssignEdit(t, r, s)
+					}
 					if text == "" {
 						break
 					}
-					if s.LastReanalysis.Mode == "patch" {
-						patched++
+					switch patched := patches() > before; {
+					case patched && mode.wholeUnit:
+						t.Errorf("%s edit %d (%s): a WholeUnitOnly session patched a unit", w.Name, e, text)
+					case s.LastReanalysis.Mode == "patch":
+						patchRung++
+					case patched && s.LastReanalysis.Mode == "program":
+						patchedOnProgramRung++
 					}
 					expectMatchesScratch(t, s, fmt.Sprintf("%s edit %d (%s)", w.Name, e, text))
 				}
+				// The program as edited, and as it was: the edits cost
+				// some loops the checks of some annotations.
+				pristine, err := w.Session()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pristine.WholeUnitOnly = mode.wholeUnit
+				for _, s := range []*core.Session{s, pristine} {
+					for _, u := range s.File.Units {
+						if err := s.SelectUnit(u.Name); err != nil {
+							t.Fatal(err)
+						}
+						if n := annotateLoops(s); n > 0 {
+							expectMatchesScratch(t, s, fmt.Sprintf("%s: %d annotations of %s's loops", w.Name, n, u.Name))
+						}
+					}
+				}
 			}
-			if mode.wholeUnit && patched > 0 {
-				t.Errorf("WholeUnitOnly sessions took the patch path %d times", patched)
-			}
-			if !mode.wholeUnit && patched == 0 {
-				t.Error("patch-enabled run never exercised the statement-granular path")
+			if !mode.wholeUnit && (patchRung == 0 || patchedOnProgramRung == 0) {
+				t.Errorf("the statement-granular step ran on the patch rung %d times, on the program rung %d times; want both exercised",
+					patchRung, patchedOnProgramRung)
 			}
 		})
 	}

@@ -47,7 +47,10 @@ type Graph struct {
 	Exit  *Node
 	Nodes []*Node
 
-	byStmt map[int]*Node
+	// byStmt is keyed by the statement itself: its ID is its position in
+	// the file, which moves with every statement added or removed above
+	// it, in this unit or another.
+	byStmt map[fortran.Stmt]*Node
 }
 
 // NodeFor returns the CFG node for the statement, or nil.
@@ -55,7 +58,17 @@ func (g *Graph) NodeFor(s fortran.Stmt) *Node {
 	if s == nil {
 		return nil
 	}
-	return g.byStmt[s.ID()]
+	return g.byStmt[s]
+}
+
+// Replace records that statement new took old's place in the unit body:
+// old's node stands for new from now on.
+func (g *Graph) Replace(old, new fortran.Stmt) {
+	if n, ok := g.byStmt[old]; ok {
+		delete(g.byStmt, old)
+		n.Stmt = new
+		g.byStmt[new] = n
+	}
 }
 
 type builder struct {
@@ -66,7 +79,7 @@ type builder struct {
 
 // Build constructs the CFG for unit u.
 func Build(u *fortran.Unit) *Graph {
-	g := &Graph{Unit: u, byStmt: map[int]*Node{}}
+	g := &Graph{Unit: u, byStmt: map[fortran.Stmt]*Node{}}
 	b := &builder{g: g, labels: map[int]*Node{}}
 	g.Entry = b.newNode(NodeEntry, nil)
 	g.Exit = b.newNode(NodeExit, nil)
@@ -74,7 +87,7 @@ func Build(u *fortran.Unit) *Graph {
 	// Pass 1: create a node per statement and record labels.
 	fortran.WalkStmts(u.Body, func(s fortran.Stmt) bool {
 		n := b.newNode(NodeStmt, s)
-		g.byStmt[s.ID()] = n
+		g.byStmt[s] = n
 		if l := fortran.StmtLabel(s); l != 0 {
 			b.labels[l] = n
 		}
@@ -125,7 +138,7 @@ func (b *builder) edge(from, to *Node) {
 func (b *builder) wireBlock(body []fortran.Stmt, froms []*Node) []*Node {
 	cur := froms
 	for _, s := range body {
-		n := b.g.byStmt[s.ID()]
+		n := b.g.byStmt[s]
 		for _, f := range cur {
 			b.edge(f, n)
 		}

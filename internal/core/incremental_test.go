@@ -292,6 +292,73 @@ func TestCalleeNeutralEditStaysUnitLevel(t *testing.T) {
 	expectScratchEquivalent(t, s)
 }
 
+// TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled: nobody reads the
+// summary of a unit nobody calls, so an edit of g — which callSrc's main
+// never calls — stays on the unit rung without recomputing it. The
+// interprocedural update that first adds a call of g must not carry
+// that summary over as if g's text had not moved.
+func TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled(t *testing.T) {
+	s := open(t, callSrc)
+	selectUnit(t, s, "g")
+	// g now reads y(k-1) too: called from main's loop, iteration k would
+	// read what iteration k-1 of a caller passing the same array wrote.
+	if err := s.EditStmt(findAssign(t, s, "x(k + 100)").ID(), "x(k) = x(k-1) + y(k)"); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode == "program" {
+		t.Fatalf("an edit of an uncalled unit took the program rung")
+	}
+	selectUnit(t, s, "main")
+	call := s.Loops()[0].Do.Body[0]
+	if err := s.EditStmt(call.ID(), "      call g(a, b, i)"); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.Check(xform.Parallelize{Do: s.Loops()[0].Do}); v.Safe {
+		t.Error("main's loop parallel over calls of g as it was before its edit")
+	}
+	expectScratchEquivalent(t, s)
+}
+
+// TestStatementCountChangeAboveLeavesLaterUnitsAnswering: statement IDs
+// are positions in the file, so deleting a statement of main renumbers
+// every statement of the units after it. Their analyses, which nothing
+// rebuilt, must still find their statements.
+func TestStatementCountChangeAboveLeavesLaterUnitsAnswering(t *testing.T) {
+	s := open(t, `
+      program main
+      real a(100), t
+      t = 1.0
+      t = t + 1.0
+      call f(a)
+      end
+      subroutine f(x)
+      integer i
+      real x(100), s
+      do i = 1, 100
+         s = x(i)*2.0
+         x(i) = s + 1.0
+      enddo
+      end
+`)
+	if err := s.DeleteStmt(findAssign(t, s, "t + 1.0").ID()); err != nil {
+		t.Fatal(err)
+	}
+	selectUnit(t, s, "f")
+	st := s.State()
+	loop := st.DF.Tree.All[0]
+	if res := st.DF.Privatizable(loop, s.CurrentUnit().Lookup("s")); !res.Privatizable {
+		t.Errorf("s is assigned before use in every iteration, yet: %+v", res)
+	}
+	for _, x := range loop.Stmts() {
+		if len(st.DF.Accesses(x)) == 0 {
+			t.Errorf("no accesses found for %q", fortran.StmtText(x))
+		}
+	}
+	if v := s.Check(xform.Parallelize{Do: loop.Do}); !v.Safe {
+		t.Errorf("f's loop is parallel with s private: %s", v)
+	}
+}
+
 // TestCallRetargetEscalates: retargeting a CALL changes the caller's
 // call surface; the old code reused the stale call graph and the
 // caller kept analysis results for the *previous* callee.

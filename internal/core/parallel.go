@@ -22,8 +22,9 @@ import (
 
 // PhaseObserver receives the wall time of each analysis phase. The
 // phases reported are "parse", "interproc", "dataflow", "dependence",
-// "perf", and "patch" (the statement-granular reanalysis fast path,
-// reported as one phase since it splices all three analyses at once);
+// "perf", and "patch" (the statement-granular step of an edit, on
+// whichever rung: the splice of the data-flow solution and of the
+// dependence graph, reported as one phase);
 // the per-unit phases fan out on the analysis worker pool, so
 // implementations must be safe for concurrent use. A nil observer
 // costs a single pointer check per phase.

@@ -143,8 +143,9 @@ type Session struct {
 	// selected is the currently selected loop (its DO statement).
 	selected *fortran.DoStmt
 
-	// WholeUnitOnly disables the statement-granular patching fast path
-	// after 1:1 edits, forcing at least whole-unit reanalysis — the
+	// WholeUnitOnly disables the statement-granular step on every rung —
+	// after a 1:1 edit, and after a transformation that only annotates a
+	// loop — so that the edited unit is always reanalyzed whole: the
 	// benchmark baseline and the differential-test reference.
 	WholeUnitOnly bool
 	// LastReanalysis describes the most recent (re)analysis: which
@@ -152,6 +153,11 @@ type Session struct {
 	LastReanalysis Reanalysis
 
 	est *perf.Estimator
+	// unsummarized holds the units edited since Prog summarized them on a
+	// rung that had no caller to compare the summary for: nobody reads
+	// the summary of a unit nobody calls, until an edit elsewhere adds
+	// the call. The next interprocedural update recomputes them.
+	unsummarized map[*fortran.Unit]bool
 	// History logs user-level actions for the session transcript.
 	History []string
 
@@ -173,12 +179,16 @@ type Session struct {
 // do not count.
 func (s *Session) Mutated() bool { return s.mutated }
 
-// Reanalysis describes one (re)analysis pass: Mode is "patch"
-// (statement-granular), "unit" (one unit against reused
-// interprocedural facts), "program" (escalated interprocedural
-// update), or "full" (from-scratch whole-program analysis). An undo
-// reports the highest rung any unit it restored took, and "none" when
-// the entry matched the program already.
+// Reanalysis describes one (re)analysis pass. Mode names the rung — how
+// far outside the edited statement anything had to be looked at:
+// "patch" (nowhere: a call-free statement no caller can see, spliced in
+// statement-granularly), "unit" (the unit, against reused
+// interprocedural facts), "program" (the interprocedural facts were
+// rebuilt and the units whose inputs moved reanalyzed), or "full"
+// (from-scratch whole-program analysis). On "unit" and "program" the
+// edited unit itself is patched when it can be, analyzed whole
+// otherwise. An undo reports the highest rung any unit it restored
+// took, and "none" when the entry matched the program already.
 type Reanalysis struct {
 	Mode     string
 	Duration time.Duration
@@ -240,6 +250,7 @@ func (s *Session) AnalyzeAll() {
 		t0 = time.Now()
 	}
 	s.Prog = interproc.AnalyzeProgram(s.File)
+	s.unsummarized = nil
 	if s.obs != nil {
 		s.obs.ObservePhase("interproc", time.Since(t0))
 	}
@@ -284,39 +295,71 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 	// refreshed image (and every other unit's untouched one) forward.
 	st.unitImage = img
 	s.progHash = ""
-	if !s.Conservative {
-		if callSurfaceSig(u) != st.callSig {
-			s.reanalyzeProgram(u)
-			return "program"
-		}
-		if len(s.Prog.Graph.Callers[u]) > 0 &&
-			!s.Prog.Resummarize(u).Equal(s.Prog.Summaries[u]) {
-			s.reanalyzeProgram(u)
-			return "program"
-		}
-	}
-	s.recost(u)
-	s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
-	s.refreshCallerEstimates(u)
-	return "unit"
+	mode, prog, _ := s.reach(u, st)
+	s.spread(u, mode, prog, false)
+	return mode
 }
 
-// reanalyzeProgram rebuilds the interprocedural facts after an edit to
-// `edited` changed its call surface or caller-visible summary, then
-// reanalyzes only the units whose analysis inputs actually moved.
-// Everything else keeps its unit state — graphs, marks, assertions —
-// and just refreshes its perf estimate against the rebuilt cost memo.
-func (s *Session) reanalyzeProgram(edited *fortran.Unit) {
+// reach answers the first of the two questions an edit of u asks — how
+// far outside the unit can it be seen — and names the rung after the
+// answer: "program" when u's call surface moved (a call added, removed
+// or retargeted, actuals edited) or its callers see another summary,
+// with the interprocedural facts rebuilt; "unit" when neither did, with
+// the facts in hand. It returns the call surface it compared and
+// modifies nothing.
+func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *interproc.Program, callSig string) {
+	callSig = callSurfaceSig(u)
+	if !s.Conservative && (callSig != st.callSig ||
+		len(s.Prog.Graph.Callers[u]) > 0 && !s.Prog.Resummarize(u).Equal(s.Prog.Summaries[u])) {
+		changed := map[*fortran.Unit]bool{u: true}
+		for v := range s.unsummarized {
+			changed[v] = true
+		}
+		return "program", interproc.UpdateProgram(s.Prog, changed), callSig
+	}
+	return "unit", s.Prog, callSig
+}
+
+// spread brings up to date everything outside the edited statements
+// that an edit of u reaches, on the rung reach named: the cost memo
+// (recost), then on the program rung the interprocedural facts and every
+// other unit whose analysis inputs moved with them — the rest keep their
+// unit state, graphs, marks, assertions, and only refresh their perf
+// estimate against the rebuilt cost memo — and on the cheaper rungs the
+// estimates of u's callers, which price its call sites. How u itself is
+// brought up to date is the other question: patched says tryPatchEdit
+// has answered it statement by statement, otherwise u is analyzed whole
+// here.
+func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, patched bool) {
 	oldProg := s.Prog
-	s.Prog = interproc.UpdateProgram(oldProg, map[*fortran.Unit]bool{edited: true})
-	s.recost(edited)
+	s.Prog = prog
+	s.recost(u)
+	if mode != "program" {
+		if len(prog.Graph.Callers[u]) == 0 {
+			if s.unsummarized == nil {
+				s.unsummarized = map[*fortran.Unit]bool{}
+			}
+			s.unsummarized[u] = true
+		}
+		if st := s.units[u]; patched {
+			st.Est = s.est.EstimateUnit(st.DF)
+		} else {
+			s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
+		}
+		s.refreshCallerEstimates(u)
+		return
+	}
+	s.unsummarized = nil
 	s.warmCosts()
 	var stale []*fortran.Unit
 	for _, v := range s.File.Units {
-		if v != edited && s.units[v] != nil && s.unitInputsUnchanged(v, oldProg) {
-			continue
+		upToDate := patched
+		if v != u {
+			upToDate = s.units[v] != nil && s.unitInputsUnchanged(v, oldProg)
 		}
-		stale = append(stale, v)
+		if !upToDate {
+			stale = append(stale, v)
+		}
 	}
 	fresh := s.analyzeUnits(stale, s.units, false)
 	for v, st := range fresh {
@@ -421,17 +464,7 @@ func (s *Session) refreshCallerEstimates(u *fortran.Unit) {
 func callSurfaceSig(u *fortran.Unit) string {
 	var b strings.Builder
 	fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
-		isCall := false
-		if _, ok := st.(*fortran.CallStmt); ok {
-			isCall = true
-		} else {
-			fortran.WalkExprs(st, func(e fortran.Expr) {
-				if fc, ok := e.(*fortran.FuncCall); ok && fc.Callee != nil {
-					isCall = true
-				}
-			})
-		}
-		if isCall {
+		if callsUser(st) {
 			b.WriteString(fortran.StmtText(st))
 			b.WriteByte('\n')
 		}
@@ -472,23 +505,7 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, de
 			}
 		}
 	}
-	var eff dataflow.SideEffects
-	var summ dep.Summaries
-	env := s.assertionEnv(u, st.assertions)
-	if s.Conservative {
-		eff = dataflow.ConservativeEffects{}
-	} else {
-		eff = &interproc.Effects{Prog: s.Prog}
-		summ = &interproc.SectionProvider{Prog: s.Prog}
-		if ce := s.Prog.ConstEnv(u); ce != nil {
-			if env == nil {
-				env = expr.NewEnv()
-			}
-			for _, sym := range ce.Symbols() {
-				env.SetRange(sym, ce.RangeOf(sym))
-			}
-		}
-	}
+	eff, summ, env := s.unitInputs(u, st, s.Prog)
 	var t0 time.Time
 	if s.obs != nil {
 		t0 = time.Now()
@@ -517,6 +534,26 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, de
 	}
 	st.callSig = callSurfaceSig(u)
 	return st
+}
+
+// unitInputs returns what u's data-flow and dependence analyses read from
+// outside the unit: how calls resolve, the sections they touch, and the
+// user's assertions with the unit's constant formals — all three from
+// prog, or the conservative stand-ins.
+func (s *Session) unitInputs(u *fortran.Unit, st *UnitState, prog *interproc.Program) (dataflow.SideEffects, dep.Summaries, *expr.Env) {
+	env := s.assertionEnv(u, st.assertions)
+	if s.Conservative {
+		return dataflow.ConservativeEffects{}, nil, env
+	}
+	if ce := prog.ConstEnv(u); ce != nil {
+		if env == nil {
+			env = expr.NewEnv()
+		}
+		for _, sym := range ce.Symbols() {
+			env.SetRange(sym, ce.RangeOf(sym))
+		}
+	}
+	return &interproc.Effects{Prog: prog}, &interproc.SectionProvider{Prog: prog}, env
 }
 
 // restoreMarks puts the user's markings back on a freshly built or
@@ -960,6 +997,16 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 		s.Stats.LoopsParallelized++
 	}
 	s.log("apply %s: %s", t.Name(), v)
+	if xform.AnnotatesOnly(t) && !s.WholeUnitOnly {
+		// No reference, statement or CFG node moved: the patch with no
+		// statement to patch. The text did change, and so may what the
+		// unit costs its callers.
+		start := time.Now()
+		s.spread(s.current, "unit", s.Prog, true)
+		s.refreshImage(s.current)
+		s.LastReanalysis = Reanalysis{Mode: "unit", Duration: time.Since(start)}
+		return v, nil
+	}
 	s.ReanalyzeUnit(s.current)
 	return v, nil
 }
@@ -1011,79 +1058,103 @@ func (s *Session) EditStmt(id int, text string) error {
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("edit stmt %d: %s", id, strings.TrimSpace(text))
-	if !s.tryPatchEdit(s.current, old, ns) {
+	if s.tryPatchEdit(s.current, old, ns) == "" {
 		s.ReanalyzeUnit(s.current)
 	}
 	return nil
 }
 
-// tryPatchEdit attempts the statement-granular fast path after old was
-// replaced 1:1 by ns in unit u: splice the new statement
-// into the existing dataflow solution and patch the dependence graph —
-// only edges incident to the edited statement are killed and retested
-// — instead of reanalyzing the whole unit. Reports false, with no
-// analysis state modified, when the edit falls outside the patchable
-// envelope; the caller then runs the normal escalation-aware path.
+// tryPatchEdit brings the analysis up to date after old was replaced 1:1
+// by ns in unit u without reanalyzing u: the new statement is spliced
+// into the existing dataflow solution and the dependence graph patched
+// — only edges incident to a statement whose references moved are killed
+// and their pairs retested. The rung is decided as for any edit (reach),
+// or skipped when no call and no caller-visible symbol is involved on
+// either side, which is the "patch" rung; on the program rung the call
+// sites of u whose callee's summary moved are patched along with ns. It
+// reports the rung, and "" — with no analysis state modified — when the
+// edit falls outside the patchable envelope; the caller then reanalyzes
+// u whole, on the rung reanalyzeUnit decides.
 //
-// The envelope, beyond what dataflow.PatchStmt itself enforces: same
-// statement label (labels are control-flow targets), and — when the
-// unit has callers — no reference to a caller-visible symbol on either
-// side, since those could move the unit's summary out from under its
-// callers. Calls are excluded by SimpleStmt, so the call surface, the
-// constant formals and the unit's own per-call cost *shape* are
-// unchanged; the cost value may still move, so the cost memo is
-// brought up to date (recost) and caller estimates refresh.
-func (s *Session) tryPatchEdit(u *fortran.Unit, old, ns fortran.Stmt) bool {
+// The envelope is whatever guarantees that a reference pair left alone
+// would test as it did. A pair reads its two statements' accesses and
+// loop nests, the constants at its source statement and at the headers
+// of the loops around it, the unit's constant formals, and whether the
+// scalars in its subscripts are assigned in the unit or in the common
+// loop. So the patch declines when the CFG or loop tree could move (a
+// statement that is not simple, another label), when the unit's constant
+// formals or recursion status moved, and when dataflow.PatchStmt finds
+// constants or a written-scalar set moved.
+func (s *Session) tryPatchEdit(u *fortran.Unit, old, ns fortran.Stmt) string {
 	if s.WholeUnitOnly {
-		return false
+		return ""
 	}
 	st := s.units[u]
 	if st == nil || st.DF == nil || st.Deps == nil || s.Prog == nil {
-		return false
+		return ""
 	}
 	if fortran.StmtLabel(old) != fortran.StmtLabel(ns) {
-		return false
+		return ""
 	}
 	if !dataflow.SimpleStmt(old) || !dataflow.SimpleStmt(ns) {
-		return false
-	}
-	if len(s.Prog.Graph.Callers[u]) > 0 && (touchesVisible(u, old) || touchesVisible(u, ns)) {
-		return false
+		return ""
 	}
 	start := time.Now()
 	s.File.RenumberStmts()
 	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 		panic(err)
 	}
-	if !st.DF.PatchStmt(old, ns) {
-		return false
+	mode, prog, callSig := "patch", s.Prog, st.callSig
+	if callsUser(old) || callsUser(ns) ||
+		len(s.Prog.Graph.Callers[u]) > 0 && (touchesVisible(u, old) || touchesVisible(u, ns)) {
+		mode, prog, callSig = s.reach(u, st)
 	}
-	// Committed: the dataflow solution now describes ns.
-	var summ dep.Summaries
-	env := s.assertionEnv(u, st.assertions)
-	if !s.Conservative {
-		summ = &interproc.SectionProvider{Prog: s.Prog}
-		if ce := s.Prog.ConstEnv(u); ce != nil {
-			if env == nil {
-				env = expr.NewEnv()
-			}
-			for _, sym := range ce.Symbols() {
-				env.SetRange(sym, ce.RangeOf(sym))
+	var calls []fortran.Stmt
+	if prog != s.Prog {
+		if prog.Graph.Recursive[u] != s.Prog.Graph.Recursive[u] || !interproc.ConstFormalsEqual(prog, s.Prog, u) {
+			return ""
+		}
+		for _, site := range prog.Graph.Calls[u] {
+			if site.Stmt != ns && prog.Summaries[site.Callee] != s.Prog.Summaries[site.Callee] &&
+				(len(calls) == 0 || calls[len(calls)-1] != site.Stmt) {
+				calls = append(calls, site.Stmt)
 			}
 		}
 	}
-	st.Deps = dep.Patch(st.Deps, st.DF, env, summ, s.Opts, old, ns)
-	st.restoreMarks()
-	s.recost(u)
-	st.Est = s.est.EstimateUnit(st.DF)
-	s.refreshCallerEstimates(u)
-	s.refreshImage(u)
-	d := time.Since(start)
+	var t0 time.Time
 	if s.obs != nil {
-		s.obs.ObservePhase("patch", d)
+		t0 = time.Now()
 	}
-	s.LastReanalysis = Reanalysis{Mode: "patch", Duration: d}
-	return true
+	eff, summ, env := s.unitInputs(u, st, prog)
+	if !st.DF.PatchStmt(old, ns, eff, calls) {
+		return ""
+	}
+	// Committed: the dataflow solution now describes ns.
+	st.Deps = dep.Patch(st.Deps, st.DF, env, summ, s.Opts, old, ns, calls)
+	st.restoreMarks()
+	if s.obs != nil {
+		s.obs.ObservePhase("patch", time.Since(t0))
+	}
+	st.callSig = callSig
+	s.spread(u, mode, prog, true)
+	s.refreshImage(u)
+	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
+	return mode
+}
+
+// callsUser reports whether the statement is a CALL or invokes a user
+// function.
+func callsUser(st fortran.Stmt) bool {
+	if _, ok := st.(*fortran.CallStmt); ok {
+		return true
+	}
+	found := false
+	fortran.WalkExprs(st, func(e fortran.Expr) {
+		if fc, ok := e.(*fortran.FuncCall); ok && fc.Callee != nil {
+			found = true
+		}
+	})
+	return found
 }
 
 // refreshImage reprints u into its existing state — for a change to the
@@ -1381,8 +1452,10 @@ func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable boo
 		if n, ns := stmtAtLine(parsed.Body, edited); ns != nil {
 			if old := nthStmt(live, n); old != nil {
 				u.Body = live
-				if replaceStmtIn(u, old, ns) && s.tryPatchEdit(u, old, ns) {
-					return "patch"
+				if replaceStmtIn(u, old, ns) {
+					if mode := s.tryPatchEdit(u, old, ns); mode != "" {
+						return mode
+					}
 				}
 				u.Body = parsed.Body
 			}

@@ -3,7 +3,7 @@ package core_test
 // Undo restores the units that changed and sends each through the
 // reanalysis ladder. Its contract is that the session it leaves cannot
 // be told from core.Open of the text it landed on — up to what no
-// edited session shares with a fresh one: the patch rung numbers a
+// edited session shares with a fresh one: a patch, on any rung, numbers a
 // graph's edges and counts its tests its own way. So a unit no patch
 // has touched is compared with the fresh session's edge for edge,
 // identifiers and statistics included; a patched one edge set for edge
@@ -71,35 +71,11 @@ const recursionCycle = `
       end
 `
 
-// callHeavyMain is a main program that is mostly call statements on a
-// few leaves, the shape of the benchmark's generated main.
-func callHeavyMain() string {
-	var b strings.Builder
-	b.WriteString("      program main\n      integer i, n\n      real a(64), b(64), c(64), s\n      n = 64\n      s = 0.5\n")
-	b.WriteString("      do i = 1, 64\n         a(i) = 0.25*real(i)\n         b(i) = a(i)*0.5\n         c(i) = 0.125\n      enddo\n")
-	leaves := []string{"add", "scale", "shift"}
-	arrays := []string{"a", "b", "c"}
-	for k := 0; k < 24; k++ {
-		fmt.Fprintf(&b, "      call %s(%s, %s, n)\n", leaves[k%3], arrays[k%3], arrays[(k+1)%3])
-		if k%6 == 5 {
-			fmt.Fprintf(&b, "      s = s*0.5 + 0.25\n      do i = 1, 64\n         %s(i) = %s(i) + s\n      enddo\n", arrays[k%3], arrays[(k+2)%3])
-		}
-	}
-	b.WriteString("      print *, a(1), b(2), c(3)\n      end\n")
-	for _, leaf := range []struct{ name, body string }{
-		{"add", "x(j) = x(j) + y(j)*0.5"},
-		{"scale", "x(j) = y(j)*0.75"},
-		{"shift", "x(j) = y(j) + loc"},
-	} {
-		fmt.Fprintf(&b, "      subroutine %s(x, y, m)\n      integer m, j\n      real x(64), y(64), loc\n      loc = 0.5\n"+
-			"      do j = 1, m\n         %s\n      enddo\n      end\n", leaf.name, leaf.body)
-	}
-	return b.String()
-}
-
-// dumpUnit renders one unit's analysis results. exact keeps the graph's
-// own order, edge identifiers and test statistics; otherwise the edges
-// are listed sorted and without identifiers.
+// dumpUnit renders one unit's analysis results: dependences, estimates,
+// liveness, privatizability, reductions and how many definitions of each
+// variable reach each statement. exact keeps the graph's own order, edge
+// identifiers and test statistics; otherwise the edges are listed sorted
+// and without identifiers.
 func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
 	st := s.StateOf(u)
 	var edges []string
@@ -125,22 +101,43 @@ func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
 		fmt.Fprintf(&b, "loop #%d %b %b %b %b %b %b\n", le.Loop.Do.ID(),
 			le.Trip, le.BodyCost, le.SeqTime, le.ParTime, le.Speedup, le.Fraction)
 	}
+	// What the data-flow solution says beyond the dependence tester's
+	// inputs: liveness at entry, and per loop what may be made private.
+	var exposed []string
+	for sym := range st.DF.UpwardExposed() {
+		exposed = append(exposed, sym.Name)
+	}
+	sort.Strings(exposed)
+	fmt.Fprintf(&b, "upward exposed %v\n", exposed)
+	for _, l := range st.DF.Tree.All {
+		fmt.Fprintf(&b, "loop #%d", l.Do.ID())
+		for _, sym := range u.SymbolsSorted() {
+			if sym.Kind == fortran.SymScalar {
+				fmt.Fprintf(&b, " %s:%v", sym.Name, st.DF.Privatizable(l, sym))
+			}
+		}
+		fmt.Fprintf(&b, " reductions %v\n", st.DF.Reductions(l))
+	}
 	fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
-		fmt.Fprintf(&b, "#%d %s\n", x.ID(), fortran.StmtText(x))
+		fmt.Fprintf(&b, "#%d %s", x.ID(), fortran.StmtText(x))
+		for _, sym := range u.SymbolsSorted() {
+			if n := len(st.DF.DefsReaching(x, sym)); n > 0 {
+				fmt.Fprintf(&b, " %s<%d", sym.Name, n)
+			}
+		}
+		b.WriteByte('\n')
 		return true
 	})
 	return b.String()
 }
 
-// undoHarness drives one session and remembers which units the patch
-// rung has touched.
+// undoHarness drives one session.
 type undoHarness struct {
-	t       *testing.T
-	name    string
-	s       *core.Session
-	r       *rand.Rand
-	patched map[string]bool
-	serial  int
+	t      *testing.T
+	name   string
+	s      *core.Session
+	r      *rand.Rand
+	serial int
 }
 
 func printed(u *fortran.Unit) string {
@@ -164,7 +161,9 @@ func (h *undoHarness) expectFresh(context string) {
 		h.t.Fatalf("%s: %s: the saved text does not print back to itself", h.name, context)
 	}
 	for i, u := range s.File.Units {
-		exact := !h.patched[u.Name]
+		// A graph no patch has touched since its last full run numbers
+		// its edges and counts its tests as the fresh session's does.
+		exact := s.StateOf(u).Deps.Patches == 0
 		got, want := dumpUnit(s, u, exact), dumpUnit(fresh, fresh.File.Units[i], exact)
 		if got != want {
 			h.t.Fatalf("%s: %s: unit %s (exact=%v) differs from a fresh open\n--- session ---\n%s--- fresh ---\n%s",
@@ -194,11 +193,6 @@ func (h *undoHarness) undo(context string) {
 	mode := s.LastReanalysis.Mode
 	if mode == "full" {
 		h.t.Errorf("%s: %s: undo analyzed the whole program", h.name, context)
-	}
-	if mode == "patch" || len(changed) > 1 {
-		for _, name := range changed {
-			h.patched[name] = true
-		}
 	}
 	if s.CurrentUnit() != cur {
 		h.t.Errorf("%s: %s: undo moved the current unit", h.name, context)
@@ -246,12 +240,6 @@ func (h *undoHarness) stmts(keep func(fortran.Stmt) bool) []fortran.Stmt {
 	return out
 }
 
-func (h *undoHarness) notePatch() {
-	if h.s.LastReanalysis.Mode == "patch" {
-		h.patched[h.s.CurrentUnit().Name] = true
-	}
-}
-
 // editAssign re-types an assignment: the same text, a changed constant
 // or a grown right-hand side. It lands on the patch, unit or program
 // rung as the statement's variables decide.
@@ -274,7 +262,6 @@ func (h *undoHarness) editAssign() string {
 	if err := h.s.EditStmt(st.ID(), "      "+text); err != nil {
 		h.t.Fatalf("%s: edit %q: %v", h.name, text, err)
 	}
-	h.notePatch()
 	return "edit " + text
 }
 
@@ -451,7 +438,7 @@ func (h *undoHarness) step() string {
 func TestUndoMatchesFreshOpen(t *testing.T) {
 	programs := append(workloads.All(),
 		&workloads.Workload{Name: "cycle", Source: recursionCycle},
-		&workloads.Workload{Name: "callheavy", Source: callHeavyMain()})
+		workloads.CallHeavy(24))
 	rungs := map[string]int{}
 	for _, w := range programs {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -460,7 +447,7 @@ func TestUndoMatchesFreshOpen(t *testing.T) {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
 			h := &undoHarness{t: t, name: fmt.Sprintf("%s seed %d", w.Name, seed), s: s,
-				r: rand.New(rand.NewSource(seed*7919 + int64(len(w.Source)))), patched: map[string]bool{}}
+				r: rand.New(rand.NewSource(seed*7919 + int64(len(w.Source))))}
 			var log []string
 			for len(log) < 8 {
 				if op := h.step(); op != "" {
@@ -529,7 +516,7 @@ func TestUndoPlantedEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &undoHarness{t: t, name: w.Name, s: s, r: rand.New(rand.NewSource(5)), patched: map[string]bool{}}
+		h := &undoHarness{t: t, name: w.Name, s: s, r: rand.New(rand.NewSource(5))}
 		for n := 0; n < 6; {
 			h.pickUnit()
 			if h.editAssign() != "" || h.editCall() != "" {
@@ -544,7 +531,7 @@ func TestUndoPlantedEntry(t *testing.T) {
 		if err := rebuilt.SelectUnit(s.CurrentUnit().Name); err != nil {
 			t.Fatal(err)
 		}
-		hr := &undoHarness{t: t, name: w.Name + " (planted)", s: rebuilt, patched: map[string]bool{}}
+		hr := &undoHarness{t: t, name: w.Name + " (planted)", s: rebuilt}
 		for n := 1; len(s.UndoStack()) > 0; n++ {
 			h.undo(fmt.Sprintf("undo %d", n))
 			hr.undo(fmt.Sprintf("undo %d", n))
@@ -573,5 +560,5 @@ func TestUndoPlantedEntry(t *testing.T) {
 	if s.LastReanalysis.Mode != "full" || len(s.File.Units) != 2 || s.CurrentUnit() != s.File.Main() {
 		t.Errorf("undo onto another program: mode %s, %d units", s.LastReanalysis.Mode, len(s.File.Units))
 	}
-	(&undoHarness{t: t, name: "other program", s: s, patched: map[string]bool{}}).expectFresh("after the undo")
+	(&undoHarness{t: t, name: "other program", s: s}).expectFresh("after the undo")
 }

@@ -1,90 +1,149 @@
 package dataflow
 
-import "parascope/internal/fortran"
+import (
+	"parascope/internal/cfg"
+	"parascope/internal/fortran"
+)
 
-// SimpleStmt reports whether s is a straight-line statement with no
-// control flow and no call side effects — the envelope inside which a
-// 1:1 replacement cannot change the CFG or the call surface.
+// SimpleStmt reports whether s is a straight-line statement: one CFG
+// node that falls through to the next statement and is never a branch.
+// Replacing one by another leaves the CFG, the loop tree and every
+// control dependence as they are.
 func SimpleStmt(s fortran.Stmt) bool {
 	switch s.(type) {
-	case *fortran.AssignStmt, *fortran.PrintStmt, *fortran.ReadStmt, *fortran.ContinueStmt:
-		return !hasUserCall(s)
+	case *fortran.AssignStmt, *fortran.PrintStmt, *fortran.ReadStmt, *fortran.ContinueStmt, *fortran.CallStmt:
+		return true
 	}
 	return false
 }
 
-func hasUserCall(s fortran.Stmt) bool {
-	found := false
-	fortran.WalkExprs(s, func(e fortran.Expr) {
-		if fc, ok := e.(*fortran.FuncCall); ok && fc.Callee != nil {
-			found = true
-		}
-	})
-	return found
-}
-
-// PatchStmt updates the analysis in place after old was replaced 1:1
-// by new at the same position in the unit body (same CFG node, same
-// statement ID — the caller renumbers before patching). It returns
-// false, leaving the analysis untouched, when the replacement falls
-// outside the patchable envelope:
+// PatchStmt brings the analysis up to date in place after statement old
+// was replaced by new at the same position in the unit body, with
+// calls resolving through eff from now on; calls lists the other
+// statements of the unit whose call effects are not what they were
+// under the previous Eff. The CFG and the loop tree stay the objects
+// they were, so whoever holds nodes, loops or statements of the unit
+// keeps holding the right ones.
 //
-//   - both statements must be simple (SimpleStmt), so the CFG shape is
-//     unchanged;
-//   - the write accesses must match as a (symbol, partial) multiset,
-//     so reaching-definition gen/kill sets — and the whole bitset
-//     solution — are unchanged;
-//   - no integer scalar may be written, so the constant-propagation
-//     lattice is unchanged.
+// What a client may have derived from the facts of the statements left
+// alone must survive, so the patch succeeds only when those facts do. It
+// returns false, with the analysis untouched, when
 //
-// Reads may change freely: def-use chains are read off the unchanged
-// reaching solution on demand, and liveness is re-solved only when the
-// set of symbols read actually differs.
-func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
+//   - either statement is not simple (SimpleStmt): the CFG would move;
+//   - a patched statement writes another set of scalars than it did:
+//     "is this scalar assigned anywhere in the unit, or in this loop" is
+//     read at other statements (loop invariance of their subscripts);
+//   - the constants known at entry to any statement left alone move
+//     (checked by propagating again whenever a patched statement writes
+//     an integer scalar, before or after).
+//
+// Reaching definitions and liveness may move anywhere in the unit and
+// are solved again when the written (symbol, partial) multiset of a
+// patched statement changed; otherwise the reaching bitsets are
+// provably the same, def-use chains are read off them on demand, and
+// liveness is solved again only if a set of symbols read changed.
+func (a *Analysis) PatchStmt(old, new fortran.Stmt, eff SideEffects, calls []fortran.Stmt) bool {
 	if !SimpleStmt(old) || !SimpleStmt(new) {
 		return false
 	}
-	node := a.G.NodeFor(new)
-	if node == nil || node.Stmt != old {
+	edited := a.G.NodeFor(old)
+	if edited == nil {
 		return false
 	}
-	oldAcc := a.accesses[node.Index]
-	newAcc := StmtAccesses(a.Unit, new, a.Eff)
-	if !writesMatch(oldAcc, newAcc) {
-		return false
-	}
-	if writesIntScalar(newAcc) {
-		return false
-	}
-
-	node.Stmt = new
-	a.accesses[node.Index] = newAcc
-	a.indexSymbols(newAcc)
-	a.Tree.Reindex(old, new)
-
-	// Re-point the node's Def objects at the matching new write
-	// accesses. IDs and gen/kill are untouched, so reachIn/reachOut —
-	// and the def-use chains read off them — stay valid.
-	nodeDefs := append([]*Def(nil), a.nodeDefs[node.Index]...)
-	i := 0
-	for _, ac := range newAcc {
-		if !ac.Write {
-			continue
+	nodes := []*cfg.Node{edited}
+	for _, c := range calls {
+		n := a.G.NodeFor(c)
+		if n == nil || n == edited {
+			return false
 		}
-		for j := i; j < len(nodeDefs); j++ {
-			if nodeDefs[j].Sym == ac.Sym && nodeDefs[j].Partial == ac.Partial {
-				nodeDefs[i], nodeDefs[j] = nodeDefs[j], nodeDefs[i]
-				break
+		nodes = append(nodes, n)
+	}
+	before := make([][]Access, len(nodes))
+	after := make([][]Access, len(nodes))
+	redefine, reconst, relive := false, false, false
+	for i, n := range nodes {
+		s := n.Stmt
+		if n == edited {
+			s = new
+		}
+		before[i], after[i] = a.accesses[n.Index], StmtAccesses(a.Unit, s, eff)
+		if !sameScalarsWritten(before[i], after[i]) {
+			return false
+		}
+		redefine = redefine || !writesMatch(before[i], after[i])
+		reconst = reconst || writesIntScalar(before[i]) || writesIntScalar(after[i])
+		relive = relive || !readSymsEqual(before[i], after[i])
+	}
+
+	prevEff := a.Eff
+	a.Eff = eff
+	a.G.Replace(old, new)
+	for i, n := range nodes {
+		a.accesses[n.Index] = after[i]
+	}
+	if reconst {
+		was := a.consts
+		a.propagateConstants()
+		if constsMovedElsewhere(a.G, was, a.consts, nodes) {
+			a.Eff, a.consts = prevEff, was
+			a.G.Replace(new, old)
+			for i, n := range nodes {
+				a.accesses[n.Index] = before[i]
 			}
+			return false
 		}
-		nodeDefs[i].Access = ac
-		i++
 	}
-
-	if !readSymsEqual(oldAcc, newAcc) {
+	// Committed.
+	a.Tree.Reindex(old, new)
+	if redefine {
+		a.buildDefs()
+		a.solveReaching()
+		a.solveLiveness()
+		return true
+	}
+	for i, n := range nodes {
+		a.indexSymbols(after[i])
+		a.repointDefs(n, after[i])
+	}
+	if relive {
 		a.solveLiveness()
 	}
 	return true
+}
+
+// repointDefs hands the node's Def objects the matching write accesses
+// of acc, which writes what the node's accesses wrote. IDs and gen/kill
+// are untouched, so reachIn/reachOut — and the def-use chains read off
+// them — stay valid.
+func (a *Analysis) repointDefs(n *cfg.Node, acc []Access) {
+	defs := a.nodeDefs[n.Index]
+	taken := make([]bool, len(defs))
+	for _, ac := range acc {
+		if !ac.Write {
+			continue
+		}
+		for j, d := range defs {
+			if !taken[j] && d.Sym == ac.Sym && d.Partial == ac.Partial {
+				d.Access, taken[j] = ac, true
+				break
+			}
+		}
+	}
+}
+
+// constsMovedElsewhere reports whether two constant tables differ at
+// entry to a statement other than those of the nodes given.
+func constsMovedElsewhere(g *cfg.Graph, was, now []Consts, except []*cfg.Node) bool {
+	skip := map[int]bool{}
+	for _, n := range except {
+		skip[n.Index] = true
+	}
+	for _, n := range g.Nodes {
+		if n.Stmt != nil && !skip[n.Index] && !constStateEqual(was[n.Index], now[n.Index]) {
+			return true
+		}
+	}
+	return false
 }
 
 type writeKey struct {
@@ -123,26 +182,35 @@ func writesIntScalar(acc []Access) bool {
 	return false
 }
 
-func readSymsEqual(a, b []Access) bool {
-	ra := map[*fortran.Symbol]bool{}
-	for _, ac := range a {
-		if !ac.Write {
-			ra[ac.Sym] = true
+// symSet collects the symbols of the accesses keep accepts.
+func symSet(acc []Access, keep func(Access) bool) map[*fortran.Symbol]bool {
+	out := map[*fortran.Symbol]bool{}
+	for _, ac := range acc {
+		if keep(ac) {
+			out[ac.Sym] = true
 		}
 	}
-	rb := map[*fortran.Symbol]bool{}
-	for _, ac := range b {
-		if !ac.Write {
-			rb[ac.Sym] = true
-		}
-	}
-	if len(ra) != len(rb) {
+	return out
+}
+
+func sameSyms(a, b map[*fortran.Symbol]bool) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for s := range ra {
-		if !rb[s] {
+	for s := range a {
+		if !b[s] {
 			return false
 		}
 	}
 	return true
+}
+
+func sameScalarsWritten(a, b []Access) bool {
+	scalarWrite := func(ac Access) bool { return ac.Write && ac.Sym.Kind == fortran.SymScalar }
+	return sameSyms(symSet(a, scalarWrite), symSet(b, scalarWrite))
+}
+
+func readSymsEqual(a, b []Access) bool {
+	read := func(ac Access) bool { return !ac.Write }
+	return sameSyms(symSet(a, read), symSet(b, read))
 }

@@ -390,14 +390,14 @@ type tester struct {
 
 // testSym tests every reference pair of one symbol, in collection
 // order, applying the standard skip rules. With only set, just the
-// pairs with a reference in that statement are tested — in the same
-// relative order, so a patched graph lists the edges as a full run
+// pairs with a reference in one of those statements are tested — in the
+// same relative order, so a patched graph lists the edges as a full run
 // would.
-func (t *tester) testSym(sym *fortran.Symbol, list []*ref, only fortran.Stmt) {
+func (t *tester) testSym(sym *fortran.Symbol, list []*ref, only []fortran.Stmt) {
 	var inOnly []int
 	if only != nil {
 		for j, r := range list {
-			if r.stmt == only {
+			if among(only, r.stmt) {
 				inOnly = append(inOnly, j)
 			}
 		}
@@ -406,7 +406,7 @@ func (t *tester) testSym(sym *fortran.Symbol, list []*ref, only fortran.Stmt) {
 		}
 	}
 	for i, r1 := range list {
-		if only == nil || r1.stmt == only {
+		if only == nil || among(only, r1.stmt) {
 			for _, r2 := range list[i:] {
 				t.testRefPair(sym, r1, r2)
 			}

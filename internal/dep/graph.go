@@ -191,6 +191,9 @@ type Graph struct {
 	Deps []*Dependence
 	// Stats records per-test pair counts for the effectiveness table.
 	Stats Stats
+	// Patches counts the Patch calls since the graph's last full run. At
+	// zero, IDs and Stats are those a from-scratch analysis assigns.
+	Patches int
 
 	byLoop map[*cfg.Loop][]*Dependence
 
@@ -288,12 +291,12 @@ func (g *Graph) CarriedAt(l *cfg.Loop) []*Dependence {
 	return out
 }
 
-// DepByID returns the dependence with the given ID, or nil.
+// DepByID returns the dependence with the given ID, or nil. IDs are
+// dense — finalize numbers Deps[i] i+1 after a full run and after a
+// patch alike.
 func (g *Graph) DepByID(id int) *Dependence {
-	for _, d := range g.Deps {
-		if d.ID == id {
-			return d
-		}
+	if id < 1 || id > len(g.Deps) || g.Deps[id-1].ID != id {
+		return nil
 	}
-	return nil
+	return g.Deps[id-1]
 }

@@ -85,12 +85,12 @@ func TestPatchDoesNotBuildUnitTables(t *testing.T) {
 		}
 	}
 	f.RenumberStmts()
-	if !df.PatchStmt(old, ns) {
+	if !df.PatchStmt(old, ns, df.Eff, nil) {
 		t.Fatal("PatchStmt refused a constant change")
 	}
 
 	a := &Analyzer{DF: df, Opts: DefaultOptions()}
-	g := a.patch(prev, old, ns)
+	g := a.patch(prev, old, ns, nil)
 
 	built := 0
 	for i := range a.stmts {

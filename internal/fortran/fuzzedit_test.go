@@ -35,13 +35,83 @@ func depSig(s *core.Session) []string {
 	return out
 }
 
+// editSite is one statement the fuzzer may re-type.
+type editSite struct {
+	unit *fortran.Unit
+	stmt fortran.Stmt
+}
+
+// editSites lists the assignments and CALL statements of every unit,
+// the current unit's first: local scalars and arrays, dummy arguments,
+// COMMON variables and call surfaces all come up.
+func editSites(s *core.Session) []editSite {
+	var out []editSite
+	collect := func(u *fortran.Unit) {
+		fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
+			switch st.(type) {
+			case *fortran.AssignStmt, *fortran.CallStmt:
+				out = append(out, editSite{u, st})
+			}
+			return true
+		})
+	}
+	collect(s.CurrentUnit())
+	for _, u := range s.File.Units {
+		if u != s.CurrentUnit() {
+			collect(u)
+		}
+	}
+	return out
+}
+
+// fuzzCalls is the seed program for edits that reach outside their
+// unit: calls with array, scalar and constant actuals, a callee that
+// writes an integer dummy, COMMON variables on both sides.
+const fuzzCalls = `
+      program main
+      integer i, n, m
+      real a(300), b(300)
+      common /blk/ total
+      real total
+      n = 100
+      m = 0
+      do i = 1, n
+         a(i) = 0.5
+         b(i) = a(i)*0.25
+         m = m + 1
+      enddo
+      call f(a, b, 100)
+      call g(b, a, m)
+      call f(b, a, 100)
+      total = total + a(1)
+      print *, a(1), b(2), m, total
+      end
+      subroutine f(x, y, k)
+      integer k, j
+      real x(300), y(300)
+      common /blk/ total
+      real total
+      do j = 1, k
+         x(j) = x(j) + y(j)
+      enddo
+      total = total + x(1)
+      end
+      subroutine g(x, y, k)
+      integer k
+      real x(300), y(300)
+      k = k + 1
+      x(k) = y(k)
+      end
+`
+
 // FuzzEditReanalyze feeds an arbitrary program plus one arbitrary
 // statement edit to a session and checks the invariant the editor
 // leans on: whatever reanalysis path the edit takes (statement patch,
-// unit, program escalation), the resulting dependence graphs must
-// match a from-scratch analysis of the saved source. Inputs the
-// front end or the analyses reject are skipped — equivalence, not
-// robustness, is the property under test here.
+// unit, program escalation — the edited unit patched or analyzed
+// whole), the resulting dependence graphs must match a from-scratch
+// analysis of the saved source. Inputs the front end or the analyses
+// reject are skipped — equivalence, not robustness, is the property
+// under test here.
 func FuzzEditReanalyze(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source, uint8(0), "x(1) = 0.0")
@@ -50,6 +120,37 @@ func FuzzEditReanalyze(f *testing.F) {
 		"      do i = 2, 100\n         x(i) = x(i-1)\n      enddo\n      end\n",
 		uint8(0), "x(i) = x(i+1)")
 	f.Add("      program p\n      real t\n      t = 1.0\n      end\n", uint8(0), "t = t + 1.0")
+	// Edits of the wider envelope, by the statement they re-type.
+	calls, err := core.Open("fuzz.f", fuzzCalls)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][2]string{
+		{"call f(a, b, 100)", "call f(b, a, 100)"}, // actuals swapped
+		{"call f(a, b, 100)", "call f(a, b, 50)"},  // a constant actual, and f's constant formal with it
+		{"call f(a, b, 100)", "call g(a, b, m)"},   // another callee
+		{"call g(b, a, m)", "call g(b, a, n)"},     // another integer scalar written
+		{"m = m + 1", "m = m + 2"},                 // an integer scalar, not a constant
+		{"m = 0", "m = 1"},                         // an integer scalar, a constant: declined
+		{"m = 0", "n = 0"},                         // another scalar written: declined
+		{"x(j) = x(j) + y(j)", "x(j) = y(j)"},      // dummy arguments, summary moved
+		{"x(j) = x(j) + y(j)", "x(j) = x(j) + y(j)*0.5"},
+		{"total = total + x(1)", "total = x(1)"}, // a COMMON variable in a callee
+		{"total = total + a(1)", "total = 0.0"},  // and in main
+		{"x(k) = y(k)", "x(k) = y(k + 1)"},
+		{"b(i) = a(i)*0.25", "call g(a, b, m)"}, // an assignment becomes a call
+	} {
+		pick := -1
+		for i, site := range editSites(calls) {
+			if fortran.StmtText(site.stmt) == seed[0] && pick < 0 {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			f.Fatalf("seed statement %q not in the program", seed[0])
+		}
+		f.Add(fuzzCalls, uint8(pick), seed[1])
+	}
 	f.Fuzz(func(t *testing.T, src string, pick uint8, text string) {
 		var s *core.Session
 		func() {
@@ -61,21 +162,15 @@ func FuzzEditReanalyze(f *testing.F) {
 		if s == nil || s.CurrentUnit() == nil {
 			return
 		}
-		var assigns []fortran.Stmt
-		fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
-			if _, ok := st.(*fortran.AssignStmt); ok {
-				assigns = append(assigns, st)
-			}
-			return true
-		})
-		if len(assigns) == 0 {
+		sites := editSites(s)
+		if len(sites) == 0 {
 			return
 		}
-		target := assigns[int(pick)%len(assigns)]
+		target := sites[int(pick)%len(sites)]
 		edited := false
 		func() {
 			defer func() { recover() }()
-			edited = s.EditStmt(target.ID(), "      "+text) == nil
+			edited = s.SelectUnit(target.unit.Name) == nil && s.EditStmt(target.stmt.ID(), "      "+text) == nil
 		}()
 		if !edited {
 			return

@@ -65,15 +65,7 @@ func (f *frame) evalRef(x *fortran.VarRef) (Value, error) {
 		if a == nil {
 			return Value{}, fmt.Errorf("interp: array %s has no storage", sym.Name)
 		}
-		subs := make([]int64, len(x.Subs))
-		for i, e := range x.Subs {
-			sv, err := f.eval(e)
-			if err != nil {
-				return Value{}, err
-			}
-			subs[i] = sv.Int()
-		}
-		off, err := a.index(subs)
+		off, err := f.offset(a, x.Subs)
 		if err != nil {
 			return Value{}, err
 		}
@@ -84,6 +76,28 @@ func (f *frame) evalRef(x *fortran.VarRef) (Value, error) {
 		return Value{}, fmt.Errorf("interp: scalar %s has no storage", sym.Name)
 	}
 	return c.v, nil
+}
+
+// maxRank is Fortran 77's cap on the rank of an array, and so on the
+// subscripts of a reference: they fit a buffer on the stack.
+const maxRank = 7
+
+// offset evaluates the subscripts of a reference to a and returns the
+// offset of the element they name.
+func (f *frame) offset(a *array, subs []fortran.Expr) (int64, error) {
+	var buf [maxRank]int64
+	vals := buf[:0]
+	if len(subs) > maxRank {
+		vals = make([]int64, 0, len(subs))
+	}
+	for _, e := range subs {
+		sv, err := f.eval(e)
+		if err != nil {
+			return 0, err
+		}
+		vals = append(vals, sv.Int())
+	}
+	return a.index(vals)
 }
 
 func (f *frame) evalBinary(x *fortran.Binary) (Value, error) {
@@ -203,13 +217,18 @@ func (f *frame) evalCall(x *fortran.FuncCall) (Value, error) {
 	if x.Callee != nil {
 		return f.userFunc(x)
 	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
+	// Intrinsics take one or two arguments, max and min a few more.
+	var buf [4]Value
+	args := buf[:0]
+	if len(x.Args) > len(buf) {
+		args = make([]Value, 0, len(x.Args))
+	}
+	for _, a := range x.Args {
 		v, err := f.eval(a)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	return intrinsic(x.Name, args)
 }

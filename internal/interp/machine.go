@@ -437,15 +437,7 @@ func (f *frame) store(ref *fortran.VarRef, v Value) error {
 		if a == nil {
 			return fmt.Errorf("interp: array %s has no storage", sym.Name)
 		}
-		subs := make([]int64, len(ref.Subs))
-		for i, e := range ref.Subs {
-			sv, err := f.eval(e)
-			if err != nil {
-				return err
-			}
-			subs[i] = sv.Int()
-		}
-		off, err := a.index(subs)
+		off, err := f.offset(a, ref.Subs)
 		if err != nil {
 			return err
 		}
@@ -715,15 +707,7 @@ func (f *frame) bindArgs(callee *fortran.Unit, args []fortran.Expr) ([]*cell, []
 				// Array element passed where an array is expected:
 				// alias the tail of the storage (sequence association).
 				base := f.arrays[vr.Sym]
-				subs := make([]int64, len(vr.Subs))
-				for k, e := range vr.Subs {
-					sv, err := f.eval(e)
-					if err != nil {
-						return nil, nil, err
-					}
-					subs[k] = sv.Int()
-				}
-				off, err := base.index(subs)
+				off, err := f.offset(base, vr.Subs)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -116,6 +116,7 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 			if err := s.SelectLoop(j + 1); err != nil {
 				continue
 			}
+			vars := s.VariablePane() // once per loop: the pane and the Private flags read it
 			ua.Loops = append(ua.Loops, LoopArtifacts{
 				Line:     l.Do.Line(),
 				Depth:    l.Depth,
@@ -123,8 +124,8 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 				Parallel: l.Do.Parallel,
 				Summary:  view.DepSummary(s),
 				DepPane:  view.DepPane(s, core.DepFilter{}),
-				VarPane:  view.VarPane(s),
-				Deps:     depInfos(s),
+				VarPane:  view.VarPaneOf(vars),
+				Deps:     depInfos(s, vars),
 			})
 		}
 		ua.LoopsText = lb.String()
@@ -140,11 +141,12 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 }
 
 // depInfos converts the selected loop's unfiltered dependence list to
-// wire form; the Private flag snapshots the variable classification
-// so artifact-backed sessions can apply the hideprivate filter.
-func depInfos(s *core.Session) []DepInfo {
+// wire form; the Private flag snapshots the variable classification —
+// vars, the loop's variable pane rows — so artifact-backed sessions can
+// apply the hideprivate filter.
+func depInfos(s *core.Session, vars []core.VarInfo) []DepInfo {
 	classes := map[*fortran.Symbol]core.VarClass{}
-	for _, row := range s.VariablePane() {
+	for _, row := range vars {
 		classes[row.Sym] = row.Class
 	}
 	var out []DepInfo

@@ -1243,6 +1243,6 @@ func (ss *Session) doDeps(q DepQuery) DepsResponse {
 	}
 	resp.Unit = ss.live.CurrentUnit().Name
 	resp.Loop = ss.liveLoopOrdinal()
-	resp.Deps = filterInfos(depInfos(ss.live), q)
+	resp.Deps = filterInfos(depInfos(ss.live, ss.live.VariablePane()), q)
 	return resp
 }

@@ -136,12 +136,15 @@ func trimmed(b *strings.Builder) string {
 
 // VarPane renders the variable classification pane for the selected
 // loop.
-func VarPane(s *core.Session) string {
+func VarPane(s *core.Session) string { return VarPaneOf(s.VariablePane()) }
+
+// VarPaneOf renders the variable classification pane from its rows, for
+// a caller that has computed them already.
+func VarPaneOf(rows []core.VarInfo) string {
 	var b strings.Builder
 	b.WriteString("── variables ")
 	b.WriteString(strings.Repeat("─", 50))
 	b.WriteByte('\n')
-	rows := s.VariablePane()
 	if len(rows) == 0 {
 		b.WriteString("  (no loop selected)\n")
 		return b.String()

@@ -95,6 +95,20 @@ type Transformation interface {
 	Apply(c *Context) error
 }
 
+// AnnotatesOnly reports whether applying t writes nothing but a DO
+// statement's parallel annotations — Parallel, Private, Reductions.
+// The printer, the interpreter, the code generator and the planner read
+// those; data-flow, dependence, interprocedural and performance
+// analysis do not, so the unit's analysis is after the transformation
+// what it was before.
+func AnnotatesOnly(t Transformation) bool {
+	switch t.(type) {
+	case Parallelize, Serialize, Privatize, PrivatizeArray, RecognizeReductions:
+		return true
+	}
+	return false
+}
+
 // ---------------------------------------------------------------------------
 // Shared helpers
 
