@@ -139,30 +139,6 @@ func runRemote(base, workload string, batch bool, timeout time.Duration) int {
 		if line == "quit" || line == "exit" {
 			break
 		}
-		// The run verb goes through the structured execution endpoint
-		// rather than the generic command line: it carries the backend
-		// choice and returns timing, and its errors (a declined
-		// program, a disabled backend's 501) must fail the invocation.
-		if fields := strings.Fields(line); len(fields) > 0 && fields[0] == "run" {
-			req, perr := core.ParseExecRequest(fields[1:])
-			if perr != nil {
-				errors++
-				fmt.Printf("error: %v\n", perr)
-				continue
-			}
-			resp, err := client.Run(ctx, open.ID, server.RunRequest{
-				Backend: req.Backend, Workers: req.Workers,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ped: run: %v\n", err)
-				return 1
-			}
-			fmt.Print(resp.Output)
-			if resp.Backend == core.BackendCompile {
-				fmt.Printf("[compiled: %dµs]\n", resp.WallMicros)
-			}
-			continue
-		}
 		resp, err := client.Cmd(ctx, open.ID, line)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ped: %v\n", err)

@@ -201,3 +201,52 @@ func TestRemoteRequestIDOnFailure(t *testing.T) {
 		t.Fatalf("stderr carries no request ID: %s", stderr)
 	}
 }
+
+// powSource is a program the code generator declines (non-constant
+// exponent) and the interpreter runs.
+const powSource = `
+      program p
+      integer i, j, k
+      i = 2
+      j = 3
+      k = i ** j
+      print *, k
+      end
+`
+
+// TestRemoteRunFallsBackLikeLocal pins the `run` verb's one
+// implementation: `ped -remote` sends the line to the daemon as it
+// sends every other, so `run backend=compile fallback` on a declined
+// program prints the interpreter's output and the fallback reason — it
+// used to build its own request, drop the fallback and fail — byte for
+// byte what local ped prints.
+func TestRemoteRunFallsBackLikeLocal(t *testing.T) {
+	bin := buildPed(t)
+	mgr := server.NewManager(server.Config{CacheSize: 8, RunCacheDir: t.TempDir()})
+	defer mgr.Shutdown()
+	ts := httptest.NewServer(server.New(mgr))
+	defer ts.Close()
+	src := filepath.Join(t.TempDir(), "pow.f")
+	if err := writeFile(src, powSource); err != nil {
+		t.Fatal(err)
+	}
+	// The workers argument keeps the line off a default; run twice so a
+	// cache-hit (artifact-backed) session answers too.
+	const script = "run 2 backend=compile fallback\nrun\nquit\n"
+	local, stderr, code := runPed(t, bin, script, "-batch", src)
+	if code != 0 {
+		t.Fatalf("local ped exited %d\nstdout: %s\nstderr: %s", code, local, stderr)
+	}
+	if !strings.Contains(local, "8\n[fell back to interpreter: ") || !strings.Contains(local, "exponent") {
+		t.Fatalf("local ped did not fall back:\n%s", local)
+	}
+	for i := 0; i < 2; i++ {
+		remote, stderr, code := runPed(t, bin, script, "-remote", ts.URL, "-batch", src)
+		if code != 0 {
+			t.Fatalf("remote ped exited %d\nstdout: %s\nstderr: %s", code, remote, stderr)
+		}
+		if remote != local {
+			t.Errorf("open %d: remote ped prints\n%s\nlocal ped prints\n%s", i+1, remote, local)
+		}
+	}
+}

@@ -69,6 +69,20 @@ type ExecResult struct {
 	FallbackReason string
 }
 
+// Trailer renders what the `run` verb prints after the program's own
+// output: why a compile request fell back to the interpreter, and the
+// wall time of a compiled run.
+func (r ExecResult) Trailer() string {
+	var out string
+	if r.FallbackReason != "" {
+		out = fmt.Sprintf("[fell back to interpreter: %s]\n", r.FallbackReason)
+	}
+	if r.Backend == BackendCompile {
+		out += fmt.Sprintf("[compiled: %s]\n", r.Wall.Round(time.Microsecond))
+	}
+	return out
+}
+
 // Exec runs the session's current program under the requested backend,
 // governed end to end: an execution slot is acquired (ErrBusy when the
 // daemon is saturated), the run is bounded by the governor's wall

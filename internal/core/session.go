@@ -53,6 +53,18 @@ func (c VarClass) String() string {
 	return "?"
 }
 
+// ParseVarClass names the classes a user may assign — the last word of
+// `classify <var> shared|private|reduction`, and what a journaled
+// classification records.
+func ParseVarClass(name string) (VarClass, error) {
+	for _, c := range []VarClass{ClassShared, ClassPrivate, ClassReduction} {
+		if name == c.String() {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown class %q", name)
+}
+
 // Assertion is one user-supplied fact about a variable's value,
 // sharpening dependence analysis ("assert n >= 100").
 type Assertion struct {

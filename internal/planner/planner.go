@@ -26,9 +26,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -171,6 +173,75 @@ type Plan struct {
 	// Source is the plan's final printed source (not serialized —
 	// applying replays the steps instead of pasting text).
 	Source string `json:"-"`
+}
+
+// ErrConflict marks a plan that cannot be (or keep being) applied: the
+// program moved past the plan's base hash, or a step left it somewhere
+// the search did not.
+var ErrConflict = errors.New("plan conflict")
+
+// Replay accepts the plan: it walks the hash chain the search recorded,
+// running each step line through step — the host's own way of executing
+// one command — and reading the program's hash through hash. A stale
+// base or a diverged step is an ErrConflict; a step that fails stops
+// the walk with its error. The steps already run stay run: they are
+// ordinary commands, and undo rolls them back.
+func (p *Plan) Replay(hash func() string, step func(line string) error) error {
+	if p.BaseHash != "" && hash() != p.BaseHash {
+		return fmt.Errorf("%w: stale plan %s: program changed since the plan was computed", ErrConflict, p.ID)
+	}
+	for i, st := range p.Steps {
+		if err := step(st.Line); err != nil {
+			return fmt.Errorf("plan %s step %d (%q): %w", p.ID, i+1, st.Line, err)
+		}
+		if st.Hash != "" && hash() != st.Hash {
+			return fmt.Errorf("%w: plan %s diverged after step %d (%q); undo to roll back", ErrConflict, p.ID, i+1, st.Line)
+		}
+	}
+	return nil
+}
+
+// ParseArgs parses the arguments of the `plan` verb:
+//
+//	plan [beam=N depth=N worlds=N ms=N top=N nointerp compiled async]
+//
+// in any order. async asks a host that can search in the background to
+// answer at once; the other hosts search as they always do.
+func ParseArgs(args []string) (opts Options, async bool, err error) {
+	opts.Interp = true
+	for _, a := range args {
+		switch a {
+		case "nointerp":
+			opts.Interp = false
+			continue
+		case "compiled":
+			opts.Compiled = true
+			continue
+		case "async":
+			async = true
+			continue
+		}
+		k, v, _ := strings.Cut(a, "=")
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n <= 0 {
+			return opts, false, fmt.Errorf("bad plan option %q (want beam=N depth=N worlds=N ms=N top=N nointerp compiled async)", a)
+		}
+		switch k {
+		case "beam":
+			opts.BeamWidth = n
+		case "depth":
+			opts.MaxDepth = n
+		case "worlds":
+			opts.MaxWorlds = n
+		case "ms":
+			opts.Timeout = time.Duration(n) * time.Millisecond
+		case "top":
+			opts.TopPlans = n
+		default:
+			return opts, false, fmt.Errorf("unknown plan option %q", k)
+		}
+	}
+	return opts, async, nil
 }
 
 // Result is the outcome of one search.
@@ -518,9 +589,7 @@ func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
 
 	input := s.opts.Input
 	if input == nil {
-		if wl := workloads.ByName(strings.TrimSuffix(s.path, ".f")); wl != nil {
-			input = wl.Input
-		}
+		input = workloads.InputFor(s.path)
 	}
 	// Validation runs the base and every finalist under the interpreter
 	// side by side on the search's worker bound; the verdicts are then

@@ -16,12 +16,10 @@ import (
 
 	"parascope/internal/core"
 	"parascope/internal/dep"
-	"parascope/internal/fortran"
 	"parascope/internal/perf"
 	"parascope/internal/planner"
 	"parascope/internal/view"
 	"parascope/internal/workloads"
-	"parascope/internal/xform"
 )
 
 // REPL is one interactive editor instance.
@@ -124,11 +122,7 @@ func (r *REPL) Execute(line string) error {
 		r.Done = true
 	case "units":
 		for _, u := range s.File.Units {
-			marker := "  "
-			if u == s.CurrentUnit() {
-				marker = "» "
-			}
-			fmt.Fprintf(r.Out, "%s%s %s\n", marker, u.Kind, u.Name)
+			fmt.Fprint(r.Out, view.UnitLine(u.Kind.String(), u.Name, u == s.CurrentUnit()))
 		}
 	case "unit":
 		if len(args) != 1 {
@@ -138,14 +132,7 @@ func (r *REPL) Execute(line string) error {
 	case "callgraph":
 		fmt.Fprint(r.Out, s.Prog.Graph.String())
 	case "loops":
-		for i, l := range s.Loops() {
-			mark := " "
-			if l.Do.Parallel {
-				mark = "P"
-			}
-			fmt.Fprintf(r.Out, "%3d %s depth %d line %d: %s\n",
-				i+1, mark, l.Depth, l.Do.Line(), fortran.StmtText(l.Do))
-		}
+		fmt.Fprint(r.Out, view.LoopList(s))
 	case "loop":
 		n, err := r.argInt(args, 0, "loop number")
 		if err != nil {
@@ -212,20 +199,15 @@ func (r *REPL) Execute(line string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: classify <var> shared|private|reduction")
 		}
-		var c core.VarClass
-		switch args[1] {
-		case "shared":
-			c = core.ClassShared
-		case "private":
-			c = core.ClassPrivate
-		case "reduction":
-			c = core.ClassReduction
-		default:
-			return fmt.Errorf("unknown class %q", args[1])
+		c, err := core.ParseVarClass(args[1])
+		if err != nil {
+			return err
 		}
 		return s.Classify(args[0], c)
 	case "check", "apply":
-		t, err := r.parseTransformation(args)
+		// The grammar is core's, so the REPL, journal replay and the
+		// speculative planner accept exactly the same step lines.
+		t, err := core.ParseTransformation(s, args)
 		if err != nil {
 			return err
 		}
@@ -286,20 +268,12 @@ func (r *REPL) Execute(line string) error {
 		if err != nil {
 			return err
 		}
-		if w := workloads.ByName(strings.TrimSuffix(s.File.Path, ".f")); w != nil {
-			req.Input = w.Input
-		}
+		req.Input = workloads.InputFor(s.File.Path)
 		res, err := s.Exec(context.Background(), req)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(r.Out, res.Output)
-		if res.FallbackReason != "" {
-			fmt.Fprintf(r.Out, "[fell back to interpreter: %s]\n", res.FallbackReason)
-		}
-		if res.Backend == core.BackendCompile {
-			fmt.Fprintf(r.Out, "[compiled: %s]\n", res.Wall.Round(time.Microsecond))
-		}
+		fmt.Fprint(r.Out, res.Output, res.Trailer())
 	case "set":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: set sections|constants|ranges|inputdeps|interproc on|off")
@@ -360,7 +334,7 @@ func (r *REPL) Execute(line string) error {
 			fmt.Fprintln(r.Out, m)
 		}
 	case "plan":
-		opts, err := parsePlanArgs(args)
+		opts, _, err := planner.ParseArgs(args) // in-process, async or not, the search runs here
 		if err != nil {
 			return err
 		}
@@ -391,18 +365,8 @@ func (r *REPL) Execute(line string) error {
 			return fmt.Errorf("no plan %d (have %d; run plan first)", n, len(r.Plans))
 		}
 		p := r.Plans[n-1]
-		if h := s.SourceHash(); h != p.BaseHash {
-			return fmt.Errorf("stale plan %s: program changed since the plan was computed", p.ID)
-		}
-		for i, st := range p.Steps {
-			if err := r.Execute(st.Line); err != nil {
-				return fmt.Errorf("apply-plan step %d (%q): %v", i+1, st.Line, err)
-			}
-			if st.Hash != "" {
-				if h := s.SourceHash(); h != st.Hash {
-					return fmt.Errorf("apply-plan diverged after step %d (%q); undo to roll back", i+1, st.Line)
-				}
-			}
+		if err := p.Replay(s.SourceHash, r.Execute); err != nil {
+			return err
 		}
 		fmt.Fprintf(r.Out, "applied plan %s: %d step(s), est %.1fx\n", p.ID, len(p.Steps), p.EstSpeedup)
 	case "history":
@@ -437,52 +401,6 @@ func (r *REPL) argInt(args []string, i int, what string) (int, error) {
 		return 0, fmt.Errorf("bad %s %q", what, args[i])
 	}
 	return n, nil
-}
-
-// parseTransformation resolves transformation command arguments via
-// the shared grammar in core, so the REPL, journal replay, and the
-// speculative planner accept exactly the same step lines.
-func (r *REPL) parseTransformation(args []string) (xform.Transformation, error) {
-	return core.ParseTransformation(r.Session, args)
-}
-
-// parsePlanArgs parses the optional key=value budget arguments of the
-// plan command: beam=N depth=N worlds=N ms=N top=N nointerp compiled.
-func parsePlanArgs(args []string) (planner.Options, error) {
-	opts := planner.Options{Interp: true}
-	for _, a := range args {
-		if a == "nointerp" {
-			opts.Interp = false
-			continue
-		}
-		if a == "compiled" {
-			opts.Compiled = true
-			continue
-		}
-		k, v, ok := strings.Cut(a, "=")
-		if !ok {
-			return opts, fmt.Errorf("bad plan option %q (want beam=N depth=N worlds=N ms=N top=N nointerp compiled)", a)
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return opts, fmt.Errorf("bad plan option value %q", a)
-		}
-		switch k {
-		case "beam":
-			opts.BeamWidth = n
-		case "depth":
-			opts.MaxDepth = n
-		case "worlds":
-			opts.MaxWorlds = n
-		case "ms":
-			opts.Timeout = time.Duration(n) * time.Millisecond
-		case "top":
-			opts.TopPlans = n
-		default:
-			return opts, fmt.Errorf("unknown plan option %q", k)
-		}
-	}
-	return opts, nil
 }
 
 func parseDepFilter(args []string) (core.DepFilter, error) {
@@ -539,7 +457,7 @@ const helpText = `commands:
   compose                                cross-procedure parameter checks
   edit <stmt-id> <text> | delete <id> | undo
   perf | rank | auto                     performance navigation
-  plan [beam=N depth=N worlds=N ms=N top=N nointerp compiled]
+  plan [beam=N depth=N worlds=N ms=N top=N nointerp compiled async]
                                          speculative search: rank auto-
                                          parallelization plans in forked worlds
   plans                                  reshow the last plan result

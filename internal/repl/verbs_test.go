@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"io/fs"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,6 +87,110 @@ func TestVerbTableMatchesDispatcher(t *testing.T) {
 	}
 	if v, c := Verb("   "); v != "" || c != Read {
 		t.Errorf("Verb of a blank line = %q, %d", v, c)
+	}
+}
+
+// parseDir parses the non-test Go files of a directory.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s", dir)
+	}
+	return files
+}
+
+// stringLits calls fn with every string literal under n, unquoted.
+func stringLits(t *testing.T, n ast.Node, fn func(string)) {
+	t.Helper()
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(s)
+		}
+		return true
+	})
+}
+
+// TestHostsHoldNoVerbText: a verb is implemented once. The hosts of the
+// editor — the daemon and the remote client — may route a line by its
+// verb, but what a verb accepts, rejects and prints is written in the
+// REPL, core and view only. Read off the sources: the daemon's artifact
+// table is keyed by Read verbs of the table here; neither host carries
+// a string the editor formats a usage, an error or a listing with; and
+// cmd/ped names no verb but the two that end its own loop.
+func TestHostsHoldNoVerbText(t *testing.T) {
+	// The editor's texts: every string literal of repl, core and view
+	// that reads as text — words apart or a formatting verb — and not as
+	// a token.
+	editor := map[string]string{}
+	for _, dir := range []string{".", "../core", "../view"} {
+		for _, f := range parseDir(t, dir) {
+			stringLits(t, f, func(s string) {
+				if strings.ContainsAny(s, " %") && strings.ContainsAny(s, "abcdefghijklmnopqrstuvwxyz") {
+					editor[s] = dir
+				}
+			})
+		}
+	}
+	for _, want := range []string{"usage: unit <name>", "no unit named %s", "missing %s", "bad %s %q",
+		"loop %d out of range (unit has %d)", "unknown class %q", "%s%s %s\n", "no loop selected",
+		"[compiled: %s]\n", "%3d %s depth %d line %d: %s\n"} {
+		if editor[want] == "" {
+			t.Fatalf("the walk over repl, core and view did not collect %q; it checks nothing", want)
+		}
+	}
+
+	server, ped := parseDir(t, "../server"), parseDir(t, "../../cmd/ped")
+	for _, f := range append(append([]*ast.File{}, server...), ped...) {
+		stringLits(t, f, func(s string) {
+			if from := editor[s]; from != "" {
+				t.Errorf("package %s carries the editor's text %q (written in %s)", f.Name.Name, s, from)
+			}
+		})
+	}
+	for _, f := range ped {
+		stringLits(t, f, func(s string) {
+			if _, verb := Verbs[s]; verb && s != "quit" && s != "exit" {
+				t.Errorf("cmd/ped names the verb %q; every line but quit and exit goes to the session as it is", s)
+			}
+		})
+	}
+
+	var keys []string
+	for _, f := range server {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "artifactReads" || len(spec.Values) != 1 {
+				return true
+			}
+			for _, el := range spec.Values[0].(*ast.CompositeLit).Elts {
+				stringLits(t, el.(*ast.KeyValueExpr).Key, func(s string) { keys = append(keys, s) })
+			}
+			return false
+		})
+	}
+	if len(keys) == 0 {
+		t.Fatal("found no artifactReads table in internal/server")
+	}
+	for _, verb := range keys {
+		if class, ok := Verbs[verb]; !ok || class != Read {
+			t.Errorf("the daemon's artifacts answer %q, which is not a Read verb of the table", verb)
+		}
 	}
 }
 

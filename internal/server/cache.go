@@ -2,9 +2,9 @@ package server
 
 import (
 	"container/list"
-	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"parascope/internal/core"
 	"parascope/internal/faultpoint"
@@ -15,10 +15,6 @@ import (
 // LoopArtifacts holds the precomputed panes for one loop of one unit:
 // everything a read-only client asks for after selecting the loop.
 type LoopArtifacts struct {
-	Line     int
-	Depth    int
-	Header   string
-	Parallel bool
 	// Summary is the per-class dependence count line.
 	Summary string
 	// DepPane and VarPane are the default-filter pane renderings —
@@ -52,10 +48,9 @@ type Artifacts struct {
 	Units       []UnitArtifacts
 	// DefaultUnit indexes the unit current at open (MAIN if present).
 	DefaultUnit int
-	// NoLoopDepPane/NoLoopVarPane are the pane renderings before any
-	// loop is selected.
-	NoLoopDepPane string
-	NoLoopVarPane string
+	// NoLoop holds the summary and pane renderings before any loop is
+	// selected.
+	NoLoop LoopArtifacts
 }
 
 // UnitNames lists the unit names in source order.
@@ -86,12 +81,15 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 	histLen := len(s.History)
 	cur := s.CurrentUnit()
 	a := &Artifacts{
-		Key:           key,
-		Path:          s.File.Path,
-		Printed:       s.Save(),
-		PrintedHash:   s.SourceHash(),
-		NoLoopDepPane: view.DepPane(s, core.DepFilter{}),
-		NoLoopVarPane: view.VarPane(s),
+		Key:         key,
+		Path:        s.File.Path,
+		Printed:     s.Save(),
+		PrintedHash: s.SourceHash(),
+		NoLoop: LoopArtifacts{
+			Summary: view.DepSummary(s),
+			DepPane: view.DepPane(s, core.DepFilter{}),
+			VarPane: view.VarPane(s),
+		},
 	}
 	for i, u := range s.File.Units {
 		if u == cur {
@@ -101,34 +99,23 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 			continue
 		}
 		ua := UnitArtifacts{
-			Name:     u.Name,
-			Kind:     u.Kind.String(),
-			PerfText: s.State().Est.Report(),
+			Name:      u.Name,
+			Kind:      u.Kind.String(),
+			LoopsText: view.LoopList(s),
+			PerfText:  s.State().Est.Report(),
 		}
-		var lb strings.Builder
-		for j, l := range s.Loops() {
-			mark := " "
-			if l.Do.Parallel {
-				mark = "P"
-			}
-			fmt.Fprintf(&lb, "%3d %s depth %d line %d: %s\n",
-				j+1, mark, l.Depth, l.Do.Line(), fortran.StmtText(l.Do))
+		for j := range s.Loops() {
 			if err := s.SelectLoop(j + 1); err != nil {
 				continue
 			}
 			vars := s.VariablePane() // once per loop: the pane and the Private flags read it
 			ua.Loops = append(ua.Loops, LoopArtifacts{
-				Line:     l.Do.Line(),
-				Depth:    l.Depth,
-				Header:   fortran.StmtText(l.Do),
-				Parallel: l.Do.Parallel,
-				Summary:  view.DepSummary(s),
-				DepPane:  view.DepPane(s, core.DepFilter{}),
-				VarPane:  view.VarPaneOf(vars),
-				Deps:     depInfos(s, vars),
+				Summary: view.DepSummary(s),
+				DepPane: view.DepPane(s, core.DepFilter{}),
+				VarPane: view.VarPaneOf(vars),
+				Deps:    depInfos(s, vars),
 			})
 		}
-		ua.LoopsText = lb.String()
 		a.Units = append(a.Units, ua)
 	}
 	// Restore the pristine selection (SelectUnit clears the loop) and
@@ -203,23 +190,73 @@ func filterInfos(all []DepInfo, q DepQuery) []DepInfo {
 	return out
 }
 
+// lru is a bounded least-recently-used map, safe for concurrent use —
+// the structure under the artifact cache and the plan-result cache.
+type lru[V any] struct {
+	mu      sync.Mutex
+	max     int
+	order   *list.List // front = most recently used; values are *lruEntry[V]
+	entries map[string]*list.Element
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{max: max, order: list.New(), entries: map[string]*list.Element{}}
+}
+
+func (c *lru[V]) get(key string) (val V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return val, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put inserts (or refreshes) key and reports how many least recently
+// used entries that pushed out.
+func (c *lru[V]) put(key string, val V) (evicted int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*lruEntry[V]).val = val
+		c.order.MoveToFront(el)
+		return 0
+	}
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key, val})
+	for ; c.order.Len() > c.max; evicted++ {
+		delete(c.entries, c.order.Remove(c.order.Back()).(*lruEntry[V]).key)
+	}
+	return evicted
+}
+
+func (c *lru[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
 // Cache is a bounded LRU of analysis artifacts keyed by content hash.
 // A nil *Cache is valid and always misses.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List // front = most recently used; values are *Artifacts
-	entries map[string]*list.Element
-	hits    int64
-	misses  int64
-	// metrics mirrors the hit/miss counters into the scrapeable
-	// registry (nil = unmirrored, for caches built outside a Manager).
+	arts         *lru[*Artifacts]
+	hits, misses atomic.Int64
+	// metrics mirrors the counters into the scrapeable registry (a
+	// private one for caches built outside a Manager).
 	metrics *Metrics
 }
 
 // NewCache creates a cache holding at most max artifact sets.
-func NewCache(max int) *Cache {
-	return &Cache{max: max, order: list.New(), entries: map[string]*list.Element{}}
+func NewCache(max int) *Cache { return newCache(max, NewMetrics()) }
+
+func newCache(max int, metrics *Metrics) *Cache {
+	return &Cache{arts: newLRU[*Artifacts](max), metrics: metrics}
 }
 
 // Get returns the artifacts for key, or nil on a miss. An injected
@@ -232,46 +269,24 @@ func (c *Cache) Get(key string) *Artifacts {
 	if err := faultpoint.Hit(faultpoint.CacheGet, key); err != nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	art, ok := c.arts.get(key)
 	if !ok {
-		c.misses++
-		if c.metrics != nil {
-			c.metrics.CacheMisses.Inc()
-		}
+		c.misses.Add(1)
+		c.metrics.CacheMisses.Inc()
 		return nil
 	}
-	c.hits++
-	if c.metrics != nil {
-		c.metrics.CacheHits.Inc()
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*Artifacts)
+	c.hits.Add(1)
+	c.metrics.CacheHits.Inc()
+	return art
 }
 
 // Put inserts (or refreshes) artifacts, evicting the least recently
 // used entry past capacity.
 func (c *Cache) Put(a *Artifacts) {
-	if c == nil || c.max <= 0 {
+	if c == nil || c.arts.max <= 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[a.Key]; ok {
-		el.Value = a
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[a.Key] = c.order.PushFront(a)
-	for c.order.Len() > c.max {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.entries, el.Value.(*Artifacts).Key)
-		if c.metrics != nil {
-			c.metrics.CacheEvictions.Inc()
-		}
-	}
+	c.metrics.CacheEvictions.Add(uint64(c.arts.put(a.Key, a)))
 }
 
 // Stats reports the counters.
@@ -279,7 +294,5 @@ func (c *Cache) Stats() CacheStatsResponse {
 	if c == nil {
 		return CacheStatsResponse{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStatsResponse{Entries: c.order.Len(), Hits: c.hits, Misses: c.misses}
+	return CacheStatsResponse{Entries: c.arts.len(), Hits: c.hits.Load(), Misses: c.misses.Load()}
 }

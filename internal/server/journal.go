@@ -233,10 +233,8 @@ func (j *journal) append(recs ...*record) error {
 	j.size += int64(len(buf))
 	j.seq += uint64(len(recs))
 	j.dirty = true
-	if j.metrics != nil {
-		j.metrics.JournalAppend.Observe(time.Since(start).Seconds())
-		j.metrics.JournalBytes.Add(uint64(len(buf)))
-	}
+	j.metrics.JournalAppend.Observe(time.Since(start).Seconds())
+	j.metrics.JournalBytes.Add(uint64(len(buf)))
 	if j.policy == FsyncAlways {
 		if err := j.syncLocked(); err != nil {
 			// The records reached the file but not stable storage; roll
@@ -273,9 +271,7 @@ func (j *journal) syncLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	if j.metrics != nil {
-		j.metrics.JournalFsync.Observe(time.Since(start).Seconds())
-	}
+	j.metrics.JournalFsync.Observe(time.Since(start).Seconds())
 	j.dirty, j.synced = false, true
 	return nil
 }
@@ -319,9 +315,7 @@ func (j *journal) rewrite(snap *record) error {
 	j.seq = snap.Seq
 	j.dirty, j.named = false, true
 	syncDir(filepath.Dir(j.path))
-	if j.metrics != nil {
-		j.metrics.JournalSnapshots.Inc()
-	}
+	j.metrics.JournalSnapshots.Inc()
 	return nil
 }
 

@@ -12,7 +12,7 @@ import (
 // the wal path plus each record's [start, end) byte range in the file.
 func writeTestJournal(t *testing.T, dir string, n int) (string, [][2]int64) {
 	t.Helper()
-	j, err := createJournal(dir, "sTEST", FsyncNever, nil)
+	j, err := createJournal(dir, "sTEST", FsyncNever, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func writeTestJournal(t *testing.T, dir string, n int) (string, [][2]int64) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := createJournal(dir, "sRT", FsyncAlways, nil)
+	j, err := createJournal(dir, "sRT", FsyncAlways, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestJournalDamageClassification(t *testing.T) {
 // with the single snapshot record and keep accepting appends after.
 func TestJournalRewriteCompacts(t *testing.T) {
 	dir := t.TempDir()
-	j, err := createJournal(dir, "sSNAP", FsyncAlways, nil)
+	j, err := createJournal(dir, "sSNAP", FsyncAlways, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestJournalRewriteCompacts(t *testing.T) {
 
 func TestJournalCloseIdempotentAndRemove(t *testing.T) {
 	dir := t.TempDir()
-	j, err := createJournal(dir, "sCLOSE", FsyncInterval, nil)
+	j, err := createJournal(dir, "sCLOSE", FsyncInterval, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

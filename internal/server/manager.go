@@ -81,18 +81,32 @@ type Config struct {
 	RunCacheDir string
 }
 
+// host is what a manager's sessions share and none of them changes:
+// the configuration, the metric registry, the execution governor and
+// the planner's daemon-wide state. Every session holds the one pointer.
+type host struct {
+	cfg     Config
+	metrics *Metrics
+	// gov supervises every run and the planner's compiled scoring runs
+	// (limits, exec slots, telemetry).
+	gov *execguard.Governor
+	// planSem admits plan searches daemon-wide — worlds burn a core
+	// each — and plans caches their results by source hash, unit and
+	// budget. Plans are replayable step sequences keyed by the exact
+	// source they were computed from, so a hit is always valid: a stale
+	// entry can only ever be unreachable, never wrong.
+	planSem chan struct{}
+	plans   *lru[PlanResponse]
+	// disabled is the set of execution backends the operator switched
+	// off (Options.DisabledBackends) — the one field written after
+	// construction, once, by NewWith.
+	disabled atomic.Pointer[map[string]bool]
+}
+
 // Manager owns the live sessions and the analysis cache.
 type Manager struct {
-	cfg     Config
-	cache   *Cache
-	metrics *Metrics
-	planCfg *planConfig
-	gov     *execguard.Governor
-
-	// disabled is the set of execution backends the operator switched
-	// off (Options.DisabledBackends, stored by NewWith); every session's
-	// Run reads it through a pointer to this field.
-	disabled atomic.Pointer[map[string]bool]
+	*host
+	cache *Cache
 
 	// mu guards the three fields below. sessions gains entries in
 	// register and loses them in unregister, nowhere else; reserved
@@ -138,27 +152,32 @@ func NewManager(cfg Config) *Manager {
 	case maxRuns < 0:
 		maxRuns = 0 // unbounded
 	}
+	planWorkers := cfg.PlanWorkers
+	if planWorkers <= 0 {
+		planWorkers = defaultPlanWorkers
+	}
 	m := &Manager{
-		cfg:     cfg,
-		metrics: cfg.Metrics,
-		gov: execguard.New(execguard.Config{
-			MaxRuns: maxRuns,
-			Limits: execguard.Limits{
-				Timeout:     cfg.RunTimeout,
-				OutputBytes: cfg.RunOutputBytes,
-				RSSBytes:    cfg.RunRSSBytes,
-			},
-			Sink: cfg.Metrics,
-		}),
+		host: &host{
+			cfg:     cfg,
+			metrics: cfg.Metrics,
+			gov: execguard.New(execguard.Config{
+				MaxRuns: maxRuns,
+				Limits: execguard.Limits{
+					Timeout:     cfg.RunTimeout,
+					OutputBytes: cfg.RunOutputBytes,
+					RSSBytes:    cfg.RunRSSBytes,
+				},
+				Sink: cfg.Metrics,
+			}),
+			planSem: make(chan struct{}, planWorkers),
+			plans:   newLRU[PlanResponse](planCacheSize),
+		},
 		sessions: map[string]*Session{},
 		moved:    map[string]string{},
 		stop:     make(chan struct{}),
-		planCfg:  newPlanConfig(cfg),
 	}
-	m.planCfg.gov = m.gov
 	if cfg.CacheSize > 0 {
-		m.cache = NewCache(cfg.CacheSize)
-		m.cache.metrics = m.metrics
+		m.cache = newCache(cfg.CacheSize, m.metrics)
 	}
 	if cfg.TTL > 0 {
 		every := cfg.SweepEvery

@@ -1,16 +1,12 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
 )
@@ -28,42 +24,17 @@ import (
 // path, verifying the plan's per-step hash chain as it goes.
 
 // ErrPlanConflict is returned when a plan cannot be (or keep being)
-// applied against the session's current state: the session's source
-// moved past the plan's base hash, a step's post-hash diverged, or a
-// search is already running. Maps to HTTP 409.
-var ErrPlanConflict = errors.New("plan conflict")
+// applied against the session's current state — the session's source
+// moved past the plan's base hash or a step's post-hash diverged, both
+// found by planner.Plan.Replay — or when a search is already running.
+// Maps to HTTP 409.
+var ErrPlanConflict = planner.ErrConflict
 
 const (
 	defaultPlanWorkers = 2
 	// planCacheSize bounds the plan result cache (searches).
 	planCacheSize = 32
 )
-
-// planConfig is the manager-wide planner state every session shares:
-// a daemon-level admission semaphore (searches are expensive — worlds
-// burn a core each) and a small result cache keyed by source hash,
-// unit, and budget.
-type planConfig struct {
-	sem   chan struct{}
-	cache *planCache
-	// gov supervises the planner's compiled scoring runs; nil means
-	// execguard defaults (standalone embedders).
-	gov *execguard.Governor
-	// cacheDir overrides the compile build cache for scoring (tests).
-	cacheDir string
-}
-
-func newPlanConfig(cfg Config) *planConfig {
-	w := cfg.PlanWorkers
-	if w <= 0 {
-		w = defaultPlanWorkers
-	}
-	return &planConfig{
-		sem:      make(chan struct{}, w),
-		cache:    newPlanCache(planCacheSize),
-		cacheDir: cfg.RunCacheDir,
-	}
-}
 
 // planState is one session's planner corner: the latest search result
 // and the one-search-at-a-time latch. It has its own lock because
@@ -106,9 +77,8 @@ func (p *planState) snapshot() (PlanResponse, bool) {
 	return *p.last, true
 }
 
-// options maps the wire request onto search options, filling daemon
-// defaults.
-func (req PlanRequest) options(cfg *planConfig) planner.Options {
+// options maps the wire request onto search options.
+func (req PlanRequest) options() planner.Options {
 	opts := planner.Options{
 		BeamWidth: req.BeamWidth,
 		MaxDepth:  req.MaxDepth,
@@ -119,10 +89,6 @@ func (req PlanRequest) options(cfg *planConfig) planner.Options {
 	}
 	if req.TimeoutMs > 0 {
 		opts.Timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if cfg != nil {
-		opts.Gov = cfg.gov
-		opts.CompileCache = cfg.cacheDir
 	}
 	return opts
 }
@@ -155,38 +121,39 @@ func (ss *Session) planSnapshot(ctx context.Context) (b planBase, err error) {
 }
 
 // Plan runs (or begins, with Async) a speculative search for the
-// session. Planning is allowed on read-only sessions — it mutates
+// session — POST …/plan.
+func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
+	return ss.search(ctx, req.options(), req.Async)
+}
+
+// search is the one door to the planner, for POST …/plan and the `plan`
+// verb alike. Planning is allowed on read-only sessions — it mutates
 // nothing. One search per session at a time (409), bounded searches
 // per daemon (429), results cached by source hash + unit + budget.
-func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
+func (ss *Session) search(ctx context.Context, opts planner.Options, async bool) (PlanResponse, error) {
 	base, err := ss.planSnapshot(ctx)
 	if err != nil {
 		return PlanResponse{}, err
 	}
-	opts := req.options(ss.planCfg)
+	opts.Gov, opts.CompileCache = ss.gov, ss.cfg.RunCacheDir
 	key := planKey(base, opts)
-	if cfg := ss.planCfg; cfg != nil {
-		if resp, ok := cfg.cache.get(key); ok {
-			resp.SessionID = ss.ID
-			resp.Cached = true
-			ss.plan.store(resp)
-			return resp, nil
-		}
+	if resp, ok := ss.plans.get(key); ok {
+		resp.SessionID = ss.ID
+		resp.Cached = true
+		ss.plan.store(resp)
+		return resp, nil
 	}
 	if !ss.plan.tryBegin() {
 		return PlanResponse{}, fmt.Errorf("%w: a plan search is already running for this session", ErrPlanConflict)
 	}
-	release := func() {}
-	if cfg := ss.planCfg; cfg != nil {
-		select {
-		case cfg.sem <- struct{}{}:
-			release = func() { <-cfg.sem }
-		default:
-			ss.plan.end()
-			return PlanResponse{}, fmt.Errorf("%w: planner at capacity", ErrQueueFull)
-		}
+	select {
+	case ss.planSem <- struct{}{}:
+	default:
+		ss.plan.end()
+		return PlanResponse{}, fmt.Errorf("%w: planner at capacity", ErrQueueFull)
 	}
-	if req.Async {
+	release := func() { <-ss.planSem }
+	if async {
 		running := PlanResponse{SessionID: ss.ID, Unit: base.unit,
 			BaseHash: base.hash, Status: "running"}
 		ss.plan.store(running)
@@ -232,8 +199,8 @@ func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Op
 	// injected faults or a transient world wipe-out, and re-running a
 	// search that found nothing is cheap next to serving a stale
 	// nothing forever.
-	if cfg := ss.planCfg; cfg != nil && len(resp.Plans) > 0 {
-		cfg.cache.put(key, resp)
+	if len(resp.Plans) > 0 {
+		ss.plans.put(key, resp)
 	}
 	return resp
 }
@@ -248,8 +215,9 @@ func (ss *Session) PlanStatus() (PlanResponse, bool) {
 // last search result — and replays its step lines through the normal
 // journaled mutation path in ONE actor post: atomic with respect to
 // every other client, durable like hand-typed commands, and checked
-// step by step against the plan's hash chain. A base-hash or
-// step-hash mismatch aborts with ErrPlanConflict; the journaled
+// step by step against the plan's hash chain by the walk the REPL's
+// apply-plan takes (planner.Plan.Replay). A base-hash or step-hash
+// mismatch aborts with ErrPlanConflict; the journaled
 // prefix stays consistent (it recorded exactly the steps that ran)
 // and undo can roll it back.
 func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPlanResponse, error) {
@@ -280,29 +248,16 @@ func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPl
 		if opErr = faultpoint.Hit(faultpoint.PlanApply, ss.ID+":"+plan.ID); opErr != nil {
 			return
 		}
-		if plan.BaseHash != "" {
-			if h := ss.currentHash(); h != plan.BaseHash {
-				opErr = fmt.Errorf("%w: stale plan %s: session source changed since the plan was computed", ErrPlanConflict, plan.ID)
-				return
+		opErr = plan.Replay(ss.currentHash, func(line string) error {
+			res, err := ss.mutate(&record{Op: recCmd, Line: line})
+			if err != nil {
+				return err
 			}
+			return res.err
+		})
+		if opErr == nil {
+			resp = ApplyPlanResponse{Plan: plan.ID, Applied: len(plan.Steps), Hash: ss.currentHash()}
 		}
-		for i, st := range plan.Steps {
-			var res outcome
-			if res, opErr = ss.mutate(&record{Op: recCmd, Line: st.Line}); opErr != nil {
-				return
-			}
-			if res.err != nil {
-				opErr = fmt.Errorf("plan %s step %d (%q): %v", plan.ID, i+1, st.Line, res.err)
-				return
-			}
-			if st.Hash != "" {
-				if h := ss.currentHash(); h != st.Hash {
-					opErr = fmt.Errorf("%w: plan %s diverged after step %d (%q); undo to roll back", ErrPlanConflict, plan.ID, i+1, st.Line)
-					return
-				}
-			}
-		}
-		resp = ApplyPlanResponse{Plan: plan.ID, Applied: len(plan.Steps), Hash: ss.currentHash()}
 	}, true)
 	if err != nil {
 		return ApplyPlanResponse{}, err
@@ -312,45 +267,6 @@ func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPl
 	}
 	ss.metrics.PlannerWorldsAccepted.Inc()
 	return resp, nil
-}
-
-// planReqFromArgs parses the REPL-style budget arguments
-// (beam=N depth=N worlds=N ms=N top=N nointerp async).
-func planReqFromArgs(args []string) (PlanRequest, error) {
-	var req PlanRequest
-	for _, a := range args {
-		switch a {
-		case "nointerp":
-			req.NoInterp = true
-			continue
-		case "compiled":
-			req.Compiled = true
-			continue
-		case "async":
-			req.Async = true
-			continue
-		}
-		k, v, ok := strings.Cut(a, "=")
-		n, err := strconv.Atoi(v)
-		if !ok || err != nil || n <= 0 {
-			return req, fmt.Errorf("bad plan option %q (want beam=N depth=N worlds=N ms=N top=N nointerp async)", a)
-		}
-		switch k {
-		case "beam":
-			req.BeamWidth = n
-		case "depth":
-			req.MaxDepth = n
-		case "worlds":
-			req.MaxWorlds = n
-		case "ms":
-			req.TimeoutMs = n
-		case "top":
-			req.TopPlans = n
-		default:
-			return req, fmt.Errorf("unknown plan option %q", k)
-		}
-	}
-	return req, nil
 }
 
 // format renders a PlanResponse for the line protocol.
@@ -389,52 +305,5 @@ func (o plannerObserver) WorldsLive(delta int) {
 		o.m.PlannerWorldsLive.Inc()
 	} else {
 		o.m.PlannerWorldsLive.Dec()
-	}
-}
-
-// planCache is a small LRU over completed searches. Plans are
-// replayable step sequences keyed by the exact source they were
-// computed from, so a hit is always valid — a stale entry can only
-// ever be *unreachable* (the source moved on), never wrong.
-type planCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List
-	m   map[string]*list.Element
-}
-
-type planCacheEntry struct {
-	key  string
-	resp PlanResponse
-}
-
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, ll: list.New(), m: map[string]*list.Element{}}
-}
-
-func (c *planCache) get(key string) (PlanResponse, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el := c.m[key]
-	if el == nil {
-		return PlanResponse{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*planCacheEntry).resp, true
-}
-
-func (c *planCache) put(key string, resp PlanResponse) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.m[key]; el != nil {
-		el.Value.(*planCacheEntry).resp = resp
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&planCacheEntry{key: key, resp: resp})
-	for c.ll.Len() > c.max {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*planCacheEntry).key)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"parascope/internal/core"
-	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
+	"parascope/internal/planner"
 	"parascope/internal/repl"
 	"parascope/internal/view"
 	"parascope/internal/workloads"
@@ -62,11 +62,16 @@ const defaultQueueDepth = 32
 // data-race-free.
 //
 // A session opened on a cache hit starts artifact-backed (art != nil,
-// live == nil): read-only commands are answered from the immutable
-// artifacts without ever parsing the source. The first mutating or
-// unsupported command materializes a live core.Session by reparsing
-// and reanalyzing, then replays the selection.
+// live == nil): the reads and cursor moves its immutable artifacts can
+// answer successfully are answered from them without ever parsing the
+// source. The first line they decline — a mutation, a verb they hold
+// no text for, a mistyped argument — materializes a live core.Session
+// by reparsing and reanalyzing, then replays the selection.
 type Session struct {
+	// host is the manager's immutable part: configuration, metric
+	// registry, execution governor, planner admission and cache.
+	*host
+
 	ID     string
 	path   string
 	source string
@@ -108,27 +113,9 @@ type Session struct {
 	// migration can hold the session at a time).
 	migrating atomic.Bool
 
-	// workers caps the analysis pool of the materialized session.
-	workers int
-
-	// metrics receives queue/actor/lifecycle observations; always
-	// non-nil (newSession defaults a private registry).
-	metrics *Metrics
-
 	// plan is this session's speculative-planner state (latest search
-	// result + one-search latch; own lock, never the actor). planCfg
-	// is the manager-wide admission semaphore and plan cache, set by
-	// the manager right after construction (nil = standalone defaults).
-	plan    planState
-	planCfg *planConfig
-
-	// gov is the daemon-wide execution governor (run limits, exec
-	// slots, telemetry), runCache the manager's compile build-cache
-	// override (empty = default), disabled the operator's set of refused
-	// backends (a pointer to Manager.disabled) — what Run runs under.
-	gov      *execguard.Governor
-	runCache string
-	disabled *atomic.Pointer[map[string]bool]
+	// result + one-search latch; own lock, never the actor).
+	plan planState
 
 	// Actor-confined state below: only the run() goroutine touches it.
 	art     *Artifacts
@@ -137,23 +124,20 @@ type Session struct {
 	live    *core.Session
 	rep     *repl.REPL
 
-	// Durability. walDir is the daemon's -datadir ("" = in-memory only)
-	// and fsync its policy. jr stays nil until the session's first
-	// mutation gives birth to the journal (journalAppend) — a session
-	// that only browses never touches the disk; the actor is its only
-	// writer, while the flusher, Shutdown and Close load it from their
-	// own goroutines. defUnit is the unit selected at open, so the birth
-	// knows whether the cursor has moved. discarded tells the actor to
-	// delete, not keep, whatever wal exists once its queue has drained.
+	// Durability (cfg.DataDir, "" = in-memory only; cfg.Fsync). jr stays
+	// nil until the session's first mutation gives birth to the journal
+	// (journalAppend) — a session that only browses never touches the
+	// disk; the actor is its only writer, while the flusher, Shutdown and
+	// Close load it from their own goroutines. defUnit is the unit
+	// selected at open, so the birth knows whether the cursor has moved.
+	// discarded tells the actor to delete, not keep, whatever wal exists
+	// once its queue has drained.
 	// sticky is set by mutations that live outside the printed source
 	// (marks, assertions, classifications, analysis toggles) — they
 	// cannot be folded into a source snapshot, so they block compaction.
-	walDir        string
-	fsync         FsyncPolicy
 	jr            atomic.Pointer[journal]
 	defUnit       string
 	discarded     atomic.Bool
-	snapEvery     int
 	mutsSinceSnap int
 	sticky        bool
 
@@ -177,21 +161,13 @@ func (m *Manager) newSession(id, path, source string, art *Artifacts, live *core
 		queueDepth = defaultQueueDepth
 	}
 	ss := &Session{
-		ID:        id,
-		path:      path,
-		source:    source,
-		created:   time.Now(),
-		reqCh:     make(chan task, queueDepth),
-		done:      make(chan struct{}),
-		workers:   m.cfg.Workers,
-		metrics:   m.metrics,
-		planCfg:   m.planCfg,
-		gov:       m.gov,
-		runCache:  m.cfg.RunCacheDir,
-		disabled:  &m.disabled,
-		walDir:    m.cfg.DataDir,
-		fsync:     m.cfg.Fsync,
-		snapEvery: m.cfg.SnapshotEvery,
+		host:    m.host,
+		ID:      id,
+		path:    path,
+		source:  source,
+		created: time.Now(),
+		reqCh:   make(chan task, queueDepth),
+		done:    make(chan struct{}),
 	}
 	ss.jr.Store(jr)
 	ss.lastUsed.Store(time.Now().UnixNano())
@@ -561,7 +537,7 @@ func (ss *Session) statusLine(ctx context.Context) string {
 	}
 	if !info.Journaled {
 		disk = "not journaled (nothing to recover until the first mutation)"
-		if ss.walDir == "" {
+		if ss.cfg.DataDir == "" {
 			disk = "not journaled (daemon runs without -datadir)"
 		}
 	}
@@ -626,28 +602,21 @@ func (ss *Session) daemonCmd(ctx context.Context, verb string, args []string) (C
 	case "status":
 		return CmdResponse{Output: ss.statusLine(ctx)}, nil
 	case "run":
-		ereq, err := core.ParseExecRequest(args)
+		req, err := core.ParseExecRequest(args)
 		if err != nil {
 			return CmdResponse{Err: err.Error()}, nil
 		}
-		resp, err := ss.Run(ctx, RunRequest{Backend: ereq.Backend, Workers: ereq.Workers, Fallback: ereq.Fallback})
+		res, err := ss.runProgram(ctx, req)
 		if err != nil {
 			return CmdResponse{}, err
 		}
-		out := resp.Output
-		if resp.Fallback != "" {
-			out += fmt.Sprintf("[fell back to interpreter: %s]\n", resp.Fallback)
-		}
-		if resp.Backend == core.BackendCompile {
-			out += fmt.Sprintf("[compiled: %s]\n", time.Duration(resp.WallMicros)*time.Microsecond)
-		}
-		return CmdResponse{Output: out}, nil
+		return CmdResponse{Output: res.Output + res.Trailer()}, nil
 	case "plan":
-		req, err := planReqFromArgs(args)
+		opts, async, err := planner.ParseArgs(args)
 		if err != nil {
 			return CmdResponse{Err: err.Error()}, nil
 		}
-		resp, err := ss.Plan(ctx, req)
+		resp, err := ss.search(ctx, opts, async)
 		if err != nil {
 			return CmdResponse{}, err
 		}
@@ -680,54 +649,52 @@ func (ss *Session) daemonCmd(ctx context.Context, verb string, args []string) (C
 // -disable-backends switch (501).
 var errBackendDisabled = errors.New("disabled on this server")
 
-// Run executes the session's program through the unified execution
-// API — the one door to execution for POST …/run and the `run` verb
-// alike, so the operator's backend switch, the exec slots, the daemon's
-// run limits and the request's context apply to both. Execution is a
+// Run executes the session's program — POST …/run.
+func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
+	res, err := ss.runProgram(ctx, core.ExecRequest{
+		Backend:  req.Backend,
+		Workers:  req.Workers,
+		Timeout:  time.Duration(req.TimeoutMs) * time.Millisecond,
+		Fallback: req.Fallback,
+	})
+	if err != nil {
+		return RunResponse{}, err
+	}
+	return RunResponse{
+		Output:     res.Output,
+		WallMicros: res.Wall.Microseconds(),
+		SimCycles:  res.SimCycles,
+		Backend:    res.Backend,
+		Fallback:   res.FallbackReason,
+	}, nil
+}
+
+// runProgram is the one door to execution, for POST …/run and the `run`
+// verb alike, so the operator's backend switch, the exec slots, the
+// daemon's run limits and the request's context apply to both. Execution is a
 // pure read — it never changes session state — so it is not journaled
 // and stays available on read-only sessions; artifact-backed sessions
 // materialize first because both backends consume the live AST.
-func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
+func (ss *Session) runProgram(ctx context.Context, req core.ExecRequest) (core.ExecResult, error) {
 	backend := req.Backend
 	if backend == "" {
 		backend = core.BackendInterp
 	}
 	if off := ss.disabled.Load(); off != nil && (*off)[backend] {
-		return RunResponse{}, fmt.Errorf("backend %q is %w", backend, errBackendDisabled)
+		return core.ExecResult{}, fmt.Errorf("backend %q is %w", backend, errBackendDisabled)
 	}
-	ereq := core.ExecRequest{
-		Backend:  req.Backend,
-		Workers:  req.Workers,
-		Timeout:  time.Duration(req.TimeoutMs) * time.Millisecond,
-		CacheDir: ss.runCache,
-		Fallback: req.Fallback,
-		Gov:      ss.gov,
-	}
-	if w := workloads.ByName(strings.TrimSuffix(ss.path, ".f")); w != nil {
-		ereq.Input = w.Input
-	}
-	var resp RunResponse
+	req.CacheDir, req.Gov, req.Input = ss.cfg.RunCacheDir, ss.gov, workloads.InputFor(ss.path)
+	var res core.ExecResult
 	var opErr error
 	err := ss.post(ctx, func() {
-		if opErr = ss.materialize(); opErr != nil {
-			return
-		}
-		var res core.ExecResult
-		if res, opErr = ss.live.Exec(ctx, ereq); opErr != nil {
-			return
-		}
-		resp = RunResponse{
-			Output:     res.Output,
-			WallMicros: res.Wall.Microseconds(),
-			SimCycles:  res.SimCycles,
-			Backend:    res.Backend,
-			Fallback:   res.FallbackReason,
+		if opErr = ss.materialize(); opErr == nil {
+			res, opErr = ss.live.Exec(ctx, req)
 		}
 	}, true)
 	if err != nil {
-		return RunResponse{}, err
+		return core.ExecResult{}, err
 	}
-	return resp, opErr
+	return res, opErr
 }
 
 // Select switches unit and/or loop. Selection is session state that
@@ -751,17 +718,11 @@ func (ss *Session) Deps(ctx context.Context, q DepQuery) (DepsResponse, error) {
 	return resp, nil
 }
 
-// varClasses names the classes the classify endpoint (and its journal
-// record) accepts.
-var varClasses = map[string]core.VarClass{
-	"shared": core.ClassShared, "private": core.ClassPrivate, "reduction": core.ClassReduction,
-}
-
 // Classify overrides a variable's classification (materializes).
 func (ss *Session) Classify(ctx context.Context, req ClassifyRequest) error {
 	class := strings.ToLower(req.Class)
-	if _, ok := varClasses[class]; !ok {
-		return fmt.Errorf("unknown class %q", req.Class)
+	if _, err := core.ParseVarClass(class); err != nil {
+		return err
 	}
 	return ss.do(ctx, &record{Op: recClassify, Var: req.Var, Class: class})
 }
@@ -848,9 +809,9 @@ func (ss *Session) apply(rec *record) (res outcome, err error) {
 	case recSelect:
 		res.sel, res.err = ss.doSelect(SelectRequest{Unit: rec.Unit, Loop: rec.Loop})
 	case recClassify:
-		c, ok := varClasses[rec.Class]
-		if !ok {
-			return res, fmt.Errorf("unknown class %q in seq %d", rec.Class, rec.Seq)
+		var c core.VarClass
+		if c, err = core.ParseVarClass(rec.Class); err != nil {
+			return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 		}
 		if err = ss.materialize(); err == nil {
 			res.err = ss.live.Classify(rec.Var, c)
@@ -945,7 +906,7 @@ func (ss *Session) journalAppend(rec *record) error {
 		return err
 	}
 	jr := ss.jr.Load()
-	if jr == nil && (ss.walDir == "" || cursorRecord(rec)) {
+	if jr == nil && (ss.cfg.DataDir == "" || cursorRecord(rec)) {
 		return nil
 	}
 	rec.PreHash = ss.currentHash()
@@ -971,7 +932,7 @@ func (ss *Session) journalAppend(rec *record) error {
 // kept. A failed birth leaves no file of its own behind — and never
 // touches a foreign one that O_EXCL refused.
 func (ss *Session) birth(rec *record) error {
-	jr, err := createJournal(ss.walDir, ss.ID, ss.fsync, ss.metrics)
+	jr, err := createJournal(ss.cfg.DataDir, ss.ID, ss.cfg.Fsync, ss.metrics)
 	if err != nil {
 		return err
 	}
@@ -1037,7 +998,7 @@ func (ss *Session) cursor() (unit string, loop int) {
 // accepting writes.
 func (ss *Session) maybeSnapshot() {
 	jr := ss.jr.Load()
-	if jr == nil || ss.snapEvery <= 0 || ss.mutsSinceSnap < ss.snapEvery ||
+	if jr == nil || ss.cfg.SnapshotEvery <= 0 || ss.mutsSinceSnap < ss.cfg.SnapshotEvery ||
 		ss.sticky || ss.readonly.Load() {
 		return
 	}
@@ -1057,7 +1018,7 @@ func (ss *Session) materialize() error {
 	if ss.live != nil {
 		return nil
 	}
-	cs, err := core.OpenObserved(ss.path, ss.source, ss.workers, ss.metrics)
+	cs, err := core.OpenObserved(ss.path, ss.source, ss.cfg.Workers, ss.metrics)
 	if err != nil {
 		return fmt.Errorf("materialize: %v", err)
 	}
@@ -1078,13 +1039,15 @@ func (ss *Session) materialize() error {
 	return nil
 }
 
-// exec runs one REPL line: artifact-backed sessions answer read-only
-// commands from the cache; anything else materializes and delegates
-// to the real REPL.
+// exec runs one REPL line. The live REPL is the reference for what a
+// line does, how it parses and how its answer reads; an artifact-backed
+// session answers only what its artifacts can answer successfully
+// (artAnswer) and materializes for everything else — a mistyped cursor
+// move included, whose error is then the REPL's own.
 func (ss *Session) exec(line string) (string, error) {
 	if ss.live == nil {
-		if out, handled, err := ss.execArtifact(line); handled {
-			return out, err
+		if out, ok := ss.artAnswer(line); ok {
+			return out, nil
 		}
 		if err := ss.materialize(); err != nil {
 			return "", err
@@ -1097,120 +1060,104 @@ func (ss *Session) exec(line string) (string, error) {
 	return buf.String(), err
 }
 
-// execArtifact serves a command from the immutable artifacts.
-// handled=false means the command needs a live session.
-func (ss *Session) execArtifact(line string) (out string, handled bool, err error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "", true, nil
-	}
-	cmd, args := strings.ToLower(fields[0]), fields[1:]
-	art := ss.art
-	cu := &art.Units[ss.curUnit]
-	switch cmd {
-	case "quit", "exit":
-		// Session lifetime is managed by DELETE /v1/sessions/{id}.
-		return "", true, nil
-	case "help":
-		return repl.HelpText(), true, nil
-	case "legend":
-		return view.Legend(), true, nil
-	case "units":
+// artifactReads maps each read verb the artifacts hold an answer for to
+// that answer at the session's cursor — what the verb prints with no
+// argument. Session lifetime is DELETE /v1/sessions/{id}'s business, so
+// quit and exit answer nothing.
+var artifactReads = map[string]func(ss *Session) string{
+	"quit":   func(*Session) string { return "" },
+	"exit":   func(*Session) string { return "" },
+	"help":   func(*Session) string { return repl.HelpText() },
+	"legend": func(*Session) string { return view.Legend() },
+	"save":   func(ss *Session) string { return ss.art.Printed },
+	"perf":   func(ss *Session) string { return ss.art.Units[ss.curUnit].PerfText },
+	"loops":  func(ss *Session) string { return ss.art.Units[ss.curUnit].LoopsText },
+	"deps":   func(ss *Session) string { return ss.artLoop().DepPane },
+	"vars":   func(ss *Session) string { return ss.artLoop().VarPane },
+	"units": func(ss *Session) string {
 		var b strings.Builder
-		for i := range art.Units {
-			marker := "  "
-			if i == ss.curUnit {
-				marker = "» "
+		for i, u := range ss.art.Units {
+			b.WriteString(view.UnitLine(u.Kind, u.Name, i == ss.curUnit))
+		}
+		return b.String()
+	},
+}
+
+// artAnswer answers line from the artifacts: a blank line, a read verb
+// of artifactReads without arguments, or a valid `unit <name>` /
+// `loop <n>`. ok=false declines — the line needs the live REPL.
+func (ss *Session) artAnswer(line string) (out string, ok bool) {
+	f := strings.Fields(line)
+	switch len(f) {
+	case 0:
+		return "", true
+	case 1:
+		if read := artifactReads[strings.ToLower(f[0])]; read != nil {
+			return read(ss), true
+		}
+	case 2:
+		switch strings.ToLower(f[0]) {
+		case "unit":
+			return "", ss.artSelect(f[1], 0)
+		case "loop":
+			if n, err := strconv.Atoi(f[1]); err == nil && n != 0 && ss.artSelect("", n) {
+				return ss.artLoop().Summary + "\n", true
 			}
-			fmt.Fprintf(&b, "%s%s %s\n", marker, art.Units[i].Kind, art.Units[i].Name)
 		}
-		return b.String(), true, nil
-	case "unit":
-		if len(args) != 1 {
-			return "", true, fmt.Errorf("usage: unit <name>")
-		}
-		i := art.unitIndex(args[0])
-		if i < 0 {
-			return "", true, fmt.Errorf("no unit named %s", args[0])
-		}
-		ss.curUnit, ss.curLoop = i, 0
-		return "", true, nil
-	case "loops":
-		return cu.LoopsText, true, nil
-	case "loop":
-		if len(args) < 1 {
-			return "", true, fmt.Errorf("missing loop number")
-		}
-		n, aerr := strconv.Atoi(args[0])
-		if aerr != nil {
-			return "", true, fmt.Errorf("bad loop number %q", args[0])
-		}
-		if n < 1 || n > len(cu.Loops) {
-			return "", true, fmt.Errorf("loop %d out of range (unit has %d)", n, len(cu.Loops))
-		}
-		ss.curLoop = n
-		return cu.Loops[n-1].Summary + "\n", true, nil
-	case "deps":
-		if len(args) > 0 {
-			return "", false, nil // filters need a live session
-		}
-		if ss.curLoop == 0 {
-			return art.NoLoopDepPane, true, nil
-		}
-		return cu.Loops[ss.curLoop-1].DepPane, true, nil
-	case "vars":
-		if ss.curLoop == 0 {
-			return art.NoLoopVarPane, true, nil
-		}
-		return cu.Loops[ss.curLoop-1].VarPane, true, nil
-	case "perf":
-		return cu.PerfText, true, nil
-	case "save":
-		return art.Printed, true, nil
 	}
-	return "", false, nil
+	return "", false
+}
+
+// artLoop returns the artifacts of the selected loop, or of no selection.
+func (ss *Session) artLoop() *LoopArtifacts {
+	if ss.curLoop == 0 {
+		return &ss.art.NoLoop
+	}
+	return &ss.art.Units[ss.curUnit].Loops[ss.curLoop-1]
+}
+
+// artSelect is the artifacts' one cursor move, shared by the cmd line
+// and the typed select: it moves to unit (if named) and loop (if
+// non-zero) when both exist, and otherwise declines without moving.
+func (ss *Session) artSelect(unit string, loop int) bool {
+	u, l := ss.curUnit, ss.curLoop
+	if unit != "" {
+		if u, l = ss.art.unitIndex(unit), 0; u < 0 {
+			return false
+		}
+	}
+	if loop != 0 {
+		if l = loop; l < 1 || l > len(ss.art.Units[u].Loops) {
+			return false
+		}
+	}
+	ss.curUnit, ss.curLoop = u, l
+	return true
 }
 
 func (ss *Session) doSelect(req SelectRequest) (SelectResponse, error) {
+	if ss.live == nil && !ss.artSelect(req.Unit, req.Loop) {
+		if err := ss.materialize(); err != nil {
+			return SelectResponse{}, err
+		}
+	}
 	var resp SelectResponse
-	if ss.live == nil {
-		art := ss.art
+	if ss.live != nil {
 		if req.Unit != "" {
-			i := art.unitIndex(req.Unit)
-			if i < 0 {
-				return resp, fmt.Errorf("no unit named %s", req.Unit)
+			if err := ss.live.SelectUnit(req.Unit); err != nil {
+				return SelectResponse{}, err
 			}
-			ss.curUnit, ss.curLoop = i, 0
 		}
 		if req.Loop != 0 {
-			n := len(art.Units[ss.curUnit].Loops)
-			if req.Loop < 1 || req.Loop > n {
-				return resp, fmt.Errorf("loop %d out of range (unit has %d)", req.Loop, n)
+			if err := ss.live.SelectLoop(req.Loop); err != nil {
+				return SelectResponse{}, err
 			}
-			ss.curLoop = req.Loop
 		}
-		resp.Unit = art.Units[ss.curUnit].Name
-		resp.Loop = ss.curLoop
-		if ss.curLoop > 0 {
-			resp.Summary = art.Units[ss.curUnit].Loops[ss.curLoop-1].Summary
-		} else {
-			resp.Summary = "no loop selected"
-		}
-		return resp, nil
+		resp.Summary = view.DepSummary(ss.live)
+	} else {
+		resp.Summary = ss.artLoop().Summary
 	}
-	if req.Unit != "" {
-		if err := ss.live.SelectUnit(req.Unit); err != nil {
-			return resp, err
-		}
-	}
-	if req.Loop != 0 {
-		if err := ss.live.SelectLoop(req.Loop); err != nil {
-			return resp, err
-		}
-	}
-	resp.Unit = ss.live.CurrentUnit().Name
-	resp.Loop = ss.liveLoopOrdinal()
-	resp.Summary = view.DepSummary(ss.live)
+	resp.Unit, resp.Loop = ss.cursor()
 	return resp, nil
 }
 
@@ -1231,18 +1178,11 @@ func (ss *Session) liveLoopOrdinal() int {
 
 func (ss *Session) doDeps(q DepQuery) DepsResponse {
 	var resp DepsResponse
-	if ss.live == nil {
-		resp.Unit = ss.art.Units[ss.curUnit].Name
-		resp.Loop = ss.curLoop
-		if ss.curLoop > 0 {
-			resp.Deps = filterInfos(ss.art.Units[ss.curUnit].Loops[ss.curLoop-1].Deps, q)
-		} else {
-			resp.Deps = []DepInfo{}
-		}
-		return resp
+	resp.Unit, resp.Loop = ss.cursor()
+	if ss.live != nil {
+		resp.Deps = filterInfos(depInfos(ss.live, ss.live.VariablePane()), q)
+	} else {
+		resp.Deps = filterInfos(ss.artLoop().Deps, q)
 	}
-	resp.Unit = ss.live.CurrentUnit().Name
-	resp.Loop = ss.liveLoopOrdinal()
-	resp.Deps = filterInfos(depInfos(ss.live, ss.live.VariablePane()), q)
 	return resp
 }

@@ -93,6 +93,31 @@ func SourcePane(s *core.Session, filter SourceFilter) string {
 	return b.String()
 }
 
+// UnitLine renders one row of the `units` listing; "»" marks the
+// current unit.
+func UnitLine(kind, name string, current bool) string {
+	marker := "  "
+	if current {
+		marker = "» "
+	}
+	return fmt.Sprintf("%s%s %s\n", marker, kind, name)
+}
+
+// LoopList renders the current unit's loops in source order — the
+// numbers `loop <n>` takes — with "P" on the parallel ones.
+func LoopList(s *core.Session) string {
+	var b strings.Builder
+	for i, l := range s.Loops() {
+		mark := " "
+		if l.Do.Parallel {
+			mark = "P"
+		}
+		fmt.Fprintf(&b, "%3d %s depth %d line %d: %s\n",
+			i+1, mark, l.Depth, l.Do.Line(), fortran.StmtText(l.Do))
+	}
+	return trimmed(&b)
+}
+
 // DepPane renders the dependence list for the selected loop with
 // marking states — the middle pane of the Ped window.
 func DepPane(s *core.Session, f core.DepFilter) string {

@@ -14,6 +14,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"parascope/internal/core"
 	"parascope/internal/fortran"
@@ -165,6 +166,15 @@ func ByName(name string) *Workload {
 		if w.Name == name {
 			return w
 		}
+	}
+	return nil
+}
+
+// InputFor returns the READ data of the suite workload a session's
+// source path names ("arc3d.f"), nil for any other program.
+func InputFor(path string) []float64 {
+	if w := ByName(strings.TrimSuffix(path, ".f")); w != nil {
+		return w.Input
 	}
 	return nil
 }
