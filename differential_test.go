@@ -238,8 +238,8 @@ func annotateLoops(s *core.Session) int {
 }
 
 // TestIncrementalMatchesScratch is the differential gate on the
-// incremental reanalysis path: for every workload and a call-heavy
-// main, run a seeded random sequence of assignment and CALL edits and
+// incremental reanalysis path: for every workload, a call-heavy main
+// and a main whose subscript constant is assigned under a conditional, run a seeded random sequence of assignment and CALL edits and
 // after every single edit require the session to match a from-scratch
 // analysis of its saved source; then annotate every loop every way the
 // checks allow (a transformation that only annotates a loop is followed
@@ -258,7 +258,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			patchRung, patchedOnProgramRung := 0, 0
-			for _, w := range append(workloads.All(), workloads.CallHeavy(24)) {
+			for _, w := range append(workloads.All(), workloads.CallHeavy(24), workloads.CondConst()) {
 				r := rand.New(rand.NewSource(int64(len(w.Name)) * 7919))
 				s, err := w.Session()
 				if err != nil {

@@ -370,6 +370,7 @@ func (a *Analysis) propagateConstants() {
 	// predecessor's map instead of copying it.
 	in := make([]Consts, len(a.G.Nodes))
 	out := make([]Consts, len(a.G.Nodes))
+	visited := make([]bool, len(a.G.Nodes)) // out[i] holds a transfer result, possibly the empty state
 	clone := func(src Consts) Consts {
 		cp := make(Consts, len(src))
 		for k, v := range src {
@@ -475,10 +476,10 @@ func (a *Analysis) propagateConstants() {
 			var st Consts
 			shared := false // st is a predecessor's own map
 			for _, p := range node.Preds {
-				po := out[p.Index]
-				if po == nil {
+				if !visited[p.Index] {
 					continue
 				}
+				po := out[p.Index]
 				if st == nil {
 					st, shared = po, true
 					continue
@@ -498,8 +499,8 @@ func (a *Analysis) propagateConstants() {
 			}
 			in[node.Index] = st
 			newOut := transfer(node, st)
-			if !constStateEqual(out[node.Index], newOut) {
-				out[node.Index] = newOut
+			if !visited[node.Index] || !constStateEqual(out[node.Index], newOut) {
+				out[node.Index], visited[node.Index] = newOut, true
 				changedGlobal = true
 			}
 		}

@@ -157,6 +157,41 @@ func TestConstantsSurviveLoops(t *testing.T) {
 	}
 }
 
+// condConstProgram is ROADMAP item 1(a)'s reproducer: n is assigned
+// under a conditional, so the fall-through edge of the IF reaches the
+// join with no constant for n.
+const condConstProgram = `
+      subroutine p(c, a)
+      integer n, c
+      real a(100)
+      if (c .gt. 0) then
+        n = 5
+      endif
+      do i = 1, 10
+        a(i+n) = a(i) + 1.0
+      enddo
+      end
+`
+
+// The fall-through edge's out-state is empty; it must still take part
+// in the meet at the join (it was once mistaken for an unvisited node).
+func TestConstantAssignedUnderConditionalIsNotConstant(t *testing.T) {
+	a := analyze(t, condConstProgram)
+	u := a.Unit
+	n := u.Lookup("n")
+	do := u.Body[1].(*fortran.DoStmt)
+	if v, ok := a.ConstAt(do, n); ok {
+		t.Errorf("n at the do = %d; it is 5 only when c > 0", v)
+	}
+	if v, ok := a.ConstAt(do.Body[0], n); ok {
+		t.Errorf("n at the assignment = %d; it is 5 only when c > 0", v)
+	}
+	then := u.Body[0].(*fortran.IfStmt).Then[0]
+	if _, ok := a.ConstAt(then, n); ok {
+		t.Error("n is not yet assigned at entry to n = 5")
+	}
+}
+
 func TestPrivatizable(t *testing.T) {
 	a := analyze(t, `
       program main

@@ -551,3 +551,34 @@ func TestWeakCrossing(t *testing.T) {
 		t.Errorf("crossing point 200 outside [1,100]; got %v", deps)
 	}
 }
+
+// ROADMAP item 1(a): n = 5 holds on one branch only, so the offset of
+// a(i+n) is symbolic — the loop carries a pending flow and a pending
+// anti dependence on a, not one proven distance-5 flow dependence.
+func TestConstantUnderConditionalLeavesSymbolicDeps(t *testing.T) {
+	df, g := analyzeSrc(t, `
+      subroutine p(c, a)
+      integer n, c
+      real a(100)
+      if (c .gt. 0) then
+        n = 5
+      endif
+      do i = 1, 10
+        a(i+n) = a(i) + 1.0
+      enddo
+      end
+`)
+	pending := map[Class]int{}
+	for _, d := range carriedData(g, df.Tree.All[0]) {
+		if d.Sym.Name != "a" {
+			continue
+		}
+		if d.Mark != MarkPending {
+			t.Errorf("%s: marked %s, want pending", d, d.Mark)
+		}
+		pending[d.Class]++
+	}
+	if pending[ClassFlow] != 1 || pending[ClassAnti] != 1 {
+		t.Errorf("carried dependences on a: %d flow, %d anti; want one of each, pending", pending[ClassFlow], pending[ClassAnti])
+	}
+}

@@ -120,6 +120,10 @@ func FuzzEditReanalyze(f *testing.F) {
 		"      do i = 2, 100\n         x(i) = x(i-1)\n      enddo\n      end\n",
 		uint8(0), "x(i) = x(i+1)")
 	f.Add("      program p\n      real t\n      t = 1.0\n      end\n", uint8(0), "t = t + 1.0")
+	// A constant assigned under a conditional: the edit's constant
+	// re-propagation meets an empty state at the join.
+	f.Add(workloads.CondConst().Source, uint8(3), "a(i + n) = a(i) + 2.0")
+	f.Add(workloads.CondConst().Source, uint8(2), "n = 7")
 	// Edits of the wider envelope, by the statement they re-type.
 	calls, err := core.Open("fuzz.f", fuzzCalls)
 	if err != nil {

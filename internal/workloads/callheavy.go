@@ -38,3 +38,32 @@ func CallHeavy(calls int) *Workload {
 		Source:      b.String(),
 	}
 }
+
+// CondConst returns a program whose main assigns an integer constant
+// under a conditional and then subscripts with it: no constant is known
+// where the IF falls through, so n has no constant value at the loop
+// and a(i + n) against a(i) is a symbolic pair (ROADMAP item 1(a)).
+// Like CallHeavy it is not part of the suite (All): the incremental
+// tests use it so the patch path's constant re-propagation sees a join
+// with an empty state on one side.
+func CondConst() *Workload {
+	return &Workload{
+		Name:        "condconst",
+		Description: "a constant assigned under a conditional feeds a subscript",
+		Source: `      program cond
+      integer i, n, c
+      real a(100), s
+      a(1) = 2.0
+      c = int(a(1))
+      if (c .gt. 0) then
+         n = 5
+      endif
+      do i = 1, 10
+         a(i + n) = a(i) + 1.0
+         s = a(i)*0.5
+      enddo
+      print *, a(6), s
+      end
+`,
+	}
+}
