@@ -47,8 +47,8 @@ func (s *Session) Advise() []Suggestion {
 	}
 
 	// Start from the parallelization verdict's blocking dependences.
-	blocking := s.blockingFor(do)
-	if len(blocking) == 0 {
+	verdict := s.Doall(l)
+	if len(verdict.Blocking) == 0 {
 		add(Suggestion{
 			Action:         "parallelize the loop",
 			Rationale:      "no blocking dependences remain",
@@ -58,7 +58,7 @@ func (s *Session) Advise() []Suggestion {
 	}
 	st := s.State()
 	symbolicVars := map[string]bool{}
-	for _, d := range blocking {
+	for _, d := range verdict.Blocking {
 		sym := d.Sym
 		switch {
 		case d.Reason == "symbolic":
@@ -70,27 +70,23 @@ func (s *Session) Advise() []Suggestion {
 				Action:    fmt.Sprintf("inspect the index array feeding %s; if it never repeats, reject the pending dependences (deps carried on %s; mark <id> reject)", sym.Name, sym.Name),
 				Rationale: "subscript tests cannot analyze index arrays; only you know the indexing pattern",
 			})
+		case verdict.Basis(sym) == xform.LastValue:
+			add(Suggestion{
+				Action:         fmt.Sprintf("expand scalar %s", sym.Name),
+				Rationale:      fmt.Sprintf("%s is killed each iteration but its value is used after the loop; expansion keeps the last value", sym.Name),
+				Transformation: xform.ScalarExpand{Do: do, Sym: sym},
+			})
 		case sym.Kind == fortran.SymScalar:
-			res := st.DF.Privatizable(l, sym)
-			switch {
-			case res.Privatizable && res.NeedsLastValue:
-				add(Suggestion{
-					Action:         fmt.Sprintf("expand scalar %s", sym.Name),
-					Rationale:      fmt.Sprintf("%s is killed each iteration but its value is used after the loop; expansion keeps the last value", sym.Name),
-					Transformation: xform.ScalarExpand{Do: do, Sym: sym},
-				})
-			case !res.Privatizable:
-				add(Suggestion{
-					Action:    fmt.Sprintf("restructure the uses of scalar %s", sym.Name),
-					Rationale: fmt.Sprintf("%s: %s", sym.Name, res.Reason),
-				})
-			}
+			add(Suggestion{
+				Action:    fmt.Sprintf("restructure the uses of scalar %s", sym.Name),
+				Rationale: fmt.Sprintf("%s: %s", sym.Name, st.DF.Privatizable(l, sym).Reason),
+			})
 		case sym.IsArray():
-			if res := st.DF.ArrayPrivatizable(l, sym); res.Privatizable && !res.NeedsLastValue {
+			if t := (xform.PrivatizeArray{Do: do, Sym: sym}); t.Check(s.xformContext()).OK() {
 				add(Suggestion{
 					Action:         fmt.Sprintf("privatize work array %s", sym.Name),
 					Rationale:      fmt.Sprintf("every iteration kills all of %s before using it", sym.Name),
-					Transformation: xform.PrivatizeArray{Do: do, Sym: sym},
+					Transformation: t,
 				})
 				continue
 			}
@@ -126,8 +122,7 @@ func (s *Session) Advise() []Suggestion {
 	// Inner parallelism that interchange could move outward.
 	if len(l.Children) == 1 && len(do.Body) == 1 {
 		inner := l.Children[0]
-		innerBlocking := s.blockingFor(inner.Do)
-		if len(innerBlocking) == 0 {
+		if len(s.Doall(inner).Blocking) == 0 {
 			if v := (xform.Interchange{Outer: do}).Check(s.xformContext()); v.OK() {
 				add(Suggestion{
 					Action:         "interchange the nest",
@@ -142,36 +137,6 @@ func (s *Session) Advise() []Suggestion {
 			Action:    "leave the loop serial",
 			Rationale: "the carried dependences are real recurrences; no catalog transformation removes them",
 		})
-	}
-	return out
-}
-
-// blockingFor evaluates the parallelization verdict's blocking set
-// for the loop.
-func (s *Session) blockingFor(do *fortran.DoStmt) []*dep.Dependence {
-	st := s.State()
-	l := st.DF.Tree.LoopOf(do)
-	if l == nil {
-		return nil
-	}
-	reds := map[*fortran.Symbol]bool{}
-	for _, r := range st.DF.Reductions(l) {
-		reds[r.Sym] = true
-	}
-	var out []*dep.Dependence
-	for _, d := range st.Deps.CarriedAt(l) {
-		if d.Mark == dep.MarkRejected || d.Class == dep.ClassControl || d.Class == dep.ClassInput {
-			continue
-		}
-		if d.Sym == l.Do.Var || reds[d.Sym] {
-			continue
-		}
-		if d.Sym.Kind == fortran.SymScalar {
-			if res := st.DF.Privatizable(l, d.Sym); res.Privatizable && !res.NeedsLastValue {
-				continue
-			}
-		}
-		out = append(out, d)
 	}
 	return out
 }

@@ -701,6 +701,10 @@ func (s *Session) SelectionDeps(f DepFilter) []*dep.Dependence {
 		return nil
 	}
 	st := s.State()
+	var verdict xform.Doall
+	if f.HidePrivate {
+		verdict = s.Doall(l)
+	}
 	var out []*dep.Dependence
 	for _, d := range st.Deps.LoopDeps(l) {
 		if f.CarriedOnly && !d.Carried() {
@@ -723,7 +727,7 @@ func (s *Session) SelectionDeps(f DepFilter) []*dep.Dependence {
 				continue
 			}
 		}
-		if f.HidePrivate && s.classOf(l, d.Sym) != ClassShared {
+		if f.HidePrivate && s.classOf(&verdict, d.Sym) != ClassShared {
 			continue
 		}
 		out = append(out, d)
@@ -891,28 +895,28 @@ func parseAssertion(text string) (Assertion, error) {
 // Assertions lists the current unit's assertions.
 func (s *Session) Assertions() []Assertion { return s.State().assertions }
 
-// classOf computes the effective classification of a variable for a
-// loop: user override first, then automatic analysis.
-func (s *Session) classOf(l *cfg.Loop, sym *fortran.Symbol) VarClass {
+// Doall is the parallelization verdict of loop l of the current unit:
+// what check parallelize decides from, and what the guidance, the
+// variable pane, the hideprivate filter and a plan's decisions read.
+func (s *Session) Doall(l *cfg.Loop) xform.Doall {
 	st := s.State()
-	if c, ok := st.classes[sym.Name]; ok {
+	return xform.DoallOf(st.DF, st.Deps, l.Do)
+}
+
+// classOf is the classification the panes show for a variable: the
+// user's override first, then the loop's verdict. The override reaches
+// the panes and their filters only — the safety decision stays the
+// analysis's and the dependence marks'.
+func (s *Session) classOf(verdict *xform.Doall, sym *fortran.Symbol) VarClass {
+	if c, ok := s.State().classes[sym.Name]; ok {
 		return c
 	}
-	if sym == l.Do.Var {
-		return ClassInduction
-	}
-	for _, r := range st.DF.Reductions(l) {
-		if r.Sym == sym {
-			return ClassReduction
-		}
-	}
-	if sym.Kind == fortran.SymScalar {
-		if res := st.DF.Privatizable(l, sym); res.Privatizable && !res.NeedsLastValue {
-			return ClassPrivate
-		}
-	}
-	return ClassShared
+	return basisClass[verdict.Basis(sym)]
 }
+
+// basisClass is the class a pane shows for each basis of the verdict.
+var basisClass = [...]VarClass{xform.Shared: ClassShared, xform.LastValue: ClassShared,
+	xform.Private: ClassPrivate, xform.Reduction: ClassReduction, xform.Induction: ClassInduction}
 
 // Classify overrides a variable's classification for parallelization
 // (the user "reclassification" action from the evaluation).
@@ -961,9 +965,10 @@ func (s *Session) VariablePane() []VarInfo {
 	for _, d := range st.Deps.LoopDeps(l) {
 		depCount[d.Sym]++
 	}
+	verdict := s.Doall(l)
 	var out []VarInfo
 	for _, sym := range syms {
-		info := VarInfo{Sym: sym, Class: s.classOf(l, sym), DepCount: depCount[sym]}
+		info := VarInfo{Sym: sym, Class: s.classOf(&verdict, sym), DepCount: depCount[sym]}
 		if sym.Kind == fortran.SymScalar {
 			res := st.DF.Privatizable(l, sym)
 			info.Privatizable = res.Privatizable

@@ -10,163 +10,53 @@ import (
 )
 
 // ParseTransformation resolves the editor's transformation grammar —
-// a transformation name followed by loop ordinals (1-based, source
-// order in the current unit), factors, and variable names — into a
-// ready xform.Transformation bound to the session's current AST.
-// This is the single grammar shared by the REPL's check/apply verbs,
-// journal replay, and the speculative planner, so a step recorded in
-// one context replays identically in every other.
+// a name of xform.Catalog followed by the row's arguments: loop
+// ordinals (1-based, source order in the current unit), factors,
+// variable names, statement ids — into a ready xform.Transformation
+// bound to the session's current AST. This is the single grammar shared
+// by the REPL's check/apply verbs, journal replay, and the speculative
+// planner, so a step recorded in one context replays identically in
+// every other. What a name means is the catalog's; only resolving an
+// argument against the session happens here.
 func ParseTransformation(s *Session, args []string) (xform.Transformation, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("usage: apply <transformation> <loop> [args]")
 	}
 	name := strings.ToLower(args[0])
-	rest := args[1:]
-	switch name {
-	case "parallelize":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Parallelize{Do: do}, nil
-	case "serialize":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Serialize{Do: do}, nil
-	case "interchange":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Interchange{Outer: do}, nil
-	case "reverse":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Reverse{Do: do}, nil
-	case "distribute":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Distribute{Do: do}, nil
-	case "fuse":
-		first, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		second, err := loopArg(s, rest, 1)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Fuse{First: first, Second: second}, nil
-	case "skew":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		f, err := intArg(rest, 1, "skew factor")
-		if err != nil {
-			return nil, err
-		}
-		return xform.Skew{Outer: do, Factor: int64(f)}, nil
-	case "stripmine", "strip-mine":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		size, err := intArg(rest, 1, "strip size")
-		if err != nil {
-			return nil, err
-		}
-		return xform.StripMine{Do: do, Size: int64(size)}, nil
-	case "unroll":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		f, err := intArg(rest, 1, "unroll factor")
-		if err != nil {
-			return nil, err
-		}
-		return xform.Unroll{Do: do, Factor: int64(f)}, nil
-	case "peel":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Peel{Do: do}, nil
-	case "privatize":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		sym, err := varArg(s, rest, 1)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Privatize{Do: do, Sym: sym}, nil
-	case "privatizearray", "privatize-array":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		sym, err := varArg(s, rest, 1)
-		if err != nil {
-			return nil, err
-		}
-		return xform.PrivatizeArray{Do: do, Sym: sym}, nil
-	case "expand":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		sym, err := varArg(s, rest, 1)
-		if err != nil {
-			return nil, err
-		}
-		return xform.ScalarExpand{Do: do, Sym: sym}, nil
-	case "reductions":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.RecognizeReductions{Do: do}, nil
-	case "normalize":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		return xform.Normalize{Do: do}, nil
-	case "unrolljam", "unroll-and-jam":
-		do, err := loopArg(s, rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		f, err := intArg(rest, 1, "unroll factor")
-		if err != nil {
-			return nil, err
-		}
-		return xform.UnrollJam{Outer: do, Factor: int64(f)}, nil
-	case "inline":
-		id, err := intArg(rest, 0, "statement id")
-		if err != nil {
-			return nil, err
-		}
-		st := s.File.StmtByID(id)
-		call, ok := st.(*fortran.CallStmt)
-		if !ok {
-			return nil, fmt.Errorf("statement %d is not a CALL", id)
-		}
-		return xform.Inline{Call: call}, nil
+	row := xform.Lookup(name)
+	if row == nil {
+		return nil, fmt.Errorf("unknown transformation %q", name)
 	}
-	return nil, fmt.Errorf("unknown transformation %q", name)
+	var a xform.Args
+	for i, arg := range row.Args {
+		var err error
+		switch rest := args[1:]; arg.Kind {
+		case xform.ArgLoop:
+			var do *fortran.DoStmt
+			do, err = loopArg(s, rest, i)
+			a.Loops = append(a.Loops, do)
+		case xform.ArgInt:
+			var n int
+			n, err = IntArg(rest, i, arg.What)
+			a.Int = int64(n)
+		case xform.ArgVar:
+			a.Sym, err = varArg(s, rest, i)
+		case xform.ArgStmt, xform.ArgCall:
+			var st fortran.Stmt
+			st, err = stmtArg(s, rest, i, arg.Kind == xform.ArgCall)
+			a.Stmts = append(a.Stmts, st)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return row.New(a), nil
 }
 
-func intArg(args []string, i int, what string) (int, error) {
+// IntArg reads args[i] as an integer; what names it when it is missing
+// or malformed. Every numeric argument of a command line goes through
+// it, the REPL's own verbs included.
+func IntArg(args []string, i int, what string) (int, error) {
 	if i >= len(args) {
 		return 0, fmt.Errorf("missing %s", what)
 	}
@@ -179,7 +69,7 @@ func intArg(args []string, i int, what string) (int, error) {
 
 // loopArg resolves a 1-based loop ordinal to its DO statement.
 func loopArg(s *Session, args []string, i int) (*fortran.DoStmt, error) {
-	n, err := intArg(args, i, "loop number")
+	n, err := IntArg(args, i, "loop number")
 	if err != nil {
 		return nil, err
 	}
@@ -199,4 +89,20 @@ func varArg(s *Session, args []string, i int) (*fortran.Symbol, error) {
 		return nil, fmt.Errorf("no variable %q", args[i])
 	}
 	return sym, nil
+}
+
+// stmtArg resolves a statement id, to a CALL when call is set.
+func stmtArg(s *Session, args []string, i int, call bool) (fortran.Stmt, error) {
+	id, err := IntArg(args, i, "statement id")
+	if err != nil {
+		return nil, err
+	}
+	st := s.File.StmtByID(id)
+	if _, ok := st.(*fortran.CallStmt); call && !ok {
+		return nil, fmt.Errorf("statement %d is not a CALL", id)
+	}
+	if st == nil {
+		return nil, fmt.Errorf("no statement %d", id)
+	}
+	return st, nil
 }

@@ -21,7 +21,7 @@ var _ dataflow.SideEffects = (*Effects)(nil)
 func (e *Effects) CallEffects(u *fortran.Unit, callee string, args []fortran.Expr, s fortran.Stmt) []dataflow.Access {
 	target := e.Prog.File.Unit(callee)
 	var summ *Summary
-	if target != nil {
+	if target != nil && target.Kind != fortran.UnitProgram { // `call <main program>` resolves to no callee
 		summ = e.Prog.Summaries[target]
 	}
 	if summ == nil || summ.Conservative {

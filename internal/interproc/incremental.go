@@ -81,6 +81,13 @@ func UpdateProgram(prev *Program, changed map[*fortran.Unit]bool) *Program {
 	}
 	for _, u := range p.Graph.BottomUp {
 		old := prev.Summaries[u]
+		if u.Kind == fortran.UnitProgram {
+			// Nothing can call a main program, so nothing reads its
+			// summary (CallEffects refuses one by name): an edit of main
+			// pays no data-flow solve, kill and section analysis for it.
+			p.Summaries[u] = old
+			continue
+		}
 		if old != nil && !changed[u] &&
 			p.Graph.Recursive[u] == prev.Graph.Recursive[u] &&
 			calleeSummariesCarried(p, prev, u) {

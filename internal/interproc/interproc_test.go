@@ -486,3 +486,37 @@ func TestCallerOfIndex(t *testing.T) {
 		t.Errorf("after UpdateProgram the index has %v for the new statement, want main", got)
 	}
 }
+
+// TestUpdateProgramLeavesMainUnsummarized: nothing can call a main
+// program, so an update after an edit of main carries its summary
+// object over instead of recomputing one nobody reads, while an edited
+// subroutine is summarized afresh; and a call that names the main
+// program gets conservative effects, never that stale summary.
+func TestUpdateProgramLeavesMainUnsummarized(t *testing.T) {
+	f := parse(t, threeUnits)
+	p := AnalyzeProgram(f)
+	main, work := f.Unit("main"), f.Unit("work")
+	ns, err := fortran.ParseStmtIn(f, main, "      s = 1.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	main.Body[0] = ns
+	ws, err := fortran.ParseStmtIn(f, work, "      x(k) = x(k + 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	work.Body[0] = ws
+	q := UpdateProgram(p, map[*fortran.Unit]bool{main: true, work: true})
+	if q.Summaries[main] != p.Summaries[main] {
+		t.Error("the main program was summarized again")
+	}
+	if q.Summaries[work] == p.Summaries[work] {
+		t.Error("work reads x now; its summary must be recomputed")
+	}
+	call := main.Body[1].(*fortran.DoStmt).Body[0].(*fortran.CallStmt)
+	got := (&Effects{Prog: q}).CallEffects(work, "main", call.Args, call)
+	want := dataflow.ConservativeEffects{}.CallEffects(work, "main", call.Args, call)
+	if len(got) != len(want) {
+		t.Errorf("call main: %d accesses, want the %d conservative ones", len(got), len(want))
+	}
+}

@@ -13,12 +13,10 @@ import (
 // on a step its own world would reject. Per hot sequential loop
 // (hottest first by estimated sequential time, capped at
 // maxHotLoops): parallelize it outright, or one of the enabling
-// transformations — reduction recognition, interchange, skew,
-// privatization of the offending scalars. Adjacent same-depth loop
-// pairs additionally propose fusion.
-//
-// candidates runs on the search goroutine, one world at a time, so
-// mutating the world's selection state here is safe.
+// transformations — reduction recognition, interchange, skew.
+// (Privatizing a scalar is not a step of its own: a scalar privatize's
+// check allows is one parallelize attaches by itself.) Adjacent
+// same-depth loop pairs additionally propose fusion.
 func (s *searcher) candidates(w *world) []string {
 	sess := w.sess
 	loops := sess.Loops()
@@ -45,13 +43,6 @@ func (s *searcher) candidates(w *world) []string {
 			fmt.Sprintf("reductions %d", o),
 			fmt.Sprintf("interchange %d", o),
 			fmt.Sprintf("skew %d 1", o),
-		}
-		if err := sess.SelectLoop(o); err == nil {
-			for _, vi := range sess.VariablePane() {
-				if vi.Privatizable && vi.Class == core.ClassShared && vi.DepCount > 0 {
-					cands = append(cands, fmt.Sprintf("privatize %d %s", o, vi.Sym.Name))
-				}
-			}
 		}
 		for _, cand := range cands {
 			if s.checkOK(sess, cand) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
 	"parascope/internal/workloads"
@@ -73,5 +75,63 @@ func TestWorldErrFaultDiscards(t *testing.T) {
 				t.Fatalf("a faulted parallelize step survived into plan %s", p.ID)
 			}
 		}
+	}
+}
+
+// hostileProgram has one loop worth parallelizing, so the search finds
+// a finalist, and then never ends: it spins, or floods its output.
+func hostileProgram(tail string) string {
+	return "      program hostile\n      integer i, k\n      real a(1000)\n" +
+		"      do i = 1, 1000\n         a(i) = 0.5*real(i)\n      enddo\n      k = 0\n" +
+		tail + "      end\n"
+}
+
+// TestHostileProgramObeysTheSearch: validation runs take the path a
+// user's run takes, so a finalist (and a base) that never terminates is
+// stopped by the search deadline or by the governor's wall and output
+// limits, whichever comes first — Search returns within its budget plus
+// one run limit, and a run cut short leaves its plan unvalidated
+// (ranked by its estimate), not discarded as crashing.
+func TestHostileProgramObeysTheSearch(t *testing.T) {
+	spin := hostileProgram("   10 k = k + 1\n      goto 10\n")
+	flood := hostileProgram("   10 print *, 123456789, a(1)\n      goto 10\n")
+	for _, c := range []struct {
+		name, src string
+		budget    time.Duration // the search's
+		limits    execguard.Limits
+	}{
+		{"spin/run-limit", spin, time.Minute, execguard.Limits{Timeout: 300 * time.Millisecond}},
+		{"spin/deadline", spin, 400 * time.Millisecond, execguard.Limits{Timeout: time.Minute}},
+		{"flood/output-cap", flood, time.Minute, execguard.Limits{Timeout: time.Minute, OutputBytes: 4096}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			estimated, err := planner.Search(context.Background(), "hostile.f", c.src, "",
+				planner.Options{Interp: false, Workers: 2}, nil)
+			if err != nil || len(estimated.Plans) == 0 {
+				t.Fatalf("no plan to validate: %v, %+v", err, estimated)
+			}
+			start := time.Now()
+			res, err := planner.Search(context.Background(), "hostile.f", c.src, "", planner.Options{
+				Interp: true, Workers: 2, Timeout: c.budget,
+				Gov: execguard.New(execguard.Config{Limits: c.limits}),
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Whichever of the two bounds a case leaves at a minute must
+			// not be the one that ended it.
+			if took := time.Since(start); took > 10*time.Second {
+				t.Errorf("search took %s; budget %s, run limit %s", took, c.budget, c.limits.Timeout)
+			}
+			if len(res.Plans) != len(estimated.Plans) || res.WorldsDiscarded != estimated.WorldsDiscarded {
+				t.Fatalf("a run cut short cost plans: %d plans (%d discarded), want %d (%d)",
+					len(res.Plans), res.WorldsDiscarded, len(estimated.Plans), estimated.WorldsDiscarded)
+			}
+			for _, p := range res.Plans {
+				if p.SimSpeedup != 0 || p.Score != p.EstSpeedup {
+					t.Errorf("plan %s scored on a run that never finished: %+v", p.ID, p)
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,7 @@
 // each world is an independent core.Session reparsed from the
 // parent's printed source, so worlds share nothing mutable with the
 // parent (print→parse fidelity makes the fork exact) — and candidate
-// transformation sequences (interchange, skew, privatize, fuse,
+// transformation sequences (interchange, skew, reductions, fuse,
 // parallelize) are applied in the worlds concurrently under a bounded
 // search budget: beam width, maximum depth, a total world-fork
 // budget, and a wall-clock deadline. Worlds are scored by the static
@@ -35,15 +35,13 @@ import (
 	"sync"
 	"time"
 
-	"parascope/internal/codegen"
 	"parascope/internal/core"
-	"parascope/internal/dep"
 	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
-	"parascope/internal/fortran"
 	"parascope/internal/interp"
 	"parascope/internal/perf"
 	"parascope/internal/workloads"
+	"parascope/internal/xform"
 )
 
 // Search budget defaults.
@@ -92,8 +90,9 @@ type Options struct {
 	// CompileCache overrides the pedc build cache directory (tests);
 	// empty means the per-user default.
 	CompileCache string
-	// Gov supervises compiled scoring runs (build timeout, output
-	// caps, group kill); nil means default limits.
+	// Gov supervises every validation and scoring run, as it does a
+	// user's run (slots, wall timeout, output caps; for compiled runs
+	// build timeout and group kill); nil means default limits.
 	Gov *execguard.Governor
 }
 
@@ -405,7 +404,7 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 		beam = next
 	}
 
-	res.Plans = s.rankPlans(base, finals)
+	res.Plans = s.rankPlans(ctx, base, finals)
 	s.mu.Lock()
 	res.WorldsForked, res.WorldsScored, res.WorldsDiscarded = s.forked, s.scored, s.discarded
 	s.mu.Unlock()
@@ -555,33 +554,44 @@ func (s *searcher) score(w *world) {
 	}
 }
 
-// simRun is one validation run's outcome.
-type simRun struct {
-	out    string
-	cycles int64
-	err    error
+// run is one validation or scoring run's outcome.
+type run struct {
+	core.ExecResult
+	err error
 }
 
-// validate runs one world's program under the interpreter. Like eval
-// it recovers at the world boundary: a panic is that run's error.
-func (s *searcher) validate(w *world, input []float64) (r simRun) {
+// exec runs one world's program the way a user's `run` does —
+// core.Session.Exec: under the search's context, on the governor's
+// slots, inside its wall and output limits. Like eval it recovers at
+// the world boundary: a panic is that run's error.
+func (s *searcher) exec(ctx context.Context, w *world, backend string, input []float64) (r run) {
 	defer func() {
 		if p := recover(); p != nil {
-			r = simRun{err: fmt.Errorf("validation panicked: %v", p)}
+			r = run{err: fmt.Errorf("validation panicked: %v", p)}
 		}
 	}()
-	if err := faultpoint.Hit(faultpoint.PlanValidate, w.hash); err != nil {
-		return simRun{err: err}
+	if backend == core.BackendInterp {
+		if err := faultpoint.Hit(faultpoint.PlanValidate, w.hash); err != nil {
+			return run{err: err}
+		}
 	}
-	r.out, r.cycles, r.err = interp.RunCaptureSim(w.sess.File, s.opts.InterpWorkers, input)
+	r.ExecResult, r.err = w.sess.Exec(ctx, core.ExecRequest{Backend: backend, Workers: s.opts.InterpWorkers,
+		Input: input, CacheDir: s.opts.CompileCache, Gov: s.opts.Gov})
 	return r
+}
+
+// outputsMatch compares two runs' PRINT output up to reduction-order
+// rounding.
+func outputsMatch(a, b run) bool {
+	ok, _ := interp.OutputsEquivalent(a.Output, b.Output, 1e-6)
+	return ok
 }
 
 // rankPlans turns the improving worlds into the ranked plan set:
 // sort by estimated cost, cap to TopPlans, optionally validate and
 // time finalists under the interpreter, and attach diffs and
 // per-dependence decisions.
-func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
+func (s *searcher) rankPlans(ctx context.Context, base *world, finals []*world) []Plan {
 	sort.SliceStable(finals, func(i, j int) bool { return finals[i].cost < finals[j].cost })
 	if len(finals) > s.opts.TopPlans {
 		finals = finals[:s.opts.TopPlans]
@@ -598,26 +608,28 @@ func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
 	interpOK := false
 	if s.opts.Interp && len(finals) > 0 {
 		worlds := append([]*world{base}, finals...)
-		runs := make([]simRun, len(worlds))
-		fanOut(len(worlds), s.opts.Workers, func(i int) { runs[i] = s.validate(worlds[i], input) })
+		runs := make([]run, len(worlds))
+		fanOut(len(worlds), s.opts.Workers, func(i int) { runs[i] = s.exec(ctx, worlds[i], core.BackendInterp, input) })
 
 		baseRun := runs[0]
-		interpOK = baseRun.err == nil && baseRun.cycles > 0
+		interpOK = baseRun.err == nil && baseRun.SimCycles > 0
 		if interpOK {
 			kept := finals[:0]
 			for i, w := range finals {
 				r := runs[1+i]
-				if r.err != nil {
+				switch {
+				case r.err != nil && (ctx.Err() != nil || execguard.IsKill(r.err) || errors.Is(r.err, execguard.ErrBusy)):
+					// Cut short by the search deadline, an execution limit
+					// or a busy daemon: the run proves nothing about the
+					// plan, which stays, unvalidated, ranked by its estimate.
+				case r.err != nil:
 					s.noteDiscard() // plan crashes the program: reject
 					continue
-				}
-				if ok, _ := interp.OutputsEquivalent(baseRun.out, r.out, 1e-6); !ok {
+				case !outputsMatch(baseRun, r):
 					s.noteDiscard() // plan changes the answers: reject
 					continue
-				}
-				w.simSpeedup = 0
-				if r.cycles > 0 {
-					w.simSpeedup = float64(baseRun.cycles) / float64(r.cycles)
+				case r.SimCycles > 0:
+					w.simSpeedup = float64(baseRun.SimCycles) / float64(r.SimCycles)
 				}
 				kept = append(kept, w)
 			}
@@ -627,21 +639,16 @@ func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
 
 	// Compiled ground truth: time the surviving finalists as native
 	// binaries against the compiled base. Purely additive evidence —
-	// a declined or failed compilation leaves the plan's interp-based
-	// ranking untouched.
+	// a declined, failed or cut-short compilation or run leaves the
+	// plan's interp-based ranking untouched.
 	if s.opts.Compiled && len(finals) > 0 {
-		ctx := context.Background()
-		baseRes, err := codegen.Exec(ctx, base.sess.File, s.opts.InterpWorkers, input, s.opts.CompileCache, s.opts.Gov)
-		if err == nil && baseRes.Wall > 0 {
+		baseRes := s.exec(ctx, base, core.BackendCompile, input)
+		if baseRes.err == nil && baseRes.Wall > 0 {
 			for _, w := range finals {
-				res, err := codegen.Exec(ctx, w.sess.File, s.opts.InterpWorkers, input, s.opts.CompileCache, s.opts.Gov)
-				if err != nil || res.Wall <= 0 {
-					continue
+				res := s.exec(ctx, w, core.BackendCompile, input)
+				if res.err == nil && res.Wall > 0 && outputsMatch(baseRes, res) {
+					w.compiledSpeedup = float64(baseRes.Wall) / float64(res.Wall)
 				}
-				if ok, _ := interp.OutputsEquivalent(baseRes.Output, res.Output, 1e-6); !ok {
-					continue
-				}
-				w.compiledSpeedup = float64(baseRes.Wall) / float64(res.Wall)
 			}
 		}
 	}
@@ -682,12 +689,20 @@ func (s *searcher) rankPlans(base *world, finals []*world) []Plan {
 	return plans
 }
 
+// basisNames is how a plan words the basis on which its parallel loop
+// sets a carried dependence aside. A variable the loop's verdict calls
+// shared can only sit under a parallel loop the search did not
+// parallelize itself, or be carried by an inner loop.
+var basisNames = [...]string{xform.Shared: "assumed-covered", xform.LastValue: "assumed-covered",
+	xform.Private: "privatized", xform.Reduction: "reduction", xform.Induction: "induction", xform.Rejected: "user-rejected"}
+
 // decisions extracts the per-dependence audit trail of a world: for
 // every parallel loop in its unit, each carried dependence and the
-// basis on which the plan assumes it away (privatization, reduction,
-// induction, or a user rejection inherited from the parent). One
-// variable often carries several dependence edges on the same basis;
-// those collapse to a single decision counting its edges in Detail.
+// basis on which the loop's DOALL verdict sets it aside
+// (privatization, reduction, induction, or a user rejection inherited
+// from the parent). One variable often carries several dependence
+// edges on the same basis; those collapse to a single decision
+// counting its edges.
 func decisions(sess *core.Session) []Decision {
 	var out []Decision
 	index := map[string]int{}
@@ -697,29 +712,12 @@ func decisions(sess *core.Session) []Decision {
 			continue
 		}
 		name := fmt.Sprintf("do %s (line %d)", l.Header().Name, l.Do.Line())
-		priv := map[*fortran.Symbol]bool{}
-		for _, p := range l.Do.Private {
-			priv[p] = true
-		}
-		reds := map[*fortran.Symbol]bool{}
-		for _, r := range l.Do.Reductions {
-			reds[r.Sym] = true
-		}
 		if err := sess.SelectLoop(i + 1); err != nil {
 			continue
 		}
+		verdict := sess.Doall(l)
 		for _, d := range sess.SelectionDeps(core.DepFilter{CarriedOnly: true}) {
-			basis := "assumed-covered"
-			switch {
-			case d.Mark == dep.MarkRejected:
-				basis = "user-rejected"
-			case priv[d.Sym]:
-				basis = "privatized"
-			case reds[d.Sym]:
-				basis = "reduction"
-			case d.Sym == l.Do.Var:
-				basis = "induction"
-			}
+			basis := basisNames[verdict.DepBasis(d)]
 			detail := fmt.Sprintf("%v dependence at level %d (line %d → %d)",
 				d.Class, d.Level, d.Src.Line(), d.Dst.Line())
 			key := name + "\x00" + d.Sym.Name + "\x00" + basis

@@ -5,7 +5,9 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
+	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
 	"parascope/internal/workloads"
@@ -73,6 +75,21 @@ func TestValidationPanicConfined(t *testing.T) {
 		w.Rank = i + 1
 		if !reflect.DeepEqual(p, w) {
 			t.Fatalf("plan %d changed beside its rank:\n%+v\n%+v", i, p, w)
+		}
+	}
+
+	// A finalist's run the governor cut short is not a crash: the plan
+	// stays, unvalidated, and nothing else moves.
+	disarm = faultpoint.Arm(faultpoint.PlanValidate,
+		faultpoint.Fault{Match: victim.ID, Err: execguard.TimeoutError(time.Second)})
+	res = search(t, "spec77", planner.Options{Interp: true})
+	disarm()
+	if len(res.Plans) != len(clean.Plans) || res.WorldsDiscarded != clean.WorldsDiscarded {
+		t.Fatalf("a cut-short validation cost plans: %d plans, %d discarded", len(res.Plans), res.WorldsDiscarded)
+	}
+	for _, p := range res.Plans {
+		if (p.ID == victim.ID) != (p.SimSpeedup == 0) {
+			t.Fatalf("plan %s: sim %.2f; only the cut-short plan %s is unvalidated", p.ID, p.SimSpeedup, victim.ID)
 		}
 	}
 

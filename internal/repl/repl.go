@@ -20,6 +20,7 @@ import (
 	"parascope/internal/planner"
 	"parascope/internal/view"
 	"parascope/internal/workloads"
+	"parascope/internal/xform"
 )
 
 // REPL is one interactive editor instance.
@@ -134,7 +135,7 @@ func (r *REPL) Execute(line string) error {
 	case "loops":
 		fmt.Fprint(r.Out, view.LoopList(s))
 	case "loop":
-		n, err := r.argInt(args, 0, "loop number")
+		n, err := core.IntArg(args, 0, "loop number")
 		if err != nil {
 			return err
 		}
@@ -233,7 +234,7 @@ func (r *REPL) Execute(line string) error {
 		}
 		r.printReanalysis(s)
 	case "delete":
-		id, err := r.argInt(args, 0, "statement id")
+		id, err := core.IntArg(args, 0, "statement id")
 		if err != nil {
 			return err
 		}
@@ -308,7 +309,7 @@ func (r *REPL) Execute(line string) error {
 			fmt.Fprintf(r.Out, "%d. %s\n", i+1, sg)
 		}
 	case "endpoints":
-		id, err := r.argInt(args, 0, "dependence id")
+		id, err := core.IntArg(args, 0, "dependence id")
 		if err != nil {
 			return err
 		}
@@ -357,7 +358,7 @@ func (r *REPL) Execute(line string) error {
 		n := 1
 		if len(args) > 0 {
 			var err error
-			if n, err = r.argInt(args, 0, "plan rank"); err != nil {
+			if n, err = core.IntArg(args, 0, "plan rank"); err != nil {
 				return err
 			}
 		}
@@ -390,17 +391,6 @@ func (r *REPL) Execute(line string) error {
 func (r *REPL) printReanalysis(s *core.Session) {
 	la := s.LastReanalysis
 	fmt.Fprintf(r.Out, "reanalyzed in %s (%s)\n", la.Duration.Round(time.Microsecond), la.Mode)
-}
-
-func (r *REPL) argInt(args []string, i int, what string) (int, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing %s", what)
-	}
-	n, err := strconv.Atoi(args[i])
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", what, args[i])
-	}
-	return n, nil
 }
 
 func parseDepFilter(args []string) (core.DepFilter, error) {
@@ -438,7 +428,22 @@ func parseDepFilter(args []string) (core.DepFilter, error) {
 // artifact-backed remote sessions).
 func HelpText() string { return helpText }
 
-const helpText = `commands:
+var helpText = strings.Replace(helpTemplate, "@xforms\n", xformLines(), 1)
+
+// xformLines lists the catalog's transformations as help shows them.
+func xformLines() string {
+	out, line := "", "    xforms:"
+	for i := range xform.Catalog {
+		u := xform.Catalog[i].Usage()
+		if len(line)+1+len(u) > 72 {
+			out, line = out+line+"\n", "           "
+		}
+		line += " " + u
+	}
+	return out + line + "\n"
+}
+
+const helpTemplate = `commands:
   units | unit <name> | callgraph        program navigation
   loops | loop <n> | next | window       loop selection and display
   source [loops|parallel|contains <t>]   source pane with view filters
@@ -451,9 +456,7 @@ const helpText = `commands:
   classify <var> shared|private|reduction
   check <xform> <loop> [args]            power-steering diagnosis
   apply <xform> <loop> [args]            apply a transformation
-    xforms: parallelize serialize interchange reverse distribute
-            fuse skew stripmine unroll unrolljam peel privatize
-            privatizearray expand reductions normalize inline <stmt-id>
+@xforms
   compose                                cross-procedure parameter checks
   edit <stmt-id> <text> | delete <id> | undo
   perf | rank | auto                     performance navigation

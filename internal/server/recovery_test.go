@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"parascope/internal/faultpoint"
+	"parascope/internal/planner"
 )
 
 // durableConfig is the standard durability setup for these tests:
@@ -594,5 +595,51 @@ func TestRecoveredAndFreshSessionsCoexist(t *testing.T) {
 	infos := m2.List(bg)
 	if len(infos) != 2 || !infos[0].Journaled || !infos[1].Journaled {
 		t.Fatalf("listing = %+v, want 2 journaled sessions", infos)
+	}
+}
+
+// TestStatementInterchangeReachesEveryDoor: the catalog row that gave
+// xform.StmtInterchange a name makes it reachable the way every other
+// transformation is — a cmd line (what `ped -remote` sends), the typed
+// transform endpoint, a plan step replayed by apply-plan — and each
+// application is a journal record that replays onto the same source.
+func TestStatementInterchangeReachesEveryDoor(t *testing.T) {
+	dir := t.TempDir()
+	m1 := NewManager(durableConfig(dir))
+	ss, resp := mustOpen(t, m1, "direct")
+	before := cmdOK(t, ss, "save")
+	// direct's statements 5 and 6 initialise x(i) and y(i): independent.
+	if out := cmdOK(t, ss, "apply statement-interchange 5 6"); !strings.HasPrefix(out, "applied statement-interchange: ") {
+		t.Fatalf("cmd line: %q", out)
+	}
+	swapped := cmdOK(t, ss, "save")
+	if swapped == before {
+		t.Fatal("the interchange did not change the printed source")
+	}
+	tr, err := ss.Transform(bg, TransformRequest{Name: "statement-interchange", Args: []string{"5", "6"}})
+	if err != nil || tr.Err != "" {
+		t.Fatalf("typed transform: %+v, %v", tr, err)
+	}
+	if got := cmdOK(t, ss, "save"); got != before {
+		t.Fatal("interchanging twice did not restore the source")
+	}
+	if _, err := ss.ApplyPlan(bg, ApplyPlanRequest{Plan: &planner.Plan{ID: "byvalue",
+		Steps: []planner.Step{{Line: "apply statement-interchange 5 6"}}}}); err != nil {
+		t.Fatalf("plan step: %v", err)
+	}
+	if got := cmdOK(t, ss, "save"); got != swapped {
+		t.Fatal("the plan step did not interchange the statements")
+	}
+	if tr, err := ss.Transform(bg, TransformRequest{Name: "statement-interchange", Args: []string{"5"}}); err != nil || tr.Err != "missing statement id" {
+		t.Fatalf("one statement id: %+v, %v", tr, err)
+	}
+	m1.Shutdown()
+
+	m2 := newTestManager(t, durableConfig(dir))
+	if st, err := m2.Recover(); err != nil || st.Recovered != 1 || st.ReadOnly != 0 {
+		t.Fatalf("recover: %+v, %v", st, err)
+	}
+	if got := cmdOK(t, m2.Get(resp.ID), "save"); got != swapped {
+		t.Errorf("the journal replayed onto another source:\n--- want ---\n%s\n--- got ---\n%s", swapped, got)
 	}
 }

@@ -3,6 +3,7 @@ package xform
 import (
 	"fmt"
 
+	"parascope/internal/cfg"
 	"parascope/internal/dataflow"
 	"parascope/internal/dep"
 	"parascope/internal/expr"
@@ -22,51 +23,113 @@ type Parallelize struct {
 // Name implements Transformation.
 func (Parallelize) Name() string { return "parallelize" }
 
-// blockingDeps returns the carried dependences that prevent running
-// the loop's iterations in parallel, after accounting for private
-// scalars and reductions. It also returns the privatization and
-// reduction sets the parallelization would introduce.
-func blockingDeps(c *Context, do *fortran.DoStmt) (blocking []*dep.Dependence,
-	privs []*fortran.Symbol, reds []fortran.Reduction, notes []string) {
+// Basis is why a variable's dependences do or do not stand in the way
+// of running a loop's iterations in parallel.
+type Basis int
 
-	l := c.Loop(do)
-	if l == nil {
-		return nil, nil, nil, []string{"not a loop in the current analysis"}
+const (
+	Shared    Basis = iota // every iteration touches the one variable: its carried dependences block
+	Private                // killed in every iteration and dead after the loop, or already in Do.Private
+	Reduction              // a recognized reduction: partial results combine after the loop
+	Induction              // the loop's own variable
+	LastValue              // privatizable, but read after the loop: blocks; scalar expansion keeps the value
+	Rejected               // of a dependence only: the user overruled the analysis
+)
+
+// Doall is the one judgement of whether a loop's iterations may run in
+// parallel. Parallelize's Check and Apply, the editor's guidance, its
+// variable pane and hideprivate filter, and the decisions a plan
+// reports all read it, so they cannot disagree about a variable.
+type Doall struct {
+	Loop *cfg.Loop // nil when the DO statement is not part of the current analysis
+	// Blocking lists the carried dependences that forbid parallel
+	// execution: active, and on a variable that is Shared or LastValue.
+	Blocking []*dep.Dependence
+	// Private and Reductions are what parallelizing attaches to the DO
+	// statement: the loop variable, what is private already, and the
+	// privatizable scalars among the carried dependences.
+	Private    []*fortran.Symbol
+	Reductions []fortran.Reduction
+	Notes      []string
+
+	df *dataflow.Analysis
+}
+
+// DoallOf judges the loop of do from the unit's data-flow analysis and
+// dependence graph — all a verdict reads.
+func DoallOf(df *dataflow.Analysis, deps *dep.Graph, do *fortran.DoStmt) Doall {
+	v := Doall{Loop: df.Tree.LoopOf(do), df: df}
+	if v.Loop == nil {
+		v.Notes = []string{"not a loop in the current analysis"}
+		return v
 	}
-	reds = c.DF.Reductions(l)
-	redSet := map[*fortran.Symbol]bool{}
-	for _, r := range reds {
-		redSet[r.Sym] = true
-	}
-	privSet := map[*fortran.Symbol]bool{l.Do.Var: true}
-	privs = append(privs, l.Do.Var)
+	v.Reductions = df.Reductions(v.Loop)
 	// Variables the user already privatized (e.g. via the explicit
 	// array privatization transformation) stay private.
+	v.Private = append(v.Private, do.Var)
 	for _, p := range do.Private {
-		if !privSet[p] {
-			privSet[p] = true
-			privs = append(privs, p)
+		if !v.private(p) {
+			v.Private = append(v.Private, p)
 		}
 	}
-	for _, d := range activeDeps(c.Deps.CarriedAt(l)) {
-		sym := d.Sym
-		if privSet[sym] || redSet[sym] {
+	for _, d := range deps.CarriedAt(v.Loop) {
+		if !active(d) || v.private(d.Sym) {
 			continue
 		}
-		if sym.Kind == fortran.SymScalar {
-			res := c.DF.Privatizable(l, sym)
-			if res.Privatizable && !res.NeedsLastValue {
-				privSet[sym] = true
-				privs = append(privs, sym)
-				continue
-			}
-			if res.Privatizable && res.NeedsLastValue {
-				notes = append(notes, fmt.Sprintf("%s needs last-value copy-out", sym.Name))
-			}
+		switch v.Basis(d.Sym) {
+		case Private:
+			v.Private = append(v.Private, d.Sym)
+		case LastValue:
+			v.Notes = append(v.Notes, fmt.Sprintf("%s needs last-value copy-out", d.Sym.Name))
+			fallthrough
+		case Shared:
+			v.Blocking = append(v.Blocking, d)
 		}
-		blocking = append(blocking, d)
 	}
-	return blocking, privs, reds, notes
+	return v
+}
+
+func (v *Doall) private(sym *fortran.Symbol) bool {
+	for _, p := range v.Private {
+		if p == sym {
+			return true
+		}
+	}
+	return false
+}
+
+// Basis classifies any variable of the unit for the loop (which must be
+// part of the analysis: Loop non-nil): its own variable, one
+// parallelizing would make private, a reduction, or what the scalar
+// kill analysis says of it.
+func (v *Doall) Basis(sym *fortran.Symbol) Basis {
+	if sym == v.Loop.Do.Var {
+		return Induction
+	}
+	if v.private(sym) {
+		return Private
+	}
+	for _, r := range v.Reductions {
+		if r.Sym == sym {
+			return Reduction
+		}
+	}
+	switch res := v.df.Privatizable(v.Loop, sym); {
+	case res.Privatizable && !res.NeedsLastValue:
+		return Private
+	case res.Privatizable:
+		return LastValue
+	}
+	return Shared
+}
+
+// DepBasis is the basis on which a parallel loop sets d aside: the
+// user's rejection, else its variable's.
+func (v *Doall) DepBasis(d *dep.Dependence) Basis {
+	if d.Mark == dep.MarkRejected {
+		return Rejected
+	}
+	return v.Basis(d.Sym)
 }
 
 // Check implements Transformation.
@@ -77,20 +140,19 @@ func (t Parallelize) Check(c *Context) Verdict {
 		v.note("loop is already parallel")
 		return v
 	}
-	blocking, privs, reds, notes := blockingDeps(c, t.Do)
-	v.Notes = append(v.Notes, notes...)
-	v.Safe = len(blocking) == 0
-	for _, d := range blocking {
-		v.note("blocked by %s", d)
+	d := DoallOf(c.DF, c.Deps, t.Do)
+	v.Notes = append(v.Notes, d.Notes...)
+	v.Safe = len(d.Blocking) == 0
+	for _, b := range d.Blocking {
+		v.note("blocked by %s", b)
 	}
-	if len(privs) > 1 {
-		v.note("%d scalars privatized", len(privs)-1)
+	if len(d.Private) > 1 {
+		v.note("%d scalars privatized", len(d.Private)-1)
 	}
-	if len(reds) > 0 {
-		v.note("%d reductions recognized", len(reds))
+	if len(d.Reductions) > 0 {
+		v.note("%d reductions recognized", len(d.Reductions))
 	}
-	l := c.Loop(t.Do)
-	if l != nil && v.Safe {
+	if l := d.Loop; l != nil && v.Safe {
 		// Static profitability: compare the loop's estimated serial
 		// time against the parallel prediction (fork cost plus the
 		// per-processor share), the estimator model of [26].
@@ -107,13 +169,13 @@ func (t Parallelize) Check(c *Context) Verdict {
 
 // Apply implements Transformation.
 func (t Parallelize) Apply(c *Context) error {
-	blocking, privs, reds, _ := blockingDeps(c, t.Do)
-	if len(blocking) > 0 {
-		return fmt.Errorf("parallelize: %d blocking dependences", len(blocking))
+	d := DoallOf(c.DF, c.Deps, t.Do)
+	if len(d.Blocking) > 0 {
+		return fmt.Errorf("parallelize: %d blocking dependences", len(d.Blocking))
 	}
 	t.Do.Parallel = true
-	t.Do.Private = privs
-	t.Do.Reductions = reds
+	t.Do.Private = d.Private
+	t.Do.Reductions = d.Reductions
 	return nil
 }
 
@@ -154,18 +216,34 @@ type Interchange struct {
 // Name implements Transformation.
 func (Interchange) Name() string { return "interchange" }
 
-func (t Interchange) inner() *fortran.DoStmt {
-	if len(t.Outer.Body) != 1 {
+// innerOf returns the loop that is the whole body of outer (a perfectly
+// nested pair), nil when the body is anything else.
+func innerOf(outer *fortran.DoStmt) *fortran.DoStmt {
+	if len(outer.Body) != 1 {
 		return nil
 	}
-	inner, _ := t.Outer.Body[0].(*fortran.DoStmt)
+	inner, _ := outer.Body[0].(*fortran.DoStmt)
 	return inner
+}
+
+// reversedByInterchange notes on v, as what-preventing, every active
+// dependence of the pair at l with direction (<, >): interchanging the
+// two loops — or jamming copies of the outer one into the inner —
+// would run its sink before its source.
+func reversedByInterchange(c *Context, l *cfg.Loop, what string, v *Verdict) {
+	oIdx, iIdx := l.Depth-1, l.Depth
+	for _, d := range activeDeps(c.Deps.LoopDeps(l)) {
+		if len(d.Dirs) > iIdx && mayBe(d.Dirs[oIdx], dep.DirLt) && mayBe(d.Dirs[iIdx], dep.DirGt) {
+			v.Safe = false
+			v.note("%s-preventing dependence: %s", what, d)
+		}
+	}
 }
 
 // Check implements Transformation.
 func (t Interchange) Check(c *Context) Verdict {
 	var v Verdict
-	inner := t.inner()
+	inner := innerOf(t.Outer)
 	if inner == nil {
 		v.note("loop body is not a single nested DO (imperfect nest)")
 		return v
@@ -183,19 +261,8 @@ func (t Interchange) Check(c *Context) Verdict {
 	}
 	v.Applicable = true
 	// Safety: no dependence with direction (<, >) across the pair.
-	outerL := c.Loop(t.Outer)
 	v.Safe = true
-	oIdx := outerL.Depth - 1
-	iIdx := outerL.Depth
-	for _, d := range activeDeps(c.Deps.LoopDeps(outerL)) {
-		if len(d.Dirs) <= iIdx {
-			continue
-		}
-		if mayBe(d.Dirs[oIdx], dep.DirLt) && mayBe(d.Dirs[iIdx], dep.DirGt) {
-			v.Safe = false
-			v.note("interchange-preventing dependence: %s", d)
-		}
-	}
+	reversedByInterchange(c, c.Loop(t.Outer), "interchange", &v)
 	// Profitability: in column-major Fortran the innermost loop should
 	// run over the first subscript position for stride-1 access.
 	v.Profitable = strideProfit(c, t.Outer.Var, inner.Var)
@@ -247,7 +314,7 @@ func strideProfit(c *Context, outerVar, innerVar *fortran.Symbol) bool {
 
 // Apply implements Transformation.
 func (t Interchange) Apply(c *Context) error {
-	inner := t.inner()
+	inner := innerOf(t.Outer)
 	if inner == nil {
 		return fmt.Errorf("interchange: imperfect nest")
 	}
@@ -324,13 +391,7 @@ func (t Skew) Check(c *Context) Verdict {
 		v.note("zero skew factor is the identity")
 		return v
 	}
-	inner, _ := func() (*fortran.DoStmt, bool) {
-		if len(t.Outer.Body) == 1 {
-			d, ok := t.Outer.Body[0].(*fortran.DoStmt)
-			return d, ok
-		}
-		return nil, false
-	}()
+	inner := innerOf(t.Outer)
 	if inner == nil {
 		v.note("loop body is not a single nested DO")
 		return v
@@ -348,7 +409,7 @@ func (t Skew) Check(c *Context) Verdict {
 
 // Apply implements Transformation.
 func (t Skew) Apply(c *Context) error {
-	inner := t.Outer.Body[0].(*fortran.DoStmt)
+	inner := innerOf(t.Outer)
 	f := &fortran.IntLit{Val: t.Factor}
 	iRef := func() fortran.Expr {
 		return &fortran.VarRef{Sym: t.Outer.Var, Name: t.Outer.Var.Name}
@@ -553,7 +614,6 @@ func (t Peel) Check(c *Context) Verdict {
 	}
 	v.Applicable = true
 	// Safe only when the loop provably executes at least once.
-	l := c.Loop(t.Do)
 	env := c.DF.EnvAt(t.Do)
 	loLin, ok1 := expr.Linearize(c.Unit, t.Do.Lo)
 	hiLin, ok2 := expr.Linearize(c.Unit, t.Do.Hi)
@@ -562,7 +622,6 @@ func (t Peel) Check(c *Context) Verdict {
 	} else {
 		v.note("cannot prove the loop executes at least once")
 	}
-	_ = l
 	v.Profitable = false
 	v.note("enabling transformation")
 	return v
@@ -604,14 +663,6 @@ type UnrollJam struct {
 // Name implements Transformation.
 func (UnrollJam) Name() string { return "unroll-and-jam" }
 
-func (t UnrollJam) inner() *fortran.DoStmt {
-	if len(t.Outer.Body) != 1 {
-		return nil
-	}
-	inner, _ := t.Outer.Body[0].(*fortran.DoStmt)
-	return inner
-}
-
 // Check implements Transformation.
 func (t UnrollJam) Check(c *Context) Verdict {
 	var v Verdict
@@ -622,7 +673,7 @@ func (t UnrollJam) Check(c *Context) Verdict {
 		v.note("factor must be at least 2")
 		return v
 	}
-	inner := t.inner()
+	inner := innerOf(t.Outer)
 	if inner == nil {
 		v.note("loop body is not a single nested DO (imperfect nest)")
 		return v
@@ -650,17 +701,7 @@ func (t UnrollJam) Check(c *Context) Verdict {
 	// unrolled copies inside the inner loop must not reverse any
 	// (outer <, inner >) dependence.
 	v.Safe = true
-	oIdx := l.Depth - 1
-	iIdx := l.Depth
-	for _, d := range activeDeps(c.Deps.LoopDeps(l)) {
-		if len(d.Dirs) <= iIdx {
-			continue
-		}
-		if mayBe(d.Dirs[oIdx], dep.DirLt) && mayBe(d.Dirs[iIdx], dep.DirGt) {
-			v.Safe = false
-			v.note("jam-preventing dependence: %s", d)
-		}
-	}
+	reversedByInterchange(c, l, "jam", &v)
 	v.Profitable = trip >= t.Factor*2
 	if trip%t.Factor != 0 {
 		v.note("remainder nest of %d outer iterations generated", trip%t.Factor)
@@ -670,7 +711,7 @@ func (t UnrollJam) Check(c *Context) Verdict {
 
 // Apply implements Transformation.
 func (t UnrollJam) Apply(c *Context) error {
-	inner := t.inner()
+	inner := innerOf(t.Outer)
 	if inner == nil {
 		return fmt.Errorf("unroll-and-jam: imperfect nest")
 	}
@@ -703,13 +744,7 @@ func (t UnrollJam) Apply(c *Context) error {
 			X: &fortran.Binary{Op: fortran.TokPlus, X: fortran.CloneExpr(t.Outer.Lo), Y: &fortran.IntLit{Val: main}},
 			Y: &fortran.IntLit{Val: 1}}),
 		Step: &fortran.IntLit{Val: t.Factor},
-		Body: []fortran.Stmt{&fortran.DoStmt{
-			Var:  inner.Var,
-			Lo:   fortran.CloneExpr(inner.Lo),
-			Hi:   fortran.CloneExpr(inner.Hi),
-			Step: cloneOrNil(inner.Step),
-			Body: jammed,
-		}},
+		Body: []fortran.Stmt{loopLike(inner, jammed)},
 	}
 	repl = append(repl, mainOuter)
 	if main < trip {
@@ -728,11 +763,14 @@ func (t UnrollJam) Apply(c *Context) error {
 	return nil
 }
 
-func cloneOrNil(e fortran.Expr) fortran.Expr {
-	if e == nil {
-		return nil
+// loopLike returns a new loop over body with clones of do's variable,
+// bounds and step.
+func loopLike(do *fortran.DoStmt, body []fortran.Stmt) *fortran.DoStmt {
+	l := &fortran.DoStmt{Var: do.Var, Lo: fortran.CloneExpr(do.Lo), Hi: fortran.CloneExpr(do.Hi), Body: body}
+	if do.Step != nil {
+		l.Step = fortran.CloneExpr(do.Step)
 	}
-	return fortran.CloneExpr(e)
+	return l
 }
 
 // ---------------------------------------------------------------------------
@@ -814,13 +852,4 @@ func (t Normalize) Apply(c *Context) error {
 	t.Do.Hi = expr.Fold(trip)
 	t.Do.Step = nil
 	return nil
-}
-
-// privResultFor exposes privatizability for the variable pane.
-func privResultFor(c *Context, do *fortran.DoStmt, sym *fortran.Symbol) dataflow.PrivResult {
-	l := c.Loop(do)
-	if l == nil {
-		return dataflow.PrivResult{Reason: "no loop"}
-	}
-	return c.DF.Privatizable(l, sym)
 }

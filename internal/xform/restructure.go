@@ -62,29 +62,20 @@ func (t Distribute) components(c *Context) [][]fortran.Stmt {
 		}
 	}
 	// Tarjan-lite SCC via iterative Kosaraju on the tiny graph.
-	sccID := scc(adj)
-	// Group statements by SCC, preserving original order inside each.
-	maxID := 0
-	for _, id := range sccID {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	groups := make([][]fortran.Stmt, maxID+1)
+	sccID, count := scc(adj)
+	// Group statements by SCC, preserving original order inside each;
+	// ascending component id is a topological order of the components.
+	groups := make([][]fortran.Stmt, count)
 	for i, s := range body {
 		groups[sccID[i]] = append(groups[sccID[i]], s)
 	}
-	// Topological order of components: order by minimal original
-	// index (valid because SCC condensation of a program order graph
-	// respects it when edges only go between groups; verify by edge
-	// check below).
 	return groups
 }
 
 // scc computes strongly connected components of a small adjacency
-// matrix, numbering components so that a topological order of the
-// condensation is by increasing component id.
-func scc(adj [][]bool) []int {
+// matrix and how many there are, numbering components so that a
+// topological order of the condensation is by increasing component id.
+func scc(adj [][]bool) ([]int, int) {
 	n := len(adj)
 	visited := make([]bool, n)
 	var order []int
@@ -123,12 +114,9 @@ func scc(adj [][]bool) []int {
 			id++
 		}
 	}
-	// Renumber components so ascending id is a valid topological
-	// order (id from the second pass is reverse-topological of the
-	// condensation already; verify orientation by checking edges).
 	// Kosaraju's second pass on the reversed graph yields components
 	// in topological order of the original graph.
-	return comp
+	return comp, id
 }
 
 // Check implements Transformation.
@@ -168,16 +156,7 @@ func (t Distribute) Apply(c *Context) error {
 		if len(g) == 0 {
 			continue
 		}
-		loop := &fortran.DoStmt{
-			Var:  t.Do.Var,
-			Lo:   fortran.CloneExpr(t.Do.Lo),
-			Hi:   fortran.CloneExpr(t.Do.Hi),
-			Body: g,
-		}
-		if t.Do.Step != nil {
-			loop.Step = fortran.CloneExpr(t.Do.Step)
-		}
-		repl = append(repl, loop)
+		repl = append(repl, loopLike(t.Do, g))
 	}
 	if !replaceStmt(c.Unit, t.Do, repl...) {
 		return fmt.Errorf("distribute: loop not found in unit")
@@ -198,16 +177,6 @@ type Fuse struct {
 // Name implements Transformation.
 func (Fuse) Name() string { return "fuse" }
 
-// adjacent verifies the two loops sit next to each other in the same
-// statement list.
-func (t Fuse) adjacent(c *Context) bool {
-	body, i := parentBody(c.Unit, t.First)
-	if body == nil || i+1 >= len(body) {
-		return false
-	}
-	return body[i+1] == t.Second
-}
-
 // buildFused constructs the fused loop (on fresh clones when probe is
 // true, in place otherwise), returning the loop and how many of its
 // body statements came from the first input loop.
@@ -225,22 +194,13 @@ func (t Fuse) buildFused(probe bool) (*fortran.DoStmt, int) {
 			fortran.SubstVarStmt(s, t.Second.Var, repl)
 		}
 	}
-	fused := &fortran.DoStmt{
-		Var:  t.First.Var,
-		Lo:   fortran.CloneExpr(t.First.Lo),
-		Hi:   fortran.CloneExpr(t.First.Hi),
-		Body: append(append([]fortran.Stmt{}, b1...), b2...),
-	}
-	if t.First.Step != nil {
-		fused.Step = fortran.CloneExpr(t.First.Step)
-	}
-	return fused, len(b1)
+	return loopLike(t.First, append(append([]fortran.Stmt{}, b1...), b2...)), len(b1)
 }
 
 // Check implements Transformation.
 func (t Fuse) Check(c *Context) Verdict {
 	var v Verdict
-	if !t.adjacent(c) {
+	if body, _ := adjacent(c.Unit, t.First, t.Second); body == nil {
 		v.note("loops are not adjacent")
 		return v
 	}
@@ -285,15 +245,11 @@ func (t Fuse) Check(c *Context) Verdict {
 
 // Apply implements Transformation.
 func (t Fuse) Apply(c *Context) error {
-	if !t.adjacent(c) {
+	body, i := adjacent(c.Unit, t.First, t.Second)
+	if body == nil {
 		return fmt.Errorf("fuse: loops not adjacent")
 	}
-	fused, _ := t.buildFused(false)
-	body, i := parentBody(c.Unit, t.First)
-	if body == nil {
-		return fmt.Errorf("fuse: first loop not found")
-	}
-	body[i] = fused
+	body[i], _ = t.buildFused(false)
 	// Remove the second loop.
 	if !replaceStmt(c.Unit, t.Second) {
 		return fmt.Errorf("fuse: second loop not found")
@@ -316,8 +272,7 @@ func (StmtInterchange) Name() string { return "statement-interchange" }
 // Check implements Transformation.
 func (t StmtInterchange) Check(c *Context) Verdict {
 	var v Verdict
-	body, i := parentBody(c.Unit, t.First)
-	if body == nil || i+1 >= len(body) || body[i+1] != t.Second {
+	if body, _ := adjacent(c.Unit, t.First, t.Second); body == nil {
 		v.note("statements are not adjacent")
 		return v
 	}
@@ -350,8 +305,8 @@ func (t StmtInterchange) Check(c *Context) Verdict {
 
 // Apply implements Transformation.
 func (t StmtInterchange) Apply(c *Context) error {
-	body, i := parentBody(c.Unit, t.First)
-	if body == nil || i+1 >= len(body) || body[i+1] != t.Second {
+	body, i := adjacent(c.Unit, t.First, t.Second)
+	if body == nil {
 		return fmt.Errorf("statement-interchange: not adjacent")
 	}
 	body[i], body[i+1] = body[i+1], body[i]

@@ -30,7 +30,7 @@ func (t Privatize) Check(c *Context) Verdict {
 		return v
 	}
 	v.Applicable = true
-	res := privResultFor(c, t.Do, t.Sym)
+	res := c.DF.Privatizable(c.Loop(t.Do), t.Sym)
 	v.Safe = res.Privatizable && !res.NeedsLastValue
 	if !res.Privatizable {
 		v.note("%s: %s", t.Sym.Name, res.Reason)
@@ -43,13 +43,16 @@ func (t Privatize) Check(c *Context) Verdict {
 }
 
 // Apply implements Transformation.
-func (t Privatize) Apply(c *Context) error {
-	for _, p := range t.Do.Private {
-		if p == t.Sym {
+func (t Privatize) Apply(c *Context) error { return addPrivate(t.Do, t.Sym) }
+
+// addPrivate lists sym among the loop's private variables, once.
+func addPrivate(do *fortran.DoStmt, sym *fortran.Symbol) error {
+	for _, p := range do.Private {
+		if p == sym {
 			return nil
 		}
 	}
-	t.Do.Private = append(t.Do.Private, t.Sym)
+	do.Private = append(do.Private, sym)
 	return nil
 }
 
@@ -100,15 +103,7 @@ func (t PrivatizeArray) Check(c *Context) Verdict {
 }
 
 // Apply implements Transformation.
-func (t PrivatizeArray) Apply(c *Context) error {
-	for _, p := range t.Do.Private {
-		if p == t.Sym {
-			return nil
-		}
-	}
-	t.Do.Private = append(t.Do.Private, t.Sym)
-	return nil
-}
+func (t PrivatizeArray) Apply(c *Context) error { return addPrivate(t.Do, t.Sym) }
 
 // ---------------------------------------------------------------------------
 // Reduction recognition

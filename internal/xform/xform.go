@@ -95,20 +95,6 @@ type Transformation interface {
 	Apply(c *Context) error
 }
 
-// AnnotatesOnly reports whether applying t writes nothing but a DO
-// statement's parallel annotations — Parallel, Private, Reductions.
-// The printer, the interpreter, the code generator and the planner read
-// those; data-flow, dependence, interprocedural and performance
-// analysis do not, so the unit's analysis is after the transformation
-// what it was before.
-func AnnotatesOnly(t Transformation) bool {
-	switch t.(type) {
-	case Parallelize, Serialize, Privatize, PrivatizeArray, RecognizeReductions:
-		return true
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Shared helpers
 
@@ -124,112 +110,75 @@ func staleLoop(c *Context, do *fortran.DoStmt, v *Verdict) bool {
 	return false
 }
 
-// replaceInBody replaces statement old with repl wherever it occurs,
-// returning the rewritten body and whether a replacement happened.
-func replaceInBody(body []fortran.Stmt, old fortran.Stmt, repl []fortran.Stmt) ([]fortran.Stmt, bool) {
-	for i, s := range body {
-		if s == old {
-			out := make([]fortran.Stmt, 0, len(body)-1+len(repl))
-			out = append(out, body[:i]...)
-			out = append(out, repl...)
-			out = append(out, body[i+1:]...)
-			return out, true
+// findBody finds the statement list directly containing s, searching
+// body and every list nested in it, along with s's index there. The
+// list comes back by pointer so that a caller may splice it.
+func findBody(body *[]fortran.Stmt, s fortran.Stmt) (*[]fortran.Stmt, int) {
+	for i, x := range *body {
+		if x == s {
+			return body, i
 		}
-		switch st := s.(type) {
+		var nested []*[]fortran.Stmt
+		switch st := x.(type) {
 		case *fortran.IfStmt:
-			if nb, ok := replaceInBody(st.Then, old, repl); ok {
-				st.Then = nb
-				return body, true
-			}
-			if nb, ok := replaceInBody(st.Else, old, repl); ok {
-				st.Else = nb
-				return body, true
-			}
+			nested = []*[]fortran.Stmt{&st.Then, &st.Else}
 		case *fortran.DoStmt:
-			if nb, ok := replaceInBody(st.Body, old, repl); ok {
-				st.Body = nb
-				return body, true
-			}
+			nested = []*[]fortran.Stmt{&st.Body}
 		case *fortran.WhileStmt:
-			if nb, ok := replaceInBody(st.Body, old, repl); ok {
-				st.Body = nb
-				return body, true
+			nested = []*[]fortran.Stmt{&st.Body}
+		}
+		for _, nb := range nested {
+			if b, j := findBody(nb, s); b != nil {
+				return b, j
 			}
 		}
 	}
-	return body, false
+	return nil, -1
 }
 
 // replaceStmt replaces old with repl in the unit, reporting success.
 func replaceStmt(u *fortran.Unit, old fortran.Stmt, repl ...fortran.Stmt) bool {
-	nb, ok := replaceInBody(u.Body, old, repl)
-	if ok {
-		u.Body = nb
+	body, i := findBody(&u.Body, old)
+	if body == nil {
+		return false
 	}
-	return ok
+	*body = append(append(append([]fortran.Stmt{}, (*body)[:i]...), repl...), (*body)[i+1:]...)
+	return true
 }
 
-// parentBody finds the statement list directly containing s, along
-// with s's index in it.
-func parentBody(u *fortran.Unit, s fortran.Stmt) ([]fortran.Stmt, int) {
-	var find func(body []fortran.Stmt) ([]fortran.Stmt, int)
-	find = func(body []fortran.Stmt) ([]fortran.Stmt, int) {
-		for i, x := range body {
-			if x == s {
-				return body, i
-			}
-			switch st := x.(type) {
-			case *fortran.IfStmt:
-				if b, j := find(st.Then); b != nil {
-					return b, j
-				}
-				if b, j := find(st.Else); b != nil {
-					return b, j
-				}
-			case *fortran.DoStmt:
-				if b, j := find(st.Body); b != nil {
-					return b, j
-				}
-			case *fortran.WhileStmt:
-				if b, j := find(st.Body); b != nil {
-					return b, j
-				}
-			}
-		}
-		return nil, -1
+// adjacent returns the statement list in which b directly follows a,
+// and a's index in it; nil when they are not neighbours.
+func adjacent(u *fortran.Unit, a, b fortran.Stmt) ([]fortran.Stmt, int) {
+	if body, i := findBody(&u.Body, a); body != nil && i+1 < len(*body) && (*body)[i+1] == b {
+		return *body, i
 	}
-	return find(u.Body)
+	return nil, -1
+}
+
+// freshName derives from base a name the unit does not use yet.
+func freshName(u *fortran.Unit, base string) string {
+	name := base
+	for i := 1; u.Syms[name] != nil; i++ {
+		name = fmt.Sprintf("%s%d", base, i)
+	}
+	return name
 }
 
 // newScalar adds a fresh integer/real scalar to the unit, deriving
 // its name from base.
 func newScalar(u *fortran.Unit, base string, t fortran.Type) *fortran.Symbol {
-	name := base
-	for i := 1; ; i++ {
-		if _, exists := u.Syms[name]; !exists {
-			break
-		}
-		name = fmt.Sprintf("%s%d", base, i)
-	}
-	sym := &fortran.Symbol{Name: name, Kind: fortran.SymScalar, Type: t, Unit: u}
-	u.Syms[name] = sym
+	sym := &fortran.Symbol{Name: freshName(u, base), Kind: fortran.SymScalar, Type: t, Unit: u}
+	u.Syms[sym.Name] = sym
 	return sym
 }
 
 // newArray adds a fresh 1-d array of extent n to the unit.
 func newArray(u *fortran.Unit, base string, t fortran.Type, n int64) *fortran.Symbol {
-	name := base
-	for i := 1; ; i++ {
-		if _, exists := u.Syms[name]; !exists {
-			break
-		}
-		name = fmt.Sprintf("%s%d", base, i)
-	}
 	sym := &fortran.Symbol{
-		Name: name, Kind: fortran.SymArray, Type: t, Unit: u,
+		Name: freshName(u, base), Kind: fortran.SymArray, Type: t, Unit: u,
 		Dims: []fortran.Dimension{{Lo: &fortran.IntLit{Val: 1}, Hi: &fortran.IntLit{Val: n}}},
 	}
-	u.Syms[name] = sym
+	u.Syms[sym.Name] = sym
 	return sym
 }
 
@@ -253,17 +202,19 @@ func sameBounds(u *fortran.Unit, a, b *fortran.DoStmt) bool {
 	return eq(a.Lo, b.Lo) && eq(a.Hi, b.Hi) && eq(a.Step, b.Step)
 }
 
-// activeDeps filters out rejected, control and input dependences.
+// active reports whether d takes part in safety decisions: the user has
+// not rejected it, and it is neither a control nor an input dependence.
+func active(d *dep.Dependence) bool {
+	return d.Mark != dep.MarkRejected && d.Class != dep.ClassControl && d.Class != dep.ClassInput
+}
+
+// activeDeps keeps the active dependences of deps.
 func activeDeps(deps []*dep.Dependence) []*dep.Dependence {
 	var out []*dep.Dependence
 	for _, d := range deps {
-		if d.Mark == dep.MarkRejected {
-			continue
+		if active(d) {
+			out = append(out, d)
 		}
-		if d.Class == dep.ClassControl || d.Class == dep.ClassInput {
-			continue
-		}
-		out = append(out, d)
 	}
 	return out
 }
