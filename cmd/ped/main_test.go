@@ -77,6 +77,24 @@ func TestExitCodeOnParseError(t *testing.T) {
 	}
 }
 
+// TestExitCodeOnUnitlessSource: a source that parses to no program unit
+// (a lone comment) has nothing any pane could show; ped refuses it at
+// open instead of dying in the first `loops`.
+func TestExitCodeOnUnitlessSource(t *testing.T) {
+	bin := buildPed(t)
+	src := filepath.Join(t.TempDir(), "nounit.f")
+	if err := writeFile(src, "c just a comment\n"); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runPed(t, bin, "loops\nquit\n", "-batch", src)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr %q", code, stderr)
+	}
+	if !strings.Contains(stderr, "ped: "+src+": no program unit") {
+		t.Fatalf("stderr %q does not name the file and the reason", stderr)
+	}
+}
+
 // TestExitCodeOnFailedBatchCommand: in -batch mode a failed command
 // (here an analysis-level error: unknown loop) must propagate a
 // non-zero exit code.

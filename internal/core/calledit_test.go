@@ -203,6 +203,24 @@ func patchEnvelope(t *testing.T) {
 			if s.LastReanalysis.Mode != c.rung {
 				t.Errorf("took the %q rung, want %s", s.LastReanalysis.Mode, c.rung)
 			}
+			if !c.patched {
+				// A declined step is the whole-unit path and says so: the
+				// rung is the one a session that never patches reports.
+				whole, err := core.Open("decline.f", declineSrc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole.WholeUnitOnly = true
+				if err := whole.SelectUnit(c.unit); err != nil {
+					t.Fatal(err)
+				}
+				if err := whole.EditStmt(stmtByText(t, whole, c.old).ID(), text); err != nil {
+					t.Fatal(err)
+				}
+				if whole.LastReanalysis.Mode != s.LastReanalysis.Mode {
+					t.Errorf("took the %q rung, a WholeUnitOnly session %q", s.LastReanalysis.Mode, whole.LastReanalysis.Mode)
+				}
+			}
 			expectFreshUnits(t, s, c.name)
 			if err := s.Undo(); err != nil {
 				t.Fatal(err)

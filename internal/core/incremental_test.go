@@ -294,19 +294,35 @@ func TestCalleeNeutralEditStaysUnitLevel(t *testing.T) {
 
 // TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled: nobody reads the
 // summary of a unit nobody calls, so an edit of g — which callSrc's main
-// never calls — stays on the unit rung without recomputing it. The
-// interprocedural update that first adds a call of g must not carry
-// that summary over as if g's text had not moved.
+// never calls — stays on the unit rung without recomputing it, however
+// often it is edited and undone. The interprocedural update that first
+// adds a call of g must not carry that summary over as if g's text had
+// not moved: it recomputes the summary of every unit that had no caller.
 func TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled(t *testing.T) {
 	s := open(t, callSrc)
 	selectUnit(t, s, "g")
-	// g now reads y(k-1) too: called from main's loop, iteration k would
+	// g comes to read x(k-1): called from main's loop, iteration k would
 	// read what iteration k-1 of a caller passing the same array wrote.
-	if err := s.EditStmt(findAssign(t, s, "x(k + 100)").ID(), "x(k) = x(k-1) + y(k)"); err != nil {
-		t.Fatal(err)
+	// Twice edited and once undone, g's text is the first edit's.
+	for _, step := range []struct{ find, text string }{
+		{"x(k + 100)", "x(k) = x(k-1) + y(k)"},
+		{"x(k - 1)", "x(k) = x(k+200) + y(k)"},
+		{"", "undo"},
+	} {
+		if step.text == "undo" {
+			if err := s.Undo(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := s.EditStmt(findAssign(t, s, step.find).ID(), step.text); err != nil {
+			t.Fatal(err)
+		}
+		if s.LastReanalysis.Mode == "program" {
+			t.Fatalf("%s: a change of an uncalled unit took the program rung", step.text)
+		}
+		expectScratchEquivalent(t, s)
 	}
-	if s.LastReanalysis.Mode == "program" {
-		t.Fatalf("an edit of an uncalled unit took the program rung")
+	if got := fortran.StmtText(findAssign(t, s, "x(k - 1)")); got != "x(k) = x(k - 1) + y(k)" {
+		t.Fatalf("after the undo g assigns %q", got)
 	}
 	selectUnit(t, s, "main")
 	call := s.Loops()[0].Do.Body[0]
@@ -314,7 +330,7 @@ func TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := s.Check(xform.Parallelize{Do: s.Loops()[0].Do}); v.Safe {
-		t.Error("main's loop parallel over calls of g as it was before its edit")
+		t.Error("main's loop parallel over calls of g as it was before its edits")
 	}
 	expectScratchEquivalent(t, s)
 }

@@ -33,9 +33,10 @@ type PhaseObserver interface {
 }
 
 // analyzeUnits runs analyzeUnit over every unit, concurrently when
-// more than one worker is available. old carries the previous states
-// so user marks, assertions and classifications survive reanalysis;
-// reprint is analyzeUnit's.
+// more than one worker is available — the one level of analysis
+// parallelism: inside a unit every phase runs on one goroutine. old
+// carries the previous states so user marks, assertions and
+// classifications survive reanalysis; reprint is analyzeUnit's.
 func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState, reprint bool) map[*fortran.Unit]*UnitState {
 	out := make(map[*fortran.Unit]*UnitState, len(units))
 	workers := s.Workers
@@ -45,16 +46,9 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 	if workers > len(units) {
 		workers = len(units)
 	}
-	// When whole units fan out across the pool, dependence testing
-	// stays serial inside each unit; with a single unit in hand the
-	// parallelism budget moves down into subscript-test sharding.
-	depWorkers := 1
-	if len(units) == 1 {
-		depWorkers = s.depWorkerCount()
-	}
 	if workers <= 1 {
 		for _, u := range units {
-			out[u] = s.analyzeUnit(u, old[u], reprint, depWorkers)
+			out[u] = s.analyzeUnit(u, old[u], reprint)
 		}
 		return out
 	}
@@ -84,7 +78,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 							panicMu.Unlock()
 						}
 					}()
-					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint, depWorkers)
+					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint)
 				}(i)
 			}
 		}()
@@ -102,16 +96,6 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 		out[u] = results[i]
 	}
 	return out
-}
-
-// depWorkerCount bounds subscript-test sharding when a single unit is
-// analyzed on its own (the incremental path): the same Workers budget
-// that fans units out during AnalyzeAll.
-func (s *Session) depWorkerCount() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // unitPanic carries a panic out of an analysis worker goroutine so it
@@ -142,6 +126,11 @@ func OpenObserved(path, src string, workers int, obs PhaseObserver) (*Session, e
 	f, err := fortran.Parse(path, src)
 	if err != nil {
 		return nil, err
+	}
+	if len(f.Units) == 0 {
+		// Every pane reads the current unit's state; a source without a
+		// unit has neither.
+		return nil, fmt.Errorf("%s: no program unit", path)
 	}
 	if obs != nil {
 		obs.ObservePhase("parse", time.Since(start))

@@ -165,11 +165,6 @@ type Session struct {
 	LastReanalysis Reanalysis
 
 	est *perf.Estimator
-	// unsummarized holds the units edited since Prog summarized them on a
-	// rung that had no caller to compare the summary for: nobody reads
-	// the summary of a unit nobody calls, until an edit elsewhere adds
-	// the call. The next interprocedural update recomputes them.
-	unsummarized map[*fortran.Unit]bool
 	// History logs user-level actions for the session transcript.
 	History []string
 
@@ -220,13 +215,7 @@ type SessionStats struct {
 }
 
 // Open parses src and builds a session with full analysis.
-func Open(path, src string) (*Session, error) {
-	f, err := fortran.Parse(path, src)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(f), nil
-}
+func Open(path, src string) (*Session, error) { return OpenObserved(path, src, 0, nil) }
 
 // NewSession builds a session over an already-parsed file.
 func NewSession(f *fortran.File) *Session { return newSession(f, 0, nil) }
@@ -262,7 +251,6 @@ func (s *Session) AnalyzeAll() {
 		t0 = time.Now()
 	}
 	s.Prog = interproc.AnalyzeProgram(s.File)
-	s.unsummarized = nil
 	if s.obs != nil {
 		s.obs.ObservePhase("interproc", time.Since(t0))
 	}
@@ -273,43 +261,121 @@ func (s *Session) AnalyzeAll() {
 	s.LastReanalysis = Reanalysis{Mode: "full", Duration: time.Since(start)}
 }
 
-// ReanalyzeUnit refreshes analysis after a mutation of unit u — the
-// editor's incremental path. Interprocedural facts are reused only
-// when that is sound: if the edit changed the unit's call surface
-// (calls added, removed or retargeted, actuals changed) or its
-// caller-visible summary, other units' dependence graphs depend on the
-// change, so the interprocedural facts are rebuilt and every unit
-// whose analysis inputs moved is reanalyzed too. The perf cost memo
-// for u and its transitive callers (whose memoized costs embed u's) is
-// always brought up to date (recost), and caller estimates are
-// refreshed.
-func (s *Session) ReanalyzeUnit(u *fortran.Unit) {
-	start := time.Now()
-	s.File.RenumberStmts()
-	mode := s.reanalyzeUnit(u)
-	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
-}
+// ReanalyzeUnit brings the analysis up to date after a mutation of unit
+// u about which nothing more is known: update with no statement swap.
+func (s *Session) ReanalyzeUnit(u *fortran.Unit) { s.update(u, nil) }
 
-func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
+// stmtSwap is what a mutation knows it touched of a unit: statement old
+// replaced 1:1 by ns — or, both nil, no statement at all, only a loop's
+// annotations.
+type stmtSwap struct{ old, ns fortran.Stmt }
+
+// update is the one door from a mutation of unit u to the analyses:
+// every edit, delete, transformation, assertion and undo brings its unit
+// up to date through it, and it alone sets LastReanalysis. It answers the
+// two questions a change asks, in order, and returns the rung — the
+// answer to the first.
+//
+// How far outside the unit can the change be seen (reach, asked at most
+// once): not at all when the text is what it was (an assertion: new
+// inputs, same program) or only annotations moved; not at all — the
+// "patch" rung — when one statement replaced another and neither calls a
+// user procedure or touches a symbol a caller can see; otherwise "unit" or
+// "program" as reach decides from the call surface and the summary.
+//
+// How the unit itself is brought up to date: statement by statement when
+// swap is inside the envelope — ns spliced into the data-flow solution
+// (dataflow.PatchStmt) and only the dependence edges incident to a
+// statement whose references moved killed and their pairs retested
+// (dep.Patch; on the program rung the call sites of u whose callee's
+// summary moved go with ns) — and whole otherwise. The envelope is
+// whatever guarantees that a reference pair left alone would test as it
+// did. A pair reads its two statements' accesses and loop nests, the
+// constants at its source statement and at the headers of the loops
+// around it, the unit's constant formals, and whether the scalars in its
+// subscripts are assigned in the unit or in the common loop. So the step
+// declines when the CFG or loop tree could move (a statement that is not
+// simple, another label), when the unit's constant formals or recursion
+// status moved, and when PatchStmt finds constants or a written-scalar
+// set moved — all before anything lasting is modified; WholeUnitOnly
+// declines always. A "patch" rung whose step declined asks reach after
+// all. Then spread does the rest.
+func (s *Session) update(u *fortran.Unit, swap *stmtSwap) (mode string) {
+	start := time.Now()
+	defer func() { s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)} }()
+	s.File.RenumberStmts()
 	st := s.units[u]
 	if st == nil || s.Prog == nil {
 		s.AnalyzeAll()
 		return "full"
 	}
-	img := imageOf(u)
-	if img.srcHash == st.srcHash {
-		// The AST is unchanged (assertion or option tweak): summaries
-		// and costs cannot have moved; reanalyze just this unit.
-		s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
+	granular := swap != nil && !s.WholeUnitOnly && (swap.ns == nil || swappable(swap.old, swap.ns))
+	// The one print of this change: whatever runs below carries the
+	// refreshed image (and every other unit's untouched one) forward.
+	if img := imageOf(u); img.srcHash != st.srcHash {
+		st.unitImage = img
+		s.progHash = ""
+	} else if !granular {
+		s.units[u] = s.analyzeUnit(u, st, false)
 		return "unit"
 	}
-	// The one print of this edit: whichever rung runs below carries the
-	// refreshed image (and every other unit's untouched one) forward.
-	st.unitImage = img
-	s.progHash = ""
-	mode, prog, _ := s.reach(u, st)
-	s.spread(u, mode, prog, false)
+	mode, prog, patched := "unit", s.Prog, false
+	switch {
+	case !granular:
+		mode, prog, _ = s.reach(u, st)
+	case swap.ns == nil:
+		patched = true // no statement to splice in
+	default:
+		callSig := st.callSig
+		if callsUser(swap.old) || callsUser(swap.ns) ||
+			len(s.Prog.Graph.Callers[u]) > 0 && (touchesVisible(u, swap.old) || touchesVisible(u, swap.ns)) {
+			mode, prog, callSig = s.reach(u, st)
+		} else {
+			mode = "patch"
+		}
+		if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
+			panic(err)
+		}
+		var calls []fortran.Stmt
+		movable := prog == s.Prog
+		if !movable && prog.Graph.Recursive[u] == s.Prog.Graph.Recursive[u] && interproc.ConstFormalsEqual(prog, s.Prog, u) {
+			movable = true
+			for _, site := range prog.Graph.Calls[u] {
+				if site.Stmt != swap.ns && prog.Summaries[site.Callee] != s.Prog.Summaries[site.Callee] &&
+					(len(calls) == 0 || calls[len(calls)-1] != site.Stmt) {
+					calls = append(calls, site.Stmt)
+				}
+			}
+		}
+		if movable {
+			var t0 time.Time
+			if s.obs != nil {
+				t0 = time.Now()
+			}
+			eff, summ, env := s.unitInputs(u, st, prog)
+			if patched = st.DF.PatchStmt(swap.old, swap.ns, eff, calls); patched {
+				// Committed: the dataflow solution now describes ns.
+				st.Deps = dep.Patch(st.Deps, st.DF, env, summ, s.Opts, swap.old, swap.ns, calls)
+				st.restoreMarks()
+				st.callSig = callSig
+				if s.obs != nil {
+					s.obs.ObservePhase("patch", time.Since(t0))
+				}
+			}
+		}
+		if !patched && mode == "patch" {
+			mode, prog, _ = s.reach(u, st)
+		}
+	}
+	s.spread(u, mode, prog, patched)
 	return mode
+}
+
+// swappable reports whether ns in old's place leaves the unit's CFG and
+// loop tree standing: each is one node that falls through, under the
+// same label (labels are control-flow targets).
+func swappable(old, ns fortran.Stmt) bool {
+	return fortran.StmtLabel(old) == fortran.StmtLabel(ns) && dataflow.SimpleStmt(old) && dataflow.SimpleStmt(ns)
 }
 
 // reach answers the first of the two questions an edit of u asks — how
@@ -317,69 +383,52 @@ func (s *Session) reanalyzeUnit(u *fortran.Unit) string {
 // answer: "program" when u's call surface moved (a call added, removed
 // or retargeted, actuals edited) or its callers see another summary,
 // with the interprocedural facts rebuilt; "unit" when neither did, with
-// the facts in hand. It returns the call surface it compared and
+// the facts in hand. A unit nobody calls has a summary nobody reads, so
+// it is not compared: interproc.UpdateProgram recomputes it before
+// anything can call it. reach returns the call surface it compared and
 // modifies nothing.
 func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *interproc.Program, callSig string) {
 	callSig = callSurfaceSig(u)
 	if !s.Conservative && (callSig != st.callSig ||
 		len(s.Prog.Graph.Callers[u]) > 0 && !s.Prog.Resummarize(u).Equal(s.Prog.Summaries[u])) {
-		changed := map[*fortran.Unit]bool{u: true}
-		for v := range s.unsummarized {
-			changed[v] = true
-		}
-		return "program", interproc.UpdateProgram(s.Prog, changed), callSig
+		return "program", interproc.UpdateProgram(s.Prog, map[*fortran.Unit]bool{u: true}), callSig
 	}
 	return "unit", s.Prog, callSig
 }
 
-// spread brings up to date everything outside the edited statements
-// that an edit of u reaches, on the rung reach named: the cost memo
-// (recost), then on the program rung the interprocedural facts and every
-// other unit whose analysis inputs moved with them — the rest keep their
-// unit state, graphs, marks, assertions, and only refresh their perf
-// estimate against the rebuilt cost memo — and on the cheaper rungs the
-// estimates of u's callers, which price its call sites. How u itself is
-// brought up to date is the other question: patched says tryPatchEdit
-// has answered it statement by statement, otherwise u is analyzed whole
-// here.
+// spread brings up to date everything a change of u reaches that update
+// has not: the cost memo (recost); u itself, whole, unless patched says
+// it was answered statement by statement; on the program rung the
+// interprocedural facts and every other unit whose analysis inputs moved
+// with them; and the perf estimates of the units left standing whose
+// costs can have moved — all of them against a rebuilt cost memo on the
+// program rung, u and its transitive callers, which price its call
+// sites, on the cheaper ones. Everything else keeps its unit state,
+// graphs, marks and assertions.
 func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, patched bool) {
 	oldProg := s.Prog
 	s.Prog = prog
-	s.recost(u)
-	if mode != "program" {
-		if len(prog.Graph.Callers[u]) == 0 {
-			if s.unsummarized == nil {
-				s.unsummarized = map[*fortran.Unit]bool{}
-			}
-			s.unsummarized[u] = true
-		}
-		if st := s.units[u]; patched {
-			st.Est = s.est.EstimateUnit(st.DF)
-		} else {
-			s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
-		}
-		s.refreshCallerEstimates(u)
-		return
-	}
-	s.unsummarized = nil
-	s.warmCosts()
+	repriced := s.transitiveCallers(u)
+	s.recost(repriced)
 	var stale []*fortran.Unit
-	for _, v := range s.File.Units {
-		upToDate := patched
-		if v != u {
-			upToDate = s.units[v] != nil && s.unitInputsUnchanged(v, oldProg)
-		}
-		if !upToDate {
-			stale = append(stale, v)
+	if !patched {
+		stale = append(stale, u)
+	}
+	if mode == "program" {
+		s.warmCosts()
+		for _, v := range s.File.Units {
+			repriced[v] = true
+			if v != u && !s.unitInputsUnchanged(v, oldProg) {
+				stale = append(stale, v)
+			}
 		}
 	}
 	fresh := s.analyzeUnits(stale, s.units, false)
-	for v, st := range fresh {
-		s.units[v] = st
-	}
-	for _, v := range s.File.Units {
-		if st := s.units[v]; st != nil && fresh[v] == nil && st.DF != nil {
-			st.Est = s.est.EstimateUnit(st.DF)
+	for v := range repriced {
+		if st := fresh[v]; st != nil {
+			s.units[v] = st
+		} else {
+			s.units[v].Est = s.est.EstimateUnit(s.units[v].DF)
 		}
 	}
 }
@@ -407,16 +456,16 @@ func (s *Session) unitInputsUnchanged(v *fortran.Unit, oldProg *interproc.Progra
 }
 
 // recost drops what the estimator's per-unit cost memo can no longer
-// vouch for after edited's AST changed — the one re-costing step of
-// every reanalysis rung. Only edited's cost and the costs embedding it
-// can have moved, so those are invalidated and recomputed when next
-// asked for. On a recursion cycle, though, a memoized cost depends on
-// which member the warm-up enters first (the estimator's cycle guard),
-// and only a fresh estimator warmed in file order reproduces a
-// from-scratch session.
-func (s *Session) recost(edited *fortran.Unit) {
+// vouch for after a unit's AST changed — the one re-costing step of
+// every reanalysis rung. Only the unit's cost and the costs embedding it
+// — its transitive callers' — can have moved, so those are invalidated
+// and recomputed when next asked for. On a recursion cycle, though, a
+// memoized cost depends on which member the warm-up enters first (the
+// estimator's cycle guard), and only a fresh estimator warmed in file
+// order reproduces a from-scratch session.
+func (s *Session) recost(callers map[*fortran.Unit]bool) {
 	if len(s.Prog.Graph.Recursive) == 0 {
-		for v := range s.transitiveCallers(edited) {
+		for v := range callers {
 			s.est.Invalidate(v)
 		}
 		return
@@ -438,9 +487,6 @@ func (s *Session) warmCosts() {
 // through calls.
 func (s *Session) transitiveCallers(u *fortran.Unit) map[*fortran.Unit]bool {
 	out := map[*fortran.Unit]bool{u: true}
-	if s.Prog == nil {
-		return out
-	}
 	queue := []*fortran.Unit{u}
 	for len(queue) > 0 {
 		v := queue[0]
@@ -453,20 +499,6 @@ func (s *Session) transitiveCallers(u *fortran.Unit) map[*fortran.Unit]bool {
 		}
 	}
 	return out
-}
-
-// refreshCallerEstimates recomputes the perf estimates of every unit
-// whose cost embeds u's: their dependence graphs don't consult u, but
-// their time estimates price its call sites.
-func (s *Session) refreshCallerEstimates(u *fortran.Unit) {
-	for v := range s.transitiveCallers(u) {
-		if v == u {
-			continue
-		}
-		if st := s.units[v]; st != nil && st.DF != nil {
-			st.Est = s.est.EstimateUnit(st.DF)
-		}
-	}
 }
 
 // callSurfaceSig fingerprints the unit's call surface: the full text
@@ -490,7 +522,7 @@ func callSurfaceSig(u *fortran.Unit) string {
 // image, which the caller must have refreshed if u's AST changed;
 // otherwise (or with no prev) it prints u — once, for both the image
 // and the fingerprint.
-func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, depWorkers int) *UnitState {
+func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool) *UnitState {
 	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 		// Analysis has no error channel; an injected error surfaces
 		// as a panic for the session-level recovery boundary.
@@ -527,7 +559,7 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, de
 		s.obs.ObservePhase("dataflow", time.Since(t0))
 		t0 = time.Now()
 	}
-	st.Deps = dep.AnalyzeN(st.DF, env, summ, s.Opts, depWorkers)
+	st.Deps = dep.Analyze(st.DF, env, summ, s.Opts)
 	if s.obs != nil {
 		s.obs.ObservePhase("dependence", time.Since(t0))
 	}
@@ -1005,26 +1037,24 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
 		// A failed Apply may have mutated the unit part-way; reanalysis
 		// keeps the analysis and the source image describing the AST.
-		s.ReanalyzeUnit(s.current)
+		s.update(s.current, nil)
 		return v, err
 	}
 	s.mutated = true
 	s.Stats.Transformations[t.Name()]++
-	if t.Name() == "parallelize" {
+	row := xform.RowOf(t)
+	if row.Parallelizes {
 		s.Stats.LoopsParallelized++
 	}
 	s.log("apply %s: %s", t.Name(), v)
-	if xform.AnnotatesOnly(t) && !s.WholeUnitOnly {
-		// No reference, statement or CFG node moved: the patch with no
-		// statement to patch. The text did change, and so may what the
-		// unit costs its callers.
-		start := time.Now()
-		s.spread(s.current, "unit", s.Prog, true)
-		s.refreshImage(s.current)
-		s.LastReanalysis = Reanalysis{Mode: "unit", Duration: time.Since(start)}
-		return v, nil
+	if row.AnnotatesOnly {
+		// No reference, statement or CFG node moved: the swap with no
+		// statement. The text did change, and so may what the unit costs
+		// its callers.
+		s.update(s.current, &stmtSwap{})
+	} else {
+		s.update(s.current, nil)
 	}
-	s.ReanalyzeUnit(s.current)
 	return v, nil
 }
 
@@ -1068,95 +1098,15 @@ func (s *Session) EditStmt(id int, text string) error {
 		return fmt.Errorf("parse error: %v", err)
 	}
 	s.pushUndo()
-	if !replaceStmtIn(s.current, old, ns) {
+	if !xform.ReplaceStmt(s.current, old, ns) {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
 		return fmt.Errorf("statement %d is not in unit %s", id, s.current.Name)
 	}
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("edit stmt %d: %s", id, strings.TrimSpace(text))
-	if s.tryPatchEdit(s.current, old, ns) == "" {
-		s.ReanalyzeUnit(s.current)
-	}
+	s.update(s.current, &stmtSwap{old, ns})
 	return nil
-}
-
-// tryPatchEdit brings the analysis up to date after old was replaced 1:1
-// by ns in unit u without reanalyzing u: the new statement is spliced
-// into the existing dataflow solution and the dependence graph patched
-// — only edges incident to a statement whose references moved are killed
-// and their pairs retested. The rung is decided as for any edit (reach),
-// or skipped when no call and no caller-visible symbol is involved on
-// either side, which is the "patch" rung; on the program rung the call
-// sites of u whose callee's summary moved are patched along with ns. It
-// reports the rung, and "" — with no analysis state modified — when the
-// edit falls outside the patchable envelope; the caller then reanalyzes
-// u whole, on the rung reanalyzeUnit decides.
-//
-// The envelope is whatever guarantees that a reference pair left alone
-// would test as it did. A pair reads its two statements' accesses and
-// loop nests, the constants at its source statement and at the headers
-// of the loops around it, the unit's constant formals, and whether the
-// scalars in its subscripts are assigned in the unit or in the common
-// loop. So the patch declines when the CFG or loop tree could move (a
-// statement that is not simple, another label), when the unit's constant
-// formals or recursion status moved, and when dataflow.PatchStmt finds
-// constants or a written-scalar set moved.
-func (s *Session) tryPatchEdit(u *fortran.Unit, old, ns fortran.Stmt) string {
-	if s.WholeUnitOnly {
-		return ""
-	}
-	st := s.units[u]
-	if st == nil || st.DF == nil || st.Deps == nil || s.Prog == nil {
-		return ""
-	}
-	if fortran.StmtLabel(old) != fortran.StmtLabel(ns) {
-		return ""
-	}
-	if !dataflow.SimpleStmt(old) || !dataflow.SimpleStmt(ns) {
-		return ""
-	}
-	start := time.Now()
-	s.File.RenumberStmts()
-	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
-		panic(err)
-	}
-	mode, prog, callSig := "patch", s.Prog, st.callSig
-	if callsUser(old) || callsUser(ns) ||
-		len(s.Prog.Graph.Callers[u]) > 0 && (touchesVisible(u, old) || touchesVisible(u, ns)) {
-		mode, prog, callSig = s.reach(u, st)
-	}
-	var calls []fortran.Stmt
-	if prog != s.Prog {
-		if prog.Graph.Recursive[u] != s.Prog.Graph.Recursive[u] || !interproc.ConstFormalsEqual(prog, s.Prog, u) {
-			return ""
-		}
-		for _, site := range prog.Graph.Calls[u] {
-			if site.Stmt != ns && prog.Summaries[site.Callee] != s.Prog.Summaries[site.Callee] &&
-				(len(calls) == 0 || calls[len(calls)-1] != site.Stmt) {
-				calls = append(calls, site.Stmt)
-			}
-		}
-	}
-	var t0 time.Time
-	if s.obs != nil {
-		t0 = time.Now()
-	}
-	eff, summ, env := s.unitInputs(u, st, prog)
-	if !st.DF.PatchStmt(old, ns, eff, calls) {
-		return ""
-	}
-	// Committed: the dataflow solution now describes ns.
-	st.Deps = dep.Patch(st.Deps, st.DF, env, summ, s.Opts, old, ns, calls)
-	st.restoreMarks()
-	if s.obs != nil {
-		s.obs.ObservePhase("patch", time.Since(t0))
-	}
-	st.callSig = callSig
-	s.spread(u, mode, prog, true)
-	s.refreshImage(u)
-	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
-	return mode
 }
 
 // callsUser reports whether the statement is a CALL or invokes a user
@@ -1202,81 +1152,15 @@ func (s *Session) DeleteStmt(id int) error {
 		return fmt.Errorf("no statement %d", id)
 	}
 	s.pushUndo()
-	if !deleteStmtIn(s.current, old) {
+	if !xform.ReplaceStmt(s.current, old) {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
 		return fmt.Errorf("statement %d is not in unit %s", id, s.current.Name)
 	}
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("delete stmt %d", id)
-	s.ReanalyzeUnit(s.current)
+	s.update(s.current, nil)
 	return nil
-}
-
-func replaceStmtIn(u *fortran.Unit, old, repl fortran.Stmt) bool {
-	var walk func(body []fortran.Stmt) bool
-	walk = func(body []fortran.Stmt) bool {
-		for i, x := range body {
-			if x == old {
-				body[i] = repl
-				return true
-			}
-			switch st := x.(type) {
-			case *fortran.IfStmt:
-				if walk(st.Then) || walk(st.Else) {
-					return true
-				}
-			case *fortran.DoStmt:
-				if walk(st.Body) {
-					return true
-				}
-			case *fortran.WhileStmt:
-				if walk(st.Body) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(u.Body)
-}
-
-func deleteStmtIn(u *fortran.Unit, old fortran.Stmt) bool {
-	var walk func(body []fortran.Stmt) ([]fortran.Stmt, bool)
-	walk = func(body []fortran.Stmt) ([]fortran.Stmt, bool) {
-		for i, x := range body {
-			if x == old {
-				return append(body[:i:i], body[i+1:]...), true
-			}
-			switch st := x.(type) {
-			case *fortran.IfStmt:
-				if nb, ok := walk(st.Then); ok {
-					st.Then = nb
-					return body, true
-				}
-				if nb, ok := walk(st.Else); ok {
-					st.Else = nb
-					return body, true
-				}
-			case *fortran.DoStmt:
-				if nb, ok := walk(st.Body); ok {
-					st.Body = nb
-					return body, true
-				}
-			case *fortran.WhileStmt:
-				if nb, ok := walk(st.Body); ok {
-					st.Body = nb
-					return body, true
-				}
-			}
-		}
-		return body, false
-	}
-	nb, ok := walk(u.Body)
-	if ok {
-		u.Body = nb
-	}
-	return ok
 }
 
 // ---------------------------------------------------------------------------
@@ -1418,8 +1302,7 @@ func (s *Session) Undo() error {
 	for _, u := range s.File.Units {
 		// A program rung above may have reanalyzed it already.
 		if st := stale[u]; st != nil && s.units[u] == st {
-			s.units[u] = s.analyzeUnit(u, st, false, s.depWorkerCount())
-			took("unit")
+			took(s.update(u, nil))
 		}
 	}
 	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
@@ -1457,29 +1340,25 @@ func (s *Session) sameUnits(images []unitImage) bool {
 
 // restoreUnit makes u the unit parsed from an undo entry and brings the
 // analysis up to date the way an edit of u would: when the entry's text
-// differs from u's in the one line edited and that line is a statement,
-// only the statement is swapped and the patch rung tried; otherwise, or
-// when the patch rung declines, u is reanalyzed whole and escalates as
-// ReanalyzeUnit decides. patchable is false when the analysis in hand
-// is not one a patch may build on. It returns the rung taken.
+// differs from u's in the one line edited and that line is a statement
+// the CFG can take in the old one's place, only the statement is swapped
+// into the live body — whose analysis update may then build on — and
+// update told so; otherwise the parsed body goes in. patchable is false
+// when the analysis in hand is not one a statement-granular step may
+// build on. It returns the rung taken.
 func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable bool) string {
 	live := u.Body
 	u.Adopt(parsed)
 	if edited > 0 && patchable {
 		if n, ns := stmtAtLine(parsed.Body, edited); ns != nil {
-			if old := nthStmt(live, n); old != nil {
+			if old := nthStmt(live, n); old != nil && swappable(old, ns) {
 				u.Body = live
-				if replaceStmtIn(u, old, ns) {
-					if mode := s.tryPatchEdit(u, old, ns); mode != "" {
-						return mode
-					}
-				}
-				u.Body = parsed.Body
+				xform.ReplaceStmt(u, old, ns)
+				return s.update(u, &stmtSwap{old, ns})
 			}
 		}
 	}
-	s.File.RenumberStmts()
-	return s.reanalyzeUnit(u)
+	return s.update(u, nil)
 }
 
 // soleDifferingLine returns the 1-based number of the only line in
@@ -1533,9 +1412,9 @@ func nthStmt(body []fortran.Stmt, n int) fortran.Stmt {
 
 // Save returns the current program text: fortran.Print(s.File), byte
 // for byte, joined from the source image rather than printed. Every
-// AST mutation ends in a refresh of the image (analyzeUnit,
-// reanalyzeUnit, or refreshImage from tryPatchEdit and EditStmt's
-// parse) before returning, so no caller sees a stale text.
+// AST mutation ends in a refresh of the image (analyzeUnit, update, or
+// refreshImage from EditStmt's parse) before returning, so no caller
+// sees a stale text.
 func (s *Session) Save() string {
 	n := len(s.File.Units)
 	for _, u := range s.File.Units {

@@ -36,6 +36,23 @@ func open(t *testing.T, src string) *Session {
 	return s
 }
 
+// TestOpenRefusesUnitlessSource: every pane reads the current unit's
+// state, so a source that parses to no unit is refused by every door
+// sources come in through, with an error naming the path.
+func TestOpenRefusesUnitlessSource(t *testing.T) {
+	for _, src := range []string{"", "c just a comment\n"} {
+		for name, open := range map[string]func() (*Session, error){
+			"Open":         func() (*Session, error) { return Open("nounit.f", src) },
+			"OpenWorkers":  func() (*Session, error) { return OpenWorkers("nounit.f", src, 1) },
+			"OpenObserved": func() (*Session, error) { return OpenObserved("nounit.f", src, 1, nil) },
+		} {
+			if s, err := open(); s != nil || err == nil || err.Error() != "nounit.f: no program unit" {
+				t.Errorf("%s(%q) = %v, %v; want the refusal", name, src, s, err)
+			}
+		}
+	}
+}
+
 func TestOpenAndSelect(t *testing.T) {
 	s := open(t, sessionSrc)
 	if s.CurrentUnit().Name != "main" {

@@ -1,8 +1,6 @@
 package dep
 
 import (
-	"sync"
-
 	"parascope/internal/cfg"
 	"parascope/internal/dataflow"
 	"parascope/internal/expr"
@@ -64,8 +62,7 @@ type ref struct {
 	isCall  bool
 	section *SectionAccess // bounds when from a summarized call
 	// subs holds the linearised subscripts once a pair has asked for
-	// them. A reference belongs to one symbol and a symbol is tested by
-	// one goroutine, so the field needs no lock.
+	// them.
 	subs []subscript
 }
 
@@ -82,17 +79,15 @@ type subscript struct {
 // environment (constants at the statement, ranges of the enclosing
 // loops, user assertions merged in) and the constants themselves.
 type stmtFacts struct {
-	once   sync.Once
-	env    *expr.Env
+	env    *expr.Env       // nil until the first pair asks
 	consts dataflow.Consts // nil with UseConstants off
 }
 
 // loopFacts is what a pair reads about its outermost common loop: the
 // symbols written anywhere inside it.
 type loopFacts struct {
-	once    sync.Once
 	loop    *cfg.Loop
-	written map[*fortran.Symbol]bool
+	written map[*fortran.Symbol]bool // nil until the first pair asks
 }
 
 // Analyzer runs dependence analysis over one unit.
@@ -100,12 +95,10 @@ type loopFacts struct {
 // A fact that belongs to a statement, a loop or a reference is computed
 // once, by the first reference pair that asks for it, and kept in the
 // run's tables (stmts, loopFacts hung off the references, ref.subs)
-// rather than rebuilt per pair. The statement and loop tables are
-// shared by the goroutines of a sharded run: their entries exist before
-// testing starts, each is filled under its own sync.Once, and after
-// that nothing writes to it. In particular the *expr.Env of a statement
-// entry (factsAt) is read-only — no test may call SetValue or SetRange
-// on it.
+// rather than rebuilt per pair. An Analyzer runs on one goroutine, and
+// once an entry is filled nothing writes to it: the *expr.Env of a
+// statement entry (factsAt) is shared by every pair with that source
+// statement, so no test may call SetValue or SetRange on it.
 // Entries are only ever filled for the statements and loops the run
 // pairs up, so Patch, which tests a handful of pairs, does not pay for
 // the unit's other statements.
@@ -120,83 +113,20 @@ type Analyzer struct {
 
 // Analyze computes the dependence graph of df's unit.
 func Analyze(df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts Options) *Graph {
-	return AnalyzeN(df, assertions, summ, opts, 1)
-}
-
-// AnalyzeN is Analyze with subscript testing sharded by symbol across
-// up to workers goroutines. The result is identical to the serial run:
-// each worker tests its symbols' reference pairs into a private graph
-// (sharing only the analyzer's compute-once tables, see Analyzer) and
-// the symbols' edges merge back in first-appearance symbol order before
-// IDs are assigned. Worthwhile only when the caller is not already
-// running units in parallel.
-func AnalyzeN(df *dataflow.Analysis, assertions *expr.Env, summ Summaries, opts Options, workers int) *Graph {
 	a := &Analyzer{DF: df, Assertions: assertions, Summ: summ, Opts: opts}
-	return a.run(workers)
-}
-
-func (a *Analyzer) newGraph() *Graph {
-	return &Graph{Unit: a.DF.Unit, Stats: newStats()}
-}
-
-func (a *Analyzer) run(workers int) *Graph {
 	g := a.newGraph()
 	symOrder, bySym := a.collectRefs(nil)
-	if workers > len(symOrder) {
-		workers = len(symOrder)
-	}
-	if workers > 1 {
-		a.runSharded(g, symOrder, bySym, workers)
-	} else {
-		t := tester{a: a, g: g}
-		for _, sym := range symOrder {
-			t.testSym(sym, bySym[sym], nil)
-		}
+	t := tester{a: a, g: g}
+	for _, sym := range symOrder {
+		t.testSym(sym, bySym[sym], nil)
 	}
 	a.addControlDeps(g)
 	a.finalize(g, 0)
 	return g
 }
 
-// runSharded fans symbols out over workers goroutines, one private
-// graph per worker, and merges the symbols' edges deterministically.
-func (a *Analyzer) runSharded(g *Graph, symOrder []*fortran.Symbol, bySym map[*fortran.Symbol][]*ref, workers int) {
-	edges := make([][]*Dependence, len(symOrder)) // per symbol, a window of its worker's graph
-	graphs := make([]*Graph, workers)
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
-				}
-			}()
-			t := tester{a: a, g: a.newGraph()}
-			graphs[w] = t.g
-			for si := w; si < len(symOrder); si += workers {
-				from := len(t.g.Deps)
-				t.testSym(symOrder[si], bySym[symOrder[si]], nil)
-				edges[si] = t.g.Deps[from:len(t.g.Deps):len(t.g.Deps)]
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			// Re-raise on the caller's goroutine so the session's
-			// usual panic isolation applies.
-			panic(p)
-		}
-	}
-	for _, list := range edges {
-		g.Deps = append(g.Deps, list...)
-	}
-	for _, worker := range graphs {
-		g.Stats.mergeFrom(&worker.Stats)
-	}
+func (a *Analyzer) newGraph() *Graph {
+	return &Graph{Unit: a.DF.Unit, Stats: newStats()}
 }
 
 // finalize assigns dependence IDs and enters the edges from index
@@ -313,7 +243,7 @@ func (a *Analyzer) collectRefs(want map[*fortran.Symbol]bool) ([]*fortran.Symbol
 // assertions.
 func (a *Analyzer) factsAt(r *ref) *stmtFacts {
 	f := &a.stmts[r.facts]
-	f.once.Do(func() {
+	if f.env == nil {
 		if a.Opts.UseConstants {
 			f.env = a.DF.EnvAt(r.stmt)
 			f.consts = a.DF.ConstsAt(r.stmt)
@@ -321,11 +251,11 @@ func (a *Analyzer) factsAt(r *ref) *stmtFacts {
 			f.env = a.DF.EnvLoopsOnly(r.stmt)
 		}
 		if a.Assertions != nil {
-			// The environment is this entry's own until the Once
-			// completes; afterwards it is shared and read-only.
+			// The last write: from here on the environment is shared
+			// and read-only.
 			mergeEnv(f.env, a.Assertions)
 		}
-	})
+	}
 	return f
 }
 
@@ -338,7 +268,7 @@ func mergeEnv(dst, src *expr.Env) {
 
 // writtenIn returns the symbols written anywhere inside the loop.
 func (a *Analyzer) writtenIn(f *loopFacts) map[*fortran.Symbol]bool {
-	f.once.Do(func() {
+	if f.written == nil {
 		f.written = map[*fortran.Symbol]bool{}
 		fortran.WalkStmts(f.loop.Do.Body, func(s fortran.Stmt) bool {
 			for _, ac := range a.DF.Accesses(s) {
@@ -348,7 +278,7 @@ func (a *Analyzer) writtenIn(f *loopFacts) map[*fortran.Symbol]bool {
 			}
 			return true
 		})
-	})
+	}
 	return f.written
 }
 
@@ -374,8 +304,8 @@ type pairCtx struct {
 	variant func(*fortran.Symbol) bool
 }
 
-// tester is one goroutine's share of a run: the graph it emits into and
-// the vectors it reuses from pair to pair.
+// tester is a run's working state: the graph it emits into and the
+// vectors it reuses from pair to pair.
 type tester struct {
 	a   *Analyzer
 	g   *Graph

@@ -244,22 +244,18 @@ func newStats() Stats {
 	return Stats{Applied: map[string]int{}, Disproved: map[string]int{}, Proven: map[string]int{}}
 }
 
-func (s *Stats) mergeFrom(o *Stats) {
-	s.PairsTested += o.PairsTested
-	for k, v := range o.Applied {
-		s.Applied[k] += v
-	}
-	for k, v := range o.Disproved {
-		s.Disproved[k] += v
-	}
-	for k, v := range o.Proven {
-		s.Proven[k] += v
-	}
-}
-
 func (s *Stats) clone() Stats {
 	c := newStats()
-	c.mergeFrom(s)
+	c.PairsTested = s.PairsTested
+	for k, v := range s.Applied {
+		c.Applied[k] = v
+	}
+	for k, v := range s.Disproved {
+		c.Disproved[k] = v
+	}
+	for k, v := range s.Proven {
+		c.Proven[k] = v
+	}
 	return c
 }
 

@@ -65,9 +65,9 @@ func (p *Program) Resummarize(u *fortran.Unit) *Summary {
 
 // UpdateProgram rebuilds the interprocedural results for prev.File
 // after the units in changed were edited. Units whose own AST is
-// untouched, whose recursion status is stable, and whose direct callee
-// summaries carried over unchanged reuse their previous summary
-// wholesale. Recomputed summaries that compare Equal to the previous
+// untouched, that prev had a caller for, whose recursion status is
+// stable, and whose direct callee summaries carried over unchanged reuse
+// their previous summary wholesale. Recomputed summaries that compare Equal to the previous
 // one keep the previous *pointer*, so "did anything visible change?"
 // propagates up the call graph as cheap pointer identity — an edit
 // deep in a leaf that doesn't alter its visible effects leaves every
@@ -88,7 +88,9 @@ func UpdateProgram(prev *Program, changed map[*fortran.Unit]bool) *Program {
 			p.Summaries[u] = old
 			continue
 		}
-		if old != nil && !changed[u] &&
+		// A unit nothing called in prev may have been edited since its
+		// summary was computed: nobody read it, so no edit compared it.
+		if old != nil && !changed[u] && len(prev.Graph.Callers[u]) > 0 &&
 			p.Graph.Recursive[u] == prev.Graph.Recursive[u] &&
 			calleeSummariesCarried(p, prev, u) {
 			p.Summaries[u] = old

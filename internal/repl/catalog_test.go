@@ -124,8 +124,8 @@ func TestCatalogIsComplete(t *testing.T) {
 			if cmd == row.Commands[0] {
 				rowsOf[typ]++
 			}
-			if xform.AnnotatesOnly(tr) != row.AnnotatesOnly {
-				t.Errorf("AnnotatesOnly(%s) disagrees with its row", typ)
+			if got := xform.RowOf(tr); got.Name != row.Name || got.AnnotatesOnly != row.AnnotatesOnly {
+				t.Errorf("RowOf(%s) is not its row", typ)
 			}
 		}
 		if !strings.Contains(help, " "+row.Usage()) {

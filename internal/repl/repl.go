@@ -355,12 +355,9 @@ func (r *REPL) Execute(line string) error {
 			fmt.Fprint(r.Out, r.Plans[i].Format())
 		}
 	case "apply-plan":
-		n := 1
-		if len(args) > 0 {
-			var err error
-			if n, err = core.IntArg(args, 0, "plan rank"); err != nil {
-				return err
-			}
+		n, err := PlanRank(args)
+		if err != nil {
+			return err
 		}
 		if n < 1 || n > len(r.Plans) {
 			return fmt.Errorf("no plan %d (have %d; run plan first)", n, len(r.Plans))
@@ -384,6 +381,16 @@ func (r *REPL) Execute(line string) error {
 		return fmt.Errorf("command %q is classed but has no dispatcher", cmd)
 	}
 	return nil
+}
+
+// PlanRank reads the rank `apply-plan [n]` names — the best plan, 1, when
+// the line gives none — for the REPL and for the daemon, which serves the
+// verb from its own search results.
+func PlanRank(args []string) (int, error) {
+	if len(args) == 0 {
+		return 1, nil
+	}
+	return core.IntArg(args, 0, "plan rank")
 }
 
 // printReanalysis reports how the last mutation's reanalysis ran —

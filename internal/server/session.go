@@ -628,12 +628,9 @@ func (ss *Session) daemonCmd(ctx context.Context, verb string, args []string) (C
 		}
 		return CmdResponse{Output: resp.format()}, nil
 	case "apply-plan":
-		n := 0
-		if len(args) > 0 {
-			var err error
-			if n, err = strconv.Atoi(args[0]); err != nil {
-				return CmdResponse{Err: fmt.Sprintf("bad plan rank %q", args[0])}, nil
-			}
+		n, err := repl.PlanRank(args)
+		if err != nil {
+			return CmdResponse{Err: err.Error()}, nil
 		}
 		resp, err := ss.ApplyPlan(ctx, ApplyPlanRequest{Index: n})
 		if err != nil {

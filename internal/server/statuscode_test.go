@@ -332,3 +332,34 @@ func TestAnalysisPanicIs500OnOpenAndImport(t *testing.T) {
 	faultpoint.Reset()
 	mustOpen(t, m, "onedim")
 }
+
+// TestUnitlessSourceIs422OnOpenAndImport: a source with no program unit
+// is refused where it enters — 422, like any source that does not parse
+// — with the artifact cache on and off. It used to open, and the first
+// read then quarantined the session on a nil unit state.
+func TestUnitlessSourceIs422OnOpenAndImport(t *testing.T) {
+	const src = "c just a comment\n"
+	stream, err := encodeRecord(&record{Op: recOpen, Seq: 1, Path: "nounit.f", Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []int{0, 8} {
+		m := newTestManager(t, Config{CacheSize: cache})
+		ts := httptest.NewServer(New(m))
+		c := NewClient(ts.URL)
+		var apiErr *APIError
+		_, err := c.Open(bg, OpenRequest{Path: "nounit.f", Source: src})
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity ||
+			!strings.Contains(apiErr.Message, "nounit.f: no program unit") {
+			t.Errorf("cache %d: open of a unit-less source: %v, want 422 naming the path", cache, err)
+		}
+		_, err = c.Import(bg, "imp-nounit", stream)
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+			t.Errorf("cache %d: import of a unit-less source: %v, want 422", cache, err)
+		}
+		if len(m.List(bg)) != 0 {
+			t.Errorf("cache %d: a refused open or import left a session registered", cache)
+		}
+		ts.Close()
+	}
+}

@@ -37,12 +37,14 @@ type Args struct {
 // a journal record or a plan step may use for it (the first is the one
 // help lists), the name its Transformation reports, the arguments it
 // takes, whether applying it writes nothing but a DO statement's
-// parallel annotations, and its constructor.
+// parallel annotations, whether it makes a loop a DOALL (what the
+// session's LoopsParallelized counts), and its constructor.
 type Row struct {
 	Commands      []string
 	Name          string
 	Args          []Arg
 	AnnotatesOnly bool
+	Parallelizes  bool
 	New           func(Args) Transformation
 }
 
@@ -56,11 +58,11 @@ var (
 func loopInt(what string) []Arg { return []Arg{{Kind: ArgLoop}, {Kind: ArgInt, What: what}} }
 
 // Catalog is every transformation the editor offers, in help order. The
-// command grammar (core.ParseTransformation), AnnotatesOnly, the help
+// command grammar (core.ParseTransformation), RowOf, the help
 // text and the planner's step lines all read this table; a
 // Transformation type without a row cannot be reached by any of them.
 var Catalog = []Row{
-	{Commands: []string{"parallelize"}, Name: "parallelize", Args: oneLoop, AnnotatesOnly: true,
+	{Commands: []string{"parallelize"}, Name: "parallelize", Args: oneLoop, AnnotatesOnly: true, Parallelizes: true,
 		New: func(a Args) Transformation { return Parallelize{Do: a.Loops[0]} }},
 	{Commands: []string{"serialize"}, Name: "serialize", Args: oneLoop, AnnotatesOnly: true,
 		New: func(a Args) Transformation { return Serialize{Do: a.Loops[0]} }},
@@ -110,19 +112,20 @@ func Lookup(command string) *Row {
 	return nil
 }
 
-// AnnotatesOnly reports whether applying t writes nothing but a DO
-// statement's parallel annotations — Parallel, Private, Reductions.
-// The printer, the interpreter, the code generator and the planner read
-// those; data-flow, dependence, interprocedural and performance
-// analysis do not, so the unit's analysis is after the transformation
-// what it was before.
-func AnnotatesOnly(t Transformation) bool {
+// RowOf returns t's row, the zero Row when the catalog has none. A row
+// with AnnotatesOnly set writes nothing but a DO statement's parallel
+// annotations — Parallel, Private, Reductions. The printer, the
+// interpreter, the code generator and the planner read those;
+// data-flow, dependence, interprocedural and performance analysis do
+// not, so the unit's analysis is after the transformation what it was
+// before.
+func RowOf(t Transformation) Row {
 	for i := range Catalog {
 		if Catalog[i].Name == t.Name() {
-			return Catalog[i].AnnotatesOnly
+			return Catalog[i]
 		}
 	}
-	return false
+	return Row{}
 }
 
 // Usage is the row as help shows it: the first command name, followed

@@ -188,7 +188,7 @@ func (t Inline) Apply(c *Context) error {
 			substStmtSym(s, sym, repl)
 		}
 	}
-	if !replaceStmt(c.Unit, t.Call, body...) {
+	if !ReplaceStmt(c.Unit, t.Call, body...) {
 		return fmt.Errorf("inline: call not found in unit")
 	}
 	return nil

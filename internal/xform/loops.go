@@ -580,7 +580,7 @@ func (t Unroll) Apply(c *Context) error {
 		}
 		repl = append(repl, rem)
 	}
-	if !replaceStmt(c.Unit, t.Do, repl...) {
+	if !ReplaceStmt(c.Unit, t.Do, repl...) {
 		return fmt.Errorf("unroll: loop not found in unit")
 	}
 	return nil
@@ -641,7 +641,7 @@ func (t Peel) Apply(c *Context) error {
 		Body: t.Do.Body,
 	}
 	repl := append(first, rest)
-	if !replaceStmt(c.Unit, t.Do, repl...) {
+	if !ReplaceStmt(c.Unit, t.Do, repl...) {
 		return fmt.Errorf("peel: loop not found in unit")
 	}
 	return nil
@@ -757,7 +757,7 @@ func (t UnrollJam) Apply(c *Context) error {
 		}
 		repl = append(repl, rem)
 	}
-	if !replaceStmt(c.Unit, t.Outer, repl...) {
+	if !ReplaceStmt(c.Unit, t.Outer, repl...) {
 		return fmt.Errorf("unroll-and-jam: loop not found in unit")
 	}
 	return nil

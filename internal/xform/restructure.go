@@ -158,7 +158,7 @@ func (t Distribute) Apply(c *Context) error {
 		}
 		repl = append(repl, loopLike(t.Do, g))
 	}
-	if !replaceStmt(c.Unit, t.Do, repl...) {
+	if !ReplaceStmt(c.Unit, t.Do, repl...) {
 		return fmt.Errorf("distribute: loop not found in unit")
 	}
 	return nil
@@ -251,7 +251,7 @@ func (t Fuse) Apply(c *Context) error {
 	}
 	body[i], _ = t.buildFused(false)
 	// Remove the second loop.
-	if !replaceStmt(c.Unit, t.Second) {
+	if !ReplaceStmt(c.Unit, t.Second) {
 		return fmt.Errorf("fuse: second loop not found")
 	}
 	return nil

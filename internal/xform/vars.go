@@ -241,7 +241,7 @@ func (t ScalarExpand) Apply(c *Context) error {
 			Rhs: &fortran.VarRef{Sym: arr, Name: arr.Name,
 				Subs: []fortran.Expr{&fortran.IntLit{Val: trip}}},
 		}
-		if !replaceStmt(c.Unit, t.Do, t.Do, last) {
+		if !ReplaceStmt(c.Unit, t.Do, t.Do, last) {
 			return fmt.Errorf("scalar-expand: could not insert last-value store")
 		}
 	}

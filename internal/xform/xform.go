@@ -136,8 +136,10 @@ func findBody(body *[]fortran.Stmt, s fortran.Stmt) (*[]fortran.Stmt, int) {
 	return nil, -1
 }
 
-// replaceStmt replaces old with repl in the unit, reporting success.
-func replaceStmt(u *fortran.Unit, old fortran.Stmt, repl ...fortran.Stmt) bool {
+// ReplaceStmt replaces old with repl in the unit — with nothing, which
+// deletes it — reporting whether the unit has the statement. It is the
+// one statement splicer: the transformations and the editor use it.
+func ReplaceStmt(u *fortran.Unit, old fortran.Stmt, repl ...fortran.Stmt) bool {
 	body, i := findBody(&u.Body, old)
 	if body == nil {
 		return false
