@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"parascope/internal/dep"
 	"parascope/internal/fortran"
@@ -698,5 +701,73 @@ func TestEarlyReturnFromSubroutine(t *testing.T) {
 `, 1)
 	if strings.TrimSpace(out) != "0\n5" {
 		t.Errorf("got %q, want 0 then 5", out)
+	}
+}
+
+// TestCancelReturnsPromptly cancels runs that would otherwise never
+// end — a DO with an empty body, a WHILE with none, a backward GOTO and
+// a DOALL — and requires Run to return the cause within 50 ms with no
+// goroutine left behind.
+func TestCancelReturnsPromptly(t *testing.T) {
+	for name, src := range map[string]string{
+		"tight-do": `      program p
+      integer i, j
+      do i = 1, 2000000000
+         do j = 1, 2000000000
+         enddo
+      enddo
+      end
+`,
+		"empty-while": `      program p
+      do while (.true.)
+      enddo
+      end
+`,
+		"backward-goto": `      program p
+ 10   continue
+      goto 10
+      end
+`,
+		"doall": `      program p
+      integer i, k
+      do i = 1, 2000000000
+         k = i
+      enddo
+      end
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := fortran.Parse(name+".f", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(f)
+			if name == "doall" {
+				do := f.Units[0].Body[0].(*fortran.DoStmt)
+				do.Parallel = true
+				do.Private = []*fortran.Symbol{do.Var, f.Units[0].Lookup("k")}
+				m.Workers = 4
+			}
+			before := runtime.NumGoroutine()
+			cause := errors.New("stop now")
+			done := make(chan error, 1)
+			go func() { done <- m.Run() }()
+			time.Sleep(5 * time.Millisecond)
+			m.Cancel(cause)
+			select {
+			case err := <-done:
+				if err != cause {
+					t.Errorf("Run returned %v, want the cancel cause", err)
+				}
+			case <-time.After(50 * time.Millisecond):
+				t.Fatal("Run still going 50 ms after Cancel")
+			}
+			for i := 0; runtime.NumGoroutine() > before && i < 50; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines left behind", n-before)
+			}
+		})
 	}
 }
