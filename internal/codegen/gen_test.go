@@ -140,6 +140,23 @@ func TestCompiledSnippets(t *testing.T) {
 `, 1, nil)
 	})
 
+	// Integer powers wrap and cost at most 63 rounds whatever the
+	// exponent: the repeated product this replaces never returned from
+	// the last line, in either backend or in the constant folder.
+	t.Run("integer-power", func(t *testing.T) {
+		out := runBoth(t, cache, `
+      program p
+      integer k
+      parameter (k = 2**10)
+      print *, 2**62, 2**64, (-3)**5, 0**0, k
+      print *, 3**9000000000000000000
+      end
+`, 1, nil)
+		if want := "4611686018427387904 0 -243 1 1024\n-7299167144870150143\n"; out != want {
+			t.Errorf("got %q, want %q", out, want)
+		}
+	})
+
 	t.Run("stop-flushes", func(t *testing.T) {
 		runBoth(t, cache, `
       program p

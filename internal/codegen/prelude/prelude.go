@@ -25,12 +25,15 @@ import (
 	"sync"
 )
 
-// Workers is the -workers flag: goroutines per DOALL loop.
-var Workers = flag.Int("workers", 1, "goroutines per DOALL loop (<=0 means GOMAXPROCS)")
+// Workers is the -workers flag: goroutines per DOALL loop. Main
+// registers it, not the package: the interpreter imports this package
+// for Ipow, and its hosts have -workers flags of their own.
+var Workers = new(int)
 
 // Main runs a generated program: flags, all of stdin as READ input,
 // the main unit, and the output flush a STOP or the END falls into.
 func Main(program func()) {
+	flag.IntVar(Workers, "workers", 1, "goroutines per DOALL loop (<=0 means GOMAXPROCS)")
 	flag.Parse()
 	readInput()
 	program()
@@ -203,10 +206,17 @@ func Imod(a, b int64) int64 {
 	return a % b
 }
 
+// Ipow is a**b for b >= 0 by square and multiply: an exponent of any
+// size costs at most 63 rounds. Products wrap, so the result has the
+// bits the b-fold product would have. The interpreter and the code
+// generator's constant folder call this same function.
 func Ipow(a, b int64) int64 {
 	r := int64(1)
-	for k := int64(0); k < b; k++ {
-		r *= a
+	for ; b > 0; b >>= 1 {
+		if b&1 == 1 {
+			r *= a
+		}
+		a *= a
 	}
 	return r
 }

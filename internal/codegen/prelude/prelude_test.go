@@ -134,6 +134,29 @@ func TestTailSequenceAssociation(t *testing.T) {
 	}
 }
 
+// TestIpow holds square-and-multiply to the repeated product it
+// replaced — bit for bit where products wrap — and to an exponent no
+// loop of that many rounds would ever finish.
+func TestIpow(t *testing.T) {
+	for _, c := range []struct{ a, b, want int64 }{
+		{2, 62, 1 << 62}, {2, 63, math.MinInt64}, {2, 64, 0}, {-3, 5, -243}, {0, 0, 1}, {0, 7, 0},
+		{7, 1, 7}, {-1, 9000000000000000001, -1}, {3, 9000000000000000000, -7299167144870150143},
+	} {
+		if got := Ipow(c.a, c.b); got != c.want {
+			t.Errorf("Ipow(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	for a := int64(-7); a <= 7; a++ {
+		want := int64(1)
+		for b := int64(0); b < 70; b++ {
+			if got := Ipow(a, b); got != want {
+				t.Fatalf("Ipow(%d, %d) = %d, the repeated product is %d", a, b, got, want)
+			}
+			want *= a
+		}
+	}
+}
+
 func TestCellsAndInput(t *testing.T) {
 	p, q := RefI(4), RefI(4)
 	if p == q || *p != 4 {

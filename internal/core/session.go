@@ -263,12 +263,15 @@ func (s *Session) AnalyzeAll() {
 
 // ReanalyzeUnit brings the analysis up to date after a mutation of unit
 // u about which nothing more is known: update with no statement swap.
-func (s *Session) ReanalyzeUnit(u *fortran.Unit) { s.update(u, nil) }
+func (s *Session) ReanalyzeUnit(u *fortran.Unit) { s.update(u, stmtSwap{}) }
 
 // stmtSwap is what a mutation knows it touched of a unit: statement old
-// replaced 1:1 by ns — or, both nil, no statement at all, only a loop's
-// annotations.
-type stmtSwap struct{ old, ns fortran.Stmt }
+// replaced 1:1 by ns; no statement at all, only a loop's annotations;
+// or — the zero value — nothing: anything in the unit may have moved.
+type stmtSwap struct {
+	old, ns     fortran.Stmt
+	annotations bool
+}
 
 // update is the one door from a mutation of unit u to the analyses:
 // every edit, delete, transformation, assertion and undo brings its unit
@@ -300,31 +303,25 @@ type stmtSwap struct{ old, ns fortran.Stmt }
 // set moved — all before anything lasting is modified; WholeUnitOnly
 // declines always. A "patch" rung whose step declined asks reach after
 // all. Then spread does the rest.
-func (s *Session) update(u *fortran.Unit, swap *stmtSwap) (mode string) {
+func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 	start := time.Now()
-	defer func() { s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)} }()
 	s.File.RenumberStmts()
 	st := s.units[u]
-	if st == nil || s.Prog == nil {
-		s.AnalyzeAll()
-		return "full"
-	}
-	granular := swap != nil && !s.WholeUnitOnly && (swap.ns == nil || swappable(swap.old, swap.ns))
-	// The one print of this change: whatever runs below carries the
-	// refreshed image (and every other unit's untouched one) forward.
-	if img := imageOf(u); img.srcHash != st.srcHash {
-		st.unitImage = img
-		s.progHash = ""
-	} else if !granular {
-		s.units[u] = s.analyzeUnit(u, st, false)
-		return "unit"
-	}
+	granular := !s.WholeUnitOnly && (swap.annotations || swap.ns != nil && swappable(swap.old, swap.ns))
 	mode, prog, patched := "unit", s.Prog, false
 	switch {
+	case st == nil || prog == nil:
+		s.AnalyzeAll()
+		mode = "full"
+	// The one print of this change: whatever runs below carries the
+	// refreshed image (and every other unit's untouched one) forward.
+	case !s.refreshImage(u) && !granular:
+		s.units[u] = s.analyzeUnit(u, st, false)
 	case !granular:
 		mode, prog, _ = s.reach(u, st)
-	case swap.ns == nil:
-		patched = true // no statement to splice in
+		s.spread(u, mode, prog, patched)
+	case swap.annotations:
+		s.spread(u, mode, prog, true) // no statement to splice in
 	default:
 		callSig := st.callSig
 		if callsUser(swap.old) || callsUser(swap.ns) ||
@@ -366,8 +363,9 @@ func (s *Session) update(u *fortran.Unit, swap *stmtSwap) (mode string) {
 		if !patched && mode == "patch" {
 			mode, prog, _ = s.reach(u, st)
 		}
+		s.spread(u, mode, prog, patched)
 	}
-	s.spread(u, mode, prog, patched)
+	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
 	return mode
 }
 
@@ -1037,7 +1035,7 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
 		// A failed Apply may have mutated the unit part-way; reanalysis
 		// keeps the analysis and the source image describing the AST.
-		s.update(s.current, nil)
+		s.update(s.current, stmtSwap{})
 		return v, err
 	}
 	s.mutated = true
@@ -1051,9 +1049,9 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 		// No reference, statement or CFG node moved: the swap with no
 		// statement. The text did change, and so may what the unit costs
 		// its callers.
-		s.update(s.current, &stmtSwap{})
+		s.update(s.current, stmtSwap{annotations: true})
 	} else {
-		s.update(s.current, nil)
+		s.update(s.current, stmtSwap{})
 	}
 	return v, nil
 }
@@ -1105,7 +1103,7 @@ func (s *Session) EditStmt(id int, text string) error {
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("edit stmt %d: %s", id, strings.TrimSpace(text))
-	s.update(s.current, &stmtSwap{old, ns})
+	s.update(s.current, stmtSwap{old: old, ns: ns})
 	return nil
 }
 
@@ -1125,13 +1123,17 @@ func callsUser(st fortran.Stmt) bool {
 }
 
 // refreshImage reprints u into its existing state — for a change to the
-// unit's text that leaves its analysis standing.
-func (s *Session) refreshImage(u *fortran.Unit) {
+// unit's text that leaves its analysis standing — and reports whether
+// the text moved.
+func (s *Session) refreshImage(u *fortran.Unit) bool {
 	st := s.units[u]
-	if img := imageOf(u); img.srcHash != st.srcHash {
-		st.unitImage = img
-		s.progHash = ""
+	img := imageOf(u)
+	if img.srcHash == st.srcHash {
+		return false
 	}
+	st.unitImage = img
+	s.progHash = ""
+	return true
 }
 
 // touchesVisible reports whether the statement accesses any symbol a
@@ -1159,7 +1161,7 @@ func (s *Session) DeleteStmt(id int) error {
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("delete stmt %d", id)
-	s.update(s.current, nil)
+	s.update(s.current, stmtSwap{})
 	return nil
 }
 
@@ -1302,7 +1304,7 @@ func (s *Session) Undo() error {
 	for _, u := range s.File.Units {
 		// A program rung above may have reanalyzed it already.
 		if st := stale[u]; st != nil && s.units[u] == st {
-			took(s.update(u, nil))
+			took(s.update(u, stmtSwap{}))
 		}
 	}
 	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
@@ -1354,11 +1356,11 @@ func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable boo
 			if old := nthStmt(live, n); old != nil && swappable(old, ns) {
 				u.Body = live
 				xform.ReplaceStmt(u, old, ns)
-				return s.update(u, &stmtSwap{old, ns})
+				return s.update(u, stmtSwap{old: old, ns: ns})
 			}
 		}
 	}
-	return s.update(u, nil)
+	return s.update(u, stmtSwap{})
 }
 
 // soleDifferingLine returns the 1-based number of the only line in

@@ -247,6 +247,17 @@ func (g *Governor) CacheEntries() int {
 	return g.cacheEntries
 }
 
+// Slots returns how many runs the governor admits at once, 0 when it
+// does not bound them. A caller that starts several runs of its own
+// side by side sizes that fan-out by it: Acquire fails fast, so the
+// runs beyond the bound would only lose a race for a slot.
+func (g *Governor) Slots() int {
+	if g == nil {
+		return 0
+	}
+	return cap(g.slots)
+}
+
 // Acquire claims one execution slot, failing fast with ErrBusy when
 // all are taken. The returned release function is idempotent and must
 // be called when the run finishes. An unbounded (or nil) governor

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -769,5 +770,83 @@ func TestCancelReturnsPromptly(t *testing.T) {
 				t.Errorf("%d goroutines left behind", n-before)
 			}
 		})
+	}
+}
+
+// TestIntegerPower: an INTEGER power wraps like the repeated product
+// and takes at most 63 rounds, whether the exponent is a literal (the
+// compiled INTEGER path) or a variable (decided from the run-time
+// types); a negative exponent is a REAL power.
+func TestIntegerPower(t *testing.T) {
+	start := time.Now()
+	out := run(t, `
+      program main
+      integer i, j, k
+      i = 3
+      j = 9000000000000000000
+      k = -2
+      print *, 2**62, 2**64, (-3)**5, 0**0, 3**9000000000000000000
+      print *, i**j, i**k, i**5, j**0
+      end
+`, 1)
+	want := "4611686018427387904 0 -243 1 -7299167144870150143\n-7299167144870150143 0.1111111111111111 243 1\n"
+	if out != want {
+		t.Errorf("got %q, want %q", out, want)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("took %v: the exponent must not be a trip count", d)
+	}
+}
+
+// TestNothingAllocatesPerStatement runs one program at growing trip
+// counts: without calls the allocation count does not depend on the
+// trip count at all — a run allocates per unit compiled and per
+// activation, never per statement executed — and with one call per
+// iteration it grows by the same few allocations per call (the
+// callee's frame).
+func TestNothingAllocatesPerStatement(t *testing.T) {
+	program := func(n int, body string) *fortran.File {
+		f, err := fortran.Parse("t.f", fmt.Sprintf(`      program p
+      integer i, k
+      real a(100), s
+      s = 0.0
+      do i = 1, %d
+         k = mod(i, 100) + 1
+%s
+         if (a(k) .gt. 1.0e6) then
+            a(k) = sqrt(a(k))
+         endif
+      enddo
+      end
+      subroutine bump(a, k, s)
+      real a(100), s, t
+      integer k
+      t = a(k)*0.5
+      a(k) = t + s
+      end
+`, n, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	allocs := func(f *fortran.File) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := New(f).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 300
+	inline := "         a(k) = a(k)*0.5 + s + real(i)\n         s = s + a(k)"
+	if a1, a10 := allocs(program(n, inline)), allocs(program(10*n, inline)); a10 > a1+2 {
+		t.Errorf("no calls: %v allocations at %d iterations, %v at %d", a1, n, a10, 10*n)
+	}
+	call := "         call bump(a, k, s)"
+	c1, c10, c100 := allocs(program(n, call)), allocs(program(10*n, call)), allocs(program(100*n, call))
+	perCall, perCallLater := (c10-c1)/(9*n), (c100-c10)/(90*n)
+	if perCall > 4.01 || perCallLater > perCall+0.01 {
+		t.Errorf("calls: %v, %v, %v allocations at %d, %d, %d calls: %.3f, then %.3f per call, want at most 4",
+			c1, c10, c100, n, 10*n, 100*n, perCall, perCallLater)
 	}
 }

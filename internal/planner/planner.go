@@ -602,14 +602,21 @@ func (s *searcher) rankPlans(ctx context.Context, base *world, finals []*world) 
 		input = workloads.InputFor(s.path)
 	}
 	// Validation runs the base and every finalist under the interpreter
-	// side by side on the search's worker bound; the verdicts are then
-	// read in finalist order, so discards, scores and ranks do not
-	// depend on which run finished first.
+	// side by side on the search's worker bound — or the governor's
+	// slot count when that is smaller: a run without a slot comes back
+	// busy, and which plans stayed unvalidated would depend on
+	// scheduling. The verdicts are then read in finalist order, so
+	// discards, scores and ranks do not depend on which run finished
+	// first.
 	interpOK := false
 	if s.opts.Interp && len(finals) > 0 {
 		worlds := append([]*world{base}, finals...)
 		runs := make([]run, len(worlds))
-		fanOut(len(worlds), s.opts.Workers, func(i int) { runs[i] = s.exec(ctx, worlds[i], core.BackendInterp, input) })
+		width := s.opts.Workers
+		if slots := s.opts.Gov.Slots(); slots > 0 {
+			width = min(width, slots)
+		}
+		fanOut(len(worlds), width, func(i int) { runs[i] = s.exec(ctx, worlds[i], core.BackendInterp, input) })
 
 		baseRun := runs[0]
 		interpOK = baseRun.err == nil && baseRun.SimCycles > 0

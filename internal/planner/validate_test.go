@@ -105,3 +105,33 @@ func TestValidationPanicConfined(t *testing.T) {
 		}
 	}
 }
+
+// TestValidationWithFewerSlotsThanWorkers: when the governor admits
+// fewer runs than the search has workers, validation runs no wider
+// than the slots — a run that lost the race for a slot used to come
+// back busy and leave its plan unvalidated, so the ranks depended on
+// scheduling. One slot must give what no limit gives, every time.
+func TestValidationWithFewerSlotsThanWorkers(t *testing.T) {
+	for _, name := range []string{"shear", "interior"} {
+		t.Run(name, func(t *testing.T) {
+			w := workloads.ByName(name)
+			opts := planner.Options{Interp: true, Workers: 4, Timeout: -1}
+			want, err := planner.Search(context.Background(), w.Name+".f", w.Source, "", opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Elapsed = 0
+			for i := 0; i < 10; i++ {
+				opts.Gov = execguard.New(execguard.Config{MaxRuns: 1})
+				got, err := planner.Search(context.Background(), w.Name+".f", w.Source, "", opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Elapsed = 0
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("search %d under one slot differs from the unlimited search:\n%+v\n%+v", i, got, want)
+				}
+			}
+		})
+	}
+}

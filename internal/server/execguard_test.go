@@ -106,6 +106,45 @@ func TestRunHostileWorkloads(t *testing.T) {
 	}
 }
 
+// TestRunHostilePower: an INTEGER power whose exponent would have been
+// a trip count of 3·10¹¹ — no statement counted, no cancellation point
+// inside — used to outlive the governor's deadline with the session's
+// actor and the daemon's only execution slot wedged behind it. The run
+// now ends at once, with the wrapped product, and frees the slot for
+// the next one.
+func TestRunHostilePower(t *testing.T) {
+	m := newTestManager(t, Config{MaxRuns: 1})
+	ts := httptest.NewServer(New(m))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+
+	for _, src := range []string{
+		"      program p\n      integer i\n      i = 3**300000000000\n      print *, i\n      end\n",
+		"      program p\n      integer i, j\n      j = 300000000000\n      i = 3**j\n      print *, i\n      end\n",
+	} {
+		open, err := c.Open(bg, OpenRequest{Path: "power.f", Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := c.Run(bg, open.ID, RunRequest{TimeoutMs: 2000})
+		if err != nil {
+			t.Fatalf("power run: %v", err)
+		}
+		if strings.TrimSpace(res.Output) != "5459867978126286849" {
+			t.Errorf("output = %q", res.Output)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("power run took %v", d)
+		}
+	}
+	release, err := m.gov.Acquire()
+	if err != nil {
+		t.Fatalf("execution slot still held after the runs: %v", err)
+	}
+	release()
+}
+
 // TestRunSaturationReturns429 holds the daemon's only execution slot
 // and asserts the next run is rejected with 429 + Retry-After instead
 // of queueing unbounded work.
