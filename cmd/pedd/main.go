@@ -37,20 +37,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"parascope/internal/faultpoint"
+	"parascope/internal/httpedge"
 	"parascope/internal/server"
 )
 
@@ -124,7 +120,8 @@ func run() int {
 		}
 		log.Printf("pedd: recovery: %s (datadir %s, fsync %s)", st, *dataDir, fsync)
 	}
-	ready := &server.Readiness{}
+	defer mgr.Shutdown()
+	ready := &httpedge.Readiness{}
 	opts := server.Options{ReqTimeout: *reqTimeout, MaxBodyBytes: *maxBody, Metrics: metrics, Ready: ready}
 	if *disableBackends != "" {
 		opts.DisabledBackends = strings.Split(*disableBackends, ",")
@@ -132,73 +129,13 @@ func run() int {
 	if *accessLog {
 		opts.AccessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	srv := &http.Server{
-		Handler:           server.NewWith(mgr, opts),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	// Bind before claiming to listen: a port-in-use failure must be
-	// reported immediately (and exclusively), and -addr :0 must log
-	// the port the kernel actually picked.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pedd: %v\n", err)
-		return 1
-	}
-	var opsSrv *http.Server
-	var opsLn net.Listener
-	if *opsAddr != "" {
-		opsLn, err = net.Listen("tcp", *opsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pedd: ops: %v\n", err)
-			_ = ln.Close()
-			return 1
-		}
-		opsSrv = &http.Server{
-			Handler:           server.OpsHandler(metrics, ready),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-	}
-	log.Printf("pedd: listening on %s (ttl %s, cache %d)", ln.Addr(), *ttl, *cacheSize)
-	if opsSrv != nil {
-		log.Printf("pedd: ops listening on %s (/metrics, /debug/pprof/)", opsLn.Addr())
-		go func() {
-			if err := opsSrv.Serve(opsLn); err != nil && err != http.ErrServerClosed {
-				log.Printf("pedd: ops: %v", err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "pedd: %v\n", err)
-		return 1
-	case <-ctx.Done():
-	}
-	log.Printf("pedd: shutting down")
-	// Flip readiness before draining: rolling restarts and the cluster
-	// gateway see /readyz go 503 and stop sending new work while the
-	// in-flight requests below complete.
-	ready.SetDraining(true)
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	code := 0
-	// A failed drain (connections still active at the deadline) is an
-	// abnormal stop: say so and exit non-zero so orchestrators can
-	// tell it from a clean one.
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("pedd: shutdown: drain incomplete: %v", err)
-		code = 1
-	}
-	if opsSrv != nil {
-		_ = opsSrv.Close()
-	}
-	mgr.Shutdown()
-	return code
+	return httpedge.Serve(httpedge.Daemon{
+		Name:        "pedd",
+		Addr:        *addr,
+		OpsAddr:     *opsAddr,
+		Handler:     server.NewWith(mgr, opts),
+		Ops:         httpedge.OpsHandler(metrics.Registry, ready),
+		Detail:      fmt.Sprintf("ttl %s, cache %d", *ttl, *cacheSize),
+		SetDraining: ready.SetDraining,
+	})
 }

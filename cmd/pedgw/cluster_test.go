@@ -20,6 +20,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"parascope/internal/cluster"
 )
 
 // waitReadyz polls base/readyz until it answers 200.
@@ -165,6 +167,25 @@ func startNode(t *testing.T, pedd, dir string, extra ...string) *proc {
 	return startProc(t, pedd, "pedd", false, args...)
 }
 
+// sessionIDsOwedTo picks ten session IDs of which at least three hash
+// to newcomer on the ring of the two addresses, so a scale-out test
+// knows migrations are owed instead of hoping a random ID lands there:
+// with kernel-picked ports the two-node ring leaves the newcomer none
+// of ten random IDs about one time in thirty.
+func sessionIDsOwedTo(prefix, resident, newcomer string) (ids []string, owed int) {
+	ring := cluster.NewRing(0, []string{resident, newcomer})
+	for i := 0; len(ids) < 10; i++ {
+		id := fmt.Sprintf("%s%03d", prefix, i)
+		if ring.Owner(id) == newcomer {
+			owed++
+		} else if len(ids)-owed >= 7 {
+			continue // keep room for three owed to the newcomer
+		}
+		ids = append(ids, id)
+	}
+	return ids, owed
+}
+
 // TestClusterKill9Failover is the tentpole proof. Three durable pedd
 // backends behind one gateway; sessions opened and mutated through the
 // gateway; then kill -9 lands on a backend while racing mutations are
@@ -193,6 +214,15 @@ func TestClusterKill9Failover(t *testing.T) {
 	base := "http://" + gw.addr
 	ops := "http://" + gw.opsAddr
 	waitReadyz(t, base)
+	// /readyz answers with one backend on the ring; a session opened then
+	// is migrated when the others join, and a mutation that meets it
+	// mid-move is refused with 503. Wait for the whole ring.
+	for deadline := time.Now().Add(10 * time.Second); metricValue(t, ops, "pedgw_ring_backends") < 3; {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("ring never reached 3 backends\ngateway log:\n%s", gw.log())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 
 	// Open and mutate sessions through the gateway; record both
 	// acknowledged states each could legally end in.
@@ -318,29 +348,32 @@ func TestClusterSIGHUPScaleOut(t *testing.T) {
 	base := "http://" + gw.addr
 	waitReadyz(t, base)
 
+	// The new node runs, off the ring, before any session opens, so the
+	// IDs can be chosen with at least three owed to it.
+	dirB := t.TempDir()
+	nodeB := startNode(t, pedd, dirB)
+	ids, owedB := sessionIDsOwedTo("hup", "http://"+nodeA.addr, "http://"+nodeB.addr)
 	want := map[string]string{}
-	for i := 0; i < 10; i++ {
-		id := openSession(t, base, "")
+	for _, id := range ids {
+		openSession(t, base, id)
 		mustCmd(t, base, id, "loop 1")
 		mustCmd(t, base, id, "apply parallelize 1")
 		want[id] = mustCmd(t, base, id, "save")
 	}
 
-	dirB := t.TempDir()
-	nodeB := startNode(t, pedd, dirB)
 	writeConf("http://"+nodeA.addr+"||"+dirA, "http://"+nodeB.addr+"||"+dirB)
 	if err := gw.cmd.Process.Signal(syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
 
 	// Rebalance must move the sessions the 2-node ring assigns to B.
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && len(listIDs(t, "http://"+nodeB.addr)) == 0 {
 		time.Sleep(50 * time.Millisecond)
 	}
 	moved := listIDs(t, "http://"+nodeB.addr)
 	if len(moved) == 0 {
-		t.Fatalf("SIGHUP scale-out moved nothing onto the new backend\ngateway log:\n%s", gw.log())
+		t.Fatalf("SIGHUP scale-out moved nothing onto the new backend, which is owed %d sessions\ngateway log:\n%s", owedB, gw.log())
 	}
 	t.Logf("scale-out moved %d of %d sessions", len(moved), len(want))
 
@@ -369,6 +402,13 @@ func TestClusterSIGHUPScaleOut(t *testing.T) {
 // journal stream. The target must refuse it and the source must stay
 // authoritative: no session moves, no state changes, and the failure
 // is counted — the cluster degrades loudly, never silently forks.
+//
+// The failure is injected, not hoped for: node B runs (off the ring)
+// before any session opens, so the two-node ring is known, and the
+// sessions are opened under explicit IDs of which at least three hash
+// to B (sessionIDsOwedTo). With migrations known to be owed, one that
+// never fails is a gateway bug — read the gateway log the failure
+// prints; do not lengthen the wait.
 func TestClusterTornMigrationChaos(t *testing.T) {
 	pedd, pedgw := binaries(t)
 	dirA := t.TempDir()
@@ -385,35 +425,35 @@ func TestClusterTornMigrationChaos(t *testing.T) {
 	ops := "http://" + gw.opsAddr
 	waitReadyz(t, base)
 
+	dirB := t.TempDir()
+	nodeB := startNode(t, pedd, dirB)
+	addrA, addrB := "http://"+nodeA.addr, "http://"+nodeB.addr
+	ids, owedB := sessionIDsOwedTo("torn", addrA, addrB)
+
 	want := map[string]string{}
-	for i := 0; i < 10; i++ {
-		id := openSession(t, base, "")
+	for _, id := range ids {
+		openSession(t, base, id)
 		mustCmd(t, base, id, "loop 1")
 		mustCmd(t, base, id, "apply parallelize 1")
 		want[id] = mustCmd(t, base, id, "save")
 	}
 
 	// Scale out; every migration to the new node will tear mid-stream.
-	dirB := t.TempDir()
-	nodeB := startNode(t, pedd, dirB)
-	if err := os.WriteFile(conf, []byte(strings.Join([]string{
-		"http://" + nodeA.addr + "||" + dirA,
-		"http://" + nodeB.addr + "||" + dirB,
-	}, "\n")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(conf, []byte(addrA+"||"+dirA+"\n"+addrB+"||"+dirB+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := gw.cmd.Process.Signal(syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
 
-	// The failed migrations must be counted (proving some were owed to
-	// the new node and attempted)...
-	deadline := time.Now().Add(30 * time.Second)
+	// The failed migrations must be counted (at least three are owed to
+	// the new node)...
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && metricValue(t, ops, "pedgw_migrations_failed_total") < 1 {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if v := metricValue(t, ops, "pedgw_migrations_failed_total"); v < 1 {
-		t.Fatalf("pedgw_migrations_failed_total = %v, want >= 1\ngateway log:\n%s", v, gw.log())
+		t.Fatalf("pedgw_migrations_failed_total = %v with %d sessions owed to %s, want >= 1\ngateway log:\n%s", v, owedB, addrB, gw.log())
 	}
 	// ...the target must have adopted nothing...
 	if got := listIDs(t, "http://"+nodeB.addr); len(got) != 0 {

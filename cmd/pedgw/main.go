@@ -28,20 +28,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"parascope/internal/cluster"
 	"parascope/internal/faultpoint"
+	"parascope/internal/httpedge"
 )
 
 func main() { os.Exit(run()) }
@@ -102,84 +98,29 @@ func run() int {
 		cfg.AccessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	gw := cluster.NewGateway(cfg)
-
-	srv := &http.Server{
-		Handler:           gw,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pedgw: %v\n", err)
-		return 1
-	}
-	var opsSrv *http.Server
-	var opsLn net.Listener
-	if *opsAddr != "" {
-		opsLn, err = net.Listen("tcp", *opsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pedgw: ops: %v\n", err)
-			_ = ln.Close()
-			return 1
-		}
-		opsSrv = &http.Server{
-			Handler:           gw.OpsHandler(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-	}
-	log.Printf("pedgw: listening on %s (%d backends)", ln.Addr(), len(backends))
-	if opsSrv != nil {
-		log.Printf("pedgw: ops listening on %s (/metrics, /debug/pprof/)", opsLn.Addr())
-		go func() {
-			if err := opsSrv.Serve(opsLn); err != nil && err != http.ErrServerClosed {
-				log.Printf("pedgw: ops: %v", err)
-			}
-		}()
-	}
-
 	gw.Start()
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	for {
-		select {
-		case err := <-errCh:
-			fmt.Fprintf(os.Stderr, "pedgw: %v\n", err)
-			return 1
-		case <-hup:
+	defer gw.Stop()
+	return httpedge.Serve(httpedge.Daemon{
+		Name:        "pedgw",
+		Addr:        *addr,
+		OpsAddr:     *opsAddr,
+		Handler:     gw,
+		Ops:         gw.OpsHandler(),
+		Detail:      fmt.Sprintf("%d backends", len(backends)),
+		SetDraining: gw.SetDraining,
+		// Refuse new work first, then keep the listener up for the grace
+		// window: clients and load balancers see 503 + Retry-After (and
+		// /readyz flip) instead of a connection reset, while in-flight
+		// requests keep running.
+		Grace: *drainGrace,
+		Hangup: func() {
 			// Re-parse the spec (an @file is re-read) and rebalance.
 			next, err := cluster.ParseBackends(*backendsSpec)
 			if err != nil {
 				log.Printf("pedgw: SIGHUP: %v (keeping current backends)", err)
-				continue
+				return
 			}
 			gw.Reload(next)
-		case <-ctx.Done():
-			log.Printf("pedgw: shutting down")
-			// Refuse new work first, then keep the listener up for the
-			// grace window: clients and load balancers see 503 +
-			// Retry-After (and /readyz flip) instead of a connection
-			// reset, while in-flight requests keep running.
-			gw.SetDraining(true)
-			time.Sleep(*drainGrace)
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			code := 0
-			if err := srv.Shutdown(shutCtx); err != nil {
-				log.Printf("pedgw: shutdown: drain incomplete: %v", err)
-				code = 1
-			}
-			if opsSrv != nil {
-				_ = opsSrv.Close()
-			}
-			gw.Stop()
-			return code
-		}
-	}
+		},
+	})
 }

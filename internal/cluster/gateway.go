@@ -19,9 +19,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"parascope/internal/httpedge"
 	"parascope/internal/server"
 )
 
@@ -43,17 +43,11 @@ const (
 	// DefaultMigrateTimeout bounds one control-plane migration call
 	// (export + ship + replay of a whole journal).
 	DefaultMigrateTimeout = 30 * time.Second
-	// defaultMaxBodyBytes caps proxied request bodies; journal streams
-	// never pass through the gateway's serving port (import is
-	// node-internal), so command-sized bodies are the ceiling.
-	defaultMaxBodyBytes = 1 << 20
 	// proxyMaxHops bounds 421-redirect following inside the proxy.
 	proxyMaxHops = 3
 	// openMintRetries is how many fresh IDs an open tries when a mint
 	// collides (409) before giving up.
 	openMintRetries = 4
-	// retryAfterSeconds is the Retry-After hint on gateway 503s.
-	retryAfterSeconds = 1
 )
 
 // Config tunes the gateway.
@@ -103,12 +97,6 @@ func (c Config) proxyRetries() int {
 	}
 	return defInt(c.ProxyRetries, DefaultProxyRetries)
 }
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return defaultMaxBodyBytes
-}
 
 func defDur(v, d time.Duration) time.Duration {
 	if v > 0 {
@@ -143,12 +131,11 @@ type gwEvent struct {
 // session state — every routing decision recomputes from the session
 // ID and the ready set, so gateways restart freely.
 type Gateway struct {
-	cfg      Config
-	metrics  *Metrics
-	mux      *http.ServeMux
-	routes   []string
-	client   *http.Client
-	draining atomic.Bool
+	cfg     Config
+	metrics *Metrics
+	edge    *httpedge.Edge
+	ready   *httpedge.Readiness
+	client  *http.Client
 
 	mu       sync.Mutex
 	backends map[string]*backendState // by Addr
@@ -170,7 +157,6 @@ func NewGateway(cfg Config) *Gateway {
 	g := &Gateway{
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
-		mux:      http.NewServeMux(),
 		client:   &http.Client{},
 		backends: map[string]*backendState{},
 		ring:     NewRing(cfg.Replicas, nil),
@@ -186,21 +172,28 @@ func NewGateway(cfg Config) *Gateway {
 		g.metrics.BackendUp.With(be.Addr).Set(0)
 		g.metrics.BreakerState.With(be.Addr).Set(0)
 	}
-	g.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	g.ready = &httpedge.Readiness{NotReady: g.notRoutable}
+	// No deadline at the edge: each proxied exchange has ProxyTimeout.
+	g.edge = httpedge.New(httpedge.Config{
+		Metrics:   g.metrics.Metrics,
+		AccessLog: cfg.AccessLog,
+		// Proxied bodies are command-sized (import is node-internal, so
+		// journal streams never pass through): no way to lift the cap.
+		MaxBody:      max(cfg.MaxBodyBytes, 0),
+		Ready:        g.ready,
+		DrainRefusal: "gateway draining",
 	})
-	g.handle("GET /readyz", g.handleReadyz)
-	g.handle("POST /v1/sessions", g.handleOpen)
-	g.handle("GET /v1/sessions", g.handleList)
+	g.edge.Handle("POST /v1/sessions", g.handleOpen)
+	g.edge.Handle("GET /v1/sessions", g.handleList)
 	// Import is node-internal (migration and failover ship journals
 	// directly between pedd nodes); the literal pattern outranks {id},
 	// so it never proxies as a session named "import".
-	g.handle("POST /v1/sessions/import", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound,
+	g.edge.Handle("POST /v1/sessions/import", func(w http.ResponseWriter, r *http.Request) {
+		httpedge.WriteError(w, http.StatusNotFound,
 			errors.New("session import is node-internal; the gateway does not expose it"))
 	})
-	g.handle("/v1/sessions/{id}", g.handleProxy)
-	g.handle("/v1/sessions/{id}/{op...}", g.handleProxy)
+	g.edge.Handle("/v1/sessions/{id}", g.handleProxy)
+	g.edge.Handle("/v1/sessions/{id}/{op...}", g.handleProxy)
 	return g
 }
 
@@ -217,10 +210,31 @@ func (g *Gateway) Stop() {
 	g.wg.Wait()
 }
 
+// notRoutable is the rest of the gateway's readiness: not draining is
+// not enough, it must be able to route somewhere.
+func (g *Gateway) notRoutable() string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.ring.Members()) == 0 {
+		return "no ready backends"
+	}
+	return ""
+}
+
 // SetDraining flips the gateway's drain bit: /readyz answers 503 and
 // new requests are refused with 503 + Retry-After while in-flight ones
 // complete (pair with http.Server.Shutdown).
-func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
+func (g *Gateway) SetDraining(v bool) { g.ready.SetDraining(v) }
+
+// ServeHTTP implements http.Handler through the edge.
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.edge.ServeHTTP(w, r) }
+
+// OpsHandler mounts the gateway's operational surface — /metrics,
+// /healthz, /readyz, pprof — for pedgw -opsaddr, separate from the
+// proxy port so scraping never contends with routed traffic.
+func (g *Gateway) OpsHandler() http.Handler {
+	return httpedge.OpsHandler(g.metrics.Registry, g.ready)
+}
 
 func (g *Gateway) logf(format string, args ...interface{}) {
 	if g.cfg.Logf != nil {
@@ -228,120 +242,6 @@ func (g *Gateway) logf(format string, args ...interface{}) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-// handle registers one route through the instrumentation wrapper, as
-// in server.Server: the matched pattern feeds the route metric label
-// and the access log, and the metrics-lint test reflects over the mux
-// to fail anyone who bypasses it.
-func (g *Gateway) handle(pattern string, h http.HandlerFunc) {
-	g.routes = append(g.routes, pattern)
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if hold, ok := r.Context().Value(routeKey{}).(*routeHolder); ok {
-			hold.pattern = r.Pattern
-		}
-		h(w, r)
-	})
-}
-
-// Routes lists the registered (instrumented) mux patterns.
-func (g *Gateway) Routes() []string {
-	out := make([]string, len(g.routes))
-	copy(out, g.routes)
-	return out
-}
-
-type routeKey struct{}
-
-type routeHolder struct{ pattern string }
-
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (rec *statusRecorder) WriteHeader(code int) {
-	if rec.code == 0 {
-		rec.code = code
-	}
-	rec.ResponseWriter.WriteHeader(code)
-}
-
-func (rec *statusRecorder) Write(b []byte) (int, error) {
-	if rec.code == 0 {
-		rec.code = http.StatusOK
-	}
-	return rec.ResponseWriter.Write(b)
-}
-
-func (rec *statusRecorder) status() int {
-	if rec.code == 0 {
-		return http.StatusOK
-	}
-	return rec.code
-}
-
-// ServeHTTP assigns the request ID, refuses new work while draining,
-// caps the body, routes, and records route/status/latency.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = newRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	hold := &routeHolder{}
-	ctx := context.WithValue(r.Context(), routeKey{}, hold)
-	r = r.WithContext(ctx)
-	rec := &statusRecorder{ResponseWriter: w}
-	if g.draining.Load() && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(rec, http.StatusServiceUnavailable, errors.New("gateway draining"))
-		g.finish(rec, r, "draining", start)
-		return
-	}
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(rec, r.Body, g.cfg.maxBodyBytes())
-	}
-	g.metrics.HTTPInflight.Inc()
-	g.mux.ServeHTTP(rec, r)
-	g.metrics.HTTPInflight.Dec()
-	route := hold.pattern
-	if route == "" {
-		route = "unmatched"
-	}
-	g.finish(rec, r, route, start)
-}
-
-func (g *Gateway) finish(rec *statusRecorder, r *http.Request, route string, start time.Time) {
-	elapsed := time.Since(start)
-	g.metrics.ObserveHTTP(route, r.Method, rec.status(), elapsed)
-	if lg := g.cfg.AccessLog; lg != nil {
-		lg.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("req_id", rec.Header().Get("X-Request-ID")),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("route", route),
-			slog.Int("status", rec.status()),
-			slog.Duration("dur", elapsed),
-		)
-	}
-}
-
-// handleReadyz: ready means not draining AND able to route somewhere.
-func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if g.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	g.mu.Lock()
-	n := len(g.ring.Members())
-	g.mu.Unlock()
-	if n == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready backends"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // rebuildRingLocked recomputes the ring from the ready set. Callers
@@ -419,14 +319,6 @@ func mintID() string {
 	return "s" + hex.EncodeToString(b[:])
 }
 
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // handleOpen routes a session open. The gateway mints the ID before
 // routing — consistent hashing needs the key up front — and injects it
 // into the forwarded body; an explicit client ID is honored as-is. A
@@ -440,7 +332,7 @@ func (g *Gateway) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	var obj map[string]interface{}
 	if err := json.Unmarshal(body, &obj); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("open: %w", err))
+		httpedge.WriteError(w, http.StatusBadRequest, fmt.Errorf("open: %w", err))
 		return
 	}
 	id, _ := obj["id"].(string)
@@ -453,7 +345,7 @@ func (g *Gateway) handleOpen(w http.ResponseWriter, r *http.Request) {
 		}
 		payload, err := json.Marshal(obj)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpedge.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		addr, _ := g.route(id)
@@ -506,7 +398,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	if all == nil {
 		all = []server.SessionInfo{}
 	}
-	writeJSON(w, http.StatusOK, all)
+	httpedge.WriteJSON(w, http.StatusOK, all)
 }
 
 // handleProxy relays one session-scoped request to the session's
@@ -553,7 +445,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if hops++; hops > proxyMaxHops {
-				writeError(w, http.StatusBadGateway,
+				httpedge.WriteError(w, http.StatusBadGateway,
 					fmt.Errorf("session %s: gave up after %d migration redirects", id, proxyMaxHops))
 				return
 			}
@@ -579,7 +471,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 				addr = found
 				continue
 			}
-			writeError(w, http.StatusNotFound, fmt.Errorf("no such session %s on any ready backend", id))
+			httpedge.WriteError(w, http.StatusNotFound, fmt.Errorf("no such session %s on any ready backend", id))
 			return
 		}
 		g.relay(w, resp)
@@ -593,7 +485,7 @@ func (g *Gateway) relayMisdirect(w http.ResponseWriter, r *http.Request, id stri
 	if loc := resp.Header.Get("Location"); loc != "" {
 		w.Header().Set("Location", loc)
 	}
-	writeError(w, http.StatusMisdirectedRequest,
+	httpedge.WriteError(w, http.StatusMisdirectedRequest,
 		fmt.Errorf("session %s migrated off the fleet the gateway routes", id))
 }
 
@@ -731,8 +623,8 @@ func drain(resp *http.Response) {
 }
 
 func (g *Gateway) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeError(w, http.StatusServiceUnavailable, errors.New(msg))
+	w.Header().Set("Retry-After", strconv.Itoa(httpedge.RetryAfterSeconds))
+	httpedge.WriteError(w, http.StatusServiceUnavailable, errors.New(msg))
 }
 
 func (g *Gateway) badGateway(w http.ResponseWriter, b *backendState, err error) {
@@ -740,7 +632,7 @@ func (g *Gateway) badGateway(w http.ResponseWriter, b *backendState, err error) 
 		g.unavailable(w, err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.addr, err))
+	httpedge.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.addr, err))
 }
 
 // enqueue hands the orchestrator an event without blocking the prober;
@@ -955,25 +847,8 @@ func (g *Gateway) Reload(backends []Backend) {
 	g.enqueue(gwEvent{kind: evRebalance})
 }
 
-func writeJSON(w http.ResponseWriter, status int, body interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, server.ErrorResponse{
-		Error:     err.Error(),
-		RequestID: w.Header().Get("X-Request-ID"),
-	})
-}
-
 func writeBodyError(w http.ResponseWriter, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-		return
+	if !httpedge.TooLarge(w, err, "request body") {
+		httpedge.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 	}
-	writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 }

@@ -4,21 +4,21 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
+	"parascope/internal/httpedge"
 	"parascope/internal/server"
 )
 
@@ -30,7 +30,7 @@ var bg = context.Background()
 type testBackend struct {
 	dir   string
 	mgr   *server.Manager
-	ready *server.Readiness
+	ready *httpedge.Readiness
 	api   *httptest.Server
 	ops   *httptest.Server
 }
@@ -40,13 +40,13 @@ func newTestBackend(t *testing.T) *testBackend {
 	dir := t.TempDir()
 	m := server.NewManager(server.Config{CacheSize: 8, DataDir: dir, Fsync: server.FsyncAlways})
 	t.Cleanup(m.Shutdown)
-	ready := &server.Readiness{}
+	ready := &httpedge.Readiness{}
 	b := &testBackend{
 		dir:   dir,
 		mgr:   m,
 		ready: ready,
 		api:   httptest.NewServer(server.NewWith(m, server.Options{Ready: ready})),
-		ops:   httptest.NewServer(server.OpsHandler(m.Metrics(), ready)),
+		ops:   httptest.NewServer(httpedge.OpsHandler(m.Metrics().Registry, ready)),
 	}
 	t.Cleanup(b.kill)
 	return b
@@ -253,26 +253,6 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGatewayMetricsLint reflects over the gateway mux and fails if
-// any pattern was registered without going through Gateway.handle —
-// the same lint the pedd server enforces, so no route escapes the
-// route/status/latency instrumentation.
-func TestGatewayMetricsLint(t *testing.T) {
-	g := NewGateway(Config{})
-	got := muxPatterns(t, g.mux)
-	want := g.Routes()
-	sort.Strings(got)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux patterns and instrumented routes diverge:\n  mux:    %v\n  routes: %v\n"+
-			"every route must be registered through Gateway.handle so it is counted, timed, and logged",
-			got, want)
-	}
-	if len(got) == 0 {
-		t.Fatal("no patterns found in mux; reflection walk is broken")
-	}
-}
-
 // TestGatewayExplicitID: a client-chosen session ID passes through the
 // gateway unchanged, and reopening it is a 409 — not a silent remint.
 func TestGatewayExplicitID(t *testing.T) {
@@ -468,15 +448,14 @@ func TestGatewayFailover(t *testing.T) {
 		})
 	}
 
-	// The adoption is visible in the metrics and on disk.
-	expo := scrapeGateway(t, g)
-	if !strings.Contains(expo, "pedgw_failovers_total") {
+	// The adoption is visible in the metrics and on disk. A session
+	// serves as soon as its import lands; the sweep counts it after that.
+	if expo := scrapeGateway(t, g); !strings.Contains(expo, "pedgw_failovers_total") {
 		t.Error("scrape missing pedgw_failovers_total")
 	}
-	vals := gatewayPromValues(t, expo)
-	if vals["pedgw_failover_sessions_total"] < float64(len(lost)) {
-		t.Errorf("pedgw_failover_sessions_total = %v, want >= %d", vals["pedgw_failover_sessions_total"], len(lost))
-	}
+	waitFor(t, 5*time.Second, "pedgw_failover_sessions_total to count the adopted sessions", func() bool {
+		return gatewayPromValues(t, scrapeGateway(t, g))["pedgw_failover_sessions_total"] >= float64(len(lost))
+	})
 	for id := range lost {
 		if _, err := os.Stat(victim.dir + "/" + id + ".wal.migrated"); err != nil {
 			t.Errorf("adopted journal for %s not retired: %v", id, err)
@@ -645,42 +624,88 @@ func gatewayPromValues(t *testing.T, body string) map[string]float64 {
 	return out
 }
 
-// muxPatterns enumerates every pattern registered on a ServeMux by
-// reflecting over its routing index — duplicated from the server
-// package's metrics lint because it must stay unexported there.
-func muxPatterns(t *testing.T, mux *http.ServeMux) []string {
-	t.Helper()
-	mv := reflect.ValueOf(mux).Elem()
-	idx := mv.FieldByName("index")
-	if !idx.IsValid() {
-		t.Fatal("http.ServeMux has no index field; update muxPatterns for this Go version")
-	}
-	seen := map[string]bool{}
-	var out []string
-	collect := func(pv reflect.Value) {
-		if pv.Kind() != reflect.Ptr || pv.IsNil() {
-			return
+// TestGatewayOversizedBodyClosesConnection: past the proxied-body cap
+// the gateway answers 413 itself, with the request ID in the body, and
+// closes the connection so the rest of the body is never read as a
+// next request — on the open route and on a proxied one.
+func TestGatewayOversizedBodyClosesConnection(t *testing.T) {
+	b := newTestBackend(t)
+	_, ts := newTestGateway(t, Config{MaxBodyBytes: 4096}, b)
+	waitGatewayReady(t, ts.URL)
+	big := `{"line":"` + strings.Repeat("x", 8192) + `"}`
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/s0/cmd"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sv := pv.Elem().FieldByName("str")
-		if !sv.IsValid() || !sv.CanAddr() {
-			t.Fatal("http pattern has no str field; update muxPatterns for this Go version")
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s past the cap: %d (%s), want 413", path, resp.StatusCode, body)
+			continue
 		}
-		s := *(*string)(unsafe.Pointer(sv.UnsafeAddr()))
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+		if !resp.Close {
+			t.Errorf("POST %s: 413 left the connection open with the rest of the body on it", path)
 		}
-	}
-	segs := idx.FieldByName("segments")
-	for it := segs.MapRange(); it.Next(); {
-		lst := it.Value()
-		for i := 0; i < lst.Len(); i++ {
-			collect(lst.Index(i))
+		var e server.ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.RequestID == "" || e.RequestID != resp.Header.Get("X-Request-ID") ||
+			!strings.Contains(e.Error, "request body exceeds 4096 bytes") {
+			t.Errorf("POST %s: 413 body %s lacks the error or the request ID", path, body)
 		}
 	}
-	multis := idx.FieldByName("multis")
-	for i := 0; i < multis.Len(); i++ {
-		collect(multis.Index(i))
+}
+
+// TestRequestIDHostileInput sends the same X-Request-ID table at pedd
+// and at pedgw: absent, the edge mints 16 hex digits; 1-64 bytes of
+// visible ASCII are echoed in the header and the error body; anything
+// else — 4 KiB, a control byte, a space — is replaced rather than
+// echoed into a header, every error body and the access log.
+func TestRequestIDHostileInput(t *testing.T) {
+	b := newTestBackend(t)
+	_, ts := newTestGateway(t, Config{}, b)
+	waitGatewayReady(t, ts.URL)
+	minted := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for _, daemon := range []struct{ name, url string }{{"pedd", b.api.URL}, {"pedgw", ts.URL}} {
+		for _, c := range []struct {
+			name, sent string
+			echoed     bool
+		}{
+			{"absent", "", false},
+			{"well-formed", "caller-chose-this", true},
+			{"what server.Client mints", "0123456789abcdef", true},
+			{"64 bytes", strings.Repeat("a", 64), true},
+			{"65 bytes", strings.Repeat("a", 65), false},
+			{"4 KiB", strings.Repeat("x", 4096), false},
+			{"control byte", "id\twith-tab", false},
+			{"space", "two words", false},
+		} {
+			req, _ := http.NewRequest(http.MethodGet, daemon.url+"/v1/sessions/nope", nil)
+			if c.sent != "" {
+				req.Header.Set("X-Request-ID", c.sent)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", daemon.name, c.name, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			got := resp.Header.Get("X-Request-ID")
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s, %s: status %d, want 404", daemon.name, c.name, resp.StatusCode)
+			}
+			if c.echoed && got != c.sent {
+				t.Errorf("%s, %s: X-Request-ID = %q, want it echoed", daemon.name, c.name, got)
+			}
+			if !c.echoed && !minted.MatchString(got) {
+				t.Errorf("%s, %s: X-Request-ID = %.40q, want 16 minted hex digits", daemon.name, c.name, got)
+			}
+			if vs := resp.Header.Values("X-Request-ID"); len(vs) != 1 {
+				t.Errorf("%s, %s: %d X-Request-ID headers %q, want one", daemon.name, c.name, len(vs), vs)
+			}
+			var e server.ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.RequestID != got {
+				t.Errorf("%s, %s: error body %s does not carry request_id %q", daemon.name, c.name, body, got)
+			}
+		}
 	}
-	return out
 }

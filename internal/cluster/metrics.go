@@ -1,57 +1,48 @@
 package cluster
 
 import (
-	"net/http"
-	"net/http/pprof"
 	"time"
 
-	"parascope/internal/server"
+	"parascope/internal/httpedge"
+	"parascope/internal/metrics"
 )
 
 // Metrics is the gateway's registry — pedgw_-prefixed families on the
-// same Registry machinery (and the same bucket schedule) as pedd's, so
+// same metrics.Registry (and the same bucket schedule) as pedd's, so
 // the whole fleet scrapes identically. Label cardinality is bounded by
 // construction: backends are configured addresses, routes are mux
 // patterns, codes are status classes. Session IDs are unbounded and
 // never label anything.
 type Metrics struct {
-	*server.Registry
+	*metrics.Registry
 
-	// Gateway HTTP edge.
-	HTTPRequests *server.CounterVec   // route, method, code
-	HTTPLatency  *server.HistogramVec // route
-	HTTPInflight *server.Gauge
+	// Gateway HTTP edge: HTTPRequests, HTTPLatency, HTTPInflight.
+	httpedge.Metrics
 
 	// Per-backend health and proxying.
-	BackendUp     *server.GaugeVec     // backend: 1 ready, 0 not
-	BreakerState  *server.GaugeVec     // backend: 0 closed, 1 half-open, 2 open
-	ProxyRequests *server.CounterVec   // backend, code
-	ProxyLatency  *server.HistogramVec // backend
-	ProxyRetries  *server.Counter
+	BackendUp     *metrics.GaugeVec     // backend: 1 ready, 0 not
+	BreakerState  *metrics.GaugeVec     // backend: 0 closed, 1 half-open, 2 open
+	ProxyRequests *metrics.CounterVec   // backend, code
+	ProxyLatency  *metrics.HistogramVec // backend
+	ProxyRetries  *metrics.Counter
 
 	// Ring and session mobility.
-	RingBackends     *server.Gauge
-	RingChanges      *server.Counter
-	Failovers        *server.Counter // down-transitions that triggered a journal sweep
-	FailoverSessions *server.Counter // sessions adopted from a dead node's journals
-	FailoverFailed   *server.Counter // journals that could not be failed over
-	Rebalances       *server.Counter // rebalance sweeps run
-	Migrations       *server.Counter // sessions moved by rebalance sweeps
-	MigrationsFailed *server.Counter
-	Discoveries      *server.Counter // sessions found by the 404 fallback sweep
-	RedirectsServed  *server.Counter // backend 421s followed on the client's behalf
+	RingBackends     *metrics.Gauge
+	RingChanges      *metrics.Counter
+	Failovers        *metrics.Counter // down-transitions that triggered a journal sweep
+	FailoverSessions *metrics.Counter // sessions adopted from a dead node's journals
+	FailoverFailed   *metrics.Counter // journals that could not be failed over
+	Rebalances       *metrics.Counter // rebalance sweeps run
+	Migrations       *metrics.Counter // sessions moved by rebalance sweeps
+	MigrationsFailed *metrics.Counter
+	Discoveries      *metrics.Counter // sessions found by the 404 fallback sweep
+	RedirectsServed  *metrics.Counter // backend 421s followed on the client's behalf
 }
 
 // NewMetrics builds the gateway registry.
 func NewMetrics() *Metrics {
-	buckets := server.TimeBuckets()
-	m := &Metrics{Registry: server.NewRegistry()}
-	m.HTTPRequests = m.CounterVec("pedgw_http_requests_total",
-		"Gateway HTTP requests by mux route, method, and status class.", "route", "method", "code")
-	m.HTTPLatency = m.HistogramVec("pedgw_http_request_seconds",
-		"End-to-end gateway request latency by mux route.", buckets, "route")
-	m.HTTPInflight = m.Gauge("pedgw_http_inflight",
-		"Gateway requests currently being served.")
+	m := &Metrics{Registry: metrics.NewRegistry()}
+	m.Metrics = httpedge.NewMetrics(m.Registry, "pedgw")
 	m.BackendUp = m.GaugeVec("pedgw_backend_up",
 		"Backend readiness after hysteresis: 1 = on the ring, 0 = not.", "backend")
 	m.BreakerState = m.GaugeVec("pedgw_backend_breaker_state",
@@ -59,7 +50,7 @@ func NewMetrics() *Metrics {
 	m.ProxyRequests = m.CounterVec("pedgw_proxy_requests_total",
 		"Requests proxied to backends by backend and status class (code 'error' = transport failure).", "backend", "code")
 	m.ProxyLatency = m.HistogramVec("pedgw_proxy_seconds",
-		"Proxied request latency by backend.", buckets, "backend")
+		"Proxied request latency by backend.", metrics.TimeBuckets(), "backend")
 	m.ProxyRetries = m.Counter("pedgw_proxy_retries_total",
 		"Proxy attempts retried after a transport failure.")
 	m.RingBackends = m.Gauge("pedgw_ring_backends",
@@ -85,37 +76,13 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// ObserveHTTP records one gateway-served request.
-func (m *Metrics) ObserveHTTP(route, method string, status int, d time.Duration) {
-	m.HTTPRequests.With(route, method, server.StatusClass(status)).Inc()
-	m.HTTPLatency.With(route).Observe(d.Seconds())
-}
-
 // ObserveProxy records one proxied exchange; status 0 means a
 // transport failure (labeled "error", a bounded pseudo-class).
 func (m *Metrics) ObserveProxy(backend string, status int, d time.Duration) {
 	code := "error"
 	if status > 0 {
-		code = server.StatusClass(status)
+		code = metrics.StatusClass(status)
 	}
 	m.ProxyRequests.With(backend, code).Inc()
 	m.ProxyLatency.With(backend).Observe(d.Seconds())
-}
-
-// OpsHandler mounts the gateway's operational surface — /metrics,
-// /healthz, /readyz, pprof — for pedgw -opsaddr, separate from the
-// proxy port so scraping never contends with routed traffic.
-func (g *Gateway) OpsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", g.metrics.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", g.handleReadyz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

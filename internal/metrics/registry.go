@@ -1,4 +1,13 @@
-package server
+// Package metrics is the observability substrate every binary in the
+// fleet scrapes through: counter, gauge and histogram primitives on
+// sync/atomic, a Registry that renders them in the Prometheus text
+// exposition format, and the two conventions every family follows —
+// one bucket schedule for durations (TimeBuckets) and status codes
+// collapsed to classes (StatusClass). It imports only the standard
+// library, so any package may own metric families: pedd's pedd_ ones
+// live in internal/server, the gateway's pedgw_ ones in
+// internal/cluster, the HTTP edge's in internal/httpedge.
+package metrics
 
 import (
 	"bufio"
@@ -13,13 +22,30 @@ import (
 	"sync/atomic"
 )
 
-// This file is the generic half of the observability substrate:
-// counter, gauge, and histogram primitives on sync/atomic (no
-// dependencies) and a Registry that renders them in the Prometheus
-// text exposition format. It knows nothing about pedd — the daemon's
-// pedd_-prefixed families live in metrics.go, and the gateway's
-// pedgw_-prefixed families live in internal/cluster, both on this
-// same machinery, so every binary in the fleet scrapes identically.
+// timeBuckets is the shared histogram schedule for durations, in
+// seconds: 100µs to ~10s, roughly ×2.5 per step. Interactive-tool
+// latencies (the paper's sub-second budget) land mid-scale.
+var timeBuckets = []float64{
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
+
+// TimeBuckets returns the shared duration-bucket schedule, so every
+// registry's histograms have the same shape.
+func TimeBuckets() []float64 {
+	out := make([]float64, len(timeBuckets))
+	copy(out, timeBuckets)
+	return out
+}
+
+// StatusClass collapses an HTTP status to its class label ("2xx".."5xx",
+// "other") — the bounded-cardinality form every registry labels by.
+func StatusClass(status int) string {
+	if status >= 100 && status < 600 {
+		return strconv.Itoa(status/100) + "xx"
+	}
+	return "other"
+}
 
 // Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Uint64 }

@@ -10,6 +10,7 @@ package server
 import (
 	"time"
 
+	"parascope/internal/httpedge"
 	"parascope/internal/planner"
 )
 
@@ -277,11 +278,6 @@ type ImportResponse struct {
 	Records int    `json:"records"`
 }
 
-// ErrorResponse is the JSON body of every non-2xx response. The
-// request ID echoes the X-Request-ID header (client-sent or server-
-// generated) so a failure can be correlated with the daemon's access
-// log and traces.
-type ErrorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
+// ErrorResponse is the JSON body of every non-2xx response, as the
+// HTTP edge writes it.
+type ErrorResponse = httpedge.ErrorResponse

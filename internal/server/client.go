@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"parascope/internal/httpedge"
 )
 
 // Client retry/timeout defaults; override per Client field.
@@ -173,7 +175,7 @@ func (c *Client) doBytes(ctx context.Context, method, path string, payload []byt
 	// One request ID for the whole logical request: retries and
 	// redirect hops reuse it, so every node's access log shows the
 	// journey under one ID.
-	reqID := newRequestID()
+	reqID := httpedge.NewRequestID()
 	target := c.Base + path
 	visited := map[string]bool{target: true}
 	hops := 0
@@ -469,7 +471,7 @@ func (c *Client) Ready(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.attempt(ctx, http.MethodGet, c.Base+"/readyz", nil, "", false, nil, newRequestID())
+	return c.attempt(ctx, http.MethodGet, c.Base+"/readyz", nil, "", false, nil, httpedge.NewRequestID())
 }
 
 // CacheStats fetches the daemon's analysis cache counters.

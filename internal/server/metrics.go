@@ -1,138 +1,112 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"net/http"
-	"net/http/pprof"
-	"strconv"
-	"sync/atomic"
 	"time"
+
+	"parascope/internal/httpedge"
+	"parascope/internal/metrics"
 )
 
 // This file is the daemon's observability surface: every pedd_ metric
-// family, registered on the generic Registry in registry.go, plus the
-// ops handler that mounts /metrics next to net/http/pprof. Armed or
-// not, every record is a handful of atomic operations — cheap enough
-// to leave on in the serving hot path.
+// family, registered on a metrics.Registry (the HTTP edge's three by
+// httpedge.NewMetrics). Armed or not, every record is a handful of
+// atomic operations — cheap enough to leave on in the serving hot path.
 //
 // Conventions (documented in DESIGN.md "Observability"):
 //
 //   - every metric is prefixed pedd_ (the gateway's are pedgw_);
-//   - durations are histograms in seconds with the shared timeBuckets
-//     schedule;
+//   - durations are histograms in seconds with the shared
+//     metrics.TimeBuckets schedule;
 //   - label cardinality is bounded by construction: routes are mux
 //     patterns (not raw URLs), status codes are collapsed to classes
 //     ("2xx".."5xx"), and nothing is ever labeled by session ID.
 
-// timeBuckets is the shared histogram schedule for durations, in
-// seconds: 100µs to ~10s, roughly ×2.5 per step. Interactive-tool
-// latencies (the paper's sub-second budget) land mid-scale.
-var timeBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// TimeBuckets exposes the shared duration-bucket schedule so sibling
-// registries (the gateway's) use the same histogram shape.
-func TimeBuckets() []float64 {
-	out := make([]float64, len(timeBuckets))
-	copy(out, timeBuckets)
-	return out
-}
-
 // Metrics is the daemon's metric registry. One instance is shared by
 // the Manager, its sessions, the analysis cache, and the HTTP layer;
-// render it with WriteProm or serve it via Handler / OpsHandler.
+// render it with WriteProm or serve it via Handler / httpedge.OpsHandler.
 type Metrics struct {
-	*Registry
+	*metrics.Registry
 
-	// HTTP layer.
-	HTTPRequests *CounterVec   // route, method, code (status class)
-	HTTPLatency  *HistogramVec // route
-	HTTPInflight *Gauge
+	// HTTP layer: HTTPRequests, HTTPLatency, HTTPInflight.
+	httpedge.Metrics
 
 	// Session lifecycle.
-	SessionsLive        *Gauge
-	SessionsQuarantined *Gauge
-	SessionsReadOnly    *Gauge
-	SessionsOpened      *Counter
-	SessionsClosed      *Counter
-	SessionsEvicted     *Counter
+	SessionsLive        *metrics.Gauge
+	SessionsQuarantined *metrics.Gauge
+	SessionsReadOnly    *metrics.Gauge
+	SessionsOpened      *metrics.Counter
+	SessionsClosed      *metrics.Counter
+	SessionsEvicted     *metrics.Counter
 
 	// Actor queues.
-	QueueDepth   *Gauge
-	QueueWait    *Histogram
-	ActorService *Histogram
+	QueueDepth   *metrics.Gauge
+	QueueWait    *metrics.Histogram
+	ActorService *metrics.Histogram
 
 	// Analysis cache.
-	CacheHits        *Counter
-	CacheMisses      *Counter
-	CacheEvictions   *Counter
-	Materializations *Counter
+	CacheHits        *metrics.Counter
+	CacheMisses      *metrics.Counter
+	CacheEvictions   *metrics.Counter
+	Materializations *metrics.Counter
 
 	// Durability: journal I/O and crash recovery.
-	JournalAppend         *Histogram
-	JournalFsync          *Histogram
-	JournalBytes          *Counter
-	JournalSnapshots      *Counter
-	RecoveriesTotal       *Counter
-	RecoveriesTruncated   *Counter
-	RecoveriesQuarantined *Counter
+	JournalAppend         *metrics.Histogram
+	JournalFsync          *metrics.Histogram
+	JournalBytes          *metrics.Counter
+	JournalSnapshots      *metrics.Counter
+	RecoveriesTotal       *metrics.Counter
+	RecoveriesTruncated   *metrics.Counter
+	RecoveriesQuarantined *metrics.Counter
 
 	// Cluster: session migration between pedd nodes.
-	MigrationsOut      *Counter
-	MigrationsOutBytes *Counter
-	MigrationsFailed   *Counter
-	SessionsImported   *Counter
-	ImportsRejected    *Counter
-	SessionsMigrating  *Gauge
+	MigrationsOut      *metrics.Counter
+	MigrationsOutBytes *metrics.Counter
+	MigrationsFailed   *metrics.Counter
+	SessionsImported   *metrics.Counter
+	ImportsRejected    *metrics.Counter
+	SessionsMigrating  *metrics.Gauge
 
 	// Per-phase analysis timings (phase = parse, interproc, dataflow,
 	// dependence, perf), fed through core's PhaseObserver hook.
-	AnalysisPhase *HistogramVec // phase
+	AnalysisPhase *metrics.HistogramVec // phase
 
 	// Speculative planner: world lifecycle counters, the live-worlds
 	// gauge, and search latency. Deliberately unlabeled — plan volume
 	// is per-daemon, never per-session (session IDs are unbounded).
-	PlannerWorldsForked    *Counter
-	PlannerWorldsScored    *Counter
-	PlannerWorldsDiscarded *Counter
-	PlannerWorldsAccepted  *Counter
-	PlannerWorldsLive      *Gauge
-	PlannerSearch          *Histogram
+	PlannerWorldsForked    *metrics.Counter
+	PlannerWorldsScored    *metrics.Counter
+	PlannerWorldsDiscarded *metrics.Counter
+	PlannerWorldsAccepted  *metrics.Counter
+	PlannerWorldsLive      *metrics.Gauge
+	PlannerSearch          *metrics.Histogram
 
 	// Governed execution: per-backend run counts and latencies, typed
 	// failure counters, governor kills by bounded reason, and the
 	// build pipeline behind the compile backend. Fed through
 	// execguard.Sink so execguard/codegen/core never import server.
-	ExecRuns      *CounterVec   // backend (interp, compile)
-	ExecFailures  *CounterVec   // backend
-	ExecLatency   *HistogramVec // backend
-	ExecTimeouts  *CounterVec   // backend
-	ExecKills     *CounterVec   // reason (deadline, output, rss, ctx)
-	ExecFallbacks *Counter
-	ExecRejected  *Counter
-	ExecInflight  *Gauge
+	ExecRuns      *metrics.CounterVec   // backend (interp, compile)
+	ExecFailures  *metrics.CounterVec   // backend
+	ExecLatency   *metrics.HistogramVec // backend
+	ExecTimeouts  *metrics.CounterVec   // backend
+	ExecKills     *metrics.CounterVec   // reason (deadline, output, rss, ctx)
+	ExecFallbacks *metrics.Counter
+	ExecRejected  *metrics.Counter
+	ExecInflight  *metrics.Gauge
 
-	BuildsTotal         *Counter
-	BuildFailures       *Counter
-	BuildLatency        *Histogram
-	BuildCacheHits      *Counter
-	BuildDedups         *Counter
-	BuildVerifyFailures *Counter
-	BuildJanitorEvicted *Counter
+	BuildsTotal         *metrics.Counter
+	BuildFailures       *metrics.Counter
+	BuildLatency        *metrics.Histogram
+	BuildCacheHits      *metrics.Counter
+	BuildDedups         *metrics.Counter
+	BuildVerifyFailures *metrics.Counter
+	BuildJanitorEvicted *metrics.Counter
 }
 
 // NewMetrics builds a registry with every pedd metric registered.
 func NewMetrics() *Metrics {
-	m := &Metrics{Registry: NewRegistry()}
-	m.HTTPRequests = m.CounterVec("pedd_http_requests_total",
-		"HTTP requests by mux route, method, and status class.", "route", "method", "code")
-	m.HTTPLatency = m.HistogramVec("pedd_http_request_seconds",
-		"End-to-end HTTP request latency by mux route.", timeBuckets, "route")
-	m.HTTPInflight = m.Gauge("pedd_http_inflight",
-		"HTTP requests currently being served.")
+	m := &Metrics{Registry: metrics.NewRegistry()}
+	m.Metrics = httpedge.NewMetrics(m.Registry, "pedd")
+	timeBuckets := metrics.TimeBuckets()
 	m.SessionsLive = m.Gauge("pedd_sessions_live",
 		"Sessions currently registered (including quarantined ones).")
 	m.SessionsQuarantined = m.Gauge("pedd_sessions_quarantined",
@@ -302,78 +276,8 @@ func killLabel(s string) string {
 	return "other"
 }
 
-// ObserveHTTP records one served request: the per-route/method/class
-// counter and the per-route latency histogram.
-func (m *Metrics) ObserveHTTP(route, method string, status int, d time.Duration) {
-	m.HTTPRequests.With(route, method, StatusClass(status)).Inc()
-	m.HTTPLatency.With(route).Observe(d.Seconds())
-}
-
-// StatusClass collapses an HTTP status to its class label ("2xx".."5xx",
-// "other") — the bounded-cardinality form every registry labels by.
-func StatusClass(status int) string {
-	if status >= 100 && status < 600 {
-		return strconv.Itoa(status/100) + "xx"
-	}
-	return "other"
-}
-
 // ObservePhase implements core.PhaseObserver over the phase-timing
 // histogram family.
 func (m *Metrics) ObservePhase(phase string, d time.Duration) {
 	m.AnalysisPhase.With(phase).Observe(d.Seconds())
-}
-
-// Readiness is the drain-aware readiness flag behind GET /readyz.
-// Liveness (/healthz) answers "the process is up"; readiness answers
-// "send me traffic". A rolling restart flips it before connections
-// close, so load balancers and the cluster gateway stop routing new
-// work while in-flight requests drain.
-type Readiness struct{ draining atomic.Bool }
-
-// SetDraining flips the readiness answer (true = /readyz answers 503).
-func (rd *Readiness) SetDraining(v bool) { rd.draining.Store(v) }
-
-// Draining reports whether the process is refusing new work.
-func (rd *Readiness) Draining() bool { return rd.draining.Load() }
-
-// handler answers 200 {"status":"ready"} or 503 {"status":"draining"}.
-// A nil Readiness is always ready (standalone embedders).
-func (rd *Readiness) handler(w http.ResponseWriter, r *http.Request) {
-	if rd != nil && rd.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// OpsHandler mounts the operational surface — /metrics, /healthz,
-// /readyz, and net/http/pprof under /debug/pprof/ — for the opt-in ops
-// listener (pedd -opsaddr). It is deliberately a separate handler from
-// Server so profiling and scraping never share the serving port.
-// ready may be nil (always ready).
-func OpsHandler(m *Metrics, ready *Readiness) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", m.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", ready.handler)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// newRequestID returns a fresh 16-hex-digit request ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a constant
-		// beats a panic in the one place IDs are only a convenience.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
 }

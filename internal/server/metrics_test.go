@@ -7,16 +7,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
+
+	"parascope/internal/httpedge"
 )
 
 // scrape renders a registry to text the way GET /metrics would.
@@ -89,37 +88,6 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 }
 
-// TestHistogramConsistency checks the bucket/sum/count invariants a
-// Prometheus scraper relies on: buckets are cumulative and monotone,
-// the +Inf bucket equals the count, and the sum matches what was
-// observed.
-func TestHistogramConsistency(t *testing.T) {
-	h := newHistogram(timeBuckets)
-	var want float64
-	for i := 0; i < 1000; i++ {
-		v := float64(i%17) / 100
-		h.Observe(v)
-		want += v
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", h.Count())
-	}
-	if diff := h.Sum() - want; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
-	}
-	var cum, prev uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum < prev {
-			t.Fatalf("bucket %d not monotone", i)
-		}
-		prev = cum
-	}
-	if cum != h.Count() {
-		t.Fatalf("+Inf cumulative %d != count %d", cum, h.Count())
-	}
-}
-
 // checkHistogramInvariants verifies, for every histogram family in an
 // exposition, that the +Inf bucket equals the count sample.
 func checkHistogramInvariants(t *testing.T, body string) {
@@ -159,7 +127,7 @@ func TestMetricsFullSessionFlow(t *testing.T) {
 	m := newTestManager(t, Config{CacheSize: 8})
 	ts := httptest.NewServer(New(m))
 	defer ts.Close()
-	ops := httptest.NewServer(OpsHandler(m.Metrics(), nil))
+	ops := httptest.NewServer(httpedge.OpsHandler(m.Metrics().Registry, nil))
 	defer ops.Close()
 	c := NewClient(ts.URL)
 
@@ -444,68 +412,6 @@ func TestParseRetryAfter(t *testing.T) {
 	if d := parseRetryAfter("half past never"); d != 0 {
 		t.Errorf("garbage: got %v", d)
 	}
-}
-
-// TestMetricsLintAllHandlersInstrumented reflects over the routing
-// mux and fails if any registered pattern bypassed Server.handle —
-// i.e. if someone adds an HTTP handler to internal/server without
-// instrumentation.
-func TestMetricsLintAllHandlersInstrumented(t *testing.T) {
-	m := newTestManager(t, Config{})
-	s := New(m)
-
-	got := muxPatterns(t, s.mux)
-	want := s.Routes()
-	sort.Strings(got)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux patterns and instrumented routes diverge:\n  mux:    %v\n  routes: %v\n"+
-			"every route must be registered through Server.handle so it is counted, timed, and logged",
-			got, want)
-	}
-	if len(got) == 0 {
-		t.Fatal("no patterns found in mux; reflection walk is broken")
-	}
-}
-
-// muxPatterns enumerates every pattern registered on a ServeMux by
-// reflecting over its routing index (net/http keeps all patterns
-// there, including multi-segment ones).
-func muxPatterns(t *testing.T, mux *http.ServeMux) []string {
-	t.Helper()
-	mv := reflect.ValueOf(mux).Elem()
-	idx := mv.FieldByName("index")
-	if !idx.IsValid() {
-		t.Fatal("http.ServeMux has no index field; update muxPatterns for this Go version")
-	}
-	seen := map[string]bool{}
-	var out []string
-	collect := func(pv reflect.Value) {
-		if pv.Kind() != reflect.Ptr || pv.IsNil() {
-			return
-		}
-		sv := pv.Elem().FieldByName("str")
-		if !sv.IsValid() || !sv.CanAddr() {
-			t.Fatal("http pattern has no str field; update muxPatterns for this Go version")
-		}
-		s := *(*string)(unsafe.Pointer(sv.UnsafeAddr()))
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	segs := idx.FieldByName("segments")
-	for it := segs.MapRange(); it.Next(); {
-		lst := it.Value()
-		for i := 0; i < lst.Len(); i++ {
-			collect(lst.Index(i))
-		}
-	}
-	multis := idx.FieldByName("multis")
-	for i := 0; i < multis.Len(); i++ {
-		collect(multis.Index(i))
-	}
-	return out
 }
 
 // TestCacheEvictionMetric: overflowing a 1-slot cache must tick

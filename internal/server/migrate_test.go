@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"parascope/internal/faultpoint"
+	"parascope/internal/httpedge"
 )
 
 // migratePair is two daemons wired for migration tests: source and
@@ -425,7 +426,7 @@ func TestClientFollows307(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
 		gotBody = string(b)
-		writeJSON(w, http.StatusOK, CmdResponse{Output: "ok"})
+		httpedge.WriteJSON(w, http.StatusOK, CmdResponse{Output: "ok"})
 	}))
 	defer backend.Close()
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"parascope/internal/execguard"
+	"parascope/internal/httpedge"
 )
 
 // Default request-hardening limits; override via Options.
@@ -22,9 +23,7 @@ const (
 	// 504 instead of waiting on a wedged session.
 	DefaultReqTimeout = 30 * time.Second
 	// DefaultMaxBodyBytes bounds request bodies (413 past it).
-	DefaultMaxBodyBytes = 1 << 20
-	// retryAfterSeconds is the Retry-After hint on 429/503 rejections.
-	retryAfterSeconds = 1
+	DefaultMaxBodyBytes = httpedge.DefaultMaxBody
 )
 
 // Options tunes the HTTP hardening and observability layers.
@@ -43,7 +42,7 @@ type Options struct {
 	AccessLog *slog.Logger
 	// Ready, when set, backs GET /readyz on the serving mux (the ops
 	// listener mounts the same flag). Nil means always ready.
-	Ready *Readiness
+	Ready *httpedge.Readiness
 	// DisabledBackends lists execution backends the daemon refuses to
 	// run with 501 (e.g. "compile" on hosts without a Go toolchain),
 	// whether asked over POST /run or the cmd route's `run` verb.
@@ -81,20 +80,21 @@ const importMaxBytes = 64 << 20
 //	POST   /v1/sessions/{id}/apply-plan  accept a plan (replayed via
 //	                                     the journal; 409 stale/diverged)
 //
-// Every request runs under a deadline and a body-size cap, carries an
-// X-Request-ID (generated when the client sends none, echoed on the
-// response and inside error bodies), and is instrumented: per-route
-// counters and latency histograms, plus an optional structured access
-// log. Every session error is mapped to a precise status (see
-// writeOpError) so clients can tell a quarantined session (500) from
-// a closed one (410), backpressure (429/503) from timeout (504).
+// The routes are mounted on an httpedge.Edge, so every request runs
+// under a deadline and a body-size cap, carries an X-Request-ID
+// (generated when the client sends none, echoed on the response and
+// inside error bodies), and is instrumented: per-route counters and
+// latency histograms, plus an optional structured access log. Every
+// session error is mapped to a precise status (see writeOpError) so
+// clients can tell a quarantined session (500) from a closed one (410),
+// backpressure (429/503) from timeout (504).
 type Server struct {
-	mgr     *Manager
-	mux     *http.ServeMux
-	opts    Options
-	metrics *Metrics
-	routes  []string
+	edge *httpedge.Edge
+	mgr  *Manager
 }
+
+// ServeHTTP implements http.Handler through the edge.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.edge.ServeHTTP(w, r) }
 
 // New wires the routes over a manager with default hardening limits.
 func New(mgr *Manager) *Server { return NewWith(mgr, Options{}) }
@@ -104,53 +104,58 @@ func NewWith(mgr *Manager, opts Options) *Server {
 	if opts.ReqTimeout == 0 {
 		opts.ReqTimeout = DefaultReqTimeout
 	}
-	if opts.MaxBodyBytes == 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = mgr.Metrics()
 	}
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), opts: opts, metrics: opts.Metrics}
+	s := &Server{mgr: mgr, edge: httpedge.New(httpedge.Config{
+		Metrics:   opts.Metrics.Metrics,
+		AccessLog: opts.AccessLog,
+		Timeout:   opts.ReqTimeout,
+		MaxBody:   opts.MaxBodyBytes,
+		Ready:     opts.Ready,
+	})}
 	disabled := map[string]bool{}
 	for _, b := range opts.DisabledBackends {
 		disabled[strings.ToLower(strings.TrimSpace(b))] = true
 	}
 	mgr.disabled.Store(&disabled)
-	s.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.edge.Handle("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
+		httpedge.WriteJSON(w, http.StatusOK, mgr.CacheStats())
 	})
-	s.handle("GET /readyz", opts.Ready.handler)
-	s.handle("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, mgr.CacheStats())
+	s.edge.Handle("POST /v1/sessions", s.handleOpen)
+	s.edge.Handle("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		httpedge.WriteJSON(w, http.StatusOK, mgr.List(r.Context()))
 	})
-	s.handle("POST /v1/sessions", s.handleOpen)
-	s.handle("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, mgr.List(r.Context()))
-	})
-	s.handle("GET /v1/sessions/{id}", s.session(s.handleStatus))
-	s.handle("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	s.edge.Handle("GET /v1/sessions/{id}", s.session(s.handleStatus))
+	s.edge.Handle("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !mgr.Close(r.PathValue("id")) {
-			writeError(w, http.StatusNotFound, errors.New("no such session"))
+			httpedge.WriteError(w, http.StatusNotFound, errors.New("no such session"))
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	s.handle("POST /v1/sessions/{id}/cmd", s.session(s.handleCmd))
-	s.handle("POST /v1/sessions/{id}/select", s.session(s.handleSelect))
-	s.handle("GET /v1/sessions/{id}/deps", s.session(s.handleDeps))
-	s.handle("POST /v1/sessions/{id}/classify", s.session(s.handleClassify))
-	s.handle("POST /v1/sessions/{id}/transform", s.session(s.handleTransform))
-	s.handle("POST /v1/sessions/{id}/edit", s.session(s.handleEdit))
-	s.handle("POST /v1/sessions/{id}/undo", s.session(s.handleUndo))
-	s.handle("POST /v1/sessions/{id}/run", s.session(s.handleRun))
-	s.handle("POST /v1/sessions/{id}/plan", s.session(s.handlePlan))
-	s.handle("GET /v1/sessions/{id}/plan", s.session(s.handlePlanStatus))
-	s.handle("POST /v1/sessions/{id}/apply-plan", s.session(s.handleApplyPlan))
+	s.edge.Handle("POST /v1/sessions/{id}/cmd", s.session(s.handleCmd))
+	s.edge.Handle("POST /v1/sessions/{id}/select", s.session(s.handleSelect))
+	s.edge.Handle("GET /v1/sessions/{id}/deps", s.session(s.handleDeps))
+	s.edge.Handle("POST /v1/sessions/{id}/classify", s.session(s.handleClassify))
+	s.edge.Handle("POST /v1/sessions/{id}/transform", s.session(s.handleTransform))
+	s.edge.Handle("POST /v1/sessions/{id}/edit", s.session(s.handleEdit))
+	s.edge.Handle("POST /v1/sessions/{id}/undo", s.session(s.handleUndo))
+	s.edge.Handle("POST /v1/sessions/{id}/run", s.session(s.handleRun))
+	s.edge.Handle("POST /v1/sessions/{id}/plan", s.session(s.handlePlan))
+	s.edge.Handle("GET /v1/sessions/{id}/plan", s.session(s.handlePlanStatus))
+	s.edge.Handle("POST /v1/sessions/{id}/apply-plan", s.session(s.handleApplyPlan))
 	// Cluster: session migration. The literal "import" segment outranks
 	// "{id}" in mux precedence, so "import" is never taken for an ID.
-	s.handle("GET /v1/sessions/{id}/journal", s.session(s.handleJournal))
-	s.handle("POST /v1/sessions/import", s.handleImport)
-	s.handle("POST /v1/sessions/{id}/migrate", s.session(s.handleMigrate))
+	s.edge.Handle("GET /v1/sessions/{id}/journal", s.session(s.handleJournal))
+	// Journal streams dwarf command bodies; the import route carries
+	// whole sessions and gets its own cap (none when caps are disabled).
+	importCap := opts.MaxBodyBytes
+	if importCap >= 0 {
+		importCap = max(importCap, importMaxBytes)
+	}
+	s.edge.HandleCap("POST /v1/sessions/import", importCap, s.handleImport)
+	s.edge.Handle("POST /v1/sessions/{id}/migrate", s.session(s.handleMigrate))
 	return s
 }
 
@@ -176,18 +181,14 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request, ss *Sessi
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeError(w, http.StatusBadRequest, errors.New("import: missing id query parameter"))
+		httpedge.WriteError(w, http.StatusBadRequest, errors.New("import: missing id query parameter"))
 		return
 	}
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("journal stream exceeds %d bytes", mbe.Limit))
-			return
+		if !httpedge.TooLarge(w, err, "journal stream") {
+			httpedge.WriteError(w, http.StatusBadRequest, fmt.Errorf("import: reading stream: %w", err))
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("import: reading stream: %w", err))
 		return
 	}
 	resp, err := s.mgr.Import(r.Context(), id, data)
@@ -195,7 +196,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	httpedge.WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -204,7 +205,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, ss *Sessi
 		return
 	}
 	if req.Target == "" {
-		writeError(w, http.StatusBadRequest, errors.New("migrate: missing target"))
+		httpedge.WriteError(w, http.StatusBadRequest, errors.New("migrate: missing target"))
 		return
 	}
 	resp, err := s.mgr.Migrate(r.Context(), ss, req.Target)
@@ -212,7 +213,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, ss *Sessi
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -226,19 +227,19 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, ss *Session)
 		return
 	}
 	if resp.Status == "running" {
-		writeJSON(w, http.StatusAccepted, resp)
+		httpedge.WriteJSON(w, http.StatusAccepted, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePlanStatus(w http.ResponseWriter, r *http.Request, ss *Session) {
 	resp, ok := ss.PlanStatus()
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no plan search has run for this session"))
+		httpedge.WriteError(w, http.StatusNotFound, errors.New("no plan search has run for this session"))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleApplyPlan(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -251,127 +252,7 @@ func (s *Server) handleApplyPlan(w http.ResponseWriter, r *http.Request, ss *Ses
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handle registers one route through the instrumentation wrapper: the
-// matched mux pattern is captured for the metrics route label and the
-// access log. Every route MUST be added through handle, never
-// directly on s.mux — TestMetricsLintAllRoutesInstrumented reflects
-// over the mux and fails the build of anyone who forgets.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.routes = append(s.routes, pattern)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if hold, ok := r.Context().Value(routeKey{}).(*routeHolder); ok {
-			hold.pattern = r.Pattern
-		}
-		h(w, r)
-	})
-}
-
-// Routes lists the registered (instrumented) mux patterns.
-func (s *Server) Routes() []string {
-	out := make([]string, len(s.routes))
-	copy(out, s.routes)
-	return out
-}
-
-// routeKey carries a *routeHolder through the request context so the
-// per-route wrapper can report the matched pattern back to ServeHTTP
-// (the mux sets r.Pattern only on the copy it hands the handler).
-type routeKey struct{}
-
-type routeHolder struct{ pattern string }
-
-// requestIDKey carries the request ID through the request context.
-type requestIDKey struct{}
-
-// RequestIDFrom extracts the request ID placed in the context by the
-// server middleware ("" outside a request).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
-// statusRecorder captures the response status for metrics and logs.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (rec *statusRecorder) WriteHeader(code int) {
-	if rec.code == 0 {
-		rec.code = code
-	}
-	rec.ResponseWriter.WriteHeader(code)
-}
-
-func (rec *statusRecorder) Write(b []byte) (int, error) {
-	if rec.code == 0 {
-		rec.code = http.StatusOK
-	}
-	return rec.ResponseWriter.Write(b)
-}
-
-func (rec *statusRecorder) status() int {
-	if rec.code == 0 {
-		return http.StatusOK
-	}
-	return rec.code
-}
-
-// ServeHTTP implements http.Handler: it assigns the request ID,
-// imposes the per-request deadline and body cap, routes, and then
-// records the request's route/status/latency in the metrics registry
-// and the access log.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = newRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	ctx := r.Context()
-	if s.opts.ReqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.ReqTimeout)
-		defer cancel()
-	}
-	hold := &routeHolder{}
-	ctx = context.WithValue(ctx, routeKey{}, hold)
-	ctx = context.WithValue(ctx, requestIDKey{}, reqID)
-	r = r.WithContext(ctx)
-	rec := &statusRecorder{ResponseWriter: w}
-	if s.opts.MaxBodyBytes > 0 && r.Body != nil {
-		limit := s.opts.MaxBodyBytes
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions/import" && limit < importMaxBytes {
-			// Journal streams dwarf command bodies; the import route
-			// carries whole sessions and gets its own cap.
-			limit = importMaxBytes
-		}
-		r.Body = http.MaxBytesReader(rec, r.Body, limit)
-	}
-	s.metrics.HTTPInflight.Inc()
-	s.mux.ServeHTTP(rec, r)
-	s.metrics.HTTPInflight.Dec()
-	route := hold.pattern
-	if route == "" {
-		// The mux matched nothing (404/405) or the handler was
-		// registered without instrumentation; keep the label bounded.
-		route = "unmatched"
-	}
-	elapsed := time.Since(start)
-	s.metrics.ObserveHTTP(route, r.Method, rec.status(), elapsed)
-	if lg := s.opts.AccessLog; lg != nil {
-		lg.LogAttrs(ctx, slog.LevelInfo, "request",
-			slog.String("req_id", reqID),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("route", route),
-			slog.Int("status", rec.status()),
-			slog.Duration("dur", elapsed),
-		)
-	}
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // session resolves {id} before running the handler. A session that
@@ -385,11 +266,11 @@ func (s *Server) session(h func(http.ResponseWriter, *http.Request, *Session)) h
 		if ss == nil {
 			if target, ok := s.mgr.MovedTo(id); ok {
 				w.Header().Set("Location", strings.TrimRight(target, "/")+r.URL.RequestURI())
-				writeError(w, http.StatusMisdirectedRequest,
+				httpedge.WriteError(w, http.StatusMisdirectedRequest,
 					fmt.Errorf("session %s migrated to %s", id, target))
 				return
 			}
-			writeError(w, http.StatusNotFound, errors.New("no such session"))
+			httpedge.WriteError(w, http.StatusNotFound, errors.New("no such session"))
 			return
 		}
 		h(w, r, ss)
@@ -406,7 +287,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	httpedge.WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -415,7 +296,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, ss *Sessio
 		Failure:        ss.Failure(),
 		ReadOnlyReason: ss.ReadOnlyReason(),
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -428,7 +309,7 @@ func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request, ss *Session) 
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRun executes the session's program through the unified
@@ -443,7 +324,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ss *Session) 
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -456,7 +337,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, ss *Sessio
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDeps(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -479,7 +360,7 @@ func (s *Server) handleDeps(w http.ResponseWriter, r *http.Request, ss *Session)
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -504,7 +385,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request, ss *Ses
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -536,32 +417,22 @@ func readJSON(w http.ResponseWriter, r *http.Request, into interface{}) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
+		if !httpedge.TooLarge(w, err, "request body") {
+			httpedge.WriteError(w, http.StatusBadRequest, err)
 		}
-		writeError(w, http.StatusBadRequest, err)
 		return false
 	}
 	if tok, err := dec.Token(); err != io.EOF {
 		if err == nil {
-			writeError(w, http.StatusBadRequest,
+			httpedge.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("trailing data after JSON body (next token %v)", tok))
 		} else {
-			writeError(w, http.StatusBadRequest,
+			httpedge.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("trailing data after JSON body"))
 		}
 		return false
 	}
 	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, body interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
 }
 
 // statusClientClosedRequest is the nginx convention for a client that
@@ -603,17 +474,7 @@ func writeOpError(w http.ResponseWriter, err error) {
 		}
 	}
 	if retry {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		w.Header().Set("Retry-After", strconv.Itoa(httpedge.RetryAfterSeconds))
 	}
-	writeError(w, status, err)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	// The middleware stamped X-Request-ID on the response headers;
-	// echoing it in the body makes error payloads self-correlating
-	// even after the transport headers are gone (logs, bug reports).
-	writeJSON(w, status, ErrorResponse{
-		Error:     err.Error(),
-		RequestID: w.Header().Get("X-Request-ID"),
-	})
+	httpedge.WriteError(w, status, err)
 }
