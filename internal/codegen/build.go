@@ -169,7 +169,7 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 		art := &Artifact{Source: src, Dir: dir, Bin: bin, Hash: hash}
 		if verifyEntry(dir, bin, hash, g) {
 			art.Cached = true
-			g.Event("build_cache_hit", "")
+			g.Telemetry().BuildCacheHits.Inc()
 			// Refresh recency so the janitor's LRU keeps hot entries.
 			now := time.Now()
 			_ = os.Chtimes(dir, now, now)
@@ -177,11 +177,11 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 		}
 		start := time.Now()
 		if err := compile(ctx, files, dir, bin, g); err != nil {
-			g.Event("build_fail", "")
+			g.Telemetry().BuildFailures.Inc()
 			return nil, err
 		}
-		g.Event("build", "")
-		g.Timing("build", "", time.Since(start))
+		g.Telemetry().BuildsTotal.Inc()
+		g.Telemetry().BuildLatency.Observe(time.Since(start).Seconds())
 		janitor(filepath.Dir(dir), g)
 		return art, nil
 	})
@@ -189,7 +189,7 @@ func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.G
 		return nil, err
 	}
 	if shared {
-		g.Event("build_dedup", "")
+		g.Telemetry().BuildDedups.Inc()
 	}
 	return v.(*Artifact), nil
 }
@@ -242,7 +242,7 @@ func verifyEntry(dir, bin, hash string, g *execguard.Governor) bool {
 // <dir>.bad so it is never used again but remains inspectable until
 // the janitor sweeps it; if the rename fails it is deleted outright.
 func quarantine(dir string, g *execguard.Governor) {
-	g.Event("build_verify_fail", "")
+	g.Telemetry().BuildVerifyFailures.Inc()
 	verified.Delete(filepath.Join(dir, binName))
 	bad := dir + ".bad"
 	_ = os.RemoveAll(bad)
@@ -480,7 +480,7 @@ func janitor(root string, g *execguard.Governor) {
 	for _, c := range live[:len(live)-max] {
 		_ = os.RemoveAll(c.path)
 		verified.Delete(filepath.Join(c.path, binName))
-		g.Event("build_janitor_evict", "")
+		g.Telemetry().BuildJanitorEvicted.Inc()
 	}
 }
 

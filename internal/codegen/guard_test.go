@@ -11,29 +11,13 @@ import (
 	"time"
 
 	"parascope/internal/execguard"
+	"parascope/internal/metrics"
 )
 
-// buildSink records build-pipeline telemetry for assertions.
-type buildSink struct {
-	mu     sync.Mutex
-	events map[string]int
-}
-
-func newBuildSink() *buildSink { return &buildSink{events: map[string]int{}} }
-
-func (s *buildSink) ExecEvent(name, label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events[name]++
-}
-
-func (s *buildSink) ExecTiming(name, label string, d time.Duration) {}
-func (s *buildSink) ExecInFlight(delta int)                         {}
-
-func (s *buildSink) count(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events[name]
+// governed builds a governor whose build telemetry the test reads.
+func governed(cfg execguard.Config) (*execguard.Governor, *execguard.Telemetry) {
+	cfg.Telemetry = execguard.NewTelemetry(metrics.NewRegistry())
+	return execguard.New(cfg), cfg.Telemetry
 }
 
 const guardSrc = `
@@ -47,8 +31,7 @@ func TestCorruptCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 		t.Skip("compiles binaries; skipped in -short mode")
 	}
 	cache := t.TempDir()
-	sink := newBuildSink()
-	g := execguard.New(execguard.Config{Sink: sink})
+	g, tel := governed(execguard.Config{})
 	ctx := context.Background()
 
 	a1, err := Build(ctx, parse(t, guardSrc), cache, g)
@@ -73,8 +56,8 @@ func TestCorruptCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 	if a2.Cached {
 		t.Fatal("corrupt cache entry was reused")
 	}
-	if sink.count("build_verify_fail") == 0 {
-		t.Fatal("no build_verify_fail event emitted")
+	if tel.BuildVerifyFailures.Value() == 0 {
+		t.Fatal("verify failure not counted")
 	}
 	if _, err := os.Stat(a1.Dir + ".bad"); err != nil {
 		t.Fatalf("corrupt entry not quarantined to %s.bad: %v", a1.Dir, err)
@@ -106,8 +89,8 @@ func TestCorruptCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 	if a4.Cached {
 		t.Fatal("entry corrupted after a verified hit was reused")
 	}
-	if got := sink.count("build_verify_fail"); got != 2 {
-		t.Fatalf("build_verify_fail = %d after two corruptions, want 2", got)
+	if got := tel.BuildVerifyFailures.Value(); got != 2 {
+		t.Fatalf("verify failures = %d after two corruptions, want 2", got)
 	}
 	if rr, err := Run(ctx, a4, 1, nil, g); err != nil || !strings.Contains(rr.Output, "7") {
 		t.Fatalf("run after second rebuild: %q, %v", rr, err)
@@ -146,8 +129,7 @@ func TestConcurrentColdBuildsDeduplicated(t *testing.T) {
 		t.Skip("compiles binaries; skipped in -short mode")
 	}
 	cache := t.TempDir()
-	sink := newBuildSink()
-	g := execguard.New(execguard.Config{Sink: sink})
+	g, tel := governed(execguard.Config{})
 	f := parse(t, guardSrc)
 
 	const n = 8
@@ -171,10 +153,10 @@ func TestConcurrentColdBuildsDeduplicated(t *testing.T) {
 	// Exactly one go build must have run; everyone else either joined
 	// the in-flight build (dedup) or arrived late to a verified cache
 	// hit. Every call is accounted for by one of the three.
-	if got := sink.count("build"); got != 1 {
+	if got := tel.BuildsTotal.Value(); got != 1 {
 		t.Fatalf("go build ran %d times for one program, want exactly 1", got)
 	}
-	total := sink.count("build") + sink.count("build_dedup") + sink.count("build_cache_hit")
+	total := tel.BuildsTotal.Value() + tel.BuildDedups.Value() + tel.BuildCacheHits.Value()
 	if total != n {
 		t.Fatalf("build+dedup+cache_hit = %d, want %d (one outcome per call)", total, n)
 	}
@@ -204,8 +186,7 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 		t.Skip("compiles binaries; skipped in -short mode")
 	}
 	cache := t.TempDir()
-	sink := newBuildSink()
-	g := execguard.New(execguard.Config{CacheEntries: 1, Sink: sink})
+	g, tel := governed(execguard.Config{CacheEntries: 1})
 	ctx := context.Background()
 
 	// Plant debris the janitor must sweep: an abandoned staging dir, an
@@ -275,8 +256,8 @@ func TestJanitorSweepsAndEvictsLRU(t *testing.T) {
 	if _, err := os.Stat(dirs[0]); !os.IsNotExist(err) {
 		t.Fatalf("LRU eviction kept the oldest entry %s: %v", dirs[0], err)
 	}
-	if sink.count("build_janitor_evict") == 0 {
-		t.Fatal("no build_janitor_evict event emitted")
+	if tel.BuildJanitorEvicted.Value() == 0 {
+		t.Fatal("janitor eviction not counted")
 	}
 	entries, err := os.ReadDir(cache)
 	if err != nil {

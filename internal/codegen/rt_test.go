@@ -24,8 +24,7 @@ func TestRuntimeModuleTamperRestaged(t *testing.T) {
 		t.Skip("compiles binaries; skipped in -short mode")
 	}
 	cache := t.TempDir()
-	sink := newBuildSink()
-	g := execguard.New(execguard.Config{Sink: sink})
+	g, tel := governed(execguard.Config{})
 	rt := filepath.Join(cache, rtDir)
 	preludeFile := filepath.Join(rt, "prelude", "prelude.go")
 
@@ -55,7 +54,7 @@ func TestRuntimeModuleTamperRestaged(t *testing.T) {
 			if !rtIntact(rt) {
 				t.Fatal("a cold build left no intact runtime module")
 			}
-			fails := sink.count("build_verify_fail")
+			fails := tel.BuildVerifyFailures.Value()
 			if err := tc.do(); err != nil {
 				t.Fatal(err)
 			}
@@ -75,8 +74,8 @@ func TestRuntimeModuleTamperRestaged(t *testing.T) {
 			if got.Output != want {
 				t.Fatalf("output %q, interpreter %q", got.Output, want)
 			}
-			if sink.count("build_verify_fail") != fails+1 {
-				t.Fatalf("build_verify_fail went %d -> %d, want one more", fails, sink.count("build_verify_fail"))
+			if got := tel.BuildVerifyFailures.Value(); got != fails+1 {
+				t.Fatalf("verify failures went %d -> %d, want one more", fails, got)
 			}
 			if !rtIntact(rt) {
 				t.Fatal("module not restaged")
@@ -96,8 +95,7 @@ func TestConcurrentColdBuildsStageRuntimeOnce(t *testing.T) {
 		t.Skip("compiles binaries; skipped in -short mode")
 	}
 	cache := t.TempDir()
-	sink := newBuildSink()
-	g := execguard.New(execguard.Config{Sink: sink})
+	g, tel := governed(execguard.Config{})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -125,12 +123,12 @@ func TestConcurrentColdBuildsStageRuntimeOnce(t *testing.T) {
 			t.Fatalf("program %d printed %q, want %q", i, outs[i], want)
 		}
 	}
-	if got := sink.count("build"); got != n {
+	if got := tel.BuildsTotal.Value(); got != n {
 		t.Fatalf("%d go builds for %d distinct programs", got, n)
 	}
 	// A second staging could only follow a quarantine.
-	if got := sink.count("build_verify_fail"); got != 0 {
-		t.Fatalf("build_verify_fail = %d on an untouched root", got)
+	if got := tel.BuildVerifyFailures.Value(); got != 0 {
+		t.Fatalf("verify failures = %d on an untouched root", got)
 	}
 	if dirs, _ := filepath.Glob(filepath.Join(cache, "rt-*")); len(dirs) != 1 || filepath.Base(dirs[0]) != rtDir {
 		t.Fatalf("runtime module dirs %v, want exactly %s", dirs, rtDir)

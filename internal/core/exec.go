@@ -120,13 +120,14 @@ func (s *Session) Exec(ctx context.Context, req ExecRequest) (ExecResult, error)
 	if label == "" {
 		label = backend
 	}
-	gov.Event("exec_run", label)
-	gov.Timing("exec_run", label, time.Since(start))
+	tel := gov.Telemetry()
+	tel.ExecRuns.With(label).Inc()
+	tel.ExecLatency.With(label).Observe(time.Since(start).Seconds())
 	if err != nil {
 		if execguard.IsKill(err) {
-			gov.Event("exec_timeout", label)
+			tel.ExecTimeouts.With(label).Inc()
 		} else {
-			gov.Event("exec_fail", label)
+			tel.ExecFailures.With(label).Inc()
 		}
 	}
 	return res, err
@@ -140,7 +141,7 @@ func (s *Session) execOn(ctx context.Context, backend string, workers int, req E
 	art, err := codegen.Build(ctx, s.File, req.CacheDir, gov)
 	if err != nil {
 		if req.Fallback && ctx.Err() == nil {
-			gov.Event("exec_fallback", "")
+			gov.Telemetry().ExecFallbacks.Inc()
 			res, ierr := s.runInterp(ctx, workers, req.Input, gov)
 			res.FallbackReason = err.Error()
 			return res, ierr
@@ -182,11 +183,11 @@ func (s *Session) runInterp(ctx context.Context, workers int, input []float64, g
 	select {
 	case err = <-done:
 	case <-deadline:
-		gov.Event("exec_kill", execguard.KillDeadline)
+		gov.Telemetry().ExecKills.With(execguard.KillDeadline).Inc()
 		m.Cancel(execguard.TimeoutError(lim.Timeout))
 		err = <-done
 	case <-ctx.Done():
-		gov.Event("exec_kill", execguard.KillCtx)
+		gov.Telemetry().ExecKills.With(execguard.KillCtx).Inc()
 		m.Cancel(fmt.Errorf("interp: run cancelled: %w", ctx.Err()))
 		err = <-done
 	}
@@ -195,7 +196,7 @@ func (s *Session) runInterp(ctx context.Context, workers int, input []float64, g
 		if out.Tripped() {
 			// The machine stopped because its PRINT hit the cap;
 			// surface the typed limit error, not the raw write error.
-			gov.Event("exec_kill", execguard.KillOutput)
+			gov.Telemetry().ExecKills.With(execguard.KillOutput).Inc()
 			return res, out.Err()
 		}
 		return res, err

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"parascope/internal/metrics"
 )
 
 // Sentinel errors callers branch on with errors.Is. None of them wrap
@@ -151,18 +153,70 @@ func (l Limits) override(over Limits) Limits {
 	return l
 }
 
-// Sink receives execution and build telemetry from the governor and
-// the codegen build pipeline. *server.Metrics implements it; a nil
-// sink discards. Labels are bounded by construction: backends are
-// "interp"/"compile", kill reasons are "deadline"/"output"/"rss"/"ctx".
-type Sink interface {
-	// ExecEvent counts one occurrence of a named event.
-	ExecEvent(name, label string)
-	// ExecTiming records one duration observation for a named event.
-	ExecTiming(name, label string, d time.Duration)
-	// ExecInFlight moves the in-flight-runs gauge by delta.
-	ExecInFlight(delta int)
+// Telemetry is the run layer's metric families, pedd_exec_* and
+// pedd_build_*: the governor, Supervise, the codegen build pipeline and
+// core's Exec update them where the work happens. Labels are bounded by
+// construction: backends are core.BackendInterp/BackendCompile, kill
+// reasons the Kill* constants.
+type Telemetry struct {
+	ExecRuns      *metrics.CounterVec   // backend
+	ExecFailures  *metrics.CounterVec   // backend
+	ExecLatency   *metrics.HistogramVec // backend
+	ExecTimeouts  *metrics.CounterVec   // backend
+	ExecKills     *metrics.CounterVec   // reason
+	ExecFallbacks *metrics.Counter
+	ExecRejected  *metrics.Counter
+	ExecInflight  *metrics.Gauge
+
+	BuildsTotal         *metrics.Counter
+	BuildFailures       *metrics.Counter
+	BuildLatency        *metrics.Histogram
+	BuildCacheHits      *metrics.Counter
+	BuildDedups         *metrics.Counter
+	BuildVerifyFailures *metrics.Counter
+	BuildJanitorEvicted *metrics.Counter
 }
+
+// NewTelemetry registers the run layer's families on reg.
+func NewTelemetry(reg *metrics.Registry) *Telemetry {
+	timeBuckets := metrics.TimeBuckets()
+	return &Telemetry{
+		ExecRuns: reg.CounterVec("pedd_exec_runs_total",
+			"Program executions by the backend that actually ran.", "backend"),
+		ExecFailures: reg.CounterVec("pedd_exec_failures_total",
+			"Program executions that failed (program or toolchain error, not a governor kill).", "backend"),
+		ExecLatency: reg.HistogramVec("pedd_exec_run_seconds",
+			"Wall time of program executions by backend.", timeBuckets, "backend"),
+		ExecTimeouts: reg.CounterVec("pedd_exec_timeouts_total",
+			"Program executions stopped by a governor limit (deadline, output cap, RSS).", "backend"),
+		ExecKills: reg.CounterVec("pedd_exec_kills_total",
+			"Governor kills by reason (deadline, output, rss, ctx).", "reason"),
+		ExecFallbacks: reg.Counter("pedd_exec_fallbacks_total",
+			"Compile runs degraded to the interpreter (decline or build failure, fallback requested)."),
+		ExecRejected: reg.Counter("pedd_exec_rejected_total",
+			"Runs rejected at admission because every exec slot was busy (HTTP 429)."),
+		ExecInflight: reg.Gauge("pedd_exec_inflight",
+			"Program executions currently running under the governor."),
+		BuildsTotal: reg.Counter("pedd_build_total",
+			"Cold go builds of generated programs."),
+		BuildFailures: reg.Counter("pedd_build_failures_total",
+			"Cold go builds that failed (including build timeouts)."),
+		BuildLatency: reg.Histogram("pedd_build_seconds",
+			"Wall time of cold go builds.", timeBuckets),
+		BuildCacheHits: reg.Counter("pedd_build_cache_hits_total",
+			"Compile-cache reuses whose manifest checksum verified."),
+		BuildDedups: reg.Counter("pedd_build_dedup_total",
+			"Concurrent build requests that piggybacked on another in-flight build."),
+		BuildVerifyFailures: reg.Counter("pedd_build_verify_failures_total",
+			"Cache entries that failed checksum verification and were quarantined."),
+		BuildJanitorEvicted: reg.Counter("pedd_build_janitor_evictions_total",
+			"Compile-cache entries evicted by the janitor's LRU bound."),
+	}
+}
+
+// unscraped takes the telemetry of a nil governor and of one built
+// without any: the updates are atomic and nobody reads them.
+var unscraped = NewTelemetry(metrics.NewRegistry())
 
 // Config assembles a Governor.
 type Config struct {
@@ -175,19 +229,20 @@ type Config struct {
 	BuildTimeout time.Duration
 	// CacheEntries LRU-bounds the compile cache (0 = 256 entries).
 	CacheEntries int
-	// Sink receives telemetry (nil discards).
-	Sink Sink
+	// Telemetry receives the run layer's metrics (nil = unscraped).
+	Telemetry *Telemetry
 }
 
 // Governor is the run-layer policy object: execution slots, default
-// limits, and the telemetry sink. A nil *Governor is valid everywhere
-// and behaves like New(Config{}) — default limits, unbounded slots.
+// limits, and the metric families runs report to. A nil *Governor is
+// valid everywhere and behaves like New(Config{}) — default limits,
+// unbounded slots.
 type Governor struct {
 	slots        chan struct{}
 	limits       Limits // resolved (0 = disabled)
 	buildTimeout time.Duration
 	cacheEntries int
-	sink         Sink
+	tel          *Telemetry
 }
 
 // New builds a governor from cfg.
@@ -196,7 +251,10 @@ func New(cfg Config) *Governor {
 		limits:       cfg.Limits.withDefaults(),
 		buildTimeout: cfg.BuildTimeout,
 		cacheEntries: cfg.CacheEntries,
-		sink:         cfg.Sink,
+		tel:          cfg.Telemetry,
+	}
+	if g.tel == nil {
+		g.tel = unscraped
 	}
 	if g.buildTimeout <= 0 {
 		g.buildTimeout = DefaultBuildTimeout
@@ -210,7 +268,7 @@ func New(cfg Config) *Governor {
 	return g
 }
 
-// With returns a governor sharing g's slots and sink but with lim
+// With returns a governor sharing g's slots and telemetry but with lim
 // overriding its default limits — how per-request timeouts and caps
 // ride on top of daemon policy.
 func (g *Governor) With(lim Limits) *Governor {
@@ -263,43 +321,32 @@ func (g *Governor) Slots() int {
 // be called when the run finishes. An unbounded (or nil) governor
 // always admits.
 func (g *Governor) Acquire() (release func(), err error) {
+	tel := g.Telemetry()
 	if g == nil || g.slots == nil {
-		g.inFlight(1)
+		tel.ExecInflight.Inc()
 		var once sync.Once
-		return func() { once.Do(func() { g.inFlight(-1) }) }, nil
+		return func() { once.Do(tel.ExecInflight.Dec) }, nil
 	}
 	select {
 	case g.slots <- struct{}{}:
-		g.inFlight(1)
+		tel.ExecInflight.Inc()
 		var once sync.Once
 		return func() {
 			once.Do(func() {
 				<-g.slots
-				g.inFlight(-1)
+				tel.ExecInflight.Dec()
 			})
 		}, nil
 	default:
-		g.Event("exec_rejected", "")
+		tel.ExecRejected.Inc()
 		return nil, fmt.Errorf("%w (%d runs in flight)", ErrBusy, cap(g.slots))
 	}
 }
 
-// Event forwards a counter event to the sink (nil-safe).
-func (g *Governor) Event(name, label string) {
-	if g != nil && g.sink != nil {
-		g.sink.ExecEvent(name, label)
+// Telemetry returns the families g's runs and builds report to.
+func (g *Governor) Telemetry() *Telemetry {
+	if g == nil {
+		return unscraped
 	}
-}
-
-// Timing forwards a duration observation to the sink (nil-safe).
-func (g *Governor) Timing(name, label string, d time.Duration) {
-	if g != nil && g.sink != nil {
-		g.sink.ExecTiming(name, label, d)
-	}
-}
-
-func (g *Governor) inFlight(delta int) {
-	if g != nil && g.sink != nil {
-		g.sink.ExecInFlight(delta)
-	}
+	return g.tel
 }

@@ -9,7 +9,6 @@ import (
 	"os/exec"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -218,8 +217,7 @@ func TestNilGovernorIsValid(t *testing.T) {
 		t.Fatalf("nil governor must admit: %v", err)
 	}
 	rel()
-	g.Event("exec_run", "interp") // must not panic
-	g.Timing("exec_run", "interp", time.Second)
+	g.Telemetry().ExecKills.With(KillDeadline).Inc() // must not panic
 	over := g.With(Limits{Timeout: time.Second})
 	if over.RunLimits().Timeout != time.Second {
 		t.Fatalf("With on nil governor lost the override: %+v", over.RunLimits())
@@ -276,72 +274,5 @@ func TestLimitWriter(t *testing.T) {
 	unbounded := NewLimitWriter(0)
 	if _, err := unbounded.Write(bytes.Repeat([]byte("y"), 1<<20)); err != nil {
 		t.Fatalf("unbounded writer errored: %v", err)
-	}
-}
-
-// recordSink is a thread-safe Sink for asserting telemetry.
-type recordSink struct {
-	mu       sync.Mutex
-	events   map[string]int
-	inFlight int
-}
-
-func newRecordSink() *recordSink { return &recordSink{events: map[string]int{}} }
-
-func (s *recordSink) ExecEvent(name, label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := name
-	if label != "" {
-		key += ":" + label
-	}
-	s.events[key]++
-}
-
-func (s *recordSink) ExecTiming(name, label string, d time.Duration) {}
-
-func (s *recordSink) ExecInFlight(delta int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inFlight += delta
-}
-
-func (s *recordSink) count(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events[key]
-}
-
-func (s *recordSink) gauge() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inFlight
-}
-
-func TestGovernorTelemetry(t *testing.T) {
-	sink := newRecordSink()
-	g := New(Config{MaxRuns: 1, Sink: sink})
-	rel, err := g.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sink.gauge() != 1 {
-		t.Fatalf("in-flight gauge = %d after acquire, want 1", sink.gauge())
-	}
-	if _, err := g.Acquire(); !errors.Is(err, ErrBusy) {
-		t.Fatalf("want ErrBusy, got %v", err)
-	}
-	if sink.count("exec_rejected") != 1 {
-		t.Fatalf("exec_rejected = %d, want 1", sink.count("exec_rejected"))
-	}
-	rel()
-	if sink.gauge() != 0 {
-		t.Fatalf("in-flight gauge = %d after release, want 0", sink.gauge())
-	}
-	// With shares the sink: kill events from derived governors land in
-	// the same place.
-	g.With(Limits{Timeout: time.Second}).Event("exec_kill", KillDeadline)
-	if sink.count("exec_kill:deadline") != 1 {
-		t.Fatal("derived governor lost the telemetry sink")
 	}
 }

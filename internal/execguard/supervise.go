@@ -87,7 +87,7 @@ func Supervise(ctx context.Context, g *Governor, cmd *exec.Cmd) (*Result, error)
 		}
 		killed, killErr = reason, err
 		killGroup(pid)
-		g.Event("exec_kill", reason)
+		g.Telemetry().ExecKills.With(reason).Inc()
 	}
 loop:
 	for {

@@ -61,21 +61,3 @@ func OutputsEquivalent(a, b string, tol float64) (bool, string) {
 	}
 	return true, ""
 }
-
-// CheckEquivalent runs both programs and verifies their outputs
-// match within tolerance; used to validate that transformations
-// preserve semantics.
-func CheckEquivalent(orig, transformed *fortran.File, workers int, input []float64) error {
-	a, err := RunCapture(orig, 1, input)
-	if err != nil {
-		return fmt.Errorf("original failed: %v", err)
-	}
-	b, err := RunCapture(transformed, workers, input)
-	if err != nil {
-		return fmt.Errorf("transformed failed: %v", err)
-	}
-	if ok, why := OutputsEquivalent(a, b, 1e-9); !ok {
-		return fmt.Errorf("outputs differ: %s\n--- original ---\n%s--- transformed ---\n%s", why, a, b)
-	}
-	return nil
-}

@@ -5,7 +5,8 @@
 // one bucket schedule for durations (TimeBuckets) and status codes
 // collapsed to classes (StatusClass). It imports only the standard
 // library, so any package may own metric families: pedd's pedd_ ones
-// live in internal/server, the gateway's pedgw_ ones in
+// live in internal/server, its run layer's pedd_exec_/pedd_build_ ones
+// in internal/execguard, the gateway's pedgw_ ones in
 // internal/cluster, the HTTP edge's in internal/httpedge.
 package metrics
 
@@ -67,6 +68,9 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
+
+// Add adds n, which may be negative.
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Set overwrites the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }

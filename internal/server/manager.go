@@ -167,7 +167,7 @@ func NewManager(cfg Config) *Manager {
 					OutputBytes: cfg.RunOutputBytes,
 					RSSBytes:    cfg.RunRSSBytes,
 				},
-				Sink: cfg.Metrics,
+				Telemetry: cfg.Metrics.Telemetry,
 			}),
 			planSem: make(chan struct{}, planWorkers),
 			plans:   newLRU[PlanResponse](planCacheSize),

@@ -3,13 +3,15 @@ package server
 import (
 	"time"
 
+	"parascope/internal/execguard"
 	"parascope/internal/httpedge"
 	"parascope/internal/metrics"
 )
 
 // This file is the daemon's observability surface: every pedd_ metric
 // family, registered on a metrics.Registry (the HTTP edge's three by
-// httpedge.NewMetrics). Armed or not, every record is a handful of
+// httpedge.NewMetrics, the run layer's by execguard.NewTelemetry).
+// Armed or not, every record is a handful of
 // atomic operations — cheap enough to leave on in the serving hot path.
 //
 // Conventions (documented in DESIGN.md "Observability"):
@@ -80,26 +82,10 @@ type Metrics struct {
 	PlannerWorldsLive      *metrics.Gauge
 	PlannerSearch          *metrics.Histogram
 
-	// Governed execution: per-backend run counts and latencies, typed
-	// failure counters, governor kills by bounded reason, and the
-	// build pipeline behind the compile backend. Fed through
-	// execguard.Sink so execguard/codegen/core never import server.
-	ExecRuns      *metrics.CounterVec   // backend (interp, compile)
-	ExecFailures  *metrics.CounterVec   // backend
-	ExecLatency   *metrics.HistogramVec // backend
-	ExecTimeouts  *metrics.CounterVec   // backend
-	ExecKills     *metrics.CounterVec   // reason (deadline, output, rss, ctx)
-	ExecFallbacks *metrics.Counter
-	ExecRejected  *metrics.Counter
-	ExecInflight  *metrics.Gauge
-
-	BuildsTotal         *metrics.Counter
-	BuildFailures       *metrics.Counter
-	BuildLatency        *metrics.Histogram
-	BuildCacheHits      *metrics.Counter
-	BuildDedups         *metrics.Counter
-	BuildVerifyFailures *metrics.Counter
-	BuildJanitorEvicted *metrics.Counter
+	// Governed execution and the build pipeline behind the compile
+	// backend: the pedd_exec_* and pedd_build_* families, owned by
+	// execguard and updated where runs and builds happen.
+	*execguard.Telemetry
 }
 
 // NewMetrics builds a registry with every pedd metric registered.
@@ -174,106 +160,8 @@ func NewMetrics() *Metrics {
 		"Speculative worlds currently being evaluated.")
 	m.PlannerSearch = m.Histogram("pedd_planner_search_seconds",
 		"Wall time of speculative plan searches.", timeBuckets)
-	m.ExecRuns = m.CounterVec("pedd_exec_runs_total",
-		"Program executions by the backend that actually ran.", "backend")
-	m.ExecFailures = m.CounterVec("pedd_exec_failures_total",
-		"Program executions that failed (program or toolchain error, not a governor kill).", "backend")
-	m.ExecLatency = m.HistogramVec("pedd_exec_run_seconds",
-		"Wall time of program executions by backend.", timeBuckets, "backend")
-	m.ExecTimeouts = m.CounterVec("pedd_exec_timeouts_total",
-		"Program executions stopped by a governor limit (deadline, output cap, RSS).", "backend")
-	m.ExecKills = m.CounterVec("pedd_exec_kills_total",
-		"Governor kills by reason (deadline, output, rss, ctx).", "reason")
-	m.ExecFallbacks = m.Counter("pedd_exec_fallbacks_total",
-		"Compile runs degraded to the interpreter (decline or build failure, fallback requested).")
-	m.ExecRejected = m.Counter("pedd_exec_rejected_total",
-		"Runs rejected at admission because every exec slot was busy (HTTP 429).")
-	m.ExecInflight = m.Gauge("pedd_exec_inflight",
-		"Program executions currently running under the governor.")
-	m.BuildsTotal = m.Counter("pedd_build_total",
-		"Cold go builds of generated programs.")
-	m.BuildFailures = m.Counter("pedd_build_failures_total",
-		"Cold go builds that failed (including build timeouts).")
-	m.BuildLatency = m.Histogram("pedd_build_seconds",
-		"Wall time of cold go builds.", timeBuckets)
-	m.BuildCacheHits = m.Counter("pedd_build_cache_hits_total",
-		"Compile-cache reuses whose manifest checksum verified.")
-	m.BuildDedups = m.Counter("pedd_build_dedup_total",
-		"Concurrent build requests that piggybacked on another in-flight build.")
-	m.BuildVerifyFailures = m.Counter("pedd_build_verify_failures_total",
-		"Cache entries that failed checksum verification and were quarantined.")
-	m.BuildJanitorEvicted = m.Counter("pedd_build_janitor_evictions_total",
-		"Compile-cache entries evicted by the janitor's LRU bound.")
+	m.Telemetry = execguard.NewTelemetry(m.Registry)
 	return m
-}
-
-// ExecEvent, ExecTiming, and ExecInFlight implement execguard.Sink,
-// translating the guard's bounded event names into metric families.
-// Unknown labels collapse to "other" so cardinality stays bounded even
-// if a caller misbehaves.
-func (m *Metrics) ExecEvent(name, label string) {
-	switch name {
-	case "exec_run":
-		m.ExecRuns.With(backendLabel(label)).Inc()
-	case "exec_fail":
-		m.ExecFailures.With(backendLabel(label)).Inc()
-	case "exec_timeout":
-		m.ExecTimeouts.With(backendLabel(label)).Inc()
-	case "exec_kill":
-		m.ExecKills.With(killLabel(label)).Inc()
-	case "exec_fallback":
-		m.ExecFallbacks.Inc()
-	case "exec_rejected":
-		m.ExecRejected.Inc()
-	case "build":
-		m.BuildsTotal.Inc()
-	case "build_fail":
-		m.BuildFailures.Inc()
-	case "build_cache_hit":
-		m.BuildCacheHits.Inc()
-	case "build_dedup":
-		m.BuildDedups.Inc()
-	case "build_verify_fail":
-		m.BuildVerifyFailures.Inc()
-	case "build_janitor_evict":
-		m.BuildJanitorEvicted.Inc()
-	}
-}
-
-func (m *Metrics) ExecTiming(name, label string, d time.Duration) {
-	switch name {
-	case "exec_run":
-		m.ExecLatency.With(backendLabel(label)).Observe(d.Seconds())
-	case "build":
-		m.BuildLatency.Observe(d.Seconds())
-	}
-}
-
-func (m *Metrics) ExecInFlight(delta int) {
-	if delta >= 0 {
-		for ; delta > 0; delta-- {
-			m.ExecInflight.Inc()
-		}
-		return
-	}
-	for ; delta < 0; delta++ {
-		m.ExecInflight.Dec()
-	}
-}
-
-func backendLabel(s string) string {
-	if s == "interp" || s == "compile" {
-		return s
-	}
-	return "other"
-}
-
-func killLabel(s string) string {
-	switch s {
-	case "deadline", "output", "rss", "ctx":
-		return s
-	}
-	return "other"
 }
 
 // ObservePhase implements core.PhaseObserver over the phase-timing

@@ -199,8 +199,8 @@ func (m *Manager) Migrate(ctx context.Context, ss *Session, target string) (Migr
 	if target == "" {
 		return resp, errors.New("migrate: empty target")
 	}
-	if err := ss.failedErr(); err != nil {
-		return resp, err
+	if c := ss.condition(); c.failure != nil {
+		return resp, c.refusal(false)
 	}
 	if !ss.freeze() {
 		return resp, fmt.Errorf("%w: another migration of %s is already in flight", ErrSessionMigrating, ss.ID)

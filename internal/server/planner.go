@@ -239,7 +239,7 @@ func (ss *Session) ApplyPlan(ctx context.Context, req ApplyPlanRequest) (ApplyPl
 	if len(plan.Steps) == 0 {
 		return ApplyPlanResponse{}, fmt.Errorf("plan %s has no steps", plan.ID)
 	}
-	if err := ss.readonlyErr(); err != nil {
+	if err := ss.condition().refusal(true); err != nil {
 		return ApplyPlanResponse{}, err
 	}
 	var resp ApplyPlanResponse

@@ -91,7 +91,13 @@ const importMaxBytes = 64 << 20
 type Server struct {
 	edge *httpedge.Edge
 	mgr  *Manager
+	// Typed routes kept by name because the status-code tests call them
+	// one by one; the other typed routes are registered straight from typed.
+	handleCmd, handleSelect, handleClassify, handleTransform, handleEdit sessionHandler
 }
+
+// sessionHandler serves a route on the session its {id} resolved to.
+type sessionHandler = func(http.ResponseWriter, *http.Request, *Session)
 
 // ServeHTTP implements http.Handler through the edge.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.edge.ServeHTTP(w, r) }
@@ -107,13 +113,23 @@ func NewWith(mgr *Manager, opts Options) *Server {
 	if opts.Metrics == nil {
 		opts.Metrics = mgr.Metrics()
 	}
-	s := &Server{mgr: mgr, edge: httpedge.New(httpedge.Config{
-		Metrics:   opts.Metrics.Metrics,
-		AccessLog: opts.AccessLog,
-		Timeout:   opts.ReqTimeout,
-		MaxBody:   opts.MaxBodyBytes,
-		Ready:     opts.Ready,
-	})}
+	s := &Server{
+		mgr: mgr,
+		edge: httpedge.New(httpedge.Config{
+			Metrics:   opts.Metrics.Metrics,
+			AccessLog: opts.AccessLog,
+			Timeout:   opts.ReqTimeout,
+			MaxBody:   opts.MaxBodyBytes,
+			Ready:     opts.Ready,
+		}),
+		handleCmd: typed(http.StatusOK, func(ss *Session, ctx context.Context, req CmdRequest) (CmdResponse, error) {
+			return ss.Cmd(ctx, req.Line)
+		}),
+		handleSelect:    typed(http.StatusOK, (*Session).Select),
+		handleClassify:  noContent((*Session).Classify),
+		handleTransform: typed(http.StatusOK, (*Session).Transform),
+		handleEdit:      noContent((*Session).Edit),
+	}
 	disabled := map[string]bool{}
 	for _, b := range opts.DisabledBackends {
 		disabled[strings.ToLower(strings.TrimSpace(b))] = true
@@ -122,7 +138,11 @@ func NewWith(mgr *Manager, opts Options) *Server {
 	s.edge.Handle("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
 		httpedge.WriteJSON(w, http.StatusOK, mgr.CacheStats())
 	})
-	s.edge.Handle("POST /v1/sessions", s.handleOpen)
+	open := typed(http.StatusCreated, func(_ *Session, ctx context.Context, req OpenRequest) (OpenResponse, error) {
+		_, resp, err := mgr.Open(ctx, req)
+		return resp, err
+	})
+	s.edge.Handle("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) { open(w, r, nil) })
 	s.edge.Handle("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		httpedge.WriteJSON(w, http.StatusOK, mgr.List(r.Context()))
 	})
@@ -141,10 +161,10 @@ func NewWith(mgr *Manager, opts Options) *Server {
 	s.edge.Handle("POST /v1/sessions/{id}/transform", s.session(s.handleTransform))
 	s.edge.Handle("POST /v1/sessions/{id}/edit", s.session(s.handleEdit))
 	s.edge.Handle("POST /v1/sessions/{id}/undo", s.session(s.handleUndo))
-	s.edge.Handle("POST /v1/sessions/{id}/run", s.session(s.handleRun))
+	s.edge.Handle("POST /v1/sessions/{id}/run", s.session(typed(http.StatusOK, (*Session).Run)))
 	s.edge.Handle("POST /v1/sessions/{id}/plan", s.session(s.handlePlan))
 	s.edge.Handle("GET /v1/sessions/{id}/plan", s.session(s.handlePlanStatus))
-	s.edge.Handle("POST /v1/sessions/{id}/apply-plan", s.session(s.handleApplyPlan))
+	s.edge.Handle("POST /v1/sessions/{id}/apply-plan", s.session(typed(http.StatusOK, (*Session).ApplyPlan)))
 	// Cluster: session migration. The literal "import" segment outranks
 	// "{id}" in mux precedence, so "import" is never taken for an ID.
 	s.edge.Handle("GET /v1/sessions/{id}/journal", s.session(s.handleJournal))
@@ -155,7 +175,13 @@ func NewWith(mgr *Manager, opts Options) *Server {
 		importCap = max(importCap, importMaxBytes)
 	}
 	s.edge.HandleCap("POST /v1/sessions/import", importCap, s.handleImport)
-	s.edge.Handle("POST /v1/sessions/{id}/migrate", s.session(s.handleMigrate))
+	s.edge.Handle("POST /v1/sessions/{id}/migrate", s.session(typed(http.StatusOK,
+		func(ss *Session, ctx context.Context, req MigrateRequest) (MigrateResponse, error) {
+			if req.Target == "" {
+				return MigrateResponse{}, errNoTarget
+			}
+			return mgr.Migrate(ctx, ss, req.Target)
+		})))
 	return s
 }
 
@@ -192,45 +218,21 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.mgr.Import(r.Context(), id, data)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusCreated, resp)
+	answer(w, http.StatusCreated, resp, err)
 }
 
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req MigrateRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Target == "" {
-		httpedge.WriteError(w, http.StatusBadRequest, errors.New("migrate: missing target"))
-		return
-	}
-	resp, err := s.mgr.Migrate(r.Context(), ss, req.Target)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
+// handlePlan answers 202 while an async search is still running.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, ss *Session) {
 	var req PlanRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
 	resp, err := ss.Plan(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
+	status := http.StatusOK
 	if resp.Status == "running" {
-		httpedge.WriteJSON(w, http.StatusAccepted, resp)
-		return
+		status = http.StatusAccepted
 	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
+	answer(w, status, resp, err)
 }
 
 func (s *Server) handlePlanStatus(w http.ResponseWriter, r *http.Request, ss *Session) {
@@ -242,24 +244,11 @@ func (s *Server) handlePlanStatus(w http.ResponseWriter, r *http.Request, ss *Se
 	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleApplyPlan(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req ApplyPlanRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := ss.ApplyPlan(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
 // session resolves {id} before running the handler. A session that
 // migrated away answers 421 Misdirected Request with a Location
 // pointing at the same path on the node that adopted it, so a
 // redirect-following client (or the gateway) recovers in one hop.
-func (s *Server) session(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
+func (s *Server) session(h sessionHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		ss := s.mgr.Get(id)
@@ -277,65 +266,11 @@ func (s *Server) session(h func(http.ResponseWriter, *http.Request, *Session)) h
 	}
 }
 
-func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
-	var req OpenRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	_, resp, err := s.mgr.Open(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusCreated, resp)
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, ss *Session) {
 	resp := SessionStatusResponse{
 		SessionInfo:    ss.Info(r.Context()),
 		Failure:        ss.Failure(),
 		ReadOnlyReason: ss.ReadOnlyReason(),
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req CmdRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := ss.Cmd(r.Context(), req.Line)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleRun executes the session's program through the unified
-// execution API (Session.Run, which also refuses disabled backends).
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req RunRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := ss.Run(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req SelectRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := ss.Select(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
 	}
 	httpedge.WriteJSON(w, http.StatusOK, resp)
 }
@@ -356,59 +291,47 @@ func (s *Server) handleDeps(w http.ResponseWriter, r *http.Request, ss *Session)
 		}
 	}
 	resp, err := ss.Deps(r.Context(), dq)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req ClassifyRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if err := ss.Classify(r.Context(), req); err != nil {
-		writeOpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req TransformRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := ss.Transform(r.Context(), req)
-	if err != nil {
-		writeOpError(w, err)
-		return
-	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request, ss *Session) {
-	var req EditRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if err := ss.Edit(r.Context(), req); err != nil {
-		writeOpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	answer(w, http.StatusOK, resp, err)
 }
 
 func (s *Server) handleUndo(w http.ResponseWriter, r *http.Request, ss *Session) {
-	if err := ss.Undo(r.Context()); err != nil {
-		writeOpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	answer(w, http.StatusNoContent, nil, ss.Undo(r.Context()))
 }
 
 func boolParam(v string) bool { return v == "1" || strings.EqualFold(v, "true") }
+
+// typed is the one adapter behind the typed JSON routes: decode the
+// request strictly into Req, run the operation on the session, answer.
+func typed[Req, Resp any](status int, op func(*Session, context.Context, Req) (Resp, error)) sessionHandler {
+	return func(w http.ResponseWriter, r *http.Request, ss *Session) {
+		var req Req
+		if !readJSON(w, r, &req) {
+			return
+		}
+		resp, err := op(ss, r.Context(), req)
+		answer(w, status, resp, err)
+	}
+}
+
+// noContent is typed for an operation that answers with an error alone.
+func noContent[Req any](op func(*Session, context.Context, Req) error) sessionHandler {
+	return typed(http.StatusNoContent, func(ss *Session, ctx context.Context, req Req) (struct{}, error) {
+		return struct{}{}, op(ss, ctx, req)
+	})
+}
+
+// answer writes an operation's outcome: its error through opStatus, or
+// resp with status (no body for 204).
+func answer(w http.ResponseWriter, status int, resp any, err error) {
+	switch {
+	case err != nil:
+		writeOpError(w, err)
+	case status == http.StatusNoContent:
+		w.WriteHeader(status)
+	default:
+		httpedge.WriteJSON(w, status, resp)
+	}
+}
 
 // readJSON decodes one JSON value strictly: unknown fields are
 // rejected (400, naming the field), trailing garbage after the value
@@ -435,6 +358,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, into interface{}) bool {
 	return true
 }
 
+// errNoTarget is a migrate request that names no node.
+var errNoTarget = errors.New("migrate: missing target")
+
 // statusClientClosedRequest is the nginx convention for a client that
 // disconnected before the response was ready; nothing useful can be
 // delivered, but logs and tests see a distinct status.
@@ -449,6 +375,7 @@ var opStatus = []struct {
 	status int
 	retry  bool
 }{
+	{errNoTarget, http.StatusBadRequest, false},                  // migrate request without a target
 	{ErrSessionClosed, http.StatusGone, false},                   // closed or evicted
 	{ErrPlanConflict, http.StatusConflict, false},                // stale/diverged/duplicate plan work
 	{ErrSessionExists, http.StatusConflict, false},               // requested session ID already in use

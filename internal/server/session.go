@@ -79,39 +79,15 @@ type Session struct {
 	created  time.Time
 	lastUsed atomic.Int64 // unix nanos
 
-	reqCh   chan task
-	closeMu sync.RWMutex
-	closed  bool
+	reqCh chan task
+	// mu guards cond. post holds it shared from the refusal check to the
+	// send on reqCh; close, which closes reqCh, takes it exclusive.
+	mu   sync.RWMutex
+	cond condition
 	// done is closed when the actor goroutine exits (queue drained,
 	// journal synced and closed) — what Shutdown waits on for durable
 	// sessions.
 	done chan struct{}
-	// qGauged/roGauged record that this session incremented the
-	// quarantined/read-only gauge (guarded by closeMu), so close()
-	// decrements each exactly once.
-	qGauged  bool
-	roGauged bool
-
-	// failed flips when a command panics: the panic is recovered at
-	// the actor boundary, the session is quarantined, and every later
-	// request is rejected with ErrSessionFailed. failure holds the
-	// diagnostic (guarded by failMu, written once).
-	failed  atomic.Bool
-	failMu  sync.Mutex
-	failure *FailureInfo
-
-	// readonly flips when a journal append, fsync, or snapshot fails:
-	// the session keeps serving reads from memory but rejects further
-	// mutations with ErrSessionReadOnly (roReason guarded by roMu).
-	readonly atomic.Bool
-	roMu     sync.Mutex
-	roReason string
-
-	// migrating freezes the session while its journal stream is being
-	// shipped to another node: reads keep serving, mutations get
-	// ErrSessionMigrating. Flipped by freeze/unfreeze (CAS, so only one
-	// migration can hold the session at a time).
-	migrating atomic.Bool
 
 	// plan is this session's speculative-planner state (latest search
 	// result + one-search latch; own lock, never the actor).
@@ -205,8 +181,9 @@ func (ss *Session) run() {
 // post runs fn on the actor goroutine and waits for it to finish,
 // honoring the caller's context. Four ways it can refuse or bail:
 //
-//   - the session already failed (quarantined): ErrSessionFailed,
-//     without touching the actor;
+//   - the session's condition refuses (refusal): ErrSessionFailed for a
+//     quarantined session, ErrSessionClosed for a closed one, without
+//     touching the actor;
 //   - the bounded pending queue is full: ErrQueueFull immediately —
 //     admission control, not unbounded buffering;
 //   - ctx expires while the command is queued or running: the queued
@@ -217,14 +194,8 @@ func (ss *Session) run() {
 //     quarantined, the daemon and every other session keep going —
 //     and the wrapped ErrSessionFailed carries the diagnostic.
 func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
-	if err := ss.failedErr(); err != nil {
-		return err
-	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	done := make(chan struct{})
 	var abandoned atomic.Bool
@@ -242,25 +213,29 @@ func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
 			ss.metrics.ActorService.Observe(time.Since(started).Seconds())
 			if r := recover(); r != nil {
 				ss.quarantine(r, debug.Stack())
-				panicErr = ss.failedErr()
+				panicErr = ss.condition().refusal(false)
 			}
 		}()
 		fn()
 	}}
-	ss.closeMu.RLock()
-	if ss.closed {
-		ss.closeMu.RUnlock()
-		return ErrSessionClosed
+	ss.mu.RLock()
+	err := ss.cond.refusal(false)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		ss.mu.RUnlock()
+		return err
 	}
 	// Inc before the send so the gauge can never transiently dip
 	// negative: the actor's Dec only runs after the send succeeds.
 	ss.metrics.QueueDepth.Inc()
 	select {
 	case ss.reqCh <- t:
-		ss.closeMu.RUnlock()
+		ss.mu.RUnlock()
 	default:
 		ss.metrics.QueueDepth.Dec()
-		ss.closeMu.RUnlock()
+		ss.mu.RUnlock()
 		return ErrQueueFull
 	}
 	select {
@@ -270,6 +245,83 @@ func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
 		abandoned.Store(true)
 		return ctx.Err()
 	}
+}
+
+// condition is everything a session refuses work for, in one value
+// under Session.mu; setCondition is its only writer.
+type condition struct {
+	closed bool
+	// failure is the first panic's diagnostic, or a recovery husk's
+	// reason: the session is quarantined, though its queue still drains.
+	failure *FailureInfo
+	// readOnly is why the journal stopped taking writes ("" = writable):
+	// reads keep serving from memory, mutations are refused so memory
+	// never runs ahead of the journal.
+	readOnly string
+	// migrating freezes the session while its journal stream ships to
+	// another node: reads keep serving, mutations are refused.
+	migrating bool
+}
+
+// refusal is the error the condition answers a request with, or nil.
+// post asks for every request (mutation false), and there a quarantined
+// session refuses before a closed one. The journal gate asks for every
+// mutation on the actor (mutation true), where a closed or quarantined
+// session's queue still drains, and there a migrating session refuses
+// before a read-only one.
+func (c condition) refusal(mutation bool) error {
+	switch {
+	case !mutation && c.failure != nil:
+		return fmt.Errorf("%w: %s", ErrSessionFailed, c.failure.Reason)
+	case !mutation && c.closed:
+		return ErrSessionClosed
+	case mutation && c.migrating:
+		return fmt.Errorf("%w: session is moving to another node; retry shortly", ErrSessionMigrating)
+	case mutation && c.readOnly != "":
+		return fmt.Errorf("%w: %s", ErrSessionReadOnly, c.readOnly)
+	}
+	return nil
+}
+
+// gauged is what the condition adds to the quarantined, read-only and
+// migrating gauges: a closed session counts in none.
+func (c condition) gauged() (quarantined, readOnly, migrating int64) {
+	if c.closed {
+		return 0, 0, 0
+	}
+	if c.failure != nil {
+		quarantined = 1
+	}
+	if c.readOnly != "" {
+		readOnly = 1
+	}
+	if c.migrating {
+		migrating = 1
+	}
+	return quarantined, readOnly, migrating
+}
+
+// setCondition applies change to the session's condition and moves the
+// three condition gauges by the difference, so each counts the live
+// sessions in its condition. It returns the condition before the change.
+func (ss *Session) setCondition(change func(*condition)) condition {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	was := ss.cond
+	change(&ss.cond)
+	q0, r0, m0 := was.gauged()
+	q1, r1, m1 := ss.cond.gauged()
+	ss.metrics.SessionsQuarantined.Add(q1 - q0)
+	ss.metrics.SessionsReadOnly.Add(r1 - r0)
+	ss.metrics.SessionsMigrating.Add(m1 - m0)
+	return was
+}
+
+// condition snapshots the session's condition.
+func (ss *Session) condition() condition {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return ss.cond
 }
 
 // quarantine marks the session failed, recording the first panic's
@@ -282,103 +334,38 @@ func (ss *Session) quarantine(r interface{}, actorStack []byte) {
 	ss.fail(reason, full+"\n\nactor stack:\n"+string(actorStack))
 }
 
-// fail records the first failure's diagnostic and flips the session to
-// failed — shared by panic quarantine and recovery husks.
+// fail records the first failure's diagnostic — shared by panic
+// quarantine and recovery husks.
 func (ss *Session) fail(reason, stack string) {
-	ss.failMu.Lock()
-	first := ss.failure == nil
-	if first {
-		ss.failure = &FailureInfo{Reason: reason, Stack: stack, Time: time.Now()}
-	}
-	ss.failMu.Unlock()
-	ss.failed.Store(true)
-	if first {
-		// Gauge accounting: inc on first quarantine, dec in close().
-		// Both sides run under closeMu and flip qGauged, so a panic
-		// while draining an already-closed session's queue can neither
-		// bump the gauge of the living nor be decremented twice.
-		ss.closeMu.Lock()
-		if !ss.closed {
-			ss.metrics.SessionsQuarantined.Inc()
-			ss.qGauged = true
+	ss.setCondition(func(c *condition) {
+		if c.failure == nil {
+			c.failure = &FailureInfo{Reason: reason, Stack: stack, Time: time.Now()}
 		}
-		ss.closeMu.Unlock()
-	}
-}
-
-// failedErr returns the quarantine error (wrapping ErrSessionFailed)
-// or nil for a healthy session.
-func (ss *Session) failedErr() error {
-	if !ss.failed.Load() {
-		return nil
-	}
-	ss.failMu.Lock()
-	defer ss.failMu.Unlock()
-	return fmt.Errorf("%w: %s", ErrSessionFailed, ss.failure.Reason)
+	})
 }
 
 // degradeReadOnly flips the session to read-only after a journal I/O
-// failure, recording why. The in-memory state keeps serving reads;
-// mutations are rejected so memory can never run ahead of the journal.
-// Safe from any goroutine (the manager's flush ticker degrades too).
+// failure, recording the first reason. Safe from any goroutine (the
+// manager's flush ticker degrades too).
 func (ss *Session) degradeReadOnly(reason string) {
-	ss.roMu.Lock()
-	first := ss.roReason == ""
-	if first {
-		ss.roReason = reason
-	}
-	ss.roMu.Unlock()
-	ss.readonly.Store(true)
-	if first {
-		ss.closeMu.Lock()
-		if !ss.closed {
-			ss.metrics.SessionsReadOnly.Inc()
-			ss.roGauged = true
+	ss.setCondition(func(c *condition) {
+		if c.readOnly == "" {
+			c.readOnly = reason
 		}
-		ss.closeMu.Unlock()
-	}
-}
-
-// readonlyErr returns the degradation error (wrapping
-// ErrSessionReadOnly) or nil for a writable session.
-func (ss *Session) readonlyErr() error {
-	if !ss.readonly.Load() {
-		return nil
-	}
-	ss.roMu.Lock()
-	defer ss.roMu.Unlock()
-	return fmt.Errorf("%w: %s", ErrSessionReadOnly, ss.roReason)
+	})
 }
 
 // freeze claims the session for one migration: mutations start being
 // rejected with ErrSessionMigrating. Returns false when another
 // migration already holds it.
 func (ss *Session) freeze() bool {
-	if !ss.migrating.CompareAndSwap(false, true) {
-		return false
-	}
-	ss.metrics.SessionsMigrating.Inc()
-	return true
+	return !ss.setCondition(func(c *condition) { c.migrating = true }).migrating
 }
 
 // unfreeze releases a failed (or finished) migration's claim.
 // Idempotent.
 func (ss *Session) unfreeze() {
-	if ss.migrating.CompareAndSwap(true, false) {
-		ss.metrics.SessionsMigrating.Dec()
-	}
-}
-
-// migratingErr returns the freeze error or nil. Checked inside
-// journalAppend — on the actor, not only at the HTTP edge — so the
-// freeze→export ordering is airtight: every mutation the actor runs
-// after the flag flips is rejected, and every one it ran before is in
-// the stream the export (posted after the flip, FIFO queue) captures.
-func (ss *Session) migratingErr() error {
-	if !ss.migrating.Load() {
-		return nil
-	}
-	return fmt.Errorf("%w: session is moving to another node; retry shortly", ErrSessionMigrating)
+	ss.setCondition(func(c *condition) { c.migrating = false })
 }
 
 // Export renders the session's journal stream — the byte image an
@@ -408,11 +395,7 @@ func (ss *Session) Export(ctx context.Context) ([]byte, error) {
 }
 
 // ReadOnlyReason reports why the session degraded ("" when writable).
-func (ss *Session) ReadOnlyReason() string {
-	ss.roMu.Lock()
-	defer ss.roMu.Unlock()
-	return ss.roReason
-}
+func (ss *Session) ReadOnlyReason() string { return ss.condition().readOnly }
 
 // discard closes a session that is gone on purpose — explicit close,
 // TTL eviction, migrated away — so its state must not resurrect at the
@@ -446,46 +429,32 @@ func (ss *Session) syncJournal() {
 
 // Failure snapshots the quarantine diagnostic, or nil when healthy.
 func (ss *Session) Failure() *FailureInfo {
-	ss.failMu.Lock()
-	defer ss.failMu.Unlock()
-	if ss.failure == nil {
+	f := ss.condition().failure
+	if f == nil {
 		return nil
 	}
-	f := *ss.failure
-	return &f
+	cp := *f
+	return &cp
 }
 
 // StateName reports the lifecycle state: active, failed, or closed.
 func (ss *Session) StateName() string {
-	ss.closeMu.RLock()
-	closed := ss.closed
-	ss.closeMu.RUnlock()
-	switch {
-	case closed:
+	switch c := ss.condition(); {
+	case c.closed:
 		return "closed"
-	case ss.failed.Load():
+	case c.failure != nil:
 		return "failed"
 	default:
 		return "active"
 	}
 }
 
-// close stops the actor; queued requests still drain first.
+// close stops the actor; queued requests still drain first. No post
+// sends once closed is set, so reqCh is closed after the lock is gone.
 func (ss *Session) close() {
-	ss.closeMu.Lock()
-	if !ss.closed {
-		ss.closed = true
+	if !ss.setCondition(func(c *condition) { c.closed = true }).closed {
 		close(ss.reqCh)
-		if ss.qGauged {
-			ss.metrics.SessionsQuarantined.Dec()
-			ss.qGauged = false
-		}
-		if ss.roGauged {
-			ss.metrics.SessionsReadOnly.Dec()
-			ss.roGauged = false
-		}
 	}
-	ss.closeMu.Unlock()
 }
 
 // Idle reports how long the session has gone without a request.
@@ -504,7 +473,7 @@ const infoBudget = 250 * time.Millisecond
 // path, and state; only Live/Mutated are omitted.
 func (ss *Session) Info(ctx context.Context) SessionInfo {
 	static := SessionInfo{ID: ss.ID, Path: ss.path, State: ss.StateName(), IdleSeconds: ss.Idle().Seconds(),
-		ReadOnly: ss.readonly.Load(), Journaled: ss.jr.Load() != nil || ss.walOrphan != ""}
+		ReadOnly: ss.ReadOnlyReason() != "", Journaled: ss.jr.Load() != nil || ss.walOrphan != ""}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -896,10 +865,7 @@ func (ss *Session) currentHash() string {
 // and where a session frozen for migration rejects, durable or not:
 // nothing mutates behind an in-flight export.
 func (ss *Session) journalAppend(rec *record) error {
-	if err := ss.migratingErr(); err != nil {
-		return err
-	}
-	if err := ss.readonlyErr(); err != nil {
+	if err := ss.condition().refusal(true); err != nil {
 		return err
 	}
 	jr := ss.jr.Load()
@@ -916,7 +882,7 @@ func (ss *Session) journalAppend(rec *record) error {
 	}
 	if err != nil {
 		ss.degradeReadOnly(fmt.Sprintf("%s: %v", what, err))
-		return ss.readonlyErr()
+		return ss.condition().refusal(true)
 	}
 	return nil
 }
@@ -996,7 +962,7 @@ func (ss *Session) cursor() (unit string, loop int) {
 func (ss *Session) maybeSnapshot() {
 	jr := ss.jr.Load()
 	if jr == nil || ss.cfg.SnapshotEvery <= 0 || ss.mutsSinceSnap < ss.cfg.SnapshotEvery ||
-		ss.sticky || ss.readonly.Load() {
+		ss.sticky || ss.ReadOnlyReason() != "" {
 		return
 	}
 	if err := jr.rewrite(ss.snapshotRecord()); err != nil {
