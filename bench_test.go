@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -491,13 +493,17 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 
 // BenchmarkBuildCold measures the first compiled run's dominant cost:
 // codegen.Build of a program no cache has seen — the edit-bench source
-// with a constant that changes per iteration — on a cache root that
-// already holds the runtime module, so what is timed is staging, one
-// go build of the generated unit and the link. bench/ measures the
-// same as codegen.build_cold_ms on plan_run.
+// with a constant that changes per iteration.
+//
+// listed-root builds on a cache root that already holds the runtime
+// module and its listing, so what is timed is staging, the compile of
+// the generated unit and the link; bench/ measures the same as
+// codegen.build_cold_ms on plan_run. first-on-root builds each program
+// on an empty root: staging the runtime module, listing it (which
+// compiles its three packages for that directory) and the build — what
+// plan_run's set-up and its first session pay.
 func BenchmarkBuildCold(b *testing.B) {
-	cache := b.TempDir()
-	build := func(salt int) {
+	build := func(cache string, salt int) {
 		src := strings.Replace(editBenchSource(10), "t = 0.0", fmt.Sprintf("t = 0.%04d", salt), 1)
 		f, err := fortran.Parse("bench.f", src)
 		if err != nil {
@@ -511,11 +517,22 @@ func BenchmarkBuildCold(b *testing.B) {
 			b.Fatal("salted program hit the cache")
 		}
 	}
-	build(0) // stages the runtime module, fills the Go build cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		build(i + 1)
-	}
+	b.Run("listed-root", func(b *testing.B) {
+		cache := b.TempDir()
+		build(cache, 0) // stages and lists the runtime module
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(cache, i+1)
+		}
+	})
+	b.Run("first-on-root", func(b *testing.B) {
+		caches := b.TempDir()
+		build(filepath.Join(caches, "warm"), 0) // fills the Go build cache with the standard library
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(filepath.Join(caches, strconv.Itoa(i)), i+1)
+		}
+	})
 }
 
 // BenchmarkBuildHit measures what every warm compiled run pays before

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -40,8 +41,9 @@ var (
 // rtFiles is the runtime module, staged once per cache root in a
 // directory named after a hash of these files. Its path is then the
 // same for every program built there, so the Go build cache (which
-// keys a package on its directory) compiles the three packages once
-// and a cold build compiles and links only the generated unit.
+// keys a package on its directory) compiles the three packages once,
+// and one listing of the root names their archives for every cold
+// build after it, which compiles and links only the generated unit.
 var rtFiles = map[string]string{
 	"go.mod":             "module rt\n\ngo 1.24\n",
 	"parrt/parrt.go":     parrtSrc,
@@ -53,14 +55,25 @@ func rtDirName(rt map[string]string) string { return "rt-" + cacheKey(rt, nil) }
 
 var rtDir = rtDirName(rtFiles)
 
-// buildFlags are the go build arguments that shape the binary. The
-// linker writes no symbol table and no DWARF, which nearly halves the
-// link (tracebacks need neither); and no VCS stamp, or a cache root
-// inside a git work tree would put the enclosing checkout's revision
-// and dirty state into every binary.
-var buildFlags = []string{"-ldflags=-s -w", "-buildvcs=false"}
+// headerImports are the packages header imports: with everything they
+// import, what every generated program links.
+var headerImports = []string{"math", "rt/parrt", "rt/prelude", "rt/runfmt"}
 
-// stagedFiles is the module go build compiles for one generated
+// compileFlags and linkFlags are the toolchain arguments that shape the
+// binary, those go build passes for the staged module: package main of
+// a go 1.24 module, all Go, no local imports; a plain executable whose
+// linker writes no symbol table and no DWARF, which nearly halves the
+// link (tracebacks need neither). No module information or VCS stamp
+// is linked in, so a cache root inside a git work tree cannot put the
+// enclosing checkout's revision and dirty state into a binary.
+// buildFlags, both sets, feed the cache key.
+var (
+	compileFlags = []string{"-p", "main", "-lang=go1.24", "-complete", "-nolocalimports"}
+	linkFlags    = []string{"-buildmode=exe", "-s", "-w"}
+	buildFlags   = slices.Concat(compileFlags, linkFlags)
+)
+
+// stagedFiles is the module a cold build compiles for one generated
 // program; it reaches the runtime module beside it in the cache root.
 func stagedFiles(mainSrc, rtDir string) map[string]string {
 	return map[string]string{
@@ -124,16 +137,43 @@ type binStamp struct{ size, mtimeNs int64 }
 var verified sync.Map
 
 // buildFlight dedups concurrent cold builds: N requests for the same
-// uncached program trigger exactly one go build.
+// uncached program trigger exactly one compile and link.
 var buildFlight execguard.Group
 
 // janitorMu serializes cache sweeps so concurrent builds don't race
 // over the same eviction set.
 var janitorMu sync.Mutex
 
-// rtMu serializes checking and staging the runtime module among this
-// process's cold builds; between processes the rename decides.
+// rtMu serializes checking and staging the runtime module, and listing
+// it, among this process's cold builds; between processes the rename
+// decides. It guards listings and toolchain.
 var rtMu sync.Mutex
+
+// pkgFile is one package a generated program links and its archive in
+// the Go build cache.
+type pkgFile struct{ path, archive string }
+
+// listings holds, per cache root, what go list reported of the runtime
+// module: every package a generated program links, with its archive.
+var listings = map[string][]pkgFile{}
+
+// toolchain is what the go command tells this process once: the
+// directory of the compiler and linker, and the configuration it gives
+// them when it runs them itself. It is written once, under rtMu,
+// before the first listing, and only read after linked returns.
+var toolchain struct {
+	dir string
+	env []string
+}
+
+// toolEnv names the go command's settings the compiler and linker read:
+// the listed archives were compiled under them, and the linker records
+// GOROOT in the binary as it does under go build.
+var toolEnv = []string{"GOROOT", "GOOS", "GOARCH", "GOEXPERIMENT"}
+
+// goEnv confines the go command to the runtime module: no workspace,
+// no network, no go.sum to keep.
+var goEnv = []string{"GOWORK=off", "GOPROXY=off", "GOFLAGS=-mod=mod"}
 
 // cacheRoot returns the directory compiled modules live under,
 // preferring the user cache dir and falling back to the system temp
@@ -152,7 +192,7 @@ func cacheRoot(dir string) string {
 // reusing a previously built binary when the staged module's key
 // matches AND the entry's manifest checksum verifies — corrupt entries
 // are quarantined to <dir>.bad and transparently rebuilt. Concurrent
-// builds of the same program are deduplicated to one go build.
+// builds of the same program are deduplicated to one compile and link.
 // cacheDir may be empty to use the default location; g may be nil for
 // default limits and no telemetry.
 func Build(ctx context.Context, f *fortran.File, cacheDir string, g *execguard.Governor) (*Artifact, error) {
@@ -310,59 +350,160 @@ func rtIntact(dir string) bool {
 // ensureRT makes the cache root hold the runtime module, comparing
 // what is there with the embedded sources before every cold build: a
 // module that differs is quarantined and staged afresh, by temp
-// directory and atomic rename like a cache entry.
-func ensureRT(root string, g *execguard.Governor) error {
-	rtMu.Lock()
-	defer rtMu.Unlock()
+// directory and atomic rename like a cache entry. It reports whether
+// it staged; rtMu must be held.
+func ensureRT(root string, g *execguard.Governor) (staged bool, err error) {
 	dir := filepath.Join(root, rtDir)
 	if rtIntact(dir) {
-		return nil
+		return false, nil
 	}
 	if _, err := os.Lstat(dir); err == nil {
 		quarantine(dir, g)
 	}
 	stage, err := os.MkdirTemp(root, "build-")
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer os.RemoveAll(stage)
 	if err := writeTree(stage, rtFiles); err != nil {
-		return err
+		return false, err
 	}
 	// Another process may win the rename; its module is checked like
 	// any other.
 	if err := os.Rename(stage, dir); err != nil && !rtIntact(dir) {
-		return err
+		return false, err
 	}
-	return nil
+	return true, nil
 }
 
-// buildCmd is the one go build invocation, to run in a staged
-// module's directory; extra arguments go before the build flags.
-func buildCmd(dir string, extra ...string) *exec.Cmd {
-	args := append(append([]string{"build"}, extra...), buildFlags...)
-	cmd := exec.Command("go", append(args, "-o", binName, ".")...)
+// linked returns the packages a program built on root links, once
+// ensureRT has compared the runtime module. go list names them and
+// their archives the first time this process builds on root, after a
+// restage, and after an archive has left the Go build cache (go clean
+// -cache, a trim); any other cold build only stats the archives.
+func linked(st *steps, root string) ([]pkgFile, error) {
+	rtMu.Lock()
+	defer rtMu.Unlock()
+	staged, err := ensureRT(root, st.g)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: stage runtime module: %w", err)
+	}
+	if pkgs, ok := listings[root]; ok && !staged && archivesPresent(pkgs) {
+		return pkgs, nil
+	}
+	delete(listings, root)
+	rt := filepath.Join(root, rtDir)
+	if toolchain.dir == "" {
+		out, err := st.run("go env", rt, goEnv, "go", append([]string{"env", "GOTOOLDIR"}, toolEnv...)...)
+		if err != nil {
+			return nil, err
+		}
+		vals := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if len(vals) != 1+len(toolEnv) || vals[0] == "" {
+			return nil, fmt.Errorf("codegen: go env: unexpected output %q", out)
+		}
+		var env []string
+		for i, name := range toolEnv {
+			env = append(env, name+"="+vals[1+i])
+		}
+		toolchain.dir, toolchain.env = vals[0], env
+	}
+	out, err := st.run("go list", rt, goEnv, "go", append([]string{"list", "-export", "-deps",
+		"-f", "{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}"}, headerImports...)...)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []pkgFile
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		path, archive, ok := strings.Cut(line, "=")
+		if !ok {
+			return nil, fmt.Errorf("codegen: go list: unexpected line %q", line)
+		}
+		pkgs = append(pkgs, pkgFile{path, archive})
+	}
+	listings[root] = pkgs
+	return pkgs, nil
+}
+
+// archivesPresent reports whether every listed archive is still there.
+func archivesPresent(pkgs []pkgFile) bool {
+	for _, p := range pkgs {
+		if _, err := os.Stat(p.archive); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// steps runs one cold build's toolchain processes under supervision,
+// with one wall budget between them: its own timeout and group kill,
+// so a hung toolchain cannot wedge the daemon, and no output caps or
+// RSS watchdog, so diagnostics survive whole.
+type steps struct {
+	ctx      context.Context
+	g        *execguard.Governor
+	budget   time.Duration
+	deadline time.Time
+}
+
+// run runs one named step in dir with env over the process's own
+// environment and returns what it printed to stdout.
+func (st *steps) run(step, dir string, env []string, name string, args ...string) (string, error) {
+	left := time.Until(st.deadline)
+	if left <= 0 { // a zero Limits.Timeout would mean the default
+		return "", fmt.Errorf("codegen: %s: %w", step, execguard.TimeoutError(st.budget))
+	}
+	cmd := exec.Command(name, args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOFLAGS=-mod=mod")
-	return cmd
+	// Environ sets PWD to dir, as the go command does for the tools it
+	// runs: the compiler records main.go's path through it.
+	cmd.Env = append(cmd.Environ(), env...)
+	bg := st.g.With(execguard.Limits{Timeout: left, OutputBytes: -1, StderrBytes: -1, RSSBytes: -1})
+	res, err := execguard.Supervise(st.ctx, bg, cmd)
+	if err != nil {
+		switch {
+		case errors.Is(err, execguard.ErrTimeout):
+			// The step's deadline is the build's.
+			return "", fmt.Errorf("codegen: %s: %w", step, execguard.TimeoutError(st.budget))
+		case st.ctx.Err() != nil:
+			return "", fmt.Errorf("codegen: %s: %w", step, err)
+		}
+		stderr := ""
+		if res != nil {
+			stderr = res.Stderr
+		}
+		return "", fmt.Errorf("codegen: %s failed: %v\n%s", step, err, stderr)
+	}
+	return res.Stdout, nil
 }
 
-// compile writes the module into a staging directory, runs go build
-// under supervision (its own timeout, group kill — a hung toolchain
-// cannot wedge the daemon), writes the manifest, and atomically
-// renames the result into place so concurrent builds of the same
-// program never observe a half-written module.
+// Scratch files of a cold build, removed from the staging directory
+// before it becomes an entry.
+const (
+	importcfgName = "importcfg"
+	objName       = "main.a"
+)
+
+// compile builds one staged program: it lists the root's runtime
+// module if it must, writes the module into a staging directory,
+// compiles main.go against the listed archives and links it, writes
+// the manifest, and atomically renames the result into place so
+// concurrent builds of the same program never observe a half-written
+// module.
 func compile(ctx context.Context, files map[string]string, dir, bin string, g *execguard.Governor) error {
 	hash := filepath.Base(dir)
 	if err := faultpoint.Hit(faultpoint.ExecBuild, hash); err != nil {
-		return fmt.Errorf("codegen: go build failed: %w", err)
+		return fmt.Errorf("codegen: build failed: %w", err)
 	}
+	st := &steps{ctx: ctx, g: g, budget: g.BuildTimeout()}
+	st.deadline = time.Now().Add(st.budget)
 	root := filepath.Dir(dir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("codegen: create cache: %w", err)
 	}
-	if err := ensureRT(root, g); err != nil {
-		return fmt.Errorf("codegen: stage runtime module: %w", err)
+	pkgs, err := linked(st, root)
+	if err != nil {
+		return err
 	}
 	// The compiler records main.go's path, so the staging directory is
 	// named after the key: the binary is then a function of the key and
@@ -378,22 +519,29 @@ func compile(ctx context.Context, files map[string]string, dir, bin string, g *e
 	if err := writeTree(stage, files); err != nil {
 		return fmt.Errorf("codegen: stage build: %w", err)
 	}
+	var cfg strings.Builder
+	for _, p := range pkgs {
+		fmt.Fprintf(&cfg, "packagefile %s=%s\n", p.path, p.archive)
+	}
+	if err := os.WriteFile(filepath.Join(stage, importcfgName), []byte(cfg.String()), 0o644); err != nil {
+		return fmt.Errorf("codegen: stage build: %w", err)
+	}
 
-	cmd := buildCmd(stage)
-	// The build governor: its own wall budget, no output caps (build
-	// diagnostics must survive whole), no RSS watchdog for the
-	// toolchain.
-	bg := g.With(execguard.Limits{Timeout: g.BuildTimeout(), OutputBytes: -1, StderrBytes: -1, RSSBytes: -1})
-	res, err := execguard.Supervise(ctx, bg, cmd)
-	if err != nil {
-		if errors.Is(err, execguard.ErrTimeout) || ctx.Err() != nil {
-			return fmt.Errorf("codegen: go build: %w", err)
+	// -c is the compiler back end's concurrency as go build picks it; it
+	// does not change the object.
+	conc := "-c=" + strconv.Itoa(min(4, runtime.GOMAXPROCS(0)))
+	compileArgs := slices.Concat([]string{"-o", objName}, compileFlags, []string{conc, "-importcfg", importcfgName, "-pack", "./main.go"})
+	if _, err := st.run("compile", stage, toolchain.env, filepath.Join(toolchain.dir, "compile"), compileArgs...); err != nil {
+		return err
+	}
+	linkArgs := slices.Concat([]string{"-o", binName, "-importcfg", importcfgName}, linkFlags, []string{objName})
+	if _, err := st.run("link", stage, toolchain.env, filepath.Join(toolchain.dir, "link"), linkArgs...); err != nil {
+		return err
+	}
+	for _, name := range []string{importcfgName, objName} {
+		if err := os.Remove(filepath.Join(stage, name)); err != nil {
+			return fmt.Errorf("codegen: stage build: %w", err)
 		}
-		stderr := ""
-		if res != nil {
-			stderr = res.Stderr
-		}
-		return fmt.Errorf("codegen: go build failed: %v\n%s", err, stderr)
 	}
 
 	stagedBin := filepath.Join(stage, binName)

@@ -526,6 +526,18 @@ func (g *gen) genUnit(out *strings.Builder, u *fortran.Unit) {
 	g.bodies = nil
 	g.usedLabels = map[int]bool{}
 	g.markUsedLabels(u.Body, [][]fortran.Stmt{u.Body})
+	// A Go label is declared once per function: a GOTO target that
+	// labels two statements of the unit has no lowering.
+	labeled := map[int]bool{}
+	fortran.WalkStmts(u.Body, func(s fortran.Stmt) bool {
+		if l := fortran.StmtLabel(s); g.usedLabels[l] {
+			if labeled[l] {
+				g.decline("%s: label %d on more than one statement", u.Name, l)
+			}
+			labeled[l] = true
+		}
+		return true
+	})
 
 	// Signature.
 	var params []string

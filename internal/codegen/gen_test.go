@@ -10,6 +10,7 @@ import (
 	"maps"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -177,6 +178,13 @@ func TestDeclines(t *testing.T) {
       call nosuch(1)
       end
 `, "unknown subroutine"},
+		{"goto-duplicate-label", `
+      program p
+      integer i
+    1 i = 0
+    1 goto 1
+      end
+`, "label 1 on more than one statement"},
 		{"power-nonconst", `
       program p
       integer i, j, k
@@ -242,7 +250,7 @@ func TestBuildCache(t *testing.T) {
 	if cacheKey(stagedFiles(otherSrc, rtDir), buildFlags) == a1.Hash {
 		t.Fatal("different programs share a hash")
 	}
-	// The key covers everything go build compiles and how: one byte
+	// The key covers everything a cold build compiles and how: one byte
 	// more in a runtime package, or one more flag, must never reuse
 	// this binary.
 	if cacheKey(stagedFiles(a1.Source, rtDir), buildFlags) != a1.Hash {
@@ -271,22 +279,38 @@ func TestBuildCache(t *testing.T) {
 		t.Fatalf("entry holds %v, want %v", names, want)
 	}
 
-	// A second program on the root, built the way compile builds it
-	// but with -x: the toolchain compiles main and takes the runtime
-	// module's packages from its cache.
-	dir := filepath.Join(cache, "build-x")
-	if err := writeTree(dir, stagedFiles(otherSrc, rtDir)); err != nil {
+	// A second program on the root runs no go command: with nothing on
+	// PATH, its cold build compiles and links against the root's
+	// listing, and the binary prints what the interpreter prints.
+	other := parse(t, strings.Replace(src, "42", "43", 1))
+	want, err := interp.RunCapture(other, 1, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := buildCmd(dir, "-x").CombinedOutput()
+	t.Setenv("PATH", "")
+	got, err := Exec(context.Background(), other, 1, nil, cache, nil)
 	if err != nil {
-		t.Fatalf("go build -x: %v\n%s", err, out)
+		t.Fatalf("cold build with an empty PATH: %v", err)
 	}
-	if !strings.Contains(string(out), " -p main ") {
-		t.Fatalf("go build -x shows no compile of main:\n%s", out)
+	if got.Output != want {
+		t.Fatalf("output %q, interpreter %q", got.Output, want)
 	}
-	if strings.Contains(string(out), " -p rt/") {
-		t.Fatalf("the second program on a root recompiled the runtime module:\n%s", out)
+}
+
+// TestHeaderImportsListed: the listing names what header imports, so a
+// cold build never meets an import the importcfg lacks.
+func TestHeaderImportsListed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "header.go", header, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		got = append(got, path)
+	}
+	if !slices.Equal(got, headerImports) {
+		t.Fatalf("header imports %v, the listing asks for %v", got, headerImports)
 	}
 }
 

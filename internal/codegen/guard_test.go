@@ -150,11 +150,11 @@ func TestConcurrentColdBuildsDeduplicated(t *testing.T) {
 			t.Fatalf("build %d: %v", i, err)
 		}
 	}
-	// Exactly one go build must have run; everyone else either joined
-	// the in-flight build (dedup) or arrived late to a verified cache
-	// hit. Every call is accounted for by one of the three.
+	// Exactly one build must have run; everyone else either joined the
+	// in-flight build (dedup) or arrived late to a verified cache hit.
+	// Every call is accounted for by one of the three.
 	if got := tel.BuildsTotal.Value(); got != 1 {
-		t.Fatalf("go build ran %d times for one program, want exactly 1", got)
+		t.Fatalf("%d builds ran for one program, want exactly 1", got)
 	}
 	total := tel.BuildsTotal.Value() + tel.BuildDedups.Value() + tel.BuildCacheHits.Value()
 	if total != n {
@@ -171,13 +171,93 @@ func TestBuildTimeoutKillsToolchain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain; skipped in -short mode")
 	}
+	// On an empty root the budget covers listing the runtime module too.
 	g := execguard.New(execguard.Config{BuildTimeout: 20 * time.Millisecond})
 	_, err := Build(context.Background(), parse(t, guardSrc), t.TempDir(), g)
 	if !errors.Is(err, execguard.ErrTimeout) {
 		t.Fatalf("want ErrTimeout from a 20ms build budget, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "go build") {
-		t.Fatalf("error %q does not name the build stage", err)
+	if !namesStep(err, "go env", "go list", "compile", "link") {
+		t.Fatalf("error %q does not name the build step", err)
+	}
+
+	// On a listed root compile and link share one budget; a budget
+	// shorter than both ends the build in one of them and leaves no
+	// staging directory behind.
+	cache := t.TempDir()
+	if _, err := Build(context.Background(), parse(t, guardSrc), cache, nil); err != nil {
+		t.Fatalf("cold build listing the root: %v", err)
+	}
+	g, tel := governed(execguard.Config{BuildTimeout: 5 * time.Millisecond})
+	_, err = Build(context.Background(), parse(t, strings.Replace(guardSrc, "7", "8", 1)), cache, g)
+	if !errors.Is(err, execguard.ErrTimeout) {
+		t.Fatalf("want ErrTimeout from a 5ms budget on a listed root, got %v", err)
+	}
+	if !namesStep(err, "compile", "link") {
+		t.Fatalf("error %q names neither compile nor link", err)
+	}
+	if got := tel.BuildFailures.Value(); got != 1 {
+		t.Fatalf("build failures = %d, want 1", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(cache, "build-*")); len(left) != 0 {
+		t.Fatalf("staging directories left behind: %v", left)
+	}
+}
+
+// namesStep reports whether err is a build error naming one of steps.
+func namesStep(err error, steps ...string) bool {
+	for _, s := range steps {
+		if strings.HasPrefix(err.Error(), "codegen: "+s+": ") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestVanishedArchiveRelisted: a cold build stats the archives the
+// root's listing names and lists again when one is gone, as after go
+// clean -cache, instead of failing.
+func TestVanishedArchiveRelisted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles binaries; skipped in -short mode")
+	}
+	cache := t.TempDir()
+	g, tel := governed(execguard.Config{})
+	ctx := context.Background()
+	if _, err := Build(ctx, parse(t, guardSrc), cache, g); err != nil {
+		t.Fatal(err)
+	}
+	gone := filepath.Join(t.TempDir(), "gone.a")
+	rtMu.Lock()
+	pkgs := listings[cache]
+	if len(pkgs) == 0 {
+		rtMu.Unlock()
+		t.Fatal("a cold build left no listing of its root")
+	}
+	pkgs[0].archive = gone
+	rtMu.Unlock()
+
+	builds, fails := tel.BuildsTotal.Value(), tel.BuildFailures.Value()
+	f := parse(t, strings.Replace(guardSrc, "7", "9", 1))
+	res, err := Exec(ctx, f, 1, nil, cache, g)
+	if err != nil {
+		t.Fatalf("cold build after an archive vanished: %v", err)
+	}
+	if res.Output != "9\n" {
+		t.Fatalf("output %q, want %q", res.Output, "9\n")
+	}
+	if got := tel.BuildsTotal.Value(); got != builds+1 {
+		t.Fatalf("builds went %d -> %d, want one more", builds, got)
+	}
+	if got := tel.BuildFailures.Value(); got != fails {
+		t.Fatalf("build failures went %d -> %d", fails, got)
+	}
+	rtMu.Lock()
+	defer rtMu.Unlock()
+	for _, p := range listings[cache] {
+		if p.archive == gone {
+			t.Fatalf("the listing still names %s for %s", gone, p.path)
+		}
 	}
 }
 

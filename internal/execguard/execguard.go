@@ -198,11 +198,11 @@ func NewTelemetry(reg *metrics.Registry) *Telemetry {
 		ExecInflight: reg.Gauge("pedd_exec_inflight",
 			"Program executions currently running under the governor."),
 		BuildsTotal: reg.Counter("pedd_build_total",
-			"Cold go builds of generated programs."),
+			"Cold builds (compile and link) of generated programs."),
 		BuildFailures: reg.Counter("pedd_build_failures_total",
-			"Cold go builds that failed (including build timeouts)."),
+			"Cold builds that failed (including build timeouts)."),
 		BuildLatency: reg.Histogram("pedd_build_seconds",
-			"Wall time of cold go builds.", timeBuckets),
+			"Wall time of cold builds.", timeBuckets),
 		BuildCacheHits: reg.Counter("pedd_build_cache_hits_total",
 			"Compile-cache reuses whose manifest checksum verified."),
 		BuildDedups: reg.Counter("pedd_build_dedup_total",
@@ -225,7 +225,7 @@ type Config struct {
 	// Limits are the per-run defaults; zero fields take the package
 	// defaults, negative fields disable the bound.
 	Limits Limits
-	// BuildTimeout bounds one go build (0 = DefaultBuildTimeout).
+	// BuildTimeout bounds one cold build (0 = DefaultBuildTimeout).
 	BuildTimeout time.Duration
 	// CacheEntries LRU-bounds the compile cache (0 = 256 entries).
 	CacheEntries int
@@ -289,7 +289,7 @@ func (g *Governor) RunLimits() Limits {
 	return g.limits
 }
 
-// BuildTimeout returns the go build budget.
+// BuildTimeout returns the budget of one cold build.
 func (g *Governor) BuildTimeout() time.Duration {
 	if g == nil {
 		return DefaultBuildTimeout

@@ -4,7 +4,7 @@ import "sync"
 
 // flightGroup is a minimal singleflight: concurrent Do calls with the
 // same key share one execution of fn. Used by the build pipeline so N
-// cold requests for the same program trigger exactly one go build.
+// cold requests for the same program trigger exactly one build.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

@@ -68,7 +68,7 @@ const (
 	// stream mid-record — the target must reject it whole and the
 	// source must stay authoritative.
 	MigrateStream = "migrate-stream"
-	// ExecBuild fires before a cold go build of a generated program
+	// ExecBuild fires before a cold build of a generated program
 	// (detail: the cache hash). An Err fault models a broken toolchain;
 	// with Fallback set the run degrades to the interpreter.
 	ExecBuild = "exec-build"
