@@ -169,6 +169,9 @@ func TestCompiledSnippets(t *testing.T) {
 	})
 }
 
+// TestDeclines pins what the generator refuses and the reason it gives.
+// A row with no reason pins the opposite: the program must compile and,
+// outside -short, print what the interpreter prints.
 func TestDeclines(t *testing.T) {
 	cases := []struct {
 		name, src, reason string
@@ -200,11 +203,267 @@ func TestDeclines(t *testing.T) {
       b = a
       end
 `, "whole-array"},
+		// The pinned interpreter programs (TestInterpErrors,
+		// TestInterpProof) in which some storage may hold another type
+		// than a symbol naming it declares.
+		{"mismatch-two-calls-down", `
+      program p
+      integer k
+      k = 7
+      call outer(k)
+      print *, k, k/2
+      end
+      subroutine outer(n)
+      integer n
+      print *, n/2
+      call inner(n)
+      print *, n/2
+      end
+      subroutine inner(x)
+      real x
+      x = x/2
+      end
+`, "inner: scalar n type mismatch at call boundary"},
+		{"value-actual-typed-by-a-loosened-variable", `
+      program p
+      integer k
+      k = 7
+      call half(k)
+      call show(k + 1)
+      call show(k*2)
+      end
+      subroutine half(x)
+      real x
+      x = x/2
+      end
+      subroutine show(n)
+      integer n
+      print *, n, n/2
+      end
+`, "half: scalar k type mismatch at call boundary"},
+		{"function-result-loosened-inside", `
+      program p
+      print *, f(3)/2, f(3)
+      end
+      function f(n)
+      integer n
+      f = n
+      call ints(f)
+      end
+      subroutine ints(k)
+      integer k
+      k = k*2 + 1
+      end
+`, "ints: scalar f type mismatch at call boundary"},
+		{"element-of-loosened-array-by-value", `
+      program p
+      integer k(3)
+      k(1) = 9
+      call reals(k)
+      call show(k(1))
+      call show(k(2))
+      end
+      subroutine reals(a)
+      real a(3)
+      a(2) = a(1)/2
+      end
+      subroutine show(n)
+      integer n
+      print *, n, n/2
+      end
+`, "reals: array k element type mismatch at call boundary"},
+		{"tail-of-integer-array-as-reals", `
+      program p
+      integer k(6), i
+      do i = 1, 6
+         k(i) = i
+      enddo
+      call reals(k(4))
+      print *, k(3)/2, k(4)/2, k(5)/2, k(6)
+      end
+      subroutine reals(a)
+      real a(3)
+      a(2) = a(1)/8
+      end
+`, "reals: array k element type mismatch at call boundary"},
+		{"doall-loosened-private-and-typed-reduction", `
+      program p
+      integer i, k, n
+      real t
+      n = 0
+      do i = 1, 12
+         k = i
+         call half(k)
+         t = k
+         n = n + int(t*2)
+      enddo
+      print *, n, k
+      end
+      subroutine half(x)
+      real x
+      x = x/2
+      end
+`, "half: scalar k type mismatch at call boundary"},
+		{"real-actual-for-integer-formal", `
+      program p
+      real x
+      integer k
+      x = 7.0
+      k = 7
+      call halve(x)
+      call halve(7.0)
+      call halve(k)
+      call halve(7)
+      call third(k)
+      print *, x, k, k/2
+      end
+      subroutine halve(n)
+      integer n
+      print *, n, n/2
+      end
+      subroutine third(y)
+      real y
+      y = y/2
+      end
+`, "halve: scalar x type mismatch at call boundary"},
+		{"integer-array-for-real-formal", `
+      program p
+      integer k(4), i
+      do i = 1, 4
+         k(i) = i
+      enddo
+      call scale(k)
+      print *, k(1), k(2)/2, k(3), k(4)/8
+      end
+      subroutine scale(a)
+      real a(4)
+      a(2) = a(2)*1.5
+      a(3) = a(4)/8
+      end
+`, "scale: array k element type mismatch at call boundary"},
+		{"common-with-two-types", `
+      program p
+      integer k
+      real a(2)
+      common /blk/ k, a
+      k = 7
+      a(1) = 7.0
+      call s
+      print *, k, k/2, a(1), a(1)/2, a(2)
+      end
+      subroutine s
+      real k
+      integer a(4)
+      common /blk/ k, a
+      print *, k/2, a(1)/2
+      k = k/2
+      a(1) = 3.9
+      a(2) = 5
+      end
+`, "common blk/a declared with different kind or type across units"},
+		{"real-loop-variable", `
+      program p
+      real x, s
+      s = 0.0
+      do x = 1, 4
+         s = s + x/2
+      enddo
+      print *, x, s, x/2
+      end
+`, "non-integer DO variable x"},
+		{"expression-argument", `
+      program p
+      real x
+      x = 3.0
+      call show(x*2.0)
+      end
+      subroutine show(n)
+      integer n
+      print *, n, n/2
+      end
+`, "show: expression argument type mismatch (want int64, got float64)"},
+		{"power-typing", `
+      program p
+      integer i, j, n
+      parameter (n = 2)
+      real x
+      i = 3
+      j = -2
+      x = 2.0
+      print *, i**2/2, i**n/2, i**j, (i**j)*2, x**2, x**i, i**x, 2**(-1), (-8)**3
+      end
+`, "INTEGER ** non-constant INTEGER exponent"},
+		// Storage both backends keep alike: REAL and DOUBLE PRECISION are
+		// one float64, printed alike, and a CHARACTER literal is
+		// CHARACTER.
+		{"real-actual-double-dummy", `
+      program p
+      real x
+      x = 1.5
+      call twice(x)
+      print *, x
+      end
+      subroutine twice(y)
+      double precision y
+      y = y*2.0d0
+      end
+`, ""},
+		{"real-array-double-dummy", `
+      program p
+      real a(3)
+      a(2) = 1.5
+      call twice(a)
+      print *, a(1), a(2)
+      end
+      subroutine twice(b)
+      double precision b(3)
+      b(2) = b(2)*2.0d0
+      end
+`, ""},
+		{"double-expression-real-dummy", `
+      program p
+      double precision d
+      d = 0.25d0
+      call show(d*3.0d0)
+      end
+      subroutine show(x)
+      real x
+      print *, x, x/2
+      end
+`, ""},
+		{"character-literal-character-dummy", `
+      program p
+      call show('abc')
+      end
+      subroutine show(s)
+      character*8 s
+      print *, s
+      end
+`, ""},
+		{"power-parameter-exponent", `
+      program p
+      integer i, n
+      parameter (n = 2)
+      i = 3
+      print *, i**n, i**n/2
+      end
+`, ""},
 	}
+	cache := t.TempDir()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			f := parse(t, c.src)
-			_, err := Generate(f)
+			src, err := Generate(f)
+			if c.reason == "" {
+				if err != nil {
+					t.Fatalf("want compiled, got %v", err)
+				}
+				typeCheckGenerated(t, src)
+				if !testing.Short() {
+					runBoth(t, cache, c.src, 1, nil)
+				}
+				return
+			}
 			if !IsDeclined(err) {
 				t.Fatalf("want declined, got %v", err)
 			}
