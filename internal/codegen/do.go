@@ -20,9 +20,6 @@ func (g *gen) genDo(st *fortran.DoStmt) {
 	if ivar == nil {
 		g.decline("DO loop without a control variable")
 	}
-	if g.symType(ivar) != tInt {
-		g.decline("non-integer DO variable %s", ivar.Name)
-	}
 
 	g.w("{")
 	g.ind++

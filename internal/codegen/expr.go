@@ -5,13 +5,14 @@ import (
 	"strings"
 
 	"parascope/internal/fortran"
+	"parascope/internal/interp"
 )
 
 // expr lowers an expression, returning Go source text and the static
-// type. Static types are decidable because every storage location has
-// a declared type and the interpreter's convert-on-store keeps the
-// dynamic type equal to it; the only runtime-type-dependent construct
-// (INTEGER ** non-constant INTEGER) is declined.
+// type. Static types are decidable because Generate declined every
+// program in which the interpreter's proof marks a storage that may
+// hold another type than declared; the one expression whose type only
+// the run can tell (INTEGER ** non-constant INTEGER) is declined.
 func (g *gen) expr(e fortran.Expr) xpr {
 	switch x := e.(type) {
 	case *fortran.IntLit:
@@ -58,11 +59,11 @@ func (g *gen) ref(x *fortran.VarRef) xpr {
 		g.decline("unresolved name %s", x.Name)
 	}
 	if sym.Kind == fortran.SymParam {
-		v, ok := g.fold(sym.Value, 0)
+		v, ok := interp.Fold(x)
 		if !ok {
 			g.decline("PARAMETER %s is not a foldable constant", sym.Name)
 		}
-		return convertC(v, g.symType(sym)).lit()
+		return lit(v, g.symType(sym))
 	}
 	if sym.IsArray() {
 		if len(x.Subs) == 0 {
@@ -124,16 +125,15 @@ func (g *gen) binary(x *fortran.Binary) xpr {
 	case fortran.TokPower:
 		numeric()
 		if bothInt {
-			// The result's *type* depends on the exponent's runtime
-			// sign in the interpreter, so the exponent must fold.
-			k, ok := g.fold(x.Y, 0)
-			if !ok || k.t != tInt {
+			// The result's *type* depends on the exponent's run-time
+			// sign, so the interpreter's typing must know it.
+			switch g.typing.TypeOf(x) {
+			case fortran.TypeInteger:
+				k, _ := interp.Fold(x.Y)
+				return xpr{"Ipow(" + a.c + ", " + intLit(k.I) + ")", tInt}
+			case fortran.TypeUnknown:
 				g.decline("INTEGER ** non-constant INTEGER exponent")
 			}
-			if k.i >= 0 {
-				return xpr{"Ipow(" + a.c + ", " + intLit(k.i) + ")", tInt}
-			}
-			return xpr{"math.Pow(" + g.toF(a) + ", " + g.toF(b) + ")", tFloat}
 		}
 		return xpr{"math.Pow(" + g.toF(a) + ", " + g.toF(b) + ")", tFloat}
 	case fortran.TokLt:
@@ -191,9 +191,9 @@ func (g *gen) call(x *fortran.FuncCall) xpr {
 // bindArgs lowers an actual-argument list following the interpreter's
 // binding rules: variable scalars by reference, whole arrays and
 // array-element tails by storage sharing, everything else into a
-// fresh cell. Static types must agree with the formals; otherwise the
-// callee's statically-typed code would diverge from the
-// interpreter's dynamic typing.
+// fresh cell. Every binding's storage type agrees with the formal's:
+// where it would not, the proof marks the formal and Generate has
+// declined.
 func (g *gen) bindArgs(callee *fortran.Unit, actuals []fortran.Expr) string {
 	if len(actuals) < len(callee.Args) {
 		g.decline("%s: call with %d args for %d formals", callee.Name, len(actuals), len(callee.Args))
@@ -203,31 +203,21 @@ func (g *gen) bindArgs(callee *fortran.Unit, actuals []fortran.Expr) string {
 	// like the interpreter's binder.
 	for i, formal := range callee.Args {
 		a := actuals[i]
-		ft := g.symType(formal)
 		if vr, ok := a.(*fortran.VarRef); ok && vr.Sym != nil && vr.Sym.Kind != fortran.SymParam {
 			switch {
 			case vr.Sym.IsArray() && len(vr.Subs) == 0:
 				if formal.Kind != fortran.SymArray {
 					g.decline("%s: whole array %s passed to scalar formal", callee.Name, vr.Sym.Name)
 				}
-				if g.symType(vr.Sym) != ft {
-					g.decline("%s: array %s element type mismatch at call boundary", callee.Name, vr.Sym.Name)
-				}
 				parts = append(parts, g.arrName(vr.Sym))
 				continue
 			case vr.Sym.IsArray() && len(vr.Subs) > 0 && formal.Kind == fortran.SymArray:
 				// Sequence association: alias the tail of the storage.
-				if g.symType(vr.Sym) != ft {
-					g.decline("%s: array %s element type mismatch at call boundary", callee.Name, vr.Sym.Name)
-				}
 				parts = append(parts, g.arrName(vr.Sym)+".Tail("+g.subs(vr.Subs)+")")
 				continue
 			case !vr.Sym.IsArray() && len(vr.Subs) == 0:
 				if formal.Kind != fortran.SymScalar {
 					g.decline("%s: scalar %s passed to array formal", callee.Name, vr.Sym.Name)
-				}
-				if g.symType(vr.Sym) != ft {
-					g.decline("%s: scalar %s type mismatch at call boundary", callee.Name, vr.Sym.Name)
 				}
 				if vr.Sym.Dummy {
 					parts = append(parts, mangleVar(vr.Sym.Name))
@@ -241,12 +231,7 @@ func (g *gen) bindArgs(callee *fortran.Unit, actuals []fortran.Expr) string {
 		if formal.Kind != fortran.SymScalar {
 			g.decline("%s: expression passed to array formal %s", callee.Name, formal.Name)
 		}
-		v := g.expr(a)
-		if v.t != ft {
-			g.decline("%s: expression argument type mismatch (want %s, got %s)",
-				callee.Name, ft.goName(), v.t.goName())
-		}
-		parts = append(parts, refFn(ft)+"("+v.c+")")
+		parts = append(parts, refFn(g.symType(formal))+"("+g.expr(a).c+")")
 	}
 	return strings.Join(parts, ", ")
 }

@@ -22,8 +22,8 @@ import (
 	"strconv"
 	"strings"
 
-	"parascope/internal/codegen/prelude"
 	"parascope/internal/fortran"
+	"parascope/internal/interp"
 )
 
 // Declined reports that the generator met a construct it cannot lower
@@ -97,10 +97,13 @@ var (
 
 type gen struct {
 	file *fortran.File
-	unit *fortran.Unit
-	buf  strings.Builder
-	ind  int
-	tmp  int
+	// typing is the interpreter's: Generate declines a program in which
+	// it marks a symbol, so every other storage holds its declared type.
+	typing interp.Proof
+	unit   *fortran.Unit
+	buf    strings.Builder
+	ind    int
+	tmp    int
 
 	// bodies is the stack of statement bodies enclosing the current
 	// lowering position, innermost last — the same chain the
@@ -116,7 +119,7 @@ type gen struct {
 	// detect mangling collisions.
 	commonName map[string]string
 	// commonSym remembers the first declaration seen for each common
-	// cell so later units can be checked for type/shape agreement.
+	// cell so later units can be checked for kind and shape agreement.
 	commonSym map[string]*fortran.Symbol
 }
 
@@ -132,10 +135,17 @@ func Generate(f *fortran.File) (src string, err error) {
 			panic(r)
 		}
 	}()
-	g := &gen{file: f, commonName: map[string]string{}, commonSym: map[string]*fortran.Symbol{}}
+	g := &gen{file: f, typing: interp.Prove(f), commonName: map[string]string{}, commonSym: map[string]*fortran.Symbol{}}
 	main := f.Main()
 	if main == nil {
 		g.decline("no main program")
+	}
+	for _, u := range f.Units {
+		for _, sym := range u.SymbolsSorted() {
+			if origin := g.typing[sym]; origin != "" {
+				g.decline("%s of %s may hold another type than its declared %s: %s", sym.Name, u.Name, sym.Type, origin)
+			}
+		}
 	}
 	unitNames := map[string]bool{}
 	for _, u := range f.Units {
@@ -169,151 +179,21 @@ func mangleCommon(block, name string) string {
 }
 
 // ---------------------------------------------------------------------------
-// Constant folding (PARAMETERs, dimensions, ** exponents)
+// Constants: interp.Fold evaluates them, with the interpreter's own
+// operations; the generator only renders the value.
 
-// cval is a folded compile-time constant.
-type cval struct {
-	t gtype
-	i int64
-	f float64
-	b bool
-	s string
-}
-
-func (c cval) toInt() int64 {
-	if c.t == tInt {
-		return c.i
-	}
-	return int64(c.f)
-}
-
-func (c cval) toFloat() float64 {
-	if c.t == tInt {
-		return float64(c.i)
-	}
-	return c.f
-}
-
-// fold evaluates e to a constant exactly the way the interpreter
-// would, or reports failure. depth guards PARAMETER cycles.
-func (g *gen) fold(e fortran.Expr, depth int) (cval, bool) {
-	if depth > 50 {
-		return cval{}, false
-	}
-	switch x := e.(type) {
-	case *fortran.IntLit:
-		return cval{t: tInt, i: x.Val}, true
-	case *fortran.RealLit:
-		return cval{t: tFloat, f: x.Val}, true
-	case *fortran.LogLit:
-		return cval{t: tBool, b: x.Val}, true
-	case *fortran.StrLit:
-		return cval{t: tStr, s: x.Val}, true
-	case *fortran.VarRef:
-		if x.Sym == nil || x.Sym.Kind != fortran.SymParam || x.Sym.Value == nil {
-			return cval{}, false
-		}
-		v, ok := g.fold(x.Sym.Value, depth+1)
-		if !ok {
-			return cval{}, false
-		}
-		return convertC(v, g.symType(x.Sym)), true
-	case *fortran.Unary:
-		v, ok := g.fold(x.X, depth+1)
-		if !ok {
-			return cval{}, false
-		}
-		switch x.Op {
-		case fortran.TokMinus:
-			if v.t == tInt {
-				return cval{t: tInt, i: -v.i}, true
-			}
-			if v.t == tFloat {
-				return cval{t: tFloat, f: -v.f}, true
-			}
-			return cval{}, false
-		case fortran.TokPlus:
-			return v, true
-		case fortran.TokNot:
-			if v.t != tBool {
-				return cval{}, false
-			}
-			return cval{t: tBool, b: !v.b}, true
-		}
-		return cval{}, false
-	case *fortran.Binary:
-		a, ok := g.fold(x.X, depth+1)
-		if !ok {
-			return cval{}, false
-		}
-		b, ok := g.fold(x.Y, depth+1)
-		if !ok {
-			return cval{}, false
-		}
-		bothInt := a.t == tInt && b.t == tInt
-		switch x.Op {
-		case fortran.TokPlus:
-			if bothInt {
-				return cval{t: tInt, i: a.i + b.i}, true
-			}
-			return cval{t: tFloat, f: a.toFloat() + b.toFloat()}, true
-		case fortran.TokMinus:
-			if bothInt {
-				return cval{t: tInt, i: a.i - b.i}, true
-			}
-			return cval{t: tFloat, f: a.toFloat() - b.toFloat()}, true
-		case fortran.TokStar:
-			if bothInt {
-				return cval{t: tInt, i: a.i * b.i}, true
-			}
-			return cval{t: tFloat, f: a.toFloat() * b.toFloat()}, true
-		case fortran.TokSlash:
-			if bothInt {
-				if b.i == 0 {
-					return cval{}, false
-				}
-				return cval{t: tInt, i: a.i / b.i}, true
-			}
-			return cval{t: tFloat, f: a.toFloat() / b.toFloat()}, true
-		case fortran.TokPower:
-			if bothInt && b.i >= 0 {
-				return cval{t: tInt, i: prelude.Ipow(a.i, b.i)}, true
-			}
-			return cval{}, false
-		}
-		return cval{}, false
-	}
-	return cval{}, false
-}
-
-// convertC applies Fortran assignment conversion to a folded value.
-func convertC(v cval, t gtype) cval {
-	if v.t == t {
-		return v
-	}
+// lit renders a folded constant as a literal of type t, converted the
+// way a store to t converts.
+func lit(v interp.Value, t gtype) xpr {
 	switch t {
 	case tInt:
-		return cval{t: tInt, i: v.toInt()}
+		return xpr{intLit(v.Int()), tInt}
 	case tFloat:
-		return cval{t: tFloat, f: v.toFloat()}
-	}
-	return v
-}
-
-func (c cval) lit() xpr {
-	switch c.t {
-	case tInt:
-		return xpr{intLit(c.i), tInt}
-	case tFloat:
-		return xpr{floatLit(c.f), tFloat}
+		return xpr{floatLit(v.Float()), tFloat}
 	case tBool:
-		if c.b {
-			return xpr{"true", tBool}
-		}
-		return xpr{"false", tBool}
-	default:
-		return xpr{strconv.Quote(c.s), tStr}
+		return xpr{strconv.FormatBool(v.B), tBool}
 	}
+	return xpr{strconv.Quote(v.S), tStr}
 }
 
 // intLit renders v through the prelude's CI identity helper. The
@@ -416,9 +296,9 @@ func refFn(t gtype) string {
 // Common blocks
 
 // genCommons emits one package-level Go variable per common cell,
-// declining when two units disagree about a cell's kind, type, or
-// (for arrays) folded shape — disagreement would make the lowered
-// static types diverge from the interpreter's dynamic ones.
+// declining when two units disagree about a cell's kind or (for
+// arrays) folded shape. Two types for one cell never reach here: the
+// proof marks both members.
 func (g *gen) genCommons(out *strings.Builder) {
 	var keys []string
 	for _, u := range g.file.Units {
@@ -432,8 +312,8 @@ func (g *gen) genCommons(out *strings.Builder) {
 			}
 			key := sym.Common + "/" + sym.Name
 			if prev, ok := g.commonSym[key]; ok {
-				if prev.Kind != sym.Kind || g.symType(prev) != g.symType(sym) {
-					g.decline("common %s declared with different kind or type across units", key)
+				if prev.Kind != sym.Kind {
+					g.decline("common %s declared with different kinds across units", key)
 				}
 				if sym.Kind == fortran.SymArray {
 					pl, pe := g.foldDims(prev)
@@ -473,20 +353,20 @@ func (g *gen) foldDims(sym *fortran.Symbol) (lo, hi []int64) {
 	for _, d := range sym.Dims {
 		l := int64(1)
 		if d.Lo != nil {
-			v, ok := g.fold(d.Lo, 0)
-			if !ok || v.t != tInt {
+			v, ok := interp.Fold(d.Lo)
+			if !ok {
 				g.decline("%s: non-constant array lower bound", sym.Name)
 			}
-			l = v.i
+			l = v.Int()
 		}
 		if d.Hi == nil {
 			g.decline("%s: assumed-size array needs a caller binding", sym.Name)
 		}
-		v, ok := g.fold(d.Hi, 0)
+		v, ok := interp.Fold(d.Hi)
 		if !ok {
 			g.decline("%s: non-constant array bound", sym.Name)
 		}
-		h := v.toInt()
+		h := v.Int()
 		if h < l {
 			g.decline("%s: extent [%d,%d] empty", sym.Name, l, h)
 		}
@@ -574,8 +454,8 @@ func (g *gen) genUnit(out *strings.Builder, u *fortran.Unit) {
 				// The interpreter ignores evaluation errors here and
 				// keeps the zero value, so an unfoldable initializer
 				// degrades identically.
-				if v, ok := g.fold(sym.Value, 0); ok {
-					init = convertC(v, g.symType(sym)).lit().c
+				if v, ok := interp.Fold(sym.Value); ok {
+					init = lit(v, g.symType(sym)).c
 				}
 			}
 			fmt.Fprintf(out, "\t%s := %s\n\t_ = %s\n", mangleVar(sym.Name), init, mangleVar(sym.Name))

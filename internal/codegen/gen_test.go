@@ -223,7 +223,7 @@ func TestDeclines(t *testing.T) {
       real x
       x = x/2
       end
-`, "inner: scalar n type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: shares storage with n of outer; outer passes integer n to real x of inner"},
 		{"value-actual-typed-by-a-loosened-variable", `
       program p
       integer k
@@ -240,7 +240,7 @@ func TestDeclines(t *testing.T) {
       integer n
       print *, n, n/2
       end
-`, "half: scalar k type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: p passes integer k to real x of half"},
 		{"function-result-loosened-inside", `
       program p
       print *, f(3)/2, f(3)
@@ -254,7 +254,7 @@ func TestDeclines(t *testing.T) {
       integer k
       k = k*2 + 1
       end
-`, "ints: scalar f type mismatch at call boundary"},
+`, "f of f may hold another type than its declared real: f passes real f to integer k of ints"},
 		{"element-of-loosened-array-by-value", `
       program p
       integer k(3)
@@ -271,7 +271,7 @@ func TestDeclines(t *testing.T) {
       integer n
       print *, n, n/2
       end
-`, "reals: array k element type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: p passes integer k to real a of reals"},
 		{"tail-of-integer-array-as-reals", `
       program p
       integer k(6), i
@@ -285,7 +285,7 @@ func TestDeclines(t *testing.T) {
       real a(3)
       a(2) = a(1)/8
       end
-`, "reals: array k element type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: p passes integer k to real a of reals"},
 		{"doall-loosened-private-and-typed-reduction", `
       program p
       integer i, k, n
@@ -303,7 +303,7 @@ func TestDeclines(t *testing.T) {
       real x
       x = x/2
       end
-`, "half: scalar k type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: p passes integer k to real x of half"},
 		{"real-actual-for-integer-formal", `
       program p
       real x
@@ -325,7 +325,7 @@ func TestDeclines(t *testing.T) {
       real y
       y = y/2
       end
-`, "halve: scalar x type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: shares storage with n of halve; p passes real x to integer n of halve"},
 		{"integer-array-for-real-formal", `
       program p
       integer k(4), i
@@ -340,7 +340,7 @@ func TestDeclines(t *testing.T) {
       a(2) = a(2)*1.5
       a(3) = a(4)/8
       end
-`, "scale: array k element type mismatch at call boundary"},
+`, "k of p may hold another type than its declared integer: p passes integer k to real a of scale"},
 		{"common-with-two-types", `
       program p
       integer k
@@ -360,7 +360,7 @@ func TestDeclines(t *testing.T) {
       a(1) = 3.9
       a(2) = 5
       end
-`, "common blk/a declared with different kind or type across units"},
+`, "a of p may hold another type than its declared real: COMMON /blk/ a is real in p and integer in s"},
 		{"real-loop-variable", `
       program p
       real x, s
@@ -370,7 +370,7 @@ func TestDeclines(t *testing.T) {
       enddo
       print *, x, s, x/2
       end
-`, "non-integer DO variable x"},
+`, "x of p may hold another type than its declared real: a DO variable holds integers"},
 		{"expression-argument", `
       program p
       real x
@@ -381,7 +381,7 @@ func TestDeclines(t *testing.T) {
       integer n
       print *, n, n/2
       end
-`, "show: expression argument type mismatch (want int64, got float64)"},
+`, "n of show may hold another type than its declared integer: p passes a value of type real to integer n of show"},
 		{"power-typing", `
       program p
       integer i, j, n
@@ -653,7 +653,8 @@ func typeCheckGenerated(t *testing.T, src string) {
 // FuzzCodegen asserts the generator's core contract: for any source
 // the Fortran front end accepts, Generate either declines with a
 // reason or emits Go that compiles (checked here with go/types, which
-// catches everything short of linking).
+// catches everything short of linking) for a program the interpreter's
+// proof marks no symbol of.
 func FuzzCodegen(f *testing.F) {
 	seeds := []string{
 		`
@@ -720,6 +721,11 @@ func FuzzCodegen(f *testing.F) {
 				t.Fatal("declined without a reason")
 			}
 			return
+		}
+		// One typing: what compiles holds no storage the interpreter
+		// types at run time.
+		for sym, origin := range interp.Prove(file) {
+			t.Fatalf("accepted, but the proof marks %s of %s: %s", sym.Name, sym.Unit.Name, origin)
 		}
 		typeCheckGenerated(t, out)
 	})

@@ -96,7 +96,7 @@ func (b *body) run(f *frame) signal {
 
 // compiler lowers one unit.
 type compiler struct {
-	proof
+	Proof
 	cu *unit
 	// places gives every scalar and array of the unit its slot — cells
 	// and arrays are numbered apart — and its position in symbol-name
@@ -114,9 +114,9 @@ type compiler struct {
 
 type place struct{ slot, pos int }
 
-func compile(p proof, u *fortran.Unit) *unit {
+func compile(p Proof, u *fortran.Unit) *unit {
 	syms := u.SymbolsSorted()
-	c := &compiler{proof: p, cu: &unit{result: -1}, places: make(map[*fortran.Symbol]place, len(syms))}
+	c := &compiler{Proof: p, cu: &unit{result: -1}, places: make(map[*fortran.Symbol]place, len(syms))}
 	for pos, sym := range syms {
 		switch sym.Kind {
 		case fortran.SymScalar:

@@ -11,14 +11,14 @@ import (
 // An expression compiles to one closure, of the kind its consumer
 // asks for: int, float and bool are the value as Value.Int, Value.Float
 // and Value.B would give it, value is the tagged value itself. Where
-// typeOf proves the expression's type the closure computes in int64,
+// TypeOf proves the expression's type the closure computes in int64,
 // float64 or bool throughout; where it does not, the closure evaluates
 // tagged values with the operations of value.go and converts at the
 // end. Operands evaluate left to right, as the tree walker's did — an
 // expression can call a function, and any part of it can fail.
 
 func (c *compiler) int(e fortran.Expr) func(*frame) int64 {
-	switch t := c.typeOf(e); {
+	switch t := c.TypeOf(e); {
 	case t == fortran.TypeInteger:
 		return c.intOp(e)
 	case t.Numeric():
@@ -33,7 +33,7 @@ func (c *compiler) int(e fortran.Expr) func(*frame) int64 {
 }
 
 func (c *compiler) float(e fortran.Expr) func(*frame) float64 {
-	switch t := c.typeOf(e); {
+	switch t := c.TypeOf(e); {
 	case t == fortran.TypeInteger:
 		x := c.intOp(e)
 		return func(f *frame) float64 { return float64(x(f)) }
@@ -48,7 +48,7 @@ func (c *compiler) float(e fortran.Expr) func(*frame) float64 {
 }
 
 func (c *compiler) bool(e fortran.Expr) func(*frame) bool {
-	switch t := c.typeOf(e); {
+	switch t := c.TypeOf(e); {
 	case t == fortran.TypeLogical:
 		return c.boolOp(e)
 	case t.Numeric():
@@ -60,7 +60,7 @@ func (c *compiler) bool(e fortran.Expr) func(*frame) bool {
 }
 
 func (c *compiler) value(e fortran.Expr) func(*frame) Value {
-	switch t := c.typeOf(e); {
+	switch t := c.TypeOf(e); {
 	case t == fortran.TypeInteger:
 		x := c.intOp(e)
 		return func(f *frame) Value { return IntVal(x(f)) }
@@ -144,7 +144,7 @@ func (a *array) mustIndex(subs ...int64) int64 {
 	return off
 }
 
-// intOp compiles an expression typeOf proves INTEGER.
+// intOp compiles an expression TypeOf proves INTEGER.
 func (c *compiler) intOp(e fortran.Expr) func(*frame) int64 {
 	switch x := e.(type) {
 	case *fortran.IntLit:
@@ -199,15 +199,12 @@ func (c *compiler) intOp(e fortran.Expr) func(*frame) int64 {
 
 func (c *compiler) intIntrinsic(x *fortran.FuncCall) func(*frame) int64 {
 	switch x.Name {
-	case "abs":
-		a := c.intOp(x.Args[0])
-		return func(f *frame) int64 {
-			v := a(f)
-			if v < 0 {
-				v = -v
-			}
-			return v
-		}
+	case "abs", "iabs":
+		a := c.int(x.Args[0])
+		return func(f *frame) int64 { return prelude.Iabs(a(f)) }
+	case "sign", "dim":
+		fn, a, b := signOrDim(x.Name), c.float(x.Args[0]), c.float(x.Args[1])
+		return func(f *frame) int64 { return int64(fn(a(f), b(f))) }
 	case "int", "ifix":
 		a := c.float(x.Args[0])
 		return func(f *frame) int64 { return int64(a(f)) }
@@ -235,7 +232,7 @@ func (c *compiler) intIntrinsic(x *fortran.FuncCall) func(*frame) int64 {
 	}
 }
 
-// floatOp compiles an expression typeOf proves REAL or DOUBLE
+// floatOp compiles an expression TypeOf proves REAL or DOUBLE
 // PRECISION. Every operation is its own closure, so no product feeds
 // a sum inside one Go expression and nothing fuses into a
 // multiply-add the tree walker would not have computed.
@@ -303,6 +300,12 @@ func (c *compiler) floatIntrinsic(x *fortran.FuncCall) func(*frame) float64 {
 	case "mod", "amod":
 		a, b := c.float(x.Args[0]), c.float(x.Args[1])
 		return func(f *frame) float64 { return math.Mod(a(f), b(f)) }
+	case "atan2", "sign", "dim":
+		fn, a, b := math.Atan2, c.float(x.Args[0]), c.float(x.Args[1])
+		if x.Name != "atan2" {
+			fn = signOrDim(x.Name)
+		}
+		return func(f *frame) float64 { return fn(a(f), b(f)) }
 	}
 	// max, min, amax1, amin1 by plain comparison: a NaN never wins.
 	args := make([]func(*frame) float64, len(x.Args))
@@ -321,8 +324,8 @@ func (c *compiler) floatIntrinsic(x *fortran.FuncCall) func(*frame) float64 {
 	}
 }
 
-// boolOp compiles an expression typeOf proves LOGICAL: a literal, a
-// comparison, .and., .or., .not. — LOGICAL variables stay tagged.
+// boolOp compiles an expression TypeOf proves LOGICAL: a literal, a
+// comparison, .and., .or., .not. — LOGICAL variables are stored tagged.
 func (c *compiler) boolOp(e fortran.Expr) func(*frame) bool {
 	switch x := e.(type) {
 	case *fortran.LogLit:
@@ -354,9 +357,9 @@ func (c *compiler) boolOp(e fortran.Expr) func(*frame) bool {
 // comparison compiles a relational operator: on integers when both
 // operands are proven INTEGER, on floats when both are proven numeric
 // or LOGICAL (which compares as 0), on tagged values otherwise — a
-// CHARACTER operand makes it a string comparison.
+// CHARACTER operand, proven or not, makes it a string comparison.
 func (c *compiler) comparison(x *fortran.Binary) func(*frame) bool {
-	op, tx, ty := x.Op, c.typeOf(x.X), c.typeOf(x.Y)
+	op, tx, ty := x.Op, c.TypeOf(x.X), c.TypeOf(x.Y)
 	switch {
 	case tx == fortran.TypeInteger && ty == fortran.TypeInteger:
 		a, b := c.intOp(x.X), c.intOp(x.Y)
@@ -373,7 +376,7 @@ func (c *compiler) comparison(x *fortran.Binary) func(*frame) bool {
 			return func(f *frame) bool { return a(f) == b(f) }
 		}
 		return func(f *frame) bool { return a(f) != b(f) }
-	case tx != fortran.TypeUnknown && ty != fortran.TypeUnknown:
+	case (tx.Numeric() || tx == fortran.TypeLogical) && (ty.Numeric() || ty == fortran.TypeLogical):
 		// A NaN is neither below nor above: it compares as equal.
 		a, b := c.float(x.X), c.float(x.Y)
 		switch op {

@@ -42,7 +42,7 @@ type Machine struct {
 	// editor's and changes between runs. mu guards units and the two
 	// COMMON maps.
 	units  map[*fortran.Unit]*unit
-	proven proof
+	proven Proof
 	mu     sync.Mutex
 
 	// cancelFlag is set by Cancel; checked on the statement-flush path
@@ -173,7 +173,7 @@ func (m *Machine) Run() error {
 		return fmt.Errorf("interp: no main program")
 	}
 	m.units = map[*fortran.Unit]*unit{}
-	m.proven = prove(m.File)
+	m.proven = Prove(m.File)
 	u := m.compiled(main)
 	f := u.newFrame(m)
 	if err := try(func() { u.enter(f) }); err != nil {

@@ -1,13 +1,20 @@
 package interp
 
-import "parascope/internal/fortran"
+import (
+	"fmt"
 
-// proof is the set of symbols whose storage may come to hold a value
-// of another type than the symbol declares. The tree walker this
-// package once was tagged every value and decided arithmetic from the
-// tags; compiled code takes those decisions once, at compile time, but
-// only for the symbols outside this set — for the rest, and for
-// LOGICAL and CHARACTER data, it still works on tagged values.
+	"parascope/internal/fortran"
+)
+
+// Proof is the typing both backends read. Its keys are the symbols
+// whose storage may come to hold a value of another storage type than
+// the symbol declares, each with the rule that put it there. The tree
+// walker this package once was tagged every value and decided
+// arithmetic from the tags; compiled code takes those decisions once,
+// at compile time, but only for the symbols outside this set — for the
+// rest, and for LOGICAL and CHARACTER data, it still works on tagged
+// values. The code generator has no tags: it declines a program with a
+// symbol in the set.
 //
 // A store converts to the type of the symbol it names, so a tag can
 // differ from a declaration only where two symbols name one storage:
@@ -16,29 +23,37 @@ import "parascope/internal/fortran"
 // of an expression — which arrives unconverted. A DO variable is the
 // one store that does not convert: it is INTEGER whatever its symbol
 // says.
-type proof map[*fortran.Symbol]bool
+type Proof map[*fortran.Symbol]string
 
-// prove computes the proof for a whole file: the least set closed
+// Prove computes the proof for a whole file: the least set closed
 // under "two symbols that may share storage are both in it when their
-// types differ or either is in it", starting from the non-INTEGER DO
-// variables and the dummies some call hands a value of another type.
-func prove(file *fortran.File) proof {
-	p := proof{}
+// storage types differ or either is in it", starting from the
+// non-INTEGER DO variables and the dummies some call hands a value of
+// another storage type. A symbol the closure adds records the symbol it
+// shares storage with, and that symbol's rule.
+func Prove(file *fortran.File) Proof {
+	p := Proof{}
 	for changed := true; changed; {
 		changed = false
-		mark := func(syms ...*fortran.Symbol) {
+		mark := func(origin string, syms ...*fortran.Symbol) {
 			for _, s := range syms {
-				if !p[s] {
-					p[s], changed = true, true
+				if p[s] == "" {
+					p[s], changed = origin, true
 				}
 			}
 		}
 		share := func(a, b *fortran.Symbol) {
-			if a.Type != b.Type || p[a] || p[b] {
-				mark(a, b)
+			switch {
+			case p[a] != "" && p[b] != "":
+			case storage(a.Type) != storage(b.Type):
+				mark(shared(a, b), a, b)
+			case p[a] != "":
+				mark(via(a, p), b)
+			case p[b] != "":
+				mark(via(b, p), a)
 			}
 		}
-		bind := func(callee *fortran.Unit, args []fortran.Expr) {
+		bind := func(caller, callee *fortran.Unit, args []fortran.Expr) {
 			for i, a := range args {
 				if i >= len(callee.Args) {
 					break
@@ -54,8 +69,12 @@ func prove(file *fortran.File) proof {
 						share(a.(*fortran.VarRef).Sym, formal)
 					}
 				case actualValue:
-					if formal.Kind == fortran.SymScalar && p.typeOf(a) != formal.Type {
-						mark(formal)
+					if t := p.TypeOf(a); formal.Kind == fortran.SymScalar && p[formal] == "" && storage(t) != storage(formal.Type) {
+						what := "a value of a type only the run tells"
+						if t != fortran.TypeUnknown {
+							what = "a value of type " + t.String()
+						}
+						mark(fmt.Sprintf("%s passes %s to %s %s of %s", caller.Name, what, formal.Type, formal.Name, callee.Name), formal)
 					}
 				}
 			}
@@ -75,16 +94,16 @@ func prove(file *fortran.File) proof {
 				switch st := s.(type) {
 				case *fortran.DoStmt:
 					if st.Var.Type != fortran.TypeInteger {
-						mark(st.Var)
+						mark("a DO variable holds integers", st.Var)
 					}
 				case *fortran.CallStmt:
 					if st.Callee != nil {
-						bind(st.Callee, st.Args)
+						bind(u, st.Callee, st.Args)
 					}
 				}
 				fortran.WalkExprs(s, func(e fortran.Expr) {
 					if call, ok := e.(*fortran.FuncCall); ok && call.Callee != nil {
-						bind(call.Callee, call.Args)
+						bind(u, call.Callee, call.Args)
 					}
 				})
 				return true
@@ -92,6 +111,32 @@ func prove(file *fortran.File) proof {
 		}
 	}
 	return p
+}
+
+// storage is the type a value is stored and printed as by both
+// backends: REAL and DOUBLE PRECISION are one float64, formatted alike,
+// so no result can tell them apart.
+func storage(t fortran.Type) fortran.Type {
+	if t == fortran.TypeDouble {
+		return fortran.TypeReal
+	}
+	return t
+}
+
+// shared is the rule that marks a and b, two symbols of different
+// storage types naming one storage: b is the dummy a is passed to, or
+// the COMMON member a is declared as in another unit.
+func shared(a, b *fortran.Symbol) string {
+	if b.Dummy {
+		return fmt.Sprintf("%s passes %s %s to %s %s of %s", a.Unit.Name, a.Type, a.Name, b.Type, b.Name, b.Unit.Name)
+	}
+	return fmt.Sprintf("COMMON /%s/ %s is %s in %s and %s in %s", a.Common, a.Name, a.Type, a.Unit.Name, b.Type, b.Unit.Name)
+}
+
+// via is the rule that marks a symbol for sharing storage with the
+// marked symbol a: a's own rule, one step further from it.
+func via(a *fortran.Symbol, p Proof) string {
+	return fmt.Sprintf("shares storage with %s of %s; %s", a.Name, a.Unit.Name, p[a])
 }
 
 // commonKey names the COMMON storage of a scalar or array that lives
@@ -135,17 +180,16 @@ func actualKind(a fortran.Expr, formal *fortran.Symbol) int {
 
 // typed reports whether sym's storage is proven to hold its declared
 // type, and that type is one compiled code keeps unboxed.
-func (p proof) typed(sym *fortran.Symbol) bool {
-	return sym.Type.Numeric() && !p[sym]
+func (p Proof) typed(sym *fortran.Symbol) bool {
+	return sym.Type.Numeric() && p[sym] == ""
 }
 
-// typeOf is the type e's value is proven to have — INTEGER, REAL,
-// DOUBLE PRECISION or LOGICAL — or TypeUnknown when only the run can
-// tell (and for CHARACTER values, which stay tagged). It is the
-// tree walker's typing, not Fortran's: mod of an integer and a real is
-// REAL, max of doubles is REAL, an INTEGER raised to an INTEGER is REAL
-// when the exponent turns out negative.
-func (p proof) typeOf(e fortran.Expr) fortran.Type {
+// TypeOf is the type e's value is proven to have, or TypeUnknown when
+// only the run can tell. It is the tree walker's typing, not Fortran's:
+// mod of an integer and a real is REAL, max of doubles is REAL, an
+// INTEGER raised to an INTEGER is INTEGER only when the exponent folds
+// to a constant that is not negative.
+func (p Proof) TypeOf(e fortran.Expr) fortran.Type {
 	switch x := e.(type) {
 	case *fortran.IntLit:
 		return fortran.TypeInteger
@@ -156,30 +200,30 @@ func (p proof) typeOf(e fortran.Expr) fortran.Type {
 		return fortran.TypeReal
 	case *fortran.LogLit:
 		return fortran.TypeLogical
+	case *fortran.StrLit:
+		return fortran.TypeCharacter
 	case *fortran.VarRef:
 		switch sym := x.Sym; {
 		case sym == nil:
 		case sym.Kind == fortran.SymParam:
 			// A named constant's value is converted to its type on
 			// every reference.
-			if sym.Type.Numeric() {
-				return sym.Type
-			}
+			return sym.Type
 		case sym.Kind == fortran.SymScalar || sym.IsArray() && len(x.Subs) > 0:
-			if p.typed(sym) {
+			if p[sym] == "" {
 				return sym.Type
 			}
 		}
 	case *fortran.FuncCall:
 		if x.Callee != nil {
-			if ret := x.Callee.Lookup(x.Callee.Name); ret != nil && ret.Kind == fortran.SymScalar && p.typed(ret) {
+			if ret := x.Callee.Lookup(x.Callee.Name); ret != nil && ret.Kind == fortran.SymScalar && p[ret] == "" {
 				return ret.Type
 			}
 			return fortran.TypeUnknown
 		}
 		return p.intrinsicType(x)
 	case *fortran.Unary:
-		t := p.typeOf(x.X)
+		t := p.TypeOf(x.X)
 		switch {
 		case x.Op == fortran.TokNot:
 			return fortran.TypeLogical
@@ -193,14 +237,19 @@ func (p proof) typeOf(e fortran.Expr) fortran.Type {
 		case fortran.TokLt, fortran.TokLe, fortran.TokGt, fortran.TokGe, fortran.TokEqEq, fortran.TokNe,
 			fortran.TokAnd, fortran.TokOr:
 			return fortran.TypeLogical
+		case fortran.TokConcat:
+			return fortran.TypeCharacter
 		case fortran.TokPlus, fortran.TokMinus, fortran.TokStar, fortran.TokSlash, fortran.TokPower:
-			a, b := p.typeOf(x.X), p.typeOf(x.Y)
+			a, b := p.TypeOf(x.X), p.TypeOf(x.Y)
 			if !a.Numeric() || !b.Numeric() {
 				return fortran.TypeUnknown
 			}
 			if x.Op == fortran.TokPower && a == fortran.TypeInteger && b == fortran.TypeInteger {
-				if k, ok := x.Y.(*fortran.IntLit); !ok || k.Val < 0 {
+				switch k, ok := Fold(x.Y); {
+				case !ok:
 					return fortran.TypeUnknown
+				case k.I < 0:
+					return fortran.TypeReal
 				}
 			}
 			return promote(a, b)
@@ -220,14 +269,13 @@ func promote(a, b fortran.Type) fortran.Type {
 	return fortran.TypeReal
 }
 
-// intrinsicType is typeOf for a call of an intrinsic with arguments of
+// intrinsicType is TypeOf for a call of an intrinsic with arguments of
 // proven numeric types; every other call — an unknown name, a wrong
-// argument count, the rarer intrinsics — goes through intrinsic on
-// tagged values.
-func (p proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
+// argument count — goes through intrinsic on tagged values.
+func (p Proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
 	n, first, allInt := len(x.Args), fortran.TypeUnknown, true
 	for i, a := range x.Args {
-		t := p.typeOf(a)
+		t := p.TypeOf(a)
 		if !t.Numeric() {
 			return fortran.TypeUnknown
 		}
@@ -244,7 +292,11 @@ func (p proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
 		if n == 1 {
 			return first
 		}
-	case "int", "ifix", "nint":
+	case "sign", "dim":
+		if n == 2 {
+			return first
+		}
+	case "int", "ifix", "nint", "iabs":
 		if n == 1 {
 			return fortran.TypeInteger
 		}
@@ -255,6 +307,10 @@ func (p proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
 	case "dble":
 		if n == 1 {
 			return fortran.TypeDouble
+		}
+	case "atan2":
+		if n == 2 {
+			return fortran.TypeReal
 		}
 	case "mod", "amod":
 		if n == 2 {
@@ -272,4 +328,45 @@ func (p proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
 		}
 	}
 	return fortran.TypeUnknown
+}
+
+// Fold evaluates a constant expression — literals, PARAMETERs and the
+// operators on them — with the operations a run applies to tagged
+// values, so a folded value is the value the run computes. ok is false
+// for any other expression, and for one whose evaluation would be a
+// run-time error.
+func Fold(e fortran.Expr) (v Value, ok bool) {
+	err := try(func() { v, ok = fold(e) })
+	return v, ok && err == nil
+}
+
+func fold(e fortran.Expr) (Value, bool) {
+	switch x := e.(type) {
+	case *fortran.IntLit:
+		return IntVal(x.Val), true
+	case *fortran.RealLit:
+		if x.Double {
+			return DoubleVal(x.Val), true
+		}
+		return RealVal(x.Val), true
+	case *fortran.LogLit:
+		return LogVal(x.Val), true
+	case *fortran.StrLit:
+		return Value{Type: fortran.TypeCharacter, S: x.Val}, true
+	case *fortran.VarRef:
+		if x.Sym != nil && x.Sym.Kind == fortran.SymParam && x.Sym.Value != nil {
+			v, ok := fold(x.Sym.Value)
+			return convert(v, x.Sym.Type), ok
+		}
+	case *fortran.Unary:
+		v, ok := fold(x.X)
+		return unaryOp(x.Op, v), ok
+	case *fortran.Binary:
+		if a, ok := fold(x.X); ok {
+			if b, ok := fold(x.Y); ok {
+				return binaryOp(x.Op, a, b), true
+			}
+		}
+	}
+	return Value{}, false
 }

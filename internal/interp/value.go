@@ -366,22 +366,14 @@ func intrinsic(name string, args []Value) (Value, error) {
 			return Value{}, err
 		}
 		if args[0].Type == fortran.TypeInteger {
-			v := args[0].I
-			if v < 0 {
-				v = -v
-			}
-			return IntVal(v), nil
+			return IntVal(prelude.Iabs(args[0].I)), nil
 		}
 		return Value{Type: args[0].Type, R: math.Abs(args[0].R)}, nil
 	case "iabs":
 		if err := need(1); err != nil {
 			return Value{}, err
 		}
-		v := args[0].Int()
-		if v < 0 {
-			v = -v
-		}
-		return IntVal(v), nil
+		return IntVal(prelude.Iabs(args[0].Int())), nil
 	case "atan2":
 		if err := need(2); err != nil {
 			return Value{}, err
@@ -402,30 +394,15 @@ func intrinsic(name string, args []Value) (Value, error) {
 			return IntVal(args[0].I % args[1].I), nil
 		}
 		return RealVal(math.Mod(args[0].Float(), args[1].Float())), nil
-	case "sign":
+	case "sign", "dim":
 		if err := need(2); err != nil {
 			return Value{}, err
 		}
-		mag := math.Abs(args[0].Float())
-		if args[1].Float() < 0 {
-			mag = -mag
-		}
+		r := signOrDim(name)(args[0].Float(), args[1].Float())
 		if args[0].Type == fortran.TypeInteger {
-			return IntVal(int64(mag)), nil
+			return IntVal(int64(r)), nil
 		}
-		return Value{Type: args[0].Type, R: mag}, nil
-	case "dim":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		d := args[0].Float() - args[1].Float()
-		if d < 0 {
-			d = 0
-		}
-		if args[0].Type == fortran.TypeInteger {
-			return IntVal(int64(d)), nil
-		}
-		return Value{Type: args[0].Type, R: d}, nil
+		return Value{Type: args[0].Type, R: r}, nil
 	case "int", "ifix", "nint":
 		if err := need(1); err != nil {
 			return Value{}, err
@@ -447,6 +424,15 @@ func intrinsic(name string, args []Value) (Value, error) {
 		return DoubleVal(args[0].Float()), nil
 	}
 	return Value{}, fmt.Errorf("interp: unknown intrinsic %s", name)
+}
+
+// signOrDim is sign's or dim's rule on two floats: the prelude's, which
+// generated programs call too.
+func signOrDim(name string) func(a, b float64) float64 {
+	if name == "sign" {
+		return prelude.Fsign
+	}
+	return prelude.Fdim
 }
 
 func minMax(name string, args []Value, wantMax bool) (Value, error) {
