@@ -167,7 +167,20 @@ func (g *gen) compare(a, b xpr, op string) xpr {
 	case a.t == tStr || b.t == tStr || a.t == tBool || b.t == tBool:
 		g.decline("comparison of mixed or non-orderable types")
 	}
-	return xpr{"(" + g.toF(a) + " " + op + " " + g.toF(b) + ")", tBool}
+	// A NaN is neither below nor above anything, so it compares as
+	// equal: only < and > are Go's.
+	x, y := g.toF(a), g.toF(b)
+	switch op {
+	case "<=":
+		return xpr{"(!(" + x + " > " + y + "))", tBool}
+	case ">=":
+		return xpr{"(!(" + x + " < " + y + "))", tBool}
+	case "==":
+		return xpr{"Feq(" + x + ", " + y + ")", tBool}
+	case "!=":
+		return xpr{"Fne(" + x + ", " + y + ")", tBool}
+	}
+	return xpr{"(" + x + " " + op + " " + y + ")", tBool}
 }
 
 // ---------------------------------------------------------------------------

@@ -658,8 +658,10 @@ func (g *gen) store(ref *fortran.VarRef, v xpr) {
 	target := g.symType(sym)
 	conv := g.convert(v, target, sym.Name)
 	if sym.IsArray() && len(ref.Subs) > 0 {
+		// The right-hand side is evaluated before the subscripts, as in
+		// the interpreter: Go would call the subscripts' functions first.
 		a := g.arrName(sym)
-		g.w("%s.Data[%s.Idx(%s)] = %s", a, a, g.subs(ref.Subs), conv)
+		g.w("{ r := %s; %s.Data[%s.Idx(%s)] = r }", conv, a, a, g.subs(ref.Subs))
 		return
 	}
 	if sym.IsArray() {

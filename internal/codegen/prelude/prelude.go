@@ -270,6 +270,12 @@ func Fmin(vs ...float64) float64 {
 	return best
 }
 
+// Feq and Fne are .eq. and .ne. on floats as the interpreter compares:
+// a NaN is neither below nor above anything, so it equals everything.
+// .le. and .ge. are lowered in line, as !(a > b) and !(a < b).
+func Feq(a, b float64) bool { return !(a < b || a > b) }
+func Fne(a, b float64) bool { return a < b || a > b }
+
 func Fsign(a, b float64) float64 {
 	m := math.Abs(a)
 	if b < 0 {

@@ -103,6 +103,9 @@ func TestMinMaxPlainCompare(t *testing.T) {
 	if Imax(3, 9, -2) != 9 || Imin(3, 9, -2) != -2 {
 		t.Error("Imax/Imin")
 	}
+	if !Feq(nan, 1) || Fne(nan, 1) || !Feq(2, 2) || Feq(1, 2) || !Fne(2, 1) {
+		t.Error("Feq/Fne: a NaN equals everything, numbers compare as numbers")
+	}
 }
 
 // TestTailSequenceAssociation: passing a(i,j) to an array formal hands
