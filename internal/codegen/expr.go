@@ -20,10 +20,7 @@ func (g *gen) expr(e fortran.Expr) xpr {
 	case *fortran.RealLit:
 		return xpr{floatLit(x.Val), tFloat}
 	case *fortran.LogLit:
-		if x.Val {
-			return xpr{"true", tBool}
-		}
-		return xpr{"false", tBool}
+		return xpr{strconv.FormatBool(x.Val), tBool}
 	case *fortran.StrLit:
 		return xpr{strconv.Quote(x.Val), tStr}
 	case *fortran.VarRef:

@@ -8,13 +8,16 @@
 // output is byte-identical to interpreted output at equal worker
 // counts.
 //
-// The generator is deliberately conservative: any construct whose
-// interpreter semantics depend on *dynamic* types (an INTEGER raised
-// to a non-constant INTEGER power, type-mismatched bindings across a
-// call boundary, COMMON arrays declared with different shapes in
-// different units) is declined with a *Declined error rather than
-// lowered approximately. Callers fall back to the interpreter; the
-// generator never produces a program that could disagree with it.
+// The generator has no typing of its own: it reads the interpreter's
+// (interp.Prove, Proof.TypeOf, interp.Fold). A program in which the
+// proof marks a symbol — storage that may hold another type than a
+// symbol naming it declares — is declined once, naming the symbol and
+// the rule that marked it; so is an INTEGER raised to an INTEGER power
+// whose type only the run can tell, and any construct with no faithful
+// lowering (COMMON declared with two kinds or shapes, a GOTO Go's label
+// scoping cannot express). A *Declined error is not approximated
+// around: callers fall back to the interpreter, and the generator
+// never produces a program that could disagree with it.
 package codegen
 
 import (

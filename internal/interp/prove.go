@@ -48,9 +48,9 @@ func Prove(file *fortran.File) Proof {
 			case storage(a.Type) != storage(b.Type):
 				mark(shared(a, b), a, b)
 			case p[a] != "":
-				mark(via(a, p), b)
+				mark(p.via(a), b)
 			case p[b] != "":
-				mark(via(b, p), a)
+				mark(p.via(b), a)
 			}
 		}
 		bind := func(caller, callee *fortran.Unit, args []fortran.Expr) {
@@ -69,7 +69,10 @@ func Prove(file *fortran.File) Proof {
 						share(a.(*fortran.VarRef).Sym, formal)
 					}
 				case actualValue:
-					if t := p.TypeOf(a); formal.Kind == fortran.SymScalar && p[formal] == "" && storage(t) != storage(formal.Type) {
+					if formal.Kind != fortran.SymScalar || p[formal] != "" {
+						break
+					}
+					if t := p.TypeOf(a); storage(t) != storage(formal.Type) {
 						what := "a value of a type only the run tells"
 						if t != fortran.TypeUnknown {
 							what = "a value of type " + t.String()
@@ -135,7 +138,7 @@ func shared(a, b *fortran.Symbol) string {
 
 // via is the rule that marks a symbol for sharing storage with the
 // marked symbol a: a's own rule, one step further from it.
-func via(a *fortran.Symbol, p Proof) string {
+func (p Proof) via(a *fortran.Symbol) string {
 	return fmt.Sprintf("shares storage with %s of %s; %s", a.Name, a.Unit.Name, p[a])
 }
 
