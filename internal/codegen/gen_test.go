@@ -448,6 +448,32 @@ func TestDeclines(t *testing.T) {
       print *, i**n, i**n/2
       end
 `, ""},
+		// Values of every storage type, passed to dummies of that type:
+		// TypeOf knows the rarer intrinsics, LOGICAL and CHARACTER, so
+		// the proof marks none of the dummies.
+		{"value-arguments-of-every-storage-type", `
+      program p
+      integer k
+      logical l(2)
+      character*4 s
+      k = -3
+      l(2) = .true.
+      s = 'ab'
+      call show(iabs(k), sign(k, 1), dim(k, -5), l(2), s // 'cd')
+      call show2(atan2(1.0, 1.0), s)
+      end
+      subroutine show(n, m, j, b, t)
+      integer n, m, j
+      logical b
+      character*8 t
+      print *, n, m, j, b, t
+      end
+      subroutine show2(x, t)
+      real x
+      character*8 t
+      print *, x, t
+      end
+`, ""},
 	}
 	cache := t.TempDir()
 	for _, c := range cases {
