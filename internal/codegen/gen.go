@@ -143,10 +143,12 @@ func Generate(f *fortran.File) (src string, err error) {
 	if main == nil {
 		g.decline("no main program")
 	}
-	for _, u := range f.Units {
-		for _, sym := range u.SymbolsSorted() {
+	// The first marked symbol in unit and name order, so that the
+	// reason does not depend on map order.
+	for i := 0; len(g.typing) > 0 && i < len(f.Units); i++ {
+		for _, sym := range f.Units[i].SymbolsSorted() {
 			if origin := g.typing[sym]; origin != "" {
-				g.decline("%s of %s may hold another type than its declared %s: %s", sym.Name, u.Name, sym.Type, origin)
+				g.decline("%s of %s may hold another type than its declared %s: %s", sym.Name, sym.Unit.Name, sym.Type, origin)
 			}
 		}
 	}
