@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"parascope/internal/codegen"
 	"parascope/internal/core"
@@ -296,9 +297,13 @@ func BenchmarkParser(b *testing.B) {
 }
 
 // BenchmarkAnalysisCache compares a cold session open (parse + full
-// analysis + artifact build every time) against a warm open served
-// from the content-hash cache. The warm path must be measurably
-// faster: it hashes the source and hands back prebuilt artifacts.
+// analysis every time; with the cache disabled no artifacts are built)
+// against a warm open served from the content-hash cache. The warm path
+// must be measurably faster: it hashes the source and hands back
+// prebuilt artifacts. "artifacts" times what a cold open adds when the
+// cache is on — BuildArtifacts on an open session — and reports what
+// one cache entry holds (payload-B/entry: the lengths of its strings,
+// and each dependence row's size with the lengths of its strings).
 func BenchmarkAnalysisCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		m := server.NewManager(server.Config{}) // cache disabled
@@ -334,6 +339,40 @@ func BenchmarkAnalysisCache(b *testing.B) {
 			m.Close(resp.ID)
 		}
 	})
+	b.Run("artifacts", func(b *testing.B) {
+		for _, w := range []*workloads.Workload{workloads.Spec77(), workloads.CallHeavy(24)} {
+			b.Run(w.Name, func(b *testing.B) {
+				s, err := w.Session()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var a *server.Artifacts
+				for i := 0; i < b.N; i++ {
+					a = server.BuildArtifacts(w.Name, s)
+				}
+				b.ReportMetric(float64(artifactPayload(a)), "payload-B/entry")
+			})
+		}
+	})
+}
+
+// artifactPayload sums what a cache entry holds: the lengths of its
+// strings, and for each dependence row its size and the lengths of its
+// strings.
+func artifactPayload(a *server.Artifacts) int {
+	n := len(a.Key) + len(a.Path) + len(a.Printed) + len(a.PrintedHash)
+	for _, u := range a.Units {
+		n += len(u.Name) + len(u.Kind) + len(u.LoopsText) + len(u.PerfText)
+		for _, l := range u.Loops {
+			n += len(l.VarPane)
+			for _, d := range l.Deps {
+				n += int(unsafe.Sizeof(d)) + len(d.Class) + len(d.Sym) + len(d.Dir) + len(d.Mark) + len(d.Reason)
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkServerThroughput measures complete pedd session round-trips

@@ -75,12 +75,8 @@ func run() int {
 	maxRunRSS := flag.Int64("maxrunrss", 0, "kill compiled runs past this resident-set size in bytes (0 = 1GiB, negative = off)")
 	flag.Parse()
 
-	if err := faultpoint.ArmSpec(*faults); err != nil {
-		fmt.Fprintf(os.Stderr, "pedd: %v\n", err)
+	if !faultpoint.ArmDaemon("pedd", *faults) {
 		return 2
-	}
-	if *faults != "" {
-		log.Printf("pedd: CHAOS: faults armed: %s", *faults)
 	}
 
 	fsync, err := server.ParseFsyncPolicy(*fsyncMode)

@@ -62,12 +62,8 @@ func run() int {
 	faults := flag.String("faults", "", "chaos testing: arm fault injections, e.g. migrate-stream=err")
 	flag.Parse()
 
-	if err := faultpoint.ArmSpec(*faults); err != nil {
-		fmt.Fprintf(os.Stderr, "pedgw: %v\n", err)
+	if !faultpoint.ArmDaemon("pedgw", *faults) {
 		return 2
-	}
-	if *faults != "" {
-		log.Printf("pedgw: CHAOS: faults armed: %s", *faults)
 	}
 
 	if *backendsSpec == "" {

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -707,12 +708,34 @@ func (s *Session) NextByPerformance() (*cfg.Loop, bool) {
 // ---------------------------------------------------------------------------
 // Dependence pane
 
+// DepInfo is one row of the dependence pane: a dependence of the
+// selected loop as the pane prints it and as its filters read it. Rows
+// are the pane's one form — the REPL renders them, pedd's typed deps
+// route answers them, and its analysis cache keeps them per loop.
+type DepInfo struct {
+	ID      int    `json:"id"`
+	Class   string `json:"class"`
+	Sym     string `json:"sym"`
+	Dir     string `json:"dir"`
+	Level   int    `json:"level"`
+	SrcStmt int    `json:"src_stmt"`
+	DstStmt int    `json:"dst_stmt"`
+	SrcLine int    `json:"src_line"`
+	DstLine int    `json:"dst_line"`
+	Mark    string `json:"mark"`
+	Reason  string `json:"reason,omitempty"`
+	// Private reports that the panes class the variable other than
+	// shared for the selected loop (privatizable, reduction, or
+	// induction) — the hideprivate filter drops these.
+	Private bool `json:"private"`
+}
+
 // DepFilter selects which dependences the pane shows — Ped's view
 // filtering applied to the dependence list.
 type DepFilter struct {
 	// Classes limits to the given classes when non-empty.
 	Classes []dep.Class
-	// Sym limits to dependences on the named variable.
+	// Sym limits to dependences on the named variable, in any case.
 	Sym string
 	// CarriedOnly hides loop-independent dependences.
 	CarriedOnly bool
@@ -723,47 +746,94 @@ type DepFilter struct {
 	HidePrivate bool
 }
 
-// SelectionDeps returns the dependences of the selected loop after
-// filtering — the dependence pane contents.
+// shows reports whether the pane shows row r under f: the one
+// predicate of the dependence pane, for a live session and for rows
+// kept by a cache alike.
+func (f DepFilter) shows(r *DepInfo) bool {
+	if f.CarriedOnly && r.Level == 0 || f.HideRejected && r.Mark == dep.MarkRejected.String() ||
+		f.HidePrivate && r.Private || f.Sym != "" && !strings.EqualFold(r.Sym, f.Sym) {
+		return false
+	}
+	for _, c := range f.Classes {
+		if r.Class == c.String() {
+			return true
+		}
+	}
+	return len(f.Classes) == 0
+}
+
+// Filter returns the rows f shows, in order — never nil, so an empty
+// pane is an empty list on the wire too.
+func (f DepFilter) Filter(rows []DepInfo) []DepInfo {
+	out := []DepInfo{}
+	for i := range rows {
+		if f.shows(&rows[i]) {
+			out = append(out, rows[i])
+		}
+	}
+	return out
+}
+
+// SelectionDeps returns the dependences of the selected loop that the
+// pane shows under f, in ID order.
 func (s *Session) SelectionDeps(f DepFilter) []*dep.Dependence {
+	deps, rows, _ := s.depInfos(false)
+	var out []*dep.Dependence
+	for i := range rows {
+		if f.shows(&rows[i]) {
+			out = append(out, deps[i])
+		}
+	}
+	return out
+}
+
+// DepRows returns the selected loop's dependence pane, unfiltered, one
+// row per dependence in ID order; nil when no loop is selected.
+func (s *Session) DepRows() []DepInfo {
+	_, rows, _ := s.depInfos(false)
+	return rows
+}
+
+// LoopPanes returns the selected loop's dependence rows and variable
+// rows from one verdict, each variable classed once for both; nil, nil
+// when no loop is selected.
+func (s *Session) LoopPanes() ([]DepInfo, []VarInfo) {
+	_, rows, vars := s.depInfos(true)
+	return rows, vars
+}
+
+// depInfos is the one row builder: the selected loop's dependences in
+// ID order and the pane row of each, and when withVars the variable
+// pane's rows, classed alike. All nil when no loop is selected.
+func (s *Session) depInfos(withVars bool) (deps []*dep.Dependence, rows []DepInfo, vars []VarInfo) {
 	l := s.SelectedLoop()
 	if l == nil {
-		return nil
+		return nil, nil, nil
 	}
-	st := s.State()
-	var verdict xform.Doall
-	if f.HidePrivate {
-		verdict = s.Doall(l)
+	classOf := s.classOf(l)
+	if withVars {
+		vars = s.varInfos(l, classOf)
 	}
-	var out []*dep.Dependence
-	for _, d := range st.Deps.LoopDeps(l) {
-		if f.CarriedOnly && !d.Carried() {
-			continue
+	deps = append(deps, s.State().Deps.LoopDeps(l)...)
+	slices.SortFunc(deps, func(a, b *dep.Dependence) int { return a.ID - b.ID })
+	rows = make([]DepInfo, len(deps))
+	for i, d := range deps {
+		rows[i] = DepInfo{
+			ID:      d.ID,
+			Class:   d.Class.String(),
+			Sym:     d.Sym.Name,
+			Dir:     d.DirString(),
+			Level:   d.Level,
+			SrcStmt: d.Src.ID(),
+			DstStmt: d.Dst.ID(),
+			SrcLine: d.Src.Line(),
+			DstLine: d.Dst.Line(),
+			Mark:    d.Mark.String(),
+			Reason:  d.Reason,
+			Private: classOf(d.Sym) != ClassShared,
 		}
-		if f.HideRejected && d.Mark == dep.MarkRejected {
-			continue
-		}
-		if f.Sym != "" && d.Sym.Name != f.Sym {
-			continue
-		}
-		if len(f.Classes) > 0 {
-			ok := false
-			for _, c := range f.Classes {
-				if d.Class == c {
-					ok = true
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		if f.HidePrivate && s.classOf(&verdict, d.Sym) != ClassShared {
-			continue
-		}
-		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return deps, rows, vars
 }
 
 // MarkDep records the user's judgement on a dependence: accepted
@@ -933,15 +1003,25 @@ func (s *Session) Doall(l *cfg.Loop) xform.Doall {
 	return xform.DoallOf(st.DF, st.Deps, l.Do)
 }
 
-// classOf is the classification the panes show for a variable: the
-// user's override first, then the loop's verdict. The override reaches
-// the panes and their filters only — the safety decision stays the
+// classOf gives the classification the panes show for each variable of
+// loop l: the user's override first, then the loop's verdict, decided
+// once per variable however many rows ask. The override reaches the
+// panes and their filters only — the safety decision stays the
 // analysis's and the dependence marks'.
-func (s *Session) classOf(verdict *xform.Doall, sym *fortran.Symbol) VarClass {
-	if c, ok := s.State().classes[sym.Name]; ok {
+func (s *Session) classOf(l *cfg.Loop) func(*fortran.Symbol) VarClass {
+	verdict, overrides := s.Doall(l), s.State().classes
+	decided := map[*fortran.Symbol]VarClass{}
+	return func(sym *fortran.Symbol) VarClass {
+		if c, ok := overrides[sym.Name]; ok {
+			return c
+		}
+		c, ok := decided[sym]
+		if !ok {
+			c = basisClass[verdict.Basis(sym)]
+			decided[sym] = c
+		}
 		return c
 	}
-	return basisClass[verdict.Basis(sym)]
 }
 
 // basisClass is the class a pane shows for each basis of the verdict.
@@ -975,10 +1055,12 @@ type VarInfo struct {
 // VariablePane summarizes every variable accessed in the selected
 // loop.
 func (s *Session) VariablePane() []VarInfo {
-	l := s.SelectedLoop()
-	if l == nil {
-		return nil
-	}
+	_, vars := s.LoopPanes()
+	return vars
+}
+
+// varInfos builds the variable pane's rows of loop l.
+func (s *Session) varInfos(l *cfg.Loop, classOf func(*fortran.Symbol) VarClass) []VarInfo {
 	st := s.State()
 	seen := map[*fortran.Symbol]bool{}
 	var syms []*fortran.Symbol
@@ -995,10 +1077,9 @@ func (s *Session) VariablePane() []VarInfo {
 	for _, d := range st.Deps.LoopDeps(l) {
 		depCount[d.Sym]++
 	}
-	verdict := s.Doall(l)
 	var out []VarInfo
 	for _, sym := range syms {
-		info := VarInfo{Sym: sym, Class: s.classOf(&verdict, sym), DepCount: depCount[sym]}
+		info := VarInfo{Sym: sym, Class: classOf(sym), DepCount: depCount[sym]}
 		if sym.Kind == fortran.SymScalar {
 			res := st.DF.Privatizable(l, sym)
 			info.Privatizable = res.Privatizable

@@ -9,6 +9,7 @@ package dep
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"parascope/internal/cfg"
@@ -163,15 +164,18 @@ func (d *Dependence) DirString() string {
 	if len(d.Dirs) == 0 {
 		return "()"
 	}
-	parts := make([]string, len(d.Dirs))
+	b := append(make([]byte, 0, 32), '(')
 	for i, dir := range d.Dirs {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		if d.Known != nil && i < len(d.Known) && d.Known[i] {
-			parts[i] = fmt.Sprintf("%d", d.Dist[i])
+			b = strconv.AppendInt(b, d.Dist[i], 10)
 		} else {
-			parts[i] = dir.String()
+			b = append(b, dir.String()...)
 		}
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return string(append(b, ')'))
 }
 
 func (d *Dependence) String() string {

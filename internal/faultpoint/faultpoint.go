@@ -13,6 +13,8 @@ package faultpoint
 import (
 	"errors"
 	"fmt"
+	"log"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,6 +206,21 @@ func ArmSpec(spec string) error {
 		Arm(site, f)
 	}
 	return nil
+}
+
+// ArmDaemon arms the -faults spec a daemon was started with. A bad spec
+// is printed to stderr under the daemon's name and reported false — the
+// daemon exits 2; an armed one is logged, so a chaos run is never taken
+// for a clean one.
+func ArmDaemon(name, spec string) bool {
+	if err := ArmSpec(spec); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return false
+	}
+	if spec != "" {
+		log.Printf("%s: CHAOS: faults armed: %s", name, spec)
+	}
+	return true
 }
 
 // Hit triggers the first matching armed fault at the site: it sleeps

@@ -164,7 +164,7 @@ func (r *REPL) Execute(line string) error {
 		}
 		fmt.Fprint(r.Out, view.SourcePane(s, filter))
 	case "deps":
-		f, err := parseDepFilter(args)
+		f, err := ParseDepFilter(args)
 		if err != nil {
 			return err
 		}
@@ -400,7 +400,9 @@ func (r *REPL) printReanalysis(s *core.Session) {
 	fmt.Fprintf(r.Out, "reanalyzed in %s (%s)\n", la.Duration.Round(time.Microsecond), la.Mode)
 }
 
-func parseDepFilter(args []string) (core.DepFilter, error) {
+// ParseDepFilter reads the arguments of `deps` — for the REPL, and for
+// a host that answers the line from dependence rows it keeps.
+func ParseDepFilter(args []string) (core.DepFilter, error) {
 	var f core.DepFilter
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
@@ -410,25 +412,35 @@ func parseDepFilter(args []string) (core.DepFilter, error) {
 			f.HideRejected = true
 		case "hideprivate":
 			f.HidePrivate = true
-		case "true":
-			f.Classes = append(f.Classes, dep.ClassFlow)
-		case "anti":
-			f.Classes = append(f.Classes, dep.ClassAnti)
-		case "output":
-			f.Classes = append(f.Classes, dep.ClassOutput)
-		case "control":
-			f.Classes = append(f.Classes, dep.ClassControl)
 		case "on":
 			if i+1 >= len(args) {
 				return f, fmt.Errorf("usage: deps on <var>")
 			}
 			i++
-			f.Sym = strings.ToLower(args[i])
+			f.Sym = args[i]
 		default:
-			return f, fmt.Errorf("unknown deps filter %q", args[i])
+			c, err := DepClass(args[i])
+			if err != nil {
+				return f, err
+			}
+			f.Classes = append(f.Classes, c)
 		}
 	}
 	return f, nil
+}
+
+// depClasses names the dependence classes `deps` filters on.
+var depClasses = map[string]dep.Class{
+	"true": dep.ClassFlow, "anti": dep.ClassAnti, "output": dep.ClassOutput, "control": dep.ClassControl,
+}
+
+// DepClass reads one class name of the `deps` filter, as the REPL and
+// pedd's typed deps route take it.
+func DepClass(name string) (dep.Class, error) {
+	if c, ok := depClasses[name]; ok {
+		return c, nil
+	}
+	return 0, fmt.Errorf("unknown deps filter %q", name)
 }
 
 // HelpText returns the command summary (also served by pedd for

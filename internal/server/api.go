@@ -10,6 +10,7 @@ package server
 import (
 	"time"
 
+	"parascope/internal/core"
 	"parascope/internal/httpedge"
 	"parascope/internal/planner"
 )
@@ -106,26 +107,13 @@ type SelectResponse struct {
 	Summary string `json:"summary"`
 }
 
-// DepInfo is one dependence of the selected loop.
-type DepInfo struct {
-	ID      int    `json:"id"`
-	Class   string `json:"class"`
-	Sym     string `json:"sym"`
-	Dir     string `json:"dir"`
-	Level   int    `json:"level"`
-	SrcStmt int    `json:"src_stmt"`
-	DstStmt int    `json:"dst_stmt"`
-	SrcLine int    `json:"src_line"`
-	DstLine int    `json:"dst_line"`
-	Mark    string `json:"mark"`
-	Reason  string `json:"reason,omitempty"`
-	// Private reports that the variable is classified other than
-	// shared for the carrying loop (privatizable, reduction, or
-	// induction) — the hideprivate filter drops these.
-	Private bool `json:"private"`
-}
+// DepInfo is one dependence of the selected loop: a row of the
+// dependence pane.
+type DepInfo = core.DepInfo
 
-// DepQuery filters the dependence listing (mirrors `deps` filters).
+// DepQuery filters the dependence listing (mirrors `deps` filters):
+// Classes are the class names `deps` takes, and an unknown one is a
+// bad request (400).
 type DepQuery struct {
 	Carried      bool
 	HideRejected bool

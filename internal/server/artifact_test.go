@@ -27,7 +27,8 @@ var probeLines = map[string][]string{
 	"loops":     {"loops", "loops 1"},
 	"window":    {"window", "window x"},
 	"source":    {"source", "source loops", "source contains do", "source contains", "source nosuch"},
-	"deps":      {"deps", "deps carried", "deps on", "deps nosuch"},
+	"deps": {"deps", "deps carried", "deps on", "deps nosuch", "deps hideprivate", "deps hiderejected carried",
+		"deps true anti", "deps on i", "deps on I", "deps Carried"},
 	"vars":      {"vars", "vars x"},
 	"check":     {"check", "check parallelize 1", "check parallelize x", "check parallelize 99"},
 	"perf":      {"perf", "perf x"},
@@ -93,8 +94,9 @@ func probeSelect(t *testing.T, ss *Session, req SelectRequest) probed {
 // typed select) gets from an artifact-backed session the output, error,
 // cursor and state a cold live session gives — and the session has
 // materialized exactly when the line was not one the artifacts answer:
-// a blank line, an argument-less verb of artifactReads, or a cursor
-// move the live session accepts.
+// a blank line, an argument-less verb of artifactReads, `deps` with
+// arguments the live REPL accepts, or a cursor move the live session
+// accepts.
 func TestArtifactAnswersMatchLive(t *testing.T) {
 	var answered []string
 	for verb := range artifactReads {
@@ -152,7 +154,8 @@ func TestArtifactAnswersMatchLive(t *testing.T) {
 				f := strings.Fields(strings.ToLower(line))
 				answers := len(f) == 0 ||
 					len(f) == 1 && artifactReads[f[0]] != nil ||
-					len(f) == 2 && (f[0] == "unit" || f[0] == "loop") && want.Err == ""
+					len(f) == 2 && (f[0] == "unit" || f[0] == "loop") && want.Err == "" ||
+					f[0] == "deps" && want.Err == ""
 				if isLive := art.Info(bg).Live; isLive == answers {
 					t.Errorf("%s: %s: materialized %v, but the artifacts answer it: %v", w.Name, what, isLive, answers)
 				} else if isLive {

@@ -8,21 +8,25 @@ import (
 
 	"parascope/internal/core"
 	"parascope/internal/faultpoint"
-	"parascope/internal/fortran"
 	"parascope/internal/view"
 )
 
 // LoopArtifacts holds the precomputed panes for one loop of one unit:
 // everything a read-only client asks for after selecting the loop.
 type LoopArtifacts struct {
-	// Summary is the per-class dependence count line.
-	Summary string
-	// DepPane and VarPane are the default-filter pane renderings —
-	// byte-identical to what a live session would print.
-	DepPane string
+	// VarPane is the variable pane's text, byte-identical to what a live
+	// session prints.
 	VarPane string
-	Deps    []DepInfo
+	// Deps are the dependence pane's rows, unfiltered: the pane under
+	// any filter `deps` takes, the per-class summary of `loop` and
+	// select, and the typed deps listing are read from them with the
+	// filter and the renderers a live session uses.
+	Deps []DepInfo
 }
+
+// noLoop is what the artifacts hold before a loop is selected: the
+// renderers' own no-selection texts.
+var noLoop = &LoopArtifacts{VarPane: view.VarPaneOf(nil)}
 
 // UnitArtifacts holds one unit's precomputed renderings.
 type UnitArtifacts struct {
@@ -35,8 +39,8 @@ type UnitArtifacts struct {
 
 // Artifacts is the immutable analysis result of one (path, source,
 // options) triple, keyed by content hash. Sessions opened on a cache
-// hit serve read-only queries straight from these strings and only
-// materialize a live core.Session when a mutating command arrives.
+// hit serve read-only queries straight from these texts and rows and
+// only materialize a live core.Session for a line they cannot answer.
 type Artifacts struct {
 	Key  string
 	Path string
@@ -48,9 +52,6 @@ type Artifacts struct {
 	Units       []UnitArtifacts
 	// DefaultUnit indexes the unit current at open (MAIN if present).
 	DefaultUnit int
-	// NoLoop holds the summary and pane renderings before any loop is
-	// selected.
-	NoLoop LoopArtifacts
 }
 
 // UnitNames lists the unit names in source order.
@@ -73,7 +74,7 @@ func (a *Artifacts) unitIndex(name string) int {
 	return -1
 }
 
-// BuildArtifacts renders every pane of every loop of every unit of a
+// BuildArtifacts keeps the panes of every loop of every unit of a
 // freshly opened (pristine, nothing selected) session. The session's
 // selection and history are restored before returning, so the caller
 // can keep using it as the first live session for this source.
@@ -85,11 +86,6 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 		Path:        s.File.Path,
 		Printed:     s.Save(),
 		PrintedHash: s.SourceHash(),
-		NoLoop: LoopArtifacts{
-			Summary: view.DepSummary(s),
-			DepPane: view.DepPane(s, core.DepFilter{}),
-			VarPane: view.VarPane(s),
-		},
 	}
 	for i, u := range s.File.Units {
 		if u == cur {
@@ -108,13 +104,8 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 			if err := s.SelectLoop(j + 1); err != nil {
 				continue
 			}
-			vars := s.VariablePane() // once per loop: the pane and the Private flags read it
-			ua.Loops = append(ua.Loops, LoopArtifacts{
-				Summary: view.DepSummary(s),
-				DepPane: view.DepPane(s, core.DepFilter{}),
-				VarPane: view.VarPaneOf(vars),
-				Deps:    depInfos(s, vars),
-			})
+			deps, vars := s.LoopPanes()
+			ua.Loops = append(ua.Loops, LoopArtifacts{VarPane: view.VarPaneOf(vars), Deps: deps})
 		}
 		a.Units = append(a.Units, ua)
 	}
@@ -125,69 +116,6 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 	}
 	s.History = s.History[:histLen]
 	return a
-}
-
-// depInfos converts the selected loop's unfiltered dependence list to
-// wire form; the Private flag snapshots the variable classification —
-// vars, the loop's variable pane rows — so artifact-backed sessions can
-// apply the hideprivate filter.
-func depInfos(s *core.Session, vars []core.VarInfo) []DepInfo {
-	classes := map[*fortran.Symbol]core.VarClass{}
-	for _, row := range vars {
-		classes[row.Sym] = row.Class
-	}
-	var out []DepInfo
-	for _, d := range s.SelectionDeps(core.DepFilter{}) {
-		out = append(out, DepInfo{
-			ID:      d.ID,
-			Class:   d.Class.String(),
-			Sym:     d.Sym.Name,
-			Dir:     d.DirString(),
-			Level:   d.Level,
-			SrcStmt: d.Src.ID(),
-			DstStmt: d.Dst.ID(),
-			SrcLine: d.Src.Line(),
-			DstLine: d.Dst.Line(),
-			Mark:    d.Mark.String(),
-			Reason:  d.Reason,
-			Private: classes[d.Sym] != core.ClassShared,
-		})
-	}
-	return out
-}
-
-// filterInfos applies a DepQuery to a dependence list — the single
-// filtering path shared by artifact-backed and live sessions, so a
-// hash-hit answer is identical to a cold one by construction.
-func filterInfos(all []DepInfo, q DepQuery) []DepInfo {
-	out := []DepInfo{}
-	for _, d := range all {
-		if q.Carried && d.Level == 0 {
-			continue
-		}
-		if q.HideRejected && d.Mark == "rejected" {
-			continue
-		}
-		if q.Sym != "" && d.Sym != strings.ToLower(q.Sym) {
-			continue
-		}
-		if len(q.Classes) > 0 {
-			ok := false
-			for _, c := range q.Classes {
-				if d.Class == c {
-					ok = true
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		if q.HidePrivate && d.Private {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // lru is a bounded least-recently-used map, safe for concurrent use —

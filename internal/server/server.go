@@ -91,9 +91,6 @@ const importMaxBytes = 64 << 20
 type Server struct {
 	edge *httpedge.Edge
 	mgr  *Manager
-	// Typed routes kept by name because the status-code tests call them
-	// one by one; the other typed routes are registered straight from typed.
-	handleCmd, handleSelect, handleClassify, handleTransform, handleEdit sessionHandler
 }
 
 // sessionHandler serves a route on the session its {id} resolved to.
@@ -122,13 +119,6 @@ func NewWith(mgr *Manager, opts Options) *Server {
 			MaxBody:   opts.MaxBodyBytes,
 			Ready:     opts.Ready,
 		}),
-		handleCmd: typed(http.StatusOK, func(ss *Session, ctx context.Context, req CmdRequest) (CmdResponse, error) {
-			return ss.Cmd(ctx, req.Line)
-		}),
-		handleSelect:    typed(http.StatusOK, (*Session).Select),
-		handleClassify:  noContent((*Session).Classify),
-		handleTransform: typed(http.StatusOK, (*Session).Transform),
-		handleEdit:      noContent((*Session).Edit),
 	}
 	disabled := map[string]bool{}
 	for _, b := range opts.DisabledBackends {
@@ -154,12 +144,15 @@ func NewWith(mgr *Manager, opts Options) *Server {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	s.edge.Handle("POST /v1/sessions/{id}/cmd", s.session(s.handleCmd))
-	s.edge.Handle("POST /v1/sessions/{id}/select", s.session(s.handleSelect))
+	s.edge.Handle("POST /v1/sessions/{id}/cmd", s.session(typed(http.StatusOK,
+		func(ss *Session, ctx context.Context, req CmdRequest) (CmdResponse, error) {
+			return ss.Cmd(ctx, req.Line)
+		})))
+	s.edge.Handle("POST /v1/sessions/{id}/select", s.session(typed(http.StatusOK, (*Session).Select)))
 	s.edge.Handle("GET /v1/sessions/{id}/deps", s.session(s.handleDeps))
-	s.edge.Handle("POST /v1/sessions/{id}/classify", s.session(s.handleClassify))
-	s.edge.Handle("POST /v1/sessions/{id}/transform", s.session(s.handleTransform))
-	s.edge.Handle("POST /v1/sessions/{id}/edit", s.session(s.handleEdit))
+	s.edge.Handle("POST /v1/sessions/{id}/classify", s.session(noContent((*Session).Classify)))
+	s.edge.Handle("POST /v1/sessions/{id}/transform", s.session(typed(http.StatusOK, (*Session).Transform)))
+	s.edge.Handle("POST /v1/sessions/{id}/edit", s.session(noContent((*Session).Edit)))
 	s.edge.Handle("POST /v1/sessions/{id}/undo", s.session(s.handleUndo))
 	s.edge.Handle("POST /v1/sessions/{id}/run", s.session(typed(http.StatusOK, (*Session).Run)))
 	s.edge.Handle("POST /v1/sessions/{id}/plan", s.session(s.handlePlan))
@@ -376,6 +369,7 @@ var opStatus = []struct {
 	retry  bool
 }{
 	{errNoTarget, http.StatusBadRequest, false},                  // migrate request without a target
+	{errBadQuery, http.StatusBadRequest, false},                  // deps query naming an unknown class
 	{ErrSessionClosed, http.StatusGone, false},                   // closed or evicted
 	{ErrPlanConflict, http.StatusConflict, false},                // stale/diverged/duplicate plan work
 	{ErrSessionExists, http.StatusConflict, false},               // requested session ID already in use

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -105,6 +106,36 @@ func TestCacheHitByteIdentical(t *testing.T) {
 				t.Fatalf("%s: deps %+v differ:\ncold: %+v\nwarm: %+v", workload, q, cd, wd)
 			}
 		}
+		// Every loop's summary and the pane under every filter `deps`
+		// takes come from the same rows, so they match without the
+		// warm session materializing.
+		loops := strings.Count(mustCmd(t, coldSess, "loops"), "\n")
+		for n := 1; n <= loops; n++ {
+			lines := []string{fmt.Sprintf("loop %d", n), "deps carried", "deps hideprivate",
+				"deps hiderejected carried", "deps true anti"}
+			for i, line := range lines {
+				coldOut := mustCmd(t, coldSess, line)
+				warmOut := mustCmd(t, warmSess, line)
+				if coldOut != warmOut {
+					t.Fatalf("%s: %q differs between cold and hash-hit session:\ncold:\n%s\nwarm:\n%s",
+						workload, line, coldOut, warmOut)
+				}
+				if i == 0 {
+					all, err := coldSess.Deps(bg, DepQuery{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sym := "i"
+					if len(all.Deps) > 0 {
+						sym = strings.ToUpper(all.Deps[len(all.Deps)-1].Sym)
+					}
+					lines = append(lines, "deps on "+sym)
+				}
+			}
+		}
+		if warmSess.Info(bg).Live {
+			t.Fatalf("%s: a read materialized the hash-hit session", workload)
+		}
 		_ = prime
 	}
 }
@@ -122,8 +153,8 @@ const tinySrc = `
 
 // TestMaterializeOnMutation checks the artifact→live promotion: a
 // cache-hit session answers reads from artifacts, then transparently
-// builds a real core.Session at the first mutating command, keeping
-// the selection it had.
+// builds a real core.Session at the first read the artifacts do not
+// hold, keeping the selection it had; a mutation then marks it mutated.
 func TestMaterializeOnMutation(t *testing.T) {
 	m := newTestManager(t, Config{CacheSize: 8})
 	if _, _, err := m.Open(bg, OpenRequest{Path: "tiny.f", Source: tinySrc}); err != nil {
@@ -141,10 +172,10 @@ func TestMaterializeOnMutation(t *testing.T) {
 	if ss.Info(bg).Live {
 		t.Fatal("reads must not materialize")
 	}
-	// A filtered deps listing needs the live session.
-	mustCmd(t, ss, "deps carried")
+	// The source pane is a read the artifacts do not hold.
+	mustCmd(t, ss, "source")
 	if !ss.Info(bg).Live {
-		t.Fatal("filtered deps should have materialized")
+		t.Fatal("source should have materialized")
 	}
 	// Selection survived, and the default pane still matches.
 	liveDeps := mustCmd(t, ss, "deps")

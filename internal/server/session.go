@@ -677,11 +677,35 @@ func (ss *Session) Select(ctx context.Context, req SelectRequest) (SelectRespons
 
 // Deps lists the selected loop's dependences after filtering.
 func (ss *Session) Deps(ctx context.Context, q DepQuery) (DepsResponse, error) {
+	f, err := q.filter()
+	if err != nil {
+		return DepsResponse{}, err
+	}
 	var resp DepsResponse
-	if err := ss.post(ctx, func() { resp = ss.doDeps(q) }, true); err != nil {
+	if err := ss.post(ctx, func() {
+		rows, _ := ss.depRows()
+		resp.Unit, resp.Loop = ss.cursor()
+		resp.Deps = f.Filter(rows)
+	}, true); err != nil {
 		return DepsResponse{}, err
 	}
 	return resp, nil
+}
+
+// errBadQuery marks a deps query naming a class `deps` does not take.
+var errBadQuery = errors.New("bad deps query")
+
+// filter is the pane's one filter for the wire query.
+func (q DepQuery) filter() (core.DepFilter, error) {
+	f := core.DepFilter{Sym: q.Sym, CarriedOnly: q.Carried, HideRejected: q.HideRejected, HidePrivate: q.HidePrivate}
+	for _, name := range q.Classes {
+		c, err := repl.DepClass(name)
+		if err != nil {
+			return f, fmt.Errorf("%w: %v", errBadQuery, err)
+		}
+		f.Classes = append(f.Classes, c)
+	}
+	return f, nil
 }
 
 // Classify overrides a variable's classification (materializes).
@@ -1035,7 +1059,7 @@ var artifactReads = map[string]func(ss *Session) string{
 	"save":   func(ss *Session) string { return ss.art.Printed },
 	"perf":   func(ss *Session) string { return ss.art.Units[ss.curUnit].PerfText },
 	"loops":  func(ss *Session) string { return ss.art.Units[ss.curUnit].LoopsText },
-	"deps":   func(ss *Session) string { return ss.artLoop().DepPane },
+	"deps":   func(ss *Session) string { return ss.artDeps(core.DepFilter{}) },
 	"vars":   func(ss *Session) string { return ss.artLoop().VarPane },
 	"units": func(ss *Session) string {
 		var b strings.Builder
@@ -1047,34 +1071,51 @@ var artifactReads = map[string]func(ss *Session) string{
 }
 
 // artAnswer answers line from the artifacts: a blank line, a read verb
-// of artifactReads without arguments, or a valid `unit <name>` /
-// `loop <n>`. ok=false declines — the line needs the live REPL.
+// of artifactReads without arguments, `deps` with arguments the REPL's
+// parser accepts, or a valid `unit <name>` / `loop <n>`. ok=false
+// declines — the line needs the live REPL.
 func (ss *Session) artAnswer(line string) (out string, ok bool) {
 	f := strings.Fields(line)
-	switch len(f) {
-	case 0:
+	if len(f) == 0 {
 		return "", true
-	case 1:
-		if read := artifactReads[strings.ToLower(f[0])]; read != nil {
-			return read(ss), true
+	}
+	verb, args := strings.ToLower(f[0]), f[1:]
+	switch {
+	case len(args) == 0 && artifactReads[verb] != nil:
+		return artifactReads[verb](ss), true
+	case verb == "deps":
+		if filter, err := repl.ParseDepFilter(args); err == nil {
+			return ss.artDeps(filter), true
 		}
-	case 2:
-		switch strings.ToLower(f[0]) {
-		case "unit":
-			return "", ss.artSelect(f[1], 0)
-		case "loop":
-			if n, err := strconv.Atoi(f[1]); err == nil && n != 0 && ss.artSelect("", n) {
-				return ss.artLoop().Summary + "\n", true
-			}
+	case verb == "unit" && len(args) == 1:
+		return "", ss.artSelect(args[0], 0)
+	case verb == "loop" && len(args) == 1:
+		if n, err := strconv.Atoi(args[0]); err == nil && n != 0 && ss.artSelect("", n) {
+			return view.DepSummaryOf(ss.depRows()) + "\n", true
 		}
 	}
 	return "", false
 }
 
+// artDeps renders the dependence pane under f from the artifacts' rows.
+func (ss *Session) artDeps(f core.DepFilter) string {
+	rows, selected := ss.depRows()
+	return view.DepPaneOf(f.Filter(rows), selected)
+}
+
+// depRows is the selected loop's unfiltered dependence pane, live or
+// kept by the artifacts, and whether a loop is selected.
+func (ss *Session) depRows() ([]DepInfo, bool) {
+	if ss.live != nil {
+		return ss.live.DepRows(), ss.live.SelectedLoop() != nil
+	}
+	return ss.artLoop().Deps, ss.curLoop != 0
+}
+
 // artLoop returns the artifacts of the selected loop, or of no selection.
 func (ss *Session) artLoop() *LoopArtifacts {
 	if ss.curLoop == 0 {
-		return &ss.art.NoLoop
+		return noLoop
 	}
 	return &ss.art.Units[ss.curUnit].Loops[ss.curLoop-1]
 }
@@ -1104,7 +1145,6 @@ func (ss *Session) doSelect(req SelectRequest) (SelectResponse, error) {
 			return SelectResponse{}, err
 		}
 	}
-	var resp SelectResponse
 	if ss.live != nil {
 		if req.Unit != "" {
 			if err := ss.live.SelectUnit(req.Unit); err != nil {
@@ -1116,10 +1156,8 @@ func (ss *Session) doSelect(req SelectRequest) (SelectResponse, error) {
 				return SelectResponse{}, err
 			}
 		}
-		resp.Summary = view.DepSummary(ss.live)
-	} else {
-		resp.Summary = ss.artLoop().Summary
 	}
+	resp := SelectResponse{Summary: view.DepSummaryOf(ss.depRows())}
 	resp.Unit, resp.Loop = ss.cursor()
 	return resp, nil
 }
@@ -1137,15 +1175,4 @@ func (ss *Session) liveLoopOrdinal() int {
 		}
 	}
 	return 0
-}
-
-func (ss *Session) doDeps(q DepQuery) DepsResponse {
-	var resp DepsResponse
-	resp.Unit, resp.Loop = ss.cursor()
-	if ss.live != nil {
-		resp.Deps = filterInfos(depInfos(ss.live, ss.live.VariablePane()), q)
-	} else {
-		resp.Deps = filterInfos(ss.artLoop().Deps, q)
-	}
-	return resp
 }

@@ -68,40 +68,42 @@ func TestOpErrorStatusTable(t *testing.T) {
 	}
 }
 
-// sessionHandlers enumerates every {id}-scoped handler with a request
-// that is valid at the JSON layer, so lifecycle errors — not body
-// errors — decide the status.
+// sessionHandlers enumerates every {id}-scoped route that runs on the
+// session, each driven through Server.ServeHTTP with a request that is
+// valid at the JSON layer, so lifecycle errors — not body errors —
+// decide the status.
 func sessionHandlers(s *Server) map[string]func(w http.ResponseWriter, ss *Session) {
-	mk := func(h func(http.ResponseWriter, *http.Request, *Session), method, body string) func(http.ResponseWriter, *Session) {
+	mk := func(method, route, body string) func(http.ResponseWriter, *Session) {
 		return func(w http.ResponseWriter, ss *Session) {
 			var rd io.Reader
 			if body != "" {
 				rd = strings.NewReader(body)
 			}
-			h(w, httptest.NewRequest(method, "/", rd), ss)
+			s.ServeHTTP(w, httptest.NewRequest(method, "/v1/sessions/"+ss.ID+"/"+route, rd))
 		}
 	}
 	return map[string]func(http.ResponseWriter, *Session){
-		"cmd":       mk(s.handleCmd, http.MethodPost, `{"line":"loops"}`),
-		"select":    mk(s.handleSelect, http.MethodPost, `{"loop":1}`),
-		"deps":      mk(s.handleDeps, http.MethodGet, ""),
-		"classify":  mk(s.handleClassify, http.MethodPost, `{"var":"a","class":"private"}`),
-		"transform": mk(s.handleTransform, http.MethodPost, `{"name":"parallelize","args":["1"],"check_only":true}`),
-		"edit":      mk(s.handleEdit, http.MethodPost, `{"stmt":1,"text":"x = 1"}`),
-		"undo":      mk(s.handleUndo, http.MethodPost, ""),
+		"cmd":       mk(http.MethodPost, "cmd", `{"line":"loops"}`),
+		"select":    mk(http.MethodPost, "select", `{"loop":1}`),
+		"deps":      mk(http.MethodGet, "deps", ""),
+		"classify":  mk(http.MethodPost, "classify", `{"var":"a","class":"private"}`),
+		"transform": mk(http.MethodPost, "transform", `{"name":"parallelize","args":["1"],"check_only":true}`),
+		"edit":      mk(http.MethodPost, "edit", `{"stmt":1,"text":"x = 1"}`),
+		"undo":      mk(http.MethodPost, "undo", ""),
 	}
 }
 
 // TestClosedSessionIs410Everywhere covers the regression where
 // handleCmd and handleTransform mapped *every* session error to 410:
-// now a closed session is 410 on every handler, and a quarantined
-// session is 500 on every handler — never the other way around.
+// now a closed session is 410 on every route, and a quarantined
+// session is 500 on every route — never the other way around. Both stay
+// registered, so the routes resolve them and their condition answers.
 func TestClosedAndFailedSessionStatusAllHandlers(t *testing.T) {
 	m := newTestManager(t, Config{CacheSize: 8})
 	srv := New(m)
 
-	closed, closedResp := mustOpen(t, m, "onedim")
-	m.Close(closedResp.ID)
+	closed, _ := mustOpen(t, m, "onedim")
+	closed.close()
 
 	failed, _ := mustOpen(t, m, "onedim")
 	failed.quarantine("injected panic for status test", []byte("stack"))
@@ -361,5 +363,49 @@ func TestUnitlessSourceIs422OnOpenAndImport(t *testing.T) {
 			t.Errorf("cache %d: a refused open or import left a session registered", cache)
 		}
 		ts.Close()
+	}
+}
+
+// TestDepsClassesAreTheREPLs: the typed deps route takes the class
+// names `deps` takes, through the pane's one filter. A class `deps`
+// does not know is a bad request naming it — it used to answer 200
+// with an empty list, so `?class=flow` looked like a loop without flow
+// dependences — and a filter that leaves nothing is an empty list, not
+// null, on a live and on an artifact-backed session alike.
+func TestDepsClassesAreTheREPLs(t *testing.T) {
+	m := newTestManager(t, Config{CacheSize: 8})
+	ts := httptest.NewServer(New(m))
+	defer ts.Close()
+	live, _ := mustOpen(t, m, "onedim")
+	art, resp := mustOpen(t, m, "onedim")
+	if !resp.Cached {
+		t.Fatal("second open missed the cache")
+	}
+	for _, ss := range []*Session{live, art} {
+		if _, err := ss.Select(bg, SelectRequest{Loop: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			query, body string
+			status      int
+		}{
+			{"class=flow", `flow`, http.StatusBadRequest},
+			{"class=true,input", `input`, http.StatusBadRequest},
+			{"class=true&sym=nosuch", `"deps":[]`, http.StatusOK},
+			{"class=true,anti,output,control", `"deps":[`, http.StatusOK},
+		} {
+			hresp, err := http.Get(ts.URL + "/v1/sessions/" + ss.ID + "/deps?" + c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(hresp.Body)
+			hresp.Body.Close()
+			if hresp.StatusCode != c.status || !strings.Contains(string(b), c.body) {
+				t.Errorf("live %v, ?%s: %d %s; want %d with %s", ss == live, c.query, hresp.StatusCode, b, c.status, c.body)
+			}
+		}
+	}
+	if art.Info(bg).Live {
+		t.Error("a typed deps read materialized the artifact-backed session")
 	}
 }

@@ -121,40 +121,45 @@ func LoopList(s *core.Session) string {
 // DepPane renders the dependence list for the selected loop with
 // marking states — the middle pane of the Ped window.
 func DepPane(s *core.Session, f core.DepFilter) string {
+	return DepPaneOf(f.Filter(s.DepRows()), s.SelectedLoop() != nil)
+}
+
+// DepPaneOf renders the dependence pane from its rows, filtered
+// already — the one renderer of the pane, for a live session and for
+// rows a cache kept. selected says whether a loop is selected at all.
+func DepPaneOf(rows []core.DepInfo, selected bool) string {
 	var b strings.Builder
-	l := s.SelectedLoop()
 	b.WriteString("── dependences ")
 	b.WriteString(strings.Repeat("─", 48))
 	b.WriteByte('\n')
-	if l == nil {
+	if !selected {
 		b.WriteString("  (no loop selected)\n")
 		return b.String()
 	}
-	deps := s.SelectionDeps(f)
-	if len(deps) == 0 {
+	if len(rows) == 0 {
 		b.WriteString("  (none — the loop is parallelizable as shown)\n")
 		return b.String()
 	}
-	for _, d := range deps {
+	for _, d := range rows {
 		carrier := "indep"
-		if d.Carried() {
+		if d.Level > 0 {
 			carrier = fmt.Sprintf("level %d", d.Level)
 		}
 		fmt.Fprintf(&b, "%4d  %-7s %-10s %-12s %-8s s%d -> s%d  [%s]",
-			d.ID, d.Class, d.Sym.Name, d.DirString(), carrier,
-			d.Src.ID(), d.Dst.ID(), d.Mark)
+			d.ID, d.Class, d.Sym, d.Dir, carrier, d.SrcStmt, d.DstStmt, d.Mark)
 		if d.Reason != "" {
 			fmt.Fprintf(&b, " (%s)", d.Reason)
 		}
 		b.WriteByte('\n')
 	}
-	return trimmed(&b)
+	return b.String()
 }
 
 // trimmed returns the builder's text in an allocation of exactly its
-// length. Pane texts are kept — the server caches one per loop of every
-// program it has opened — and a string taken straight from a builder
-// keeps the builder's spare capacity alive with it, up to as much again.
+// length. Some texts are kept — the server caches the loop list of every
+// unit and the variable pane of every loop of every program it has
+// opened — and a string taken straight from a builder keeps the
+// builder's spare capacity alive with it, up to as much again.
 func trimmed(b *strings.Builder) string {
 	return strings.Clone(b.String())
 }
@@ -192,13 +197,14 @@ func VarPaneOf(rows []core.VarInfo) string {
 // Window renders the full three-pane Ped display (Figure 1 of the
 // paper): source on top, dependences in the middle, variables below.
 func Window(s *core.Session, srcFilter SourceFilter, depFilter core.DepFilter) string {
+	deps, vars := s.LoopPanes()
 	var b strings.Builder
 	b.WriteString("┌─ ParaScope Editor ")
 	b.WriteString(strings.Repeat("─", 44))
 	b.WriteString("┐\n")
 	b.WriteString(SourcePane(s, srcFilter))
-	b.WriteString(DepPane(s, depFilter))
-	b.WriteString(VarPane(s))
+	b.WriteString(DepPaneOf(depFilter.Filter(deps), s.SelectedLoop() != nil))
+	b.WriteString(VarPaneOf(vars))
 	b.WriteString("└")
 	b.WriteString(strings.Repeat("─", 63))
 	b.WriteString("┘\n")
@@ -218,15 +224,18 @@ func Legend() string {
 
 // DepSummary renders per-class counts for a loop — the header line of
 // the dependence pane.
-func DepSummary(s *core.Session) string {
-	l := s.SelectedLoop()
-	if l == nil {
+func DepSummary(s *core.Session) string { return DepSummaryOf(s.DepRows(), s.SelectedLoop() != nil) }
+
+// DepSummaryOf renders the per-class counts of a loop's unfiltered
+// dependence rows; selected says whether a loop is selected at all.
+func DepSummaryOf(rows []core.DepInfo, selected bool) string {
+	if !selected {
 		return "no loop selected"
 	}
-	counts := map[dep.Class]int{}
-	for _, d := range s.SelectionDeps(core.DepFilter{}) {
+	counts := map[string]int{}
+	for _, d := range rows {
 		counts[d.Class]++
 	}
-	return fmt.Sprintf("true %d, anti %d, output %d, control %d",
-		counts[dep.ClassFlow], counts[dep.ClassAnti], counts[dep.ClassOutput], counts[dep.ClassControl])
+	return fmt.Sprintf("true %d, anti %d, output %d, control %d", counts[dep.ClassFlow.String()],
+		counts[dep.ClassAnti.String()], counts[dep.ClassOutput.String()], counts[dep.ClassControl.String()])
 }
