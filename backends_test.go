@@ -7,6 +7,9 @@ package parascope
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +70,137 @@ func TestPinnedProgramsOnBothBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIntrinsicRows calls every row of the intrinsic table on INTEGER,
+// REAL and DOUBLE PRECISION arguments holding negative values, zero,
+// -0.0, NaN and both infinities — max and min with two and with five
+// arguments, equal values among them — and runs the calls through all
+// four readers of the table: the proof's typing and the interpreter's
+// typed closures (the calls in the main program), the interpreter's
+// tagged values (the same calls in a subroutine whose dummies the proof
+// marks, so only the run-time tags type them) and the code generator.
+// The three outputs must be equal byte for byte, and an INTEGER mod by
+// zero must fail on both backends.
+func TestIntrinsicRows(t *testing.T) {
+	names := slices.Sorted(maps.Keys(interp.Intrinsics))
+	if front := slices.Sorted(maps.Keys(fortran.Intrinsics)); !slices.Equal(names, front) {
+		t.Fatalf("the table's names differ from the front end's:\n table %v\n front %v", names, front)
+	}
+	typed, tagged := intrinsicRowsPrograms(names)
+	run := func(name, src string) (*fortran.File, string) {
+		f, err := fortran.Parse(name+".f", src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		out, err := interp.RunCapture(f, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: interpreter: %v", name, err)
+		}
+		return f, out
+	}
+	f, want := run("typed", typed)
+	if _, got := run("tagged", tagged); got != want {
+		t.Fatalf("tagged values differ from typed closures\ntagged:\n%s\ntyped:\n%s", got, want)
+	}
+	modByZero, _ := fortran.Parse("mod0.f", `      program p
+      integer i, j
+      i = 5
+      j = 0
+      print *, mod(i, j)
+      end
+`)
+	if _, err := interp.RunCapture(modByZero, 1, nil); err == nil || !strings.Contains(err.Error(), "mod by zero") {
+		t.Fatalf("interpreted mod(5, 0): %v, want a mod by zero", err)
+	}
+	if testing.Short() {
+		t.Skip("the compiled half builds binaries; skipped in -short mode")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	compiled := func(f *fortran.File) (string, error) {
+		art, err := codegen.Build(ctx, f, t.TempDir(), nil)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		res, err := codegen.Run(ctx, art, 1, nil, nil)
+		if err != nil {
+			return "", err
+		}
+		return res.Output, nil
+	}
+	if got, err := compiled(f); err != nil || got != want {
+		t.Fatalf("compiled output differs from interpreted (%v)\ncompiled:\n%s\ninterpreted:\n%s", err, got, want)
+	}
+	if _, err := compiled(modByZero); err == nil || !strings.Contains(err.Error(), "mod by zero") {
+		t.Fatalf("compiled mod(5, 0): %v, want a mod by zero", err)
+	}
+}
+
+// intrinsicRowsPrograms writes TestIntrinsicRows' two programs: one
+// that makes every call of the table's rows in its main program, and
+// one that makes them in a subroutine whose INTEGER dummies receive the
+// REAL and DOUBLE PRECISION arrays and whose REAL dummy the INTEGER
+// one. Each call's line starts with the intrinsic's name.
+func intrinsicRowsPrograms(names []string) (typed, tagged string) {
+	var body strings.Builder
+	line := func(format string, args ...any) { fmt.Fprintf(&body, "      "+format+"\n", args...) }
+	arrays := []string{"i", "r", "d"}
+	for _, name := range names {
+		switch row := interp.Intrinsics[name]; row.Args {
+		case 1:
+			line("do k = 1, 7")
+			line("   print *, '%s', %s(i(k)), %s(r(k)), %s(d(k))", name, name, name, name)
+			line("enddo")
+		default:
+			line("do j = 1, 7")
+			line("do k = 1, 7")
+			for _, a := range arrays {
+				for _, b := range arrays {
+					call := fmt.Sprintf("%s(%s(j), %s(k))", name, a, b)
+					if row.Args == interp.Variadic {
+						call = fmt.Sprintf("%s(%s(j), %s(k), %s(k), %s(j), %s(j))", name, a, b, a, b, a)
+						line("   print *, '%s', %s(%s(j), %s(k))", name, name, a, b)
+					}
+					if (name == "mod" || name == "amod") && a == "i" && b == "i" {
+						// An INTEGER mod by zero fails: TestIntrinsicRows
+						// runs it on its own.
+						line("   if (i(k) .ne. 0) print *, '%s', %s", name, call)
+						continue
+					}
+					line("   print *, '%s', %s", name, call)
+				}
+			}
+			line("enddo")
+			line("enddo")
+		}
+	}
+	const head = `      integer i(7), j, k
+      real r(7)
+      double precision d(7)
+      i(1) = -3
+      i(2) = 0
+      i(3) = 2
+      i(4) = -7
+      i(5) = 1
+      i(6) = 5
+      i(7) = 2
+      r(1) = -2.5
+      r(2) = 0.0
+      r(3) = -0.0
+      r(4) = 0.0/0.0
+      r(5) = 1.0/0.0
+      r(6) = -1.0/0.0
+      r(7) = 1.5
+      do k = 1, 7
+         d(k) = 0.75d0*r(8 - k)
+      enddo
+`
+	typed = "      program rows\n" + head + body.String() + "      end\n"
+	tagged = "      program rows\n" + head + "      call calls(r, i, d)\n      end\n" +
+		"      subroutine calls(r, i, d)\n      integer r(7), d(7), j, k\n      real i(7)\n" +
+		body.String() + "      end\n"
+	return typed, tagged
 }
 
 // markFirstDoall marks a "!par" case's first DO loop as TestInterpErrors

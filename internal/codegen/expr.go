@@ -191,11 +191,42 @@ func (g *gen) call(x *fortran.FuncCall) xpr {
 		}
 		return xpr{mangleUnit(x.Callee.Name) + "(" + g.bindArgs(x.Callee, x.Args) + ")", g.symType(res)}
 	}
-	if _, ok := fortran.Intrinsics[x.Name]; ok {
-		return g.intrinsic(x)
+	row, ok := interp.Intrinsics[x.Name]
+	if !ok {
+		g.decline("call to external function %s", x.Name)
 	}
-	g.decline("call to external function %s", x.Name)
+	// An intrinsic: the type the proof gives the call, and the Go names
+	// of the row's operations.
+	args := make([]xpr, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = g.expr(a)
+	}
+	if err := row.Arity(x.Name, len(args)); err != nil {
+		g.decline("%v", err)
+	}
+	switch t := g.typing.TypeOf(x); {
+	case t == fortran.TypeInteger && !row.Int.Empty():
+		return xpr{goCall(row.Int.Go, args, g.toInt), tInt}
+	case t == fortran.TypeInteger:
+		return xpr{"int64(" + goCall(row.Float.Go, args, g.toF) + ")", tInt}
+	case t.Numeric():
+		return xpr{goCall(row.Float.Go, args, g.toF), tFloat}
+	}
+	g.decline("%s on non-numeric argument", x.Name)
 	return xpr{}
+}
+
+// goCall renders a call of the Go function name on args, each converted
+// by conv; an operation with no name is its one argument.
+func goCall(name string, args []xpr, conv func(xpr) string) string {
+	parts := make([]string, len(args))
+	for i, a := range args {
+		parts[i] = conv(a)
+	}
+	if name == "" {
+		return parts[0]
+	}
+	return name + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // bindArgs lowers an actual-argument list following the interpreter's
@@ -244,138 +275,4 @@ func (g *gen) bindArgs(callee *fortran.Unit, actuals []fortran.Expr) string {
 		parts = append(parts, refFn(g.symType(formal))+"("+g.expr(a).c+")")
 	}
 	return strings.Join(parts, ", ")
-}
-
-// ---------------------------------------------------------------------------
-// Intrinsics — one case per entry in fortran.Intrinsics, replicating
-// the interpreter's result-type and conversion rules.
-
-func (g *gen) intrinsic(x *fortran.FuncCall) xpr {
-	name := x.Name
-	args := make([]xpr, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = g.expr(a)
-	}
-	need := func(n int) {
-		if len(args) != n {
-			g.decline("%s expects %d args, got %d", name, n, len(args))
-		}
-	}
-	one := func(fn string) xpr {
-		need(1)
-		return xpr{fn + "(" + g.toF(args[0]) + ")", tFloat}
-	}
-	switch name {
-	case "abs":
-		need(1)
-		if args[0].t == tInt {
-			return xpr{"Iabs(" + args[0].c + ")", tInt}
-		}
-		return xpr{"math.Abs(" + g.toF(args[0]) + ")", tFloat}
-	case "iabs":
-		need(1)
-		return xpr{"Iabs(" + g.toInt(args[0]) + ")", tInt}
-	case "sqrt":
-		return one("math.Sqrt")
-	case "exp":
-		return one("math.Exp")
-	case "log":
-		return one("math.Log")
-	case "log10":
-		return one("math.Log10")
-	case "sin":
-		return one("math.Sin")
-	case "cos":
-		return one("math.Cos")
-	case "tan":
-		return one("math.Tan")
-	case "atan":
-		return one("math.Atan")
-	case "asin":
-		return one("math.Asin")
-	case "acos":
-		return one("math.Acos")
-	case "sinh":
-		return one("math.Sinh")
-	case "cosh":
-		return one("math.Cosh")
-	case "tanh":
-		return one("math.Tanh")
-	case "atan2":
-		need(2)
-		return xpr{"math.Atan2(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")", tFloat}
-	case "max", "amax1", "max0":
-		return g.minMax(name, args, true)
-	case "min", "amin1", "min0":
-		return g.minMax(name, args, false)
-	case "mod", "amod":
-		need(2)
-		if args[0].t == tInt && args[1].t == tInt {
-			return xpr{"Imod(" + args[0].c + ", " + args[1].c + ")", tInt}
-		}
-		return xpr{"math.Mod(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")", tFloat}
-	case "sign":
-		need(2)
-		c := "Fsign(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
-		if args[0].t == tInt {
-			return xpr{"int64(" + c + ")", tInt}
-		}
-		return xpr{c, tFloat}
-	case "dim":
-		need(2)
-		c := "Fdim(" + g.toF(args[0]) + ", " + g.toF(args[1]) + ")"
-		if args[0].t == tInt {
-			return xpr{"int64(" + c + ")", tInt}
-		}
-		return xpr{c, tFloat}
-	case "int", "ifix":
-		need(1)
-		return xpr{"int64(" + g.toF(args[0]) + ")", tInt}
-	case "nint":
-		need(1)
-		return xpr{"int64(math.Round(" + g.toF(args[0]) + "))", tInt}
-	case "real", "float", "sngl", "dble":
-		need(1)
-		return xpr{g.toF(args[0]), tFloat}
-	}
-	g.decline("unknown intrinsic %s", name)
-	return xpr{}
-}
-
-func (g *gen) minMax(name string, args []xpr, wantMax bool) xpr {
-	if len(args) < 2 {
-		g.decline("%s needs at least 2 args", name)
-	}
-	allInt := true
-	for _, a := range args {
-		if a.t != tInt {
-			allInt = false
-		}
-		if a.t != tInt && a.t != tFloat {
-			g.decline("%s on non-numeric argument", name)
-		}
-	}
-	if name == "max0" || name == "min0" {
-		allInt = true
-	}
-	if name == "amax1" || name == "amin1" {
-		allInt = false
-	}
-	fn := map[bool]map[bool]string{
-		true:  {true: "Imax", false: "Imin"},
-		false: {true: "Fmax", false: "Fmin"},
-	}[allInt][wantMax]
-	parts := make([]string, len(args))
-	for i, a := range args {
-		if allInt {
-			parts[i] = g.toInt(a)
-		} else {
-			parts[i] = g.toF(a)
-		}
-	}
-	t := tFloat
-	if allInt {
-		t = tInt
-	}
-	return xpr{fn + "(" + strings.Join(parts, ", ") + ")", t}
 }

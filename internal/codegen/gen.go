@@ -8,8 +8,11 @@
 // output is byte-identical to interpreted output at equal worker
 // counts.
 //
-// The generator has no typing of its own: it reads the interpreter's
-// (interp.Prove, Proof.TypeOf, interp.Fold). A program in which the
+// The generator reads the interpreter's typing (interp.Prove,
+// Proof.TypeOf, interp.Fold) and its intrinsic table: an intrinsic call
+// is its row's Go names, typed as Proof.TypeOf types the call. Only the
+// operators' choice of integer or float arithmetic, from their
+// operands' Go types, is the generator's own. A program in which the
 // proof marks a symbol — storage that may hold another type than a
 // symbol naming it declares — is declined once, naming the symbol and
 // the rule that marked it; so is an INTEGER raised to an INTEGER power

@@ -1,8 +1,8 @@
 package interp
 
 import (
+	"fmt"
 	"math"
-	"strings"
 
 	"parascope/internal/codegen/prelude"
 	"parascope/internal/fortran"
@@ -169,7 +169,11 @@ func (c *compiler) intOp(e fortran.Expr) func(*frame) int64 {
 			call := c.function(x)
 			return func(f *frame) int64 { return call(f).v.I }
 		}
-		return c.intIntrinsic(x)
+		if row := Intrinsics[x.Name]; !row.Int.Empty() {
+			return compileCall(row.Int, x.Args, c.int)
+		}
+		v := c.floatOp(x)
+		return func(f *frame) int64 { return int64(v(f)) }
 	case *fortran.Unary:
 		a := c.intOp(x.X)
 		if x.Op == fortran.TokMinus {
@@ -195,41 +199,6 @@ func (c *compiler) intOp(e fortran.Expr) func(*frame) int64 {
 	// expression naming a later local): the general path reports it.
 	v := c.valueOp(e)
 	return func(f *frame) int64 { return v(f).Int() }
-}
-
-func (c *compiler) intIntrinsic(x *fortran.FuncCall) func(*frame) int64 {
-	switch x.Name {
-	case "abs", "iabs":
-		a := c.int(x.Args[0])
-		return func(f *frame) int64 { return prelude.Iabs(a(f)) }
-	case "sign", "dim":
-		fn, a, b := signOrDim(x.Name), c.float(x.Args[0]), c.float(x.Args[1])
-		return func(f *frame) int64 { return int64(fn(a(f), b(f))) }
-	case "int", "ifix":
-		a := c.float(x.Args[0])
-		return func(f *frame) int64 { return int64(a(f)) }
-	case "nint":
-		a := c.float(x.Args[0])
-		return func(f *frame) int64 { return int64(math.Round(a(f))) }
-	case "mod", "amod":
-		a, b := c.intOp(x.Args[0]), c.intOp(x.Args[1])
-		return func(f *frame) int64 { return intMod(a(f), b(f)) }
-	}
-	// max, min, max0, min0: the first of equal values stays.
-	args := make([]func(*frame) int64, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = c.int(a)
-	}
-	wantMax := strings.Contains(x.Name, "max")
-	return func(f *frame) int64 {
-		best := args[0](f)
-		for _, a := range args[1:] {
-			if v := a(f); wantMax && v > best || !wantMax && v < best {
-				best = v
-			}
-		}
-		return best
-	}
 }
 
 // floatOp compiles an expression TypeOf proves REAL or DOUBLE
@@ -260,7 +229,7 @@ func (c *compiler) floatOp(e fortran.Expr) func(*frame) float64 {
 			call := c.function(x)
 			return func(f *frame) float64 { return call(f).v.R }
 		}
-		return c.floatIntrinsic(x)
+		return compileCall(Intrinsics[x.Name].Float, x.Args, c.float)
 	case *fortran.Unary:
 		a := c.floatOp(x.X)
 		if x.Op == fortran.TokMinus {
@@ -284,44 +253,6 @@ func (c *compiler) floatOp(e fortran.Expr) func(*frame) float64 {
 	}
 	v := c.valueOp(e)
 	return func(f *frame) float64 { return v(f).Float() }
-}
-
-func (c *compiler) floatIntrinsic(x *fortran.FuncCall) func(*frame) float64 {
-	if fn, ok := oneArg[x.Name]; ok {
-		a := c.float(x.Args[0])
-		return func(f *frame) float64 { return fn(a(f)) }
-	}
-	switch x.Name {
-	case "abs":
-		a := c.floatOp(x.Args[0])
-		return func(f *frame) float64 { return math.Abs(a(f)) }
-	case "real", "float", "sngl", "dble":
-		return c.float(x.Args[0])
-	case "mod", "amod":
-		a, b := c.float(x.Args[0]), c.float(x.Args[1])
-		return func(f *frame) float64 { return math.Mod(a(f), b(f)) }
-	case "atan2", "sign", "dim":
-		fn, a, b := math.Atan2, c.float(x.Args[0]), c.float(x.Args[1])
-		if x.Name != "atan2" {
-			fn = signOrDim(x.Name)
-		}
-		return func(f *frame) float64 { return fn(a(f), b(f)) }
-	}
-	// max, min, amax1, amin1 by plain comparison: a NaN never wins.
-	args := make([]func(*frame) float64, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = c.float(a)
-	}
-	wantMax := strings.Contains(x.Name, "max")
-	return func(f *frame) float64 {
-		best := args[0](f)
-		for _, a := range args[1:] {
-			if v := a(f); wantMax && v > best || !wantMax && v < best {
-				best = v
-			}
-		}
-		return best
-	}
 }
 
 // boolOp compiles an expression TypeOf proves LOGICAL: a literal, a
@@ -445,9 +376,13 @@ func (c *compiler) valueOp(e fortran.Expr) func(*frame) Value {
 			call := c.function(x)
 			return func(f *frame) Value { return call(f).v }
 		}
-		args := make([]func(*frame) Value, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = c.value(a)
+		args := compileArgs(x.Args, c.value)
+		row, ok := Intrinsics[x.Name]
+		var err error
+		if !ok {
+			err = fmt.Errorf("interp: unknown intrinsic %s", x.Name)
+		} else if err = row.Arity(x.Name, len(args)); err != nil {
+			err = fmt.Errorf("interp: %w", err)
 		}
 		return func(f *frame) Value {
 			// Intrinsics take one or two arguments, max and min a few more.
@@ -456,11 +391,10 @@ func (c *compiler) valueOp(e fortran.Expr) func(*frame) Value {
 			for _, a := range args {
 				vals = append(vals, a(f))
 			}
-			v, err := intrinsic(x.Name, vals)
 			if err != nil {
 				panic(abort{err})
 			}
-			return v
+			return row.call(vals)
 		}
 	case *fortran.Unary:
 		a := c.value(x.X)
@@ -473,6 +407,16 @@ func (c *compiler) valueOp(e fortran.Expr) func(*frame) Value {
 		return func(f *frame) Value { return binaryOp(x.Op, a(f), b(f)) }
 	}
 	return fail("interp: cannot evaluate %T", e)
+}
+
+// compileArgs compiles a call's arguments with one of the compiler's
+// expression methods.
+func compileArgs[T any](es []fortran.Expr, compile func(fortran.Expr) func(*frame) T) []func(*frame) T {
+	args := make([]func(*frame) T, len(es))
+	for i, e := range es {
+		args[i] = compile(e)
+	}
+	return args
 }
 
 // function compiles a reference to a user function: it runs the body

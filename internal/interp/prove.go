@@ -189,9 +189,9 @@ func (p Proof) typed(sym *fortran.Symbol) bool {
 
 // TypeOf is the type e's value is proven to have, or TypeUnknown when
 // only the run can tell. It is the tree walker's typing, not Fortran's:
-// mod of an integer and a real is REAL, max of doubles is REAL, an
-// INTEGER raised to an INTEGER is INTEGER only when the exponent folds
-// to a constant that is not negative.
+// an intrinsic's is its row's Rule, and an INTEGER raised to an INTEGER
+// is INTEGER only when the exponent folds to a constant that is not
+// negative.
 func (p Proof) TypeOf(e fortran.Expr) fortran.Type {
 	switch x := e.(type) {
 	case *fortran.IntLit:
@@ -272,65 +272,24 @@ func promote(a, b fortran.Type) fortran.Type {
 	return fortran.TypeReal
 }
 
-// intrinsicType is TypeOf for a call of an intrinsic with arguments of
-// proven numeric types; every other call — an unknown name, a wrong
-// argument count — goes through intrinsic on tagged values.
+// intrinsicType is TypeOf for a call of an intrinsic: its row's rule on
+// the arguments' types when they are all proven numeric. Every other
+// call — an unknown name, a wrong argument count — is made on tagged
+// values, where it fails.
 func (p Proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
-	n, first, allInt := len(x.Args), fortran.TypeUnknown, true
-	for i, a := range x.Args {
+	row, ok := Intrinsics[x.Name]
+	if !ok || row.Arity(x.Name, len(x.Args)) != nil {
+		return fortran.TypeUnknown
+	}
+	first, allInt := p.TypeOf(x.Args[0]), true
+	for _, a := range x.Args {
 		t := p.TypeOf(a)
 		if !t.Numeric() {
 			return fortran.TypeUnknown
 		}
-		if i == 0 {
-			first = t
-		}
 		allInt = allInt && t == fortran.TypeInteger
 	}
-	if _, ok := oneArg[x.Name]; ok && n == 1 {
-		return promote(first, fortran.TypeReal)
-	}
-	switch x.Name {
-	case "abs":
-		if n == 1 {
-			return first
-		}
-	case "sign", "dim":
-		if n == 2 {
-			return first
-		}
-	case "int", "ifix", "nint", "iabs":
-		if n == 1 {
-			return fortran.TypeInteger
-		}
-	case "real", "float", "sngl":
-		if n == 1 {
-			return fortran.TypeReal
-		}
-	case "dble":
-		if n == 1 {
-			return fortran.TypeDouble
-		}
-	case "atan2":
-		if n == 2 {
-			return fortran.TypeReal
-		}
-	case "mod", "amod":
-		if n == 2 {
-			if allInt {
-				return fortran.TypeInteger
-			}
-			return fortran.TypeReal
-		}
-	case "max", "min", "max0", "min0", "amax1", "amin1":
-		if n >= 2 {
-			if x.Name[len(x.Name)-1] == '0' || allInt && x.Name[0] != 'a' {
-				return fortran.TypeInteger
-			}
-			return fortran.TypeReal
-		}
-	}
-	return fortran.TypeUnknown
+	return row.Result(first, allInt)
 }
 
 // Fold evaluates a constant expression — literals, PARAMETERs and the

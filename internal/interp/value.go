@@ -205,10 +205,10 @@ func (a *array) index(subs []int64) (int64, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Operations on tagged values: what an operator or intrinsic does when
-// its operands' types are known only at run time. The typed closures
-// of expr.go are these same rules with the type tests taken at compile
-// time.
+// Operations on tagged values: what an operator does when its operands'
+// types are known only at run time. The typed closures of expr.go are
+// these same rules with the type tests taken at compile time; an
+// intrinsic is a row of one table for both (intrinsic.go).
 
 func unaryOp(op fortran.TokKind, v Value) Value {
 	switch op {
@@ -333,140 +333,4 @@ func compareFloats(a, b float64) int {
 		return 1
 	}
 	return 0
-}
-
-// oneArg are the intrinsics of one argument whose result has the
-// argument's type, REAL for an INTEGER argument.
-var oneArg = map[string]func(float64) float64{
-	"sqrt": math.Sqrt, "exp": math.Exp, "log": math.Log, "log10": math.Log10,
-	"sin": math.Sin, "cos": math.Cos, "tan": math.Tan, "atan": math.Atan,
-	"asin": math.Asin, "acos": math.Acos, "sinh": math.Sinh, "cosh": math.Cosh, "tanh": math.Tanh,
-}
-
-func intrinsic(name string, args []Value) (Value, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("interp: %s expects %d args, got %d", name, n, len(args))
-		}
-		return nil
-	}
-	if fn, ok := oneArg[name]; ok {
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		t := args[0].Type
-		if t == fortran.TypeInteger {
-			t = fortran.TypeReal
-		}
-		return Value{Type: t, R: fn(args[0].Float())}, nil
-	}
-	switch name {
-	case "abs":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].Type == fortran.TypeInteger {
-			return IntVal(prelude.Iabs(args[0].I)), nil
-		}
-		return Value{Type: args[0].Type, R: math.Abs(args[0].R)}, nil
-	case "iabs":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return IntVal(prelude.Iabs(args[0].Int())), nil
-	case "atan2":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		return RealVal(math.Atan2(args[0].Float(), args[1].Float())), nil
-	case "max", "amax1", "max0":
-		return minMax(name, args, true)
-	case "min", "amin1", "min0":
-		return minMax(name, args, false)
-	case "mod", "amod":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		if args[0].Type == fortran.TypeInteger && args[1].Type == fortran.TypeInteger {
-			if args[1].I == 0 {
-				return Value{}, fmt.Errorf("interp: mod by zero")
-			}
-			return IntVal(args[0].I % args[1].I), nil
-		}
-		return RealVal(math.Mod(args[0].Float(), args[1].Float())), nil
-	case "sign", "dim":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		r := signOrDim(name)(args[0].Float(), args[1].Float())
-		if args[0].Type == fortran.TypeInteger {
-			return IntVal(int64(r)), nil
-		}
-		return Value{Type: args[0].Type, R: r}, nil
-	case "int", "ifix", "nint":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		v := args[0].Float()
-		if name == "nint" {
-			return IntVal(int64(math.Round(v))), nil
-		}
-		return IntVal(int64(v)), nil
-	case "real", "float", "sngl":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return RealVal(args[0].Float()), nil
-	case "dble":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return DoubleVal(args[0].Float()), nil
-	}
-	return Value{}, fmt.Errorf("interp: unknown intrinsic %s", name)
-}
-
-// signOrDim is sign's or dim's rule on two floats: the prelude's, which
-// generated programs call too.
-func signOrDim(name string) func(a, b float64) float64 {
-	if name == "sign" {
-		return prelude.Fsign
-	}
-	return prelude.Fdim
-}
-
-func minMax(name string, args []Value, wantMax bool) (Value, error) {
-	if len(args) < 2 {
-		return Value{}, fmt.Errorf("interp: %s needs at least 2 args", name)
-	}
-	allInt := true
-	for _, a := range args {
-		if a.Type != fortran.TypeInteger {
-			allInt = false
-		}
-	}
-	if name == "max0" || name == "min0" {
-		allInt = true
-	}
-	if name == "amax1" || name == "amin1" {
-		allInt = false
-	}
-	if allInt {
-		best := args[0].Int()
-		for _, a := range args[1:] {
-			v := a.Int()
-			if (wantMax && v > best) || (!wantMax && v < best) {
-				best = v
-			}
-		}
-		return IntVal(best), nil
-	}
-	best := args[0].Float()
-	for _, a := range args[1:] {
-		v := a.Float()
-		if (wantMax && v > best) || (!wantMax && v < best) {
-			best = v
-		}
-	}
-	return RealVal(best), nil
 }

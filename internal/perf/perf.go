@@ -121,12 +121,7 @@ func (e *Estimator) estimateLoop(df *dataflow.Analysis, l *cfg.Loop) LoopEstimat
 	}
 	body := e.bodyCost(df, l.Do.Body)
 	seq := trip * (body + e.Params.LoopOverhead)
-	procs := float64(e.Params.Procs)
-	chunk := trip / procs
-	if chunk < 1 {
-		chunk = 1
-	}
-	par := e.Params.ParallelStartup + chunk*(body+e.Params.LoopOverhead)
+	par := e.doallTime(trip, body)
 	speedup := 1.0
 	if par > 0 {
 		speedup = seq / par
@@ -134,24 +129,41 @@ func (e *Estimator) estimateLoop(df *dataflow.Analysis, l *cfg.Loop) LoopEstimat
 	return LoopEstimate{Loop: l, Trip: trip, BodyCost: body, SeqTime: seq, ParTime: par, Speedup: speedup}
 }
 
-// bodyCost estimates the cost of one execution of the statement list.
+// bodyCost estimates the cost of one execution of the statement list,
+// every loop sequential: the program being edited.
 func (e *Estimator) bodyCost(df *dataflow.Analysis, body []fortran.Stmt) float64 {
+	return e.cost(df, body, false)
+}
+
+// ParallelTime estimates one execution of the statement list under
+// the current parallelization state: loops already marked parallel
+// (doall) cost ParallelStartup plus their chunked body time instead
+// of the full sequential trip, at any depth. It is the speculative
+// planner's scoring function — the predicted wall-clock of a partially
+// parallelized unit.
+func (e *Estimator) ParallelTime(df *dataflow.Analysis, body []fortran.Stmt) float64 {
+	return e.cost(df, body, true)
+}
+
+// cost is the one walk of bodyCost and ParallelTime; parallel says
+// whether a DO marked parallel runs as one.
+func (e *Estimator) cost(df *dataflow.Analysis, body []fortran.Stmt, parallel bool) float64 {
 	total := 0.0
 	for _, s := range body {
-		total += e.stmtCost(df, s)
+		total += e.stmtCost(df, s, parallel)
 	}
 	return total
 }
 
-func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt) float64 {
+func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt, parallel bool) float64 {
 	p := e.Params
 	switch st := s.(type) {
 	case *fortran.AssignStmt:
 		return e.exprCost(st.Rhs) + e.refCost(st.Lhs)
 	case *fortran.IfStmt:
 		// Expected cost: condition plus the mean of the branches.
-		thenC := e.bodyCost(df, st.Then)
-		elseC := e.bodyCost(df, st.Else)
+		thenC := e.cost(df, st.Then, parallel)
+		elseC := e.cost(df, st.Else, parallel)
 		return p.BranchCost + e.exprCost(st.Cond) + (thenC+elseC)/2
 	case *fortran.DoStmt:
 		trip := p.DefaultTrip
@@ -160,9 +172,13 @@ func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt) float64 {
 				trip = float64(n)
 			}
 		}
-		return trip * (e.bodyCost(df, st.Body) + p.LoopOverhead)
+		body := e.cost(df, st.Body, parallel)
+		if parallel && st.Parallel {
+			return e.doallTime(trip, body)
+		}
+		return trip * (body + p.LoopOverhead)
 	case *fortran.WhileStmt:
-		return p.DefaultTrip * (e.bodyCost(df, st.Body) + p.LoopOverhead + e.exprCost(st.Cond))
+		return p.DefaultTrip * (e.cost(df, st.Body, parallel) + p.LoopOverhead + e.exprCost(st.Cond))
 	case *fortran.CallStmt:
 		cost := p.CallOverhead
 		for _, a := range st.Args {
@@ -185,50 +201,14 @@ func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt) float64 {
 	}
 }
 
-// ParallelTime estimates one execution of the statement list under
-// the current parallelization state: loops already marked parallel
-// (doall) cost ParallelStartup plus their chunked body time instead
-// of the full sequential trip, and nested statements recurse through
-// the same parallel-aware rule. bodyCost deliberately ignores the
-// parallel flag (it models the sequential program being edited);
-// ParallelTime is the speculative planner's scoring function — the
-// predicted wall-clock of a partially parallelized unit.
-func (e *Estimator) ParallelTime(df *dataflow.Analysis, body []fortran.Stmt) float64 {
-	total := 0.0
-	for _, s := range body {
-		total += e.parStmtCost(df, s)
+// doallTime is one execution of a loop of trip iterations of body cost
+// each, run parallel: the startup, then each processor's chunk.
+func (e *Estimator) doallTime(trip, body float64) float64 {
+	chunk := trip / float64(e.Params.Procs)
+	if chunk < 1 {
+		chunk = 1
 	}
-	return total
-}
-
-func (e *Estimator) parStmtCost(df *dataflow.Analysis, s fortran.Stmt) float64 {
-	p := e.Params
-	switch st := s.(type) {
-	case *fortran.IfStmt:
-		thenC := e.ParallelTime(df, st.Then)
-		elseC := e.ParallelTime(df, st.Else)
-		return p.BranchCost + e.exprCost(st.Cond) + (thenC+elseC)/2
-	case *fortran.DoStmt:
-		trip := p.DefaultTrip
-		if l := df.Tree.LoopOf(st); l != nil {
-			if n, ok := df.TripCount(l); ok {
-				trip = float64(n)
-			}
-		}
-		body := e.ParallelTime(df, st.Body)
-		if st.Parallel {
-			chunk := trip / float64(p.Procs)
-			if chunk < 1 {
-				chunk = 1
-			}
-			return p.ParallelStartup + chunk*(body+p.LoopOverhead)
-		}
-		return trip * (body + p.LoopOverhead)
-	case *fortran.WhileStmt:
-		return p.DefaultTrip * (e.ParallelTime(df, st.Body) + p.LoopOverhead + e.exprCost(st.Cond))
-	default:
-		return e.stmtCost(df, s)
-	}
+	return e.Params.ParallelStartup + chunk*(body+e.Params.LoopOverhead)
 }
 
 // UnitCost estimates the cost of one invocation of a unit, memoized;

@@ -76,9 +76,6 @@ type Options struct {
 	// (outputs must match the base program) and adds an interpreted
 	// speedup to its score.
 	Interp bool
-	// InterpWorkers is the simulated DOALL worker count for
-	// interpreted speedups (0 = the estimator's processor count).
-	InterpWorkers int
 	// Input supplies READ data for interpreted runs; when nil the
 	// workload suite is consulted by source path.
 	Input []float64
@@ -114,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TopPlans <= 0 {
 		o.TopPlans = DefaultTopPlans
-	}
-	if o.InterpWorkers <= 0 {
-		o.InterpWorkers = perf.DefaultParams().Procs
 	}
 	return o
 }
@@ -575,7 +569,7 @@ func (s *searcher) exec(ctx context.Context, w *world, backend string, input []f
 			return run{err: err}
 		}
 	}
-	r.ExecResult, r.err = w.sess.Exec(ctx, core.ExecRequest{Backend: backend, Workers: s.opts.InterpWorkers,
+	r.ExecResult, r.err = w.sess.Exec(ctx, core.ExecRequest{Backend: backend, Workers: perf.DefaultParams().Procs,
 		Input: input, CacheDir: s.opts.CompileCache, Gov: s.opts.Gov})
 	return r
 }

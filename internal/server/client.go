@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -293,14 +294,14 @@ func (c *Client) attempt(ctx context.Context, method, fullURL string, payload []
 // parseRetryAfter reads a Retry-After header in either RFC 9110 form:
 // delta-seconds ("2") or an HTTP-date ("Mon, 02 Jan 2006 15:04:05
 // GMT" and friends, via http.ParseTime). Unparsable values, negative
-// deltas, and dates already in the past yield 0 — no hint, rather
-// than a dropped or bogus one.
+// deltas, deltas longer than a time.Duration holds, and dates already
+// in the past yield 0 — no hint, rather than a dropped or bogus one.
 func parseRetryAfter(h string) time.Duration {
 	if h == "" {
 		return 0
 	}
 	if secs, err := strconv.Atoi(h); err == nil {
-		if secs < 0 {
+		if secs < 0 || int64(secs) > int64(math.MaxInt64/time.Second) {
 			return 0
 		}
 		return time.Duration(secs) * time.Second

@@ -401,6 +401,16 @@ func TestParseRetryAfter(t *testing.T) {
 	if d := parseRetryAfter("-3"); d != 0 {
 		t.Errorf("negative delta: got %v", d)
 	}
+	// Deltas past what a time.Duration holds: multiplied into one they
+	// wrap to about 59 years, to 290 ms and to a negative wait.
+	for _, h := range []string{"9999999999999", "18446744074", "9223372037"} {
+		if d := parseRetryAfter(h); d != 0 {
+			t.Errorf("delta %s overflows a Duration: got %v", h, d)
+		}
+	}
+	if d := parseRetryAfter("9223372036"); d != 9223372036*time.Second {
+		t.Errorf("largest delta a Duration holds: got %v", d)
+	}
 	future := time.Now().UTC().Add(3 * time.Second).Format(http.TimeFormat)
 	if d := parseRetryAfter(future); d <= 0 || d > 3*time.Second {
 		t.Errorf("HTTP-date 3s ahead: got %v", d)
