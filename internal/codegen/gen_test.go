@@ -599,6 +599,36 @@ func TestHeaderImportsListed(t *testing.T) {
 	}
 }
 
+// TestDeepIntrinsicNesting: Generate types each intrinsic call from its
+// arguments' types once, so a chain nested 40 deep through first
+// arguments generates at once rather than in time exponential in the
+// depth.
+func TestDeepIntrinsicNesting(t *testing.T) {
+	e := "x"
+	for i := range 40 {
+		if i%2 == 0 {
+			e = "abs(" + e + ")"
+		} else {
+			e = "max(min(" + e + ", y), y)"
+		}
+	}
+	f := parse(t, "      program main\n      real x, y\n      x = -2.5\n      y = 9.0\n"+
+		"      print *, "+e+"\n      end\n")
+	done := make(chan error, 1)
+	go func() {
+		_, err := Generate(f)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Generate still running after 5 s")
+	}
+}
+
 func TestRuntimeErrorPropagates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles binaries; skipped in -short mode")

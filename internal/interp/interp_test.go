@@ -484,6 +484,49 @@ func TestIntrinsicVariadicMinMax(t *testing.T) {
 	}
 }
 
+// nestedIntrinsics is x inside depth calls, each nesting through its
+// first argument: abs(...) on odd levels, max(min(..., y), y) on even.
+func nestedIntrinsics(depth int) string {
+	e := "x"
+	for i := range depth {
+		if i%2 == 0 {
+			e = "abs(" + e + ")"
+		} else {
+			e = "max(min(" + e + ", y), y)"
+		}
+	}
+	return e
+}
+
+// TestDeepIntrinsicNesting: typing an intrinsic types each argument
+// once, so a chain nested 40 deep proves, compiles and runs at once
+// rather than in time exponential in the depth.
+func TestDeepIntrinsicNesting(t *testing.T) {
+	src := "      program main\n      real x, y\n      x = -2.5\n      y = 9.0\n" +
+		"      print *, " + nestedIntrinsics(40) + "\n      end\n"
+	f, err := fortran.Parse("t.f", src)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	type result struct {
+		out string
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := RunCapture(f, 1, nil)
+		done <- result{out, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || strings.TrimSpace(r.out) != "9" {
+			t.Errorf("got %q, %v; want 9", r.out, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("still running after 5 s")
+	}
+}
+
 func TestErrorUnknownSubroutine(t *testing.T) {
 	f, err := fortran.Parse("t.f", `
       program main

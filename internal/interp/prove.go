@@ -281,11 +281,14 @@ func (p Proof) intrinsicType(x *fortran.FuncCall) fortran.Type {
 	if !ok || row.Arity(x.Name, len(x.Args)) != nil {
 		return fortran.TypeUnknown
 	}
-	first, allInt := p.TypeOf(x.Args[0]), true
-	for _, a := range x.Args {
+	first, allInt := fortran.TypeUnknown, true
+	for i, a := range x.Args {
 		t := p.TypeOf(a)
 		if !t.Numeric() {
 			return fortran.TypeUnknown
+		}
+		if i == 0 {
+			first = t
 		}
 		allInt = allInt && t == fortran.TypeInteger
 	}
