@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -8,49 +9,42 @@ import (
 	"parascope/internal/interp"
 )
 
-// expr lowers an expression, returning Go source text and the static
-// type. Static types are decidable because Generate declined every
-// program in which the interpreter's proof marks a storage that may
-// hold another type than declared; the one expression whose type only
-// the run can tell (INTEGER ** non-constant INTEGER) is declined.
+// expr lowers an expression to Go source text, typed as Proof.TypeOf
+// types it. Every storage holds its declared type, because Generate
+// declined each program in which the proof marks one; an expression
+// whose type only the run can tell — INTEGER ** non-constant INTEGER —
+// is declined here.
 func (g *gen) expr(e fortran.Expr) xpr {
+	ft := g.typing.TypeOf(e)
+	var c string
 	switch x := e.(type) {
 	case *fortran.IntLit:
-		return xpr{intLit(x.Val), tInt}
+		c = intLit(x.Val)
 	case *fortran.RealLit:
-		return xpr{floatLit(x.Val), tFloat}
+		c = floatLit(x.Val)
 	case *fortran.LogLit:
-		return xpr{strconv.FormatBool(x.Val), tBool}
+		c = strconv.FormatBool(x.Val)
 	case *fortran.StrLit:
-		return xpr{strconv.Quote(x.Val), tStr}
+		c = strconv.Quote(x.Val)
 	case *fortran.VarRef:
-		return g.ref(x)
+		c = g.ref(x)
 	case *fortran.FuncCall:
-		return g.call(x)
+		c = g.call(x, ft)
 	case *fortran.Unary:
-		v := g.expr(x.X)
-		switch x.Op {
-		case fortran.TokMinus:
-			if v.t != tInt && v.t != tFloat {
-				g.decline("unary minus on non-numeric value")
-			}
-			return xpr{"(-" + v.c + ")", v.t}
-		case fortran.TokNot:
-			if v.t != tBool {
-				g.decline(".not. on non-logical value")
-			}
-			return xpr{"(!" + v.c + ")", tBool}
-		default: // unary plus: the interpreter returns the operand unchanged
-			return v
-		}
+		c = g.unary(x)
 	case *fortran.Binary:
-		return g.binary(x)
+		c = g.binary(x, ft)
+	default:
+		g.decline("cannot lower expression %T", e)
 	}
-	g.decline("cannot lower expression %T", e)
-	return xpr{}
+	t, ok := goType(ft)
+	if !ok {
+		g.decline("the type of %s only the run can tell", e)
+	}
+	return xpr{c, t}
 }
 
-func (g *gen) ref(x *fortran.VarRef) xpr {
+func (g *gen) ref(x *fortran.VarRef) string {
 	sym := x.Sym
 	if sym == nil {
 		g.decline("unresolved name %s", x.Name)
@@ -60,24 +54,65 @@ func (g *gen) ref(x *fortran.VarRef) xpr {
 		if !ok {
 			g.decline("PARAMETER %s is not a foldable constant", sym.Name)
 		}
-		return lit(v, g.symType(sym))
+		return lit(v, g.symType(sym)).c
 	}
 	if sym.IsArray() {
 		if len(x.Subs) == 0 {
 			g.decline("whole-array reference %s in expression", sym.Name)
 		}
 		a := g.arrName(sym)
-		return xpr{a + ".Data[" + a + ".Idx(" + g.subs(x.Subs) + ")]", g.symType(sym)}
+		return a + ".Data[" + a + ".Idx(" + g.subs(x.Subs) + ")]"
 	}
-	return xpr{g.scalRef(sym), g.symType(sym)}
+	return g.scalRef(sym)
 }
 
-func (g *gen) binary(x *fortran.Binary) xpr {
-	a := g.expr(x.X)
-	// && and || short-circuit exactly like the interpreter's .and./.or.
+func (g *gen) unary(x *fortran.Unary) string {
+	v := g.expr(x.X)
+	switch x.Op {
+	case fortran.TokMinus:
+		if v.t != tInt && v.t != tFloat {
+			g.decline("unary minus on non-numeric value")
+		}
+		return "(-" + v.c + ")"
+	case fortran.TokNot:
+		if v.t != tBool {
+			g.decline(".not. on non-logical value")
+		}
+		return "(!" + v.c + ")"
+	}
+	return v.c // unary plus: the interpreter returns the operand unchanged
+}
+
+// binary writes an operator's Go form from its row: the integer one
+// where TypeOf types an arithmetic result INTEGER or a comparison's
+// operands both INTEGER or both CHARACTER, the float one on any other
+// numeric operands.
+func (g *gen) binary(x *fortran.Binary, t fortran.Type) string {
+	a, b := g.expr(x.X), g.expr(x.Y)
+	numeric := (a.t == tInt || a.t == tFloat) && (b.t == tInt || b.t == tFloat)
+	if o := interp.Arithmetic[x.Op]; o != nil {
+		switch {
+		case !numeric:
+			g.decline("arithmetic on non-numeric operands")
+		case t == fortran.TypeInteger:
+			return fmt.Sprintf(o.GoInt, a.c, b.c)
+		case t.Numeric():
+			return fmt.Sprintf(o.GoFloat, g.toF(a), g.toF(b))
+		}
+		g.decline("INTEGER ** non-constant INTEGER exponent")
+	}
+	if r := interp.Relations[x.Op]; r != nil {
+		switch {
+		case a.t == b.t && (a.t == tInt || a.t == tStr):
+			return fmt.Sprintf(r.GoInt, a.c, b.c)
+		case numeric:
+			return fmt.Sprintf(r.GoFloat, g.toF(a), g.toF(b))
+		}
+		g.decline("comparison of mixed or non-orderable types")
+	}
 	switch x.Op {
 	case fortran.TokAnd, fortran.TokOr:
-		b := g.expr(x.Y)
+		// && and || short-circuit exactly like the interpreter's .and./.or.
 		if a.t != tBool || b.t != tBool {
 			g.decline("logical operator on non-logical operands")
 		}
@@ -85,118 +120,33 @@ func (g *gen) binary(x *fortran.Binary) xpr {
 		if x.Op == fortran.TokOr {
 			op = "||"
 		}
-		return xpr{"(" + a.c + " " + op + " " + b.c + ")", tBool}
-	}
-	b := g.expr(x.Y)
-	bothInt := a.t == tInt && b.t == tInt
-	numeric := func() {
-		if (a.t != tInt && a.t != tFloat) || (b.t != tInt && b.t != tFloat) {
-			g.decline("arithmetic on non-numeric operands")
-		}
-	}
-	switch x.Op {
-	case fortran.TokPlus:
-		numeric()
-		if bothInt {
-			return xpr{"(" + a.c + " + " + b.c + ")", tInt}
-		}
-		return xpr{"(" + g.toF(a) + " + " + g.toF(b) + ")", tFloat}
-	case fortran.TokMinus:
-		numeric()
-		if bothInt {
-			return xpr{"(" + a.c + " - " + b.c + ")", tInt}
-		}
-		return xpr{"(" + g.toF(a) + " - " + g.toF(b) + ")", tFloat}
-	case fortran.TokStar:
-		numeric()
-		if bothInt {
-			return xpr{"(" + a.c + " * " + b.c + ")", tInt}
-		}
-		return xpr{"(" + g.toF(a) + " * " + g.toF(b) + ")", tFloat}
-	case fortran.TokSlash:
-		numeric()
-		if bothInt {
-			return xpr{"Idiv(" + a.c + ", " + b.c + ")", tInt}
-		}
-		return xpr{"(" + g.toF(a) + " / " + g.toF(b) + ")", tFloat}
-	case fortran.TokPower:
-		numeric()
-		if bothInt {
-			// The result's *type* depends on the exponent's run-time
-			// sign, so the interpreter's typing must know it.
-			switch g.typing.TypeOf(x) {
-			case fortran.TypeInteger:
-				k, _ := interp.Fold(x.Y)
-				return xpr{"Ipow(" + a.c + ", " + intLit(k.I) + ")", tInt}
-			case fortran.TypeUnknown:
-				g.decline("INTEGER ** non-constant INTEGER exponent")
-			}
-		}
-		return xpr{"math.Pow(" + g.toF(a) + ", " + g.toF(b) + ")", tFloat}
-	case fortran.TokLt:
-		return g.compare(a, b, "<")
-	case fortran.TokLe:
-		return g.compare(a, b, "<=")
-	case fortran.TokGt:
-		return g.compare(a, b, ">")
-	case fortran.TokGe:
-		return g.compare(a, b, ">=")
-	case fortran.TokEqEq:
-		return g.compare(a, b, "==")
-	case fortran.TokNe:
-		return g.compare(a, b, "!=")
+		return "(" + a.c + " " + op + " " + b.c + ")"
 	case fortran.TokConcat:
 		if a.t != tStr || b.t != tStr {
 			g.decline("// concatenation of non-character operands")
 		}
-		return xpr{"(" + a.c + " + " + b.c + ")", tStr}
+		return "(" + a.c + " + " + b.c + ")"
 	}
 	g.decline("unknown operator")
-	return xpr{}
-}
-
-func (g *gen) compare(a, b xpr, op string) xpr {
-	switch {
-	case a.t == tInt && b.t == tInt:
-		return xpr{"(" + a.c + " " + op + " " + b.c + ")", tBool}
-	case a.t == tStr && b.t == tStr:
-		return xpr{"(" + a.c + " " + op + " " + b.c + ")", tBool}
-	case a.t == tStr || b.t == tStr || a.t == tBool || b.t == tBool:
-		g.decline("comparison of mixed or non-orderable types")
-	}
-	// A NaN is neither below nor above anything, so it compares as
-	// equal: only < and > are Go's.
-	x, y := g.toF(a), g.toF(b)
-	switch op {
-	case "<=":
-		return xpr{"(!(" + x + " > " + y + "))", tBool}
-	case ">=":
-		return xpr{"(!(" + x + " < " + y + "))", tBool}
-	case "==":
-		return xpr{"Feq(" + x + ", " + y + ")", tBool}
-	case "!=":
-		return xpr{"Fne(" + x + ", " + y + ")", tBool}
-	}
-	return xpr{"(" + x + " " + op + " " + y + ")", tBool}
+	return ""
 }
 
 // ---------------------------------------------------------------------------
 // Calls
 
-func (g *gen) call(x *fortran.FuncCall) xpr {
+func (g *gen) call(x *fortran.FuncCall, t fortran.Type) string {
 	if x.Callee != nil {
 		res := x.Callee.Lookup(x.Callee.Name)
 		if res == nil || res.Kind != fortran.SymScalar {
 			g.decline("function %s has no scalar result variable", x.Callee.Name)
 		}
-		return xpr{mangleUnit(x.Callee.Name) + "(" + g.bindArgs(x.Callee, x.Args) + ")", g.symType(res)}
+		return mangleUnit(x.Callee.Name) + "(" + g.bindArgs(x.Callee, x.Args) + ")"
 	}
 	row, ok := interp.Intrinsics[x.Name]
 	if !ok {
 		g.decline("call to external function %s", x.Name)
 	}
-	// An intrinsic: the type the proof gives the call, and the Go names
-	// of the row's operations.
+	// An intrinsic: the Go names of its row's operations.
 	args := make([]xpr, len(x.Args))
 	for i, a := range x.Args {
 		args[i] = g.expr(a)
@@ -204,16 +154,16 @@ func (g *gen) call(x *fortran.FuncCall) xpr {
 	if err := row.Arity(x.Name, len(args)); err != nil {
 		g.decline("%v", err)
 	}
-	switch t := g.typing.TypeOf(x); {
+	switch {
 	case t == fortran.TypeInteger && !row.Int.Empty():
-		return xpr{goCall(row.Int.Go, args, g.toInt), tInt}
+		return goCall(row.Int.Go, args, g.toInt)
 	case t == fortran.TypeInteger:
-		return xpr{"int64(" + goCall(row.Float.Go, args, g.toF) + ")", tInt}
+		return "int64(" + goCall(row.Float.Go, args, g.toF) + ")"
 	case t.Numeric():
-		return xpr{goCall(row.Float.Go, args, g.toF), tFloat}
+		return goCall(row.Float.Go, args, g.toF)
 	}
 	g.decline("%s on non-numeric argument", x.Name)
-	return xpr{}
+	return ""
 }
 
 // goCall renders a call of the Go function name on args, each converted

@@ -9,14 +9,13 @@
 // counts.
 //
 // The generator reads the interpreter's typing (interp.Prove,
-// Proof.TypeOf, interp.Fold) and its intrinsic table: an intrinsic call
-// is its row's Go names, typed as Proof.TypeOf types the call. Only the
-// operators' choice of integer or float arithmetic, from their
-// operands' Go types, is the generator's own. A program in which the
-// proof marks a symbol — storage that may hold another type than a
-// symbol naming it declares — is declined once, naming the symbol and
-// the rule that marked it; so is an INTEGER raised to an INTEGER power
-// whose type only the run can tell, and any construct with no faithful
+// Proof.TypeOf, interp.Fold) and its operator and intrinsic tables:
+// every expression has the type Proof.TypeOf gives it, and an operator
+// or an intrinsic call is its row's Go form for that type. A program in
+// which the proof marks a symbol — storage that may hold another type
+// than a symbol naming it declares — is declined once, naming the
+// symbol and the rule that marked it; so is an expression whose type
+// only the run can tell, and any construct with no faithful
 // lowering (COMMON declared with two kinds or shapes, a GOTO Go's label
 // scoping cannot express). A *Declined error is not approximated
 // around: callers fall back to the interpreter, and the generator
@@ -72,7 +71,8 @@ func (t gtype) goName() string {
 }
 
 // xpr is one lowered expression: Go source text (always safe to embed
-// in a larger expression) plus its static type.
+// in a larger expression) plus the Go type of the type Proof.TypeOf
+// gives it.
 type xpr struct {
 	c string
 	t gtype
@@ -235,19 +235,27 @@ func floatLit(f float64) string {
 // ---------------------------------------------------------------------------
 // Types and storage
 
-func (g *gen) symType(sym *fortran.Symbol) gtype {
-	switch sym.Type {
+// goType is the Go type that holds values of t, false for TypeUnknown.
+func goType(t fortran.Type) (gtype, bool) {
+	switch t {
 	case fortran.TypeInteger:
-		return tInt
+		return tInt, true
 	case fortran.TypeReal, fortran.TypeDouble:
-		return tFloat
+		return tFloat, true
 	case fortran.TypeLogical:
-		return tBool
+		return tBool, true
 	case fortran.TypeCharacter:
-		return tStr
+		return tStr, true
 	}
-	g.decline("%s: unknown type", sym.Name)
-	return tInt
+	return tInt, false
+}
+
+func (g *gen) symType(sym *fortran.Symbol) gtype {
+	t, ok := goType(sym.Type)
+	if !ok {
+		g.decline("%s: unknown type", sym.Name)
+	}
+	return t
 }
 
 func zeroLit(t gtype) string {

@@ -26,6 +26,7 @@ package execguard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -81,6 +82,20 @@ const (
 	DefaultBuildTimeout = 3 * time.Minute
 	DefaultCacheEntries = 256
 )
+
+// Millis is a budget of n milliseconds, as a request or a REPL option
+// states it: 0 — none of its own — for n ≤ 0, and the longest Duration
+// for a count too large for one, never a product that wrapped around to
+// a short or a negative budget.
+func Millis(n int) time.Duration {
+	switch {
+	case n <= 0:
+		return 0
+	case int64(n) > math.MaxInt64/int64(time.Millisecond):
+		return math.MaxInt64
+	}
+	return time.Duration(n) * time.Millisecond
+}
 
 // Limits bounds one run. The zero value means "governor defaults";
 // negative values disable the corresponding bound entirely.

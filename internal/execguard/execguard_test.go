@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -242,6 +243,29 @@ func TestLimitsResolution(t *testing.T) {
 	// The original governor must not see the override.
 	if g.RunLimits().OutputBytes != DefaultOutputBytes {
 		t.Fatalf("With mutated its receiver: %+v", g.RunLimits())
+	}
+}
+
+// TestMillis: a millisecond count from a request or a REPL option is
+// its Duration, 0 when it is not positive, and the longest Duration
+// when the product would not fit — never one that wrapped around.
+func TestMillis(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want time.Duration
+	}{
+		{0, 0},
+		{-5, 0},
+		{-18446744073709, 0}, // wrapped to +0.55 ms
+		{1500, 1500 * time.Millisecond},
+		{math.MaxInt64 / int(time.Millisecond), math.MaxInt64 / time.Millisecond * time.Millisecond},
+		{math.MaxInt64/int(time.Millisecond) + 1, math.MaxInt64}, // wrapped below zero
+		{18446744073710, math.MaxInt64},                          // wrapped to +0.45 ms
+		{math.MaxInt64, math.MaxInt64},
+	} {
+		if got := Millis(tc.n); got != tc.want {
+			t.Errorf("Millis(%d) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -85,7 +85,6 @@ type Symbol struct {
 	Type   Type
 	Dims   []Dimension // arrays only
 	Dummy  bool        // dummy (formal) argument
-	ArgPos int         // index in the argument list when Dummy
 	Common string      // enclosing COMMON block name, "" if none
 	Value  Expr        // PARAMETER value
 	Unit   *Unit       // owning unit

@@ -358,7 +358,7 @@ func (p *parser) parseArgList(u *Unit) {
 	for {
 		name := p.ownName()
 		sym := &Symbol{Name: name, Kind: SymScalar, Type: implicitType(name),
-			Dummy: true, ArgPos: len(u.Args), Unit: u}
+			Dummy: true, Unit: u}
 		u.Syms[name] = sym
 		u.Args = append(u.Args, sym)
 		if !p.accept(TokComma) {

@@ -604,11 +604,7 @@ func (c *compiler) doall(st *fortran.DoStmt, ivar int, body *body) func(*frame, 
 		})
 		// Simulated time: the critical path is the slowest worker, plus
 		// the fork/join overhead.
-		fork := f.m.ForkCost
-		if fork == 0 {
-			fork = 100
-		}
-		f.cycles += fork + max(0, slices.Max(workerCycles))
+		f.cycles += forkCycles + max(0, slices.Max(workerCycles))
 		for _, err := range errs {
 			if err != nil {
 				panic(abort{err})

@@ -2,9 +2,7 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
-	"parascope/internal/codegen/prelude"
 	"parascope/internal/fortran"
 )
 
@@ -181,19 +179,7 @@ func (c *compiler) intOp(e fortran.Expr) func(*frame) int64 {
 		}
 		return a
 	case *fortran.Binary:
-		a, b := c.intOp(x.X), c.intOp(x.Y)
-		switch x.Op {
-		case fortran.TokPlus:
-			return func(f *frame) int64 { return a(f) + b(f) }
-		case fortran.TokMinus:
-			return func(f *frame) int64 { return a(f) - b(f) }
-		case fortran.TokStar:
-			return func(f *frame) int64 { return a(f) * b(f) }
-		case fortran.TokSlash:
-			return func(f *frame) int64 { return intDiv(a(f), b(f)) }
-		case fortran.TokPower:
-			return func(f *frame) int64 { return prelude.Ipow(a(f), b(f)) }
-		}
+		return Arithmetic[x.Op].ints.over(c.intOp(x.X), c.intOp(x.Y))
 	}
 	// A proven scalar that does not exist where this runs (a bound
 	// expression naming a later local): the general path reports it.
@@ -237,19 +223,7 @@ func (c *compiler) floatOp(e fortran.Expr) func(*frame) float64 {
 		}
 		return a
 	case *fortran.Binary:
-		a, b := c.float(x.X), c.float(x.Y)
-		switch x.Op {
-		case fortran.TokPlus:
-			return func(f *frame) float64 { return a(f) + b(f) }
-		case fortran.TokMinus:
-			return func(f *frame) float64 { return a(f) - b(f) }
-		case fortran.TokStar:
-			return func(f *frame) float64 { return a(f) * b(f) }
-		case fortran.TokSlash:
-			return func(f *frame) float64 { return a(f) / b(f) }
-		case fortran.TokPower:
-			return func(f *frame) float64 { return math.Pow(a(f), b(f)) }
-		}
+		return Arithmetic[x.Op].floats.over(c.float(x.X), c.float(x.Y))
 	}
 	v := c.valueOp(e)
 	return func(f *frame) float64 { return v(f).Float() }
@@ -290,36 +264,18 @@ func (c *compiler) boolOp(e fortran.Expr) func(*frame) bool {
 // or LOGICAL (which compares as 0), on tagged values otherwise — a
 // CHARACTER operand, proven or not, makes it a string comparison.
 func (c *compiler) comparison(x *fortran.Binary) func(*frame) bool {
-	op, tx, ty := x.Op, c.TypeOf(x.X), c.TypeOf(x.Y)
+	r, tx, ty := Relations[x.Op], c.TypeOf(x.X), c.TypeOf(x.Y)
+	holds := r.holds
 	switch {
 	case tx == fortran.TypeInteger && ty == fortran.TypeInteger:
 		a, b := c.intOp(x.X), c.intOp(x.Y)
-		switch op {
-		case fortran.TokLt:
-			return func(f *frame) bool { return a(f) < b(f) }
-		case fortran.TokLe:
-			return func(f *frame) bool { return a(f) <= b(f) }
-		case fortran.TokGt:
-			return func(f *frame) bool { return a(f) > b(f) }
-		case fortran.TokGe:
-			return func(f *frame) bool { return a(f) >= b(f) }
-		case fortran.TokEqEq:
-			return func(f *frame) bool { return a(f) == b(f) }
-		}
-		return func(f *frame) bool { return a(f) != b(f) }
+		return func(f *frame) bool { return order(a(f), b(f))&holds != 0 }
 	case (tx.Numeric() || tx == fortran.TypeLogical) && (ty.Numeric() || ty == fortran.TypeLogical):
-		// A NaN is neither below nor above: it compares as equal.
 		a, b := c.float(x.X), c.float(x.Y)
-		switch op {
-		case fortran.TokLt:
-			return func(f *frame) bool { return a(f) < b(f) }
-		case fortran.TokGt:
-			return func(f *frame) bool { return a(f) > b(f) }
-		}
-		return func(f *frame) bool { return ordered(op, compareFloats(a(f), b(f))) }
+		return func(f *frame) bool { return order(a(f), b(f))&holds != 0 }
 	}
 	a, b := c.value(x.X), c.value(x.Y)
-	return func(f *frame) bool { return compare(op, a(f), b(f)) }
+	return func(f *frame) bool { return r.apply(a(f), b(f)) }
 }
 
 // valueOp compiles an expression on tagged values: one whose type only
@@ -403,8 +359,8 @@ func (c *compiler) valueOp(e fortran.Expr) func(*frame) Value {
 		if x.Op == fortran.TokAnd || x.Op == fortran.TokOr {
 			return c.value(e)
 		}
-		a, b := c.value(x.X), c.value(x.Y)
-		return func(f *frame) Value { return binaryOp(x.Op, a(f), b(f)) }
+		a, b, op := c.value(x.X), c.value(x.Y), binary(x.Op)
+		return func(f *frame) Value { return op(a(f), b(f)) }
 	}
 	return fail("interp: cannot evaluate %T", e)
 }

@@ -27,12 +27,9 @@ type Machine struct {
 	// ParallelLoopsRun counts DOALL executions.
 	ParallelLoopsRun int64
 	// SimCycles is the simulated parallel execution time after Run:
-	// statements executed along the critical path, with ForkCost
+	// statements executed along the critical path, with forkCycles
 	// added per parallel loop execution.
 	SimCycles int64
-	// ForkCost is the simulated fork/join overhead of one parallel
-	// loop execution (default 100 cycles).
-	ForkCost int64
 
 	commons map[string]*cell
 	commonA map[string]*array
@@ -109,6 +106,10 @@ func try(fn func()) (err error) {
 	fn()
 	return nil
 }
+
+// forkCycles is the simulated fork/join overhead of one parallel loop
+// execution.
+const forkCycles = 100
 
 // signal tells a body how control left a statement.
 type signal int

@@ -189,9 +189,9 @@ func (p Proof) typed(sym *fortran.Symbol) bool {
 
 // TypeOf is the type e's value is proven to have, or TypeUnknown when
 // only the run can tell. It is the tree walker's typing, not Fortran's:
-// an intrinsic's is its row's Rule, and an INTEGER raised to an INTEGER
-// is INTEGER only when the exponent folds to a constant that is not
-// negative.
+// an intrinsic's is its row's Rule and an operator's its row's Result,
+// so an INTEGER raised to an INTEGER is INTEGER only when the exponent
+// folds to a constant that is not negative.
 func (p Proof) TypeOf(e fortran.Expr) fortran.Type {
 	switch x := e.(type) {
 	case *fortran.IntLit:
@@ -236,40 +236,28 @@ func (p Proof) TypeOf(e fortran.Expr) fortran.Type {
 			return t // +x, or an operator that leaves x alone
 		}
 	case *fortran.Binary:
-		switch x.Op {
-		case fortran.TokLt, fortran.TokLe, fortran.TokGt, fortran.TokGe, fortran.TokEqEq, fortran.TokNe,
-			fortran.TokAnd, fortran.TokOr:
-			return fortran.TypeLogical
-		case fortran.TokConcat:
-			return fortran.TypeCharacter
-		case fortran.TokPlus, fortran.TokMinus, fortran.TokStar, fortran.TokSlash, fortran.TokPower:
+		switch o := Arithmetic[x.Op]; {
+		case o != nil:
 			a, b := p.TypeOf(x.X), p.TypeOf(x.Y)
 			if !a.Numeric() || !b.Numeric() {
 				return fortran.TypeUnknown
 			}
-			if x.Op == fortran.TokPower && a == fortran.TypeInteger && b == fortran.TypeInteger {
-				switch k, ok := Fold(x.Y); {
-				case !ok:
+			negative := false
+			if o.Natural && a == fortran.TypeInteger && b == fortran.TypeInteger {
+				k, ok := Fold(x.Y)
+				if !ok {
 					return fortran.TypeUnknown
-				case k.I < 0:
-					return fortran.TypeReal
 				}
+				negative = k.I < 0
 			}
-			return promote(a, b)
+			return o.Result(a, b, negative)
+		case Relations[x.Op] != nil, x.Op == fortran.TokAnd, x.Op == fortran.TokOr:
+			return fortran.TypeLogical
+		case x.Op == fortran.TokConcat:
+			return fortran.TypeCharacter
 		}
 	}
 	return fortran.TypeUnknown
-}
-
-// promote is the type of an arithmetic result on two numeric types.
-func promote(a, b fortran.Type) fortran.Type {
-	switch {
-	case a == fortran.TypeInteger && b == fortran.TypeInteger:
-		return fortran.TypeInteger
-	case a == fortran.TypeDouble || b == fortran.TypeDouble:
-		return fortran.TypeDouble
-	}
-	return fortran.TypeReal
 }
 
 // intrinsicType is TypeOf for a call of an intrinsic: its row's rule on
@@ -329,7 +317,7 @@ func fold(e fortran.Expr) (Value, bool) {
 	case *fortran.Binary:
 		if a, ok := fold(x.X); ok {
 			if b, ok := fold(x.Y); ok {
-				return binaryOp(x.Op, a, b), true
+				return binary(x.Op)(a, b), true
 			}
 		}
 	}

@@ -15,9 +15,7 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
-	"parascope/internal/codegen/prelude"
 	"parascope/internal/codegen/runfmt"
 	"parascope/internal/fortran"
 )
@@ -208,7 +206,8 @@ func (a *array) index(subs []int64) (int64, error) {
 // Operations on tagged values: what an operator does when its operands'
 // types are known only at run time. The typed closures of expr.go are
 // these same rules with the type tests taken at compile time; an
-// intrinsic is a row of one table for both (intrinsic.go).
+// arithmetic or relational operator (operator.go) and an intrinsic
+// (intrinsic.go) are rows of tables both read.
 
 func unaryOp(op fortran.TokKind, v Value) Value {
 	switch op {
@@ -223,42 +222,20 @@ func unaryOp(op fortran.TokKind, v Value) Value {
 	return v
 }
 
-// binaryOp applies every binary operator but .and. and .or., which
-// evaluate their right operand only when they need it.
-func binaryOp(op fortran.TokKind, a, b Value) Value {
-	bothInt := a.Type == fortran.TypeInteger && b.Type == fortran.TypeInteger
-	switch op {
-	case fortran.TokPlus:
-		if bothInt {
-			return IntVal(a.I + b.I)
-		}
-		return numeric(a, b, a.Float()+b.Float())
-	case fortran.TokMinus:
-		if bothInt {
-			return IntVal(a.I - b.I)
-		}
-		return numeric(a, b, a.Float()-b.Float())
-	case fortran.TokStar:
-		if bothInt {
-			return IntVal(a.I * b.I)
-		}
-		return numeric(a, b, a.Float()*b.Float())
-	case fortran.TokSlash:
-		if bothInt {
-			return IntVal(intDiv(a.I, b.I))
-		}
-		return numeric(a, b, a.Float()/b.Float())
-	case fortran.TokPower:
-		if bothInt && b.I >= 0 {
-			return IntVal(prelude.Ipow(a.I, b.I))
-		}
-		return numeric(a, b, math.Pow(a.Float(), b.Float()))
-	case fortran.TokLt, fortran.TokLe, fortran.TokGt, fortran.TokGe, fortran.TokEqEq, fortran.TokNe:
-		return LogVal(compare(op, a, b))
-	case fortran.TokConcat:
-		return Value{Type: fortran.TypeCharacter, S: a.S + b.S}
+// binary is the operation on tagged values of every binary operator but
+// .and. and .or., which evaluate their right operand only when they
+// need it: an arithmetic or relational one is its row's.
+func binary(op fortran.TokKind) func(a, b Value) Value {
+	if o := Arithmetic[op]; o != nil {
+		return o.apply
 	}
-	panic(abort{fmt.Errorf("interp: unknown operator %v", op)})
+	if r := Relations[op]; r != nil {
+		return func(a, b Value) Value { return LogVal(r.apply(a, b)) }
+	}
+	if op == fortran.TokConcat {
+		return func(a, b Value) Value { return Value{Type: fortran.TypeCharacter, S: a.S + b.S} }
+	}
+	return func(Value, Value) Value { panic(abort{fmt.Errorf("interp: unknown operator %v", op)}) }
 }
 
 func intDiv(a, b int64) int64 {
@@ -273,64 +250,4 @@ func intMod(a, b int64) int64 {
 		panic(abort{fmt.Errorf("interp: mod by zero")})
 	}
 	return a % b
-}
-
-func numeric(a, b Value, r float64) Value {
-	t := fortran.TypeReal
-	if a.Type == fortran.TypeDouble || b.Type == fortran.TypeDouble {
-		t = fortran.TypeDouble
-	}
-	return Value{Type: t, R: r}
-}
-
-// ordered reports whether the relational operator op holds of two
-// operands that compare as c (negative, zero, positive).
-func ordered(op fortran.TokKind, c int) bool {
-	switch op {
-	case fortran.TokLt:
-		return c < 0
-	case fortran.TokLe:
-		return c <= 0
-	case fortran.TokGt:
-		return c > 0
-	case fortran.TokGe:
-		return c >= 0
-	case fortran.TokEqEq:
-		return c == 0
-	}
-	return c != 0
-}
-
-func compare(op fortran.TokKind, a, b Value) bool {
-	var c int
-	if a.Type == fortran.TypeInteger && b.Type == fortran.TypeInteger {
-		switch {
-		case a.I < b.I:
-			c = -1
-		case a.I > b.I:
-			c = 1
-		}
-	} else if a.Type == fortran.TypeCharacter || b.Type == fortran.TypeCharacter {
-		switch {
-		case a.S < b.S:
-			c = -1
-		case a.S > b.S:
-			c = 1
-		}
-	} else {
-		c = compareFloats(a.Float(), b.Float())
-	}
-	return ordered(op, c)
-}
-
-// compareFloats orders two floats the way compare does: a NaN is
-// neither below nor above anything, so it compares as equal.
-func compareFloats(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,10 @@ func TestParseArgs(t *testing.T) {
 		{args: "worlds=24", want: Options{Interp: true, MaxWorlds: 24}},
 		{args: "ms=1500", want: Options{Interp: true, Timeout: 1500 * time.Millisecond}},
 		{args: "top=5", want: Options{Interp: true, TopPlans: 5}},
+		// A budget past what a Duration holds is the longest one, not a
+		// product that wrapped around to 0.45 ms or below zero.
+		{args: "ms=18446744073710", want: Options{Interp: true, Timeout: math.MaxInt64}},
+		{args: "ms=9223372036855", want: Options{Interp: true, Timeout: math.MaxInt64}},
 		{args: "nointerp", want: Options{}},
 		{args: "compiled", want: Options{Interp: true, Compiled: true}},
 		{args: "async", want: Options{Interp: true}, async: true},

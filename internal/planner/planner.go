@@ -227,7 +227,7 @@ func ParseArgs(args []string) (opts Options, async bool, err error) {
 		case "worlds":
 			opts.MaxWorlds = n
 		case "ms":
-			opts.Timeout = time.Duration(n) * time.Millisecond
+			opts.Timeout = execguard.Millis(n)
 		case "top":
 			opts.TopPlans = n
 		default:

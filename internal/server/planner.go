@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
 )
@@ -86,9 +87,7 @@ func (req PlanRequest) options() planner.Options {
 		TopPlans:  req.TopPlans,
 		Interp:    !req.NoInterp,
 		Compiled:  req.Compiled,
-	}
-	if req.TimeoutMs > 0 {
-		opts.Timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+		Timeout:   execguard.Millis(req.TimeoutMs),
 	}
 	return opts
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,6 +23,23 @@ func mustPlan(t *testing.T, ss *Session, req PlanRequest) PlanResponse {
 		t.Fatalf("plan: %v", err)
 	}
 	return resp
+}
+
+// TestPlanRequestBudget: a request's timeout_ms is the search budget,
+// 0 or below leaves the planner's default, and one too large for a
+// Duration is the longest budget rather than a wrapped-around one.
+func TestPlanRequestBudget(t *testing.T) {
+	for ms, want := range map[int]time.Duration{
+		0:              0,
+		-1:             0,
+		250:            250 * time.Millisecond,
+		9223372036855:  math.MaxInt64,
+		18446744073710: math.MaxInt64,
+	} {
+		if got := (PlanRequest{TimeoutMs: ms}).options().Timeout; got != want {
+			t.Errorf("timeout_ms %d: budget %v, want %v", ms, got, want)
+		}
+	}
 }
 
 // TestPlanVerbAndApplyPlanRoundTrip drives the whole feature through

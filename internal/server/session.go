@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"parascope/internal/core"
+	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
 	"parascope/internal/repl"
@@ -620,7 +621,7 @@ func (ss *Session) Run(ctx context.Context, req RunRequest) (RunResponse, error)
 	res, err := ss.runProgram(ctx, core.ExecRequest{
 		Backend:  req.Backend,
 		Workers:  req.Workers,
-		Timeout:  time.Duration(req.TimeoutMs) * time.Millisecond,
+		Timeout:  execguard.Millis(req.TimeoutMs),
 		Fallback: req.Fallback,
 	})
 	if err != nil {
