@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -95,18 +94,18 @@ func (g *gen) binary(x *fortran.Binary, t fortran.Type) string {
 		case !numeric:
 			g.decline("arithmetic on non-numeric operands")
 		case t == fortran.TypeInteger:
-			return fmt.Sprintf(o.GoInt, a.c, b.c)
+			return form(o.GoInt, a.c, b.c)
 		case t.Numeric():
-			return fmt.Sprintf(o.GoFloat, g.toF(a), g.toF(b))
+			return form(o.GoFloat, g.toF(a), g.toF(b))
 		}
 		g.decline("INTEGER ** non-constant INTEGER exponent")
 	}
 	if r := interp.Relations[x.Op]; r != nil {
 		switch {
 		case a.t == b.t && (a.t == tInt || a.t == tStr):
-			return fmt.Sprintf(r.GoInt, a.c, b.c)
+			return form(r.GoInt, a.c, b.c)
 		case numeric:
-			return fmt.Sprintf(r.GoFloat, g.toF(a), g.toF(b))
+			return form(r.GoFloat, g.toF(a), g.toF(b))
 		}
 		g.decline("comparison of mixed or non-orderable types")
 	}
@@ -129,6 +128,14 @@ func (g *gen) binary(x *fortran.Binary, t fortran.Type) string {
 	}
 	g.decline("unknown operator")
 	return ""
+}
+
+// form writes an operator row's Go form, two %s verbs, around the text
+// of its operands: what fmt.Sprintf would, without boxing the operands.
+func form(f, a, b string) string {
+	pre, rest, _ := strings.Cut(f, "%s")
+	mid, post, _ := strings.Cut(rest, "%s")
+	return pre + a + mid + b + post
 }
 
 // ---------------------------------------------------------------------------
