@@ -31,7 +31,9 @@ type Operator struct {
 // Each is a type of its own, so that over builds a closure of its own
 // with of in line: one closure calling every operation through a
 // function value made an arithmetic-heavy program's typed closures a
-// sixth slower.
+// sixth slower. over has a pointer receiver and calls of on a zero
+// value, so no method wrapper copies its closure (the copy would call
+// of out of line) and the closure holds its two operands only.
 type operation[T int64 | float64] interface {
 	of(a, b T) T
 	over(a, b func(*frame) T) func(*frame) T
@@ -66,35 +68,35 @@ type (
 	floatClosure = func(*frame) float64
 )
 
-func (o intAdd) over(a, b intClosure) intClosure {
-	return func(f *frame) int64 { return o.of(a(f), b(f)) }
+func (*intAdd) over(a, b intClosure) intClosure {
+	return func(f *frame) int64 { return intAdd{}.of(a(f), b(f)) }
 }
-func (o intSub) over(a, b intClosure) intClosure {
-	return func(f *frame) int64 { return o.of(a(f), b(f)) }
+func (*intSub) over(a, b intClosure) intClosure {
+	return func(f *frame) int64 { return intSub{}.of(a(f), b(f)) }
 }
-func (o intMul) over(a, b intClosure) intClosure {
-	return func(f *frame) int64 { return o.of(a(f), b(f)) }
+func (*intMul) over(a, b intClosure) intClosure {
+	return func(f *frame) int64 { return intMul{}.of(a(f), b(f)) }
 }
-func (o intQuo) over(a, b intClosure) intClosure {
-	return func(f *frame) int64 { return o.of(a(f), b(f)) }
+func (*intQuo) over(a, b intClosure) intClosure {
+	return func(f *frame) int64 { return intQuo{}.of(a(f), b(f)) }
 }
-func (o intPow) over(a, b intClosure) intClosure {
-	return func(f *frame) int64 { return o.of(a(f), b(f)) }
+func (*intPow) over(a, b intClosure) intClosure {
+	return func(f *frame) int64 { return intPow{}.of(a(f), b(f)) }
 }
-func (o floatAdd) over(a, b floatClosure) floatClosure {
-	return func(f *frame) float64 { return o.of(a(f), b(f)) }
+func (*floatAdd) over(a, b floatClosure) floatClosure {
+	return func(f *frame) float64 { return floatAdd{}.of(a(f), b(f)) }
 }
-func (o floatSub) over(a, b floatClosure) floatClosure {
-	return func(f *frame) float64 { return o.of(a(f), b(f)) }
+func (*floatSub) over(a, b floatClosure) floatClosure {
+	return func(f *frame) float64 { return floatSub{}.of(a(f), b(f)) }
 }
-func (o floatMul) over(a, b floatClosure) floatClosure {
-	return func(f *frame) float64 { return o.of(a(f), b(f)) }
+func (*floatMul) over(a, b floatClosure) floatClosure {
+	return func(f *frame) float64 { return floatMul{}.of(a(f), b(f)) }
 }
-func (o floatQuo) over(a, b floatClosure) floatClosure {
-	return func(f *frame) float64 { return o.of(a(f), b(f)) }
+func (*floatQuo) over(a, b floatClosure) floatClosure {
+	return func(f *frame) float64 { return floatQuo{}.of(a(f), b(f)) }
 }
-func (o floatPow) over(a, b floatClosure) floatClosure {
-	return func(f *frame) float64 { return o.of(a(f), b(f)) }
+func (*floatPow) over(a, b floatClosure) floatClosure {
+	return func(f *frame) float64 { return floatPow{}.of(a(f), b(f)) }
 }
 
 // A Relation is one row of the relational operator table: the
@@ -132,11 +134,11 @@ func order[T int64 | float64 | string](a, b T) ordering {
 // operator's token.
 var (
 	Arithmetic = map[fortran.TokKind]*Operator{
-		fortran.TokPlus:  {ints: intAdd{}, floats: floatAdd{}, GoInt: "(%s + %s)", GoFloat: "(%s + %s)"},
-		fortran.TokMinus: {ints: intSub{}, floats: floatSub{}, GoInt: "(%s - %s)", GoFloat: "(%s - %s)"},
-		fortran.TokStar:  {ints: intMul{}, floats: floatMul{}, GoInt: "(%s * %s)", GoFloat: "(%s * %s)"},
-		fortran.TokSlash: {ints: intQuo{}, floats: floatQuo{}, GoInt: "Idiv(%s, %s)", GoFloat: "(%s / %s)"},
-		fortran.TokPower: {ints: intPow{}, floats: floatPow{}, Natural: true, GoInt: "Ipow(%s, %s)", GoFloat: "math.Pow(%s, %s)"},
+		fortran.TokPlus:  {ints: &intAdd{}, floats: &floatAdd{}, GoInt: "(%s + %s)", GoFloat: "(%s + %s)"},
+		fortran.TokMinus: {ints: &intSub{}, floats: &floatSub{}, GoInt: "(%s - %s)", GoFloat: "(%s - %s)"},
+		fortran.TokStar:  {ints: &intMul{}, floats: &floatMul{}, GoInt: "(%s * %s)", GoFloat: "(%s * %s)"},
+		fortran.TokSlash: {ints: &intQuo{}, floats: &floatQuo{}, GoInt: "Idiv(%s, %s)", GoFloat: "(%s / %s)"},
+		fortran.TokPower: {ints: &intPow{}, floats: &floatPow{}, Natural: true, GoInt: "Ipow(%s, %s)", GoFloat: "math.Pow(%s, %s)"},
 	}
 	Relations = map[fortran.TokKind]*Relation{
 		fortran.TokLt:   {below, "(%s < %s)", "(%s < %s)"},
