@@ -53,7 +53,7 @@ func (g *gen) ref(x *fortran.VarRef) string {
 		if !ok {
 			g.decline("PARAMETER %s is not a foldable constant", sym.Name)
 		}
-		return lit(v, g.symType(sym)).c
+		return lit(v, g.symType(sym))
 	}
 	if sym.IsArray() {
 		if len(x.Subs) == 0 {

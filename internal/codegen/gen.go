@@ -192,16 +192,16 @@ func mangleCommon(block, name string) string {
 
 // lit renders a folded constant as a literal of type t, converted the
 // way a store to t converts.
-func lit(v interp.Value, t gtype) xpr {
+func lit(v interp.Value, t gtype) string {
 	switch t {
 	case tInt:
-		return xpr{intLit(v.Int()), tInt}
+		return intLit(v.Int())
 	case tFloat:
-		return xpr{floatLit(v.Float()), tFloat}
+		return floatLit(v.Float())
 	case tBool:
-		return xpr{strconv.FormatBool(v.B), tBool}
+		return strconv.FormatBool(v.B)
 	}
-	return xpr{strconv.Quote(v.S), tStr}
+	return strconv.Quote(v.S)
 }
 
 // intLit renders v through the prelude's CI identity helper. The
@@ -471,7 +471,7 @@ func (g *gen) genUnit(out *strings.Builder, u *fortran.Unit) {
 				// keeps the zero value, so an unfoldable initializer
 				// degrades identically.
 				if v, ok := interp.Fold(sym.Value); ok {
-					init = lit(v, g.symType(sym)).c
+					init = lit(v, g.symType(sym))
 				}
 			}
 			fmt.Fprintf(out, "\t%s := %s\n\t_ = %s\n", mangleVar(sym.Name), init, mangleVar(sym.Name))
