@@ -447,10 +447,11 @@ func BenchmarkServerThroughput(b *testing.B) {
 // transformation space, score and rank the surviving plans. Static
 // scoring only (the interp validation pass is benchmarked separately
 // by BenchmarkE6Speedup); worlds/s reports exploration throughput.
+// callheavy is CallHeavy(24): four units, a main of 24 calls.
 func BenchmarkPlannerSearch(b *testing.B) {
-	for _, name := range []string{"direct", "spec77"} {
-		b.Run(name, func(b *testing.B) {
-			w := workloads.ByName(name)
+	for _, w := range []*workloads.Workload{workloads.ByName("direct"), workloads.ByName("spec77"), workloads.CallHeavy(24)} {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			var worlds int
 			for i := 0; i < b.N; i++ {
 				res, err := planner.Search(context.Background(), w.Name+".f", w.Source, "",

@@ -1111,17 +1111,22 @@ func (s *Session) Transform(t xform.Transformation) (xform.Verdict, error) {
 	if !v.OK() {
 		return v, fmt.Errorf("%s: %s", t.Name(), v)
 	}
+	row := xform.RowOf(t)
 	s.pushUndo()
+	var uids []int
+	if row.AnnotatesOnly {
+		s.undoStack[len(s.undoStack)-1].annots = s.saveAnnotations()
+	} else if len(s.State().marks) > 0 {
+		uids = stmtUIDs(s.current)
+	}
 	if err := t.Apply(ctx); err != nil {
-		s.undoStack = s.undoStack[:len(s.undoStack)-1]
-		// A failed Apply may have mutated the unit part-way; reanalysis
-		// keeps the analysis and the source image describing the AST.
-		s.update(s.current, stmtSwap{})
+		// Apply may have rewritten the unit part-way: put it back as the
+		// entry just pushed has it.
+		s.undoFailed(uids)
 		return v, err
 	}
 	s.mutated = true
 	s.Stats.Transformations[t.Name()]++
-	row := xform.RowOf(t)
 	if row.Parallelizes {
 		s.Stats.LoopsParallelized++
 	}
@@ -1257,6 +1262,54 @@ func (s *Session) DeleteStmt(id int) error {
 type undoEntry struct {
 	units []unitImage
 	text  string // planted and not yet split; units is nil
+	// annots is pushed with an annotation-only transformation: the
+	// annotations its unit's loops had, which Undo puts back in place of
+	// parsing the unit from its text.
+	annots *annotations
+}
+
+// annotations is what an annotation-only transformation may write in
+// one unit: every loop's Parallel, Private and Reductions.
+type annotations struct {
+	unit  *fortran.Unit
+	loops []loopAnnotations
+}
+
+type loopAnnotations struct {
+	do         *fortran.DoStmt
+	parallel   bool
+	private    []*fortran.Symbol
+	reductions []fortran.Reduction
+}
+
+// saveAnnotations records the current unit's loop annotations.
+func (s *Session) saveAnnotations() *annotations {
+	a := &annotations{unit: s.current}
+	for _, l := range s.Loops() {
+		a.loops = append(a.loops, loopAnnotations{l.Do, l.Do.Parallel, l.Do.Private, l.Do.Reductions})
+	}
+	return a
+}
+
+// swap exchanges the recorded annotations with the live ones: once puts
+// the recorded ones back, twice leaves the unit as it was.
+func (a *annotations) swap() {
+	for i := range a.loops {
+		l := &a.loops[i]
+		l.parallel, l.do.Parallel = l.do.Parallel, l.parallel
+		l.private, l.do.Private = l.do.Private, l.private
+		l.reductions, l.do.Reductions = l.do.Reductions, l.reductions
+	}
+}
+
+// restores reports whether putting the recorded annotations back gives
+// the unit the text img. It does not when anything else moved since —
+// a rejected edit declares the names it typed — and then the unit is
+// parsed back from the text like any other.
+func (a *annotations) restores(img unitImage) bool {
+	a.swap()
+	defer a.swap()
+	return imageOf(a.unit).srcHash == img.srcHash
 }
 
 // source renders the entry as fortran.Print lays a program out.
@@ -1291,9 +1344,12 @@ func (s *Session) pushUndo() {
 // transformation or edit, and leaves the session as Open of that text
 // would: the units whose text differs are parsed back from the entry,
 // in place, and each re-enters the reanalysis ladder as an edit of it
-// would; marks, assertions and classifications are dropped everywhere
-// (units that carried any are reanalyzed without them) and the
-// selection is cleared. What separates the result from a fresh Open is
+// would, except that a unit an annotation-only transformation changed
+// gets its loops' annotations back on the same statements and
+// re-enters update with the swap the transformation did; marks,
+// assertions and classifications are dropped everywhere (units that
+// carried any are reanalyzed without them) and the selection is
+// cleared. What separates the result from a fresh Open is
 // what separates any edited session from one: a patched graph numbers
 // its edges and counts its tests differently, and untouched units keep
 // their statements' line numbers.
@@ -1336,24 +1392,23 @@ func (s *Session) Undo() error {
 
 	// Parse every unit that differs before touching any: a text that
 	// does not parse must leave the session as it was.
-	type restore struct {
-		u, parsed *fortran.Unit
-		// edited is the line, in the entry's whole text, of the only
-		// line in which the unit's two texts differ; 0 when more do.
-		edited int
-	}
 	var differing []restore
 	line := 1
 	for i, u := range s.File.Units {
 		img, st := entry.units[i], s.units[u]
 		if img.srcHash != st.srcHash {
-			parsed, err := s.File.ParseUnit(img.text, line)
-			if err != nil {
-				return fmt.Errorf("undo reparse failed: unit %s: %v", u.Name, err)
-			}
-			r := restore{u: u, parsed: parsed}
-			if k := soleDifferingLine(st.text, img.text); k > 0 {
-				r.edited = line + k - 1
+			r := restore{u: u}
+			if a := entry.annots; a != nil && a.unit == u && a.restores(img) {
+				r.annots = a
+			} else {
+				parsed, err := s.File.ParseUnit(img.text, line)
+				if err != nil {
+					return fmt.Errorf("undo reparse failed: unit %s: %v", u.Name, err)
+				}
+				r.parsed = parsed
+				if k := soleDifferingLine(st.text, img.text); k > 0 {
+					r.edited = line + k - 1
+				}
 			}
 			differing = append(differing, r)
 		}
@@ -1380,7 +1435,7 @@ func (s *Session) Undo() error {
 		}
 	}
 	for _, r := range differing {
-		took(s.restoreUnit(r.u, r.parsed, r.edited, stale[r.u] == nil))
+		took(s.restoreUnit(r, stale[r.u] == nil))
 	}
 	for _, u := range s.File.Units {
 		// A program rung above may have reanalyzed it already.
@@ -1421,15 +1476,31 @@ func (s *Session) sameUnits(images []unitImage) bool {
 	return true
 }
 
-// restoreUnit makes u the unit parsed from an undo entry and brings the
-// analysis up to date the way an edit of u would: when the entry's text
-// differs from u's in the one line edited and that line is a statement
-// the CFG can take in the old one's place, only the statement is swapped
-// into the live body — whose analysis update may then build on — and
-// update told so; otherwise the parsed body goes in. patchable is false
-// when the analysis in hand is not one a statement-granular step may
-// build on. It returns the rung taken.
-func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable bool) string {
+// restore is one unit an undo entry gives back: its recorded loop
+// annotations, or the unit parsed from the entry's text.
+type restore struct {
+	u, parsed *fortran.Unit
+	annots    *annotations
+	// edited is the line, in the entry's whole text, of the only line in
+	// which the unit's two texts differ; 0 when more do.
+	edited int
+}
+
+// restoreUnit gives r.u back and brings the analysis up to date the way
+// the change it undoes did: annotations go back by the same swap the
+// transformation made. A parsed unit goes in the way an edit of u would:
+// when the entry's text differs from u's in the one line edited and that
+// line is a statement the CFG can take in the old one's place, only the
+// statement is swapped into the live body — whose analysis update may
+// then build on — and update told so; otherwise the parsed body goes in.
+// patchable is false when the analysis in hand is not one a
+// statement-granular step may build on. It returns the rung taken.
+func (s *Session) restoreUnit(r restore, patchable bool) string {
+	u, parsed, edited := r.u, r.parsed, r.edited
+	if r.annots != nil {
+		r.annots.swap()
+		return s.update(u, stmtSwap{annotations: true})
+	}
 	live := u.Body
 	u.Adopt(parsed)
 	if edited > 0 && patchable {
@@ -1442,6 +1513,61 @@ func (s *Session) restoreUnit(u, parsed *fortran.Unit, edited int, patchable boo
 		}
 	}
 	return s.update(u, stmtSwap{})
+}
+
+// undoFailed pops the entry a failed Transform pushed and gives the
+// current unit — the only one a transformation rewrites — back its state
+// at the push: its loops' annotations, after an annotation-only step;
+// after any other, which may have rewritten the unit part-way, the unit
+// parsed from the entry and analyzed whole. uids lists the unit's
+// statement UIDs at the push in walk order when it had marks, which move
+// to the parsed statements.
+func (s *Session) undoFailed(uids []int) {
+	entry := s.undoStack[len(s.undoStack)-1]
+	s.undoStack = s.undoStack[:len(s.undoStack)-1]
+	u := s.current
+	if entry.annots != nil {
+		entry.annots.swap()
+		s.update(u, stmtSwap{annotations: true})
+		return
+	}
+	line, i := 1, 0
+	for ; s.File.Units[i] != u; i++ {
+		line += strings.Count(entry.units[i].text, "\n") + 1
+	}
+	parsed, err := s.File.ParseUnit(entry.units[i].text, line)
+	if err != nil {
+		// A unit's printed text parses; should it not, the unit stays as
+		// Apply left it, reanalyzed.
+		s.update(u, stmtSwap{})
+		return
+	}
+	u.Adopt(parsed)
+	s.File.RenumberStmts()
+	if now := stmtUIDs(u); len(uids) > 0 && len(now) == len(uids) {
+		at := make(map[int]int, len(uids))
+		for i, id := range uids {
+			at[id] = now[i]
+		}
+		st := s.units[u]
+		moved := make(map[depKey]dep.Mark, len(st.marks))
+		for k, m := range st.marks {
+			k.srcUID, k.dstUID = at[k.srcUID], at[k.dstUID]
+			moved[k] = m
+		}
+		st.marks = moved
+	}
+	s.update(u, stmtSwap{})
+}
+
+// stmtUIDs lists u's statement UIDs in walk order.
+func stmtUIDs(u *fortran.Unit) []int {
+	var out []int
+	fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
+		out = append(out, st.UID())
+		return true
+	})
+	return out
 }
 
 // soleDifferingLine returns the 1-based number of the only line in

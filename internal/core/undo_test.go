@@ -10,8 +10,10 @@ package core_test
 // set; estimates bit for bit everywhere.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"parascope/internal/dep"
 	"parascope/internal/fortran"
 	"parascope/internal/workloads"
+	"parascope/internal/xform"
 )
 
 // recursionCycle is four units on one call cycle (p → x → y → p) under
@@ -361,6 +364,38 @@ func (h *undoHarness) applyAddingSymbols() string {
 	return ""
 }
 
+// annotate applies an annotation-only transformation — parallelize,
+// reductions, serialize, privatize or privatize-array — to the first
+// loop, in a shuffled order, that allows one. Its undo puts the loop
+// annotations back instead of parsing the unit.
+func (h *undoHarness) annotate() string {
+	s := h.s
+	for _, n := range h.r.Perm(len(s.Loops())) {
+		loop := fmt.Sprint(n + 1)
+		tries := [][]string{{"parallelize", loop}, {"reductions", loop}, {"serialize", loop}}
+		for _, v := range s.CurrentUnit().SymbolsSorted() {
+			switch v.Kind {
+			case fortran.SymScalar:
+				tries = append(tries, []string{"privatize", loop, v.Name})
+			case fortran.SymArray:
+				tries = append(tries, []string{"privatize-array", loop, v.Name})
+			}
+		}
+		h.r.Shuffle(len(tries), func(i, j int) { tries[i], tries[j] = tries[j], tries[i] })
+		for _, args := range tries {
+			tr, err := core.ParseTransformation(s, args)
+			if err != nil || !s.Check(tr).OK() {
+				continue
+			}
+			if _, err := s.Transform(tr); err != nil {
+				h.t.Fatalf("%s: %v passed its check and failed: %v", h.name, args, err)
+			}
+			return "apply " + strings.Join(args, " ")
+		}
+	}
+	return ""
+}
+
 // rejectedEdit types a statement that fails to parse after its name was
 // declared: the unit's text changes and nothing is pushed.
 func (h *undoHarness) rejectedEdit() string {
@@ -415,7 +450,7 @@ func (h *undoHarness) userState() string {
 
 func (h *undoHarness) step() string {
 	h.pickUnit()
-	switch k := h.r.Intn(10); {
+	switch k := h.r.Intn(12); {
 	case k < 4:
 		return h.editAssign()
 	case k < 6:
@@ -426,8 +461,10 @@ func (h *undoHarness) step() string {
 		return h.applyAddingSymbols()
 	case k < 9:
 		return h.rejectedEdit()
+	case k < 10:
+		return h.userState()
 	}
-	return h.userState()
+	return h.annotate()
 }
 
 // TestUndoMatchesFreshOpen runs seeded sequences of everything that
@@ -561,4 +598,131 @@ func TestUndoPlantedEntry(t *testing.T) {
 		t.Errorf("undo onto another program: mode %s, %d units", s.LastReanalysis.Mode, len(s.File.Units))
 	}
 	(&undoHarness{t: t, name: "other program", s: s}).expectFresh("after the undo")
+}
+
+// TestUndoOfAnnotationKeepsTheAST: undoing a step that only annotated a
+// loop puts the annotations back on the same statements — nothing is
+// parsed — and lands where a fresh Open of the text does; after a
+// rejected edit has declared a name in the unit, the same undo parses
+// the unit back from its text instead, and lands there too.
+func TestUndoOfAnnotationKeepsTheAST(t *testing.T) {
+	undone := 0
+	for _, w := range append(workloads.All(), workloads.CallHeavy(24)) {
+		s, err := core.Open(w.Name+".f", w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &undoHarness{t: t, name: w.Name, s: s}
+		for _, u := range s.File.Units {
+			if err := s.SelectUnit(u.Name); err != nil {
+				t.Fatal(err)
+			}
+			for n := range s.Loops() {
+				for _, cmd := range []string{"parallelize", "reductions", "serialize"} {
+					tr, err := core.ParseTransformation(s, []string{cmd, fmt.Sprint(n + 1)})
+					if err != nil || !s.Check(tr).OK() {
+						continue
+					}
+					stmts := h.stmts(func(fortran.Stmt) bool { return true })
+					if _, err := s.Transform(tr); err != nil {
+						t.Fatal(err)
+					}
+					h.undo(fmt.Sprintf("%s: undo %s %d", u.Name, cmd, n+1))
+					if now := h.stmts(func(fortran.Stmt) bool { return true }); !slices.Equal(now, stmts) {
+						t.Errorf("%s: %s: undo of %s %d parsed the unit back", w.Name, u.Name, cmd, n+1)
+					}
+					undone++
+
+					if tr, err = core.ParseTransformation(s, []string{cmd, fmt.Sprint(n + 1)}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Transform(tr); err != nil {
+						t.Fatal(err)
+					}
+					h.rejectedEdit()
+					h.undo(fmt.Sprintf("%s: undo %s %d after a rejected edit", u.Name, cmd, n+1))
+				}
+			}
+		}
+	}
+	if undone == 0 {
+		t.Fatal("no annotation-only step applied")
+	}
+}
+
+// halfDone is a transformation whose Apply rewrites the unit part-way —
+// deletes the first statement of the loop's body and swaps its bounds —
+// and then fails, as Fuse.Apply can after writing the fused loop.
+type halfDone struct{ do *fortran.DoStmt }
+
+func (halfDone) Name() string { return "half-done" }
+
+func (halfDone) Check(*xform.Context) xform.Verdict {
+	return xform.Verdict{Applicable: true, Safe: true}
+}
+
+func (t halfDone) Apply(c *xform.Context) error {
+	xform.ReplaceStmt(c.Unit, t.do.Body[0])
+	t.do.Lo, t.do.Hi = t.do.Hi, t.do.Lo
+	return errors.New("half-done: gave up")
+}
+
+// TestFailedTransformChangesNothing: a transformation whose Apply fails
+// after rewriting part of the unit leaves the program text, the
+// analysis of every unit and the user's marks as they were, and pushes
+// nothing.
+func TestFailedTransformChangesNothing(t *testing.T) {
+	tried := 0
+	for _, w := range []*workloads.Workload{workloads.ByName("arc3d"), workloads.CallHeavy(24), {Name: "cycle", Source: recursionCycle}} {
+		s, err := core.Open(w.Name+".f", w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range s.File.Units {
+			if err := s.SelectUnit(u.Name); err != nil {
+				t.Fatal(err)
+			}
+			for n, l := range s.Loops() {
+				if len(l.Do.Body) < 2 {
+					continue
+				}
+				if err := s.SelectLoop(n + 1); err != nil {
+					t.Fatal(err)
+				}
+				if deps := s.SelectionDeps(core.DepFilter{}); len(deps) > 0 {
+					if err := s.MarkDep(deps[0].ID, dep.MarkAccepted); err != nil {
+						t.Fatal(err)
+					}
+				}
+				text, stack := s.Save(), len(s.UndoStack())
+				var dumps []string
+				for _, v := range s.File.Units {
+					dumps = append(dumps, dumpUnit(s, v, true))
+				}
+				if _, err := s.Transform(halfDone{l.Do}); err == nil || !strings.Contains(err.Error(), "gave up") {
+					t.Fatalf("%s: %s: loop %d: Transform returned %v", w.Name, u.Name, n+1, err)
+				}
+				tried++
+				where := fmt.Sprintf("%s: %s: after a failed Apply on loop %d", w.Name, u.Name, n+1)
+				if err := s.CheckSourceImage(); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if s.Save() != text {
+					t.Fatalf("%s: the program moved:\n%s", where, s.Save())
+				}
+				if len(s.UndoStack()) != stack {
+					t.Errorf("%s: %d undo entries, want %d", where, len(s.UndoStack()), stack)
+				}
+				for i, v := range s.File.Units {
+					if got := dumpUnit(s, v, true); got != dumps[i] {
+						t.Fatalf("%s: unit %s's analysis moved\n--- after ---\n%s--- before ---\n%s", where, v.Name, got, dumps[i])
+					}
+				}
+				break
+			}
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no loop to fail on")
+	}
 }

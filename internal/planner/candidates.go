@@ -17,8 +17,7 @@ import (
 // (Privatizing a scalar is not a step of its own: a scalar privatize's
 // check allows is one parallelize attaches by itself.) Adjacent
 // same-depth loop pairs additionally propose fusion.
-func (s *searcher) candidates(w *world) []string {
-	sess := w.sess
+func (s *searcher) candidates(sess *core.Session) []string {
 	loops := sess.Loops()
 	ord := map[*fortran.DoStmt]int{}
 	for i, l := range loops {

@@ -2,6 +2,7 @@ package planner_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -133,5 +134,74 @@ func TestHostileProgramObeysTheSearch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorldPanicDoesNotPoisonSiblings arms one panic at scoring, after
+// the world's step has applied to the session it borrowed. That world
+// is discarded, and every other world and plan is the unfaulted
+// search's: had the panicked session gone back to its pool, the next
+// sibling to borrow it would have applied its step on top of another.
+// One level deep and with room for every plan, no world depends on
+// which one the fault took.
+func TestWorldPanicDoesNotPoisonSiblings(t *testing.T) {
+	defer faultpoint.Reset()
+	for _, workload := range []string{"spec77", "interior"} {
+		for _, workers := range []int{1, 4} {
+			opts := planner.Options{Interp: false, MaxDepth: 1, TopPlans: 64, Workers: workers}
+			clean := search(t, workload, opts)
+			disarm := faultpoint.Arm(faultpoint.PlanScore, faultpoint.Fault{Panic: true, Times: 1})
+			res := search(t, workload, opts)
+			if n := faultpoint.Fired(faultpoint.PlanScore); n != 1 {
+				t.Fatalf("%s: fault fired %d times, want 1", workload, n)
+			}
+			disarm()
+			if clean.WorldsScored < 2 {
+				t.Fatalf("%s: %d worlds: no sibling to poison", workload, clean.WorldsScored)
+			}
+			if res.WorldsForked != clean.WorldsForked || res.WorldsScored != clean.WorldsScored-1 ||
+				res.WorldsDiscarded != clean.WorldsDiscarded+1 {
+				t.Errorf("%s, %d workers: forked/scored/discarded %d/%d/%d, want %d/%d/%d", workload, workers,
+					res.WorldsForked, res.WorldsScored, res.WorldsDiscarded,
+					clean.WorldsForked, clean.WorldsScored-1, clean.WorldsDiscarded+1)
+			}
+			want := map[string]planner.Plan{}
+			for _, p := range clean.Plans {
+				want[p.ID] = p
+			}
+			if len(res.Plans) < len(clean.Plans)-1 {
+				t.Errorf("%s, %d workers: %d plans, want at least %d", workload, workers, len(res.Plans), len(clean.Plans)-1)
+			}
+			for _, p := range res.Plans {
+				w, ok := want[p.ID]
+				p.Rank = w.Rank
+				if !ok || !reflect.DeepEqual(p, w) {
+					t.Errorf("%s, %d workers: plan %s is not the unfaulted search's: %+v", workload, workers, p.ID, p)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchIndependentOfWorkers: which session a world borrows — its
+// parent's own, one a sibling undid, or a fresh parse — depends on the
+// scheduler; the Result must not.
+func TestSearchIndependentOfWorkers(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		interp   bool
+	}{{"spec77", true}, {"spec77", false}, {"interior", false}, {"onedim", true}, {"nxsns", false}} {
+		var first *planner.Result
+		for _, workers := range []int{1, 2, 8} {
+			res := search(t, c.workload, planner.Options{Interp: c.interp, Workers: workers, Timeout: -1})
+			res.Elapsed = 0
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(res, first) {
+				t.Errorf("%s interp=%v: %d workers gave another Result than 1:\n%+v\n%+v", c.workload, c.interp, workers, res, first)
+			}
+		}
 	}
 }

@@ -1,25 +1,26 @@
 // Package planner implements speculative transformation search: the
 // auto-parallelizing service built on top of the interactive editor.
-// A live session is forked into many cheap speculative "worlds" —
-// each world is an independent core.Session reparsed from the
-// parent's printed source, so worlds share nothing mutable with the
-// parent (print→parse fidelity makes the fork exact) — and candidate
-// transformation sequences (interchange, skew, reductions, fuse,
-// parallelize) are applied in the worlds concurrently under a bounded
-// search budget: beam width, maximum depth, a total world-fork
-// budget, and a wall-clock deadline. Worlds are scored by the static
+// The program's printed source is parsed into a session of the
+// planner's own, so the search shares nothing mutable with the user's,
+// and candidate transformation sequences (interchange, skew,
+// reductions, fuse, parallelize) are tried in speculative "worlds"
+// concurrently under a bounded search budget: beam width, maximum
+// depth, a total world budget, and a wall-clock deadline. A world is
+// an apply and an undo: its step is applied on a session standing at
+// its parent's state, read, and undone, which returns the session to
+// the parent's state for a sibling. Worlds are scored by the static
 // performance estimator's parallel-aware cost model, finalists are
 // optionally validated and timed under the parallel interpreter, and
 // the result is a ranked set of plans: the step sequence, a source
 // diff, per-world estimated speedups, and the per-dependence
 // decisions each plan assumes.
 //
-// A panicking world is recovered at the world boundary and discarded;
-// the search, the sibling worlds, and the parent session are never
-// affected. Accepting a plan is the caller's job: the step lines are
-// replayed through the normal (journaled) mutation path, so
-// durability, undo, and crash recovery hold for planned changes
-// exactly as for hand-typed ones.
+// A panicking world is recovered at the world boundary and discarded
+// with the session it ran on; the search, the sibling worlds, and the
+// user's session are never affected. Accepting a plan is the caller's
+// job: the step lines are replayed through the normal (journaled)
+// mutation path, so durability, undo, and crash recovery hold for
+// planned changes exactly as for hand-typed ones.
 package planner
 
 import (
@@ -275,22 +276,55 @@ func SrcHash(src string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// world is one speculative copy of the program. Worlds are immutable
-// after evaluation: the beam and the finalist set only ever read
-// them, and children fork from the parent's printed source rather
-// than sharing its AST.
+// world is one speculative program state: the steps from the base,
+// the printed source and its hash, and the score. It holds a session
+// only while something reads one — the base and the beam while their
+// children are evaluated, the finalists while they are ranked; every
+// other world keeps only what was read off the session it borrowed.
 type world struct {
-	sess  *core.Session
-	src   string // printed source (fork point for children)
-	hash  string
-	steps []Step
-	cost  float64 // parallel-aware estimated time of the unit
-	par   int     // parallel loops in the unit
+	parent *world
+	sess   *core.Session
+	src    string // printed source
+	hash   string
+	steps  []Step
+	cost   float64 // parallel-aware estimated time of the unit
+	par    int     // parallel loops in the unit
 	// simSpeedup is filled for finalists when interpretation is on.
 	simSpeedup float64
 	// compiledSpeedup is the real wall-clock speedup of the compiled
 	// plan over the compiled base (0 when not measured).
 	compiledSpeedup float64
+}
+
+// line is the step that made w from its parent.
+func (w *world) line() string { return w.steps[len(w.steps)-1].Line }
+
+// pool lends sessions standing at one world's state: the world's own
+// first, then fresh parses of its source while every one is busy. A
+// session comes back only after an undo has returned it to that state;
+// one whose world failed is dropped.
+type pool struct {
+	w    *world
+	mu   sync.Mutex
+	free []*core.Session
+}
+
+func (p *pool) get(s *searcher) (*core.Session, error) {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		sess := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return sess, nil
+	}
+	p.mu.Unlock()
+	return s.open(p.w.src)
+}
+
+func (p *pool) put(sess *core.Session) {
+	p.mu.Lock()
+	p.free = append(p.free, sess)
+	p.mu.Unlock()
 }
 
 type searcher struct {
@@ -305,7 +339,7 @@ type searcher struct {
 	discarded int
 }
 
-// Search forks speculative worlds from the printed source and beam-
+// Search parses the printed source into a session of its own and beam-
 // searches transformation sequences for the named unit ("" = the
 // session's default unit). It returns the ranked plans found within
 // the budget; deadline expiry returns partial results, not an error.
@@ -325,13 +359,18 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 	start := time.Now()
 	s := &searcher{path: path, unit: unit, opts: opts, obs: obs, params: perf.DefaultParams()}
 
-	base, err := s.openWorld(source, nil)
+	sess, err := s.open(source)
 	if err != nil {
 		return nil, fmt.Errorf("plan: fork base world: %v", err)
 	}
 	if unit == "" {
-		s.unit = base.sess.CurrentUnit().Name
+		s.unit = sess.CurrentUnit().Name
 	}
+	// Canonicalize to the printed form: the hash chain must match what
+	// Save() (and therefore the daemon's journal integrity chain)
+	// computes, which for raw user text can differ in formatting.
+	base := &world{sess: sess, src: sess.Save(), hash: sess.SourceHash()}
+	s.score(base, sess)
 	res := &Result{Unit: s.unit, BaseHash: base.hash}
 
 	seen := map[string]bool{base.hash: true}
@@ -339,13 +378,17 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 	beam := []*world{base}
 	for depth := 0; depth < opts.MaxDepth && len(beam) > 0 && ctx.Err() == nil; depth++ {
 		type job struct {
-			parent *world
-			line   string
+			pool *pool
+			line string
 		}
 		var jobs []job
+		pools := make(map[*world]*pool, len(beam))
 		for _, w := range beam {
-			for _, line := range s.candidates(w) {
-				jobs = append(jobs, job{w, line})
+			lines := s.candidates(w.sess)
+			p := &pool{w: w, free: []*core.Session{w.sess}}
+			w.sess, pools[w] = nil, p
+			for _, line := range lines {
+				jobs = append(jobs, job{p, line})
 			}
 		}
 		// What is left of the fork budget goes to this level's first
@@ -358,14 +401,15 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 			break
 		}
 		// Evaluate this level's candidates concurrently on a bounded
-		// pool. Each evaluation forks, applies, and scores one world;
-		// a panic anywhere inside is confined to that world.
+		// pool. Each evaluation applies, scores and undoes one world on
+		// a session borrowed from its parent's pool; a panic anywhere
+		// inside is confined to that world and its session.
 		children := make([]*world, len(jobs))
 		fanOut(len(jobs), opts.Workers, func(i int) {
 			if ctx.Err() != nil || !s.takeForkBudget() {
 				return
 			}
-			w, err := s.eval(jobs[i].parent, jobs[i].line)
+			w, err := s.eval(jobs[i].pool, jobs[i].line)
 			if err != nil {
 				s.noteDiscard()
 				return
@@ -395,7 +439,18 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 		if len(next) > opts.BeamWidth {
 			next = next[:opts.BeamWidth]
 		}
-		beam = next
+		// A survivor's children need a session at its state: its step
+		// applied again on one of its parent's (a survivor reapply
+		// fails for is discarded). The rest of the pools is dropped,
+		// but for one base session for validation to run.
+		beam = nil
+		if depth < opts.MaxDepth-1 && ctx.Err() == nil {
+			fanOut(len(next), opts.Workers, func(i int) { next[i].sess, _ = s.reapply(pools[next[i].parent], next[i]) })
+			beam = s.withSessions(next)
+		}
+		if p := pools[base]; p != nil && len(p.free) > 0 {
+			base.sess = p.free[0]
+		}
 	}
 
 	res.Plans = s.rankPlans(ctx, base, finals)
@@ -446,10 +501,10 @@ func (s *searcher) noteDiscard() {
 	s.obs.WorldDiscarded()
 }
 
-// openWorld parses source into a fresh single-threaded session
-// positioned on the search unit. Worlds run their per-unit analysis
-// pool at width 1: the planner's parallelism is across worlds.
-func (s *searcher) openWorld(source string, steps []Step) (*world, error) {
+// open parses source into a fresh single-threaded session positioned
+// on the search unit. Sessions run their per-unit analysis pool at
+// width 1: the planner's parallelism is across worlds.
+func (s *searcher) open(source string) (*core.Session, error) {
 	sess, err := core.OpenWorkers(s.path, source, 1)
 	if err != nil {
 		return nil, err
@@ -459,19 +514,18 @@ func (s *searcher) openWorld(source string, steps []Step) (*world, error) {
 			return nil, err
 		}
 	}
-	// Canonicalize to the printed form: the hash chain must match what
-	// Save() (and therefore the daemon's journal integrity chain)
-	// computes, which for raw user text can differ in formatting.
-	w := &world{sess: sess, src: sess.Save(), hash: sess.SourceHash(), steps: steps}
-	s.score(w)
-	return w, nil
+	return sess, nil
 }
 
-// eval forks one child world from parent and applies one step.
-// Everything — the reparse, the transformation, the reanalysis, the
-// scoring — runs behind a recover: an armed faultpoint or a genuine
-// bug panics this world only, and the caller counts it discarded.
-func (s *searcher) eval(parent *world, line string) (w *world, err error) {
+// eval evaluates the world one step from p's: it applies the step on a
+// session borrowed from p, reads the world off it, and undoes the step,
+// which puts the session back at p's state for a sibling. Everything —
+// a reparse when the pool is empty, the transformation, the
+// reanalysis, the scoring, the undo — runs behind a recover: an armed
+// faultpoint or a genuine bug fails this world only, the caller counts
+// it discarded, and the session it left wherever it stopped is
+// dropped, never returned.
+func (s *searcher) eval(p *pool, line string) (w *world, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			w, err = nil, fmt.Errorf("world panicked: %v", r)
@@ -484,14 +538,9 @@ func (s *searcher) eval(parent *world, line string) (w *world, err error) {
 	s.obs.WorldsLive(1)
 	defer s.obs.WorldsLive(-1)
 
-	sess, err := core.OpenWorkers(s.path, parent.src, 1)
+	sess, err := p.get(s)
 	if err != nil {
 		return nil, err
-	}
-	if s.unit != "" {
-		if err := sess.SelectUnit(s.unit); err != nil {
-			return nil, err
-		}
 	}
 	verdict, err := applyStepLine(sess, line)
 	if err != nil {
@@ -502,18 +551,57 @@ func (s *searcher) eval(parent *world, line string) (w *world, err error) {
 	}
 	hash := sess.SourceHash()
 	w = &world{
-		sess: sess,
-		src:  sess.Save(),
-		hash: hash,
-		steps: append(append([]Step{}, parent.steps...),
+		parent: p.w,
+		src:    sess.Save(),
+		hash:   hash,
+		steps: append(append([]Step{}, p.w.steps...),
 			Step{Line: line, Verdict: verdict, Hash: hash}),
 	}
-	s.score(w)
+	s.score(w, sess)
+	if err := sess.Undo(); err != nil {
+		return nil, err
+	}
+	p.put(sess)
 	s.mu.Lock()
 	s.scored++
 	s.mu.Unlock()
 	s.obs.WorldScored()
 	return w, nil
+}
+
+// reapply returns a session at w's state: its step applied on a
+// session from p, a pool of its parent's. Like eval it recovers at the
+// world boundary.
+func (s *searcher) reapply(p *pool, w *world) (sess *core.Session, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sess, err = nil, fmt.Errorf("world panicked: %v", r)
+		}
+	}()
+	if sess, err = p.get(s); err != nil {
+		return nil, err
+	}
+	if _, err := applyStepLine(sess, w.line()); err != nil {
+		return nil, err
+	}
+	if sess.SourceHash() != w.hash {
+		return nil, fmt.Errorf("%q landed on another program than it did in its world", w.line())
+	}
+	return sess, nil
+}
+
+// withSessions keeps the worlds reapply gave a session and discards the
+// others: a world no session stands at cannot be expanded or ranked.
+func (s *searcher) withSessions(worlds []*world) []*world {
+	kept := worlds[:0]
+	for _, w := range worlds {
+		if w.sess == nil {
+			s.noteDiscard()
+			continue
+		}
+		kept = append(kept, w)
+	}
+	return kept
 }
 
 // applyStepLine executes one "apply <xform> <args>" plan step against
@@ -536,12 +624,12 @@ func applyStepLine(sess *core.Session, line string) (string, error) {
 }
 
 // score computes the world's parallel-aware estimated time and its
-// parallel-loop count.
-func (s *searcher) score(w *world) {
-	st := w.sess.State()
-	e := perf.New(w.sess.File, s.params)
+// parallel-loop count from a session standing at its state.
+func (s *searcher) score(w *world, sess *core.Session) {
+	st := sess.State()
+	e := perf.New(sess.File, s.params)
 	w.cost = e.ParallelTime(st.DF, st.Unit.Body)
-	for _, l := range w.sess.Loops() {
+	for _, l := range sess.Loops() {
 		if l.Do.Parallel {
 			w.par++
 		}
@@ -589,6 +677,17 @@ func (s *searcher) rankPlans(ctx context.Context, base *world, finals []*world) 
 	sort.SliceStable(finals, func(i, j int) bool { return finals[i].cost < finals[j].cost })
 	if len(finals) > s.opts.TopPlans {
 		finals = finals[:s.opts.TopPlans]
+	}
+	// A finalist's session is its step applied on a fresh parse of its
+	// parent's source, where the line numbers its decisions name are
+	// those of that source; one reapply fails for is discarded, like
+	// one whose validation run fails.
+	fanOut(len(finals), s.opts.Workers, func(i int) { finals[i].sess, _ = s.reapply(&pool{w: finals[i].parent}, finals[i]) })
+	finals = s.withSessions(finals)
+	if base.sess == nil && (s.opts.Interp || s.opts.Compiled) && len(finals) > 0 {
+		// The base parsed once already; should it not now, its runs
+		// fail and no plan is validated.
+		base.sess, _ = s.open(base.src)
 	}
 
 	input := s.opts.Input
