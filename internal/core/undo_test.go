@@ -75,8 +75,8 @@ const recursionCycle = `
 `
 
 // dumpUnit renders one unit's analysis results: dependences, estimates,
-// liveness, privatizability, reductions and how many definitions of each
-// variable reach each statement. exact keeps the graph's own order, edge
+// liveness, privatizability, reductions, the variables the unit assigns
+// and its statements. exact keeps the graph's own order, edge
 // identifiers and test statistics; otherwise the edges are listed sorted
 // and without identifiers.
 func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
@@ -121,14 +121,15 @@ func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
 		}
 		fmt.Fprintf(&b, " reductions %v\n", st.DF.Reductions(l))
 	}
-	fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
-		fmt.Fprintf(&b, "#%d %s", x.ID(), fortran.StmtText(x))
-		for _, sym := range u.SymbolsSorted() {
-			if n := len(st.DF.DefsReaching(x, sym)); n > 0 {
-				fmt.Fprintf(&b, " %s<%d", sym.Name, n)
-			}
+	var assigned []string
+	for _, sym := range u.SymbolsSorted() {
+		if st.DF.Assigned(sym) {
+			assigned = append(assigned, sym.Name)
 		}
-		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "assigned %v\n", assigned)
+	fortran.WalkStmts(u.Body, func(x fortran.Stmt) bool {
+		fmt.Fprintf(&b, "#%d %s\n", x.ID(), fortran.StmtText(x))
 		return true
 	})
 	return b.String()

@@ -5,51 +5,25 @@ import (
 	"parascope/internal/fortran"
 )
 
-// Def is one definition point of a variable.
-type Def struct {
-	ID      int
-	Sym     *fortran.Symbol
-	Node    *cfg.Node
-	Access  Access
-	Partial bool
-}
-
-// Use is one use point of a variable.
-type Use struct {
-	Sym    *fortran.Symbol
-	Node   *cfg.Node
-	Access Access
-}
-
 // Analysis bundles the scalar data-flow results for one unit.
 //
 // Every per-statement table is a slice indexed by cfg.Node.Index and
-// every set is a bitset (over Def.ID for reaching definitions, over the
-// unit's dense symbol index for liveness), so each fact is stored once
-// on the node it describes. Def-use chains are not materialised: a
-// definition reaches a use exactly when its bit is set in the use
-// node's reach-in set, so UsesOf and DefsReaching read them off the
-// reaching solution per symbol when asked.
+// every set is a bitset over the unit's dense symbol index, so each
+// fact is stored once on the node it describes.
 type Analysis struct {
 	Unit *fortran.Unit
 	G    *cfg.Graph
 	Tree *cfg.LoopTree
 	Eff  SideEffects
 
-	Defs []*Def
-
 	accesses [][]Access // by node
 
 	// symIndex numbers every accessed symbol densely; syms is its
-	// inverse. The per-symbol tables and the liveness sets use it.
+	// inverse. The assigned flags and the liveness sets use it.
 	symIndex map[*fortran.Symbol]int
 	syms     []*fortran.Symbol
 
-	nodeDefs [][]*Def // by node: the definitions it generates, in access order
-	symDefs  [][]*Def // by symbol index, in Def.ID order
-
-	reachIn  []bitset // by node, over Def.ID
-	reachOut []bitset
+	assigned []bool // by symbol index: some statement of the unit writes it
 
 	liveIn  []bitset // by node, over symIndex
 	liveOut []bitset
@@ -61,8 +35,7 @@ type Analysis struct {
 // conservative call effects.
 func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
 	a := newAnalysis(u, eff)
-	a.buildDefs()
-	a.solveReaching()
+	a.markAssigned()
 	a.solveLiveness()
 	a.propagateConstants()
 	return a
@@ -70,10 +43,9 @@ func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
 
 // AnalyzeConstants builds only what loop trip counts and statement
 // costs are read from: the CFG, the loop tree, the per-statement
-// accesses and constant propagation, which needs neither reaching
-// definitions nor liveness. The result answers Accesses, ConstAt,
-// EnvAt and TripCount; it has no Defs, and the reaching-definition and
-// liveness queries must not be called on it.
+// accesses and constant propagation, which needs no liveness. The
+// result answers Accesses, ConstAt, EnvAt and TripCount; Assigned and
+// the liveness queries must not be called on it.
 func AnalyzeConstants(u *fortran.Unit, eff SideEffects) *Analysis {
 	a := newAnalysis(u, eff)
 	a.propagateConstants()
@@ -102,46 +74,19 @@ func newAnalysis(u *fortran.Unit, eff SideEffects) *Analysis {
 	return a
 }
 
-// buildDefs numbers the accessed symbols and lays out the definitions:
-// one Def per write access in node order, listed per node and per
-// symbol. Each table is carved from a single allocation.
-func (a *Analysis) buildDefs() {
-	writes := 0
+// markAssigned numbers the accessed symbols and flags those some
+// statement of the unit writes.
+func (a *Analysis) markAssigned() {
 	for _, acc := range a.accesses {
 		a.indexSymbols(acc)
+	}
+	a.assigned = make([]bool, len(a.syms))
+	for _, acc := range a.accesses {
 		for _, ac := range acc {
 			if ac.Write {
-				writes++
+				a.assigned[a.symIndex[ac.Sym]] = true
 			}
 		}
-	}
-	defs := make([]Def, writes)
-	a.Defs = make([]*Def, writes)
-	perSym := make([]int, len(a.syms))
-	a.nodeDefs = make([][]*Def, len(a.G.Nodes))
-	id := 0
-	for _, n := range a.G.Nodes {
-		from := id
-		for _, ac := range a.accesses[n.Index] {
-			if ac.Write {
-				defs[id] = Def{ID: id, Sym: ac.Sym, Node: n, Access: ac, Partial: ac.Partial}
-				a.Defs[id] = &defs[id]
-				perSym[a.symIndex[ac.Sym]]++
-				id++
-			}
-		}
-		a.nodeDefs[n.Index] = a.Defs[from:id:id]
-	}
-	bySym := make([]*Def, writes)
-	a.symDefs = make([][]*Def, len(a.syms))
-	off := 0
-	for i, n := range perSym {
-		a.symDefs[i] = bySym[off : off : off+n]
-		off += n
-	}
-	for _, d := range a.Defs {
-		i := a.symIndex[d.Sym]
-		a.symDefs[i] = append(a.symDefs[i], d)
 	}
 }
 
@@ -163,14 +108,12 @@ func (a *Analysis) Accesses(s fortran.Stmt) []Access {
 	return nil
 }
 
-// DefsOf returns every definition of sym in the unit, in Def.ID order.
-func (a *Analysis) DefsOf(sym *fortran.Symbol) []*Def {
+// Assigned reports whether some statement of the unit writes sym.
+func (a *Analysis) Assigned(sym *fortran.Symbol) bool {
 	// A symbol first read by a patched-in statement has an index past
-	// the table and no definitions.
-	if i, ok := a.symIndex[sym]; ok && i < len(a.symDefs) {
-		return a.symDefs[i]
-	}
-	return nil
+	// the flags and is written nowhere.
+	i, ok := a.symIndex[sym]
+	return ok && i < len(a.assigned) && a.assigned[i]
 }
 
 // newBitsets carves count bitsets of n bits each from one allocation.
@@ -180,82 +123,6 @@ func newBitsets(count, n int) []bitset {
 	out := make([]bitset, count)
 	for i := range out {
 		out[i] = slab[i*words : (i+1)*words : (i+1)*words]
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions
-
-func (a *Analysis) solveReaching() {
-	n := len(a.Defs)
-	nodes := a.G.Nodes
-	genKill := newBitsets(2*len(nodes), n)
-	gen, kill := genKill[:len(nodes)], genKill[len(nodes):]
-	for i, defs := range a.nodeDefs {
-		for _, d := range defs {
-			gen[i].set(d.ID)
-			if !d.Partial {
-				for _, other := range a.DefsOf(d.Sym) {
-					if other != d {
-						kill[i].set(other.ID)
-					}
-				}
-			}
-		}
-	}
-	inOut := newBitsets(2*len(nodes), n)
-	a.reachIn, a.reachOut = inOut[:len(nodes)], inOut[len(nodes):]
-	changed := true
-	tmp := newBitset(n)
-	for changed {
-		changed = false
-		for i, node := range nodes {
-			in := a.reachIn[i]
-			for _, p := range node.Preds {
-				if in.orInto(a.reachOut[p.Index]) {
-					changed = true
-				}
-			}
-			tmp.copyFrom(in)
-			tmp.andNotInto(kill[i])
-			tmp.orInto(gen[i])
-			if !tmp.equal(a.reachOut[i]) {
-				a.reachOut[i].copyFrom(tmp)
-				changed = true
-			}
-		}
-	}
-}
-
-// UsesOf returns the uses reached by definition d, in node order.
-func (a *Analysis) UsesOf(d *Def) []Use {
-	var out []Use
-	for _, node := range a.G.Nodes {
-		if !a.reachIn[node.Index].has(d.ID) {
-			continue
-		}
-		for _, ac := range a.accesses[node.Index] {
-			if !ac.Write && ac.Sym == d.Sym {
-				out = append(out, Use{Sym: ac.Sym, Node: node, Access: ac})
-			}
-		}
-	}
-	return out
-}
-
-// DefsReaching returns the definitions of sym that reach the entry of
-// the statement's node.
-func (a *Analysis) DefsReaching(s fortran.Stmt, sym *fortran.Symbol) []*Def {
-	node := a.G.NodeFor(s)
-	if node == nil {
-		return nil
-	}
-	var out []*Def
-	for _, d := range a.DefsOf(sym) {
-		if a.reachIn[node.Index].has(d.ID) {
-			out = append(out, d)
-		}
 	}
 	return out
 }

@@ -53,39 +53,6 @@ func TestStmtAccesses(t *testing.T) {
 	}
 }
 
-func TestReachingDefsAndDefUse(t *testing.T) {
-	a := analyze(t, `
-      program main
-      integer i
-      i = 1
-      i = 2
-      if (i .gt. 0) then
-         i = 3
-      endif
-      i = i + 1
-      end
-`)
-	u := a.Unit
-	last := u.Body[3]
-	defs := a.DefsReaching(last, u.Lookup("i"))
-	// i=2 (not killed on else path) and i=3 reach the last statement;
-	// i=1 is killed by i=2.
-	lines := map[int]bool{}
-	for _, d := range defs {
-		lines[d.Node.Stmt.Line()] = true
-	}
-	if len(defs) != 2 {
-		t.Errorf("got %d reaching defs (%v), want 2", len(defs), lines)
-	}
-	for _, d := range defs {
-		if as, ok := d.Node.Stmt.(*fortran.AssignStmt); ok {
-			if il, ok := as.Rhs.(*fortran.IntLit); ok && il.Val == 1 {
-				t.Error("killed def i=1 still reaches")
-			}
-		}
-	}
-}
-
 func TestLiveness(t *testing.T) {
 	a := analyze(t, `
       program main
@@ -338,53 +305,6 @@ func TestReductionSubtraction(t *testing.T) {
 	}
 }
 
-func TestInductionVars(t *testing.T) {
-	a := analyze(t, `
-      program main
-      integer i, k, m
-      real a(200)
-      k = 0
-      do i = 1, 100
-         k = k + 2
-         a(k) = 1.0
-         m = k
-      enddo
-      end
-`)
-	u := a.Unit
-	l := loopN(t, a, 0)
-	ivs := a.InductionVars(l)
-	if len(ivs) != 1 {
-		t.Fatalf("got %d induction vars, want 1 (%+v)", len(ivs), ivs)
-	}
-	if ivs[0].Sym != u.Lookup("k") || !ivs[0].Step.IsConst() || ivs[0].Step.Const != 2 {
-		t.Errorf("iv = %+v", ivs[0])
-	}
-}
-
-func TestLoopInvariant(t *testing.T) {
-	a := analyze(t, `
-      program main
-      integer i, n
-      real c, a(100)
-      n = 100
-      c = 3.0
-      do i = 1, n
-         a(i) = c*2.0 + a(i)
-      enddo
-      end
-`)
-	l := loopN(t, a, 0)
-	as := l.Do.Body[0].(*fortran.AssignStmt)
-	rhs := as.Rhs.(*fortran.Binary)
-	if !a.LoopInvariant(l, rhs.X) {
-		t.Error("c*2.0 should be loop invariant")
-	}
-	if a.LoopInvariant(l, rhs.Y) {
-		t.Error("a(i) must not be loop invariant")
-	}
-}
-
 func TestEnvAtAndTripCount(t *testing.T) {
 	a := analyze(t, `
       program main
@@ -456,10 +376,14 @@ func TestDoStmtDefinesLoopVar(t *testing.T) {
       end
 `)
 	u := a.Unit
-	pr := u.Body[1]
-	defs := a.DefsReaching(pr, u.Lookup("i"))
-	if len(defs) == 0 {
-		t.Error("DO statement should define i, reaching the print")
+	defines := false
+	for _, ac := range a.Accesses(u.Body[0]) {
+		if ac.Sym == u.Lookup("i") && ac.Write && !ac.Partial {
+			defines = true
+		}
+	}
+	if !defines {
+		t.Error("DO statement should define i")
 	}
 }
 

@@ -37,11 +37,10 @@ func SimpleStmt(s fortran.Stmt) bool {
 //     (checked by propagating again whenever a patched statement writes
 //     an integer scalar, before or after).
 //
-// Reaching definitions and liveness may move anywhere in the unit and
-// are solved again when the written (symbol, partial) multiset of a
-// patched statement changed; otherwise the reaching bitsets are
-// provably the same, def-use chains are read off them on demand, and
-// liveness is solved again only if a set of symbols read changed.
+// On commit the patched accesses are swapped in. The assigned flags are
+// set again when the symbols a patched statement writes changed, and
+// liveness, which may move anywhere in the unit, is solved again when
+// the symbols it reads, writes or wholly writes changed.
 func (a *Analysis) PatchStmt(old, new fortran.Stmt, eff SideEffects, calls []fortran.Stmt) bool {
 	if !SimpleStmt(old) || !SimpleStmt(new) {
 		return false
@@ -60,19 +59,19 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt, eff SideEffects, calls []for
 	}
 	before := make([][]Access, len(nodes))
 	after := make([][]Access, len(nodes))
-	redefine, reconst, relive := false, false, false
+	reassign, reconst, relive := false, false, false
 	for i, n := range nodes {
 		s := n.Stmt
 		if n == edited {
 			s = new
 		}
 		before[i], after[i] = a.accesses[n.Index], StmtAccesses(a.Unit, s, eff)
-		if !sameScalarsWritten(before[i], after[i]) {
+		if !sameSyms(before[i], after[i], scalarWritten) {
 			return false
 		}
-		redefine = redefine || !writesMatch(before[i], after[i])
+		reassign = reassign || !sameSyms(before[i], after[i], written)
 		reconst = reconst || writesIntScalar(before[i]) || writesIntScalar(after[i])
-		relive = relive || !readSymsEqual(before[i], after[i])
+		relive = relive || !sameSyms(before[i], after[i], read) || !sameSyms(before[i], after[i], whollyWritten)
 	}
 
 	prevEff := a.Eff
@@ -95,40 +94,16 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt, eff SideEffects, calls []for
 	}
 	// Committed.
 	a.Tree.Reindex(old, new)
-	if redefine {
-		a.buildDefs()
-		a.solveReaching()
-		a.solveLiveness()
-		return true
-	}
-	for i, n := range nodes {
+	for i := range nodes {
 		a.indexSymbols(after[i])
-		a.repointDefs(n, after[i])
 	}
-	if relive {
+	if reassign {
+		a.markAssigned()
+	}
+	if relive || reassign {
 		a.solveLiveness()
 	}
 	return true
-}
-
-// repointDefs hands the node's Def objects the matching write accesses
-// of acc, which writes what the node's accesses wrote. IDs and gen/kill
-// are untouched, so reachIn/reachOut — and the def-use chains read off
-// them — stay valid.
-func (a *Analysis) repointDefs(n *cfg.Node, acc []Access) {
-	defs := a.nodeDefs[n.Index]
-	taken := make([]bool, len(defs))
-	for _, ac := range acc {
-		if !ac.Write {
-			continue
-		}
-		for j, d := range defs {
-			if !taken[j] && d.Sym == ac.Sym && d.Partial == ac.Partial {
-				d.Access, taken[j] = ac, true
-				break
-			}
-		}
-	}
 }
 
 // constsMovedElsewhere reports whether two constant tables differ at
@@ -146,33 +121,6 @@ func constsMovedElsewhere(g *cfg.Graph, was, now []Consts, except []*cfg.Node) b
 	return false
 }
 
-type writeKey struct {
-	sym     *fortran.Symbol
-	partial bool
-}
-
-func writesMatch(a, b []Access) bool {
-	count := map[writeKey]int{}
-	na, nb := 0, 0
-	for _, ac := range a {
-		if ac.Write {
-			count[writeKey{ac.Sym, ac.Partial}]++
-			na++
-		}
-	}
-	for _, ac := range b {
-		if ac.Write {
-			k := writeKey{ac.Sym, ac.Partial}
-			if count[k] == 0 {
-				return false
-			}
-			count[k]--
-			nb++
-		}
-	}
-	return na == nb
-}
-
 func writesIntScalar(acc []Access) bool {
 	for _, ac := range acc {
 		if ac.Write && ac.Sym.Kind == fortran.SymScalar && ac.Sym.Type == fortran.TypeInteger {
@@ -180,6 +128,27 @@ func writesIntScalar(acc []Access) bool {
 		}
 	}
 	return false
+}
+
+// The access classes whose symbol sets PatchStmt compares.
+func read(ac Access) bool          { return !ac.Write }
+func written(ac Access) bool       { return ac.Write }
+func whollyWritten(ac Access) bool { return ac.Write && !ac.Partial }
+func scalarWritten(ac Access) bool { return ac.Write && ac.Sym.Kind == fortran.SymScalar }
+
+// sameSyms reports whether the accesses of a and b that keep accepts
+// name the same set of symbols.
+func sameSyms(a, b []Access, keep func(Access) bool) bool {
+	sa, sb := symSet(a, keep), symSet(b, keep)
+	if len(sa) != len(sb) {
+		return false
+	}
+	for s := range sa {
+		if !sb[s] {
+			return false
+		}
+	}
+	return true
 }
 
 // symSet collects the symbols of the accesses keep accepts.
@@ -191,26 +160,4 @@ func symSet(acc []Access, keep func(Access) bool) map[*fortran.Symbol]bool {
 		}
 	}
 	return out
-}
-
-func sameSyms(a, b map[*fortran.Symbol]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for s := range a {
-		if !b[s] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameScalarsWritten(a, b []Access) bool {
-	scalarWrite := func(ac Access) bool { return ac.Write && ac.Sym.Kind == fortran.SymScalar }
-	return sameSyms(symSet(a, scalarWrite), symSet(b, scalarWrite))
-}
-
-func readSymsEqual(a, b []Access) bool {
-	read := func(ac Access) bool { return !ac.Write }
-	return sameSyms(symSet(a, read), symSet(b, read))
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // solution renders everything an Analysis answers about its unit:
-// per statement the accesses, the definitions reaching it, what is live
-// after it and the constants at its entry; and liveness at unit entry.
+// per statement the accesses, what is live after it and the constants
+// at its entry; the symbols the unit assigns; and liveness at unit
+// entry.
 func solution(a *dataflow.Analysis) string {
 	var b strings.Builder
 	syms := a.Unit.SymbolsSorted()
@@ -25,18 +26,6 @@ func solution(a *dataflow.Analysis) string {
 			fmt.Fprintf(&b, " %s/%v/%v", ac.Sym.Name, ac.Write, ac.Partial)
 		}
 		for _, sym := range syms {
-			var defs []string
-			for _, d := range a.DefsReaching(s, sym) {
-				at := 0
-				if d.Node.Stmt != nil {
-					at = d.Node.Stmt.ID()
-				}
-				defs = append(defs, fmt.Sprintf("%d/%v", at, d.Partial))
-			}
-			sort.Strings(defs)
-			if len(defs) > 0 {
-				fmt.Fprintf(&b, " %s<%v", sym.Name, defs)
-			}
 			if a.LiveOut(s, sym) {
 				fmt.Fprintf(&b, " %s>", sym.Name)
 			}
@@ -47,6 +36,13 @@ func solution(a *dataflow.Analysis) string {
 		b.WriteByte('\n')
 		return true
 	})
+	var assigned []string
+	for _, sym := range syms {
+		if a.Assigned(sym) {
+			assigned = append(assigned, sym.Name)
+		}
+	}
+	fmt.Fprintf(&b, "assigned %v\n", assigned)
 	var exposed []string
 	for sym := range a.UpwardExposed() {
 		exposed = append(exposed, sym.Name)
@@ -86,7 +82,7 @@ func replaceStmt(body []fortran.Stmt, old, repl fortran.Stmt) bool {
 // of other simple statements of the unit — assignments by calls, writes
 // of one variable by writes of another, integer scalars included. Where
 // PatchStmt accepts, the solution patched in place must be the one a
-// fresh Analyze of the edited unit computes — reaching definitions,
+// fresh Analyze of the edited unit computes — assigned symbols,
 // liveness, constants; where it declines, the analysis must still be the
 // one of the unit as it was.
 func TestPatchStmtMatchesFreshAnalyze(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package dataflow implements ParaScope's scalar data-flow analyses:
-// variable access extraction, reaching definitions, def-use chains,
-// liveness, constant propagation, scalar privatizability (Kill),
-// reduction recognition and the symbolic environment that feeds
-// dependence testing.
+// variable access extraction, which scalars the unit assigns, liveness,
+// constant propagation, scalar privatizability (Kill), reduction
+// recognition and the symbolic environment that feeds dependence
+// testing. Def-use chains and auxiliary induction variables are not
+// built: no verdict, pane or transformation reads them.
 package dataflow
 
 import (
@@ -152,13 +153,12 @@ func collectReads(u *fortran.Unit, e fortran.Expr, s fortran.Stmt, eff SideEffec
 	}
 }
 
-// bitset is a fixed-capacity bit vector used by the iterative solvers.
+// bitset is a fixed-capacity bit vector used by the liveness solver.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
 func (b bitset) orInto(src bitset) bool {
@@ -180,21 +180,6 @@ func (b bitset) andNotInto(src bitset) {
 }
 
 func (b bitset) copyFrom(src bitset) { copy(b, src) }
-
-func (b bitset) clone() bitset {
-	out := make(bitset, len(b))
-	copy(out, b)
-	return out
-}
-
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func (b bitset) forEach(fn func(i int)) {
 	for w, word := range b {

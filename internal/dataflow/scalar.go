@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"parascope/internal/cfg"
-	"parascope/internal/expr"
 	"parascope/internal/fortran"
 )
 
@@ -268,128 +267,4 @@ func usesSym(e fortran.Expr, sym *fortran.Symbol) bool {
 	}
 	walk(e)
 	return found
-}
-
-// InductionVar describes an auxiliary induction variable: a scalar
-// updated exactly once per iteration by a loop-invariant amount.
-type InductionVar struct {
-	Sym  *fortran.Symbol
-	Step expr.Linear // per-iteration increment
-}
-
-// InductionVars finds auxiliary induction variables of loop l.
-func (a *Analysis) InductionVars(l *cfg.Loop) []InductionVar {
-	defCount := map[*fortran.Symbol]int{}
-	defStmt := map[*fortran.Symbol]*fortran.AssignStmt{}
-	conditional := map[*fortran.Symbol]bool{}
-	cd := a.G.ComputeControlDeps()
-	headerNode := a.G.NodeFor(l.Do)
-	for _, s := range l.Stmts() {
-		for _, ac := range a.Accesses(s) {
-			if !ac.Write || ac.Sym.Kind != fortran.SymScalar {
-				continue
-			}
-			defCount[ac.Sym]++
-			if as, ok := s.(*fortran.AssignStmt); ok {
-				defStmt[ac.Sym] = as
-			}
-			// A def nested under a branch other than the loop header
-			// is conditional and disqualifies the variable.
-			node := a.G.NodeFor(s)
-			for _, dep := range cd.DepsOf(node) {
-				if dep != headerNode {
-					if _, isDo := dep.Stmt.(*fortran.DoStmt); !isDo {
-						conditional[ac.Sym] = true
-					}
-				}
-			}
-		}
-	}
-	var out []InductionVar
-	for sym, n := range defCount {
-		if n != 1 || conditional[sym] || sym.Type != fortran.TypeInteger {
-			continue
-		}
-		as := defStmt[sym]
-		if as == nil || len(as.Lhs.Subs) != 0 {
-			continue
-		}
-		// Match sym = sym + c.
-		lin, ok := expr.Linearize(a.Unit, as.Rhs)
-		if !ok {
-			continue
-		}
-		if lin.Coef(sym) != 1 {
-			continue
-		}
-		step := lin.Without(sym)
-		if a.loopInvariantLinear(l, step) {
-			out = append(out, InductionVar{Sym: sym, Step: step})
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Sym.Name < out[j-1].Sym.Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// LoopInvariant reports whether expression e is invariant in loop l:
-// it references no variable defined anywhere in the loop (calls and
-// array references are treated as variant).
-func (a *Analysis) LoopInvariant(l *cfg.Loop, e fortran.Expr) bool {
-	defined := a.definedInLoop(l)
-	invariant := true
-	var walk func(fortran.Expr)
-	walk = func(e fortran.Expr) {
-		switch x := e.(type) {
-		case nil:
-		case *fortran.VarRef:
-			if len(x.Subs) > 0 {
-				invariant = false
-				return
-			}
-			if x.Sym != nil && defined[x.Sym] {
-				invariant = false
-			}
-		case *fortran.FuncCall:
-			if x.Callee != nil || x.Sym != nil {
-				invariant = false // user call: conservative
-				return
-			}
-			for _, arg := range x.Args {
-				walk(arg)
-			}
-		case *fortran.Unary:
-			walk(x.X)
-		case *fortran.Binary:
-			walk(x.X)
-			walk(x.Y)
-		}
-	}
-	walk(e)
-	return invariant
-}
-
-func (a *Analysis) loopInvariantLinear(l *cfg.Loop, lin expr.Linear) bool {
-	defined := a.definedInLoop(l)
-	for _, t := range lin.Terms {
-		if defined[t.Sym] {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *Analysis) definedInLoop(l *cfg.Loop) map[*fortran.Symbol]bool {
-	out := map[*fortran.Symbol]bool{l.Do.Var: true}
-	for _, s := range l.Stmts() {
-		for _, ac := range a.Accesses(s) {
-			if ac.Write {
-				out[ac.Sym] = true
-			}
-		}
-	}
-	return out
 }

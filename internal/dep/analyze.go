@@ -384,7 +384,7 @@ func (t *tester) testRefPair(sym *fortran.Symbol, r1, r2 *ref) {
 			if sym.Kind == fortran.SymParam {
 				return false
 			}
-			return sym.Type != fortran.TypeInteger || len(a.DF.DefsOf(sym)) > 0
+			return sym.Type != fortran.TypeInteger || a.DF.Assigned(sym)
 		}
 	} else {
 		written := a.writtenIn(r1.root)

@@ -354,11 +354,9 @@ func TestCommonEffects(t *testing.T) {
 	// The caller's dataflow must see the write to s via the common.
 	u := f.Unit("main")
 	df := dataflow.Analyze(u, &Effects{Prog: p})
-	last := u.Body[1]
-	defs := df.DefsReaching(last, u.Lookup("s"))
 	foundCallDef := false
-	for _, d := range defs {
-		if _, ok := d.Node.Stmt.(*fortran.CallStmt); ok {
+	for _, ac := range df.Accesses(u.Body[0]) {
+		if ac.Sym == u.Lookup("s") && ac.Write {
 			foundCallDef = true
 		}
 	}
