@@ -109,12 +109,13 @@ type planBase struct {
 }
 
 // planSnapshot borrows the actor for the instant it takes to read the
-// current source. Read-only and even quarantine-adjacent traffic keeps
-// flowing while the search runs.
+// current source and the cursor unit; the undo history is not read.
+// Read-only and even quarantine-adjacent traffic keeps flowing while
+// the search runs.
 func (ss *Session) planSnapshot(ctx context.Context) (b planBase, err error) {
 	err = ss.post(ctx, func() {
-		snap := ss.snapshotRecord()
-		b = planBase{path: ss.path, src: snap.Source, hash: ss.currentHash(), unit: snap.Unit}
+		unit, _ := ss.cursor()
+		b = planBase{path: ss.path, src: ss.currentSource(), hash: ss.currentHash(), unit: unit}
 	}, true)
 	return b, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -444,5 +445,53 @@ func TestPlannerMetrics(t *testing.T) {
 		if strings.HasPrefix(line, "pedd_planner_worlds_forked_total") && strings.Contains(line, "{") {
 			t.Errorf("planner counter has labels: %s", line)
 		}
+	}
+}
+
+// TestPlanSnapshotIgnoresUndoDepth: a plan request reads the source and
+// the cursor unit and nothing else, so what it allocates does not grow
+// with the undo history. A journal snapshot record would render every
+// undo entry as a whole program.
+func TestPlanSnapshotIgnoresUndoDepth(t *testing.T) {
+	m := newTestManager(t, Config{CacheSize: 8})
+	w := largestWorkload(t)
+	ss, _ := mustOpen(t, m, w.Name)
+	shadow, err := w.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, text := firstAssign(t, shadow)
+	edit := func(i int) {
+		t.Helper()
+		if err := ss.Edit(bg, EditRequest{Stmt: stmt, Text: fmt.Sprintf("      %s + %d.0", text, i)}); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+	}
+	// The fewest allocations over a few tries: the counter is
+	// process-wide, so a try can only over-count.
+	allocs := func() float64 {
+		best := math.Inf(1)
+		for try := 0; try < 5; try++ {
+			best = math.Min(best, testing.AllocsPerRun(20, func() {
+				if _, err := ss.planSnapshot(bg); err != nil {
+					t.Error(err)
+				}
+			}))
+		}
+		return best
+	}
+	edit(0) // materialises the session
+	if err := ss.Undo(bg); err != nil {
+		t.Fatal(err)
+	}
+	if info := ss.Info(bg); !info.Live {
+		t.Fatal("session is not live; the test is vacuous")
+	}
+	shallow := allocs()
+	for i := 1; i <= 16; i++ {
+		edit(i)
+	}
+	if deep := allocs(); deep > shallow {
+		t.Errorf("planSnapshot allocates %v times at undo depth 0 and %v at depth 16; want no growth", shallow, deep)
 	}
 }

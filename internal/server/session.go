@@ -877,6 +877,15 @@ func (ss *Session) currentHash() string {
 	return ss.art.PrintedHash
 }
 
+// currentSource is the session's program text, read off the source
+// image: the live session's when materialised, else the artifact's.
+func (ss *Session) currentSource() string {
+	if ss.live != nil {
+		return ss.live.Save()
+	}
+	return ss.art.Printed
+}
+
 // journalAppend writes rec (journal-before-apply: the mutation only
 // runs if its record is durable per the fsync policy). The journal is
 // born here, by the first record that is not a cursor move: until then
@@ -955,13 +964,10 @@ func (ss *Session) noteMutation(rec *record) {
 // the printed program, the undo stack and the cursor. The journal
 // rewrite stamps Seq and Time itself; Export stamps its own.
 func (ss *Session) snapshotRecord() *record {
-	snap := &record{Op: recSnapshot, Path: ss.path}
+	snap := &record{Op: recSnapshot, Path: ss.path, Source: ss.currentSource()}
 	snap.Unit, snap.Loop = ss.cursor()
 	if ss.live != nil {
-		snap.Source = ss.live.Save()
 		snap.Undo = ss.live.UndoStack()
-	} else {
-		snap.Source = ss.art.Printed
 	}
 	return snap
 }
