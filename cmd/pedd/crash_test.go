@@ -290,7 +290,19 @@ func TestCrashRecoveryMidApplyPlan(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The plan's first step moves the cursor and journals nothing; the
+	// first apply writes the journal's birth records in one delayed
+	// append. Kill once that write is on disk: a kill before it would
+	// leave an empty journal, which recovery rightly removes.
+	wal := dir + "/" + id + ".wal"
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if fi, err := os.Stat(wal); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("apply-plan wrote nothing to %s within 10s", wal)
+		}
+	}
 	if err := inst.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
