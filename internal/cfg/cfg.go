@@ -367,20 +367,6 @@ func (l *Loop) Stmts() []fortran.Stmt {
 	return out
 }
 
-// NestVars returns the induction variables from the outermost
-// enclosing loop down to l.
-func (l *Loop) NestVars() []*fortran.Symbol {
-	var chain []*Loop
-	for x := l; x != nil; x = x.Parent {
-		chain = append(chain, x)
-	}
-	out := make([]*fortran.Symbol, 0, len(chain))
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i].Header())
-	}
-	return out
-}
-
 // Nest returns the loops from outermost to l.
 func (l *Loop) Nest() []*Loop {
 	var chain []*Loop

@@ -213,10 +213,6 @@ func TestLoopTree(t *testing.T) {
 		t.Errorf("children = %v", outer.Children)
 	}
 	inner := outer.Children[0]
-	vars := inner.NestVars()
-	if len(vars) != 2 || vars[0].Name != "i" || vars[1].Name != "j" {
-		t.Errorf("NestVars = %v", vars)
-	}
 	// Innermost lookup.
 	assign := inner.Do.Body[0]
 	if got := tree.Innermost(assign); got != inner {

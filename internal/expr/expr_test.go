@@ -200,13 +200,6 @@ func TestEnvEvalRange(t *testing.T) {
 	if !env.ProveNonNegative(l) {
 		t.Error("n-i should be provably non-negative")
 	}
-	if env.ProvePositive(l) {
-		t.Error("n-i is not provably positive (can be 0)")
-	}
-	// 2*i + 1 is never zero.
-	if !env.ProveNonZero(Var(i).Scale(2).Add(Con(1))) {
-		t.Error("2i+1 should be provably nonzero")
-	}
 }
 
 func TestEnvIntersection(t *testing.T) {

@@ -232,20 +232,8 @@ func (e *Env) EvalRange(l Linear) Range {
 	return out
 }
 
-// ProvePositive reports whether l >= 1 always holds under e.
-func (e *Env) ProvePositive(l Linear) bool {
-	r := e.EvalRange(l)
-	return !r.LoInf && r.Lo >= 1
-}
-
 // ProveNonNegative reports whether l >= 0 always holds under e.
 func (e *Env) ProveNonNegative(l Linear) bool {
 	r := e.EvalRange(l)
 	return !r.LoInf && r.Lo >= 0
-}
-
-// ProveNonZero reports whether l != 0 always holds under e.
-func (e *Env) ProveNonZero(l Linear) bool {
-	r := e.EvalRange(l)
-	return !r.Contains(0)
 }
