@@ -39,8 +39,8 @@ func expectFreshUnits(t *testing.T, s *core.Session, context string) {
 	(&undoHarness{t: t, name: t.Name(), s: s}).expectFresh(context)
 }
 
-// TestCallEditRetestsIncidentPairsOnly: on a main of 200 calls a CALL
-// edit lands on the program rung and costs the pairs of that CALL; and
+// TestCallEditRetestsIncidentPairsOnly: on a main of 200 calls in one
+// loop a CALL edit lands on the program rung and costs the pairs of that CALL; and
 // the step's envelope is what it says — edits inside it are patched on
 // whichever rung they take, edits outside it are analyzed whole.
 func TestCallEditRetestsIncidentPairsOnly(t *testing.T) {
@@ -48,8 +48,23 @@ func TestCallEditRetestsIncidentPairsOnly(t *testing.T) {
 	t.Run("envelope", patchEnvelope)
 }
 
+// callHeavyInLoop is workloads.CallHeavy with main's calls wrapped in
+// one outer DO loop: the analysis pairs only references that share a
+// loop, so outside it the calls would pair with nothing.
+func callHeavyInLoop(t *testing.T, calls int) *workloads.Workload {
+	w := workloads.CallHeavy(calls)
+	src := w.Source
+	first, last := strings.Index(src, "      call "), strings.Index(src, "      print *")
+	if first < 0 || last < first {
+		t.Fatalf("CallHeavy(%d) has no calls before its print", calls)
+	}
+	w.Source = strings.Replace(src[:first], "integer i, n", "integer i, n, k", 1) +
+		"      do k = 1, 2\n" + src[first:last] + "      enddo\n" + src[last:]
+	return w
+}
+
 func callHeavyEdits(t *testing.T) {
-	s, err := workloads.CallHeavy(200).Session()
+	s, err := callHeavyInLoop(t, 200).Session()
 	if err != nil {
 		t.Fatal(err)
 	}

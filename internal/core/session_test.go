@@ -477,3 +477,39 @@ func TestHistoryTranscript(t *testing.T) {
 		t.Errorf("history = %q", joined)
 	}
 }
+
+// TestStmtInterchangeAtTopLevelReadsCallerConstants: two statements at a
+// unit's top level share no loop, so the check tests their pairs when
+// asked — under the environment the unit's graph was built in, which
+// binds the constant every caller passes. sub is only ever called with
+// m = 64, so a(m) and a(1) are different elements and the statements
+// may trade places.
+func TestStmtInterchangeAtTopLevelReadsCallerConstants(t *testing.T) {
+	s, err := Open("cf.f", `
+      program main
+      real a(100)
+      call sub(a, 64)
+      print *, a(1)
+      end
+      subroutine sub(a, m)
+      integer m
+      real a(100), x
+      a(m) = 1.0
+      x = a(1)
+      print *, x
+      end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SelectUnit("sub"); err != nil {
+		t.Fatal(err)
+	}
+	body := s.CurrentUnit().Body
+	if v := s.Check(xform.StmtInterchange{First: body[0], Second: body[1]}); !v.OK() {
+		t.Errorf("a(m) = 1.0 / x = a(1) with m = 64 at every call: %s", v)
+	}
+	if v := s.Check(xform.StmtInterchange{First: body[1], Second: body[2]}); v.Safe {
+		t.Errorf("x = a(1) / print *, x: the flow dependence on x must block the swap: %s", v)
+	}
+}

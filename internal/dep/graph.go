@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"parascope/internal/cfg"
+	"parascope/internal/expr"
 	"parascope/internal/fortran"
 )
 
@@ -103,13 +104,12 @@ func (m Mark) String() string {
 	return "?"
 }
 
-// Dependence is one edge of the dependence graph. A session keeps tens
-// of thousands of them alive, so the struct is laid out small: the
+// Dependence is one edge of the dependence graph. A session keeps
+// thousands of them alive, so the struct is laid out small: the
 // enumerations are bytes, and what belongs to the reference pair or is
-// the same for most edges sits behind shared pointers — the Verdict of
+// the same for many edges sits behind shared pointers — the Verdict of
 // the test suite, and the per-loop Vectors, which the loop-independent
-// edges of references outside any common loop (in call-heavy programs,
-// nearly every edge) do not have.
+// edges of one nest depth share.
 type Dependence struct {
 	ID  int
 	Sym *fortran.Symbol
@@ -198,6 +198,10 @@ type Graph struct {
 	// Patches counts the Patch calls since the graph's last full run. At
 	// zero, IDs and Stats are those a from-scratch analysis assigns.
 	Patches int
+	// Assertions is the environment the graph was tested under — the
+	// user's assertions and the constants the unit's callers bind —
+	// which a pair asked about later (Between) must be tested under too.
+	Assertions *expr.Env
 
 	byLoop map[*cfg.Loop][]*Dependence
 

@@ -230,7 +230,14 @@ func TestRecoverCursorBeforeFirstMutation(t *testing.T) {
 			}
 		}, sweepStmt, sweepText},
 		{"apply", "arc3d", 1, func(t *testing.T, ss *Session) { mustCmd(t, ss, "apply parallelize 1") }, mainStmt, mainText},
-		{"mark", "arc3d", 2, func(t *testing.T, ss *Session) { mustCmd(t, ss, "mark 30 reject") }, mainStmt, mainText},
+		{"mark", "arc3d", 2, func(t *testing.T, ss *Session) {
+			// The first row of the pane of loop 2, where browse left the cursor.
+			resp, err := ss.Deps(bg, DepQuery{})
+			if err != nil || len(resp.Deps) == 0 {
+				t.Fatalf("deps of loop 2: %d rows, %v", len(resp.Deps), err)
+			}
+			mustCmd(t, ss, fmt.Sprintf("mark %d reject", resp.Deps[0].ID))
+		}, mainStmt, mainText},
 	}
 	for _, c := range cases {
 		for _, kind := range []string{"cold", "hit"} {

@@ -288,7 +288,17 @@ func (t StmtInterchange) Check(c *Context) Verdict {
 		})
 		return found
 	}
-	for _, d := range activeDeps(c.Deps.Deps) {
+	// Two statements of one loop body share that loop in every pair, so
+	// its list holds the edges between them; at the unit's top level no
+	// pair shares a loop, and the graph has none of them: they are tested
+	// now, under what the graph was.
+	var deps []*dep.Dependence
+	if l := c.DF.Tree.Innermost(t.First); l != nil {
+		deps = c.Deps.LoopDeps(l)
+	} else {
+		deps = dep.Between(c.DF, c.Deps.Assertions, c.Summaries, c.Opts, t.First, t.Second)
+	}
+	for _, d := range activeDeps(deps) {
 		if d.Carried() {
 			continue // carried deps are unaffected by intra-iteration order
 		}
