@@ -105,6 +105,27 @@ func Verb(line string) (string, Class) {
 	return v, Verbs[v]
 }
 
+// ParseMark reads the arguments of a mark line: the dependence number
+// and the judgement.
+func ParseMark(args []string) (int, dep.Mark, error) {
+	if len(args) != 2 {
+		return 0, 0, fmt.Errorf("usage: mark <id> accept|reject|pending")
+	}
+	id, err := strconv.Atoi(args[0])
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad dependence id %q", args[0])
+	}
+	switch args[1] {
+	case "accept":
+		return id, dep.MarkAccepted, nil
+	case "reject":
+		return id, dep.MarkRejected, nil
+	case "pending":
+		return id, dep.MarkPending, nil
+	}
+	return 0, 0, fmt.Errorf("unknown mark %q", args[1])
+}
+
 // Execute runs one command line.
 func (r *REPL) Execute(line string) error {
 	fields := strings.Fields(line)
@@ -172,23 +193,9 @@ func (r *REPL) Execute(line string) error {
 	case "vars":
 		fmt.Fprint(r.Out, view.VarPane(s))
 	case "mark":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: mark <id> accept|reject|pending")
-		}
-		id, err := strconv.Atoi(args[0])
+		id, m, err := ParseMark(args)
 		if err != nil {
-			return fmt.Errorf("bad dependence id %q", args[0])
-		}
-		var m dep.Mark
-		switch args[1] {
-		case "accept":
-			m = dep.MarkAccepted
-		case "reject":
-			m = dep.MarkRejected
-		case "pending":
-			m = dep.MarkPending
-		default:
-			return fmt.Errorf("unknown mark %q", args[1])
+			return err
 		}
 		return s.MarkDep(id, m)
 	case "assert":

@@ -34,6 +34,7 @@ const (
 	recSnapshot = "snapshot" // folded state: source + selection + undo stack
 	recSelect   = "select"   // unit/loop selection
 	recCmd      = "cmd"      // a mutating REPL line
+	recMark     = "mark"     // a mark line, its edge named by key
 	recClassify = "classify" // typed classify endpoint
 	recEdit     = "edit"     // typed edit/delete endpoint
 	recUndo     = "undo"     // typed undo endpoint
@@ -60,9 +61,18 @@ type record struct {
 	// cmd
 	Line string `json:"line,omitempty"`
 
-	// classify
+	// classify: Var and its Class. mark: the edge by key — in Unit, its
+	// Class, Sym and Level, its source and sink statement numbers, and
+	// which of the edges sharing those it is (Nth, 0-based, graph order)
+	// — and the judgement, Mark (dep.Mark's name).
 	Var   string `json:"var,omitempty"`
 	Class string `json:"class,omitempty"`
+	Sym   string `json:"sym,omitempty"`
+	Level int    `json:"level,omitempty"`
+	Src   int    `json:"src,omitempty"`
+	Dst   int    `json:"dst,omitempty"`
+	Nth   int    `json:"nth,omitempty"`
+	Mark  string `json:"mark,omitempty"`
 
 	// edit
 	Stmt   int    `json:"stmt,omitempty"`

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"parascope/internal/core"
+	"parascope/internal/dep"
 	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/planner"
@@ -775,6 +776,7 @@ func (ss *Session) do(ctx context.Context, rec *record) error {
 // journaled rejection replays as the same rejection. A record that
 // cannot be applied at all is, live, this request's failure.
 func (ss *Session) mutate(rec *record) (outcome, error) {
+	rec = ss.markByKey(rec)
 	if err := ss.journalAppend(rec); err != nil {
 		return outcome{}, err
 	}
@@ -820,10 +822,90 @@ func (ss *Session) apply(rec *record) (res outcome, err error) {
 		if err = ss.materialize(); err == nil {
 			res.err = ss.live.Undo()
 		}
+	case recMark:
+		if err = ss.materialize(); err != nil {
+			break
+		}
+		var id int
+		var m dep.Mark
+		switch id, m, err = ss.keyedMark(rec); {
+		case err != nil:
+		case id == 0:
+			res.err = fmt.Errorf("no %s dependence on %s from s%d to s%d at level %d", rec.Class, rec.Sym, rec.Src, rec.Dst, rec.Level)
+		default:
+			res.err = ss.live.MarkDep(id, m)
+		}
 	default:
 		err = fmt.Errorf("unknown record op %q at seq %d", rec.Op, rec.Seq)
 	}
 	return res, err
+}
+
+// markByKey turns a cmd record holding a mark line that names an edge
+// of the current unit into a mark record naming that edge by key: an
+// edge's number holds only until its graph is next built, and a replay
+// under another analysis would number the edges otherwise. Any other
+// record, and a mark line that does not parse or name an edge, is
+// returned as it is and fails, journaled, as the cmd it is.
+func (ss *Session) markByKey(rec *record) *record {
+	if rec.Op != recCmd || ss.condition().refusal(true) != nil {
+		return rec
+	}
+	if verb, _ := repl.Verb(rec.Line); verb != "mark" {
+		return rec
+	}
+	id, m, err := repl.ParseMark(strings.Fields(rec.Line)[1:])
+	if err != nil || ss.materialize() != nil {
+		return rec
+	}
+	g := ss.live.State().Deps
+	d := g.DepByID(id)
+	if d == nil {
+		return rec
+	}
+	key := &record{Op: recMark, Unit: ss.live.CurrentUnit().Name, Class: d.Class.String(), Sym: d.Sym.Name,
+		Level: d.Level, Src: d.Src.ID(), Dst: d.Dst.ID(), Mark: m.String()}
+	for _, e := range g.Deps[:id-1] {
+		if key.names(e) {
+			key.Nth++
+		}
+	}
+	return key
+}
+
+// names reports whether d has the key of mark record rec.
+func (rec *record) names(d *dep.Dependence) bool {
+	return d.Sym.Name == rec.Sym && d.Class.String() == rec.Class && d.Level == rec.Level &&
+		d.Src.ID() == rec.Src && d.Dst.ID() == rec.Dst
+}
+
+// keyedMark finds the edge a mark record names in the current unit's
+// graph, returning its number (0 when the graph has no such edge) and
+// the judgement. A record whose unit is not the cursor's, or whose
+// judgement this build does not know, cannot be applied.
+func (ss *Session) keyedMark(rec *record) (int, dep.Mark, error) {
+	if u := ss.live.CurrentUnit(); u == nil || u.Name != rec.Unit {
+		return 0, 0, fmt.Errorf("seq %d: mark record for unit %s away from the cursor", rec.Seq, rec.Unit)
+	}
+	m := dep.MarkProven
+	for _, k := range []dep.Mark{dep.MarkAccepted, dep.MarkRejected, dep.MarkPending} {
+		if k.String() == rec.Mark {
+			m = k
+		}
+	}
+	if m == dep.MarkProven {
+		return 0, 0, fmt.Errorf("seq %d: unknown mark %q", rec.Seq, rec.Mark)
+	}
+	n := rec.Nth
+	for _, d := range ss.live.State().Deps.Deps {
+		if rec.names(d) {
+			if n == 0 {
+				return d.ID, m, nil
+			}
+			n--
+		}
+	}
+	return 0, m, nil
 }
 
 // applyRecord replays one journal record against a rebuilding session,
@@ -954,7 +1036,7 @@ func (ss *Session) noteMutation(rec *record) {
 	if ss.jr.Load() == nil {
 		return
 	}
-	if rec.Op == recClassify || rec.Op == recCmd && lineClass(rec.Line) == repl.Sticky {
+	if rec.Op == recClassify || rec.Op == recMark || rec.Op == recCmd && lineClass(rec.Line) == repl.Sticky {
 		ss.sticky = true
 	}
 	ss.mutsSinceSnap++
