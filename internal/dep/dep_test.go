@@ -582,3 +582,53 @@ func TestConstantUnderConditionalLeavesSymbolicDeps(t *testing.T) {
 		t.Errorf("carried dependences on a: %d flow, %d anti; want one of each, pending", pending[ClassFlow], pending[ClassAnti])
 	}
 }
+
+// TestPairsWithoutACommonLoopAreAskedFor: the graph holds the data
+// dependences within one outermost loop only; those between statements
+// that share no loop come from Between, on demand.
+func TestPairsWithoutACommonLoopAreAskedFor(t *testing.T) {
+	df, g := analyzeSrc(t, `
+      program main
+      integer i
+      real a(100), x, y
+      x = 1.0
+      y = x*2.0
+      do i = 1, 100
+         a(i) = x
+      enddo
+      do i = 1, 100
+         y = y + a(i)
+      enddo
+      end
+`)
+	for _, d := range g.Deps {
+		if d.Class == ClassControl {
+			continue
+		}
+		shared := false
+		for l := df.Tree.Innermost(d.Src); l != nil && !shared; l = l.Parent {
+			shared = l.Contains(d.Dst)
+		}
+		if !shared {
+			t.Errorf("graph holds %v from s%d to s%d, which share no loop", d, d.Src.ID(), d.Dst.ID())
+		}
+	}
+	body := df.Unit.Body
+	has := func(deps []*Dependence, class Class, sym string) bool {
+		for _, d := range deps {
+			if d.Class == class && d.Sym.Name == sym && !d.Carried() {
+				return true
+			}
+		}
+		return false
+	}
+	if deps := Between(df, nil, nil, DefaultOptions(), body[0], body[1]); !has(deps, ClassFlow, "x") {
+		t.Errorf("x = 1.0 / y = x*2.0: %v, want a loop-independent true dependence on x", deps)
+	}
+	if deps := Between(df, nil, nil, DefaultOptions(), body[2], body[3]); !has(deps, ClassFlow, "a") {
+		t.Errorf("the loop writing a and the loop reading it: %v, want a loop-independent true dependence on a", deps)
+	}
+	if deps := Between(df, nil, nil, DefaultOptions(), body[1], body[2]); len(deps) != 0 {
+		t.Errorf("y = x*2.0 and the loop writing a touch nothing in common: %v", deps)
+	}
+}
