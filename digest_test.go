@@ -219,3 +219,108 @@ func TestAnalysisStatsDigest(t *testing.T) {
 		})
 	}
 }
+
+// dumpSummaries writes what the interprocedural pass and each unit's
+// data-flow solve leave on a session: per unit, its summary and constant
+// formals from s.Prog, then from the unit's analysis every statement's
+// accesses, which symbols it assigns, what is upward exposed, and per
+// loop and scalar whether the scalar is live out of the loop and
+// privatizable in it.
+func dumpSummaries(w io.Writer, s *core.Session) {
+	names := func(m map[*fortran.Symbol]bool) []string {
+		var out []string
+		for sym := range m {
+			out = append(out, sym.Name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, u := range s.File.Units {
+		sm := s.Prog.Summaries[u]
+		fmt.Fprintf(w, "unit %s conservative %t\n", u.Name, sm.Conservative)
+		fmt.Fprintf(w, "mod %v\nref %v\nupref %v\nkill %v\nkillarrays %v\n",
+			names(sm.Mod), names(sm.Ref), names(sm.UpRef), names(sm.Kill), names(sm.KillArrays))
+		arrays := map[*fortran.Symbol]bool{}
+		for sym := range sm.Sections {
+			arrays[sym] = true
+		}
+		for _, name := range names(arrays) {
+			for sym, secs := range sm.Sections {
+				if sym.Name != name {
+					continue
+				}
+				for _, sec := range secs {
+					fmt.Fprintf(w, "section %s write %t", name, sec.Write)
+					for _, d := range sec.Dims {
+						fmt.Fprintf(w, " [%t %s:%s]", d.Known, d.Lo, d.Hi)
+					}
+					fmt.Fprintln(w)
+				}
+			}
+		}
+		for _, sym := range u.SymbolsSorted() {
+			if v, ok := s.Prog.ConstFormals[u][sym]; ok {
+				fmt.Fprintf(w, "constformal %s %d\n", sym.Name, v)
+			}
+		}
+		df := s.StateOf(u).DF
+		fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
+			fmt.Fprintf(w, "#%d", st.ID())
+			for _, ac := range df.Accesses(st) {
+				fmt.Fprintf(w, " %s:%t:%t:%v", ac.Sym.Name, ac.Write, ac.Partial, ac.Ref)
+			}
+			fmt.Fprintln(w)
+			return true
+		})
+		for _, sym := range u.SymbolsSorted() {
+			fmt.Fprintf(w, "assigned %s %t\n", sym.Name, df.Assigned(sym))
+		}
+		fmt.Fprintf(w, "upward %v\n", names(df.UpwardExposed()))
+		for _, l := range df.Tree.All {
+			for _, sym := range u.SymbolsSorted() {
+				if sym.Kind == fortran.SymScalar {
+					fmt.Fprintf(w, "loop #%d %s live %t %+v\n", l.Do.ID(), sym.Name, df.LiveOutOfLoop(l, sym), df.Privatizable(l, sym))
+				}
+			}
+		}
+	}
+}
+
+// TestSummaryDigest pins the interprocedural summaries and the per-unit
+// data-flow facts of digestPrograms after an open, under the default and
+// the conservative configuration. The per-unit solve may come from the
+// summary pass or be run again; either way these facts must not move.
+// The constants were recorded from commit 58fa5ad, where every unit's
+// data flow was solved again after the summary pass.
+func TestSummaryDigest(t *testing.T) {
+	configs := []struct {
+		name         string
+		conservative bool
+		want         string
+	}{
+		{"default", false, "eddc8c82f0dcfea9df70cd62c341921d02475b5232fc83e7a64c259aaf33f35d"},
+		{"conservative", true, "d7daaf9de6efff0d0f9164975dd708aae74d4db1e0ad4283e55236bdb5119d69"},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			all := sha256.New()
+			var perWorkload []string
+			for _, w := range digestPrograms() {
+				s, err := w.Session()
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				if c.conservative {
+					s.Conservative = true
+					s.AnalyzeAll()
+				}
+				h := sha256.New()
+				dumpSummaries(io.MultiWriter(h, all), s)
+				perWorkload = append(perWorkload, fmt.Sprintf("%s %x", w.Name, h.Sum(nil)[:8]))
+			}
+			if got := hex.EncodeToString(all.Sum(nil)); got != c.want {
+				t.Errorf("summaries or data-flow facts moved: digest %s, want %s\nper workload: %v", got, c.want, perWorkload)
+			}
+		})
+	}
+}
