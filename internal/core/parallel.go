@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"parascope/internal/dataflow"
 	"parascope/internal/dep"
 	"parascope/internal/faultpoint"
 	"parascope/internal/fortran"
@@ -24,8 +25,11 @@ import (
 // phases reported are "parse", "interproc", "dataflow", "dependence",
 // "perf", and "patch" (the statement-granular step of an edit, on
 // whichever rung: the splice of the data-flow solution and of the
-// dependence graph, reported as one phase);
-// the per-unit phases fan out on the analysis worker pool, so
+// dependence graph, reported as one phase). "dataflow" is reported only
+// where the per-unit pass solves: at a cold open (AnalyzeAll) the
+// summary pass has solved every unit off a recursion cycle, and that
+// time is inside "interproc"; a conservative session solves every unit
+// again. The per-unit phases fan out on the analysis worker pool, so
 // implementations must be safe for concurrent use. A nil observer
 // costs a single pointer check per phase.
 type PhaseObserver interface {
@@ -36,8 +40,9 @@ type PhaseObserver interface {
 // more than one worker is available — the one level of analysis
 // parallelism: inside a unit every phase runs on one goroutine. old
 // carries the previous states so user marks, assertions and
-// classifications survive reanalysis; reprint is analyzeUnit's.
-func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState, reprint bool) map[*fortran.Unit]*UnitState {
+// classifications survive reanalysis; reprint is analyzeUnit's, and
+// solved holds the data-flow solves already made (nil for none).
+func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState, reprint bool, solved map[*fortran.Unit]*dataflow.Analysis) map[*fortran.Unit]*UnitState {
 	out := make(map[*fortran.Unit]*UnitState, len(units))
 	workers := s.Workers
 	if workers <= 0 {
@@ -48,7 +53,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			out[u] = s.analyzeUnit(u, old[u], reprint)
+			out[u] = s.analyzeUnit(u, old[u], reprint, solved[u])
 		}
 		return out
 	}
@@ -78,7 +83,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 							panicMu.Unlock()
 						}
 					}()
-					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint)
+					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint, solved[units[i]])
 				}(i)
 			}
 		}()

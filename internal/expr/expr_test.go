@@ -242,25 +242,6 @@ func TestFold(t *testing.T) {
 	}
 }
 
-func TestToExprRoundTrip(t *testing.T) {
-	u := testUnit("i", "j", "n")
-	for _, src := range []string{"i + 1", "2*i - 3*j + n", "-i + 4", "7"} {
-		e := parseExprIn(t, u, src)
-		l, ok := Linearize(u, e)
-		if !ok {
-			t.Fatalf("%s: not affine", src)
-		}
-		back := ToExpr(l)
-		l2, ok := Linearize(u, back)
-		if !ok {
-			t.Fatalf("ToExpr(%s) = %s not affine", src, back)
-		}
-		if !l.Equal(l2) {
-			t.Errorf("%s: round trip %s != %s", src, l2, l)
-		}
-	}
-}
-
 func TestLinearizeViaFileParse(t *testing.T) {
 	// End-to-end: symbols resolved by the real front end.
 	f := fortran.MustParse("l.f", `

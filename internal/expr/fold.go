@@ -130,45 +130,3 @@ func sameScalar(a, b fortran.Expr) bool {
 	rb, okB := b.(*fortran.VarRef)
 	return okA && okB && len(ra.Subs) == 0 && len(rb.Subs) == 0 && ra.Name == rb.Name
 }
-
-// ToExpr converts a linear form back into a Fortran expression,
-// choosing the tidiest spelling (leading positive term first).
-func ToExpr(l Linear) fortran.Expr {
-	var out fortran.Expr
-	add := func(e fortran.Expr, negative bool) {
-		if out == nil {
-			if negative {
-				out = &fortran.Unary{Op: fortran.TokMinus, X: e}
-			} else {
-				out = e
-			}
-			return
-		}
-		op := fortran.TokPlus
-		if negative {
-			op = fortran.TokMinus
-		}
-		out = &fortran.Binary{Op: op, X: out, Y: e}
-	}
-	for _, t := range l.Terms {
-		coef := t.Coef
-		neg := coef < 0
-		if neg {
-			coef = -coef
-		}
-		var e fortran.Expr = &fortran.VarRef{Sym: t.Sym, Name: t.Sym.Name}
-		if coef != 1 {
-			e = &fortran.Binary{Op: fortran.TokStar, X: &fortran.IntLit{Val: coef}, Y: e}
-		}
-		add(e, neg)
-	}
-	if l.Const != 0 || out == nil {
-		c := l.Const
-		neg := c < 0
-		if neg {
-			c = -c
-		}
-		add(&fortran.IntLit{Val: c}, neg)
-	}
-	return out
-}

@@ -153,19 +153,30 @@ func indexUnquoted(s string, c byte) int {
 	return -1
 }
 
-// Statements tokenizes every logical statement. Each statement's token
-// slice ends with a TokNewline carrying the statement's line.
+// Statements tokenizes every logical statement into one backing array,
+// sized from the statement texts at about one token per two bytes plus
+// a label and the newline. Each statement gets a sub-slice capped at its
+// end, so appending to one never writes over the next, and each ends
+// with a TokNewline carrying the statement's line. Should the estimate
+// fall short, the array grows and the statements scanned so far keep
+// the first one.
 func (lx *Lexer) Statements() ([][]Token, ErrorList) {
-	out := make([][]Token, 0, len(lx.stmts))
+	size := 0
 	for _, st := range lx.stmts {
-		toks := lx.scanStmt(st)
-		out = append(out, toks)
+		size += len(st.text)/2 + 2
+	}
+	buf := make([]Token, 0, size)
+	out := make([][]Token, len(lx.stmts))
+	for i, st := range lx.stmts {
+		start := len(buf)
+		buf = lx.scanStmt(buf, st)
+		out[i] = buf[start:len(buf):len(buf)]
 	}
 	return out, lx.errs
 }
 
-func (lx *Lexer) scanStmt(st logicalStmt) []Token {
-	var toks []Token
+// scanStmt appends the tokens of one logical statement to toks.
+func (lx *Lexer) scanStmt(toks []Token, st logicalStmt) []Token {
 	if st.label != 0 {
 		toks = append(toks, Token{Kind: TokLabel, Text: itoa(st.label), Line: st.line, Col: 1})
 	}

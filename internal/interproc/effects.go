@@ -1,6 +1,9 @@
 package interproc
 
 import (
+	"slices"
+	"strings"
+
 	"parascope/internal/dataflow"
 	"parascope/internal/dep"
 	"parascope/internal/expr"
@@ -107,16 +110,13 @@ func commonCounterpart(u *fortran.Unit, calleeSym *fortran.Symbol) *fortran.Symb
 	return nil
 }
 
-func sortedSyms(m map[*fortran.Symbol]bool) []*fortran.Symbol {
+// sortedSyms returns the symbols m maps, ordered by name.
+func sortedSyms[V any](m map[*fortran.Symbol]V) []*fortran.Symbol {
 	out := make([]*fortran.Symbol, 0, len(m))
 	for s := range m {
 		out = append(out, s)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b *fortran.Symbol) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -146,7 +146,7 @@ func (sp *SectionProvider) CallSections(s fortran.Stmt) ([]dep.SectionAccess, bo
 		return nil, false
 	}
 	var out []dep.SectionAccess
-	for _, arrSym := range sortedSectionSyms(summ) {
+	for _, arrSym := range sortedSyms(summ.Sections) {
 		secs := summ.Sections[arrSym]
 		// Resolve the caller-side array.
 		var callerArr *fortran.Symbol
@@ -224,17 +224,4 @@ func (sp *SectionProvider) translateLinear(caller *fortran.Unit, call *fortran.C
 		}
 	}
 	return out, true
-}
-
-func sortedSectionSyms(summ *Summary) []*fortran.Symbol {
-	out := make([]*fortran.Symbol, 0, len(summ.Sections))
-	for s := range summ.Sections {
-		out = append(out, s)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

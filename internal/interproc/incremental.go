@@ -60,7 +60,8 @@ func sectionEqual(a, b Section) bool {
 // call graph no longer describes u and the caller must rebuild the
 // whole program).
 func (p *Program) Resummarize(u *fortran.Unit) *Summary {
-	return p.summarize(u)
+	s, _ := p.summarize(u)
+	return s
 }
 
 // UpdateProgram rebuilds the interprocedural results for prev.File
@@ -96,7 +97,7 @@ func UpdateProgram(prev *Program, changed map[*fortran.Unit]bool) *Program {
 			p.Summaries[u] = old
 			continue
 		}
-		fresh := p.summarize(u)
+		fresh, _ := p.summarize(u)
 		if fresh.Equal(old) {
 			fresh = old
 		}

@@ -1,6 +1,7 @@
 package interproc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -516,5 +517,53 @@ func TestUpdateProgramLeavesMainUnsummarized(t *testing.T) {
 	want := dataflow.ConservativeEffects{}.CallEffects(work, "main", call.Args, call)
 	if len(got) != len(want) {
 		t.Errorf("call main: %d accesses, want the %d conservative ones", len(got), len(want))
+	}
+}
+
+// TestTakenAnalysesAreTheUnits checks the solves AnalyzeProgram hands
+// on: each has the accesses a solve under the finished program gives,
+// and a unit whose solve met a call to a unit not yet summarized — a
+// CALL of a function, which the call graph does not order — gets none.
+func TestTakenAnalysesAreTheUnits(t *testing.T) {
+	f := parse(t, threeUnits+`
+      subroutine early(x)
+      real x
+      call late(x)
+      end
+      real function late(y)
+      real y
+      y = 2.0
+      late = y
+      end
+`)
+	p := AnalyzeProgram(f)
+	taken := p.TakeAnalyses()
+	if p.TakeAnalyses() != nil {
+		t.Error("a second TakeAnalyses still returns analyses")
+	}
+	if taken[f.Unit("early")] != nil {
+		t.Error("early's solve met late unsummarized, yet it was handed on")
+	}
+	for _, u := range f.Units {
+		df := taken[u]
+		if df == nil {
+			continue
+		}
+		fresh := dataflow.Analyze(u, &Effects{Prog: p})
+		fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
+			if got, want := fmt.Sprint(df.Accesses(st)), fmt.Sprint(fresh.Accesses(st)); got != want {
+				t.Errorf("%s #%d: handed-on accesses %s, a fresh solve %s", u.Name, st.ID(), got, want)
+			}
+			return true
+		})
+	}
+	n := 0
+	for _, df := range taken {
+		if df != nil {
+			n++
+		}
+	}
+	if n != len(f.Units)-1 {
+		t.Errorf("%d analyses handed on, want one per unit but early", n)
 	}
 }

@@ -59,6 +59,9 @@ type Program struct {
 	// ConstFormals maps each unit's formal parameters to the constant
 	// every call site passes (interprocedural constant propagation).
 	ConstFormals map[*fortran.Unit]map[*fortran.Symbol]int64
+	// solved holds the data-flow solve AnalyzeProgram summarized each
+	// unit from, until TakeAnalyses hands them on.
+	solved map[*fortran.Unit]*dataflow.Analysis
 }
 
 // AnalyzeProgram computes summaries bottom-up over the call graph.
@@ -68,17 +71,47 @@ func AnalyzeProgram(f *fortran.File) *Program {
 		Graph:        BuildCallGraph(f),
 		Summaries:    map[*fortran.Unit]*Summary{},
 		ConstFormals: map[*fortran.Unit]map[*fortran.Symbol]int64{},
+		solved:       map[*fortran.Unit]*dataflow.Analysis{},
 	}
 	for _, u := range p.Graph.BottomUp {
-		p.Summaries[u] = p.summarize(u)
+		p.Summaries[u], p.solved[u] = p.summarize(u)
 	}
 	p.propagateConstFormals()
 	return p
 }
 
+// TakeAnalyses returns, and forgets, the data-flow solve AnalyzeProgram
+// summarized each unit from: dataflow.Analyze of the unit under
+// &Effects{Prog: p}, since it read only final callee summaries. A unit
+// on a recursion cycle is not solved, and neither is one whose solve met
+// a call to a unit not yet summarized.
+func (p *Program) TakeAnalyses() map[*fortran.Unit]*dataflow.Analysis {
+	out := p.solved
+	p.solved = nil
+	return out
+}
+
+// summaryEffects is Effects that notes a call resolved to a unit with no
+// summary yet (a CALL of a function is outside the call graph's order):
+// the solve then saw conservative effects where the unit's own analysis,
+// after the pass, sees the summary.
+type summaryEffects struct {
+	Effects
+	early bool
+}
+
+func (e *summaryEffects) CallEffects(u *fortran.Unit, callee string, args []fortran.Expr, s fortran.Stmt) []dataflow.Access {
+	if t := e.Prog.File.Unit(callee); t != nil && t.Kind != fortran.UnitProgram && e.Prog.Summaries[t] == nil {
+		e.early = true
+	}
+	return e.Effects.CallEffects(u, callee, args, s)
+}
+
 // summarize computes unit u's summary; callee summaries are already
-// available (bottom-up order).
-func (p *Program) summarize(u *fortran.Unit) *Summary {
+// available (bottom-up order). It returns the data-flow solve the
+// summary was read from when that solve is the unit's own analysis
+// (see TakeAnalyses), and nil otherwise.
+func (p *Program) summarize(u *fortran.Unit) (*Summary, *dataflow.Analysis) {
 	s := &Summary{
 		Unit:       u,
 		Mod:        map[*fortran.Symbol]bool{},
@@ -98,9 +131,10 @@ func (p *Program) summarize(u *fortran.Unit) *Summary {
 				s.UpRef[sym] = true
 			}
 		}
-		return s
+		return s, nil
 	}
-	df := dataflow.Analyze(u, &Effects{Prog: p})
+	eff := &summaryEffects{Effects: Effects{Prog: p}}
+	df := dataflow.Analyze(u, eff)
 	// Mod/Ref from the statement accesses (which already include
 	// translated callee effects via Effects).
 	fortran.WalkStmts(u.Body, func(st fortran.Stmt) bool {
@@ -134,7 +168,11 @@ func (p *Program) summarize(u *fortran.Unit) *Summary {
 			delete(s.UpRef, arr)
 		}
 	}
-	return s
+	if eff.early {
+		return s, nil
+	}
+	df.Eff = &eff.Effects
+	return s, df
 }
 
 // visible reports whether a symbol is visible to callers: a dummy
@@ -147,7 +185,10 @@ func visible(sym *fortran.Symbol) bool {
 // from entry to exit (flow-sensitive Kill analysis) and arrays fully
 // overwritten by unconditional covering loops (array kill).
 func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary) {
-	// Definite assignment: forward must-analysis over the CFG.
+	// Definite assignment: forward must-analysis over the CFG. Only
+	// visible scalars reach Kill, and a must-analysis decides each
+	// symbol apart, so no other symbol enters the sets.
+	tracked := func(sym *fortran.Symbol) bool { return visible(sym) && sym.Kind == fortran.SymScalar }
 	g := df.G
 	assigned := map[*cfg.Node]map[*fortran.Symbol]bool{}
 	order := g.Nodes
@@ -181,7 +222,7 @@ func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary
 			}
 			if n.Stmt != nil {
 				for _, ac := range df.Accesses(n.Stmt) {
-					if ac.Write && !ac.Partial {
+					if ac.Write && !ac.Partial && tracked(ac.Sym) {
 						in[ac.Sym] = true
 					}
 				}
@@ -190,7 +231,7 @@ func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary
 					if cs := p.Summaries[call.Callee]; cs != nil {
 						for formal := range cs.Kill {
 							if actual := boundActual(call.Args, call.Callee, formal); actual != nil {
-								if vr, ok := actual.(*fortran.VarRef); ok && vr.Sym != nil && len(vr.Subs) == 0 {
+								if vr, ok := actual.(*fortran.VarRef); ok && vr.Sym != nil && len(vr.Subs) == 0 && tracked(vr.Sym) {
 									in[vr.Sym] = true
 								}
 							}
@@ -206,11 +247,8 @@ func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary
 			}
 		}
 	}
-	exitIn := assigned[g.Exit]
-	for sym := range exitIn {
-		if visible(sym) && sym.Kind == fortran.SymScalar {
-			s.Kill[sym] = true
-		}
+	for sym := range assigned[g.Exit] {
+		s.Kill[sym] = true
 	}
 	// Array kill: an unconditional top-level loop covering the full
 	// declared extent with a direct write a(k).
@@ -370,7 +408,7 @@ func (p *Program) computeSections(u *fortran.Unit, df *dataflow.Analysis, s *Sum
 				// Call side effect or whole-array pass: translate the
 				// callee's sections if this is a call we can see
 				// through; otherwise mark unknown.
-				s.addSection(ac.Sym, Section{Write: ac.Write, Dims: unknownDims(len(ac.Sym.Dims))})
+				s.addSection(ac.Sym, Section{Write: ac.Write, Dims: make([]SecDim, len(ac.Sym.Dims))})
 				continue
 			}
 			sec := Section{Write: ac.Write}
@@ -381,11 +419,6 @@ func (p *Program) computeSections(u *fortran.Unit, df *dataflow.Analysis, s *Sum
 		}
 		return true
 	})
-}
-
-func unknownDims(n int) []SecDim {
-	out := make([]SecDim, n)
-	return out
 }
 
 // projectDim turns a subscript into formal-only bounds by replacing
@@ -478,7 +511,7 @@ func (s *Summary) addSection(sym *fortran.Symbol, sec Section) {
 func mergeSections(a, b Section) Section {
 	n := len(a.Dims)
 	if len(b.Dims) != n {
-		return Section{Write: a.Write, Dims: unknownDims(maxInt(len(a.Dims), len(b.Dims)))}
+		return Section{Write: a.Write, Dims: make([]SecDim, max(len(a.Dims), len(b.Dims)))}
 	}
 	out := Section{Write: a.Write, Dims: make([]SecDim, n)}
 	for i := 0; i < n; i++ {
@@ -522,13 +555,6 @@ func maxLinear(a, b expr.Linear) (expr.Linear, bool) {
 		return a, true
 	}
 	return b, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

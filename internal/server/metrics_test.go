@@ -120,9 +120,10 @@ func checkHistogramInvariants(t *testing.T, body string) {
 }
 
 // TestMetricsFullSessionFlow is the acceptance check: a full
-// open → select → deps → transform session over HTTP, then a scrape
-// that must show request latency histograms, cache hit/miss counters,
-// session gauges, per-phase analysis timings, and a materialization.
+// open → select → deps → transform → set interproc off session over
+// HTTP, then a scrape that must show request latency histograms,
+// cache hit/miss counters, session gauges, per-phase analysis timings,
+// and a materialization.
 func TestMetricsFullSessionFlow(t *testing.T) {
 	m := newTestManager(t, Config{CacheSize: 8})
 	ts := httptest.NewServer(New(m))
@@ -151,6 +152,12 @@ func TestMetricsFullSessionFlow(t *testing.T) {
 	// Transforming the artifact-backed session forces a materialize.
 	if _, err := c.Transform(bg, open2.ID, TransformRequest{Name: "parallelize", Args: []string{"1"}}); err != nil {
 		t.Fatalf("transform: %v", err)
+	}
+	// A cold open solves each unit's data flow inside the summary pass,
+	// timed as "interproc"; a conservative reanalysis solves every unit
+	// in the per-unit pass, timed as "dataflow".
+	if _, err := c.Cmd(bg, open1.ID, "set interproc off"); err != nil {
+		t.Fatalf("set interproc off: %v", err)
 	}
 
 	resp, err := http.Get(ops.URL + "/metrics")
