@@ -340,7 +340,11 @@ func (a *Analyzer) subsOf(r *ref) []subscript {
 		r.subs = make([]subscript, len(r.acc.Ref.Subs))
 		for d, e := range r.acc.Ref.Subs {
 			lin, ok := expr.Linearize(a.DF.Unit, e)
-			r.subs[d] = subscript{lin: lin, ok: ok, indexArray: !ok && containsIndexArray(e)}
+			indexArray := !ok && fortran.AnyExpr(e, func(x fortran.Expr) bool {
+				vr, isRef := x.(*fortran.VarRef)
+				return isRef && len(vr.Subs) > 0
+			})
+			r.subs[d] = subscript{lin: lin, ok: ok, indexArray: indexArray}
 		}
 	}
 	return r.subs

@@ -250,30 +250,6 @@ func substConsts(l expr.Linear, consts dataflow.Consts) expr.Linear {
 	return out
 }
 
-func containsIndexArray(e fortran.Expr) bool {
-	found := false
-	var walk func(fortran.Expr)
-	walk = func(e fortran.Expr) {
-		switch x := e.(type) {
-		case *fortran.VarRef:
-			if len(x.Subs) > 0 {
-				found = true
-			}
-		case *fortran.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *fortran.Unary:
-			walk(x.X)
-		case *fortran.Binary:
-			walk(x.X)
-			walk(x.Y)
-		}
-	}
-	walk(e)
-	return found
-}
-
 // ---------------------------------------------------------------------------
 // The hierarchical test suite
 

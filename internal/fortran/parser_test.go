@@ -241,6 +241,11 @@ func TestStmtIDsAssigned(t *testing.T) {
 	if len(seen) != 5 {
 		t.Errorf("got %d statements, want 5", len(seen))
 	}
+	for _, id := range []int{0, -1, len(seen) + 1} {
+		if s := f.StmtByID(id); s != nil {
+			t.Errorf("StmtByID(%d) = %s, want nil", id, StmtText(s))
+		}
+	}
 }
 
 func TestDoWhileAndGoto(t *testing.T) {

@@ -57,7 +57,11 @@ func (e *Effects) CallEffects(u *fortran.Unit, callee string, args []fortran.Exp
 			}
 			// Expression actual: reads of its variables only.
 			if !write {
-				collectExprReads(actual, s, &out)
+				fortran.WalkExpr(actual, func(e fortran.Expr) {
+					if x, ok := e.(*fortran.VarRef); ok && x.Sym != nil && (x.Sym.Kind == fortran.SymScalar || x.Sym.Kind == fortran.SymArray) {
+						out = append(out, dataflow.Access{Sym: x.Sym, Ref: x, Stmt: s})
+					}
+				})
 			}
 			return
 		}
@@ -77,27 +81,6 @@ func (e *Effects) CallEffects(u *fortran.Unit, callee string, args []fortran.Exp
 		handle(sym, true)
 	}
 	return out
-}
-
-func collectExprReads(e fortran.Expr, s fortran.Stmt, out *[]dataflow.Access) {
-	switch x := e.(type) {
-	case *fortran.VarRef:
-		if x.Sym != nil && (x.Sym.Kind == fortran.SymScalar || x.Sym.Kind == fortran.SymArray) {
-			*out = append(*out, dataflow.Access{Sym: x.Sym, Ref: x, Write: false, Stmt: s})
-		}
-		for _, sub := range x.Subs {
-			collectExprReads(sub, s, out)
-		}
-	case *fortran.FuncCall:
-		for _, a := range x.Args {
-			collectExprReads(a, s, out)
-		}
-	case *fortran.Unary:
-		collectExprReads(x.X, s, out)
-	case *fortran.Binary:
-		collectExprReads(x.X, s, out)
-		collectExprReads(x.Y, s, out)
-	}
 }
 
 // commonCounterpart finds the caller-side symbol sharing the callee

@@ -209,73 +209,19 @@ func substStmtSym(s fortran.Stmt, sym *fortran.Symbol, repl fortran.Expr) {
 	// Value positions first.
 	fortran.SubstVarStmt(s, sym, repl)
 	// Base-name positions: array refs a(...)->b(...), DO variables.
-	replVar, _ := repl.(*fortran.VarRef)
-	var fixExpr func(e fortran.Expr)
-	fixExpr = func(e fortran.Expr) {
-		switch x := e.(type) {
-		case *fortran.VarRef:
-			if x.Sym == sym && len(x.Subs) > 0 && replVar != nil {
-				x.Sym = replVar.Sym
-				x.Name = replVar.Name
-			}
-			for _, sub := range x.Subs {
-				fixExpr(sub)
-			}
-		case *fortran.FuncCall:
-			for _, a := range x.Args {
-				fixExpr(a)
-			}
-		case *fortran.Unary:
-			fixExpr(x.X)
-		case *fortran.Binary:
-			fixExpr(x.X)
-			fixExpr(x.Y)
-		}
+	replVar, ok := repl.(*fortran.VarRef)
+	if !ok {
+		return
 	}
-	var walk func(st fortran.Stmt)
-	walk = func(st fortran.Stmt) {
-		switch x := st.(type) {
-		case *fortran.AssignStmt:
-			fixExpr(x.Lhs)
-			fixExpr(x.Rhs)
-		case *fortran.IfStmt:
-			fixExpr(x.Cond)
-			for _, b := range x.Then {
-				walk(b)
-			}
-			for _, b := range x.Else {
-				walk(b)
-			}
-		case *fortran.DoStmt:
-			if x.Var == sym && replVar != nil {
-				x.Var = replVar.Sym
-			}
-			fixExpr(x.Lo)
-			fixExpr(x.Hi)
-			if x.Step != nil {
-				fixExpr(x.Step)
-			}
-			for _, b := range x.Body {
-				walk(b)
-			}
-		case *fortran.WhileStmt:
-			fixExpr(x.Cond)
-			for _, b := range x.Body {
-				walk(b)
-			}
-		case *fortran.CallStmt:
-			for _, a := range x.Args {
-				fixExpr(a)
-			}
-		case *fortran.PrintStmt:
-			for _, it := range x.Items {
-				fixExpr(it)
-			}
-		case *fortran.ReadStmt:
-			for _, it := range x.Items {
-				fixExpr(it)
-			}
+	fortran.WalkStmts([]fortran.Stmt{s}, func(st fortran.Stmt) bool {
+		if do, ok := st.(*fortran.DoStmt); ok && do.Var == sym {
+			do.Var = replVar.Sym
 		}
-	}
-	walk(s)
+		fortran.WalkExprs(st, func(e fortran.Expr) {
+			if x, ok := e.(*fortran.VarRef); ok && x.Sym == sym && len(x.Subs) > 0 {
+				x.Sym, x.Name = replVar.Sym, replVar.Name
+			}
+		})
+		return true
+	})
 }

@@ -248,11 +248,11 @@ func (t Interchange) Check(c *Context) Verdict {
 		v.note("loop body is not a single nested DO (imperfect nest)")
 		return v
 	}
-	if refsVar(inner.Lo, t.Outer.Var) || refsVar(inner.Hi, t.Outer.Var) || refsVar(inner.Step, t.Outer.Var) {
+	if fortran.Mentions(inner.Lo, t.Outer.Var) || fortran.Mentions(inner.Hi, t.Outer.Var) || fortran.Mentions(inner.Step, t.Outer.Var) {
 		v.note("inner bounds depend on %s (triangular nest)", t.Outer.Var.Name)
 		return v
 	}
-	if refsVar(t.Outer.Lo, inner.Var) || refsVar(t.Outer.Hi, inner.Var) {
+	if fortran.Mentions(t.Outer.Lo, inner.Var) || fortran.Mentions(t.Outer.Hi, inner.Var) {
 		v.note("outer bounds depend on %s", inner.Var.Name)
 		return v
 	}
@@ -300,10 +300,10 @@ func strideProfit(c *Context, outerVar, innerVar *fortran.Symbol) bool {
 			if !ok || len(vr.Subs) == 0 {
 				return
 			}
-			if refsVar(vr.Subs[0], outerVar) {
+			if fortran.Mentions(vr.Subs[0], outerVar) {
 				outerFirst++
 			}
-			if refsVar(vr.Subs[0], innerVar) {
+			if fortran.Mentions(vr.Subs[0], innerVar) {
 				innerFirst++
 			}
 		})
@@ -682,7 +682,7 @@ func (t UnrollJam) Check(c *Context) Verdict {
 		v.note("requires unit outer step")
 		return v
 	}
-	if refsVar(inner.Lo, t.Outer.Var) || refsVar(inner.Hi, t.Outer.Var) {
+	if fortran.Mentions(inner.Lo, t.Outer.Var) || fortran.Mentions(inner.Hi, t.Outer.Var) {
 		v.note("inner bounds depend on %s", t.Outer.Var.Name)
 		return v
 	}

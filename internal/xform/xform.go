@@ -221,37 +221,6 @@ func activeDeps(deps []*dep.Dependence) []*dep.Dependence {
 	return out
 }
 
-// refsVar reports whether expression e references sym.
-func refsVar(e fortran.Expr, sym *fortran.Symbol) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	var walk func(fortran.Expr)
-	walk = func(e fortran.Expr) {
-		switch x := e.(type) {
-		case *fortran.VarRef:
-			if x.Sym == sym {
-				found = true
-			}
-			for _, s := range x.Subs {
-				walk(s)
-			}
-		case *fortran.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *fortran.Unary:
-			walk(x.X)
-		case *fortran.Binary:
-			walk(x.X)
-			walk(x.Y)
-		}
-	}
-	walk(e)
-	return found
-}
-
 // hasExits reports whether the body contains RETURN, STOP or GOTO —
 // statements that disqualify restructuring transformations.
 func hasExits(body []fortran.Stmt) bool {
