@@ -207,12 +207,6 @@ func (d *Dominators) Dominates(a, b *Node) bool {
 	return false
 }
 
-// ComputeDominators returns the dominator tree rooted at entry.
-func (g *Graph) ComputeDominators() *Dominators {
-	return computeDom(g.Entry, func(n *Node) []*Node { return n.Preds },
-		func(n *Node) []*Node { return n.Succs })
-}
-
 // ComputePostdominators returns the postdominator tree rooted at exit.
 func (g *Graph) ComputePostdominators() *Dominators {
 	return computeDom(g.Exit, func(n *Node) []*Node { return n.Succs },

@@ -593,3 +593,37 @@ func TestCheapRungsOnRecursiveProgram(t *testing.T) {
 		})
 	}
 }
+
+// TestKindChangeDeclinesStatementStep: an edit that calls the scalar b
+// makes b a function everywhere in the unit, so the accesses of
+// "b = a(i)", computed while b was a scalar, no longer hold; its undo
+// makes b a scalar again. Both must decline the statement step and
+// match a fresh analysis of the saved text.
+func TestKindChangeDeclinesStatementStep(t *testing.T) {
+	s := open(t, `
+      program p
+      real a(10)
+      integer i, n
+      n = 10
+      do i = 1, n
+         a(i) = 0.0
+         b = a(i)
+      enddo
+      x = 1.0
+      end
+`)
+	if err := s.EditStmt(findAssign(t, s, "x = 1.0").ID(), "x = x(0)*b(0)"); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode == "patch" {
+		t.Error("the edit that made b a function was patched in")
+	}
+	expectScratchEquivalent(t, s)
+	if err := s.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode == "patch" {
+		t.Error("the undo that made b a scalar again was patched in")
+	}
+	expectScratchEquivalent(t, s)
+}

@@ -133,10 +133,10 @@ func TestLinearAlgebraProperties(t *testing.T) {
 		if !x.Add(y).Add(z).Equal(x.Add(y.Add(z))) {
 			t.Fatalf("Add not associative")
 		}
-		if !x.Sub(x).IsZero() {
+		if d := x.Sub(x); !d.IsConst() || d.Const != 0 {
 			t.Fatalf("x - x != 0 for %s", x)
 		}
-		if !x.Scale(3).Sub(x).Sub(x).Sub(x).IsZero() {
+		if d := x.Scale(3).Sub(x).Sub(x).Sub(x); !d.IsConst() || d.Const != 0 {
 			t.Fatalf("3x - x - x - x != 0 for %s", x)
 		}
 		// Substituting a fresh var for itself is identity.

@@ -113,9 +113,6 @@ func (l Linear) Equal(m Linear) bool {
 	return true
 }
 
-// IsZero reports whether l is the constant 0.
-func (l Linear) IsZero() bool { return l.IsConst() && l.Const == 0 }
-
 // Subst replaces sym by the form v in l.
 func (l Linear) Subst(sym *fortran.Symbol, v Linear) Linear {
 	c := l.Coef(sym)

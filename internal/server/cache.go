@@ -175,13 +175,9 @@ func (c *lru[V]) len() int {
 type Cache struct {
 	arts         *lru[*Artifacts]
 	hits, misses atomic.Int64
-	// metrics mirrors the counters into the scrapeable registry (a
-	// private one for caches built outside a Manager).
+	// metrics mirrors the counters into the scrapeable registry.
 	metrics *Metrics
 }
-
-// NewCache creates a cache holding at most max artifact sets.
-func NewCache(max int) *Cache { return newCache(max, NewMetrics()) }
 
 func newCache(max int, metrics *Metrics) *Cache {
 	return &Cache{arts: newLRU[*Artifacts](max), metrics: metrics}

@@ -384,7 +384,7 @@ func TestOpenRawSource(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := newCache(2, NewMetrics())
 	for _, k := range []string{"a", "b", "c"} {
 		c.Put(&Artifacts{Key: k})
 	}

@@ -55,16 +55,6 @@ type Workload struct {
 	Input []float64
 }
 
-// HasTrait reports whether the workload carries the trait.
-func (w *Workload) HasTrait(t Trait) bool {
-	for _, x := range w.Traits {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Parse returns a freshly parsed copy of the program.
 func (w *Workload) Parse() (*fortran.File, error) {
 	return fortran.Parse(w.Name+".f", w.Source)

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"parascope/internal/fortran"
@@ -99,7 +100,7 @@ func TestTraitCoverage(t *testing.T) {
 	for _, tr := range rows {
 		found := false
 		for _, w := range All() {
-			if w.HasTrait(tr) {
+			if slices.Contains(w.Traits, tr) {
 				found = true
 			}
 		}
