@@ -637,13 +637,26 @@ const openSpec77AllocsAtPR13 = 5094
 // own slice.
 const openCallHeavyAllocsAt58fa5ad = 19129
 
+// openSpec77AllocsPriced and openCallHeavyAllocsPriced are
+// testing.AllocsPerRun of core.Open(spec77) and of
+// core.Open(CallHeavy(200)) once each unit is priced from the
+// conservative constants of its own analysis instead of a third solve,
+// and estimated in one walk of its body (1806 and 13129 before).
+const (
+	openSpec77AllocsPriced    = 1546
+	openCallHeavyAllocsPriced = 11144
+)
+
 // TestOpenAllocs guards the allocation work of two changes. spec77: a
 // cold open must stay at or below 0.7 × the count PR 13 replaced, so a
 // per-pair allocation put back into the dependence tester, or a
 // map-of-maps back into data-flow, fails here instead of waiting for a
 // benchmark run. CallHeavy(200): at or below 0.8 × the count before
 // the summary pass handed its solves to the units, so a second solve
-// per unit, or per-statement token slices, fail here too.
+// per unit, or per-statement token slices, fail here too. Both: at or
+// below 1.05 × the count once units were priced from their own
+// analyses, so a per-unit constants solve put back into the estimator
+// (about +14 % allocations) fails as well.
 func TestOpenAllocs(t *testing.T) {
 	w := workloads.Spec77()
 	got := testing.AllocsPerRun(20, func() {
@@ -654,6 +667,9 @@ func TestOpenAllocs(t *testing.T) {
 	if limit := 0.7 * openSpec77AllocsAtPR13; got > limit {
 		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (0.7 × %d at PR 13)", got, limit, openSpec77AllocsAtPR13)
 	}
+	if limit := 1.05 * openSpec77AllocsPriced; got > limit {
+		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openSpec77AllocsPriced)
+	}
 	t.Logf("core.Open(spec77): %.0f allocations", got)
 	w = workloads.CallHeavy(200)
 	got = testing.AllocsPerRun(5, func() {
@@ -663,6 +679,9 @@ func TestOpenAllocs(t *testing.T) {
 	})
 	if limit := 0.8 * openCallHeavyAllocsAt58fa5ad; got > limit {
 		t.Errorf("core.Open(CallHeavy(200)) makes %.0f allocations, limit %.0f (0.8 × %d at 58fa5ad)", got, limit, openCallHeavyAllocsAt58fa5ad)
+	}
+	if limit := 1.05 * openCallHeavyAllocsPriced; got > limit {
+		t.Errorf("core.Open(CallHeavy(200)) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openCallHeavyAllocsPriced)
 	}
 	t.Logf("core.Open(CallHeavy(200)): %.0f allocations", got)
 }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"parascope/internal/cfg"
 	"parascope/internal/fortran"
 )
@@ -50,6 +52,37 @@ func AnalyzeConstants(u *fortran.Unit, eff SideEffects) *Analysis {
 	a := newAnalysis(u, eff)
 	a.propagateConstants()
 	return a
+}
+
+// ConservativeConstants answers what AnalyzeConstants(a.Unit, nil)
+// would — Accesses, ConstAt, EnvAt and TripCount under conservative call
+// effects — from the analysis in hand. Only the statements that call out
+// (CallsUser) have accesses that depend on the effects, so the analysis
+// itself answers when its effects are conservative or no statement
+// calls out. Otherwise the result is a view sharing the CFG, the loop
+// tree and every other node's accesses, with the call nodes' accesses
+// collected again under ConservativeEffects and constants propagated
+// over them; like AnalyzeConstants' result it must not be asked Assigned
+// or the liveness queries.
+func (a *Analysis) ConservativeConstants() *Analysis {
+	if _, ok := a.Eff.(ConservativeEffects); ok {
+		return a
+	}
+	var v *Analysis
+	for _, n := range a.G.Nodes {
+		if n.Stmt == nil || !CallsUser(n.Stmt) {
+			continue
+		}
+		if v == nil {
+			v = &Analysis{Unit: a.Unit, G: a.G, Tree: a.Tree, Eff: ConservativeEffects{}, accesses: slices.Clone(a.accesses)}
+		}
+		v.accesses[n.Index] = StmtAccesses(a.Unit, n.Stmt, v.Eff)
+	}
+	if v == nil {
+		return a
+	}
+	v.propagateConstants()
+	return v
 }
 
 // newAnalysis builds the tables every solver starts from: CFG, loop

@@ -128,6 +128,22 @@ func StmtAccesses(u *fortran.Unit, s fortran.Stmt, eff SideEffects) []Access {
 	return out
 }
 
+// CallsUser reports whether the statement is a CALL or invokes a user
+// function in one of its own expressions: the statements whose accesses
+// depend on the side effects calls are resolved through.
+func CallsUser(st fortran.Stmt) bool {
+	if _, ok := st.(*fortran.CallStmt); ok {
+		return true
+	}
+	found := false
+	fortran.WalkExprs(st, func(e fortran.Expr) {
+		if fc, ok := e.(*fortran.FuncCall); ok && fc.Callee != nil {
+			found = true
+		}
+	})
+	return found
+}
+
 func collectReads(u *fortran.Unit, e fortran.Expr, s fortran.Stmt, eff SideEffects, out *[]Access) {
 	switch x := e.(type) {
 	case nil:

@@ -1,6 +1,8 @@
 package perf
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -234,5 +236,41 @@ func TestParallelTime(t *testing.T) {
 	}
 	if got := e.bodyCost(df, unit.Body); got != seq {
 		t.Errorf("bodyCost changed with the parallel flag: %f != %f", got, seq)
+	}
+}
+
+// TestReportIsFmtLayout: the report is written without fmt, and must
+// read as the format strings it documents print it — for two-digit
+// ranks, halves, negative zero, huge values, infinities and NaN.
+func TestReportIsFmtLayout(t *testing.T) {
+	e, df := setup(t, `
+      program main
+      integer i
+      real a(10)
+      do i = 1, 10
+         a(i) = 1.0
+      enddo
+      end
+`)
+	est := e.EstimateUnit(df)
+	l := est.Loops[0].Loop
+	inf := math.Inf(1)
+	values := []float64{0, math.Copysign(0, -1), 0.5, 1.5, 2.5, 0.05, 0.15, 1e20, -3.7, 123456.789, inf, -inf, math.NaN()}
+	est.Loops = nil
+	for i, v := range values {
+		w := values[(i+3)%len(values)]
+		est.Loops = append(est.Loops, LoopEstimate{Loop: l, SeqTime: v, ParTime: w, Speedup: v - w, Fraction: w / 7})
+	}
+	for _, total := range []float64{0, 2.5, 1e20, inf, math.NaN()} {
+		est.Total = total
+		var want strings.Builder
+		fmt.Fprintf(&want, "performance estimate for %s (total %.0f units)\n", est.Unit.Name, est.Total)
+		for i, le := range est.Loops {
+			fmt.Fprintf(&want, "%2d. do %s (line %d): seq %.0f, par %.0f (%.1fx), %.0f%% of unit\n",
+				i+1, le.Loop.Header().Name, le.Loop.Do.Line(), le.SeqTime, le.ParTime, le.Speedup, le.Fraction*100)
+		}
+		if got := est.Report(); got != want.String() {
+			t.Errorf("total %g: report\n%s\nfmt prints\n%s", total, got, want.String())
+		}
 	}
 }

@@ -149,7 +149,7 @@ func TestHostsHoldNoVerbText(t *testing.T) {
 	}
 	for _, want := range []string{"usage: unit <name>", "no unit named %s", "missing %s", "bad %s %q",
 		"loop %d out of range (unit has %d)", "unknown class %q", "%s%s %s\n", "no loop selected",
-		"[compiled: %s]\n", "%3d %s depth %d line %d: %s\n"} {
+		"[compiled: %s]\n", "  name       class      deps      liveout note\n"} {
 		if editor[want] == "" {
 			t.Fatalf("the walk over repl, core and view did not collect %q; it checks nothing", want)
 		}

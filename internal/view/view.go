@@ -6,7 +6,9 @@ package view
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"parascope/internal/core"
 	"parascope/internal/dep"
@@ -104,18 +106,28 @@ func UnitLine(kind, name string, current bool) string {
 }
 
 // LoopList renders the current unit's loops in source order — the
-// numbers `loop <n>` takes — with "P" on the parallel ones.
+// numbers `loop <n>` takes — with "P" on the parallel ones, a line each
+// as "%3d %s depth %d line %d: %s" prints it.
 func LoopList(s *core.Session) string {
-	var b strings.Builder
-	for i, l := range s.Loops() {
+	loops := s.Loops()
+	b := make([]byte, 0, 64*len(loops))
+	for i, l := range loops {
 		mark := " "
 		if l.Do.Parallel {
 			mark = "P"
 		}
-		fmt.Fprintf(&b, "%3d %s depth %d line %d: %s\n",
-			i+1, mark, l.Depth, l.Do.Line(), fortran.StmtText(l.Do))
+		b = appendPadded(b, strconv.Itoa(i+1), 3)
+		b = append(b, ' ')
+		b = append(b, mark...)
+		b = append(b, " depth "...)
+		b = strconv.AppendInt(b, int64(l.Depth), 10)
+		b = append(b, " line "...)
+		b = strconv.AppendInt(b, int64(l.Do.Line()), 10)
+		b = append(b, ": "...)
+		b = append(b, fortran.StmtText(l.Do)...)
+		b = append(b, '\n')
 	}
-	return trimmed(&b)
+	return string(b)
 }
 
 // DepPane renders the dependence list for the selected loop with
@@ -155,31 +167,45 @@ func DepPaneOf(rows []core.DepInfo, selected bool) string {
 	return b.String()
 }
 
-// trimmed returns the builder's text in an allocation of exactly its
-// length. Some texts are kept — the server caches the loop list of every
-// unit and the variable pane of every loop of every program it has
-// opened — and a string taken straight from a builder keeps the
-// builder's spare capacity alive with it, up to as much again.
-func trimmed(b *strings.Builder) string {
-	return strings.Clone(b.String())
+// appendPadded appends s padded with spaces to width runes, as fmt's
+// %*s does: on the right for a negative width ("%-10s"), on the left for
+// a positive one ("%3d" of a number's digits).
+func appendPadded(b []byte, s string, width int) []byte {
+	pad := width
+	if pad < 0 {
+		pad = -pad
+	}
+	pad -= utf8.RuneCountInString(s)
+	if width > 0 {
+		for ; pad > 0; pad-- {
+			b = append(b, ' ')
+		}
+	}
+	b = append(b, s...)
+	for ; pad > 0; pad-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // VarPane renders the variable classification pane for the selected
 // loop.
 func VarPane(s *core.Session) string { return VarPaneOf(s.VariablePane()) }
 
+// varPaneTitle heads the variable pane.
+var varPaneTitle = "── variables " + strings.Repeat("─", 50) + "\n"
+
 // VarPaneOf renders the variable classification pane from its rows, for
-// a caller that has computed them already.
+// a caller that has computed them already: a line each as
+// "  %-10s %-10s %-9d %-7s %s" prints name, class, dependences, liveout
+// and note.
 func VarPaneOf(rows []core.VarInfo) string {
-	var b strings.Builder
-	b.WriteString("── variables ")
-	b.WriteString(strings.Repeat("─", 50))
-	b.WriteByte('\n')
 	if len(rows) == 0 {
-		b.WriteString("  (no loop selected)\n")
-		return b.String()
+		return varPaneTitle + "  (no loop selected)\n"
 	}
-	fmt.Fprintf(&b, "  %-10s %-10s %-9s %-7s %s\n", "name", "class", "deps", "liveout", "note")
+	b := make([]byte, 0, len(varPaneTitle)+48*(len(rows)+1))
+	b = append(b, varPaneTitle...)
+	b = append(b, "  name       class      deps      liveout note\n"...)
 	for _, r := range rows {
 		note := ""
 		if r.Sym.Kind == fortran.SymScalar && !r.Privatizable && r.Class == core.ClassShared {
@@ -189,9 +215,19 @@ func VarPaneOf(rows []core.VarInfo) string {
 		if r.LiveOut {
 			live = "yes"
 		}
-		fmt.Fprintf(&b, "  %-10s %-10s %-9d %-7s %s\n", r.Sym.Name, r.Class, r.DepCount, live, note)
+		b = append(b, "  "...)
+		b = appendPadded(b, r.Sym.Name, -10)
+		b = append(b, ' ')
+		b = appendPadded(b, r.Class.String(), -10)
+		b = append(b, ' ')
+		b = appendPadded(b, strconv.Itoa(r.DepCount), -9)
+		b = append(b, ' ')
+		b = appendPadded(b, live, -7)
+		b = append(b, ' ')
+		b = append(b, note...)
+		b = append(b, '\n')
 	}
-	return trimmed(&b)
+	return string(b)
 }
 
 // Window renders the full three-pane Ped display (Figure 1 of the

@@ -1,11 +1,13 @@
 package view
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"parascope/internal/core"
 	"parascope/internal/dep"
+	"parascope/internal/fortran"
 	"parascope/internal/xform"
 )
 
@@ -147,4 +149,58 @@ func TestDepSummaryAndLegend(t *testing.T) {
 		t.Error("legend missing marking states")
 	}
 	_ = dep.ClassFlow
+}
+
+// TestPanesAreFmtLayout: the loop list and the variable pane are written
+// without fmt, and must read as the format strings they document print
+// them — ranks past 9 and 99, names past their column, counts past
+// theirs, notes that are not ASCII.
+func TestPanesAreFmtLayout(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("      program main\n      integer i, abcdefghijkl\n      real a(200)\n")
+	for k := 0; k < 101; k++ {
+		src.WriteString("      do i = 1, 100\n         a(i) = a(i+1)\n      enddo\n")
+	}
+	src.WriteString("      end\n")
+	s, err := core.Open("t.f", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i, l := range s.Loops() {
+		mark := " "
+		if l.Do.Parallel {
+			mark = "P"
+		}
+		fmt.Fprintf(&want, "%3d %s depth %d line %d: %s\n", i+1, mark, l.Depth, l.Do.Line(), fortran.StmtText(l.Do))
+	}
+	if got := LoopList(s); got != want.String() {
+		t.Errorf("loop list\n%s\nfmt prints\n%s", got, want.String())
+	}
+
+	u := s.CurrentUnit()
+	rows := []core.VarInfo{
+		{Sym: u.Lookup("i"), Class: core.ClassInduction, DepCount: 0},
+		{Sym: u.Lookup("abcdefghijkl"), Class: core.ClassShared, DepCount: 1234567890, LiveOut: true, PrivReason: "read — then written"},
+		{Sym: u.Lookup("a"), Class: core.ClassReduction, DepCount: 12, LiveOut: true},
+	}
+	want.Reset()
+	want.WriteString("── variables " + strings.Repeat("─", 50) + "\n")
+	fmt.Fprintf(&want, "  %-10s %-10s %-9s %-7s %s\n", "name", "class", "deps", "liveout", "note")
+	for _, r := range rows {
+		note, live := "", ""
+		if r.Sym.Kind == fortran.SymScalar && !r.Privatizable && r.Class == core.ClassShared {
+			note = r.PrivReason
+		}
+		if r.LiveOut {
+			live = "yes"
+		}
+		fmt.Fprintf(&want, "  %-10s %-10s %-9d %-7s %s\n", r.Sym.Name, r.Class, r.DepCount, live, note)
+	}
+	if got := VarPaneOf(rows); got != want.String() {
+		t.Errorf("variable pane\n%s\nfmt prints\n%s", got, want.String())
+	}
+	if got, want := appendPadded(nil, "é—", -4), fmt.Sprintf("%-4s", "é—"); string(got) != want {
+		t.Errorf("padded %q, fmt pads %q", got, want)
+	}
 }
