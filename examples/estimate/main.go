@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"parascope/internal/interp"
-	"parascope/internal/perf"
 	"parascope/internal/workloads"
 	"parascope/internal/xform"
 )
@@ -24,9 +23,8 @@ func main() {
 	}
 
 	// Procedure-level ranking (the "big picture" users asked for).
-	est := perf.New(s.File, perf.DefaultParams())
 	fmt.Println("procedure ranking (predicted cost per invocation):")
-	for i, row := range est.ProcedureRank() {
+	for i, row := range s.Estimator().ProcedureRank() {
 		fmt.Printf("  %d. %-10s %10.0f\n", i+1, row.Unit.Name, row.Cost)
 	}
 

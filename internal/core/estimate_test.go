@@ -3,7 +3,9 @@ package core_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"parascope/internal/core"
 	"parascope/internal/fortran"
@@ -23,7 +25,7 @@ func estimateBits(e *perf.UnitEstimate) string {
 
 // expectFreshEstimates compares the session's cost memo and estimates
 // with those of a fresh estimator, which solves each unit's constants
-// from its text, warmed in file order as the session's memo is.
+// from its text.
 func expectFreshEstimates(t *testing.T, s *core.Session, when string) {
 	t.Helper()
 	fresh := perf.New(s.File, perf.DefaultParams())
@@ -66,8 +68,9 @@ func differingUnits(t *testing.T, s *core.Session, src string) int {
 // after every step of a script — an edit on each rung, an apply, and an
 // undo that restores two units — every unit's memoized per-call cost and
 // its estimate must be a fresh estimator's, bit for bit. The programs
-// call leaves from a main, run through a recursion cycle, and call
-// through a unit that forwards to another.
+// call leaves from a main, run through a recursion cycle, call through a
+// unit that forwards to another, and run through two cycles and a
+// self-call.
 func TestEstimatesMatchFreshEstimator(t *testing.T) {
 	type step struct {
 		name string
@@ -130,6 +133,13 @@ func TestEstimatesMatchFreshEstimator(t *testing.T) {
 			{"edit, program rung", edit("main", "call f(a, b, i)", "call g(a, b, i)"), "program"},
 			{"apply", apply("main", "parallelize", "1"), "unit"},
 		}},
+		{"twocycles", workloads.TwoCycles().Source, []step{
+			{"edit, patch rung", edit("main", "print *, a(1)", "print *, a(1), a(2)"), "patch"},
+			{"edit, unit rung", edit("y", "v(2) = ", "v(2) = sqrt(v(3)) + 1.0"), "unit"},
+			{"edit, unit rung, whole unit", edit("y", "v(2) = ", "do k = 1, 4\n         v(2) = sqrt(v(3)) + 1.0\n      enddo"), "unit"},
+			{"edit, program rung", edit("main", "call x(a, n)", "call y(a, n)"), "program"},
+			{"apply", apply("y", "unroll", "1", "2"), "unit"},
+		}},
 	} {
 		s, err := core.Open(c.name+".f", c.src)
 		if err != nil {
@@ -158,4 +168,91 @@ func TestEstimatesMatchFreshEstimator(t *testing.T) {
 		}
 		expectFreshEstimates(t, s, c.name+": undo of two units")
 	}
+}
+
+// phaseCounter counts the phases a session reports, by name.
+type phaseCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *phaseCounter) ObservePhase(phase string, _ time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n[phase]++
+}
+
+// TestProgramRungEstimatesWhatMoved counts estimates instead of timing
+// them. Swapping two actuals of a call in main takes the program rung;
+// main has no caller, so the edit moves no other unit's price, and the
+// rung must estimate main and the units it reanalyzed — each a
+// "dataflow" phase, main's a "patch" phase when the statement step took
+// it — and no other.
+func TestProgramRungEstimatesWhatMoved(t *testing.T) {
+	w := workloads.CallHeavy(24)
+	c := &phaseCounter{n: map[string]int{}}
+	s, err := core.OpenObserved(w.Name+".f", w.Source, 1, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var call fortran.Stmt
+	for _, st := range s.CurrentUnit().Body {
+		if fortran.StmtText(st) == "call add(a, b, n)" {
+			call = st
+			break
+		}
+	}
+	if call == nil {
+		t.Fatal("no call add(a, b, n) in main")
+	}
+	c.n = map[string]int{}
+	if err := s.EditStmt(call.ID(), "      call add(b, a, n)"); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode != "program" {
+		t.Fatalf("swapping actuals took the %q rung, want program", s.LastReanalysis.Mode)
+	}
+	if got, want := c.n["perf"], c.n["dataflow"]+c.n["patch"]; got != want || got >= len(s.File.Units) {
+		t.Errorf("the edit estimated %d units, want %d (main and the %d reanalyzed), fewer than the program's %d",
+			got, want, c.n["dataflow"], len(s.File.Units))
+	}
+	expectFreshEstimates(t, s, "swapped actuals")
+}
+
+// TestConservativeCallEditMovesCallGraph: the estimator prices a call by
+// the call graph's components, so a conservative session, whose units
+// read no summaries, must still follow an edit that retargets a call —
+// here one that closes a new cycle through q and x — with the program
+// rung, or the estimator prices the new cycle by the old graph.
+func TestConservativeCallEditMovesCallGraph(t *testing.T) {
+	w := workloads.TwoCycles()
+	s, err := core.Open(w.Name+".f", w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Conservative = true
+	s.AnalyzeAll()
+	if err := s.SelectUnit("x"); err != nil {
+		t.Fatal(err)
+	}
+	var id int
+	fortran.WalkStmts(s.CurrentUnit().Body, func(st fortran.Stmt) bool {
+		if fortran.StmtText(st) == "call y(v, m - 1)" {
+			id = st.ID()
+		}
+		return id == 0
+	})
+	if id == 0 {
+		t.Fatal("no call of y in x")
+	}
+	if err := s.EditStmt(id, "      call q(v, m - 1)"); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReanalysis.Mode != "program" {
+		t.Errorf("retargeting a call took the %q rung, want program", s.LastReanalysis.Mode)
+	}
+	if x, q := s.File.Unit("x"), s.File.Unit("q"); s.Prog.Graph.Cycle[x] != s.Prog.Graph.Cycle[q] {
+		t.Error("the session's call graph does not put x and q on one cycle")
+	}
+	expectFreshEstimates(t, s, "conservative call edit")
 }

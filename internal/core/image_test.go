@@ -327,10 +327,11 @@ func TestProgramRungKeepsEstimator(t *testing.T) {
 	expectScratchEquivalent(t, s)
 }
 
-// TestProgramRungOnRecursiveProgram: on a recursion cycle a memoized
-// cost depends on where the warm-up enters the cycle, so there the
-// program rung must still rebuild the estimator in file order. Here p's
-// edit moves the cycle's entry from y (reached through p) to x.
+// TestProgramRungOnRecursiveProgram: a price does not depend on where
+// the cycle is entered, so on a recursion cycle too the program rung
+// keeps the estimator and reprices the edited unit and its callers
+// only. Here p's edit moves the cycle's entry from y (reached through
+// p) to x.
 func TestProgramRungOnRecursiveProgram(t *testing.T) {
 	s := open(t, `
       program main
@@ -360,12 +361,16 @@ func TestProgramRungOnRecursiveProgram(t *testing.T) {
       v(2) = 0.0
       end
 `)
+	est := s.est
 	selectUnit(t, s, "p")
 	if err := s.EditStmt(s.CurrentUnit().Body[0].ID(), "      call z(v)"); err != nil {
 		t.Fatal(err)
 	}
 	if s.LastReanalysis.Mode != "program" {
 		t.Fatalf("retargeting a call took the %q rung, want program", s.LastReanalysis.Mode)
+	}
+	if s.est != est {
+		t.Error("the program rung replaced the estimator")
 	}
 	expectScratchEquivalent(t, s)
 }

@@ -251,9 +251,7 @@ func newSession(f *fortran.File, workers int, obs PhaseObserver) *Session {
 // except on a recursion cycle and in a conservative session, whose
 // per-unit inputs are not the summaries. The estimates run after the
 // pool, on the calling goroutine, because pricing a unit reads its
-// analysis (newEstimator); the cost memo is warmed in file order first,
-// since on a recursion cycle what it holds depends on which member is
-// entered first.
+// analysis (newEstimator).
 func (s *Session) AnalyzeAll() {
 	start := time.Now()
 	s.File.RenumberStmts()
@@ -265,23 +263,25 @@ func (s *Session) AnalyzeAll() {
 	s.progHash = ""
 	s.units = s.analyzeUnits(s.File.Units, s.units, true, solved)
 	s.est = s.newEstimator()
-	s.warmCosts()
 	for _, u := range s.File.Units {
 		s.estimate(u)
 	}
 	s.LastReanalysis = Reanalysis{Mode: "full", Duration: time.Since(start)}
 }
 
-// newEstimator returns an empty cost memo that prices each unit from
-// the conservative constants of the unit's own analysis
-// (dataflow.Analysis.ConservativeConstants) instead of solving them
-// again — so a unit may be priced only while its analysis is as new as
-// its text.
+// newEstimator returns an empty cost memo over the session's call graph
+// that prices each unit from the conservative constants of the unit's
+// own analysis (dataflow.Analysis.ConservativeConstants) instead of
+// solving them again — so a unit may be priced only while its analysis
+// is as new as its text.
 func (s *Session) newEstimator() *perf.Estimator {
-	e := perf.New(s.File, perf.DefaultParams())
-	e.Constants = func(u *fortran.Unit) *dataflow.Analysis { return s.units[u].DF.ConservativeConstants() }
-	return e
+	return &perf.Estimator{Params: perf.DefaultParams(), Graph: s.Prog.Graph,
+		Constants: func(u *fortran.Unit) *dataflow.Analysis { return s.units[u].DF.ConservativeConstants() }}
 }
+
+// Estimator returns the session's performance estimator: its prices are
+// those of the program as it stands, each unit's priced once per change.
+func (s *Session) Estimator() *perf.Estimator { return s.est }
 
 // estimate brings u's performance estimate up to date with its analysis
 // and the cost memo.
@@ -426,13 +426,14 @@ func swappable(old, ns fortran.Stmt) bool {
 // or retargeted, actuals edited) or its callers see another summary,
 // with the interprocedural facts rebuilt; "unit" when neither did, with
 // the facts in hand. A unit nobody calls has a summary nobody reads, so
-// it is not compared: interproc.UpdateProgram recomputes it before
-// anything can call it. reach returns the call surface it compared and
-// modifies nothing.
+// it is not compared, and neither is any in a conservative session,
+// whose units read none; a moved call surface takes the program rung in
+// every mode, since the estimator prices calls by the call graph.
+// reach returns the call surface it compared and modifies nothing.
 func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *interproc.Program, callSig string) {
 	callSig = callSurfaceSig(u)
-	if !s.Conservative && (callSig != st.callSig ||
-		len(s.Prog.Graph.Callers[u]) > 0 && !s.Prog.Resummarize(u).Equal(s.Prog.Summaries[u])) {
+	if callSig != st.callSig || !s.Conservative && len(s.Prog.Graph.Callers[u]) > 0 &&
+		!s.Prog.Resummarize(u).Equal(s.Prog.Summaries[u]) {
 		return "program", interproc.UpdateProgram(s.Prog, map[*fortran.Unit]bool{u: true}), callSig
 	}
 	return "unit", s.Prog, callSig
@@ -442,15 +443,15 @@ func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *inte
 // has not, in the order pricing needs: first u itself, whole, unless
 // patched says it was answered statement by statement, and on the
 // program rung the interprocedural facts and every other unit whose
-// analysis inputs moved with them; then the cost memo (recost), which
-// prices units from their analyses; then the perf estimates of the
-// units whose costs can have moved, the ones just analyzed among them —
-// every unit on the program rung, u and its transitive callers, which
-// price its call sites, on the cheaper ones. Everything else keeps its
-// unit state, graphs, marks and assertions.
+// analysis inputs moved with them; then the cost memo, which prices units
+// from their analyses: u's price and its transitive callers', which embed
+// it, are dropped (a unit whose call cycle the change moved reaches u, so
+// it is among them); then the perf estimates of those units and of the
+// ones just analyzed. Everything else keeps its unit state, graphs,
+// marks, assertions and price.
 func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, patched bool) {
 	oldProg := s.Prog
-	s.Prog = prog
+	s.Prog, s.est.Graph = prog, prog.Graph
 	repriced := s.transitiveCallers(u)
 	var stale []*fortran.Unit
 	if !patched {
@@ -467,9 +468,11 @@ func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, 
 	for v, st := range fresh {
 		s.units[v] = st
 	}
-	s.recost(repriced)
+	for v := range repriced {
+		s.est.Invalidate(v)
+	}
 	for _, v := range s.File.Units {
-		if mode == "program" || repriced[v] {
+		if repriced[v] || fresh[v] != nil {
 			s.estimate(v)
 		}
 	}
@@ -495,34 +498,6 @@ func (s *Session) unitInputsUnchanged(v *fortran.Unit, oldProg *interproc.Progra
 		}
 	}
 	return true
-}
-
-// recost drops what the estimator's per-unit cost memo can no longer
-// vouch for after a unit's AST changed — the one re-costing step of
-// every reanalysis rung, run once every unit's analysis is as new as its
-// text. Only the unit's cost and the costs embedding it — its transitive
-// callers' — can have moved, so those are invalidated and recomputed
-// when next asked for. On a recursion cycle, though, a memoized cost
-// depends on which member the warm-up enters first (the estimator's
-// cycle guard), and only a fresh estimator warmed in file order
-// reproduces a from-scratch session.
-func (s *Session) recost(callers map[*fortran.Unit]bool) {
-	if len(s.Prog.Graph.Recursive) == 0 {
-		for v := range callers {
-			s.est.Invalidate(v)
-		}
-		return
-	}
-	s.est = s.newEstimator()
-	s.warmCosts()
-}
-
-// warmCosts fills the estimator's cost memo in file order, as a session
-// opened on the program text would.
-func (s *Session) warmCosts() {
-	for _, u := range s.File.Units {
-		s.est.UnitCost(u)
-	}
 }
 
 // transitiveCallers returns u plus every unit that can reach it
@@ -1180,6 +1155,7 @@ func (s *Session) xformContext() *xform.Context {
 		DF: st.DF, Deps: st.Deps,
 		Assertions: s.assertionEnv(s.current, st.assertions),
 		Opts:       s.Opts,
+		Est:        s.est,
 	}
 	if s.Conservative {
 		ctx.Effects = dataflow.ConservativeEffects{}

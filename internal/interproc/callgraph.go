@@ -39,9 +39,14 @@ type CallGraph struct {
 	// invoking it.
 	Calls   map[*fortran.Unit][]*CallSite
 	Callers map[*fortran.Unit][]*CallSite
-	// BottomUp orders units callees-first; units on recursion cycles
-	// are listed in Recursive.
+	// BottomUp orders units callees-first, the members of one call
+	// cycle together. Cycle numbers each unit's strongly connected
+	// component: two units have equal numbers exactly when each calls
+	// the other, directly or not. Recursive lists the units on a call
+	// cycle: those sharing their component, and those that call
+	// themselves.
 	BottomUp  []*fortran.Unit
+	Cycle     map[*fortran.Unit]int
 	Recursive map[*fortran.Unit]bool
 
 	// callers indexes the unit of every resolved call statement the
@@ -55,6 +60,7 @@ func BuildCallGraph(f *fortran.File) *CallGraph {
 		File:      f,
 		Calls:     map[*fortran.Unit][]*CallSite{},
 		Callers:   map[*fortran.Unit][]*CallSite{},
+		Cycle:     map[*fortran.Unit]int{},
 		Recursive: map[*fortran.Unit]bool{},
 		callers:   map[*fortran.CallStmt]*fortran.Unit{},
 	}
@@ -86,37 +92,50 @@ func (g *CallGraph) addSite(site *CallSite) {
 	g.Callers[site.Callee] = append(g.Callers[site.Callee], site)
 }
 
-// order computes a bottom-up (callees first) ordering and flags
-// recursive units.
+// order finds the call graph's strongly connected components by
+// Tarjan's algorithm (SIAM J. Comput. 1, 1972), which emits each one
+// after every component it calls into: BottomUp, callees first, and
+// Cycle and Recursive from the components. On a graph with no cycle
+// BottomUp is the depth-first post-order from the units in file order.
 func (g *CallGraph) order() {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	state := map[*fortran.Unit]int{}
+	index := map[*fortran.Unit]int{} // visit number from 1; 0 unvisited
+	low := map[*fortran.Unit]int{}
+	var stack []*fortran.Unit // visited units with no component yet
 	var visit func(u *fortran.Unit)
 	visit = func(u *fortran.Unit) {
-		state[u] = grey
+		index[u] = len(index) + 1
+		low[u] = index[u]
+		stack = append(stack, u)
 		for _, site := range g.Calls[u] {
-			switch state[site.Callee] {
-			case white:
-				visit(site.Callee)
-			case grey:
-				// Back edge: recursion. Mark everything on the cycle
-				// conservatively (the whole grey set suffices).
-				for v, st := range state {
-					if st == grey {
-						g.Recursive[v] = true
-					}
-				}
+			v := site.Callee
+			if index[v] == 0 {
+				visit(v)
+			}
+			if g.Cycle[v] == 0 {
+				low[u] = min(low[u], low[v])
+			}
+			if v == u {
+				g.Recursive[u] = true
 			}
 		}
-		state[u] = black
-		g.BottomUp = append(g.BottomUp, u)
+		if low[u] < index[u] {
+			return
+		}
+		// u roots a component: it and every unit above it on the stack.
+		n := len(g.BottomUp) + 1 // one per component, never 0
+		for {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			g.Cycle[v] = n
+			g.BottomUp = append(g.BottomUp, v)
+			if v == u {
+				break
+			}
+			g.Recursive[u], g.Recursive[v] = true, true
+		}
 	}
 	for _, u := range g.File.Units {
-		if state[u] == white {
+		if index[u] == 0 {
 			visit(u)
 		}
 	}

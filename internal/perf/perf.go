@@ -14,6 +14,7 @@ import (
 	"parascope/internal/cfg"
 	"parascope/internal/dataflow"
 	"parascope/internal/fortran"
+	"parascope/internal/interproc"
 )
 
 // Params is the abstract machine cost model, in arbitrary time units.
@@ -98,6 +99,13 @@ type Estimator struct {
 	// dataflow.AnalyzeConstants(u, nil) would. Unset, UnitCost solves
 	// that afresh: an estimator with no session behind it.
 	Constants func(u *fortran.Unit) *dataflow.Analysis
+	// Graph is the call graph of the file whose units are priced. A call
+	// to a unit of the caller's own component (interproc.CallGraph.Cycle)
+	// costs its overhead and arguments alone, so a unit's price is a
+	// function of its text and its callees' prices, whichever unit is
+	// priced first. Unset, the first call priced builds it from the file
+	// New was given.
+	Graph *interproc.CallGraph
 	// unitCost memoizes whole-unit per-call costs for call sites.
 	unitCost map[*fortran.Unit]float64
 	file     *fortran.File
@@ -105,7 +113,16 @@ type Estimator struct {
 
 // New creates an estimator over the file.
 func New(f *fortran.File, p Params) *Estimator {
-	return &Estimator{Params: p, unitCost: map[*fortran.Unit]float64{}, file: f}
+	return &Estimator{Params: p, file: f}
+}
+
+// graph returns the call graph calls are priced by, building it the
+// first time when none was set.
+func (e *Estimator) graph() *interproc.CallGraph {
+	if e.Graph == nil {
+		e.Graph = interproc.BuildCallGraph(e.file)
+	}
+	return e.Graph
 }
 
 // EstimateUnit analyzes one unit, returning loop estimates sorted by
@@ -181,15 +198,15 @@ func (e *Estimator) cost(df *dataflow.Analysis, body []fortran.Stmt, parallel bo
 }
 
 func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt, parallel bool, loops *[]LoopEstimate) float64 {
-	p := e.Params
+	p, u := e.Params, df.Unit
 	switch st := s.(type) {
 	case *fortran.AssignStmt:
-		return e.exprCost(st.Rhs) + e.refCost(st.Lhs)
+		return e.exprCost(u, st.Rhs) + e.refCost(u, st.Lhs)
 	case *fortran.IfStmt:
 		// Expected cost: condition plus the mean of the branches.
 		thenC := e.cost(df, st.Then, parallel, loops)
 		elseC := e.cost(df, st.Else, parallel, loops)
-		return p.BranchCost + e.exprCost(st.Cond) + (thenC+elseC)/2
+		return p.BranchCost + e.exprCost(u, st.Cond) + (thenC+elseC)/2
 	case *fortran.DoStmt:
 		trip := p.DefaultTrip
 		l := df.Tree.LoopOf(st)
@@ -212,20 +229,17 @@ func (e *Estimator) stmtCost(df *dataflow.Analysis, s fortran.Stmt, parallel boo
 		}
 		return trip * (body + p.LoopOverhead)
 	case *fortran.WhileStmt:
-		return p.DefaultTrip * (e.cost(df, st.Body, parallel, loops) + p.LoopOverhead + e.exprCost(st.Cond))
+		return p.DefaultTrip * (e.cost(df, st.Body, parallel, loops) + p.LoopOverhead + e.exprCost(u, st.Cond))
 	case *fortran.CallStmt:
 		cost := p.CallOverhead
 		for _, a := range st.Args {
-			cost += e.exprCost(a)
+			cost += e.exprCost(u, a)
 		}
-		if st.Callee != nil {
-			cost += e.UnitCost(st.Callee)
-		}
-		return cost
+		return cost + e.calleeCost(u, st.Callee)
 	case *fortran.PrintStmt:
 		cost := p.CallOverhead
 		for _, it := range st.Items {
-			cost += e.exprCost(it)
+			cost += e.exprCost(u, it)
 		}
 		return cost
 	case *fortran.ReadStmt:
@@ -245,18 +259,16 @@ func (e *Estimator) doallTime(trip, body float64) float64 {
 	return e.Params.ParallelStartup + chunk*(body+e.Params.LoopOverhead)
 }
 
-// UnitCost estimates the cost of one invocation of a unit, memoized;
-// recursive call chains fall back to the call overhead alone. The cost
-// reads only loop structure and trip counts, so it needs constants
-// alone — always under conservative call effects, whatever the
-// session's analysis mode, so that a unit's cost depends on nothing but
-// the program text. They come from Constants when it is set and are
-// solved otherwise.
+// UnitCost estimates the cost of one invocation of a unit, memoized.
+// The cost reads only loop structure and trip counts, so it needs
+// constants alone — always under conservative call effects, whatever
+// the session's analysis mode, so that a unit's cost depends on nothing
+// but the program text. They come from Constants when it is set and
+// are solved otherwise.
 func (e *Estimator) UnitCost(u *fortran.Unit) float64 {
 	if c, ok := e.unitCost[u]; ok {
 		return c
 	}
-	e.unitCost[u] = 0 // cycle guard
 	var df *dataflow.Analysis
 	if e.Constants != nil {
 		df = e.Constants(u)
@@ -264,19 +276,35 @@ func (e *Estimator) UnitCost(u *fortran.Unit) float64 {
 		df = dataflow.AnalyzeConstants(u, nil)
 	}
 	c := e.bodyCost(df, u.Body)
+	if e.unitCost == nil {
+		e.unitCost = map[*fortran.Unit]float64{}
+	}
 	e.unitCost[u] = c
 	return c
 }
 
+// calleeCost is what a call from caller to callee adds beyond the call's
+// overhead and arguments: the callee's price, or nothing for an
+// unresolved callee or one on a call cycle with the caller, itself
+// included.
+func (e *Estimator) calleeCost(caller, callee *fortran.Unit) float64 {
+	if g := e.graph(); callee == nil || g.Cycle[callee] == g.Cycle[caller] {
+		return 0
+	}
+	return e.UnitCost(callee)
+}
+
 // Invalidate drops the memoized per-call cost for u so the next
 // UnitCost recomputes it from the current AST. Callers editing a unit
-// must invalidate it (and its transitive callers, whose memoized costs
-// embed u's) or call-site costs go stale.
+// must invalidate it and its transitive callers, whose memoized costs
+// embed u's, or call-site costs go stale; a unit whose call cycle an
+// edit moved reaches the edited unit, so it is one of them.
 func (e *Estimator) Invalidate(u *fortran.Unit) {
 	delete(e.unitCost, u)
 }
 
-func (e *Estimator) exprCost(x fortran.Expr) float64 {
+// exprCost prices x, an expression of unit u.
+func (e *Estimator) exprCost(u *fortran.Unit, x fortran.Expr) float64 {
 	p := e.Params
 	switch v := x.(type) {
 	case nil:
@@ -284,35 +312,35 @@ func (e *Estimator) exprCost(x fortran.Expr) float64 {
 	case *fortran.IntLit, *fortran.RealLit, *fortran.LogLit, *fortran.StrLit:
 		return 0
 	case *fortran.VarRef:
-		return e.refCost(v)
+		return e.refCost(u, v)
 	case *fortran.FuncCall:
 		cost := 0.0
 		for _, a := range v.Args {
-			cost += e.exprCost(a)
+			cost += e.exprCost(u, a)
 		}
 		if v.Callee != nil {
-			return cost + p.CallOverhead + e.UnitCost(v.Callee)
+			return cost + p.CallOverhead + e.calleeCost(u, v.Callee)
 		}
 		return cost + p.IntrinsicCost
 	case *fortran.Unary:
-		return p.ArithCost + e.exprCost(v.X)
+		return p.ArithCost + e.exprCost(u, v.X)
 	case *fortran.Binary:
 		op := p.ArithCost
 		if v.Op == fortran.TokPower || v.Op == fortran.TokSlash {
 			op = 4 * p.ArithCost
 		}
-		return op + e.exprCost(v.X) + e.exprCost(v.Y)
+		return op + e.exprCost(u, v.X) + e.exprCost(u, v.Y)
 	}
 	return p.ArithCost
 }
 
-func (e *Estimator) refCost(v *fortran.VarRef) float64 {
+func (e *Estimator) refCost(u *fortran.Unit, v *fortran.VarRef) float64 {
 	if len(v.Subs) == 0 {
 		return e.Params.ArithCost / 2
 	}
 	cost := e.Params.MemCost
 	for _, s := range v.Subs {
-		cost += e.exprCost(s)
+		cost += e.exprCost(u, s)
 	}
 	return cost
 }
@@ -328,7 +356,7 @@ func (e *Estimator) ProcedureRank() []struct {
 		Cost float64
 	}
 	var rows []row
-	for _, u := range e.file.Units {
+	for _, u := range e.graph().File.Units {
 		rows = append(rows, row{u, e.UnitCost(u)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Cost > rows[j].Cost })

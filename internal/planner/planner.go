@@ -40,7 +40,6 @@ import (
 	"parascope/internal/execguard"
 	"parascope/internal/faultpoint"
 	"parascope/internal/interp"
-	"parascope/internal/perf"
 	"parascope/internal/workloads"
 	"parascope/internal/xform"
 )
@@ -331,7 +330,6 @@ type searcher struct {
 	path, unit string
 	opts       Options
 	obs        Observer
-	params     perf.Params
 
 	mu        sync.Mutex
 	forked    int
@@ -357,7 +355,7 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 		defer cancel()
 	}
 	start := time.Now()
-	s := &searcher{path: path, unit: unit, opts: opts, obs: obs, params: perf.DefaultParams()}
+	s := &searcher{path: path, unit: unit, opts: opts, obs: obs}
 
 	sess, err := s.open(source)
 	if err != nil {
@@ -627,8 +625,7 @@ func applyStepLine(sess *core.Session, line string) (string, error) {
 // parallel-loop count from a session standing at its state.
 func (s *searcher) score(w *world, sess *core.Session) {
 	st := sess.State()
-	e := perf.New(sess.File, s.params)
-	w.cost = e.ParallelTime(st.DF, st.Unit.Body)
+	w.cost = sess.Estimator().ParallelTime(st.DF, st.Unit.Body)
 	for _, l := range sess.Loops() {
 		if l.Do.Parallel {
 			w.par++
@@ -657,7 +654,7 @@ func (s *searcher) exec(ctx context.Context, w *world, backend string, input []f
 			return run{err: err}
 		}
 	}
-	r.ExecResult, r.err = w.sess.Exec(ctx, core.ExecRequest{Backend: backend, Workers: perf.DefaultParams().Procs,
+	r.ExecResult, r.err = w.sess.Exec(ctx, core.ExecRequest{Backend: backend, Workers: w.sess.Estimator().Params.Procs,
 		Input: input, CacheDir: s.opts.CompileCache, Gov: s.opts.Gov})
 	return r
 }

@@ -16,7 +16,6 @@ import (
 
 	"parascope/internal/core"
 	"parascope/internal/dep"
-	"parascope/internal/perf"
 	"parascope/internal/planner"
 	"parascope/internal/view"
 	"parascope/internal/workloads"
@@ -257,8 +256,7 @@ func (r *REPL) Execute(line string) error {
 	case "perf":
 		fmt.Fprint(r.Out, s.State().Est.Report())
 	case "rank":
-		est := perf.New(s.File, perf.DefaultParams())
-		for i, row := range est.ProcedureRank() {
+		for i, row := range s.Estimator().ProcedureRank() {
 			fmt.Fprintf(r.Out, "%2d. %-12s %.0f\n", i+1, row.Unit.Name, row.Cost)
 		}
 	case "next":

@@ -67,3 +67,65 @@ func CondConst() *Workload {
 `,
 	}
 }
+
+// TwoCycles returns a program with two call cycles, p↔q and x↔y, the
+// first calling into the second, and a subroutine calling itself (r).
+// main enters the cycles at p and x, and a depth-first walk of the call
+// graph reaches x from q before main's own call does. Like CallHeavy it
+// is not part of the suite (All), which has no recursion: the
+// estimator's and the call graph's tests use it.
+func TwoCycles() *Workload {
+	return &Workload{
+		Name:        "twocycles",
+		Description: "two call cycles, one calling into the other, and a self-call",
+		Source: `      program main
+      real a(10)
+      integer n
+      n = 10
+      call p(a, n)
+      call x(a, n)
+      call r(a, n)
+      print *, a(1)
+      end
+      subroutine p(v, m)
+      real v(10)
+      integer m, i
+      do i = 1, m
+         v(i) = v(i) + 1.0
+      enddo
+      call q(v, m)
+      end
+      subroutine q(v, m)
+      real v(10)
+      integer m
+      v(1) = v(2)*0.5
+      if (m .gt. 1) call p(v, m - 1)
+      call x(v, m)
+      end
+      subroutine x(v, m)
+      real v(10)
+      integer m, i, j
+      do i = 1, 10
+         do j = 1, 10
+            v(i) = v(i) + v(j)*0.25
+         enddo
+      enddo
+      if (m .gt. 1) call y(v, m - 1)
+      end
+      subroutine y(v, m)
+      real v(10)
+      integer m
+      v(2) = sqrt(v(3))
+      call x(v, m)
+      end
+      subroutine r(v, m)
+      real v(10)
+      integer m, i
+      do i = 1, 5
+         v(i) = 0.0
+      enddo
+      if (m .gt. 1) call r(v, m - 1)
+      end
+`,
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"parascope/internal/dep"
 	"parascope/internal/expr"
 	"parascope/internal/fortran"
-	"parascope/internal/perf"
 )
 
 // ---------------------------------------------------------------------------
@@ -156,10 +155,9 @@ func (t Parallelize) Check(c *Context) Verdict {
 		// Static profitability: compare the loop's estimated serial
 		// time against the parallel prediction (fork cost plus the
 		// per-processor share), the estimator model of [26].
-		est := perf.New(c.File, perf.DefaultParams())
-		le := est.EstimateLoop(c.DF, l)
+		le := c.Est.EstimateLoop(c.DF, l)
 		v.Profitable = le.Speedup > 1.2
-		v.note("estimated speedup %.1fx on %d processors", le.Speedup, perf.DefaultParams().Procs)
+		v.note("estimated speedup %.1fx on %d processors", le.Speedup, c.Est.Params.Procs)
 		if !v.Profitable {
 			v.note("fork/join overhead dominates this loop's work")
 		}

@@ -15,6 +15,7 @@ import (
 	"parascope/internal/dep"
 	"parascope/internal/expr"
 	"parascope/internal/fortran"
+	"parascope/internal/perf"
 )
 
 // Verdict is the power-steering diagnosis shown to the user before a
@@ -61,13 +62,16 @@ type Context struct {
 	Assertions *expr.Env
 	Summaries  dep.Summaries
 	Opts       dep.Options
+	// Est prices the loops a check diagnoses for profitability.
+	Est *perf.Estimator
 }
 
-// NewContext analyzes unit and returns a ready context.
+// NewContext analyzes unit and returns a ready context, with an
+// estimator of its own.
 func NewContext(file *fortran.File, unit *fortran.Unit, eff dataflow.SideEffects,
 	assertions *expr.Env, summ dep.Summaries, opts dep.Options) *Context {
 	c := &Context{File: file, Unit: unit, Effects: eff, Assertions: assertions,
-		Summaries: summ, Opts: opts}
+		Summaries: summ, Opts: opts, Est: perf.New(file, perf.DefaultParams())}
 	c.Refresh()
 	return c
 }
