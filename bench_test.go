@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -650,6 +652,18 @@ const (
 	openCallHeavyAllocsPriced = 9598
 )
 
+// analyzeAllSpec77Allocs is testing.AllocsPerRun of Session.AnalyzeAll on
+// an open spec77 — what `set` and the ablation configurations run — once
+// a whole-program reanalysis reprints no unit whose text stands (1186
+// when it printed and hashed every unit). editSpec77Allocs is that of
+// the one-unit edit of undoSpec77 without its undo, once an accepted
+// edit prints its unit once and compares images by text (247 with two
+// prints and a sha256 of each).
+const (
+	analyzeAllSpec77Allocs = 982
+	editSpec77Allocs       = 163
+)
+
 // TestOpenAllocs guards the allocation work of two changes. spec77: a
 // cold open must stay at or below 0.7 × the count PR 13 replaced, so a
 // per-pair allocation put back into the dependence tester, or a
@@ -659,7 +673,9 @@ const (
 // per unit, or per-statement token slices, fail here too. Both: at or
 // below 1.05 × the count once units were priced from their own
 // analyses, so a per-unit constants solve put back into the estimator
-// (about +14 % allocations) fails as well.
+// (about +14 % allocations) fails as well. AnalyzeAll of an open spec77:
+// at or below 1.05 × the count once it keeps every unit's printed text,
+// so a reprint put back fails.
 func TestOpenAllocs(t *testing.T) {
 	w := workloads.Spec77()
 	got := testing.AllocsPerRun(20, func() {
@@ -674,6 +690,15 @@ func TestOpenAllocs(t *testing.T) {
 		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openSpec77AllocsPriced)
 	}
 	t.Logf("core.Open(spec77): %.0f allocations", got)
+	s, err := core.Open(w.Name+".f", w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = testing.AllocsPerRun(20, s.AnalyzeAll)
+	if limit := 1.05 * analyzeAllSpec77Allocs; got > limit {
+		t.Errorf("AnalyzeAll of an open spec77 makes %.0f allocations, limit %.0f (1.05 × %d once it reprints no unit)", got, limit, analyzeAllSpec77Allocs)
+	}
+	t.Logf("AnalyzeAll of an open spec77: %.0f allocations", got)
 	w = workloads.CallHeavy(200)
 	got = testing.AllocsPerRun(5, func() {
 		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
@@ -687,6 +712,12 @@ func TestOpenAllocs(t *testing.T) {
 		t.Errorf("core.Open(CallHeavy(200)) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openCallHeavyAllocsPriced)
 	}
 	t.Logf("core.Open(CallHeavy(200)): %.0f allocations", got)
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // undoSpec77 opens spec77 and returns a function that re-types the
@@ -744,7 +775,11 @@ func BenchmarkUndoSpec77(b *testing.B) {
 // TestUndoAllocs guards what made undo cheap: undoing a one-unit edit
 // parses and reanalyzes that unit, so it must allocate under a quarter
 // of what opening the program does. An undo that reparsed the program
-// or analyzed every unit would allocate as much as the open.
+// or analyzed every unit would allocate as much as the open. The edit
+// it undoes, counted alone, must stay at or below 1.05 × its count
+// with one print of the unit, so a second print fails — except under
+// the race detector, whose sync.Pool drops a quarter of what it is
+// handed, so that the edit's fmt calls allocate at random.
 func TestUndoAllocs(t *testing.T) {
 	w := workloads.Spec77()
 	open := testing.AllocsPerRun(10, func() {
@@ -759,12 +794,16 @@ func TestUndoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	undo := pair - testing.AllocsPerRun(10, func() {
+	alone := testing.AllocsPerRun(10, func() {
 		edit()
 		s.SetUndoStack(nil)
 	})
+	undo := pair - alone
 	if limit := 0.25 * open; undo > limit {
 		t.Errorf("undoing a one-unit edit of spec77 makes %.0f allocations, limit %.0f (0.25 × %.0f for core.Open)", undo, limit, open)
 	}
-	t.Logf("core.Open(spec77): %.0f allocations; undo of a one-unit edit: %.0f", open, undo)
+	if limit := 1.05 * editSpec77Allocs; alone > limit && !raceDetector() {
+		t.Errorf("the one-unit edit of spec77 makes %.0f allocations, limit %.0f (1.05 × %d printing the unit once)", alone, limit, editSpec77Allocs)
+	}
+	t.Logf("core.Open(spec77): %.0f allocations; the edit: %.0f; its undo: %.0f", open, alone, undo)
 }

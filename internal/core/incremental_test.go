@@ -510,14 +510,14 @@ func TestWholeUnitOnlyDisablesPatch(t *testing.T) {
 	expectScratchEquivalent(t, s)
 }
 
-// TestCheapRungsOnRecursiveProgram: on a call cycle perf.UnitCost's
-// cycle guard makes a memoised cost depend on which member the warm-up
-// enters first, so after an edit inside the cycle the patch and unit
-// rungs must re-cost the way a from-scratch session does — a fresh
-// estimator warmed in file order — or callers' estimates diverge.
-// Here x and y call each other; a scratch warm-up enters the cycle at x
-// (main's first call), a lazy re-cost after an edit of x enters it at y
-// (x's estimate prices its call to y first).
+// TestCheapRungsOnRecursiveProgram: an edit inside a call cycle, on the
+// patch and on the unit rung, leaves every unit's estimate — its total
+// and each loop's sequential and parallel time — equal to a fresh open
+// of the edited text. Here x and y call each other, so a call within the
+// cycle costs its overhead alone; main reaches the cycle directly and
+// through p. The edit of x drops the memoised prices of x and its
+// transitive callers, which take in y, p and main, and each is priced
+// again from the call graph's components as a fresh estimator prices it.
 func TestCheapRungsOnRecursiveProgram(t *testing.T) {
 	const src = `
       program main

@@ -11,20 +11,22 @@ import (
 )
 
 // TestOneDoorToTheAnalyses: a mutation brings its unit up to date through
-// Session.update and nothing else. Read off the package's sources: the
-// whole-unit analysis is called by update and by the pool that fans it
-// out (analyzeUnits, which AnalyzeAll and spread go through); reach,
-// spread and the two statement-granular splices by update alone; and
-// LastReanalysis is written by the whole-program analysis, by update,
-// and by Undo's roll-up of the updates it made.
+// Session.update and nothing else, and every change to the analysis ends
+// in one rule, spread. Read off the package's sources: the whole-unit
+// analysis is called only by the pool that fans it out (analyzeUnits,
+// which spread goes through); spread by update and by AnalyzeAll — a cold
+// open goes through spread too, with nothing kept; reach and the two
+// statement-granular splices by update alone; and LastReanalysis is
+// written by the whole-program analysis, by update, and by Undo's roll-up
+// of the updates it made.
 func TestOneDoorToTheAnalyses(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	guarded := map[string][]string{ // callee → the functions that may call it
-		"analyzeUnit": {"analyzeUnits", "update"},
-		"spread":      {"update"},
+		"analyzeUnit": {"analyzeUnits"},
+		"spread":      {"update", "AnalyzeAll"},
 		"reach":       {"update"},
 		"Patch":       {"update"}, // dep.Patch
 		"PatchStmt":   {"update"}, // (*dataflow.Analysis).PatchStmt

@@ -43,11 +43,11 @@ type PhaseObserver interface {
 
 // analyzeUnits runs analyzeUnit over every unit, concurrently when
 // more than one worker is available — the one level of analysis
-// parallelism: inside a unit every phase runs on one goroutine. old
-// carries the previous states so user marks, assertions and
-// classifications survive reanalysis; reprint is analyzeUnit's, and
-// solved holds the data-flow solves already made (nil for none).
-func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*UnitState, reprint bool, solved map[*fortran.Unit]*dataflow.Analysis) map[*fortran.Unit]*UnitState {
+// parallelism: inside a unit every phase runs on one goroutine. Each
+// unit's previous state is its prev, so user marks, assertions,
+// classifications and the source image survive reanalysis; solved holds
+// the data-flow solves already made (nil for none).
+func (s *Session) analyzeUnits(units []*fortran.Unit, solved map[*fortran.Unit]*dataflow.Analysis) map[*fortran.Unit]*UnitState {
 	out := make(map[*fortran.Unit]*UnitState, len(units))
 	workers := s.Workers
 	if workers <= 0 {
@@ -58,7 +58,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			out[u] = s.analyzeUnit(u, old[u], reprint, solved[u])
+			out[u] = s.analyzeUnit(u, s.units[u], solved[u])
 		}
 		return out
 	}
@@ -88,7 +88,7 @@ func (s *Session) analyzeUnits(units []*fortran.Unit, old map[*fortran.Unit]*Uni
 							panicMu.Unlock()
 						}
 					}()
-					results[i] = s.analyzeUnit(units[i], old[units[i]], reprint, solved[units[i]])
+					results[i] = s.analyzeUnit(units[i], s.units[units[i]], solved[units[i]])
 				}(i)
 			}
 		}()

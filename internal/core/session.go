@@ -107,14 +107,13 @@ type UnitState struct {
 	assertions []Assertion
 	classes    map[string]VarClass // user overrides by name
 
-	// unitImage is the unit's printed source and its fingerprint at last
-	// analysis — this unit's part of the session's source image, which
-	// Save and SourceHash read instead of printing. callSig fingerprints
-	// the call surface (every call statement and user function
-	// invocation, with actuals). srcHash and callSig drive
-	// ReanalyzeUnit's escalation decision: an unchanged hash means
-	// nothing interprocedural can have moved, an unchanged call
-	// signature means no other unit's constant formals or call graph
+	// unitImage is the unit's printed source at last analysis — this
+	// unit's part of the session's source image, which Save and
+	// SourceHash read instead of printing. callSig fingerprints the call
+	// surface (every call statement and user function invocation, with
+	// actuals). The two drive update's escalation decision: an unchanged
+	// text means nothing interprocedural can have moved, an unchanged
+	// call signature means no other unit's constant formals or call graph
 	// entry can have moved.
 	unitImage
 	callSig string
@@ -123,18 +122,16 @@ type UnitState struct {
 	kindChanges int
 }
 
-// unitImage is one unit's printed text with its sha256.
+// unitImage is one unit's printed text; two images compare by it.
 type unitImage struct {
-	text    string
-	srcHash string
+	text string
 }
 
-// imageOf prints u and fingerprints the text.
+// imageOf prints u.
 func imageOf(u *fortran.Unit) unitImage {
 	var b strings.Builder
 	fortran.PrintUnit(&b, u)
-	h := sha256.Sum256([]byte(b.String()))
-	return unitImage{text: b.String(), srcHash: hex.EncodeToString(h[:])}
+	return unitImage{text: b.String()}
 }
 
 // Session is one open ParaScope Editor.
@@ -190,8 +187,9 @@ type Session struct {
 // do not count.
 func (s *Session) Mutated() bool { return s.mutated }
 
-// Reanalysis describes one (re)analysis pass. Mode names the rung — how
-// far outside the edited statement anything had to be looked at:
+// Reanalysis describes one (re)analysis pass. Mode reports the rung — how
+// far outside the edited statement anything had to be looked at, as reach
+// answered it; the analyses never branch on it:
 // "patch" (nowhere: a call-free statement no caller can see, spliced in
 // statement-granularly), "unit" (the unit, against reused
 // interprocedural facts), "program" (the interprocedural facts were
@@ -242,30 +240,20 @@ func newSession(f *fortran.File, workers int, obs PhaseObserver) *Session {
 	return s
 }
 
-// AnalyzeAll (re)runs whole-program analysis: interprocedural
-// summaries, then per-unit data-flow and dependence analysis, then the
-// performance estimates. The per-unit phase runs on a bounded worker
-// pool (see Workers): units are independent once the interprocedural
-// summaries exist, so they are analyzed concurrently. A unit's data
-// flow is solved once: the summary pass's solve is the unit's analysis,
-// except on a recursion cycle and in a conservative session, whose
-// per-unit inputs are not the summaries. The estimates run after the
-// pool, on the calling goroutine, because pricing a unit reads its
-// analysis (newEstimator).
+// AnalyzeAll (re)runs whole-program analysis: the interprocedural
+// summaries, then spread with nothing kept — no estimator, and every unit
+// stale — so a cold open takes the same rule as every edit, with an empty
+// memo. A unit's data flow is solved once: the summary pass's solve is the
+// unit's analysis, except on a recursion cycle and in a conservative
+// session, whose per-unit inputs are not the summaries. A unit keeps its
+// printed text when it has one: nothing here moves it.
 func (s *Session) AnalyzeAll() {
 	start := time.Now()
 	s.File.RenumberStmts()
-	s.timed("interproc", func() { s.Prog = interproc.AnalyzeProgram(s.File) })
-	solved := s.Prog.TakeAnalyses()
-	if s.Conservative {
-		solved = nil
-	}
-	s.progHash = ""
-	s.units = s.analyzeUnits(s.File.Units, s.units, true, solved)
-	s.est = s.newEstimator()
-	for _, u := range s.File.Units {
-		s.estimate(u)
-	}
+	var prog *interproc.Program
+	s.timed("interproc", func() { prog = interproc.AnalyzeProgram(s.File) })
+	s.Prog, s.est = nil, nil
+	s.spread(nil, prog, s.File.Units)
 	s.LastReanalysis = Reanalysis{Mode: "full", Duration: time.Since(start)}
 }
 
@@ -316,9 +304,9 @@ type stmtSwap struct {
 
 // update is the one door from a mutation of unit u to the analyses:
 // every edit, delete, transformation, assertion and undo brings its unit
-// up to date through it, and it alone sets LastReanalysis. It answers the
-// two questions a change asks, in order, and returns the rung — the
-// answer to the first.
+// up to date through it, and it alone sets LastReanalysis. It prints u
+// once, answers the two questions a change asks, in order, and hands the
+// rest to spread; it returns the rung — its report of the first answer.
 //
 // How far outside the unit can the change be seen (reach, asked at most
 // once): not at all when the text is what it was (an assertion: new
@@ -331,41 +319,41 @@ type stmtSwap struct {
 // swap is inside the envelope — ns spliced into the data-flow solution
 // (dataflow.PatchStmt) and only the dependence edges incident to a
 // statement whose references moved killed and their pairs retested
-// (dep.Patch; on the program rung the call sites of u whose callee's
-// summary moved go with ns) — and whole otherwise. The envelope is
-// whatever guarantees that a reference pair left alone would test as it
-// did. A pair reads its two statements' accesses and loop nests, the
-// constants at its source statement and at the headers of the loops
-// around it, the unit's constant formals, and whether the scalars in its
-// subscripts are assigned in the unit or in the common loop. So the step
-// declines when the CFG or loop tree could move (a statement that is not
-// simple, another label), when a symbol of the unit changed kind since
-// its analysis (Unit.KindChanges), when the unit's constant formals or
-// recursion status moved, and when PatchStmt finds constants or a
-// written-scalar set moved — all before anything lasting is modified;
-// WholeUnitOnly declines always. A "patch" rung whose step declined asks
-// reach after all. Then spread does the rest.
+// (dep.Patch; on the program rung the call sites movedCalls names go with
+// ns), or, when only annotations moved, nothing spliced at all — and
+// whole otherwise, by spread. The envelope is whatever guarantees that a
+// reference pair left alone would test as it did. A pair reads its two
+// statements' accesses and loop nests, the constants at its source
+// statement and at the headers of the loops around it, the unit's
+// constant formals, and whether the scalars in its subscripts are
+// assigned in the unit or in the common loop. So the step declines when
+// the CFG or loop tree could move (a statement that is not simple, another
+// label), when a symbol of the unit changed kind since its analysis
+// (Unit.KindChanges), when the unit's constant formals or recursion status
+// moved, and when PatchStmt finds constants or a written-scalar set moved
+// — all before anything lasting is modified; WholeUnitOnly declines
+// always. A "patch" rung whose step declined asks reach after all.
 func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 	start := time.Now()
 	s.File.RenumberStmts()
 	st := s.units[u]
-	granular := !s.WholeUnitOnly && st != nil && st.kindChanges == u.KindChanges &&
+	if st == nil || s.Prog == nil {
+		s.AnalyzeAll()
+		return "full"
+	}
+	// The one print of this change: whatever runs below carries the
+	// refreshed image (and every other unit's untouched one) forward.
+	moved := s.refreshImage(u)
+	step := !s.WholeUnitOnly && st.kindChanges == u.KindChanges &&
 		(swap.annotations || swap.ns != nil && swappable(swap.old, swap.ns))
 	mode, prog, patched := "unit", s.Prog, false
 	switch {
-	case st == nil || prog == nil:
-		s.AnalyzeAll()
-		mode = "full"
-	// The one print of this change: whatever runs below carries the
-	// refreshed image (and every other unit's untouched one) forward.
-	case !s.refreshImage(u) && !granular:
-		s.units[u] = s.analyzeUnit(u, st, false, nil)
-		s.estimate(u)
-	case !granular:
-		mode, prog, _ = s.reach(u, st)
-		s.spread(u, mode, prog, patched)
+	case !step:
+		if moved {
+			mode, prog, _ = s.reach(u, st)
+		}
 	case swap.annotations:
-		s.spread(u, mode, prog, true) // no statement to splice in
+		patched = true // a statement step that splices nothing
 	default:
 		callSig := st.callSig
 		if dataflow.CallsUser(swap.old) || dataflow.CallsUser(swap.ns) ||
@@ -377,18 +365,9 @@ func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 		if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 			panic(err)
 		}
-		var calls []fortran.Stmt
-		movable := prog == s.Prog
-		if !movable && prog.Graph.Recursive[u] == s.Prog.Graph.Recursive[u] && interproc.ConstFormalsEqual(prog, s.Prog, u) {
-			movable = true
-			for _, site := range prog.Graph.Calls[u] {
-				if site.Stmt != swap.ns && prog.Summaries[site.Callee] != s.Prog.Summaries[site.Callee] &&
-					(len(calls) == 0 || calls[len(calls)-1] != site.Stmt) {
-					calls = append(calls, site.Stmt)
-				}
-			}
-		}
-		if movable {
+		if calls, ok := movedCalls(u, s.Prog, prog); ok {
+			// ns is spliced in itself, not retested as a call site.
+			calls = slices.DeleteFunc(calls, func(c fortran.Stmt) bool { return c == swap.ns })
 			var t0 time.Time
 			if s.obs != nil {
 				t0 = time.Now()
@@ -407,8 +386,12 @@ func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 		if !patched && mode == "patch" {
 			mode, prog, _ = s.reach(u, st)
 		}
-		s.spread(u, mode, prog, patched)
 	}
+	var stale []*fortran.Unit
+	if !patched {
+		stale = append(stale, u)
+	}
+	s.spread(u, prog, stale)
 	s.LastReanalysis = Reanalysis{Mode: mode, Duration: time.Since(start)}
 	return mode
 }
@@ -439,35 +422,54 @@ func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *inte
 	return "unit", s.Prog, callSig
 }
 
-// spread brings up to date everything a change of u reaches that update
-// has not, in the order pricing needs: first u itself, whole, unless
-// patched says it was answered statement by statement, and on the
-// program rung the interprocedural facts and every other unit whose
-// analysis inputs moved with them; then the cost memo, which prices units
-// from their analyses: u's price and its transitive callers', which embed
-// it, are dropped (a unit whose call cycle the change moved reaches u, so
-// it is among them); then the perf estimates of those units and of the
-// ones just analyzed. Everything else keeps its unit state, graphs,
-// marks, assertions and price.
-func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, patched bool) {
-	oldProg := s.Prog
-	s.Prog, s.est.Graph = prog, prog.Graph
-	repriced := s.transitiveCallers(u)
-	var stale []*fortran.Unit
-	if !patched {
-		stale = append(stale, u)
-	}
-	if mode == "program" {
+// spread is the one reanalysis rule: every path that changes the
+// analysis ends in it — the cold open (AnalyzeAll), every edit, assertion
+// and transformation (update), and each unit an undo restores. It
+// installs prog, then brings up to date, in the order pricing needs,
+// everything a change of u reaches that the caller has not: first the
+// units in stale, analyzed whole, and every other unit whose analysis
+// inputs moved with prog (movedCalls; u itself is the caller's, and a
+// conservative session's units read nothing from prog), all on the
+// worker pool with the summary pass's solves when prog has any; then the
+// prices. With no estimator yet (a cold open) it builds one and prices
+// every unit. Otherwise u's price and its transitive callers', which
+// embed it, are dropped from the cost memo (a unit whose call cycle the
+// change moved reaches u, so it is among them), and those units and the
+// ones just analyzed are estimated again. Everything else keeps its unit
+// state, graphs, marks, assertions and price.
+func (s *Session) spread(u *fortran.Unit, prog *interproc.Program, stale []*fortran.Unit) {
+	old := s.Prog
+	s.Prog = prog
+	if old != nil && old != prog && !s.Conservative {
 		for _, v := range s.File.Units {
-			if v != u && !s.unitInputsUnchanged(v, oldProg) {
+			if v == u {
+				continue
+			}
+			if calls, ok := movedCalls(v, old, prog); !ok || len(calls) > 0 {
 				stale = append(stale, v)
 			}
 		}
 	}
-	fresh := s.analyzeUnits(stale, s.units, false, nil)
+	solved := prog.TakeAnalyses()
+	if s.Conservative {
+		solved = nil
+	}
+	fresh := s.analyzeUnits(stale, solved)
 	for v, st := range fresh {
+		if s.units[v] == nil {
+			s.progHash = "" // a unit printed for the first time
+		}
 		s.units[v] = st
 	}
+	if s.est == nil {
+		s.est = s.newEstimator()
+		for _, v := range s.File.Units {
+			s.estimate(v)
+		}
+		return
+	}
+	s.est.Graph = prog.Graph
+	repriced := s.transitiveCallers(u)
 	for v := range repriced {
 		s.est.Invalidate(v)
 	}
@@ -478,26 +480,23 @@ func (s *Session) spread(u *fortran.Unit, mode string, prog *interproc.Program, 
 	}
 }
 
-// unitInputsUnchanged reports whether v's analysis inputs survived an
-// interprocedural update: same recursion status, same callee summary
-// objects (UpdateProgram carries the pointer when the recomputed
-// summary is Equal), same propagated constant formals.
-func (s *Session) unitInputsUnchanged(v *fortran.Unit, oldProg *interproc.Program) bool {
-	if s.Conservative {
-		return true // per-unit analysis never consults the program
+// movedCalls compares what unit v's analysis reads from the program
+// between from and to. ok is false when v's recursion status or constant
+// formals moved; otherwise calls lists v's call sites, once each, whose
+// callee has another summary object in to (UpdateProgram carries the
+// pointer when the recomputed summary is Equal). An analysis of v under
+// from stands under to exactly when ok and calls is empty.
+func movedCalls(v *fortran.Unit, from, to *interproc.Program) (calls []fortran.Stmt, ok bool) {
+	if to.Graph.Recursive[v] != from.Graph.Recursive[v] || !interproc.ConstFormalsEqual(to, from, v) {
+		return nil, false
 	}
-	if s.Prog.Graph.Recursive[v] != oldProg.Graph.Recursive[v] {
-		return false
-	}
-	if !interproc.ConstFormalsEqual(s.Prog, oldProg, v) {
-		return false
-	}
-	for _, site := range s.Prog.Graph.Calls[v] {
-		if s.Prog.Summaries[site.Callee] != oldProg.Summaries[site.Callee] {
-			return false
+	for _, site := range to.Graph.Calls[v] {
+		if to.Summaries[site.Callee] != from.Summaries[site.Callee] &&
+			(len(calls) == 0 || calls[len(calls)-1] != site.Stmt) {
+			calls = append(calls, site.Stmt)
 		}
 	}
-	return true
+	return calls, true
 }
 
 // transitiveCallers returns u plus every unit that can reach it
@@ -535,14 +534,13 @@ func callSurfaceSig(u *fortran.Unit) string {
 }
 
 // analyzeUnit analyzes u's data flow and dependences from scratch,
-// keeping prev's marks, assertions and classifications; its estimate is
-// the caller's to make once every unit's analysis is current
-// (estimate). With reprint unset it also keeps prev's source image,
-// which the caller must have refreshed if u's AST changed; otherwise
-// (or with no prev) it prints u — once, for both the image and the
-// fingerprint. A non-nil df is u's data flow already solved
-// under the session's inputs, and is used as it stands.
-func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, df *dataflow.Analysis) *UnitState {
+// keeping prev's marks, assertions, classifications and source image —
+// which the caller must have refreshed if u's AST changed; its estimate
+// is the caller's to make once every unit's analysis is current
+// (estimate). A unit with no prev is printed: the only print here. A
+// non-nil df is u's data flow already solved under the session's inputs,
+// and is used as it stands.
+func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, df *dataflow.Analysis) *UnitState {
 	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 		// Analysis has no error channel; an injected error surfaces
 		// as a panic for the session-level recovery boundary.
@@ -576,7 +574,7 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, reprint bool, df
 	}
 	s.timed("dependence", func() { st.Deps = dep.Analyze(st.DF, env, summ, s.Opts) })
 	st.restoreMarks()
-	if prev != nil && !reprint {
+	if prev != nil {
 		st.unitImage = prev.unitImage
 	} else {
 		st.unitImage = imageOf(u)
@@ -1177,26 +1175,33 @@ func (s *Session) EditStmt(id int, text string) error {
 	if old == nil {
 		return fmt.Errorf("no statement %d", id)
 	}
-	ns, err := fortran.ParseStmtIn(s.File, s.current, text)
+	u := s.current
+	syms, kinds := len(u.Syms), u.KindChanges
+	ns, err := fortran.ParseStmtIn(s.File, u, text)
 	// Resolving the text's names declares (or reclassifies) them in the
 	// unit's symbol table even when the parse then fails, and the
 	// declarations print. The image follows at once: no reanalysis
 	// comes after a rejected edit, and an accepted edit's undo entry
 	// has always carried the names its text introduced — journals
-	// written that way must keep replaying onto the same hashes.
-	s.refreshImage(s.current)
+	// written that way must keep replaying onto the same hashes. A
+	// statement's parse reaches no declaration, so it can move what
+	// prints only by adding a symbol or changing one's kind; otherwise
+	// the image is current, and update's print is the edit's one.
+	if len(u.Syms) != syms || u.KindChanges != kinds {
+		s.refreshImage(u)
+	}
 	if err != nil {
 		return fmt.Errorf("parse error: %v", err)
 	}
 	s.pushUndo()
-	if !xform.ReplaceStmt(s.current, old, ns) {
+	if !xform.ReplaceStmt(u, old, ns) {
 		s.undoStack = s.undoStack[:len(s.undoStack)-1]
-		return fmt.Errorf("statement %d is not in unit %s", id, s.current.Name)
+		return fmt.Errorf("statement %d is not in unit %s", id, u.Name)
 	}
 	s.Stats.Edits++
 	s.mutated = true
 	s.log("edit stmt %d: %s", id, strings.TrimSpace(text))
-	s.update(s.current, stmtSwap{old: old, ns: ns})
+	s.update(u, stmtSwap{old: old, ns: ns})
 	return nil
 }
 
@@ -1206,7 +1211,7 @@ func (s *Session) EditStmt(id int, text string) error {
 func (s *Session) refreshImage(u *fortran.Unit) bool {
 	st := s.units[u]
 	img := imageOf(u)
-	if img.srcHash == st.srcHash {
+	if img == st.unitImage {
 		return false
 	}
 	st.unitImage = img
@@ -1301,7 +1306,7 @@ func (a *annotations) swap() {
 func (a *annotations) restores(img unitImage) bool {
 	a.swap()
 	defer a.swap()
-	return imageOf(a.unit).srcHash == img.srcHash
+	return imageOf(a.unit) == img
 }
 
 // source renders the entry as fortran.Print lays a program out.
@@ -1370,7 +1375,7 @@ func (s *Session) Undo() error {
 			if s.current != nil {
 				name = s.current.Name
 			}
-			s.File = f
+			s.File, s.units = f, map[*fortran.Unit]*UnitState{}
 			s.AnalyzeAll()
 			if u := f.Unit(name); u != nil {
 				s.current = u
@@ -1388,7 +1393,7 @@ func (s *Session) Undo() error {
 	line := 1
 	for i, u := range s.File.Units {
 		img, st := entry.units[i], s.units[u]
-		if img.srcHash != st.srcHash {
+		if img != st.unitImage {
 			r := restore{u: u}
 			if a := entry.annots; a != nil && a.unit == u && a.restores(img) {
 				r.annots = a
