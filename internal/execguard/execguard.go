@@ -13,9 +13,9 @@
 //   - an RSS watchdog polls /proc/<pid>/status and kills runaway
 //     allocators with a distinguishable ErrResourceLimit (generated
 //     binaries also get GOMEMLIMIT so the Go runtime resists first);
-//   - daemon-wide execution slots bound how many programs run at
-//     once; past the cap Acquire fails fast with ErrBusy (429 at the
-//     HTTP layer) instead of queueing unbounded work.
+//   - daemon-wide execution slots, a Gate, bound how many programs
+//     run at once; past the cap Acquire fails fast with ErrBusy (429
+//     at the HTTP layer) instead of queueing unbounded work.
 //
 // The Governor carries the policy; Supervise carries one subprocess
 // through it. The interpreter backend shares the same Limits and
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"parascope/internal/metrics"
@@ -169,19 +168,24 @@ func (l Limits) override(over Limits) Limits {
 }
 
 // Telemetry is the run layer's metric families, pedd_exec_* and
-// pedd_build_*: the governor, Supervise, the codegen build pipeline and
-// core's Exec update them where the work happens. Labels are bounded by
-// construction: backends are core.BackendInterp/BackendCompile, kill
-// reasons the Kill* constants.
+// pedd_build_*, and the admission families every Gate reports to: the
+// governor, Supervise, the codegen build pipeline and core's Exec update
+// them where the work happens. Labels are bounded by construction:
+// backends are core.BackendInterp/BackendCompile, kill reasons the Kill*
+// constants, gates the names their NewGate calls spell.
 type Telemetry struct {
+	AdmissionHeld     *metrics.GaugeVec   // gate
+	AdmissionRejected *metrics.CounterVec // gate
+
 	ExecRuns      *metrics.CounterVec   // backend
 	ExecFailures  *metrics.CounterVec   // backend
 	ExecLatency   *metrics.HistogramVec // backend
 	ExecTimeouts  *metrics.CounterVec   // backend
 	ExecKills     *metrics.CounterVec   // reason
 	ExecFallbacks *metrics.Counter
-	ExecRejected  *metrics.Counter
-	ExecInflight  *metrics.Gauge
+	// ExecRejected and ExecInflight are the runs gate's children.
+	ExecRejected *metrics.Counter
+	ExecInflight *metrics.Gauge
 
 	BuildsTotal         *metrics.Counter
 	BuildFailures       *metrics.Counter
@@ -195,7 +199,11 @@ type Telemetry struct {
 // NewTelemetry registers the run layer's families on reg.
 func NewTelemetry(reg *metrics.Registry) *Telemetry {
 	timeBuckets := metrics.TimeBuckets()
-	return &Telemetry{
+	t := &Telemetry{
+		AdmissionHeld: reg.GaugeVec("pedd_admission_held",
+			"Places held at each admission gate (sessions, queue, plans, session_plan, runs).", "gate"),
+		AdmissionRejected: reg.CounterVec("pedd_admission_rejected_total",
+			"Requests each admission gate refused because every place was held (HTTP 409, 429 or 503).", "gate"),
 		ExecRuns: reg.CounterVec("pedd_exec_runs_total",
 			"Program executions by the backend that actually ran.", "backend"),
 		ExecFailures: reg.CounterVec("pedd_exec_failures_total",
@@ -208,10 +216,6 @@ func NewTelemetry(reg *metrics.Registry) *Telemetry {
 			"Governor kills by reason (deadline, output, rss, ctx).", "reason"),
 		ExecFallbacks: reg.Counter("pedd_exec_fallbacks_total",
 			"Compile runs degraded to the interpreter (decline or build failure, fallback requested)."),
-		ExecRejected: reg.Counter("pedd_exec_rejected_total",
-			"Runs rejected at admission because every exec slot was busy (HTTP 429)."),
-		ExecInflight: reg.Gauge("pedd_exec_inflight",
-			"Program executions currently running under the governor."),
 		BuildsTotal: reg.Counter("pedd_build_total",
 			"Cold builds (compile and link) of generated programs."),
 		BuildFailures: reg.Counter("pedd_build_failures_total",
@@ -227,6 +231,9 @@ func NewTelemetry(reg *metrics.Registry) *Telemetry {
 		BuildJanitorEvicted: reg.Counter("pedd_build_janitor_evictions_total",
 			"Compile-cache entries evicted by the janitor's LRU bound."),
 	}
+	t.ExecRejected = t.AdmissionRejected.With("runs")
+	t.ExecInflight = t.AdmissionHeld.With("runs")
+	return t
 }
 
 // unscraped takes the telemetry of a nil governor and of one built
@@ -253,7 +260,7 @@ type Config struct {
 // valid everywhere and behaves like New(Config{}) — default limits,
 // unbounded slots.
 type Governor struct {
-	slots        chan struct{}
+	runs         *Gate
 	limits       Limits // resolved (0 = disabled)
 	buildTimeout time.Duration
 	cacheEntries int
@@ -277,9 +284,7 @@ func New(cfg Config) *Governor {
 	if g.cacheEntries <= 0 {
 		g.cacheEntries = DefaultCacheEntries
 	}
-	if cfg.MaxRuns > 0 {
-		g.slots = make(chan struct{}, cfg.MaxRuns)
-	}
+	g.runs = g.tel.NewGate("runs", cfg.MaxRuns, fmt.Errorf("%w (%d runs in flight)", ErrBusy, cfg.MaxRuns))
 	return g
 }
 
@@ -328,7 +333,7 @@ func (g *Governor) Slots() int {
 	if g == nil {
 		return 0
 	}
-	return cap(g.slots)
+	return g.runs.Cap()
 }
 
 // Acquire claims one execution slot, failing fast with ErrBusy when
@@ -336,26 +341,10 @@ func (g *Governor) Slots() int {
 // be called when the run finishes. An unbounded (or nil) governor
 // always admits.
 func (g *Governor) Acquire() (release func(), err error) {
-	tel := g.Telemetry()
-	if g == nil || g.slots == nil {
-		tel.ExecInflight.Inc()
-		var once sync.Once
-		return func() { once.Do(tel.ExecInflight.Dec) }, nil
+	if g == nil {
+		return func() {}, nil
 	}
-	select {
-	case g.slots <- struct{}{}:
-		tel.ExecInflight.Inc()
-		var once sync.Once
-		return func() {
-			once.Do(func() {
-				<-g.slots
-				tel.ExecInflight.Dec()
-			})
-		}, nil
-	default:
-		tel.ExecRejected.Inc()
-		return nil, fmt.Errorf("%w (%d runs in flight)", ErrBusy, cap(g.slots))
-	}
+	return g.runs.Enter()
 }
 
 // Telemetry returns the families g's runs and builds report to.

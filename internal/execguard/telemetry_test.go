@@ -143,7 +143,7 @@ func TestGovernorTelemetry(t *testing.T) {
 			if err := exec(t, tameSrc, core.ExecRequest{}); !errors.Is(err, execguard.ErrBusy) {
 				t.Fatalf("want ErrBusy, got %v", err)
 			}
-		}, map[string]float64{"pedd_exec_rejected_total": 1}},
+		}, map[string]float64{label("pedd_admission_rejected_total", "gate", "runs"): 1}},
 		{"fallback on decline", false, func(t *testing.T) {
 			if err := exec(t, powSrc, core.ExecRequest{Backend: compile, Fallback: true}); err != nil {
 				t.Fatal(err)

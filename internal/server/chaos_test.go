@@ -313,6 +313,9 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if _, err := ss.Cmd(bg, "loops"); err != nil {
 		t.Fatalf("command after drain: %v", err)
 	}
+	if rejected, held := gateReads(m, "queue"); rejected != 1 || held != 0 {
+		t.Errorf("queue gate: %d refused, %d held after the drain; want 1 and 0", rejected, held)
+	}
 }
 
 // TestQueuedCommandAbandonedOnDisconnect: a command still in the queue
@@ -464,8 +467,6 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	defer flaky.Close()
 
 	c := NewClient(flaky.URL)
-	c.BaseBackoff = time.Millisecond
-	c.MaxBackoff = 5 * time.Millisecond
 	c.MaxRetries = 5
 	open, err := c.Open(bg, OpenRequest{Workload: "onedim"})
 	if err != nil {

@@ -18,7 +18,8 @@ import (
 	"parascope/internal/httpedge"
 )
 
-// Client retry/timeout defaults; override per Client field.
+// Client retry/timeout defaults; the timeout and the retry budget can
+// be overridden per Client field.
 const (
 	// DefaultClientTimeout bounds each individual attempt.
 	DefaultClientTimeout = 30 * time.Second
@@ -78,10 +79,6 @@ type Client struct {
 	// MaxRetries is the retry budget after the first attempt
 	// (0 = DefaultMaxRetries, negative = never retry).
 	MaxRetries int
-	// BaseBackoff and MaxBackoff shape the backoff schedule
-	// (0 = defaults).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 }
 
 // NewClient creates a client for the daemon at base with the default
@@ -109,20 +106,13 @@ func (c *Client) maxRetries() int {
 }
 
 // backoff computes the sleep before retry number attempt (0-based):
-// exponential from BaseBackoff, capped at MaxBackoff, with ±50%
-// jitter so synchronized clients spread out; a server Retry-After
+// exponential from DefaultBaseBackoff, capped at DefaultMaxBackoff, with
+// ±50% jitter so synchronized clients spread out; a server Retry-After
 // hint is a floor.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	base, cap_ := c.BaseBackoff, c.MaxBackoff
-	if base <= 0 {
-		base = DefaultBaseBackoff
-	}
-	if cap_ <= 0 {
-		cap_ = DefaultMaxBackoff
-	}
-	d := base << uint(attempt)
-	if d > cap_ || d <= 0 {
-		d = cap_
+	d := DefaultBaseBackoff << uint(attempt)
+	if d > DefaultMaxBackoff || d <= 0 {
+		d = DefaultMaxBackoff
 	}
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 	if retryAfter > d {

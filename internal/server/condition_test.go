@@ -35,7 +35,7 @@ func TestSessionConditionGauges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ss := m.newSession("", "c.f", "", nil, nil, nil)
-			if err := m.register(ss, false, false); err != nil {
+			if err := m.register(ss, m.admit.Force(), false); err != nil {
 				t.Error(err)
 				return
 			}

@@ -180,6 +180,9 @@ func TestRunSaturationReturns429(t *testing.T) {
 	if _, err := c.Run(bg, open.ID, RunRequest{}); err != nil {
 		t.Fatalf("run after the slot freed: %v", err)
 	}
+	if rejected, held := gateReads(m, "runs"); rejected != 1 || held != 0 {
+		t.Errorf("runs gate: %d refused, %d held after the runs; want 1 and 0", rejected, held)
+	}
 }
 
 // TestRunFallbackEndpoint: a compile run of a program the generator
@@ -266,8 +269,8 @@ func TestExecMetricsExposed(t *testing.T) {
 		"pedd_exec_timeouts_total",
 		"pedd_exec_kills_total",
 		"pedd_exec_fallbacks_total",
-		"pedd_exec_rejected_total",
-		"pedd_exec_inflight",
+		"pedd_admission_rejected_total",
+		"pedd_admission_held",
 		"pedd_build_total",
 		"pedd_build_failures_total",
 		"pedd_build_seconds",
@@ -293,9 +296,9 @@ func TestExecMetricsExposed(t *testing.T) {
 		t.Errorf("fallback counter not incremented; scrape:\n%s", grepMetric(body, "pedd_exec_fallbacks_total"))
 	}
 	// The client retries 429s, so each rejected run counts at least once.
-	if grepMetric(body, "pedd_exec_rejected_total 0") != "" ||
-		grepMetric(body, "pedd_exec_rejected_total ") == "" {
-		t.Errorf("rejected counter not incremented; scrape:\n%s", grepMetric(body, "pedd_exec_rejected_total"))
+	if grepMetric(body, `pedd_admission_rejected_total{gate="runs"} 0`) != "" ||
+		grepMetric(body, `pedd_admission_rejected_total{gate="runs"} `) == "" {
+		t.Errorf("rejected counter not incremented; scrape:\n%s", grepMetric(body, "pedd_admission_rejected_total"))
 	}
 }
 

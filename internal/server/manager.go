@@ -90,13 +90,13 @@ type host struct {
 	// gov supervises every run and the planner's compiled scoring runs
 	// (limits, exec slots, telemetry).
 	gov *execguard.Governor
-	// planSem admits plan searches daemon-wide — worlds burn a core
+	// planAdmit admits plan searches daemon-wide — worlds burn a core
 	// each — and plans caches their results by source hash, unit and
 	// budget. Plans are replayable step sequences keyed by the exact
 	// source they were computed from, so a hit is always valid: a stale
 	// entry can only ever be unreachable, never wrong.
-	planSem chan struct{}
-	plans   *lru[PlanResponse]
+	planAdmit *execguard.Gate
+	plans     *lru[PlanResponse]
 	// disabled is the set of execution backends the operator switched
 	// off (Options.DisabledBackends) — the one field written after
 	// construction, once, by NewWith.
@@ -107,19 +107,20 @@ type host struct {
 type Manager struct {
 	*host
 	cache *Cache
+	// admit holds a place for every registered session and every open
+	// or import in flight, so the MaxSessions cap holds across the
+	// analysis; register hands the place to the session, unregister
+	// gives it back.
+	admit *execguard.Gate
 
-	// mu guards the three fields below. sessions gains entries in
-	// register and loses them in unregister, nowhere else; reserved
-	// moves in reserve, release and register.
+	// mu guards the two fields below. sessions gains entries in
+	// register and loses them in unregister, nowhere else.
 	mu       sync.Mutex
 	sessions map[string]*Session
 	// moved maps migrated-away session IDs to the base URL of the node
 	// that adopted them; requests for them answer 421 + Location.
 	// Persisted as <id>.moved files when a datadir is configured.
 	moved map[string]string
-	// reserved counts opens in flight (admitted but not yet
-	// registered), so the MaxSessions cap holds across the analysis.
-	reserved int
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -169,9 +170,10 @@ func NewManager(cfg Config) *Manager {
 				},
 				Telemetry: cfg.Metrics.Telemetry,
 			}),
-			planSem: make(chan struct{}, planWorkers),
-			plans:   newLRU[PlanResponse](planCacheSize),
+			planAdmit: cfg.Metrics.NewGate("plans", planWorkers, errPlannerBusy),
+			plans:     newLRU[PlanResponse](planCacheSize),
 		},
+		admit:    cfg.Metrics.NewGate("sessions", cfg.MaxSessions, ErrTooManySessions),
 		sessions: map[string]*Session{},
 		moved:    map[string]string{},
 		stop:     make(chan struct{}),
@@ -251,13 +253,13 @@ func (m *Manager) janitor(every time.Duration) {
 // mutation (Session.journalAppend), so until then a crash loses only
 // what the client can have again by reopening.
 //
-// Admission control: when Config.MaxSessions is set, a slot is
-// reserved before the (expensive) analysis and released if the open
-// fails; at the cap Open returns ErrTooManySessions without doing any
-// work. A panic during open-time analysis is recovered and returned
-// as an error wrapping ErrInternal — it cannot take down the daemon.
-// The analysis runs under ctx (see analyze): a request deadline or a
-// client disconnect ends the open, not the slot's accounting.
+// Admission control: when Config.MaxSessions is set, a place at the
+// sessions gate is taken before the (expensive) analysis and given back
+// if the open fails; at the cap Open returns ErrTooManySessions without
+// doing any work. A panic during open-time analysis is recovered and
+// returned as an error wrapping ErrInternal — it cannot take down the
+// daemon. The analysis runs under ctx (see analyze): a request deadline
+// or a client disconnect ends the open, not the place's accounting.
 func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResponse, error) {
 	var resp OpenResponse
 	if ctx == nil {
@@ -299,18 +301,19 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 	if err := ctx.Err(); err != nil {
 		return nil, resp, err
 	}
-	if err := m.reserve(); err != nil {
+	leave, err := m.admit.Enter()
+	if err != nil {
 		return nil, resp, err
 	}
-	art, live, err := m.analyze(ctx, path, source, m.release)
+	art, live, err := m.analyze(ctx, path, source, leave)
 	if err != nil {
 		return nil, resp, err
 	}
 	// An explicit ID fails on collision, never remints — the caller (the
 	// gateway) routes by this exact ID; an empty one is minted by register.
 	ss := m.newSession(req.ID, path, source, art, live, nil)
-	if err := m.register(ss, true, false); err != nil {
-		m.release()
+	if err := m.register(ss, leave, false); err != nil {
+		leave()
 		ss.close()
 		return nil, resp, err
 	}
@@ -326,33 +329,14 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 	return ss, resp, nil
 }
 
-// reserve admits one session-to-be against Config.MaxSessions before
-// its analysis or replay is paid for. The slot is held until register
-// turns it into a live session or release gives it back.
-func (m *Manager) reserve() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cfg.MaxSessions > 0 && len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
-		return ErrTooManySessions
-	}
-	m.reserved++
-	return nil
-}
-
-func (m *Manager) release() {
-	m.mu.Lock()
-	m.reserved--
-	m.mu.Unlock()
-}
-
-// register publishes ss under its ID. slot says the caller holds a
-// reservation, which a successful registration spends (a refused one
-// leaves it with the caller). An empty ss.ID is minted here, under the
-// lock that makes it unique, before anyone else can see the session.
-// adopt accepts an ID this node tombstoned as migrated away — an import
-// brings the session back, recovery never sees both; a fresh open must
-// not reuse it.
-func (m *Manager) register(ss *Session, slot, adopt bool) error {
+// register publishes ss under its ID. leave gives back the place ss
+// holds at the sessions gate: a successful registration hands it to the
+// session, for unregister to call; a refused one leaves it with the
+// caller. An empty ss.ID is minted here, under the lock that makes it
+// unique, before anyone else can see the session. adopt accepts an ID
+// this node tombstoned as migrated away — an import brings the session
+// back, recovery never sees both; a fresh open must not reuse it.
+func (m *Manager) register(ss *Session, leave func(), adopt bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ss.ID == "" {
@@ -362,9 +346,7 @@ func (m *Manager) register(ss *Session, slot, adopt bool) error {
 		return fmt.Errorf("%w: %s", ErrSessionExists, ss.ID)
 	}
 	m.sessions[ss.ID] = ss
-	if slot {
-		m.reserved--
-	}
+	ss.leave = leave
 	m.metrics.SessionsLive.Inc()
 	return nil
 }
@@ -378,6 +360,7 @@ func (m *Manager) unregister(ss *Session) bool {
 		return false
 	}
 	delete(m.sessions, ss.ID)
+	ss.leave()
 	m.metrics.SessionsLive.Dec()
 	return true
 }
@@ -401,7 +384,7 @@ func (m *Manager) all() []*Session {
 // at once while the analysis finishes, and still caches, on its own
 // goroutine — a hung parse cannot wedge the caller. release is called
 // exactly once if analyze fails, and only when that goroutine has
-// ended: the admission slot the caller holds is not given back before
+// ended: the admission place the caller holds is not given back before
 // the work it admitted is over.
 func (m *Manager) analyze(ctx context.Context, path, source string, release func()) (*Artifacts, *core.Session, error) {
 	key := core.AnalysisKey(path, source, dep.DefaultOptions(), false)

@@ -40,8 +40,7 @@ type Metrics struct {
 	SessionsClosed      *metrics.Counter
 	SessionsEvicted     *metrics.Counter
 
-	// Actor queues.
-	QueueDepth   *metrics.Gauge
+	// Actor queues; their depth is the queue gate's held child.
 	QueueWait    *metrics.Histogram
 	ActorService *metrics.Histogram
 
@@ -84,7 +83,8 @@ type Metrics struct {
 
 	// Governed execution and the build pipeline behind the compile
 	// backend: the pedd_exec_* and pedd_build_* families, owned by
-	// execguard and updated where runs and builds happen.
+	// execguard and updated where runs and builds happen; and the
+	// pedd_admission_* families every execguard.Gate reports to.
 	*execguard.Telemetry
 }
 
@@ -105,8 +105,6 @@ func NewMetrics() *Metrics {
 		"Sessions closed by request or shutdown since start.")
 	m.SessionsEvicted = m.Counter("pedd_sessions_evicted_total",
 		"Sessions evicted by the idle-TTL janitor since start.")
-	m.QueueDepth = m.Gauge("pedd_session_queue_depth",
-		"Commands queued on session actors, summed over sessions.")
 	m.QueueWait = m.Histogram("pedd_session_queue_wait_seconds",
 		"Time commands spent queued before their session actor ran them.", timeBuckets)
 	m.ActorService = m.Histogram("pedd_actor_service_seconds",

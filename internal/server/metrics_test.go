@@ -28,6 +28,12 @@ func scrape(t *testing.T, m *Metrics) string {
 	return b.String()
 }
 
+// gateReads reads the rejected and held children of one admission
+// gate's name off m's registry.
+func gateReads(m *Manager, gate string) (rejected uint64, held int64) {
+	return m.metrics.AdmissionRejected.With(gate).Value(), m.metrics.AdmissionHeld.With(gate).Value()
+}
+
 // promValues parses an exposition into sample name{labels} → value.
 func promValues(t *testing.T, body string) map[string]float64 {
 	t.Helper()
@@ -297,8 +303,8 @@ func TestMetricsScrapeUnderConcurrentLoad(t *testing.T) {
 	if got := final["pedd_sessions_live"]; got != 0 {
 		t.Errorf("pedd_sessions_live after load = %v, want 0", got)
 	}
-	if got := final["pedd_session_queue_depth"]; got != 0 {
-		t.Errorf("pedd_session_queue_depth after load = %v, want 0", got)
+	if got, ok := final[`pedd_admission_held{gate="queue"}`]; !ok || got != 0 {
+		t.Errorf(`pedd_admission_held{gate="queue"} after load = %v (in the scrape: %v), want 0`, got, ok)
 	}
 }
 
@@ -364,7 +370,6 @@ func TestClientRequestIDPropagation(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL)
-	c.BaseBackoff = 1
 	_, err := c.Open(bg, OpenRequest{Workload: "nope"})
 	if err == nil {
 		t.Fatal("open against failing server succeeded")

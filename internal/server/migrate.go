@@ -127,7 +127,8 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 	if m.Get(id) != nil {
 		return reject(fmt.Errorf("%w: %s", ErrSessionExists, id))
 	}
-	if err := m.reserve(); err != nil {
+	leave, err := m.admit.Enter()
+	if err != nil {
 		return resp, err
 	}
 
@@ -139,17 +140,16 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 	if m.cfg.DataDir != "" {
 		path := walPath(m.cfg.DataDir, id)
 		if err := writeSynced(path, os.O_EXCL, stream); err != nil {
-			m.release()
+			leave()
 			if errors.Is(err, os.ErrExist) {
 				return reject(fmt.Errorf("%w: %s (journal already on disk)", ErrSessionExists, id))
 			}
 			return reject(fmt.Errorf("import %s: landing journal: %w", id, err))
 		}
 		syncDir(m.cfg.DataDir)
-		var err error
 		if jr, err = openJournalAppend(m.cfg.DataDir, id, m.cfg.Fsync, int64(len(stream)), res.lastSeq, m.metrics); err != nil {
 			os.Remove(path)
-			m.release()
+			leave()
 			return reject(fmt.Errorf("import %s: reopening journal: %w", id, err))
 		}
 	}
@@ -159,7 +159,7 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 		}
 	}
 
-	art, live, err := m.analyze(ctx, base.Path, base.Source, m.release)
+	art, live, err := m.analyze(ctx, base.Path, base.Source, leave)
 	if err != nil {
 		unland()
 		return reject(fmt.Errorf("import %s: reanalyzing source: %w", id, err))
@@ -174,12 +174,12 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 	} else {
 		// A refusal here is a race lost to a concurrent import of the same
 		// ID (only possible without a datadir — O_EXCL arbitrates otherwise).
-		err = m.register(ss, true, true)
+		err = m.register(ss, leave, true)
 	}
 	if err != nil {
 		ss.close()
 		unland()
-		m.release()
+		leave()
 		return reject(err)
 	}
 	m.clearTombstone(id)

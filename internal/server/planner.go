@@ -31,6 +31,13 @@ import (
 // Maps to HTTP 409.
 var ErrPlanConflict = planner.ErrConflict
 
+// The refusals of the two plan gates: a session's one-search latch
+// (409) and the daemon's PlanWorkers searches (429).
+var (
+	errPlanRunning = fmt.Errorf("%w: a plan search is already running for this session", ErrPlanConflict)
+	errPlannerBusy = fmt.Errorf("%w: planner at capacity", ErrQueueFull)
+)
+
 const (
 	defaultPlanWorkers = 2
 	// planCacheSize bounds the plan result cache (searches).
@@ -38,28 +45,13 @@ const (
 )
 
 // planState is one session's planner corner: the latest search result
-// and the one-search-at-a-time latch. It has its own lock because
-// planning deliberately never rides the actor goroutine.
+// and the one-search-at-a-time latch, a gate of one place. It has its
+// own lock because planning deliberately never rides the actor
+// goroutine.
 type planState struct {
-	mu      sync.Mutex
-	running bool
-	last    *PlanResponse
-}
-
-func (p *planState) tryBegin() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.running {
-		return false
-	}
-	p.running = true
-	return true
-}
-
-func (p *planState) end() {
-	p.mu.Lock()
-	p.running = false
-	p.mu.Unlock()
+	latch *execguard.Gate
+	mu    sync.Mutex
+	last  *PlanResponse
 }
 
 func (p *planState) store(resp PlanResponse) {
@@ -143,16 +135,19 @@ func (ss *Session) search(ctx context.Context, opts planner.Options, async bool)
 		ss.plan.store(resp)
 		return resp, nil
 	}
-	if !ss.plan.tryBegin() {
-		return PlanResponse{}, fmt.Errorf("%w: a plan search is already running for this session", ErrPlanConflict)
+	leaveLatch, err := ss.plan.latch.Enter()
+	if err != nil {
+		return PlanResponse{}, err
 	}
-	select {
-	case ss.planSem <- struct{}{}:
-	default:
-		ss.plan.end()
-		return PlanResponse{}, fmt.Errorf("%w: planner at capacity", ErrQueueFull)
+	leave, err := ss.planAdmit.Enter()
+	if err != nil {
+		leaveLatch()
+		return PlanResponse{}, err
 	}
-	release := func() { <-ss.planSem }
+	release := func() {
+		leave()
+		leaveLatch()
+	}
 	if async {
 		running := PlanResponse{SessionID: ss.ID, Unit: base.unit,
 			BaseHash: base.hash, Status: "running"}
@@ -171,11 +166,9 @@ func (ss *Session) search(ctx context.Context, opts planner.Options, async bool)
 	return resp, nil
 }
 
-// runSearch owns the session's running latch; it stores the outcome
-// (done or failed) where PlanStatus and apply-plan find it, and
-// caches successes.
+// runSearch stores the outcome (done or failed) where PlanStatus and
+// apply-plan find it, and caches successes.
 func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Options, key string) PlanResponse {
-	defer ss.plan.end()
 	start := time.Now()
 	res, err := planner.Search(ctx, base.path, base.src, base.unit, opts, plannerObserver{ss.metrics})
 	ss.metrics.PlannerSearch.Observe(time.Since(start).Seconds())

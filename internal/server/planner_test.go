@@ -261,6 +261,13 @@ func TestPlanAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The search stores its outcome before it leaves both gates.
+	for _, gate := range []string{"session_plan", "plans"} {
+		waitFor(t, func() bool { _, held := gateReads(m, gate); return held == 0 })
+		if rejected, _ := gateReads(m, gate); rejected != 1 {
+			t.Errorf("%s gate refused %d searches, want 1", gate, rejected)
+		}
+	}
 }
 
 // TestPlanChaosParentUnharmed arms a panic that kills every

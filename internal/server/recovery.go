@@ -155,7 +155,7 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 
-	_ = m.register(ss, false, true) // one wal per ID, one pass: nothing to collide with
+	_ = m.register(ss, m.admit.Force(), true) // one wal per ID, one pass: nothing to collide with
 	switch {
 	case postErr != nil:
 		// The replay panicked: the session quarantined itself through
@@ -223,7 +223,7 @@ func (m *Manager) registerHusk(id, path, reason string, st *RecoveryStats) {
 	ss := m.newSession(id, path, "", nil, nil, nil)
 	ss.fail(reason, reason) // same observable state as a panic quarantine, without a stack
 	ss.walOrphan = walPath(m.cfg.DataDir, id)
-	_ = m.register(ss, false, true)
+	_ = m.register(ss, m.admit.Force(), true)
 	st.Quarantined++
 	m.metrics.RecoveriesQuarantined.Inc()
 }

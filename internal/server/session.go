@@ -81,6 +81,10 @@ type Session struct {
 	created  time.Time
 	lastUsed atomic.Int64 // unix nanos
 
+	// queue has a place for each slot of reqCh: post takes one before
+	// the send, so the send never blocks, and the task gives it back
+	// when it starts.
+	queue *execguard.Gate
 	reqCh chan task
 	// mu guards cond. post holds it shared from the refusal check to the
 	// send on reqCh; close, which closes reqCh, takes it exclusive.
@@ -94,6 +98,9 @@ type Session struct {
 	// plan is this session's speculative-planner state (latest search
 	// result + one-search latch; own lock, never the actor).
 	plan planState
+	// leave gives back the session's place at the manager's sessions
+	// gate; register sets it, unregister calls it.
+	leave func()
 
 	// Actor-confined state below: only the run() goroutine touches it.
 	art     *Artifacts
@@ -144,8 +151,10 @@ func (m *Manager) newSession(id, path, source string, art *Artifacts, live *core
 		path:    path,
 		source:  source,
 		created: time.Now(),
+		queue:   m.metrics.NewGate("queue", queueDepth, ErrQueueFull),
 		reqCh:   make(chan task, queueDepth),
 		done:    make(chan struct{}),
+		plan:    planState{latch: m.metrics.NewGate("session_plan", 1, errPlanRunning)},
 	}
 	ss.jr.Store(jr)
 	ss.lastUsed.Store(time.Now().UnixNano())
@@ -202,10 +211,11 @@ func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
 	done := make(chan struct{})
 	var abandoned atomic.Bool
 	var panicErr error
+	var leave func()
 	enqueued := time.Now()
 	t := task{touch: touch, fn: func() {
 		defer close(done)
-		ss.metrics.QueueDepth.Dec()
+		leave()
 		ss.metrics.QueueWait.Observe(time.Since(enqueued).Seconds())
 		if abandoned.Load() {
 			return
@@ -225,21 +235,15 @@ func (ss *Session) post(ctx context.Context, fn func(), touch bool) error {
 	if err == nil {
 		err = ctx.Err()
 	}
+	if err == nil {
+		leave, err = ss.queue.Enter()
+	}
 	if err != nil {
 		ss.mu.RUnlock()
 		return err
 	}
-	// Inc before the send so the gauge can never transiently dip
-	// negative: the actor's Dec only runs after the send succeeds.
-	ss.metrics.QueueDepth.Inc()
-	select {
-	case ss.reqCh <- t:
-		ss.mu.RUnlock()
-	default:
-		ss.metrics.QueueDepth.Dec()
-		ss.mu.RUnlock()
-		return ErrQueueFull
-	}
+	ss.reqCh <- t
+	ss.mu.RUnlock()
 	select {
 	case <-done:
 		return panicErr

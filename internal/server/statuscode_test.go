@@ -266,6 +266,10 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if !strings.Contains(body, `"state":"active"`) {
 		t.Errorf("status body missing active state: %s", body)
 	}
+	m.Shutdown()
+	if rejected, held := gateReads(m, "sessions"); rejected != 1 || held != 0 {
+		t.Errorf("sessions gate: %d refused, %d held after shutdown; want 1 and 0", rejected, held)
+	}
 }
 
 // TestRequestDeadline504 checks the per-request deadline end to end:
