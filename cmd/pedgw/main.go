@@ -38,6 +38,7 @@ import (
 	"parascope/internal/cluster"
 	"parascope/internal/faultpoint"
 	"parascope/internal/httpedge"
+	"parascope/internal/server"
 )
 
 func main() { os.Exit(run()) }
@@ -53,8 +54,8 @@ func run() int {
 	downAfter := flag.Int("downafter", cluster.DefaultDownAfter, "consecutive failed probes before a backend leaves the ring")
 	breakerFails := flag.Int("breakerfails", 0, "consecutive transport failures that trip a backend's circuit breaker (0 = 3)")
 	breakerCooldown := flag.Duration("breakercooldown", 0, "how long a tripped breaker stays open before a half-open probe (0 = 2s)")
-	proxyTimeout := flag.Duration("proxytimeout", cluster.DefaultProxyTimeout, "per-proxied-request deadline")
-	proxyRetries := flag.Int("proxyretries", cluster.DefaultProxyRetries, "transport-failure retries for idempotent proxied requests (negative disables)")
+	proxyTimeout := flag.Duration("proxytimeout", server.DefaultClientTimeout, "deadline of one proxied attempt (negative = none)")
+	proxyRetries := flag.Int("proxyretries", server.DefaultMaxRetries, "transport-failure retries for idempotent proxied requests (negative disables)")
 	migrateTimeout := flag.Duration("migratetimeout", cluster.DefaultMigrateTimeout, "deadline per rebalance/failover migration")
 	maxBody := flag.Int64("maxbody", 0, "proxied request body cap in bytes (0 = 1 MiB)")
 	drainGrace := flag.Duration("draingrace", 500*time.Millisecond, "how long to answer 503 before closing the listener on SIGTERM (lets load balancers see /readyz flip)")

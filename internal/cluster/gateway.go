@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -16,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,11 +33,6 @@ const (
 	// many consecutive probe results flip a backend's ready bit.
 	DefaultUpAfter   = 2
 	DefaultDownAfter = 2
-	// DefaultProxyTimeout bounds one proxied exchange end to end.
-	DefaultProxyTimeout = 30 * time.Second
-	// DefaultProxyRetries is the transport-failure retry budget for
-	// idempotent proxied requests.
-	DefaultProxyRetries = 2
 	// DefaultMigrateTimeout bounds one control-plane migration call
 	// (export + ship + replay of a whole journal).
 	DefaultMigrateTimeout = 30 * time.Second
@@ -66,9 +59,10 @@ type Config struct {
 	// breakers (0 = Breaker defaults).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProxyTimeout bounds one proxied exchange; ProxyRetries is the
-	// transport-failure budget for idempotent requests (0 = defaults,
-	// negative ProxyRetries = never retry).
+	// ProxyTimeout bounds one proxied attempt and ProxyRetries is the
+	// transport-failure budget for idempotent requests: they are the
+	// proxy client's Timeout and MaxRetries (0 = server.Client's
+	// defaults, negative = no timeout / never retry).
 	ProxyTimeout time.Duration
 	ProxyRetries int
 	// MigrateTimeout bounds one rebalance/failover operation.
@@ -85,18 +79,11 @@ type Config struct {
 
 func (c Config) probeInterval() time.Duration { return defDur(c.ProbeInterval, DefaultProbeInterval) }
 func (c Config) probeTimeout() time.Duration  { return defDur(c.ProbeTimeout, DefaultProbeTimeout) }
-func (c Config) proxyTimeout() time.Duration  { return defDur(c.ProxyTimeout, DefaultProxyTimeout) }
 func (c Config) migrateTimeout() time.Duration {
 	return defDur(c.MigrateTimeout, DefaultMigrateTimeout)
 }
 func (c Config) upAfter() int   { return defInt(c.UpAfter, DefaultUpAfter) }
 func (c Config) downAfter() int { return defInt(c.DownAfter, DefaultDownAfter) }
-func (c Config) proxyRetries() int {
-	if c.ProxyRetries < 0 {
-		return 0
-	}
-	return defInt(c.ProxyRetries, DefaultProxyRetries)
-}
 
 func defDur(v, d time.Duration) time.Duration {
 	if v > 0 {
@@ -135,7 +122,6 @@ type Gateway struct {
 	metrics *Metrics
 	edge    *httpedge.Edge
 	ready   *httpedge.Readiness
-	client  *http.Client
 
 	mu       sync.Mutex
 	backends map[string]*backendState // by Addr
@@ -154,18 +140,17 @@ type Gateway struct {
 // probing (the ring is empty — and every route 503s — until probes
 // mark backends ready).
 func NewGateway(cfg Config) *Gateway {
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics() // every backend state reports to it
+	}
 	g := &Gateway{
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
-		client:   &http.Client{},
 		backends: map[string]*backendState{},
 		ring:     NewRing(cfg.Replicas, nil),
 		override: map[string]string{},
 		events:   make(chan gwEvent, 64),
 		stop:     make(chan struct{}),
-	}
-	if g.metrics == nil {
-		g.metrics = NewMetrics()
 	}
 	for _, be := range cfg.Backends {
 		g.backends[be.Addr] = newBackendState(be, cfg)
@@ -354,7 +339,8 @@ func (g *Gateway) handleOpen(w http.ResponseWriter, r *http.Request) {
 			g.unavailable(w, "no ready backends")
 			return
 		}
-		resp, err := g.forward(r.Context(), b, http.MethodPost, "/v1/sessions", payload, "application/json", reqID)
+		resp, retries, err := b.proxy.Forward(r.Context(), http.MethodPost, "/v1/sessions", payload, "application/json", reqID)
+		g.metrics.ProxyRetries.Add(uint64(retries))
 		if err != nil {
 			g.badGateway(w, b, err)
 			return
@@ -402,10 +388,10 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProxy relays one session-scoped request to the session's
-// backend: circuit breaker, bounded transport retries (idempotent
-// methods only), 421-following with override caching, and a 404
-// discovery sweep that re-locates sessions the ring mispredicts
-// (e.g. just after a node rejoins).
+// backend through its proxy client (circuit breaker, transport retries
+// on idempotent methods), following 421s to configured backends with
+// override caching, and sweeping the fleet once on a 404 to re-locate
+// sessions the ring mispredicts (e.g. just after a node rejoins).
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, err := io.ReadAll(r.Body)
@@ -415,8 +401,6 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := w.Header().Get("X-Request-ID")
 	pathq := r.URL.RequestURI()
-	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead ||
-		r.Method == http.MethodDelete || r.Method == http.MethodPut
 	addr, owner := g.route(id)
 	viaOverride := addr != owner
 	swept := false
@@ -427,7 +411,8 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 			g.unavailable(w, "no ready backends")
 			return
 		}
-		resp, err := g.forwardRetry(r.Context(), b, r.Method, pathq, body, r.Header.Get("Content-Type"), reqID, idempotent)
+		resp, retries, err := b.proxy.Forward(r.Context(), r.Method, pathq, body, r.Header.Get("Content-Type"), reqID)
+		g.metrics.ProxyRetries.Add(uint64(retries))
 		if err != nil {
 			g.badGateway(w, b, err)
 			return
@@ -522,86 +507,6 @@ func (g *Gateway) discover(ctx context.Context, id, except string) string {
 	return ""
 }
 
-// forwardRetry wraps forward with the transport-retry budget: only
-// transport failures retry (the breaker already saw them), and only
-// for idempotent methods, where a duplicate cannot double-apply.
-func (g *Gateway) forwardRetry(ctx context.Context, b *backendState, method, pathq string, body []byte, contentType, reqID string, idempotent bool) (*http.Response, error) {
-	budget := 0
-	if idempotent {
-		budget = g.cfg.proxyRetries()
-	}
-	var resp *http.Response
-	var err error
-	for attempt := 0; ; attempt++ {
-		resp, err = g.forward(ctx, b, method, pathq, body, contentType, reqID)
-		if err == nil || attempt >= budget || ctx.Err() != nil {
-			return resp, err
-		}
-		g.metrics.ProxyRetries.Inc()
-		select {
-		case <-time.After(time.Duration(attempt+1) * 25 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, err
-		}
-	}
-}
-
-// errBreakerOpen marks a request refused locally by an open breaker.
-var errBreakerOpen = errors.New("circuit breaker open")
-
-// forward sends one request to one backend and feeds the breaker and
-// proxy metrics. A response (any status) is breaker success — the
-// backend is serving; only transport-level failure counts against it.
-func (g *Gateway) forward(ctx context.Context, b *backendState, method, pathq string, body []byte, contentType, reqID string) (*http.Response, error) {
-	if !b.breaker.Allow() {
-		g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
-		return nil, fmt.Errorf("%w for backend %s", errBreakerOpen, b.addr)
-	}
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.proxyTimeout())
-	var rd io.Reader
-	if len(body) > 0 || method == http.MethodPost || method == http.MethodPut {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.addr+pathq, rd)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if reqID != "" {
-		req.Header.Set("X-Request-ID", reqID)
-	}
-	start := time.Now()
-	resp, err := g.client.Do(req)
-	elapsed := time.Since(start)
-	if err != nil {
-		cancel()
-		b.breaker.Failure()
-		g.metrics.ObserveProxy(b.addr, 0, elapsed)
-		g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
-		return nil, err
-	}
-	b.breaker.Success()
-	g.metrics.ObserveProxy(b.addr, resp.StatusCode, elapsed)
-	g.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
-	// The response body must outlive this call; tie the timeout to it.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (cb *cancelBody) Close() error {
-	err := cb.ReadCloser.Close()
-	cb.cancel()
-	return err
-}
-
 // relay copies a backend response to the client, streaming the body.
 func (g *Gateway) relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
@@ -623,13 +528,12 @@ func drain(resp *http.Response) {
 }
 
 func (g *Gateway) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(httpedge.RetryAfterSeconds))
-	httpedge.WriteError(w, http.StatusServiceUnavailable, errors.New(msg))
+	httpedge.WriteRefusal(w, http.StatusServiceUnavailable, errors.New(msg))
 }
 
 func (g *Gateway) badGateway(w http.ResponseWriter, b *backendState, err error) {
 	if errors.Is(err, errBreakerOpen) {
-		g.unavailable(w, err.Error())
+		g.unavailable(w, fmt.Sprintf("%v for backend %s", errBreakerOpen, b.addr))
 		return
 	}
 	httpedge.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.addr, err))

@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -406,6 +407,113 @@ func TestGatewayBreakerTripsOnDeadServingPort(t *testing.T) {
 	}
 	if !strings.Contains(scrapeGateway(t, g), fmt.Sprintf("pedgw_backend_breaker_state{backend=%q} 2", dead)) {
 		t.Error("scrape does not show the breaker open (state 2)")
+	}
+}
+
+// TestGatewayProxyRetry: a transport failure on the serving port is
+// retried once for an idempotent method, under the request's one ID,
+// and counted in pedgw_proxy_retries_total; a POST is never retried,
+// and ProxyRetries -1 (not 0, which is the client's default budget)
+// turns retries off.
+func TestGatewayProxyRetry(t *testing.T) {
+	stubOps := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer stubOps.Close()
+	// gateway serves a fresh stub whose serving port drops the
+	// connection of its first session GET and of every POST before any
+	// response byte, and answers the rest; seen lists each attempt's
+	// method and X-Request-ID. The first GET must dial a connection no
+	// earlier request used, or http.Transport would retry it itself: the
+	// probes go to their own ops server, and the rebalance sweep's list
+	// of the stub is answered with Connection: close.
+	gateway := func(cfg Config) (g *Gateway, base string, seen func() []string) {
+		var mu sync.Mutex
+		var attempts []string
+		gets := 0
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sessions" {
+				w.Header().Set("Connection", "close")
+				io.WriteString(w, "[]")
+				return
+			}
+			mu.Lock()
+			attempts = append(attempts, r.Method+" "+r.Header.Get("X-Request-ID"))
+			drop := r.Method == http.MethodPost || r.Method == http.MethodGet && gets == 0
+			if r.Method == http.MethodGet {
+				gets++
+			}
+			mu.Unlock()
+			if drop {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				conn.Close()
+				return
+			}
+			io.WriteString(w, `{"state":"active"}`)
+		}))
+		t.Cleanup(stub.Close)
+		cfg.Backends = []Backend{{Addr: stub.URL, OpsAddr: stubOps.URL}}
+		g, ts := newTestGateway(t, cfg)
+		waitGatewayReady(t, g, ts.URL)
+		return g, ts.URL, func() []string {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]string(nil), attempts...)
+		}
+	}
+	retried := func(g *Gateway) float64 {
+		return gatewayPromValues(t, scrapeGateway(t, g))["pedgw_proxy_retries_total"]
+	}
+	const path = "/v1/sessions/s0123456789ab"
+
+	g, base, seen := gateway(Config{})
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET after one dropped connection: %d, want 200", resp.StatusCode)
+	}
+	if n := retried(g); n != 1 {
+		t.Errorf("pedgw_proxy_retries_total = %v after one retried GET, want 1", n)
+	}
+	get := "GET " + resp.Header.Get("X-Request-ID")
+	if got := seen(); len(got) != 2 || got[0] != get || got[1] != get {
+		t.Errorf("backend saw %q, want two attempts %q", got, get)
+	}
+
+	resp, err = http.Post(base+path+"/cmd", "application/json", strings.NewReader(`{"line":"loops"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("POST on a dropped connection: %d, want 502", resp.StatusCode)
+	}
+	if n := retried(g); n != 1 {
+		t.Errorf("pedgw_proxy_retries_total = %v after a dropped POST, want still 1", n)
+	}
+	if got := seen(); len(got) != 3 {
+		t.Errorf("backend saw %q, want the POST once", got)
+	}
+
+	g, base, seen = gateway(Config{ProxyRetries: -1})
+	resp, err = http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("GET with ProxyRetries -1: %d, want 502", resp.StatusCode)
+	}
+	if n := retried(g); n != 0 {
+		t.Errorf("pedgw_proxy_retries_total = %v with ProxyRetries -1, want 0", n)
+	}
+	if got := seen(); len(got) != 1 {
+		t.Errorf("backend saw %q with ProxyRetries -1, want one attempt", got)
 	}
 }
 

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/url"
 	"os"
 	"strings"
@@ -128,9 +130,11 @@ type backendState struct {
 	// backends by it, so one state has one address for life and every
 	// goroutine may read it.
 	addr    string
+	proxy   *server.Client // proxied traffic; every attempt is b.RoundTrip
 	api     *server.Client // typed control-plane calls (list, migrate, import)
 	ops     *server.Client // /readyz probes against the ops listener
 	breaker *Breaker
+	metrics *Metrics
 
 	mu      sync.Mutex
 	dataDir string // a reload may replace it
@@ -140,7 +144,7 @@ type backendState struct {
 }
 
 func newBackendState(be Backend, cfg Config) *backendState {
-	return &backendState{
+	b := &backendState{
 		addr:    be.Addr,
 		dataDir: be.DataDir,
 		// Control-plane calls retry inside the client only for
@@ -151,7 +155,40 @@ func newBackendState(be Backend, cfg Config) *backendState {
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
 		},
+		metrics: cfg.Metrics,
 	}
+	b.proxy = server.NewClientVia(be.Addr, b)
+	b.proxy.Timeout, b.proxy.MaxRetries = cfg.ProxyTimeout, cfg.ProxyRetries
+	return b
+}
+
+// errBreakerOpen marks an attempt refused locally by an open breaker.
+var errBreakerOpen = errors.New("circuit breaker open")
+
+// RoundTrip is one proxied attempt: the breaker admits it, and its
+// outcome feeds the breaker and the proxy metrics. A response (any
+// status) is breaker success — the backend is serving; only
+// transport-level failure counts against it.
+func (b *backendState) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !b.breaker.Allow() {
+		b.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errBreakerOpen
+	}
+	start := time.Now()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	status := 0
+	if err != nil {
+		b.breaker.Failure()
+	} else {
+		b.breaker.Success()
+		status = resp.StatusCode
+	}
+	b.metrics.ObserveProxy(b.addr, status, time.Since(start))
+	b.metrics.BreakerState.With(b.addr).Set(int64(b.breaker.State()))
+	return resp, err
 }
 
 func (b *backendState) journalDir() string {

@@ -25,9 +25,8 @@ import (
 	"parascope/internal/metrics"
 )
 
-// RetryAfterSeconds is the Retry-After hint on refusals that came
-// before any work was done (429, 503).
-const RetryAfterSeconds = 1
+// retryAfterSeconds is the Retry-After hint WriteRefusal sends.
+const retryAfterSeconds = 1
 
 // DefaultMaxBody is the request body cap of a route that asks for none
 // of its own: command-sized bodies are the ceiling of both daemons.
@@ -173,8 +172,7 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, route: "unmatched"}
 	if e.cfg.DrainRefusal != "" && e.cfg.Ready.Draining() && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
 		rec.route = "draining"
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		WriteError(rec, http.StatusServiceUnavailable, errors.New(e.cfg.DrainRefusal))
+		WriteRefusal(rec, http.StatusServiceUnavailable, errors.New(e.cfg.DrainRefusal))
 	} else {
 		if e.cfg.Timeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), e.cfg.Timeout)
@@ -264,4 +262,12 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 		Error:     err.Error(),
 		RequestID: w.Header().Get("X-Request-ID"),
 	})
+}
+
+// WriteRefusal answers a refusal that came before any work was done
+// (429, 503) with err and a Retry-After hint: the request may be sent
+// again as it was, and server.Client's loop does so after the hint.
+func WriteRefusal(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	WriteError(w, status, err)
 }

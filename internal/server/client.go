@@ -62,12 +62,12 @@ func (e *APIError) Error() string {
 }
 
 // Client drives a pedd daemon over HTTP — the transport behind
-// `ped -remote` and the server benchmarks. It is resilient by
-// default: every attempt runs under a timeout, and failed attempts
-// are retried with exponential backoff plus jitter when it is safe —
-// transport errors on idempotent requests, and 429/503 backpressure
-// rejections on any request (the server refused before doing work),
-// honoring the Retry-After hint.
+// `ped -remote`, every request pedgw sends a backend, and the server
+// benchmarks. It is resilient by default: every attempt runs under a
+// timeout, and failed attempts are retried with exponential backoff
+// plus jitter when it is safe — transport errors on idempotent
+// requests, and 429/503 backpressure rejections on any request (the
+// server refused before doing work), honoring the Retry-After hint.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://localhost:7473".
 	Base string
@@ -85,6 +85,15 @@ type Client struct {
 // resilience policy.
 func NewClient(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/")}
+}
+
+// NewClientVia creates a client for the daemon at base whose every
+// attempt is one rt.RoundTrip: the place a caller observes or refuses
+// attempts, as pedgw's per-backend circuit breaker does.
+func NewClientVia(base string, rt http.RoundTripper) *Client {
+	c := NewClient(base)
+	c.HTTPClient = &http.Client{Transport: rt}
+	return c
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -137,73 +146,97 @@ func retryable(err error, idempotent bool) (bool, time.Duration) {
 	return idempotent, 0
 }
 
-// do issues one request with the retry policy; out (when non-nil)
-// receives the decoded 2xx body, and non-2xx bodies become *APIError.
+// do issues one typed request; out (when non-nil) receives the decoded
+// 2xx body, and non-2xx bodies become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
 	var payload []byte
+	contentType := ""
 	if in != nil {
 		var err error
 		if payload, err = json.Marshal(in); err != nil {
 			return err
 		}
+		contentType = "application/json"
 	}
-	idempotent := method == http.MethodGet || method == http.MethodHead ||
-		method == http.MethodDelete || method == http.MethodPut
-	return c.doBytes(ctx, method, path, payload, "application/json", in != nil, idempotent, out)
+	return c.doBytes(ctx, method, path, payload, contentType, out)
 }
 
-// doBytes runs the retry-and-redirect loop over a prepared payload.
-// Migration redirects — 421 Misdirected Request (a tombstone on the
-// session's old node) or 307 (a proxy handoff) carrying Location — are
-// followed with the same method, body, and request ID, so a client
-// riding out a live migration never sees the move. Hops are bounded
-// and loops refuse: a stale pair of tombstones pointing at each other
-// becomes a clear error, not a spin.
-func (c *Client) doBytes(ctx context.Context, method, path string, payload []byte, contentType string, hasBody, idempotent bool, out interface{}) error {
+// doBytes runs the exchange loop over a prepared payload (nil = no
+// body) under a fresh request ID, decoding each answer into out.
+func (c *Client) doBytes(ctx context.Context, method, path string, payload []byte, contentType string, out interface{}) error {
+	_, err := c.exchange(ctx, method, path, payload, contentType, httpedge.NewRequestID(),
+		func(resp *http.Response) error { return decode(resp, out) })
+	return err
+}
+
+// Forward sends one request to the daemon and returns its answer
+// whatever the status, for a proxy to relay; the caller closes the
+// body. A response never becomes an *APIError here, so backpressure and
+// migration redirects reach the caller as they came: only transport
+// failures are retried, on idempotent methods. retries counts the
+// attempts made after a failed one.
+func (c *Client) Forward(ctx context.Context, method, pathq string, body []byte, contentType, reqID string) (*http.Response, int, error) {
+	var resp *http.Response
+	retries, err := c.exchange(ctx, method, pathq, body, contentType, reqID,
+		func(r *http.Response) error { resp = r; return nil })
+	return resp, retries, err
+}
+
+// exchange runs one logical request and hands each response to handle,
+// which owns its body. Every retry and redirect hop reuses reqID, so
+// every node's access log shows the journey under one ID. An *APIError
+// from handle drives the policy: a migration redirect — 421 Misdirected
+// Request (a tombstone on the session's old node) or 307 (a proxy
+// handoff) carrying Location — is followed with the same method and
+// body, and a 429/503 is retried after backoff; a transport failure is
+// retried only for idempotent methods. Hops are bounded and loops
+// refuse: a stale pair of tombstones pointing at each other becomes a
+// clear error, not a spin. It returns how many retries it made.
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, contentType, reqID string, handle func(*http.Response) error) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One request ID for the whole logical request: retries and
-	// redirect hops reuse it, so every node's access log shows the
-	// journey under one ID.
-	reqID := httpedge.NewRequestID()
+	idempotent := method == http.MethodGet || method == http.MethodHead ||
+		method == http.MethodDelete || method == http.MethodPut
 	target := c.Base + path
 	visited := map[string]bool{target: true}
-	hops := 0
-	for attempt := 0; ; attempt++ {
-		err := c.attempt(ctx, method, target, payload, contentType, hasBody, out, reqID)
+	hops, retries := 0, 0
+	for {
+		resp, err := c.attempt(ctx, method, target, payload, contentType, reqID)
 		if err == nil {
-			return nil
+			if err = handle(resp); err == nil {
+				return retries, nil
+			}
 		}
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Location != "" &&
 			(apiErr.Status == http.StatusMisdirectedRequest || apiErr.Status == http.StatusTemporaryRedirect) {
 			next, rerr := redirectTarget(target, apiErr.Location)
 			if rerr != nil {
-				return fmt.Errorf("unusable Location %q following migration: %w", apiErr.Location, err)
+				return retries, fmt.Errorf("unusable Location %q following migration: %w", apiErr.Location, err)
 			}
 			if hops++; hops > maxRedirectHops {
-				return fmt.Errorf("gave up after %d migration redirects at %s: %w", maxRedirectHops, next, err)
+				return retries, fmt.Errorf("gave up after %d migration redirects at %s: %w", maxRedirectHops, next, err)
 			}
 			if visited[next] {
-				return fmt.Errorf("migration redirect loop back to %s: %w", next, err)
+				return retries, fmt.Errorf("migration redirect loop back to %s: %w", next, err)
 			}
 			visited[next] = true
 			target = next
-			attempt-- // a redirect is progress, not a spent retry
-			continue
+			continue // a redirect is progress, not a spent retry
 		}
 		ok, retryAfter := retryable(err, idempotent)
-		if !ok || attempt >= c.maxRetries() || ctx.Err() != nil {
-			return err
+		if !ok || retries >= c.maxRetries() || ctx.Err() != nil {
+			return retries, err
 		}
-		t := time.NewTimer(c.backoff(attempt, retryAfter))
+		t := time.NewTimer(c.backoff(retries, retryAfter))
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return err
+			return retries, err
 		}
+		retries++
 	}
 }
 
@@ -221,26 +254,29 @@ func redirectTarget(cur, loc string) (string, error) {
 	return base.ResolveReference(ref).String(), nil
 }
 
-// attempt issues one HTTP request under the per-attempt timeout.
-func (c *Client) attempt(ctx context.Context, method, fullURL string, payload []byte, contentType string, hasBody bool, out interface{}, reqID string) error {
+// attempt sends one request under the per-attempt timeout. The
+// timeout's cancel rides on the response body, so whoever reads the
+// body reads it under the same deadline and releases both by closing
+// it.
+func (c *Client) attempt(ctx context.Context, method, fullURL string, payload []byte, contentType, reqID string) (*http.Response, error) {
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = DefaultClientTimeout
 	}
+	cancel := func() {}
 	if timeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
 	}
 	var body io.Reader
-	if hasBody {
+	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, fullURL, body)
 	if err != nil {
-		return err
+		cancel()
+		return nil, err
 	}
-	if hasBody {
+	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	if reqID != "" {
@@ -248,11 +284,33 @@ func (c *Client) attempt(ctx context.Context, method, fullURL string, payload []
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		cancel()
+		return nil, err
 	}
+	// decode names the attempt's method, URL and request ID from here.
+	resp.Request = req
+	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	return resp, nil
+}
+
+type cancelBody struct {
+	io.ReadCloser
+	cancel func()
+}
+
+func (b *cancelBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
+}
+
+// decode is the typed calls' response handler: a 2xx body goes into
+// out (nil discards it, *[]byte takes it raw, anything else decodes as
+// JSON), any other status becomes an *APIError. It closes the body.
+func decode(resp *http.Response, out interface{}) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		apiErr := &APIError{Status: resp.StatusCode, RequestID: reqID}
+		apiErr := &APIError{Status: resp.StatusCode, RequestID: resp.Request.Header.Get("X-Request-ID")}
 		if id := resp.Header.Get("X-Request-ID"); id != "" {
 			apiErr.RequestID = id
 		}
@@ -260,7 +318,7 @@ func (c *Client) attempt(ctx context.Context, method, fullURL string, payload []
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&e) == nil && e.Error != "" {
 			apiErr.Message = e.Error
 		} else {
-			apiErr.Message = fmt.Sprintf("%s %s: %s", method, fullURL, resp.Status)
+			apiErr.Message = fmt.Sprintf("%s %s: %s", resp.Request.Method, resp.Request.URL, resp.Status)
 		}
 		apiErr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 		apiErr.Location = resp.Header.Get("Location")
@@ -432,7 +490,7 @@ func (c *Client) Undo(ctx context.Context, id string) error {
 // image Import replays.
 func (c *Client) ExportJournal(ctx context.Context, id string) ([]byte, error) {
 	var raw []byte
-	err := c.doBytes(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/journal", nil, "", false, true, &raw)
+	err := c.doBytes(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/journal", nil, "", &raw)
 	return raw, err
 }
 
@@ -442,7 +500,7 @@ func (c *Client) ExportJournal(ctx context.Context, id string) ([]byte, error) {
 func (c *Client) Import(ctx context.Context, id string, stream []byte) (ImportResponse, error) {
 	var resp ImportResponse
 	err := c.doBytes(ctx, http.MethodPost, "/v1/sessions/import?id="+url.QueryEscape(id),
-		stream, "application/octet-stream", true, false, &resp)
+		stream, "application/octet-stream", &resp)
 	return resp, err
 }
 
@@ -462,7 +520,11 @@ func (c *Client) Ready(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.attempt(ctx, http.MethodGet, c.Base+"/readyz", nil, "", false, nil, httpedge.NewRequestID())
+	resp, err := c.attempt(ctx, http.MethodGet, c.Base+"/readyz", nil, "", httpedge.NewRequestID())
+	if err != nil {
+		return err
+	}
+	return decode(resp, nil)
 }
 
 // CacheStats fetches the daemon's analysis cache counters.

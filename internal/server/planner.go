@@ -61,6 +61,19 @@ func (p *planState) store(resp PlanResponse) {
 	p.mu.Unlock()
 }
 
+// finish leaves a search's gates and stores its outcome under one lock:
+// a client that reads the outcome can start the next search at once,
+// and that search's "running" cannot land before this outcome. A nil
+// outcome (the search panicked) only leaves the gates.
+func (p *planState) finish(resp *PlanResponse, leave func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	leave()
+	if resp != nil {
+		p.last = resp
+	}
+}
+
 func (p *planState) snapshot() (PlanResponse, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -148,26 +161,32 @@ func (ss *Session) search(ctx context.Context, opts planner.Options, async bool)
 		leave()
 		leaveLatch()
 	}
+	// run leaves both gates before its outcome is visible, and leaves
+	// them on a panic too.
+	run := func(ctx context.Context) PlanResponse {
+		var out *PlanResponse
+		defer func() { ss.plan.finish(out, release) }()
+		resp := ss.runSearch(ctx, base, opts, key)
+		out = &resp
+		return resp
+	}
 	if async {
 		running := PlanResponse{SessionID: ss.ID, Unit: base.unit,
 			BaseHash: base.hash, Status: "running"}
 		ss.plan.store(running)
-		go func() {
-			defer release()
-			ss.runSearch(context.Background(), base, opts, key)
-		}()
+		go run(context.Background())
 		return running, nil
 	}
-	defer release()
-	resp := ss.runSearch(ctx, base, opts, key)
+	resp := run(ctx)
 	if resp.Status == "failed" {
 		return resp, errors.New(resp.Error)
 	}
 	return resp, nil
 }
 
-// runSearch stores the outcome (done or failed) where PlanStatus and
-// apply-plan find it, and caches successes.
+// runSearch runs one search and returns its outcome (done or failed),
+// caching successes; its caller stores the outcome where PlanStatus
+// and apply-plan find it.
 func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Options, key string) PlanResponse {
 	start := time.Now()
 	res, err := planner.Search(ctx, base.path, base.src, base.unit, opts, plannerObserver{ss.metrics})
@@ -176,7 +195,6 @@ func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Op
 	if err != nil {
 		resp.Status = "failed"
 		resp.Error = err.Error()
-		ss.plan.store(resp)
 		return resp
 	}
 	resp.Status = "done"
@@ -187,7 +205,6 @@ func (ss *Session) runSearch(ctx context.Context, base planBase, opts planner.Op
 	resp.WorldsDiscarded = res.WorldsDiscarded
 	resp.ElapsedMs = res.Elapsed.Milliseconds()
 	resp.Plans = res.Plans
-	ss.plan.store(resp)
 	// Only productive searches are cached: an empty result can mean
 	// injected faults or a transient world wipe-out, and re-running a
 	// search that found nothing is cheap next to serving a stale

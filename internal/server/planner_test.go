@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -250,20 +251,35 @@ func TestPlanAdmissionControl(t *testing.T) {
 	if _, err := s2.Plan(bg, PlanRequest{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("plan past daemon capacity: %v, want ErrQueueFull", err)
 	}
+	disarm()
 
+	// Poll without sleeping, so the outcome is read the moment it is
+	// stored.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if resp, ok := s1.PlanStatus(); ok && resp.Status != "running" {
+			if resp.Status != "done" {
+				t.Fatalf("slow plan: %+v", resp)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("slow plan never finished")
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
-	// The search stores its outcome before it leaves both gates.
+	// The search leaves both gates before its outcome is visible, so
+	// the session can start its next search (a budget the result cache
+	// does not hold) as soon as it reads the outcome.
 	for _, gate := range []string{"session_plan", "plans"} {
-		waitFor(t, func() bool { _, held := gateReads(m, gate); return held == 0 })
+		if _, held := gateReads(m, gate); held != 0 {
+			t.Errorf("%s gate holds %d searches once the outcome is visible, want 0", gate, held)
+		}
+	}
+	if _, err := s1.Plan(bg, PlanRequest{MaxDepth: 1}); err != nil {
+		t.Fatalf("next search right after the outcome: %v", err)
+	}
+	for _, gate := range []string{"session_plan", "plans"} {
 		if rejected, _ := gateReads(m, gate); rejected != 1 {
 			t.Errorf("%s gate refused %d searches, want 1", gate, rejected)
 		}

@@ -395,7 +395,8 @@ func writeOpError(w http.ResponseWriter, err error) {
 		}
 	}
 	if retry {
-		w.Header().Set("Retry-After", strconv.Itoa(httpedge.RetryAfterSeconds))
+		httpedge.WriteRefusal(w, status, err)
+		return
 	}
 	httpedge.WriteError(w, status, err)
 }
