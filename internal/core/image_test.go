@@ -98,6 +98,14 @@ func TestSourceImageAlwaysTrue(t *testing.T) {
 			}
 			return nil
 		}, ""},
+		{"rejected edit that calls a new name", func() error {
+			// yy enters the table a function, which no declaration names.
+			err := s.EditStmt(findAssign(t, s, "t = b(i)").ID(), "      zz(1) = yy(0)")
+			if text := fortran.Print(s.File); err == nil || !strings.Contains(text, "zz") || strings.Contains(text, "yy") {
+				t.Errorf("edit err = %v; want a parse error that declared zz and not yy", err)
+			}
+			return nil
+		}, ""},
 		{"edit introducing a name", edit("main", "t = b(i)", "t = b(i)*3.0 + w2"), ""},
 		{"delete", func() error {
 			return s.DeleteStmt(findAssign(t, s, "n = 100").ID())
@@ -373,4 +381,88 @@ func TestProgramRungOnRecursiveProgram(t *testing.T) {
 		t.Error("the program rung replaced the estimator")
 	}
 	expectScratchEquivalent(t, s)
+}
+
+// TestExternalPassedBareStaysAFunction: a name an EXTERNAL statement
+// declares is a function though no expression calls it — here it is
+// only passed to a subroutine. The printed text drops the EXTERNAL
+// statement, so an undo reparses f as a bare name; the session keeps
+// it a function there too, and the saved text is the one the editor
+// has always printed for this program.
+func TestExternalPassedBareStaysAFunction(t *testing.T) {
+	s := open(t, `
+      program p
+      real b(10)
+      external f
+      integer i
+      do i = 1, 10
+         b(i) = 0.0
+      enddo
+      call s(f, b)
+      y = 1.0
+      end
+      subroutine s(g, c)
+      real c(10)
+      c(1) = g(1.0)
+      end
+`)
+	saved := func(y string) string {
+		return "      program p\n      integer i\n      real b(10), y\n" +
+			"      do i = 1, 10\n        b(i) = 0.0\n      enddo\n      call s(f, b)\n      y = " + y + "\n      end\n\n" +
+			"      subroutine s(g, c)\n      real c(10)\n      c(1) = g(1.0)\n      end\n"
+	}
+	for _, step := range []struct {
+		name, y string
+		do      func() error
+	}{
+		{"open", "1.0", func() error { return nil }},
+		{"edit", "2.0", func() error { return s.EditStmt(findAssign(t, s, "y = 1.0").ID(), "      y = 2.0") }},
+		{"undo", "1.0", s.Undo},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if k := s.File.Unit("p").Lookup("f").Kind; k != fortran.SymFunc {
+			t.Errorf("%s: f is a %s", step.name, k)
+		}
+		if got := s.Save(); got != saved(step.y) {
+			t.Errorf("%s: saved\n%s\nwant\n%s", step.name, got, saved(step.y))
+		}
+		if err := s.CheckSourceImage(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+	}
+}
+
+// TestUndoRestoresUnmentionedKind: a declared name that no statement
+// mentions is called by one edit, so it becomes a function, and the
+// call is edited away again. Undoing both lands on the text before
+// them, declaration included: Unit.Adopt keeps the old kind only of the
+// names the restored statements mention, which DeriveKinds then moves.
+func TestUndoRestoresUnmentionedKind(t *testing.T) {
+	s := open(t, "      program p\n      z = 1.0\n      end\n")
+	if err := s.EditStmt(findAssign(t, s, "z = 1.0").ID(), "      q(1) = 1.0"); err == nil {
+		t.Fatal("q(1) = 1.0 was accepted")
+	}
+	var texts []string
+	for _, text := range []string{"z = q(0)", "z = 2.0"} {
+		texts = append(texts, s.Save())
+		if err := s.EditStmt(findAssign(t, s, "z = ").ID(), "      "+text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(texts[0], "real q, z\n") || strings.Contains(s.Save(), "q") {
+		t.Fatalf("q should be declared before the edits and gone after them:\n%s\n%s", texts[0], s.Save())
+	}
+	for i := len(texts) - 1; i >= 0; i-- {
+		if err := s.Undo(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Save(); got != texts[i] {
+			t.Errorf("undo %d landed on\n%s\nwant\n%s", len(texts)-i, got, texts[i])
+		}
+		if err := s.CheckSourceImage(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

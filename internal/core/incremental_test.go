@@ -627,3 +627,35 @@ func TestKindChangeDeclinesStatementStep(t *testing.T) {
 	}
 	expectScratchEquivalent(t, s)
 }
+
+// TestRejectedEditLeavesKinds: a rejected edit that calls the scalar x
+// must leave x a scalar. Were its parse to make x a function, the save
+// would drop x's declaration, the next accepted edit would analyze to
+// no dependence on x and auto would parallelize the loop with x shared;
+// the session must stand where a fresh open of its text stands.
+func TestRejectedEditLeavesKinds(t *testing.T) {
+	s := open(t, `
+      program p
+      real b(10)
+      integer i
+      do i = 1, 10
+         x = 1.0
+         b(i) = x
+      enddo
+      end
+`)
+	if err := s.EditStmt(findAssign(t, s, "b(i) = x").ID(), "      q(1) = x(0)"); err == nil {
+		t.Fatal("q(1) = x(0) was accepted")
+	}
+	if err := s.EditStmt(findAssign(t, s, "b(i) = x").ID(), "      b(i) = x + 1.0"); err != nil {
+		t.Fatal(err)
+	}
+	expectScratchEquivalent(t, s)
+	if !strings.Contains(s.Save(), "      real b(10), q, x\n") {
+		t.Errorf("the save no longer declares x:\n%s", s.Save())
+	}
+	s.AutoParallelize()
+	if !strings.Contains(s.Save(), "c$par doall private(i,x)\n") {
+		t.Errorf("auto did not make x private:\n%s", s.Save())
+	}
+}

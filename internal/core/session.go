@@ -117,9 +117,6 @@ type UnitState struct {
 	// entry can have moved.
 	unitImage
 	callSig string
-	// kindChanges is Unit.KindChanges at analysis: a statement step
-	// builds only on accesses computed under the symbols' kinds of now.
-	kindChanges int
 }
 
 // unitImage is one unit's printed text; two images compare by it.
@@ -328,13 +325,14 @@ type stmtSwap struct {
 // constant formals, and whether the scalars in its subscripts are
 // assigned in the unit or in the common loop. So the step declines when
 // the CFG or loop tree could move (a statement that is not simple, another
-// label), when a symbol of the unit changed kind since its analysis
-// (Unit.KindChanges), when the unit's constant formals or recursion status
+// label), when a name of the unit changed kind (Unit.DeriveKinds, run
+// here first), when the unit's constant formals or recursion status
 // moved, and when PatchStmt finds constants or a written-scalar set moved
 // — all before anything lasting is modified; WholeUnitOnly declines
 // always. A "patch" rung whose step declined asks reach after all.
 func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 	start := time.Now()
+	kindMoved := u.DeriveKinds()
 	s.File.RenumberStmts()
 	st := s.units[u]
 	if st == nil || s.Prog == nil {
@@ -344,7 +342,7 @@ func (s *Session) update(u *fortran.Unit, swap stmtSwap) string {
 	// The one print of this change: whatever runs below carries the
 	// refreshed image (and every other unit's untouched one) forward.
 	moved := s.refreshImage(u)
-	step := !s.WholeUnitOnly && st.kindChanges == u.KindChanges &&
+	step := !s.WholeUnitOnly && !kindMoved &&
 		(swap.annotations || swap.ns != nil && swappable(swap.old, swap.ns))
 	mode, prog, patched := "unit", s.Prog, false
 	switch {
@@ -546,7 +544,7 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, df *dataflow.Ana
 		// as a panic for the session-level recovery boundary.
 		panic(err)
 	}
-	st := &UnitState{Unit: u, marks: map[depKey]dep.Mark{}, classes: map[string]VarClass{}, kindChanges: u.KindChanges}
+	st := &UnitState{Unit: u, marks: map[depKey]dep.Mark{}, classes: map[string]VarClass{}}
 	if prev != nil {
 		st.marks = prev.marks
 		st.assertions = prev.assertions
@@ -1176,18 +1174,18 @@ func (s *Session) EditStmt(id int, text string) error {
 		return fmt.Errorf("no statement %d", id)
 	}
 	u := s.current
-	syms, kinds := len(u.Syms), u.KindChanges
+	syms := len(u.Syms)
 	ns, err := fortran.ParseStmtIn(s.File, u, text)
-	// Resolving the text's names declares (or reclassifies) them in the
-	// unit's symbol table even when the parse then fails, and the
-	// declarations print. The image follows at once: no reanalysis
-	// comes after a rejected edit, and an accepted edit's undo entry
-	// has always carried the names its text introduced — journals
-	// written that way must keep replaying onto the same hashes. A
-	// statement's parse reaches no declaration, so it can move what
-	// prints only by adding a symbol or changing one's kind; otherwise
-	// the image is current, and update's print is the edit's one.
-	if len(u.Syms) != syms || u.KindChanges != kinds {
+	// Resolving the text's names declares them in the unit's symbol
+	// table even when the parse then fails, and the declarations print.
+	// The image follows at once: no reanalysis comes after a rejected
+	// edit, and an accepted edit's undo entry has always carried the
+	// names its text introduced — journals written that way must keep
+	// replaying onto the same hashes. A parse moves no name's kind
+	// (update's DeriveKinds does), so it can move what prints only by
+	// adding a symbol; otherwise the image is current, and update's
+	// print is the edit's one.
+	if len(u.Syms) != syms {
 		s.refreshImage(u)
 	}
 	if err != nil {

@@ -80,14 +80,15 @@ type Dimension struct {
 
 // Symbol is one named entity in a program unit.
 type Symbol struct {
-	Name   string
-	Kind   SymKind
-	Type   Type
-	Dims   []Dimension // arrays only
-	Dummy  bool        // dummy (formal) argument
-	Common string      // enclosing COMMON block name, "" if none
-	Value  Expr        // PARAMETER value
-	Unit   *Unit       // owning unit
+	Name     string
+	Kind     SymKind
+	Type     Type
+	Dims     []Dimension // arrays only
+	Dummy    bool        // dummy (formal) argument
+	External bool        // named by an EXTERNAL statement
+	Common   string      // enclosing COMMON block name, "" if none
+	Value    Expr        // PARAMETER value
+	Unit     *Unit       // owning unit
 }
 
 // IsArray reports whether the symbol names an array.
@@ -127,12 +128,6 @@ type Unit struct {
 	Body    []Stmt
 	Line    int
 	File    *File
-
-	// KindChanges counts the times a symbol of the unit became another
-	// kind of entity after it was entered: a scalar a later statement
-	// calls, or a kept symbol Adopt gives a reparse's kind. Facts
-	// derived from the unit's statements are stale across such a change.
-	KindChanges int
 }
 
 // Lookup returns the symbol for name (already lower case), or nil.
@@ -149,20 +144,51 @@ func (u *Unit) SymbolsSorted() []*Symbol {
 	return out
 }
 
+// DeriveKinds gives each scalar or function name of u that a statement
+// mentions the kind the statements give it — a function when an
+// expression calls it or an EXTERNAL statement names it, a scalar
+// otherwise — and reports whether a kind moved. It is the one place an
+// existing name's kind changes: a parse enters new names but moves no
+// kind. A name no statement mentions keeps the kind its declarations
+// gave it.
+func (u *Unit) DeriveKinds() (moved bool) {
+	calls := func(s *Symbol) (found bool) {
+		symRefs(u.Body, func(p **Symbol, call bool) { found = found || call && *p == s })
+		return found
+	}
+	symRefs(u.Body, func(p **Symbol, call bool) {
+		s, want := *p, SymFunc
+		switch {
+		case s == nil || s.Unit != u || !derivedKind(s.Kind):
+			return
+		case !call && !s.External && (s.Kind == SymScalar || !calls(s)):
+			want = SymScalar
+		}
+		moved = moved || s.Kind != want
+		s.Kind = want
+	})
+	return moved
+}
+
+// derivedKind reports whether DeriveKinds settles a name of kind k.
+func derivedKind(k SymKind) bool { return k == SymScalar || k == SymFunc }
+
 // Adopt makes u the unit nu describes — nu comes from File.ParseUnit and
 // must not be used afterwards — while u stays the object it was, and so
 // does every symbol whose name both units have: those take nu's
 // attributes in place, and nu's statements and declarations are
 // repointed at them. What the editor keys by *Unit and *Symbol
 // (interprocedural summaries, constant formals, cost memo) therefore
-// stays addressable across the swap.
+// stays addressable across the swap. Two attributes stay: the EXTERNAL
+// mark, which no printed text carries, and the kind of a name nu's
+// statements mention, so that the next DeriveKinds sees the move.
 func (u *Unit) Adopt(nu *Unit) {
 	kept := map[*Symbol]*Symbol{} // nu's symbol → u's of the same name
+	was := map[*Symbol]SymKind{}  // u's kept symbol → its kind before
 	for name, sym := range nu.Syms {
 		if old, ok := u.Syms[name]; ok {
-			if old.Kind != sym.Kind {
-				u.KindChanges++
-			}
+			was[old] = old.Kind
+			sym.External = sym.External || old.External
 			*old = *sym
 			kept[sym] = old
 			nu.Syms[name] = old
@@ -170,21 +196,14 @@ func (u *Unit) Adopt(nu *Unit) {
 		}
 		sym.Unit = u
 	}
-	swap := func(p **Symbol) {
+	swap := func(p **Symbol, _ bool) {
 		if old, ok := kept[*p]; ok {
 			*p = old
 		}
 	}
-	fix := func(e Expr) {
-		switch x := e.(type) {
-		case *VarRef:
-			swap(&x.Sym)
-		case *FuncCall:
-			swap(&x.Sym)
-		}
-	}
+	fix := func(e Expr) { symRef(e, swap) }
 	for i := range nu.Args {
-		swap(&nu.Args[i])
+		swap(&nu.Args[i], false)
 	}
 	for _, sym := range nu.Syms {
 		for _, d := range sym.Dims {
@@ -193,18 +212,11 @@ func (u *Unit) Adopt(nu *Unit) {
 		}
 		WalkExpr(sym.Value, fix)
 	}
-	WalkStmts(nu.Body, func(s Stmt) bool {
-		if do, ok := s.(*DoStmt); ok {
-			swap(&do.Var)
-			for i := range do.Private {
-				swap(&do.Private[i])
-			}
-			for i := range do.Reductions {
-				swap(&do.Reductions[i].Sym)
-			}
+	symRefs(nu.Body, func(p **Symbol, call bool) {
+		swap(p, call)
+		if k, ok := was[*p]; ok && derivedKind(k) && derivedKind((*p).Kind) {
+			(*p).Kind = k
 		}
-		WalkExprs(s, fix)
-		return true
 	})
 	u.Kind, u.Name, u.RetType, u.Line = nu.Kind, nu.Name, nu.RetType, nu.Line
 	u.Args, u.Syms, u.Body = nu.Args, nu.Syms, nu.Body
@@ -632,6 +644,36 @@ func WalkExprs(s Stmt, fn func(Expr)) {
 		WalkExpr(e, fn)
 		return e
 	})
+}
+
+// symRefs calls fn with a pointer to every symbol reference in the
+// statements of body — each DO variable and the names its annotations
+// list, then each expression's (symRef) — in walk order.
+func symRefs(body []Stmt, fn func(p **Symbol, call bool)) {
+	WalkStmts(body, func(s Stmt) bool {
+		if do, ok := s.(*DoStmt); ok {
+			fn(&do.Var, false)
+			for i := range do.Private {
+				fn(&do.Private[i], false)
+			}
+			for i := range do.Reductions {
+				fn(&do.Reductions[i].Sym, false)
+			}
+		}
+		WalkExprs(s, func(e Expr) { symRef(e, fn) })
+		return true
+	})
+}
+
+// symRef calls fn with a pointer to e's symbol when e is a variable
+// reference or, call set, a function call.
+func symRef(e Expr, fn func(p **Symbol, call bool)) {
+	switch x := e.(type) {
+	case *VarRef:
+		fn(&x.Sym, false)
+	case *FuncCall:
+		fn(&x.Sym, true)
+	}
 }
 
 // WalkExpr calls fn for e and every expression inside it, pre-order: a

@@ -6,6 +6,7 @@
 package fortran_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -109,9 +110,11 @@ const fuzzCalls = `
 // leans on: whatever reanalysis path the edit takes (statement patch,
 // unit, program escalation — the edited unit patched or analyzed
 // whole), the resulting dependence graphs must match a from-scratch
-// analysis of the saved source. Inputs the front end or the analyses
-// reject are skipped — equivalence, not robustness, is the property
-// under test here.
+// analysis of the saved source, with the statement-granular step
+// allowed and with it declined (Session.WholeUnitOnly). Programs the
+// front end or the analyses reject are skipped — equivalence, not
+// robustness, is the property under test here; an edit it rejects is
+// followed by one it accepts.
 func FuzzEditReanalyze(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source, uint8(0), "x(1) = 0.0")
@@ -129,6 +132,17 @@ func FuzzEditReanalyze(f *testing.F) {
 	// it a scalar again.
 	f.Add("progrAm A\nreAl A(0)00000\nA=0\nm=0\ndo i=0,n\nA(i)=0\nB=A(i)\nenddo \nend\nsuBroutine A\ndo j=0,0\nenddo",
 		uint8(2), "X=X(0)*B(0)")
+	// An edit that leaves x no call: x, a function while X(0) called it,
+	// is a scalar written in the loop again.
+	f.Add("progrAm A\ndo A=0,0\nX=X(0)\nenddo", uint8(0), "X=(0)")
+	// An assignment to an element of x, a function while A=X(0) calls
+	// it: statement functions are not supported, so the edit is
+	// rejected (it was accepted, and its save did not parse).
+	f.Add("progrAm A\ndo A=0,0\nA=X(0)\nenddo", uint8(0), "X(0)=(0)")
+	// A rejected edit that calls the scalar x: the parse fails on q, and
+	// x must still be the scalar the loop writes and reads.
+	f.Add("      program p\n      real b(10)\n      integer i\n      do i = 1, 10\n"+
+		"         x = 1.0\n         b(i) = x\n      enddo\n      end\n", uint8(1), "q(1) = x(0)")
 	// Edits of the wider envelope, by the statement they re-type.
 	calls, err := core.Open("fuzz.f", fuzzCalls)
 	if err != nil {
@@ -161,43 +175,68 @@ func FuzzEditReanalyze(f *testing.F) {
 		f.Add(fuzzCalls, uint8(pick), seed[1])
 	}
 	f.Fuzz(func(t *testing.T, src string, pick uint8, text string) {
-		var s *core.Session
-		func() {
-			defer func() { recover() }()
-			if cand, err := core.Open("fuzz.f", src); err == nil {
-				s = cand
-			}
-		}()
-		if s == nil || s.CurrentUnit() == nil {
-			return
-		}
-		sites := editSites(s)
-		if len(sites) == 0 {
-			return
-		}
-		target := sites[int(pick)%len(sites)]
-		edited := false
-		func() {
-			defer func() { recover() }()
-			edited = s.SelectUnit(target.unit.Name) == nil && s.EditStmt(target.stmt.ID(), "      "+text) == nil
-		}()
-		if !edited {
-			return
-		}
-		expectScratch(t, s, "edit", text)
-		// Undo is an edit too: it restores the unit and re-enters the
-		// same ladder.
-		undone := false
-		func() {
-			defer func() { recover() }()
-			undone = s.Undo() == nil
-		}()
-		if !undone {
-			return
-		}
-		expectScratch(t, s, "undo of edit", text)
+		editReanalyze(t, src, pick, text, false)
+		editReanalyze(t, src, pick, text, true)
 	})
 }
+
+// editReanalyze is one run of FuzzEditReanalyze's property, with the
+// statement-granular step allowed or, wholeUnit, declined on every rung.
+// A rejected edit is followed by re-typing the statement with its own
+// text, so whatever the rejected parse left behind meets an analysis.
+func editReanalyze(t *testing.T, src string, pick uint8, text string, wholeUnit bool) {
+	var s *core.Session
+	func() {
+		defer func() { recover() }()
+		if cand, err := core.Open("fuzz.f", src); err == nil {
+			s = cand
+		}
+	}()
+	if s == nil || s.CurrentUnit() == nil {
+		return
+	}
+	s.WholeUnitOnly = wholeUnit
+	how := ""
+	if wholeUnit {
+		how = ", whole-unit only"
+	}
+	sites := editSites(s)
+	if len(sites) == 0 || s.SelectUnit(sites[int(pick)%len(sites)].unit.Name) != nil {
+		return
+	}
+	target := sites[int(pick)%len(sites)]
+	edit := func(typed string) (err error) {
+		defer func() {
+			if recover() != nil {
+				err = errPanicked
+			}
+		}()
+		return s.EditStmt(target.stmt.ID(), "      "+typed)
+	}
+	switch err := edit(text); {
+	case err == errPanicked:
+		return
+	case err != nil:
+		if edit(fortran.StmtText(target.stmt)) == nil {
+			expectScratch(t, s, "re-typing after the rejected edit"+how, text)
+		}
+		return
+	}
+	expectScratch(t, s, "edit"+how, text)
+	// Undo is an edit too: it restores the unit and re-enters the
+	// same ladder.
+	undone := false
+	func() {
+		defer func() { recover() }()
+		undone = s.Undo() == nil
+	}()
+	if !undone {
+		return
+	}
+	expectScratch(t, s, "undo of edit"+how, text)
+}
+
+var errPanicked = errors.New("panicked")
 
 func expectScratch(t *testing.T, s *core.Session, op, text string) {
 	t.Helper()

@@ -52,6 +52,7 @@ func (f *File) ParseUnit(text string, line int) (*Unit, error) {
 	if err := p.errs.Err(); err != nil {
 		return nil, err
 	}
+	u.DeriveKinds()
 	u.Line += line - 1
 	WalkStmts(u.Body, func(s Stmt) bool {
 		s.base().LineN += line - 1
@@ -436,7 +437,7 @@ func (p *parser) parseDecl(u *Unit) bool {
 		for {
 			name := p.expect(TokIdent).Text
 			sym := p.getSym(u, name)
-			sym.Kind = SymFunc
+			sym.Kind, sym.External = SymFunc, true
 			if !p.accept(TokComma) {
 				break
 			}

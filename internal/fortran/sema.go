@@ -41,12 +41,14 @@ var Intrinsics = map[string]Type{
 
 // resolve binds names to symbols across the file: VarRefs whose name
 // denotes a function become FuncCalls, call statements are linked to
-// their defining units, and simple semantic checks run.
+// their defining units, simple semantic checks run, and each unit's
+// names take the kinds its statements give them.
 func resolve(f *File, errs *ErrorList) {
 	units := unitsByName(f)
 	for _, u := range f.Units {
 		r := &resolver{file: f, unit: u, units: units, errs: errs}
 		r.stmts(u.Body)
+		u.DeriveKinds()
 	}
 }
 
@@ -85,7 +87,7 @@ func (r *resolver) stmts(body []Stmt) {
 // resolveLhs binds the assignment target, which must be a variable.
 func (r *resolver) resolveLhs(st *AssignStmt) {
 	ref := st.Lhs
-	sym := r.lookupOrCreate(ref.Name)
+	sym := r.lookupOrCreate(ref.Name, SymScalar)
 	ref.Sym = sym
 	for i, sub := range ref.Subs {
 		ref.Subs[i] = r.expr(sub)
@@ -94,10 +96,11 @@ func (r *resolver) resolveLhs(st *AssignStmt) {
 		r.errs.add(Pos{st.Line(), 1}, "%s: %d subscripts for %d-dimensional array",
 			ref.Name, len(ref.Subs), len(sym.Dims))
 	}
-	if sym.Kind == SymScalar && len(ref.Subs) > 0 {
+	if derivedKind(sym.Kind) && len(ref.Subs) > 0 {
 		// An undeclared name used with subscripts on the LHS must be
-		// an array the user forgot to declare; treat as array with
-		// assumed dims to continue.
+		// an array the user forgot to declare — a function's name too:
+		// statement functions are not supported, and the name's next
+		// derivation would make it a scalar.
 		r.errs.add(Pos{st.Line(), 1}, "%s: subscripted but not declared as an array", ref.Name)
 	}
 	if sym.Kind == SymParam {
@@ -129,7 +132,7 @@ func (r *resolver) ref(e Expr) Expr {
 		return r.makeCall(x)
 	}
 	// Bare name: create implicit scalar.
-	x.Sym = r.lookupOrCreate(x.Name)
+	x.Sym = r.lookupOrCreate(x.Name, SymScalar)
 	return x
 }
 
@@ -142,21 +145,19 @@ func (r *resolver) makeCall(x *VarRef) Expr {
 		call.Callee = u
 		return call
 	}
-	// Unknown name used as f(args): register as external function.
-	if old := r.unit.Syms[x.Name]; old != nil && old.Kind != SymFunc {
-		r.unit.KindChanges++
-	}
-	sym := r.lookupOrCreate(x.Name)
-	sym.Kind = SymFunc
-	call.Sym = sym
+	// Unknown name used as f(args): an external function when the name
+	// is new; DeriveKinds settles what an existing name is.
+	call.Sym = r.lookupOrCreate(x.Name, SymFunc)
 	return call
 }
 
-func (r *resolver) lookupOrCreate(name string) *Symbol {
+// lookupOrCreate returns the unit's symbol for name, entering it with
+// kind when absent.
+func (r *resolver) lookupOrCreate(name string, kind SymKind) *Symbol {
 	if s, ok := r.unit.Syms[name]; ok {
 		return s
 	}
-	s := &Symbol{Name: name, Kind: SymScalar, Type: implicitType(name), Unit: r.unit}
+	s := &Symbol{Name: name, Kind: kind, Type: implicitType(name), Unit: r.unit}
 	r.unit.Syms[name] = s
 	return s
 }
