@@ -302,10 +302,12 @@ func BenchmarkParser(b *testing.B) {
 // analysis every time; with the cache disabled no artifacts are built)
 // against a warm open served from the content-hash cache. The warm path
 // must be measurably faster: it hashes the source and hands back
-// prebuilt artifacts. "artifacts" times what a cold open adds when the
-// cache is on — BuildArtifacts on an open session — and reports what
-// one cache entry holds (payload-B/entry: the lengths of its strings,
-// and each dependence row's size with the lengths of its strings).
+// prebuilt artifacts. "oneoff" opens never-seen sources with the cache
+// on: a first open builds no artifacts, so it should cost what "cold"
+// costs. "artifacts" times what a source's second open adds —
+// BuildArtifacts on an open session — and reports what one cache entry
+// holds (payload-B/entry: the lengths of its strings, and each
+// dependence row's size with the lengths of its strings).
 func BenchmarkAnalysisCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		m := server.NewManager(server.Config{}) // cache disabled
@@ -321,14 +323,33 @@ func BenchmarkAnalysisCache(b *testing.B) {
 			m.Close(resp.ID)
 		}
 	})
+	b.Run("oneoff", func(b *testing.B) {
+		m := server.NewManager(server.Config{CacheSize: 8})
+		defer m.Shutdown()
+		src := workloads.Spec77().Source
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, resp, err := m.Open(context.Background(), server.OpenRequest{Path: "spec77.f", Source: fmt.Sprintf("c one-off %d\n%s", i, src)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Cached {
+				b.Fatal("first open of a source reported a cached session")
+			}
+			m.Close(resp.ID)
+		}
+	})
 	b.Run("warm", func(b *testing.B) {
 		m := server.NewManager(server.Config{CacheSize: 8})
 		defer m.Shutdown()
-		_, prime, err := m.Open(context.Background(), server.OpenRequest{Workload: "spec77"})
-		if err != nil {
-			b.Fatal(err)
+		// A source is cached on its second open.
+		for i := 0; i < 2; i++ {
+			_, prime, err := m.Open(context.Background(), server.OpenRequest{Workload: "spec77"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Close(prime.ID)
 		}
-		m.Close(prime.ID)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, resp, err := m.Open(context.Background(), server.OpenRequest{Workload: "spec77"})

@@ -3,6 +3,7 @@ package fortran
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -442,73 +443,102 @@ func (*FuncCall) exprNode() {}
 func (*Unary) exprNode()    {}
 func (*Binary) exprNode()   {}
 
-func (e *IntLit) String() string { return fmt.Sprintf("%d", e.Val) }
-
-func (e *RealLit) String() string {
-	if e.Text != "" {
-		return e.Text
-	}
-	return fmt.Sprintf("%g", e.Val)
-}
-
-func (e *LogLit) String() string {
-	if e.Val {
-		return ".true."
-	}
-	return ".false."
-}
-
-func (e *StrLit) String() string { return "'" + strings.ReplaceAll(e.Val, "'", "''") + "'" }
-
+func (e *IntLit) String() string  { return strconv.FormatInt(e.Val, 10) }
+func (e *RealLit) String() string { return exprString(e) }
+func (e *LogLit) String() string  { return exprString(e) }
+func (e *StrLit) String() string  { return exprString(e) }
 func (e *VarRef) String() string {
 	if len(e.Subs) == 0 {
 		return e.Name
 	}
-	parts := make([]string, len(e.Subs))
-	for i, s := range e.Subs {
-		parts[i] = s.String()
-	}
-	return e.Name + "(" + strings.Join(parts, ",") + ")"
+	return exprString(e)
+}
+func (e *FuncCall) String() string { return exprString(e) }
+func (e *Unary) String() string    { return exprString(e) }
+func (e *Binary) String() string   { return exprString(e) }
+
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
 }
 
-func (e *FuncCall) String() string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.String()
+// writeExpr appends e's Fortran text to b: what e.String() returns,
+// without building a string per subexpression.
+func writeExpr(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *IntLit:
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], e.Val, 10))
+	case *RealLit:
+		if e.Text != "" {
+			b.WriteString(e.Text)
+			return
+		}
+		var buf [32]byte
+		b.Write(strconv.AppendFloat(buf[:0], e.Val, 'g', -1, 64))
+	case *LogLit:
+		if e.Val {
+			b.WriteString(".true.")
+		} else {
+			b.WriteString(".false.")
+		}
+	case *StrLit:
+		b.WriteByte('\'')
+		b.WriteString(strings.ReplaceAll(e.Val, "'", "''"))
+		b.WriteByte('\'')
+	case *VarRef:
+		b.WriteString(e.Name)
+		if len(e.Subs) > 0 {
+			writeArgs(b, e.Subs, ",")
+		}
+	case *FuncCall:
+		b.WriteString(e.Name)
+		writeArgs(b, e.Args, ",")
+	case *Unary:
+		switch e.Op {
+		case TokMinus:
+			b.WriteByte('-')
+		case TokPlus:
+			b.WriteByte('+')
+		case TokNot:
+			b.WriteString(".not. ")
+		default:
+			b.WriteByte('?')
+			writeExpr(b, e.X)
+			return
+		}
+		_, bin := e.X.(*Binary)
+		writeParen(b, e.X, bin)
+	case *Binary:
+		x, ok := e.X.(*Binary)
+		writeParen(b, e.X, ok && precOf(x.Op) < precOf(e.Op))
+		b.WriteString(binOpText(e.Op))
+		y, ok := e.Y.(*Binary)
+		writeParen(b, e.Y, ok && precOf(y.Op) <= precOf(e.Op) && !commutesWith(e.Op, y.Op))
 	}
-	return e.Name + "(" + strings.Join(parts, ",") + ")"
 }
 
-func (e *Unary) String() string {
-	switch e.Op {
-	case TokMinus:
-		return "-" + parenIfBinary(e.X)
-	case TokPlus:
-		return "+" + parenIfBinary(e.X)
-	case TokNot:
-		return ".not. " + parenIfBinary(e.X)
+// writeArgs appends "(a<sep>b...)".
+func writeArgs(b *strings.Builder, args []Expr, sep string) {
+	b.WriteByte('(')
+	for i, a := range args {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		writeExpr(b, a)
 	}
-	return "?" + e.X.String()
+	b.WriteByte(')')
 }
 
-func parenIfBinary(e Expr) string {
-	if _, ok := e.(*Binary); ok {
-		return "(" + e.String() + ")"
+func writeParen(b *strings.Builder, e Expr, paren bool) {
+	if paren {
+		b.WriteByte('(')
 	}
-	return e.String()
-}
-
-func (e *Binary) String() string {
-	op := binOpText(e.Op)
-	lhs := e.X.String()
-	rhs := e.Y.String()
-	if x, ok := e.X.(*Binary); ok && precOf(x.Op) < precOf(e.Op) {
-		lhs = "(" + lhs + ")"
+	writeExpr(b, e)
+	if paren {
+		b.WriteByte(')')
 	}
-	if y, ok := e.Y.(*Binary); ok && precOf(y.Op) <= precOf(e.Op) && !commutesWith(e.Op, y.Op) {
-		rhs = "(" + rhs + ")"
-	}
-	return lhs + op + rhs
 }
 
 // commutesWith reports whether the right operand's operator can be

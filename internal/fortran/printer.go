@@ -2,6 +2,7 @@ package fortran
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -20,72 +21,100 @@ func Print(f *File) string {
 
 // PrintUnit writes one program unit to b.
 func PrintUnit(b *strings.Builder, u *Unit) {
+	b.WriteString("      ")
 	switch u.Kind {
 	case UnitProgram:
-		fmt.Fprintf(b, "      program %s\n", u.Name)
+		b.WriteString("program ")
+		b.WriteString(u.Name)
 	case UnitSubroutine:
-		fmt.Fprintf(b, "      subroutine %s(%s)\n", u.Name, argNames(u))
+		b.WriteString("subroutine ")
+		b.WriteString(u.Name)
+		writeArgNames(b, u)
 	case UnitFunction:
-		prefix := ""
 		if u.RetType != TypeUnknown {
-			prefix = u.RetType.String() + " "
+			b.WriteString(u.RetType.String())
+			b.WriteByte(' ')
 		}
-		fmt.Fprintf(b, "      %sfunction %s(%s)\n", prefix, u.Name, argNames(u))
+		b.WriteString("function ")
+		b.WriteString(u.Name)
+		writeArgNames(b, u)
 	}
+	b.WriteByte('\n')
 	printDecls(b, u)
 	pr := &printer{b: b, indent: 1}
 	pr.stmts(u.Body)
 	b.WriteString("      end\n")
 }
 
-func argNames(u *Unit) string {
-	names := make([]string, len(u.Args))
+func writeArgNames(b *strings.Builder, u *Unit) {
+	b.WriteByte('(')
 	for i, a := range u.Args {
-		names[i] = a.Name
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(a.Name)
 	}
-	return strings.Join(names, ", ")
+	b.WriteByte(')')
 }
+
+// declOrder is the order type declarations print in.
+var declOrder = [...]Type{TypeInteger, TypeReal, TypeDouble, TypeLogical, TypeCharacter, TypeUnknown}
 
 // printDecls regenerates declaration statements from the symbol table
 // in deterministic order: type declarations, commons, parameters.
 func printDecls(b *strings.Builder, u *Unit) {
-	var params, commons []string
-	byType := map[Type][]string{}
-	var typeOrder []Type
+	var params, commons []*Symbol
+	byType := map[Type][]*Symbol{}
 	for _, s := range u.SymbolsSorted() {
 		switch s.Kind {
 		case SymScalar, SymArray:
-			decl := s.Name
-			if s.Kind == SymArray {
-				dims := make([]string, len(s.Dims))
-				for i, d := range s.Dims {
-					dims[i] = dimString(d)
-				}
-				decl += "(" + strings.Join(dims, ",") + ")"
-			}
-			if _, ok := byType[s.Type]; !ok {
-				typeOrder = append(typeOrder, s.Type)
-			}
-			byType[s.Type] = append(byType[s.Type], decl)
+			byType[s.Type] = append(byType[s.Type], s)
 			if s.Common != "" {
-				commons = append(commons, fmt.Sprintf("      common /%s/ %s\n", s.Common, s.Name))
+				commons = append(commons, s)
 			}
 		case SymParam:
-			params = append(params, fmt.Sprintf("      parameter (%s = %s)\n", s.Name, s.Value))
+			params = append(params, s)
 		}
 	}
-	// Deterministic type order.
-	order := []Type{TypeInteger, TypeReal, TypeDouble, TypeLogical, TypeCharacter, TypeUnknown}
-	for _, t := range order {
-		if names, ok := byType[t]; ok {
-			fmt.Fprintf(b, "      %s %s\n", typeDeclName(t), strings.Join(names, ", "))
+	for _, t := range declOrder {
+		syms := byType[t]
+		if len(syms) == 0 {
+			continue
 		}
+		b.WriteString("      ")
+		b.WriteString(typeDeclName(t))
+		b.WriteByte(' ')
+		for i, s := range syms {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(s.Name)
+			if s.Kind == SymArray {
+				b.WriteByte('(')
+				for j, d := range s.Dims {
+					if j > 0 {
+						b.WriteByte(',')
+					}
+					writeDim(b, d)
+				}
+				b.WriteByte(')')
+			}
+		}
+		b.WriteByte('\n')
 	}
-	for _, c := range commons {
-		b.WriteString(c)
+	for _, s := range commons {
+		b.WriteString("      common /")
+		b.WriteString(s.Common)
+		b.WriteString("/ ")
+		b.WriteString(s.Name)
+		b.WriteByte('\n')
 	}
-	for _, p := range params {
-		b.WriteString(p)
+	for _, s := range params {
+		b.WriteString("      parameter (")
+		b.WriteString(s.Name)
+		b.WriteString(" = ")
+		writeExpr(b, s.Value)
+		b.WriteString(")\n")
 	}
 }
 
@@ -96,21 +125,20 @@ func typeDeclName(t Type) string {
 	return t.String()
 }
 
-func dimString(d Dimension) string {
-	lo := "1"
+// writeDim appends one array bound: "hi", "lo:hi", "*" or "lo:*",
+// leaving out a lower bound of 1.
+func writeDim(b *strings.Builder, d Dimension) {
 	if d.Lo != nil {
-		lo = d.Lo.String()
+		if lit, one := d.Lo.(*IntLit); !one || lit.Val != 1 {
+			writeExpr(b, d.Lo)
+			b.WriteByte(':')
+		}
 	}
 	if d.Hi == nil {
-		if lo == "1" {
-			return "*"
-		}
-		return lo + ":*"
+		b.WriteByte('*')
+		return
 	}
-	if lo == "1" {
-		return d.Hi.String()
-	}
-	return lo + ":" + d.Hi.String()
+	writeExpr(b, d.Hi)
 }
 
 type printer struct {
@@ -118,13 +146,27 @@ type printer struct {
 	indent int
 }
 
-func (p *printer) line(label int, s string) {
+// start begins a source line: the label left-justified in columns 1–5
+// (or blanks), then the indentation.
+func (p *printer) start(label int) {
 	if label != 0 {
-		fmt.Fprintf(p.b, "%-5d ", label)
+		var buf [20]byte
+		n := len(strconv.AppendInt(buf[:0], int64(label), 10))
+		p.b.Write(buf[:n])
+		for ; n < 5; n++ {
+			p.b.WriteByte(' ')
+		}
+		p.b.WriteByte(' ')
 	} else {
 		p.b.WriteString("      ")
 	}
-	p.b.WriteString(strings.Repeat("  ", p.indent-1))
+	for i := 1; i < p.indent; i++ {
+		p.b.WriteString("  ")
+	}
+}
+
+func (p *printer) line(label int, s string) {
+	p.start(label)
 	p.b.WriteString(s)
 	p.b.WriteByte('\n')
 }
@@ -138,54 +180,85 @@ func (p *printer) stmts(body []Stmt) {
 // StmtText renders a single statement (without its nested body) as
 // one line of Fortran, used by the dependence pane and filters.
 func StmtText(s Stmt) string {
-	switch st := s.(type) {
-	case *AssignStmt:
-		return st.Lhs.String() + " = " + st.Rhs.String()
-	case *IfStmt:
-		return "if (" + st.Cond.String() + ") then"
-	case *DoStmt:
-		return doHeader(st)
-	case *WhileStmt:
-		return "do while (" + st.Cond.String() + ")"
-	case *CallStmt:
-		if len(st.Args) == 0 {
-			return "call " + st.Name
-		}
-		parts := make([]string, len(st.Args))
-		for i, a := range st.Args {
-			parts[i] = a.String()
-		}
-		return "call " + st.Name + "(" + strings.Join(parts, ", ") + ")"
-	case *ReturnStmt:
-		return "return"
-	case *StopStmt:
-		return "stop"
-	case *ContinueStmt:
-		return "continue"
-	case *GotoStmt:
-		return fmt.Sprintf("goto %d", st.Target)
-	case *PrintStmt:
-		parts := make([]string, len(st.Items))
-		for i, it := range st.Items {
-			parts[i] = it.String()
-		}
-		return "print *, " + strings.Join(parts, ", ")
-	case *ReadStmt:
-		parts := make([]string, len(st.Items))
-		for i, it := range st.Items {
-			parts[i] = it.String()
-		}
-		return "read(*,*) " + strings.Join(parts, ", ")
-	}
-	return fmt.Sprintf("? %T", s)
+	var b strings.Builder
+	writeStmt(&b, s)
+	return b.String()
 }
 
-func doHeader(st *DoStmt) string {
-	h := "do " + st.Var.Name + " = " + st.Lo.String() + ", " + st.Hi.String()
-	if st.Step != nil {
-		h += ", " + st.Step.String()
+// writeStmt appends what StmtText returns to b.
+func writeStmt(b *strings.Builder, s Stmt) {
+	switch st := s.(type) {
+	case *AssignStmt:
+		writeExpr(b, st.Lhs)
+		b.WriteString(" = ")
+		writeExpr(b, st.Rhs)
+	case *IfStmt:
+		writeCond(b, "if (", st.Cond, ") then")
+	case *DoStmt:
+		writeDoHeader(b, st)
+	case *WhileStmt:
+		writeCond(b, "do while (", st.Cond, ")")
+	case *CallStmt:
+		b.WriteString("call ")
+		b.WriteString(st.Name)
+		if len(st.Args) > 0 {
+			writeArgs(b, st.Args, ", ")
+		}
+	case *ReturnStmt:
+		b.WriteString("return")
+	case *StopStmt:
+		b.WriteString("stop")
+	case *ContinueStmt:
+		b.WriteString("continue")
+	case *GotoStmt:
+		var buf [20]byte
+		b.WriteString("goto ")
+		b.Write(strconv.AppendInt(buf[:0], int64(st.Target), 10))
+	case *PrintStmt:
+		b.WriteString("print *, ")
+		writeList(b, st.Items)
+	case *ReadStmt:
+		b.WriteString("read(*,*) ")
+		writeList(b, st.Items)
+	default:
+		fmt.Fprintf(b, "? %T", s)
 	}
-	return h
+}
+
+func writeCond(b *strings.Builder, before string, cond Expr, after string) {
+	b.WriteString(before)
+	writeExpr(b, cond)
+	b.WriteString(after)
+}
+
+// writeList appends items separated by ", ".
+func writeList(b *strings.Builder, items []Expr) {
+	for i, it := range items {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeExpr(b, it)
+	}
+}
+
+func writeDoHeader(b *strings.Builder, st *DoStmt) {
+	b.WriteString("do ")
+	b.WriteString(st.Var.Name)
+	b.WriteString(" = ")
+	writeExpr(b, st.Lo)
+	b.WriteString(", ")
+	writeExpr(b, st.Hi)
+	if st.Step != nil {
+		b.WriteString(", ")
+		writeExpr(b, st.Step)
+	}
+}
+
+// stmtLine writes s as one line: StmtText after the label and indent.
+func (p *printer) stmtLine(label int, s Stmt) {
+	p.start(label)
+	writeStmt(p.b, s)
+	p.b.WriteByte('\n')
 }
 
 func (p *printer) stmt(s Stmt) {
@@ -194,44 +267,53 @@ func (p *printer) stmt(s Stmt) {
 	case *IfStmt:
 		// Logical IF with a single simple statement and no else.
 		if len(st.Then) == 1 && len(st.Else) == 0 && isSimple(st.Then[0]) {
-			p.line(label, "if ("+st.Cond.String()+") "+StmtText(st.Then[0]))
+			p.start(label)
+			writeCond(p.b, "if (", st.Cond, ") ")
+			writeStmt(p.b, st.Then[0])
+			p.b.WriteByte('\n')
 			return
 		}
-		p.line(label, "if ("+st.Cond.String()+") then")
+		p.stmtLine(label, st)
 		p.indent++
 		p.stmts(st.Then)
 		p.indent--
 		p.printElse(st.Else)
 		p.line(0, "endif")
 	case *DoStmt:
-		hdr := doHeader(st)
 		if st.Parallel {
-			ann := "c$par doall"
+			p.b.WriteString("c$par doall")
 			if len(st.Private) > 0 {
-				names := make([]string, len(st.Private))
+				p.b.WriteString(" private(")
 				for i, v := range st.Private {
-					names[i] = v.Name
+					if i > 0 {
+						p.b.WriteByte(',')
+					}
+					p.b.WriteString(v.Name)
 				}
-				ann += " private(" + strings.Join(names, ",") + ")"
+				p.b.WriteByte(')')
 			}
 			for _, r := range st.Reductions {
-				ann += " reduction(" + r.Operator() + ":" + r.Sym.Name + ")"
+				p.b.WriteString(" reduction(")
+				p.b.WriteString(r.Operator())
+				p.b.WriteByte(':')
+				p.b.WriteString(r.Sym.Name)
+				p.b.WriteByte(')')
 			}
-			p.b.WriteString(ann + "\n")
+			p.b.WriteByte('\n')
 		}
-		p.line(label, hdr)
+		p.stmtLine(label, st)
 		p.indent++
 		p.stmts(st.Body)
 		p.indent--
 		p.line(0, "enddo")
 	case *WhileStmt:
-		p.line(label, "do while ("+st.Cond.String()+")")
+		p.stmtLine(label, st)
 		p.indent++
 		p.stmts(st.Body)
 		p.indent--
 		p.line(0, "enddo")
 	default:
-		p.line(label, StmtText(s))
+		p.stmtLine(label, s)
 	}
 }
 
@@ -242,7 +324,9 @@ func (p *printer) printElse(els []Stmt) {
 	// ELSE IF chain: a single nested IfStmt prints as "else if".
 	if len(els) == 1 {
 		if nested, ok := els[0].(*IfStmt); ok && nested.Label == 0 && !(len(nested.Then) == 1 && len(nested.Else) == 0 && isSimple(nested.Then[0])) {
-			p.line(0, "else if ("+nested.Cond.String()+") then")
+			p.start(0)
+			writeCond(p.b, "else if (", nested.Cond, ") then")
+			p.b.WriteByte('\n')
 			p.indent++
 			p.stmts(nested.Then)
 			p.indent--

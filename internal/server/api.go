@@ -33,8 +33,11 @@ type OpenResponse struct {
 	ID    string   `json:"id"`
 	Path  string   `json:"path"`
 	Units []string `json:"units"`
-	// Cached reports a content-hash cache hit: the session opened
-	// from stored artifacts without reparsing or reanalyzing.
+	// Cached reports that the session is artifact-backed: it answers
+	// reads from the cached artifacts of its source until a line they
+	// cannot answer makes it live. A source's first open is live; its
+	// second analyzes, caches the artifacts and opens from them; later
+	// opens are cache hits, with no parse and no analysis.
 	Cached bool `json:"cached"`
 }
 

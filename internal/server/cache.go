@@ -77,7 +77,7 @@ func (a *Artifacts) unitIndex(name string) int {
 // BuildArtifacts keeps the panes of every loop of every unit of a
 // freshly opened (pristine, nothing selected) session. The session's
 // selection and history are restored before returning, so the caller
-// can keep using it as the first live session for this source.
+// can go on using it as a live session.
 func BuildArtifacts(key string, s *core.Session) *Artifacts {
 	histLen := len(s.History)
 	cur := s.CurrentUnit()
@@ -170,17 +170,37 @@ func (c *lru[V]) len() int {
 	return c.order.Len()
 }
 
-// Cache is a bounded LRU of analysis artifacts keyed by content hash.
-// A nil *Cache is valid and always misses.
+// Cache is a bounded LRU of analysis artifacts keyed by content hash,
+// behind a doorkeeper (TinyLFU's): a source is cached on its second
+// open, not its first, because most texts are opened once. A nil
+// *Cache is valid, always misses and never admits.
 type Cache struct {
-	arts         *lru[*Artifacts]
+	arts *lru[*Artifacts]
+	// seen holds the keys that missed, up to the artifact capacity. It
+	// is apart from arts, so a flood of one-off opens pushes out other
+	// one-off keys, never the artifacts of a source users reopen.
+	seen         *lru[struct{}]
 	hits, misses atomic.Int64
 	// metrics mirrors the counters into the scrapeable registry.
 	metrics *Metrics
 }
 
 func newCache(max int, metrics *Metrics) *Cache {
-	return &Cache{arts: newLRU[*Artifacts](max), metrics: metrics}
+	return &Cache{arts: newLRU[*Artifacts](max), seen: newLRU[struct{}](max), metrics: metrics}
+}
+
+// Admit reports whether key missed before, recording this miss: the
+// caller builds and Puts the artifacts only when it did. Two racing
+// first opens of one source may both be told no; the next is told yes.
+func (c *Cache) Admit(key string) bool {
+	if c == nil {
+		return false
+	}
+	if _, ok := c.seen.get(key); ok {
+		return true
+	}
+	c.seen.put(key, struct{}{})
+	return false
 }
 
 // Get returns the artifacts for key, or nil on a miss. An injected

@@ -382,14 +382,25 @@ func TestOpenDeadline(t *testing.T) {
 		}
 		return err == nil
 	})
-	// And its artifacts were salvaged: reopening the slow source is a
-	// cache hit — no reparse, so the Times-bounded fault stays quiet.
+	// And the abandoned open was recorded as the source's first: the
+	// reopen analyzes again (the Times-bounded fault is spent), caches
+	// what it built and opens artifact-backed from it...
 	_, resp, err := m.Open(bg, OpenRequest{Path: "slowopen.f", Source: hangSource})
 	if err != nil {
 		t.Fatalf("reopen after abandoned analysis: %v", err)
 	}
 	if !resp.Cached {
-		t.Error("abandoned analysis did not salvage its artifacts into the cache")
+		t.Error("the open after an abandoned one did not cache its artifacts")
+	}
+	m.Close(resp.ID)
+	// ...so the third open is a hit: no reparse.
+	before := m.CacheStats()
+	_, resp, err = m.Open(bg, OpenRequest{Path: "slowopen.f", Source: hangSource})
+	if err != nil {
+		t.Fatalf("third open: %v", err)
+	}
+	if after := m.CacheStats(); !resp.Cached || after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("third open: cached = %v, cache stats %+v -> %+v, want one hit and no miss", resp.Cached, before, after)
 	}
 }
 

@@ -248,7 +248,8 @@ func (m *Manager) janitor(every time.Duration) {
 // Open resolves the request (workload name or raw source), consults
 // the content-hash cache, and registers a new session. On a hit the
 // session opens artifact-backed — no parse, no analysis. On a miss it
-// analyzes cold, stores the artifacts, and opens live. Either way the
+// analyzes cold: the source's first open opens live, its second stores
+// the artifacts and opens artifact-backed from them. Either way the
 // open touches no file: the session's journal is born by its first
 // mutation (Session.journalAppend), so until then a crash loses only
 // what the client can have again by reopening.
@@ -377,38 +378,48 @@ func (m *Manager) all() []*Session {
 }
 
 // analyze answers (path, source) from the artifact cache — art, no
-// parse, no analysis — or by analyzing cold and caching what that built
-// — live. Open, import and recovery share it, so a datadir or an import
-// wave full of sessions on one source analyzes once and pre-warms the
-// cache. It runs under ctx: when that expires analyze returns ctx.Err()
-// at once while the analysis finishes, and still caches, on its own
-// goroutine — a hung parse cannot wedge the caller. release is called
-// exactly once if analyze fails, and only when that goroutine has
-// ended: the admission place the caller holds is not given back before
-// the work it admitted is over.
+// parse, no analysis — or by analyzing cold. A source's first open gets
+// the analyzed session, live, and only records the key (Cache.Admit);
+// its second builds the artifacts, caches them and gets them — art — so
+// the session opens artifact-backed like every later open, and a text
+// opened once never fills the cache. Open, import and recovery share
+// it, so a datadir or an import wave full of sessions on one source
+// analyzes twice and pre-warms the cache. It runs under ctx: when that
+// expires analyze returns ctx.Err() at once while the analysis
+// finishes, and still caches, on its own goroutine — a hung parse
+// cannot wedge the caller. release is called exactly once if analyze
+// fails, and only when that goroutine has ended: the admission place
+// the caller holds is not given back before the work it admitted is
+// over.
 func (m *Manager) analyze(ctx context.Context, path, source string, release func()) (*Artifacts, *core.Session, error) {
 	key := core.AnalysisKey(path, source, dep.DefaultOptions(), false)
 	if art := m.cache.Get(key); art != nil {
 		return art, nil, nil
 	}
+	build := m.cache.Admit(key)
 	type result struct {
 		cs  *core.Session
+		art *Artifacts
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		cs, art, err := m.analyzeOpen(key, path, source)
+		cs, art, err := m.analyzeOpen(key, path, source, build)
 		if art != nil {
 			m.cache.Put(art)
 		}
-		ch <- result{cs, err}
+		ch <- result{cs, art, err}
 	}()
 	select {
 	case res := <-ch:
-		if res.err != nil {
+		switch {
+		case res.err != nil:
 			release()
+			return nil, nil, res.err
+		case res.art != nil:
+			return res.art, nil, nil
 		}
-		return nil, res.cs, res.err
+		return nil, res.cs, nil
 	case <-ctx.Done():
 		go func() {
 			<-ch
@@ -418,11 +429,11 @@ func (m *Manager) analyze(ctx context.Context, path, source string, release func
 	}
 }
 
-// analyzeOpen runs the cold-open parse + whole-program analysis (and
-// artifact build when the cache is enabled) behind a recover: a panic
-// anywhere in the front end or analyses becomes an ErrInternal-
-// wrapped error on this open only.
-func (m *Manager) analyzeOpen(key, path, source string) (cs *core.Session, art *Artifacts, err error) {
+// analyzeOpen runs the cold-open parse + whole-program analysis (and,
+// when build is set, the artifact build) behind a recover: a panic
+// anywhere in the front end or analyses becomes an ErrInternal-wrapped
+// error on this open only.
+func (m *Manager) analyzeOpen(key, path, source string, build bool) (cs *core.Session, art *Artifacts, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cs, art = nil, nil
@@ -433,7 +444,7 @@ func (m *Manager) analyzeOpen(key, path, source string) (cs *core.Session, art *
 	if err != nil {
 		return nil, nil, err
 	}
-	if m.cache != nil {
+	if build {
 		art = BuildArtifacts(key, cs)
 	}
 	return cs, art, nil

@@ -153,7 +153,18 @@ func TestMetricsFullSessionFlow(t *testing.T) {
 		t.Fatalf("second open: %v", err)
 	}
 	if !open2.Cached {
-		t.Fatal("second open of identical source should hit the cache")
+		t.Fatal("second open of identical source should open artifact-backed")
+	}
+	// The second open cached what it built: the third is a hit.
+	open3, err := c.Open(bg, OpenRequest{Workload: "direct"})
+	if err != nil {
+		t.Fatalf("third open: %v", err)
+	}
+	if !open3.Cached {
+		t.Fatal("third open of identical source should hit the cache")
+	}
+	if err := c.CloseSession(bg, open3.ID); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	// Transforming the artifact-backed session forces a materialize.
 	if _, err := c.Transform(bg, open2.ID, TransformRequest{Name: "parallelize", Args: []string{"1"}}); err != nil {
@@ -187,10 +198,10 @@ func TestMetricsFullSessionFlow(t *testing.T) {
 	atLeast(`pedd_http_requests_total{route="POST /v1/sessions",method="POST",code="2xx"}`, 2)
 	atLeast(`pedd_http_request_seconds_count{route="POST /v1/sessions"}`, 2)
 	atLeast(`pedd_http_request_seconds_count{route="POST /v1/sessions/{id}/transform"}`, 1)
-	atLeast("pedd_cache_misses_total", 1)
+	atLeast("pedd_cache_misses_total", 2)
 	atLeast("pedd_cache_hits_total", 1)
 	atLeast("pedd_cache_materializations_total", 1)
-	atLeast("pedd_sessions_opened_total", 2)
+	atLeast("pedd_sessions_opened_total", 3)
 	atLeast("pedd_session_queue_wait_seconds_count", 1)
 	atLeast("pedd_actor_service_seconds_count", 1)
 	for _, phase := range []string{"parse", "interproc", "dataflow", "dependence", "perf"} {
@@ -437,13 +448,14 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestCacheEvictionMetric: overflowing a 1-slot cache must tick
-// pedd_cache_evictions_total in the scrape.
+// pedd_cache_evictions_total in the scrape. A source is cached on its
+// second open, so each is opened twice.
 func TestCacheEvictionMetric(t *testing.T) {
 	m := newTestManager(t, Config{CacheSize: 1})
-	_, r1 := mustOpen(t, m, "direct")
-	_, r2 := mustOpen(t, m, "onedim") // evicts direct's artifacts
-	m.Close(r1.ID)
-	m.Close(r2.ID)
+	for _, w := range []string{"direct", "direct", "onedim", "onedim"} { // onedim evicts direct's artifacts
+		_, r := mustOpen(t, m, w)
+		m.Close(r.ID)
+	}
 	vals := promValues(t, scrape(t, m.Metrics()))
 	if got := vals["pedd_cache_evictions_total"]; got < 1 {
 		t.Errorf("pedd_cache_evictions_total = %v, want >= 1", got)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -48,16 +49,99 @@ func TestOpenAndCacheHit(t *testing.T) {
 	if r1.Cached {
 		t.Fatal("first open should be a cache miss")
 	}
-	_, r2 := mustOpen(t, m, "arc3d")
-	if !r2.Cached {
-		t.Fatal("second open of identical source should hit the cache")
+	// The second open misses too, but caches the artifacts it builds
+	// and opens from them.
+	s2, r2 := mustOpen(t, m, "arc3d")
+	if !r2.Cached || s2.Info(bg).Live {
+		t.Fatal("second open of identical source should open artifact-backed")
 	}
-	if !reflect.DeepEqual(r1.Units, r2.Units) {
-		t.Fatalf("unit lists differ: %v vs %v", r1.Units, r2.Units)
+	if st := m.CacheStats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("cache stats after two opens = %+v, want 0 hits, 2 misses, 1 entry", st)
+	}
+	_, r3 := mustOpen(t, m, "arc3d")
+	if !r3.Cached {
+		t.Fatal("third open of identical source should hit the cache")
+	}
+	for _, r := range []OpenResponse{r2, r3} {
+		if !reflect.DeepEqual(r1.Units, r.Units) {
+			t.Fatalf("unit lists differ: %v vs %v", r1.Units, r.Units)
+		}
 	}
 	st := m.CacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit, 1 miss, 1 entry", st)
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("cache stats = %+v, want 1 hit, 2 misses, 1 entry", st)
+	}
+}
+
+// TestOneOffOpensDoNotEvict: a source is cached on its second open, and
+// a flood of sources opened once each records their keys apart from the
+// artifacts, so it pushes out nothing a user reopens. The second open
+// answers from the artifacts it cached, byte for byte as a live session.
+func TestOneOffOpensDoNotEvict(t *testing.T) {
+	const size = 4
+	m := newTestManager(t, Config{CacheSize: size})
+	live, r1 := mustOpen(t, m, "arc3d")
+	admitted, r2 := mustOpen(t, m, "arc3d")
+	if r1.Cached || !live.Info(bg).Live {
+		t.Fatal("first open should be live")
+	}
+	if !r2.Cached || admitted.Info(bg).Live {
+		t.Fatal("second open should be artifact-backed")
+	}
+	for i := 0; i < size+4; i++ {
+		ss, resp, err := m.Open(bg, OpenRequest{Path: fmt.Sprintf("oneoff%d.f", i), Source: fmt.Sprintf("c one-off %d\n%s", i, tinySrc)})
+		if err != nil {
+			t.Fatalf("one-off open %d: %v", i, err)
+		}
+		if resp.Cached || !ss.Info(bg).Live {
+			t.Fatalf("one-off open %d: cached = %v, want a live session", i, resp.Cached)
+		}
+		m.Close(resp.ID)
+	}
+	if st := m.CacheStats(); st.Entries != 1 {
+		t.Fatalf("cache stats after %d one-off opens = %+v, want 1 entry", size+4, st)
+	}
+	before := m.CacheStats()
+	hit, r4 := mustOpen(t, m, "arc3d")
+	if after := m.CacheStats(); !r4.Cached || after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("reopen after the one-off opens: cached = %v, cache stats %+v -> %+v, want a hit", r4.Cached, before, after)
+	}
+	for _, line := range []string{"loops", "loop 1", "deps", "vars", "loop 2", "deps", "vars", "save"} {
+		want := mustCmd(t, live, line)
+		for _, ss := range []*Session{admitted, hit} {
+			if got := mustCmd(t, ss, line); got != want {
+				t.Fatalf("%q differs from a live session's:\nlive:\n%s\nartifact-backed:\n%s", line, want, got)
+			}
+		}
+	}
+	for _, ss := range []*Session{admitted, hit} {
+		if ss.Info(bg).Live {
+			t.Fatal("the artifacts did not answer the reads: the session went live")
+		}
+	}
+	for _, ss := range []*Session{live, admitted, hit} {
+		m.Close(ss.ID)
+	}
+
+	// First and second opens of one fresh source, racing: each opens,
+	// and once they are over the source is cached.
+	burst := OpenRequest{Path: "burst.f", Source: tinySrc}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, resp, err := m.Open(bg, burst)
+			if err != nil {
+				t.Errorf("racing open: %v", err)
+				return
+			}
+			m.Close(resp.ID)
+		}()
+	}
+	wg.Wait()
+	if _, resp, err := m.Open(bg, burst); err != nil || !resp.Cached {
+		t.Fatalf("open after racing opens: cached = %v, err = %v; want a cached session", resp.Cached, err)
 	}
 }
 
@@ -348,8 +432,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 1 {
-		t.Fatalf("cache stats = %+v", st)
+	// One open records the source; it caches nothing until the second.
+	if st != (CacheStatsResponse{Misses: 1}) {
+		t.Fatalf("cache stats = %+v, want 1 miss and no entry", st)
 	}
 	if err := c.CloseSession(bg, open.ID); err != nil {
 		t.Fatal(err)
