@@ -18,23 +18,8 @@ import (
 // is a fixpoint. Session materialization and the analysis cache both
 // assume print→parse→print stability.
 func FuzzParse(f *testing.F) {
-	for _, w := range workloads.All() {
-		f.Add(w.Source)
-	}
-	for _, s := range []string{
-		"",
-		"\n",
-		"      end\n",
-		"      program p\n      end\n",
-		"c comment only\n",
-		"      program p\n      integer i\n      do i = 1, 10\n      enddo\n      end\n",
-		"      program p\n      goto 10\n 10   continue\n      end\n",
-		"      program p\n      x = 1.0e\n      end\n",
-		"      program p\n      a(1 = 2\n      end\n",
-		"      program p\n      if (x .gt. 0) then\n      end\n",
-		"      program p\n      print *, 'it''s'\n      end\n",
-	} {
-		f.Add(s)
+	for _, src := range fuzzParseSeeds() {
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := fortran.Parse("fuzz.f", src)
@@ -50,4 +35,26 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("print is not a fixpoint\n--- first ---\n%s\n--- second ---\n%s", printed, again)
 		}
 	})
+}
+
+// fuzzParseSeeds is FuzzParse's seed corpus: every workload's source,
+// then hand-picked corner inputs.
+func fuzzParseSeeds() []string {
+	var out []string
+	for _, w := range workloads.All() {
+		out = append(out, w.Source)
+	}
+	return append(out,
+		"",
+		"\n",
+		"      end\n",
+		"      program p\n      end\n",
+		"c comment only\n",
+		"      program p\n      integer i\n      do i = 1, 10\n      enddo\n      end\n",
+		"      program p\n      goto 10\n 10   continue\n      end\n",
+		"      program p\n      x = 1.0e\n      end\n",
+		"      program p\n      a(1 = 2\n      end\n",
+		"      program p\n      if (x .gt. 0) then\n      end\n",
+		"      program p\n      print *, 'it''s'\n      end\n",
+	)
 }

@@ -10,6 +10,44 @@ import (
 // duplications, character flips, truncations) and requires the front
 // end to either parse or return an error — never panic, never hang.
 func TestParserNeverPanics(t *testing.T) {
+	for _, src := range mutatedSources() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("parser panicked: %v\ninput:\n%s", r, src)
+				}
+			}()
+			f, err := Parse("fuzz.f", src)
+			// If it parsed, printing and reparsing must also work.
+			if err == nil && f != nil {
+				printed := Print(f)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("printer panicked: %v\ninput:\n%s", r, src)
+						}
+					}()
+					_, _ = Parse("fuzz2.f", printed)
+				}()
+			}
+		}()
+	}
+}
+
+// HostileSources returns this file's hostile inputs: the corner cases of
+// TestLexerEdgeCases, then the mutated programs of TestParserNeverPanics.
+func HostileSources() []string {
+	var out []string
+	for _, c := range lexerEdgeCases {
+		out = append(out, c.src)
+	}
+	return append(out, mutatedSources()...)
+}
+
+// mutatedSources returns the inputs of TestParserNeverPanics: 400 random
+// mutations (deletions, duplications, character flips, truncations) of
+// each of three valid programs, the same on every call.
+func mutatedSources() []string {
 	seeds := []string{
 		tinyProgram,
 		`
@@ -37,6 +75,7 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(99))
 	chars := []byte("()=+-*/,.<>ab19 \n'")
+	var out []string
 	for _, seed := range seeds {
 		for trial := 0; trial < 400; trial++ {
 			b := []byte(seed)
@@ -60,46 +99,31 @@ func TestParserNeverPanics(t *testing.T) {
 					b = b[:pos]
 				}
 			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("parser panicked: %v\ninput:\n%s", r, string(b))
-					}
-				}()
-				f, err := Parse("fuzz.f", string(b))
-				// If it parsed, printing and reparsing must also work.
-				if err == nil && f != nil {
-					printed := Print(f)
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								t.Fatalf("printer panicked: %v\ninput:\n%s", r, string(b))
-							}
-						}()
-						_, _ = Parse("fuzz2.f", printed)
-					}()
-				}
-			}()
+			out = append(out, string(b))
 		}
 	}
+	return out
+}
+
+// lexerEdgeCases are lexical corner inputs, each with whether the
+// front end rejects it.
+var lexerEdgeCases = []struct {
+	src     string
+	wantErr bool
+}{
+	{"      program p\n      x = 'unterminated\n      end\n", true},
+	{"      program p\n      x = 1.5e\n      end\n", true}, // 'e' becomes ident -> x = 1.5 e -> error
+	{"      program p\n      x = .notanop. 1\n      end\n", true},
+	{"      program p\n      x = 1..2\n      end\n", true},
+	{"      program p\n      x = 'it''s fine'\n      end\n", false},
+	{"      program p\n      x = 1.e5\n      end\n", false},
+	{"      program p\n      x = +5\n      end\n", false},
+	{"      program p\n      x = 5\n      y = x ! trailing comment\n      end\n", false},
 }
 
 // TestLexerEdgeCases exercises lexical corner inputs.
 func TestLexerEdgeCases(t *testing.T) {
-	cases := []struct {
-		src     string
-		wantErr bool
-	}{
-		{"      program p\n      x = 'unterminated\n      end\n", true},
-		{"      program p\n      x = 1.5e\n      end\n", true}, // 'e' becomes ident -> x = 1.5 e -> error
-		{"      program p\n      x = .notanop. 1\n      end\n", true},
-		{"      program p\n      x = 1..2\n      end\n", true},
-		{"      program p\n      x = 'it''s fine'\n      end\n", false},
-		{"      program p\n      x = 1.e5\n      end\n", false},
-		{"      program p\n      x = +5\n      end\n", false},
-		{"      program p\n      x = 5\n      y = x ! trailing comment\n      end\n", false},
-	}
-	for _, c := range cases {
+	for _, c := range lexerEdgeCases {
 		_, err := Parse("edge.f", c.src)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%q: err = %v, wantErr = %v", strings.TrimSpace(c.src), err, c.wantErr)
