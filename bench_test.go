@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -290,6 +291,7 @@ func BenchmarkE5NoRanges(b *testing.B) {
 // synthetic program.
 func BenchmarkParser(b *testing.B) {
 	src := experiments.BigProgram(40)
+	b.ReportAllocs()
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
 		if _, err := fortran.Parse("big.f", src); err != nil {
@@ -685,6 +687,32 @@ const (
 	editSpec77Allocs       = 163
 )
 
+// openSpec77BytesAt612a5e5, openCallHeavyBytesAt612a5e5 and
+// parseBig40BytesAt612a5e5 are bytesPerRun of core.Open(spec77), of
+// core.Open(CallHeavy(200)) and of fortran.Parse(BigProgram(40)) at
+// commit 612a5e5, where the lexer scanned every statement into one token
+// slab, and dominators, Kill and statement environments were maps keyed
+// by pointer.
+const (
+	openSpec77BytesAt612a5e5    = 118648
+	openCallHeavyBytesAt612a5e5 = 997611
+	parseBig40BytesAt612a5e5    = 500768
+)
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestOpenAllocs guards the allocation work of two changes. spec77: a
 // cold open must stay at or below 0.7 × the count PR 13 replaced, so a
 // per-pair allocation put back into the dependence tester, or a
@@ -696,14 +724,19 @@ const (
 // analyses, so a per-unit constants solve put back into the estimator
 // (about +14 % allocations) fails as well. AnalyzeAll of an open spec77:
 // at or below 1.05 × the count once it keeps every unit's printed text,
-// so a reprint put back fails.
+// so a reprint put back fails. Bytes: both opens at or below 0.8 × and a
+// parse of BigProgram(40) at or below 0.6 × what they allocated before
+// the parser lexed one statement at a time, so a token slab put back
+// fails, as do maps put back into the dominators, Kill or statement
+// environments.
 func TestOpenAllocs(t *testing.T) {
 	w := workloads.Spec77()
-	got := testing.AllocsPerRun(20, func() {
+	open := func() {
 		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	got := testing.AllocsPerRun(20, open)
 	if limit := 0.7 * openSpec77AllocsAtPR13; got > limit {
 		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (0.7 × %d at PR 13)", got, limit, openSpec77AllocsAtPR13)
 	}
@@ -711,6 +744,9 @@ func TestOpenAllocs(t *testing.T) {
 		t.Errorf("core.Open(spec77) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openSpec77AllocsPriced)
 	}
 	t.Logf("core.Open(spec77): %.0f allocations", got)
+	if got, limit := bytesPerRun(20, open), 0.8*openSpec77BytesAt612a5e5; got > limit {
+		t.Errorf("core.Open(spec77) allocates %.0f bytes, limit %.0f (0.8 × %d at 612a5e5)", got, limit, openSpec77BytesAt612a5e5)
+	}
 	s, err := core.Open(w.Name+".f", w.Source)
 	if err != nil {
 		t.Fatal(err)
@@ -721,11 +757,7 @@ func TestOpenAllocs(t *testing.T) {
 	}
 	t.Logf("AnalyzeAll of an open spec77: %.0f allocations", got)
 	w = workloads.CallHeavy(200)
-	got = testing.AllocsPerRun(5, func() {
-		if _, err := core.Open(w.Name+".f", w.Source); err != nil {
-			t.Fatal(err)
-		}
-	})
+	got = testing.AllocsPerRun(5, open)
 	if limit := 0.8 * openCallHeavyAllocsAt58fa5ad; got > limit {
 		t.Errorf("core.Open(CallHeavy(200)) makes %.0f allocations, limit %.0f (0.8 × %d at 58fa5ad)", got, limit, openCallHeavyAllocsAt58fa5ad)
 	}
@@ -733,6 +765,18 @@ func TestOpenAllocs(t *testing.T) {
 		t.Errorf("core.Open(CallHeavy(200)) makes %.0f allocations, limit %.0f (1.05 × %d with units priced from their analyses)", got, limit, openCallHeavyAllocsPriced)
 	}
 	t.Logf("core.Open(CallHeavy(200)): %.0f allocations", got)
+	if got, limit := bytesPerRun(5, open), 0.8*openCallHeavyBytesAt612a5e5; got > limit {
+		t.Errorf("core.Open(CallHeavy(200)) allocates %.0f bytes, limit %.0f (0.8 × %d at 612a5e5)", got, limit, openCallHeavyBytesAt612a5e5)
+	}
+	src := experiments.BigProgram(40)
+	got = bytesPerRun(5, func() {
+		if _, err := fortran.Parse("big.f", src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 0.6 * parseBig40BytesAt612a5e5; got > limit {
+		t.Errorf("fortran.Parse(BigProgram(40)) allocates %.0f bytes, limit %.0f (0.6 × %d at 612a5e5)", got, limit, parseBig40BytesAt612a5e5)
+	}
 }
 
 // raceDetector reports whether the test binary was built with -race.

@@ -187,16 +187,16 @@ func (b *builder) wireStmt(s fortran.Stmt, n *Node) []*Node {
 // Dominators holds the immediate-dominator relation for a graph
 // direction (forward = dominators, reverse = postdominators).
 type Dominators struct {
-	idom map[*Node]*Node
+	idom []*Node // by node index; nil for the root and unreached nodes
 	root *Node
 }
 
 // IDom returns the immediate dominator of n (nil for the root).
-func (d *Dominators) IDom(n *Node) *Node { return d.idom[n] }
+func (d *Dominators) IDom(n *Node) *Node { return d.idom[n.Index] }
 
 // Dominates reports whether a dominates b (reflexive).
 func (d *Dominators) Dominates(a, b *Node) bool {
-	for x := b; x != nil; x = d.idom[x] {
+	for x := b; x != nil; x = d.idom[x.Index] {
 		if x == a {
 			return true
 		}
@@ -209,19 +209,26 @@ func (d *Dominators) Dominates(a, b *Node) bool {
 
 // ComputePostdominators returns the postdominator tree rooted at exit.
 func (g *Graph) ComputePostdominators() *Dominators {
-	return computeDom(g.Exit, func(n *Node) []*Node { return n.Succs },
+	return computeDom(len(g.Nodes), g.Exit, func(n *Node) []*Node { return n.Succs },
 		func(n *Node) []*Node { return n.Preds })
 }
 
-func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
-	// Reverse postorder from root following succs.
-	var order []*Node
-	seen := map[*Node]bool{root: true}
+// computeDom keeps every table as a slice indexed by Node.Index, as
+// Cooper, Harvey and Kennedy keep theirs by postorder number.
+func computeDom(nodes int, root *Node, preds, succs func(*Node) []*Node) *Dominators {
+	// rpo is a node's reverse-postorder number from root following
+	// succs, -1 while unreached.
+	rpo := make([]int, nodes)
+	for i := range rpo {
+		rpo[i] = -1
+	}
+	order := make([]*Node, 0, nodes)
+	rpo[root.Index] = 0
 	var dfs func(n *Node)
 	dfs = func(n *Node) {
 		for _, s := range succs(n) {
-			if !seen[s] {
-				seen[s] = true
+			if rpo[s.Index] < 0 {
+				rpo[s.Index] = 0
 				dfs(s)
 			}
 		}
@@ -232,18 +239,18 @@ func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	rpoNum := map[*Node]int{}
 	for i, n := range order {
-		rpoNum[n] = i
+		rpo[n.Index] = i
 	}
-	idom := map[*Node]*Node{root: root}
+	idom := make([]*Node, nodes)
+	idom[root.Index] = root
 	intersect := func(a, b *Node) *Node {
 		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
+			for rpo[a.Index] > rpo[b.Index] {
+				a = idom[a.Index]
 			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
+			for rpo[b.Index] > rpo[a.Index] {
+				b = idom[b.Index]
 			}
 		}
 		return a
@@ -257,11 +264,8 @@ func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
 			}
 			var newIdom *Node
 			for _, p := range preds(n) {
-				if _, ok := rpoNum[p]; !ok {
-					continue // unreachable predecessor
-				}
-				if idom[p] == nil {
-					continue
+				if rpo[p.Index] < 0 || idom[p.Index] == nil {
+					continue // unreachable or not yet processed
 				}
 				if newIdom == nil {
 					newIdom = p
@@ -269,13 +273,13 @@ func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
 					newIdom = intersect(newIdom, p)
 				}
 			}
-			if newIdom != nil && idom[n] != newIdom {
-				idom[n] = newIdom
+			if newIdom != nil && idom[n.Index] != newIdom {
+				idom[n.Index] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[root] = nil
+	idom[root.Index] = nil
 	return &Dominators{idom: idom, root: root}
 }
 
@@ -285,16 +289,16 @@ func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
 // ControlDeps maps each statement node to the branch nodes it is
 // control dependent on.
 type ControlDeps struct {
-	deps map[*Node][]*Node
+	deps [][]*Node // by node index
 }
 
 // DepsOf returns the branches controlling n.
-func (c *ControlDeps) DepsOf(n *Node) []*Node { return c.deps[n] }
+func (c *ControlDeps) DepsOf(n *Node) []*Node { return c.deps[n.Index] }
 
 // ComputeControlDeps computes control dependences for the graph.
 func (g *Graph) ComputeControlDeps() *ControlDeps {
 	pdom := g.ComputePostdominators()
-	out := &ControlDeps{deps: map[*Node][]*Node{}}
+	out := &ControlDeps{deps: make([][]*Node, len(g.Nodes))}
 	for _, a := range g.Nodes {
 		if len(a.Succs) < 2 {
 			continue
@@ -306,7 +310,7 @@ func (g *Graph) ComputeControlDeps() *ControlDeps {
 			// Walk up the postdominator tree from b to ipdom(a).
 			stopAt := pdom.IDom(a)
 			for x := b; x != nil && x != stopAt; x = pdom.IDom(x) {
-				out.deps[x] = appendUnique(out.deps[x], a)
+				out.deps[x.Index] = appendUnique(out.deps[x.Index], a)
 				if x == pdom.IDom(x) {
 					break
 				}

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"parascope/internal/fortran"
@@ -164,40 +165,58 @@ func min64(a, b int64) int64 {
 
 // Env carries what is known about integer symbol values: exact
 // constants (from constant propagation or PARAMETER) and ranges (from
-// loop bounds, declarations and user assertions).
+// loop bounds, declarations and user assertions). An environment knows
+// a handful of symbols, so it keeps them in a slice, in the order they
+// were first set, and looks them up by scanning it.
 type Env struct {
-	ranges map[*fortran.Symbol]Range
+	known []binding
+}
+
+type binding struct {
+	sym *fortran.Symbol
+	r   Range
 }
 
 // NewEnv returns an empty environment.
-func NewEnv() *Env { return &Env{ranges: map[*fortran.Symbol]Range{}} }
+func NewEnv() *Env { return &Env{} }
 
 // Clone returns a copy sharing nothing with e.
-func (e *Env) Clone() *Env {
-	out := NewEnv()
-	for s, r := range e.ranges {
-		out.ranges[s] = r
+func (e *Env) Clone() *Env { return &Env{known: slices.Clone(e.known)} }
+
+// find returns sym's index in e.known, or -1.
+func (e *Env) find(sym *fortran.Symbol) int {
+	for i := range e.known {
+		if e.known[i].sym == sym {
+			return i
+		}
 	}
-	return out
+	return -1
 }
 
 // SetValue records sym == v.
-func (e *Env) SetValue(sym *fortran.Symbol, v int64) { e.ranges[sym] = Exact(v) }
+func (e *Env) SetValue(sym *fortran.Symbol, v int64) {
+	if i := e.find(sym); i >= 0 {
+		e.known[i].r = Exact(v)
+	} else {
+		e.known = append(e.known, binding{sym, Exact(v)})
+	}
+}
 
 // SetRange records sym ∈ r, intersecting with prior knowledge.
 func (e *Env) SetRange(sym *fortran.Symbol, r Range) {
-	if old, ok := e.ranges[sym]; ok {
-		r = old.Intersect(r)
+	if i := e.find(sym); i >= 0 {
+		e.known[i].r = e.known[i].r.Intersect(r)
+	} else {
+		e.known = append(e.known, binding{sym, r})
 	}
-	e.ranges[sym] = r
 }
 
 // Symbols returns the symbols the environment knows about, sorted by
 // name for deterministic iteration.
 func (e *Env) Symbols() []*fortran.Symbol {
-	out := make([]*fortran.Symbol, 0, len(e.ranges))
-	for s := range e.ranges {
-		out = append(out, s)
+	out := make([]*fortran.Symbol, len(e.known))
+	for i, b := range e.known {
+		out[i] = b.sym
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -208,8 +227,8 @@ func (e *Env) RangeOf(sym *fortran.Symbol) Range {
 	if e == nil {
 		return FullRange
 	}
-	if r, ok := e.ranges[sym]; ok {
-		return r
+	if i := e.find(sym); i >= 0 {
+		return e.known[i].r
 	}
 	return FullRange
 }

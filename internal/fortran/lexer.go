@@ -4,12 +4,14 @@ import (
 	"strings"
 )
 
-// Lexer turns Fortran source text into a token stream. It first
-// performs line assembly (comment stripping, continuation joining,
-// label extraction) and then scans each logical statement.
+// Lexer turns Fortran source text into tokens. NewLexer performs line
+// assembly (comment stripping, continuation joining, label extraction);
+// the parser then scans one logical statement at a time, in order, into
+// a token buffer it reuses.
 type Lexer struct {
-	stmts []logicalStmt
-	errs  ErrorList
+	stmts   []logicalStmt
+	errs    ErrorList
+	scanned int // statements whose errors are in errs
 }
 
 // logicalStmt is one statement after line assembly: its label (0 when
@@ -34,21 +36,21 @@ type Comment struct {
 // a line is treated as fixed-form when it matches the classic column
 // conventions.
 func NewLexer(src string) (*Lexer, []Comment) {
-	lx := &Lexer{}
+	// A statement starts on a line of its own: the line count bounds
+	// the statement count.
+	lx := &Lexer{stmts: make([]logicalStmt, 0, strings.Count(src, "\n")+1)}
 	var comments []Comment
-	lines := strings.Split(src, "\n")
-	var cur *logicalStmt
+	open := false // the last statement may still take continuation lines
 	var pendingDir string
 	flush := func() {
-		if cur != nil {
-			if strings.TrimSpace(cur.text) != "" || cur.label != 0 {
-				lx.stmts = append(lx.stmts, *cur)
-			}
-			cur = nil
+		if n := len(lx.stmts); open && strings.TrimSpace(lx.stmts[n-1].text) == "" && lx.stmts[n-1].label == 0 {
+			lx.stmts = lx.stmts[:n-1]
 		}
+		open = false
 	}
-	for i, raw := range lines {
-		lineNo := i + 1
+	for lineNo, rest, more := 1, src, true; more; lineNo++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		line := strings.TrimRight(raw, " \t\r")
 		if line == "" {
 			continue
@@ -81,15 +83,18 @@ func NewLexer(src string) (*Lexer, []Comment) {
 		// Fixed-form continuation: non-space, non-zero in column 6
 		// with columns 1-5 blank.
 		if len(line) > 5 && line[5] != ' ' && line[5] != '0' &&
-			strings.TrimSpace(line[:5]) == "" && cur != nil {
+			strings.TrimSpace(line[:5]) == "" && open {
+			cur := &lx.stmts[len(lx.stmts)-1]
 			cur.text += " " + strings.TrimSpace(line[6:])
 			continue
 		}
 		// Free-form continuation: previous statement ended with '&'.
-		if cur != nil && strings.HasSuffix(strings.TrimSpace(cur.text), "&") {
-			cur.text = strings.TrimSuffix(strings.TrimSpace(cur.text), "&") +
-				" " + strings.TrimSpace(line)
-			continue
+		if open {
+			cur := &lx.stmts[len(lx.stmts)-1]
+			if t := strings.TrimSpace(cur.text); strings.HasSuffix(t, "&") {
+				cur.text = strings.TrimSuffix(t, "&") + " " + strings.TrimSpace(line)
+				continue
+			}
 		}
 		flush()
 		// Extract a leading numeric label (fixed-form columns 1-5, or
@@ -106,7 +111,8 @@ func NewLexer(src string) (*Lexer, []Comment) {
 		} else {
 			label = 0
 		}
-		cur = &logicalStmt{label: label, line: lineNo, text: body, directive: pendingDir}
+		lx.stmts = append(lx.stmts, logicalStmt{label: label, line: lineNo, text: body, directive: pendingDir})
+		open = true
 		pendingDir = ""
 	}
 	flush()
@@ -128,16 +134,6 @@ func parDirective(line string) (string, bool) {
 	return strings.TrimSpace(rest), true
 }
 
-// Directives returns the parallel directive attached to each logical
-// statement ("" for none), index-aligned with Statements().
-func (lx *Lexer) Directives() []string {
-	out := make([]string, len(lx.stmts))
-	for i, st := range lx.stmts {
-		out[i] = st.directive
-	}
-	return out
-}
-
 // indexUnquoted returns the index of the first occurrence of c outside
 // single-quoted strings, or -1.
 func indexUnquoted(s string, c byte) int {
@@ -153,26 +149,26 @@ func indexUnquoted(s string, c byte) int {
 	return -1
 }
 
-// Statements tokenizes every logical statement into one backing array,
-// sized from the statement texts at about one token per two bytes plus
-// a label and the newline. Each statement gets a sub-slice capped at its
-// end, so appending to one never writes over the next, and each ends
-// with a TokNewline carrying the statement's line. Should the estimate
-// fall short, the array grows and the statements scanned so far keep
-// the first one.
-func (lx *Lexer) Statements() ([][]Token, ErrorList) {
-	size := 0
-	for _, st := range lx.stmts {
-		size += len(st.text)/2 + 2
+// tokens scans statement i into toks[:0] and returns the tokens, which
+// end with a TokNewline carrying the statement's line. Statements are
+// scanned forward only, each once, and the ones passed over are scanned
+// for their errors, so errors stay in statement order. When i is the
+// last statement scanned, toks is returned as it is: it holds that
+// statement still.
+func (lx *Lexer) tokens(toks []Token, i int) []Token {
+	for ; lx.scanned <= i; lx.scanned++ {
+		toks = lx.scanStmt(toks[:0], lx.stmts[lx.scanned])
 	}
-	buf := make([]Token, 0, size)
-	out := make([][]Token, len(lx.stmts))
-	for i, st := range lx.stmts {
-		start := len(buf)
-		buf = lx.scanStmt(buf, st)
-		out[i] = buf[start:len(buf):len(buf)]
+	return toks
+}
+
+// errors scans every statement not scanned yet and returns the errors of
+// all statements, in statement order.
+func (lx *Lexer) errors(toks []Token) ErrorList {
+	if n := len(lx.stmts); lx.scanned < n {
+		lx.tokens(toks, n-1)
 	}
-	return out, lx.errs
+	return lx.errs
 }
 
 // scanStmt appends the tokens of one logical statement to toks.

@@ -9,8 +9,7 @@ import (
 // any accumulated errors; the file is usable when err is nil.
 func Parse(path, src string) (*File, error) {
 	lx, comments := NewLexer(src)
-	stmts, errs := lx.Statements()
-	p := &parser{stmts: stmts, dirs: lx.Directives(), errs: errs}
+	p := &parser{lx: lx}
 	f := &File{Path: path, Comments: comments}
 	for !p.atEOF() {
 		u := p.parseUnit(f)
@@ -19,7 +18,7 @@ func Parse(path, src string) (*File, error) {
 		}
 		f.Units = append(f.Units, u)
 	}
-	if err := p.errs.Err(); err != nil {
+	if err := p.finish(); err != nil {
 		return f, err
 	}
 	resolve(f, &p.errs)
@@ -35,8 +34,7 @@ func Parse(path, src string) (*File, error) {
 // restores a unit this way and hands the result to Unit.Adopt.
 func (f *File) ParseUnit(text string, line int) (*Unit, error) {
 	lx, _ := NewLexer(text)
-	stmts, errs := lx.Statements()
-	p := &parser{stmts: stmts, dirs: lx.Directives(), errs: errs}
+	p := &parser{lx: lx}
 	var u *Unit
 	if p.atEOF() {
 		p.errs.add(Pos{1, 1}, "empty program unit")
@@ -44,7 +42,7 @@ func (f *File) ParseUnit(text string, line int) (*Unit, error) {
 		p.beginStmt()
 		p.errf("text after the unit's END")
 	}
-	if err := p.errs.Err(); err != nil {
+	if err := p.finish(); err != nil {
 		return nil, err
 	}
 	r := &resolver{file: f, unit: u, units: unitsByName(f), errs: &p.errs}
@@ -66,27 +64,24 @@ func (f *File) ParseUnit(text string, line int) (*Unit, error) {
 // u's symbol table. Used by the editor for incremental edits.
 func ParseStmtIn(f *File, u *Unit, text string) (Stmt, error) {
 	lx, _ := NewLexer(text)
-	stmts, errs := lx.Statements()
-	if err := errs.Err(); err != nil {
-		return nil, err
-	}
-	if len(stmts) == 0 {
+	if len(lx.stmts) == 0 {
 		// Interactive edits arrive at column 1, where fixed-form
 		// lexing reads 'c' / 'C' / '*' / '!' as a full-line comment —
 		// so "call sweep(q, k)" lexes to nothing. When the whole text
 		// vanished, retry with each such line shifted out of column 1;
 		// comment-only text still has no statement either way.
 		lx, _ = NewLexer(padColumnOne(text))
-		stmts, errs = lx.Statements()
-		if err := errs.Err(); err != nil {
-			return nil, err
-		}
 	}
-	if len(stmts) == 0 {
+	if len(lx.stmts) == 0 {
 		return nil, &Error{Msg: "empty statement"}
 	}
-	p := &parser{stmts: stmts, dirs: lx.Directives()}
-	p.unit = u
+	// A text with a lexer error is refused before the parser enters any
+	// of its names in u: scan it whole first, then parse from the top.
+	p := &parser{lx: lx, unit: u, toks: lx.tokens(nil, len(lx.stmts)-1)}
+	if err := lx.errs.Err(); err != nil {
+		return nil, err
+	}
+	lx.scanned = 0
 	p.beginStmt()
 	s := p.parseStmt(u)
 	if err := p.errs.Err(); err != nil {
@@ -137,32 +132,33 @@ func MustParse(path, src string) *File {
 }
 
 type parser struct {
-	stmts [][]Token
-	dirs  []string // parallel directive per statement, "" for none
-	si    int      // statement index
-	toks  []Token
-	ti    int // token index within current statement
-	errs  ErrorList
-	unit  *Unit
+	lx   *Lexer
+	si   int     // statement index; it never moves back
+	toks []Token // statement si's tokens, in a buffer reused for every statement
+	ti   int     // token index within current statement
+	errs ErrorList
+	unit *Unit
 }
 
 // directiveAt returns the parallel directive attached to statement i.
-func (p *parser) directiveAt(i int) string {
-	if i < len(p.dirs) {
-		return p.dirs[i]
-	}
-	return ""
-}
+func (p *parser) directiveAt(i int) string { return p.lx.stmts[i].directive }
 
-func (p *parser) atEOF() bool { return p.si >= len(p.stmts) }
+func (p *parser) atEOF() bool { return p.si >= len(p.lx.stmts) }
 
 // beginStmt loads statement si for token-level parsing.
 func (p *parser) beginStmt() {
-	p.toks = p.stmts[p.si]
+	p.toks = p.lx.tokens(p.toks, p.si)
 	p.ti = 0
 	if p.cur().Kind == TokLabel {
 		p.ti++
 	}
+}
+
+// finish puts the lexer errors of every statement, parsed or not, ahead
+// of the parser's own and returns the list as an error.
+func (p *parser) finish() error {
+	p.errs = append(p.lx.errors(p.toks), p.errs...)
+	return p.errs.Err()
 }
 
 func (p *parser) stmtLabel() int {
@@ -276,7 +272,7 @@ func (p *parser) parseUnit(f *File) *Unit {
 		u.Syms[u.Name] = ret
 	default:
 		p.errf("expected PROGRAM, SUBROUTINE or FUNCTION, found %s", p.cur())
-		p.si = len(p.stmts)
+		p.si = len(p.lx.stmts)
 		return nil
 	}
 	p.si++

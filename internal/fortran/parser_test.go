@@ -570,23 +570,3 @@ func TestNamesDoNotAliasSource(t *testing.T) {
 		}
 	}
 }
-
-// TestStatementTokensAreCapped checks that the statements Statements
-// returns, which share one token array, are each capped at their end:
-// appending to one statement's tokens leaves the next one's unchanged.
-func TestStatementTokensAreCapped(t *testing.T) {
-	lx, _ := NewLexer("      x = 1\n 10   y = x + 2\n      z = y\n")
-	stmts, errs := lx.Statements()
-	if err := errs.Err(); err != nil || len(stmts) != 3 {
-		t.Fatalf("Statements: %d statements, %v", len(stmts), err)
-	}
-	for i := 0; i+1 < len(stmts); i++ {
-		next := append([]Token(nil), stmts[i+1]...)
-		_ = append(stmts[i], Token{Kind: TokIdent, Text: "w", Line: 99})
-		for j, tok := range stmts[i+1] {
-			if tok != next[j] {
-				t.Fatalf("appending to statement %d changed token %d of statement %d: %v, was %v", i, j, i+1, tok, next[j])
-			}
-		}
-	}
-}

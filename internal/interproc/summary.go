@@ -1,6 +1,8 @@
 package interproc
 
 import (
+	"slices"
+
 	"parascope/internal/cfg"
 	"parascope/internal/dataflow"
 	"parascope/internal/expr"
@@ -185,70 +187,88 @@ func visible(sym *fortran.Symbol) bool {
 // from entry to exit (flow-sensitive Kill analysis) and arrays fully
 // overwritten by unconditional covering loops (array kill).
 func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary) {
-	// Definite assignment: forward must-analysis over the CFG. Only
+	// Definite assignment: forward must-analysis over the CFG, one bitset
+	// per node over the tracked scalars some statement assigns. Only
 	// visible scalars reach Kill, and a must-analysis decides each
 	// symbol apart, so no other symbol enters the sets.
-	tracked := func(sym *fortran.Symbol) bool { return visible(sym) && sym.Kind == fortran.SymScalar }
 	g := df.G
-	assigned := map[*cfg.Node]map[*fortran.Symbol]bool{}
-	order := g.Nodes
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range order {
-			var in map[*fortran.Symbol]bool
-			first := true
-			for _, pr := range n.Preds {
-				po := assigned[pr]
-				if po == nil {
-					continue // unvisited: optimistic
-				}
-				if first {
-					in = map[*fortran.Symbol]bool{}
-					for k := range po {
-						in[k] = true
-					}
-					first = false
-				} else {
-					for k := range in {
-						if !po[k] {
-							delete(in, k)
-						}
-					}
-				}
+	var syms []*fortran.Symbol // by bit
+	var gens [][2]int          // node index, bit: the node assigns the symbol
+	gen := func(n *cfg.Node, sym *fortran.Symbol) {
+		if !visible(sym) || sym.Kind != fortran.SymScalar {
+			return
+		}
+		bit := slices.Index(syms, sym)
+		if bit < 0 {
+			bit, syms = len(syms), append(syms, sym)
+		}
+		gens = append(gens, [2]int{n.Index, bit})
+	}
+	for _, n := range g.Nodes {
+		if n.Stmt == nil {
+			continue
+		}
+		for _, ac := range df.Accesses(n.Stmt) {
+			if ac.Write && !ac.Partial {
+				gen(n, ac.Sym)
 			}
-			if in == nil {
-				in = map[*fortran.Symbol]bool{}
-			}
-			if n.Stmt != nil {
-				for _, ac := range df.Accesses(n.Stmt) {
-					if ac.Write && !ac.Partial && tracked(ac.Sym) {
-						in[ac.Sym] = true
+		}
+		// A call that kills a visible scalar kills it here too.
+		if call, ok := n.Stmt.(*fortran.CallStmt); ok && call.Callee != nil {
+			if cs := p.Summaries[call.Callee]; cs != nil {
+				for formal := range cs.Kill {
+					if vr, ok := boundActual(call.Args, call.Callee, formal).(*fortran.VarRef); ok && vr.Sym != nil && len(vr.Subs) == 0 {
+						gen(n, vr.Sym)
 					}
 				}
-				// A call that kills a visible scalar kills it here too.
-				if call, ok := n.Stmt.(*fortran.CallStmt); ok && call.Callee != nil {
-					if cs := p.Summaries[call.Callee]; cs != nil {
-						for formal := range cs.Kill {
-							if actual := boundActual(call.Args, call.Callee, formal); actual != nil {
-								if vr, ok := actual.(*fortran.VarRef); ok && vr.Sym != nil && len(vr.Subs) == 0 && tracked(vr.Sym) {
-									in[vr.Sym] = true
-								}
-							}
-						}
-					}
-				}
-			}
-			// An empty set must still be stored: a nil entry means
-			// "unvisited" and is skipped by the meet above.
-			if assigned[n] == nil || !sameSet(assigned[n], in) {
-				assigned[n] = in
-				changed = true
 			}
 		}
 	}
-	for sym := range assigned[g.Exit] {
-		s.Kill[sym] = true
+	if len(syms) > 0 {
+		// Node i's gen set is sets[i], its out set sets[len+i]; in is
+		// the meet's scratch.
+		w, nn := (len(syms)+63)/64, len(g.Nodes)
+		slab := make([]uint64, (2*nn+1)*w)
+		set := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
+		for _, nb := range gens {
+			set(nb[0])[nb[1]/64] |= 1 << (nb[1] % 64)
+		}
+		in, visited := set(2*nn), make([]bool, nn)
+		for changed := true; changed; {
+			changed = false
+			for _, n := range g.Nodes {
+				first := true
+				for _, pr := range n.Preds {
+					if !visited[pr.Index] {
+						continue // unvisited: optimistic
+					}
+					for k, po := range set(nn + pr.Index) {
+						if first {
+							in[k] = po
+						} else {
+							in[k] &= po
+						}
+					}
+					first = false
+				}
+				if first {
+					clear(in)
+				}
+				for k, gk := range set(n.Index) {
+					in[k] |= gk
+				}
+				if out := set(nn + n.Index); !visited[n.Index] || !slices.Equal(out, in) {
+					copy(out, in)
+					visited[n.Index], changed = true, true
+				}
+			}
+		}
+		exit := set(nn + g.Exit.Index)
+		for bit, sym := range syms {
+			if exit[bit/64]&(1<<(bit%64)) != 0 {
+				s.Kill[sym] = true
+			}
+		}
 	}
 	// Array kill: an unconditional top-level loop covering the full
 	// declared extent with a direct write a(k).
