@@ -162,15 +162,6 @@ func (lx *Lexer) tokens(toks []Token, i int) []Token {
 	return toks
 }
 
-// errors scans every statement not scanned yet and returns the errors of
-// all statements, in statement order.
-func (lx *Lexer) errors(toks []Token) ErrorList {
-	if n := len(lx.stmts); lx.scanned < n {
-		lx.tokens(toks, n-1)
-	}
-	return lx.errs
-}
-
 // scanStmt appends the tokens of one logical statement to toks.
 func (lx *Lexer) scanStmt(toks []Token, st logicalStmt) []Token {
 	if st.label != 0 {

@@ -140,9 +140,6 @@ type parser struct {
 	unit *Unit
 }
 
-// directiveAt returns the parallel directive attached to statement i.
-func (p *parser) directiveAt(i int) string { return p.lx.stmts[i].directive }
-
 func (p *parser) atEOF() bool { return p.si >= len(p.lx.stmts) }
 
 // beginStmt loads statement si for token-level parsing.
@@ -154,10 +151,12 @@ func (p *parser) beginStmt() {
 	}
 }
 
-// finish puts the lexer errors of every statement, parsed or not, ahead
-// of the parser's own and returns the list as an error.
+// finish scans the statements the parse did not reach for their lexer
+// errors, puts the lexer errors of every statement ahead of the parser's
+// own and returns the list as an error.
 func (p *parser) finish() error {
-	p.errs = append(p.lx.errors(p.toks), p.errs...)
+	p.lx.tokens(p.toks, len(p.lx.stmts)-1)
+	p.errs = append(p.lx.errs, p.errs...)
 	return p.errs.Err()
 }
 
@@ -900,7 +899,7 @@ func (p *parser) parseSimpleStmt(u *Unit) Stmt {
 }
 
 func (p *parser) parseDo(u *Unit, base StmtBase) Stmt {
-	dir := p.directiveAt(p.si)
+	dir := p.lx.stmts[p.si].directive
 	p.next() // do
 	if p.keyword() == "while" {
 		p.next()

@@ -225,8 +225,8 @@ func (p *Program) computeKill(u *fortran.Unit, df *dataflow.Analysis, s *Summary
 		}
 	}
 	if len(syms) > 0 {
-		// Node i's gen set is sets[i], its out set sets[len+i]; in is
-		// the meet's scratch.
+		// set(i) is node i's gen set, set(nn+i) its out set and
+		// set(2*nn) the meet's scratch.
 		w, nn := (len(syms)+63)/64, len(g.Nodes)
 		slab := make([]uint64, (2*nn+1)*w)
 		set := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
