@@ -48,8 +48,8 @@ func sessionPerfClose(a, b *core.Session) error {
 		return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
 	}
 	for _, u := range a.File.Units {
-		ea := a.StateOf(u).Est
-		eb := b.StateOf(b.File.Unit(u.Name)).Est
+		ea := a.EstimateOf(u)
+		eb := b.EstimateOf(b.File.Unit(u.Name))
 		if !near(ea.Total, eb.Total) {
 			return fmt.Errorf("unit %s: total %g vs %g", u.Name, ea.Total, eb.Total)
 		}

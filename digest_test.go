@@ -43,8 +43,9 @@ func dumpAnalysis(w io.Writer, s *core.Session) {
 				rank, d.Class, d.Sym.Name, d.Src.ID(), d.Dst.ID(), d.Level,
 				d.Dirs, d.Dist, d.Known, d.Mark, d.Test, d.Reason, d.Blockers)
 		}
-		fmt.Fprintf(w, "total %b\n", st.Est.Total)
-		for _, le := range st.Est.Loops {
+		est := s.EstimateOf(u)
+		fmt.Fprintf(w, "total %b\n", est.Total)
+		for _, le := range est.Loops {
 			fmt.Fprintf(w, "loop #%d %b %b %b %b %b %b\n", le.Loop.Do.ID(),
 				le.Trip, le.BodyCost, le.SeqTime, le.ParTime, le.Speedup, le.Fraction)
 		}

@@ -30,7 +30,7 @@ func main() {
 
 	// Loop-level ranking inside the main program.
 	fmt.Println("\nloop ranking (estimator report):")
-	fmt.Print(s.State().Est.Report())
+	fmt.Print(s.Estimate().Report())
 
 	// Estimator-guided parallelization: repeatedly navigate to the
 	// most expensive serial loop and try to parallelize it.

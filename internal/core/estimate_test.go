@@ -35,8 +35,7 @@ func expectFreshEstimates(t *testing.T, s *core.Session, when string) {
 		}
 	}
 	for _, u := range s.File.Units {
-		st := s.StateOf(u)
-		if got, want := estimateBits(st.Est), estimateBits(fresh.EstimateUnit(st.DF)); got != want {
+		if got, want := estimateBits(s.EstimateOf(u)), estimateBits(fresh.EstimateUnit(s.StateOf(u).DF)); got != want {
 			t.Errorf("%s: unit %s: estimate\n%s\nfresh estimator\n%s", when, u.Name, got, want)
 		}
 	}
@@ -183,11 +182,12 @@ func (c *phaseCounter) ObservePhase(phase string, _ time.Duration) {
 }
 
 // TestProgramRungEstimatesWhatMoved counts estimates instead of timing
-// them. Swapping two actuals of a call in main takes the program rung;
+// them. An open prices no unit. Swapping two actuals of a call in main takes the program rung;
 // main has no caller, so the edit moves no other unit's price, and the
-// rung must estimate main and the units it reanalyzed — each a
-// "dataflow" phase, main's a "patch" phase when the statement step took
-// it — and no other.
+// rung must drop the estimates of main and of the units it reanalyzed —
+// each a "dataflow" phase, main's a "patch" phase when the statement
+// step took it — and no other, pricing none itself. Reading every
+// estimate back prices exactly those, one "perf" phase each.
 func TestProgramRungEstimatesWhatMoved(t *testing.T) {
 	w := workloads.CallHeavy(24)
 	c := &phaseCounter{n: map[string]int{}}
@@ -205,6 +205,12 @@ func TestProgramRungEstimatesWhatMoved(t *testing.T) {
 	if call == nil {
 		t.Fatal("no call add(a, b, n) in main")
 	}
+	if c.n["perf"] != 0 || s.Unpriced() != len(s.File.Units) {
+		t.Errorf("the open priced %d units (%d of %d left unpriced)", c.n["perf"], s.Unpriced(), len(s.File.Units))
+	}
+	for _, u := range s.File.Units {
+		s.EstimateOf(u)
+	}
 	c.n = map[string]int{}
 	if err := s.EditStmt(call.ID(), "      call add(b, a, n)"); err != nil {
 		t.Fatal(err)
@@ -212,11 +218,19 @@ func TestProgramRungEstimatesWhatMoved(t *testing.T) {
 	if s.LastReanalysis.Mode != "program" {
 		t.Fatalf("swapping actuals took the %q rung, want program", s.LastReanalysis.Mode)
 	}
-	if got, want := c.n["perf"], c.n["dataflow"]+c.n["patch"]; got != want || got >= len(s.File.Units) {
-		t.Errorf("the edit estimated %d units, want %d (main and the %d reanalyzed), fewer than the program's %d",
-			got, want, c.n["dataflow"], len(s.File.Units))
+	dropped := s.Unpriced()
+	if want := c.n["dataflow"] + c.n["patch"]; dropped != want || dropped >= len(s.File.Units) {
+		t.Errorf("the edit dropped %d estimates, want %d (main and the %d reanalyzed), fewer than the program's %d",
+			dropped, want, c.n["dataflow"], len(s.File.Units))
 	}
+	if c.n["perf"] != 0 {
+		t.Errorf("the edit priced %d units; pricing waits for a reader", c.n["perf"])
+	}
+	c.n = map[string]int{}
 	expectFreshEstimates(t, s, "swapped actuals")
+	if c.n["perf"] != dropped {
+		t.Errorf("reading every estimate back priced %d units, want the %d dropped", c.n["perf"], dropped)
+	}
 }
 
 // TestConservativeCallEditMovesCallGraph: the estimator prices a call by

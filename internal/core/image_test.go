@@ -385,10 +385,9 @@ func TestProgramRungOnRecursiveProgram(t *testing.T) {
 
 // TestExternalPassedBareStaysAFunction: a name an EXTERNAL statement
 // declares is a function though no expression calls it — here it is
-// only passed to a subroutine. The printed text drops the EXTERNAL
-// statement, so an undo reparses f as a bare name; the session keeps
-// it a function there too, and the saved text is the one the editor
-// has always printed for this program.
+// only passed to a subroutine. The printed text carries the EXTERNAL
+// statement, so an undo reparses f a function, and the saved text keeps
+// it one for the next open.
 func TestExternalPassedBareStaysAFunction(t *testing.T) {
 	s := open(t, `
       program p
@@ -407,7 +406,7 @@ func TestExternalPassedBareStaysAFunction(t *testing.T) {
       end
 `)
 	saved := func(y string) string {
-		return "      program p\n      integer i\n      real b(10), y\n" +
+		return "      program p\n      integer i\n      real b(10), y\n      external f\n" +
 			"      do i = 1, 10\n        b(i) = 0.0\n      enddo\n      call s(f, b)\n      y = " + y + "\n      end\n\n" +
 			"      subroutine s(g, c)\n      real c(10)\n      c(1) = g(1.0)\n      end\n"
 	}
@@ -430,6 +429,75 @@ func TestExternalPassedBareStaysAFunction(t *testing.T) {
 		}
 		if err := s.CheckSourceImage(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
+		}
+	}
+}
+
+// TestSaveKeepsEveryNamesKindAndType: a fresh open of a saved program
+// saves the same text, and gives every name the kind and type it had —
+// an EXTERNAL name passed bare, called or a dummy argument, and a
+// function name typed other than its name implies, with and without
+// EXTERNAL.
+func TestSaveKeepsEveryNamesKindAndType(t *testing.T) {
+	for _, src := range []string{`
+      program p
+      real b(10)
+      external f
+      call s(f, b)
+      end
+      subroutine s(g, c)
+      real c(10)
+      c(1) = g(1.0)
+      end
+`, `
+      program p
+      integer f
+      external f
+      integer i
+      i = f(2)
+      print *, i
+      end
+`, `
+      program p
+      real k
+      double precision h
+      x = k(1.0) + h(2.0)
+      print *, x
+      end
+`, `
+      program p
+      external fn
+      real c(10)
+      call s(fn, c)
+      end
+      subroutine s(g, c)
+      external g
+      integer g
+      real c(10)
+      c(1) = g(1)
+      end
+      function fn(x)
+      fn = x + 1.0
+      end
+`} {
+		s := open(t, src)
+		saved := s.Save()
+		again := open(t, saved)
+		if got := again.Save(); got != saved {
+			t.Errorf("a fresh open of\n%s\nsaves\n%s", saved, got)
+		}
+		for _, u := range s.File.Units {
+			for name, sym := range u.Syms {
+				re := again.File.Unit(u.Name).Lookup(name)
+				if re == nil {
+					t.Errorf("%s: %s is gone after a fresh open of\n%s", u.Name, name, saved)
+					continue
+				}
+				if re.Kind != sym.Kind || re.Type != sym.Type || re.External != sym.External {
+					t.Errorf("%s: %s is a %s %s (external %t), after a fresh open a %s %s (external %t)",
+						u.Name, name, sym.Type, sym.Kind, sym.External, re.Type, re.Kind, re.External)
+				}
+			}
 		}
 	}
 }

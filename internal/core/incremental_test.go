@@ -168,8 +168,8 @@ func perfSignatureClose(a, b *Session) error {
 		return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
 	}
 	for _, u := range a.File.Units {
-		ea := a.StateOf(u).Est
-		eb := b.StateOf(b.File.Unit(u.Name)).Est
+		ea := a.EstimateOf(u)
+		eb := b.EstimateOf(b.File.Unit(u.Name))
 		if !near(ea.Total, eb.Total) {
 			return fmt.Errorf("unit %s: total %g vs %g", u.Name, ea.Total, eb.Total)
 		}
@@ -574,7 +574,7 @@ func TestCheapRungsOnRecursiveProgram(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, u := range s.File.Units {
-				got, want := s.StateOf(u).Est, fresh.StateOf(fresh.File.Unit(u.Name)).Est
+				got, want := s.EstimateOf(u), fresh.EstimateOf(fresh.File.Unit(u.Name))
 				if got.Total != want.Total {
 					t.Errorf("unit %s: Est.Total %v, scratch %v", u.Name, got.Total, want.Total)
 				}

@@ -18,18 +18,24 @@ import (
 // open goes through spread too, with nothing kept; reach and the two
 // statement-granular splices by update alone; and LastReanalysis is
 // written by the whole-program analysis, by update, and by Undo's roll-up
-// of the updates it made.
+// of the updates it made. The two views made on demand have one door
+// each: a unit is priced only by EstimateOf, and printed only by image,
+// by refreshImage, by the annotation check of an undo (restores) and by
+// Undo's split of a planted entry — the last two print texts that are
+// not the live image.
 func TestOneDoorToTheAnalyses(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	guarded := map[string][]string{ // callee → the functions that may call it
-		"analyzeUnit": {"analyzeUnits"},
-		"spread":      {"update", "AnalyzeAll"},
-		"reach":       {"update"},
-		"Patch":       {"update"}, // dep.Patch
-		"PatchStmt":   {"update"}, // (*dataflow.Analysis).PatchStmt
+		"analyzeUnit":  {"analyzeUnits"},
+		"spread":       {"update", "AnalyzeAll"},
+		"reach":        {"update"},
+		"Patch":        {"update"},     // dep.Patch
+		"PatchStmt":    {"update"},     // (*dataflow.Analysis).PatchStmt
+		"EstimateUnit": {"EstimateOf"}, // (*perf.Estimator).EstimateUnit
+		"imageOf":      {"image", "refreshImage", "restores", "Undo"},
 	}
 	writers := []string{"AnalyzeAll", "Undo", "update"}
 
@@ -47,11 +53,18 @@ func TestOneDoorToTheAnalyses(t *testing.T) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.CallExpr:
-					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && guarded[sel.Sel.Name] != nil {
-						if calls[sel.Sel.Name] == nil {
-							calls[sel.Sel.Name] = map[string]bool{}
+					var callee string
+					switch f := x.Fun.(type) {
+					case *ast.SelectorExpr:
+						callee = f.Sel.Name
+					case *ast.Ident:
+						callee = f.Name
+					}
+					if guarded[callee] != nil {
+						if calls[callee] == nil {
+							calls[callee] = map[string]bool{}
 						}
-						calls[sel.Sel.Name][fn.Name.Name] = true
+						calls[callee][fn.Name.Name] = true
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range x.Lhs {

@@ -4,9 +4,9 @@
 // per-unit pass — data flow and dependences — only reads the shared
 // Program and its own unit's AST, so units fan out safely across a
 // bounded worker pool. The performance estimates are not in it: a unit
-// is priced from its callees' analyses, so they run after the pool, on
-// the session's goroutine, each pricing on demand the callees its
-// estimate reaches.
+// is priced from its callees' analyses, on the session's goroutine, the
+// first time a reader asks for its estimate (Session.EstimateOf), with
+// the prices of the callees its estimate reaches.
 package core
 
 import (
@@ -33,9 +33,10 @@ import (
 // summary pass has solved every unit off a recursion cycle, and that
 // time is inside "interproc"; a conservative session solves every unit
 // again. "perf" is one unit's estimate, made on the session's goroutine
-// once every unit is analyzed, with the prices of the callees it is the
-// first to reach; "dataflow" and "dependence" fan out on the analysis
-// worker pool, so implementations must be safe for concurrent use. A nil
+// when a reader first asks for it (Session.EstimateOf) — never by an
+// open or a reanalysis — with the prices of the callees it is the first
+// to reach; "dataflow" and "dependence" fan out on the analysis worker
+// pool, so implementations must be safe for concurrent use. A nil
 // observer costs a single pointer check per phase.
 type PhaseObserver interface {
 	ObservePhase(phase string, d time.Duration)

@@ -96,30 +96,41 @@ func keyOf(d *dep.Dependence) depKey {
 		class: d.Class, level: d.Level}
 }
 
-// UnitState holds the per-unit analysis and interaction state.
+// UnitState holds the per-unit analysis and interaction state. Its two
+// derived views, the printed text and the performance estimate, are made
+// the first time a reader asks (Session.image, Session.EstimateOf), not
+// by the analysis.
 type UnitState struct {
 	Unit *fortran.Unit
 	DF   *dataflow.Analysis
 	Deps *dep.Graph
-	Est  *perf.UnitEstimate
 
 	marks      map[depKey]dep.Mark
 	assertions []Assertion
 	classes    map[string]VarClass // user overrides by name
 
-	// unitImage is the unit's printed source at last analysis — this
-	// unit's part of the session's source image, which Save and
-	// SourceHash read instead of printing. callSig fingerprints the call
-	// surface (every call statement and user function invocation, with
-	// actuals). The two drive update's escalation decision: an unchanged
-	// text means nothing interprocedural can have moved, an unchanged
-	// call signature means no other unit's constant formals or call graph
-	// entry can have moved.
+	// unitImage is the unit's printed source — this unit's part of the
+	// session's source image, which Save and SourceHash read instead of
+	// printing — or the zero image while the unit is unprinted. An
+	// unprinted unit is one no action has changed since it was parsed:
+	// every AST mutation is preceded by pushUndo, which prints every unit,
+	// and a rejected edit's parse, which declares names and pushes
+	// nothing, prints its unit at once (EditStmt). callSig fingerprints
+	// the call surface (every call statement and user function
+	// invocation, with actuals). The two drive update's escalation
+	// decision: an unchanged text means nothing interprocedural can have
+	// moved, an unchanged call signature means no other unit's constant
+	// formals or call graph entry can have moved.
 	unitImage
 	callSig string
+	// estimate is the unit's performance estimate, nil until EstimateOf
+	// prices the unit and again once a change moves its price or
+	// replaces its analysis.
+	estimate *perf.UnitEstimate
 }
 
-// unitImage is one unit's printed text; two images compare by it.
+// unitImage is one unit's printed text; two images compare by it. A
+// printed unit's text is never empty, so the zero image is "unprinted".
 type unitImage struct {
 	text string
 }
@@ -177,6 +188,8 @@ type Session struct {
 	// reclassifications, undo) — the server's cache uses it to tell
 	// pristine sessions from dirtied ones.
 	mutated bool
+	// prints counts the units image and refreshImage have printed.
+	prints int
 }
 
 // Mutated reports whether any program- or analysis-changing action
@@ -242,8 +255,9 @@ func newSession(f *fortran.File, workers int, obs PhaseObserver) *Session {
 // stale — so a cold open takes the same rule as every edit, with an empty
 // memo. A unit's data flow is solved once: the summary pass's solve is the
 // unit's analysis, except on a recursion cycle and in a conservative
-// session, whose per-unit inputs are not the summaries. A unit keeps its
-// printed text when it has one: nothing here moves it.
+// session, whose per-unit inputs are not the summaries. It prints and
+// prices nothing; a unit keeps its printed text when it has one, since
+// nothing here moves it.
 func (s *Session) AnalyzeAll() {
 	start := time.Now()
 	s.File.RenumberStmts()
@@ -265,15 +279,24 @@ func (s *Session) newEstimator() *perf.Estimator {
 }
 
 // Estimator returns the session's performance estimator: its prices are
-// those of the program as it stands, each unit's priced once per change.
+// those of the program as it stands, each unit priced the first time a
+// price is asked after a change that moved it.
 func (s *Session) Estimator() *perf.Estimator { return s.est }
 
-// estimate brings u's performance estimate up to date with its analysis
-// and the cost memo.
-func (s *Session) estimate(u *fortran.Unit) {
+// EstimateOf returns u's performance estimate — its loops in navigation
+// order — pricing u the first time it is asked after a change moved its
+// price or replaced its analysis. The estimate is of the program as it
+// stands: spread drops every one a change moves.
+func (s *Session) EstimateOf(u *fortran.Unit) *perf.UnitEstimate {
 	st := s.units[u]
-	s.timed("perf", func() { st.Est = s.est.EstimateUnit(st.DF) })
+	if st.estimate == nil {
+		s.timed("perf", func() { st.estimate = s.est.EstimateUnit(st.DF) })
+	}
+	return st.estimate
 }
+
+// Estimate returns the current unit's performance estimate (EstimateOf).
+func (s *Session) Estimate() *perf.UnitEstimate { return s.EstimateOf(s.current) }
 
 // timed runs f and reports its wall time to the session's observer as
 // phase; a session without one reads no clock.
@@ -423,18 +446,18 @@ func (s *Session) reach(u *fortran.Unit, st *UnitState) (mode string, prog *inte
 // spread is the one reanalysis rule: every path that changes the
 // analysis ends in it — the cold open (AnalyzeAll), every edit, assertion
 // and transformation (update), and each unit an undo restores. It
-// installs prog, then brings up to date, in the order pricing needs,
-// everything a change of u reaches that the caller has not: first the
-// units in stale, analyzed whole, and every other unit whose analysis
-// inputs moved with prog (movedCalls; u itself is the caller's, and a
-// conservative session's units read nothing from prog), all on the
-// worker pool with the summary pass's solves when prog has any; then the
-// prices. With no estimator yet (a cold open) it builds one and prices
-// every unit. Otherwise u's price and its transitive callers', which
-// embed it, are dropped from the cost memo (a unit whose call cycle the
-// change moved reaches u, so it is among them), and those units and the
-// ones just analyzed are estimated again. Everything else keeps its unit
-// state, graphs, marks, assertions and price.
+// installs prog, then brings up to date everything a change of u reaches
+// that the caller has not: the units in stale, analyzed whole, and every
+// other unit whose analysis inputs moved with prog (movedCalls; u itself
+// is the caller's, and a conservative session's units read nothing from
+// prog), all on the worker pool with the summary pass's solves when prog
+// has any. It prices nothing. With no estimator yet (a cold open) it
+// builds an empty one. Otherwise u's price and its transitive callers',
+// which embed it, are dropped from the cost memo (a unit whose call
+// cycle the change moved reaches u, so it is among them), and so are
+// those units' estimates; a unit just analyzed has a new state, which
+// has none. Everything else keeps its unit state, graphs, marks,
+// assertions, price and estimate.
 func (s *Session) spread(u *fortran.Unit, prog *interproc.Program, stale []*fortran.Unit) {
 	old := s.Prog
 	s.Prog = prog
@@ -452,29 +475,20 @@ func (s *Session) spread(u *fortran.Unit, prog *interproc.Program, stale []*fort
 	if s.Conservative {
 		solved = nil
 	}
-	fresh := s.analyzeUnits(stale, solved)
-	for v, st := range fresh {
+	for v, st := range s.analyzeUnits(stale, solved) {
 		if s.units[v] == nil {
-			s.progHash = "" // a unit printed for the first time
+			s.progHash = "" // a unit of a new file: the program's text is new
 		}
 		s.units[v] = st
 	}
 	if s.est == nil {
 		s.est = s.newEstimator()
-		for _, v := range s.File.Units {
-			s.estimate(v)
-		}
 		return
 	}
 	s.est.Graph = prog.Graph
-	repriced := s.transitiveCallers(u)
-	for v := range repriced {
+	for v := range s.transitiveCallers(u) {
 		s.est.Invalidate(v)
-	}
-	for _, v := range s.File.Units {
-		if repriced[v] || fresh[v] != nil {
-			s.estimate(v)
-		}
+		s.units[v].estimate = nil
 	}
 }
 
@@ -533,11 +547,11 @@ func callSurfaceSig(u *fortran.Unit) string {
 
 // analyzeUnit analyzes u's data flow and dependences from scratch,
 // keeping prev's marks, assertions, classifications and source image —
-// which the caller must have refreshed if u's AST changed; its estimate
-// is the caller's to make once every unit's analysis is current
-// (estimate). A unit with no prev is printed: the only print here. A
-// non-nil df is u's data flow already solved under the session's inputs,
-// and is used as it stands.
+// which the caller must have refreshed if u's AST changed and u was
+// printed. It neither prints nor prices: a unit with no prev is left
+// unprinted, and the new state has no estimate. A non-nil df is u's data
+// flow already solved under the session's inputs, and is used as it
+// stands.
 func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, df *dataflow.Analysis) *UnitState {
 	if err := faultpoint.Hit(faultpoint.Analyze, s.File.Path+":"+u.Name); err != nil {
 		// Analysis has no error channel; an injected error surfaces
@@ -574,8 +588,6 @@ func (s *Session) analyzeUnit(u *fortran.Unit, prev *UnitState, df *dataflow.Ana
 	st.restoreMarks()
 	if prev != nil {
 		st.unitImage = prev.unitImage
-	} else {
-		st.unitImage = imageOf(u)
 	}
 	st.callSig = callSurfaceSig(u)
 	return st
@@ -696,7 +708,7 @@ func (s *Session) SelectedLoop() *cfg.Loop {
 // NextByPerformance selects the most expensive not-yet-parallel loop,
 // the estimator-guided navigation the users requested.
 func (s *Session) NextByPerformance() (*cfg.Loop, bool) {
-	for _, le := range s.State().Est.Loops {
+	for _, le := range s.Estimate().Loops {
 		if !le.Loop.Do.Parallel {
 			s.selected = le.Loop.Do
 			s.log("navigate to do %s (line %d): %.0f%% of unit time",
@@ -1205,16 +1217,31 @@ func (s *Session) EditStmt(id int, text string) error {
 
 // refreshImage reprints u into its existing state — for a change to the
 // unit's text that leaves its analysis standing — and reports whether
-// the text moved.
+// the text moved. An unprinted unit is the text it was parsed from
+// (UnitState): its print is stored and reports no move, and there is no
+// hash to drop, since SourceHash prints every unit.
 func (s *Session) refreshImage(u *fortran.Unit) bool {
 	st := s.units[u]
 	img := imageOf(u)
-	if img == st.unitImage {
+	s.prints++
+	was := st.unitImage
+	st.unitImage = img
+	if was == (unitImage{}) || was == img {
 		return false
 	}
-	st.unitImage = img
 	s.progHash = ""
 	return true
+}
+
+// image returns u's printed text, printing u the first time it is asked:
+// the one way to read a unit's text.
+func (s *Session) image(u *fortran.Unit) unitImage {
+	st := s.units[u]
+	if st.unitImage == (unitImage{}) {
+		st.unitImage = imageOf(u)
+		s.prints++
+	}
+	return st.unitImage
 }
 
 // touchesVisible reports whether the statement accesses any symbol a
@@ -1327,10 +1354,12 @@ func (e undoEntry) source() string {
 	return b.String()
 }
 
+// pushUndo records the program as it stands, printing every unit not yet
+// printed: the first mutation of a session prints the whole program once.
 func (s *Session) pushUndo() {
 	units := make([]unitImage, len(s.File.Units))
 	for i, u := range s.File.Units {
-		units[i] = s.units[u].unitImage
+		units[i] = s.image(u)
 	}
 	s.undoStack = append(s.undoStack, undoEntry{units: units})
 }
@@ -1390,8 +1419,8 @@ func (s *Session) Undo() error {
 	var differing []restore
 	line := 1
 	for i, u := range s.File.Units {
-		img, st := entry.units[i], s.units[u]
-		if img != st.unitImage {
+		img, live := entry.units[i], s.image(u)
+		if img != live {
 			r := restore{u: u}
 			if a := entry.annots; a != nil && a.unit == u && a.restores(img) {
 				r.annots = a
@@ -1401,7 +1430,7 @@ func (s *Session) Undo() error {
 					return fmt.Errorf("undo reparse failed: unit %s: %v", u.Name, err)
 				}
 				r.parsed = parsed
-				if k := soleDifferingLine(st.text, img.text); k > 0 {
+				if k := soleDifferingLine(live.text, img.text); k > 0 {
 					r.edited = line + k - 1
 				}
 			}
@@ -1464,7 +1493,7 @@ func (s *Session) sameUnits(images []unitImage) bool {
 		return line
 	}
 	for i, u := range s.File.Units {
-		if header(images[i].text) != header(s.units[u].text) {
+		if header(images[i].text) != header(s.image(u).text) {
 			return false
 		}
 	}
@@ -1615,14 +1644,15 @@ func nthStmt(body []fortran.Stmt, n int) fortran.Stmt {
 }
 
 // Save returns the current program text: fortran.Print(s.File), byte
-// for byte, joined from the source image rather than printed. Every
-// AST mutation ends in a refresh of the image (analyzeUnit, update, or
-// refreshImage from EditStmt's parse) before returning, so no caller
-// sees a stale text.
+// for byte, joined from the source image rather than printed. A unit
+// not yet printed is printed here, once (image); every AST mutation is
+// preceded by pushUndo, which prints every unit, and ends in a refresh
+// of the image (update, or refreshImage from EditStmt's parse) before
+// returning, so no caller sees a stale text.
 func (s *Session) Save() string {
 	n := len(s.File.Units)
 	for _, u := range s.File.Units {
-		n += len(s.units[u].text)
+		n += len(s.image(u).text)
 	}
 	var b strings.Builder
 	b.Grow(n)
@@ -1666,7 +1696,7 @@ func (s *Session) writeSource(w io.Writer) {
 		if i > 0 {
 			io.WriteString(w, "\n")
 		}
-		io.WriteString(w, s.units[u].text)
+		io.WriteString(w, s.image(u).text)
 	}
 }
 

@@ -99,8 +99,9 @@ func dumpUnit(s *core.Session, u *fortran.Unit, exact bool) string {
 		sort.Strings(edges)
 	}
 	b.WriteString(strings.Join(edges, "\n"))
-	fmt.Fprintf(&b, "\ntotal %b\n", st.Est.Total)
-	for _, le := range st.Est.Loops {
+	est := s.EstimateOf(u)
+	fmt.Fprintf(&b, "\ntotal %b\n", est.Total)
+	for _, le := range est.Loops {
 		fmt.Fprintf(&b, "loop #%d %b %b %b %b %b %b\n", le.Loop.Do.ID(),
 			le.Trip, le.BodyCost, le.SeqTime, le.ParTime, le.Speedup, le.Fraction)
 	}

@@ -181,8 +181,9 @@ func derivedKind(k SymKind) bool { return k == SymScalar || k == SymFunc }
 // repointed at them. What the editor keys by *Unit and *Symbol
 // (interprocedural summaries, constant formals, cost memo) therefore
 // stays addressable across the swap. Two attributes stay: the EXTERNAL
-// mark, which no printed text carries, and the kind of a name nu's
-// statements mention, so that the next DeriveKinds sees the move.
+// mark, which a text printed before the printer wrote EXTERNAL
+// statements lacks, and the kind of a name nu's statements mention, so
+// that the next DeriveKinds sees the move.
 func (u *Unit) Adopt(nu *Unit) {
 	kept := map[*Symbol]*Symbol{} // nu's symbol → u's of the same name
 	was := map[*Symbol]SymKind{}  // u's kept symbol → its kind before

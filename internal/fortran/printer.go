@@ -61,9 +61,12 @@ func writeArgNames(b *strings.Builder, u *Unit) {
 var declOrder = [...]Type{TypeInteger, TypeReal, TypeDouble, TypeLogical, TypeCharacter, TypeUnknown}
 
 // printDecls regenerates declaration statements from the symbol table
-// in deterministic order: type declarations, commons, parameters.
+// in deterministic order: type declarations, EXTERNAL, commons,
+// parameters. A function name is typed only when its type is not the
+// one its name implies, and named EXTERNAL when it was, so that a parse
+// of the text gives every name the kind and type it has.
 func printDecls(b *strings.Builder, u *Unit) {
-	var params, commons []*Symbol
+	var params, commons, externals []*Symbol
 	byType := map[Type][]*Symbol{}
 	for _, s := range u.SymbolsSorted() {
 		switch s.Kind {
@@ -71,6 +74,13 @@ func printDecls(b *strings.Builder, u *Unit) {
 			byType[s.Type] = append(byType[s.Type], s)
 			if s.Common != "" {
 				commons = append(commons, s)
+			}
+		case SymFunc:
+			if s.Type != implicitType(s.Name) {
+				byType[s.Type] = append(byType[s.Type], s)
+			}
+			if s.External {
+				externals = append(externals, s)
 			}
 		case SymParam:
 			params = append(params, s)
@@ -99,6 +109,16 @@ func printDecls(b *strings.Builder, u *Unit) {
 				}
 				b.WriteByte(')')
 			}
+		}
+		b.WriteByte('\n')
+	}
+	if len(externals) > 0 {
+		b.WriteString("      external ")
+		for i, s := range externals {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(s.Name)
 		}
 		b.WriteByte('\n')
 	}

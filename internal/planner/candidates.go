@@ -26,7 +26,7 @@ func (s *searcher) candidates(sess *core.Session) []string {
 
 	var out []string
 	hot := 0
-	for _, le := range sess.State().Est.Loops {
+	for _, le := range sess.Estimate().Loops {
 		if le.Loop.Do.Parallel {
 			continue
 		}

@@ -254,7 +254,7 @@ func (r *REPL) Execute(line string) error {
 		}
 		r.printReanalysis(s)
 	case "perf":
-		fmt.Fprint(r.Out, s.State().Est.Report())
+		fmt.Fprint(r.Out, s.Estimate().Report())
 	case "rank":
 		for i, row := range s.Estimator().ProcedureRank() {
 			fmt.Fprintf(r.Out, "%2d. %-12s %.0f\n", i+1, row.Unit.Name, row.Cost)

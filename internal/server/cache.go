@@ -98,7 +98,7 @@ func BuildArtifacts(key string, s *core.Session) *Artifacts {
 			Name:      u.Name,
 			Kind:      u.Kind.String(),
 			LoopsText: view.LoopList(s),
-			PerfText:  s.State().Est.Report(),
+			PerfText:  s.Estimate().Report(),
 		}
 		for j := range s.Loops() {
 			if err := s.SelectLoop(j + 1); err != nil {
