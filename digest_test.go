@@ -1,8 +1,9 @@
-// Pinned analysis results. TestIncrementalMatchesScratch compares two
-// runs of the same tree, so it cannot see a change that moves both of
-// its sides; this test hashes a canonical dump of everything the
-// analyses produce and compares it with constants recorded from the
-// tree before the analysis code was last restructured.
+// Pinned analysis results. TestIncrementalMatchesScratch (internal/core)
+// compares two runs of the same tree, so it cannot see a change that
+// moves both of its sides; this test hashes a canonical dump of
+// everything the analyses produce and compares it with constants
+// recorded from the tree before the analysis code was last
+// restructured.
 package parascope
 
 import (

@@ -31,14 +31,6 @@ func stmtByText(t *testing.T, s *core.Session, text string) fortran.Stmt {
 	return found
 }
 
-// expectFreshUnits holds every unit to a fresh Open of the saved text:
-// edge for edge with identifiers and statistics where no patch has
-// touched the graph, edge set for edge set where one has.
-func expectFreshUnits(t *testing.T, s *core.Session, context string) {
-	t.Helper()
-	(&undoHarness{t: t, name: t.Name(), s: s}).expectFresh(context)
-}
-
 // TestCallEditRetestsIncidentPairsOnly: on a main of 200 calls in one
 // loop a CALL edit lands on the program rung and costs the pairs of that CALL; and
 // the step's envelope is what it says — edits inside it are patched on
@@ -100,7 +92,7 @@ func callHeavyEdits(t *testing.T) {
 		if grew := st.Deps.Stats.PairsTested - before; grew == 0 || grew*50 > full {
 			t.Errorf("%s tested %d pairs; a full run of main tests %d, and the edit may cost at most 2%% of that", text, grew, full)
 		}
-		expectFreshUnits(t, s, text)
+		core.ExpectFresh(t, s, text)
 		call = stmtByText(t, s, text)
 	}
 	if got := len(s.StateOf(main).Deps.Deps); got != edges {
@@ -120,11 +112,11 @@ func callHeavyEdits(t *testing.T) {
 			t.Errorf("%s: rung %s, %d patches of main, want program and %d",
 				e[1], s.LastReanalysis.Mode, s.StateOf(main).Deps.Patches, patches+1)
 		}
-		expectFreshUnits(t, s, e[1])
+		core.ExpectFresh(t, s, e[1])
 		if err := s.Undo(); err != nil {
 			t.Fatal(err)
 		}
-		expectFreshUnits(t, s, "undo of "+e[1])
+		core.ExpectFresh(t, s, "undo of "+e[1])
 	}
 }
 
@@ -236,11 +228,11 @@ func patchEnvelope(t *testing.T) {
 					t.Errorf("took the %q rung, a WholeUnitOnly session %q", s.LastReanalysis.Mode, whole.LastReanalysis.Mode)
 				}
 			}
-			expectFreshUnits(t, s, c.name)
+			core.ExpectFresh(t, s, c.name)
 			if err := s.Undo(); err != nil {
 				t.Fatal(err)
 			}
-			expectFreshUnits(t, s, "undo of "+c.name)
+			core.ExpectFresh(t, s, "undo of "+c.name)
 			if strings.TrimSpace(s.Save()) != strings.TrimSpace(fortran.Print(mustParse(t, declineSrc))) {
 				t.Error("the undo did not land on the program's text")
 			}

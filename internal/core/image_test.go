@@ -332,7 +332,7 @@ func TestProgramRungKeepsEstimator(t *testing.T) {
 			t.Errorf("unit %s: memoized cost %g, fresh estimator %g", u.Name, got, want)
 		}
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestProgramRungOnRecursiveProgram: a price does not depend on where
@@ -380,7 +380,7 @@ func TestProgramRungOnRecursiveProgram(t *testing.T) {
 	if s.est != est {
 		t.Error("the program rung replaced the estimator")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestExternalPassedBareStaysAFunction: a name an EXTERNAL statement

@@ -7,9 +7,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -138,83 +135,6 @@ func TestStaleMarkCannotMisattach(t *testing.T) {
 	}
 }
 
-// depSignature renders every dependence of every unit into a sorted,
-// order-insensitive form for comparing an incrementally maintained
-// session against a from-scratch one. IDs and Stats are excluded:
-// the patch path renumbers edges and accumulates stats differently
-// by design.
-func depSignature(s *Session) []string {
-	var out []string
-	for _, u := range s.File.Units {
-		st := s.StateOf(u)
-		if st == nil || st.Deps == nil {
-			continue
-		}
-		for _, d := range st.Deps.Deps {
-			out = append(out, fmt.Sprintf("%s %s %s l%d %s %s #%d->#%d %s",
-				u.Name, d.Sym.Name, d.Class, d.Level, d.DirString(), d.Test,
-				d.Src.ID(), d.Dst.ID(), d.Mark))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// perfSignatureClose compares the two sessions' perf estimates with a
-// relative tolerance (loop lists are sorted by estimated time, which
-// can tie).
-func perfSignatureClose(a, b *Session) error {
-	near := func(x, y float64) bool {
-		return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
-	}
-	for _, u := range a.File.Units {
-		ea := a.EstimateOf(u)
-		eb := b.EstimateOf(b.File.Unit(u.Name))
-		if !near(ea.Total, eb.Total) {
-			return fmt.Errorf("unit %s: total %g vs %g", u.Name, ea.Total, eb.Total)
-		}
-		if len(ea.Loops) != len(eb.Loops) {
-			return fmt.Errorf("unit %s: %d vs %d loop estimates", u.Name, len(ea.Loops), len(eb.Loops))
-		}
-		ta := make([]float64, len(ea.Loops))
-		tb := make([]float64, len(eb.Loops))
-		for i := range ea.Loops {
-			ta[i], tb[i] = ea.Loops[i].SeqTime, eb.Loops[i].SeqTime
-		}
-		sort.Float64s(ta)
-		sort.Float64s(tb)
-		for i := range ta {
-			if !near(ta[i], tb[i]) {
-				return fmt.Errorf("unit %s: loop time %g vs %g", u.Name, ta[i], tb[i])
-			}
-		}
-	}
-	return nil
-}
-
-// expectScratchEquivalent fails unless s's incrementally maintained
-// analysis matches a fresh session opened on s's saved source.
-func expectScratchEquivalent(t *testing.T, s *Session) {
-	t.Helper()
-	fresh, err := Open(s.File.Path, s.Save())
-	if err != nil {
-		t.Fatalf("saved source does not reopen: %v", err)
-	}
-	got, want := depSignature(s), depSignature(fresh)
-	if len(got) != len(want) {
-		t.Fatalf("dependence count diverged: incremental %d, scratch %d\nincremental: %v\nscratch: %v",
-			len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("dependence diverged:\nincremental: %s\nscratch:     %s", got[i], want[i])
-		}
-	}
-	if err := perfSignatureClose(s, fresh); err != nil {
-		t.Errorf("perf estimate diverged: %v", err)
-	}
-}
-
 const callSrc = `
       program main
       integer i
@@ -272,7 +192,7 @@ func TestCalleeSummaryEditEscalates(t *testing.T) {
 	if v := s.Check(xform.Parallelize{Do: s.Loops()[0].Do}); v.Safe {
 		t.Error("caller's loop still parallel after the callee grew a cross-iteration read")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestCalleeNeutralEditStaysUnitLevel: an edit inside a callee that
@@ -289,7 +209,7 @@ func TestCalleeNeutralEditStaysUnitLevel(t *testing.T) {
 	if s.LastReanalysis.Mode != "unit" {
 		t.Errorf("summary-neutral edit took the %q path, want unit", s.LastReanalysis.Mode)
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled: nobody reads the
@@ -319,7 +239,7 @@ func TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled(t *testing.T) {
 		if s.LastReanalysis.Mode == "program" {
 			t.Fatalf("%s: a change of an uncalled unit took the program rung", step.text)
 		}
-		expectScratchEquivalent(t, s)
+		ExpectFresh(t, s, step.text)
 	}
 	if got := fortran.StmtText(findAssign(t, s, "x(k - 1)")); got != "x(k) = x(k - 1) + y(k)" {
 		t.Fatalf("after the undo g assigns %q", got)
@@ -332,7 +252,7 @@ func TestUncalledUnitSummaryIsRecomputedBeforeItIsCalled(t *testing.T) {
 	if v := s.Check(xform.Parallelize{Do: s.Loops()[0].Do}); v.Safe {
 		t.Error("main's loop parallel over calls of g as it was before its edits")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestStatementCountChangeAboveLeavesLaterUnitsAnswering: statement IDs
@@ -396,7 +316,7 @@ func TestCallRetargetEscalates(t *testing.T) {
 	if s.LastReanalysis.Mode != "program" {
 		t.Errorf("call retarget took the %q path, want program", s.LastReanalysis.Mode)
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestColumnOneCallEdit: interactive edit text arrives at column 1,
@@ -422,7 +342,7 @@ func TestColumnOneCallEdit(t *testing.T) {
 	if s.LastReanalysis.Mode != "program" {
 		t.Errorf("call retarget took the %q path, want program", s.LastReanalysis.Mode)
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestConstArgEditEscalates: changing a constant actual changes the
@@ -472,7 +392,7 @@ func TestConstArgEditEscalates(t *testing.T) {
 	if v := s.Check(xform.Parallelize{Do: s.Loops()[0].Do}); v.Safe {
 		t.Error("with n = 1 the loop carries a dependence; callee analysis is stale")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestPatchPathMatchesScratch drives the statement-granular fast path
@@ -492,7 +412,7 @@ func TestPatchPathMatchesScratch(t *testing.T) {
 		if s.LastReanalysis.Mode != "patch" {
 			t.Fatalf("edit %q took the %q path, want patch", e.text, s.LastReanalysis.Mode)
 		}
-		expectScratchEquivalent(t, s)
+		ExpectFresh(t, s, e.text)
 	}
 }
 
@@ -507,7 +427,7 @@ func TestWholeUnitOnlyDisablesPatch(t *testing.T) {
 	if s.LastReanalysis.Mode == "patch" {
 		t.Error("WholeUnitOnly session still took the patch path")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestCheapRungsOnRecursiveProgram: an edit inside a call cycle, on the
@@ -618,14 +538,14 @@ func TestKindChangeDeclinesStatementStep(t *testing.T) {
 	if s.LastReanalysis.Mode == "patch" {
 		t.Error("the edit that made b a function was patched in")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 	if err := s.Undo(); err != nil {
 		t.Fatal(err)
 	}
 	if s.LastReanalysis.Mode == "patch" {
 		t.Error("the undo that made b a scalar again was patched in")
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 }
 
 // TestRejectedEditLeavesKinds: a rejected edit that calls the scalar x
@@ -650,7 +570,7 @@ func TestRejectedEditLeavesKinds(t *testing.T) {
 	if err := s.EditStmt(findAssign(t, s, "b(i) = x").ID(), "      b(i) = x + 1.0"); err != nil {
 		t.Fatal(err)
 	}
-	expectScratchEquivalent(t, s)
+	ExpectFresh(t, s, t.Name())
 	if !strings.Contains(s.Save(), "      real b(10), q, x\n") {
 		t.Errorf("the save no longer declares x:\n%s", s.Save())
 	}

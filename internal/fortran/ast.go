@@ -151,10 +151,13 @@ func (u *Unit) SymbolsSorted() []*Symbol {
 // otherwise — and reports whether a kind moved. It is the one place an
 // existing name's kind changes: a parse enters new names but moves no
 // kind. A name no statement mentions keeps the kind its declarations
-// gave it.
+// gave it, except a function name that is not EXTERNAL but is printed
+// all the same — a dummy argument, or typed other than its name
+// implies: a parse of the printed text makes that a scalar, and so
+// does this.
 func (u *Unit) DeriveKinds() (moved bool) {
-	calls := func(s *Symbol) (found bool) {
-		symRefs(u.Body, func(p **Symbol, call bool) { found = found || call && *p == s })
+	mentions := func(s *Symbol, calls bool) (found bool) {
+		symRefs(u.Body, func(p **Symbol, call bool) { found = found || (call || !calls) && *p == s })
 		return found
 	}
 	symRefs(u.Body, func(p **Symbol, call bool) {
@@ -162,12 +165,17 @@ func (u *Unit) DeriveKinds() (moved bool) {
 		switch {
 		case s == nil || s.Unit != u || !derivedKind(s.Kind):
 			return
-		case !call && !s.External && (s.Kind == SymScalar || !calls(s)):
+		case !call && !s.External && (s.Kind == SymScalar || !mentions(s, true)):
 			want = SymScalar
 		}
 		moved = moved || s.Kind != want
 		s.Kind = want
 	})
+	for _, s := range u.Syms {
+		if s.Kind == SymFunc && !s.External && (s.Dummy || s.Type != implicitType(s.Name)) && !mentions(s, false) {
+			s.Kind, moved = SymScalar, true
+		}
+	}
 	return moved
 }
 

@@ -58,3 +58,12 @@ func fuzzParseSeeds() []string {
 		"      program p\n      print *, 'it''s'\n      end\n",
 	)
 }
+
+// TestRenumberStmtsAllocatesNothing: the statement index keeps its
+// backing array across renumbers of a file whose size did not grow.
+func TestRenumberStmtsAllocatesNothing(t *testing.T) {
+	f := workloads.Spec77().MustParse()
+	if n := testing.AllocsPerRun(10, f.RenumberStmts); n != 0 {
+		t.Errorf("RenumberStmts allocated %v times per run, want 0", n)
+	}
+}
